@@ -9,7 +9,7 @@ use crate::error::{ClientError, Result};
 use crate::viewport::Viewport;
 use kyrix_core::{CompiledCanvas, CompiledRender, JumpType};
 use kyrix_render::{Color, ColorScale, Frame, Mark, MarkType};
-use kyrix_server::{FetchMetrics, KyrixServer, MomentumTracker, SnapshotView};
+use kyrix_server::{FetchMetrics, KyrixServer, LayerRowLayout, MomentumTracker, SnapshotView};
 use kyrix_storage::{Row, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -210,7 +210,7 @@ impl Session {
         };
         // Jump programs are compiled against the layer's *data* columns
         // (+ layer_id); strip the geometry columns the store appended.
-        let data_row = match self.server.store(&self.canvas, layer_index)?.layout() {
+        let data_row = match self.server.layout(&self.canvas, layer_index)? {
             Some(layout) => Row::new(row.values[..layout.n_data_cols].to_vec()),
             None => row,
         };
@@ -320,7 +320,11 @@ impl Session {
         }
 
         let modeled_ms = fetch.modeled_ms(&self.server.cost_model());
-        let visible_rows = self.visible(usize::MAX)?.iter().map(|(_, v)| v.len()).sum();
+        let visible_rows = self
+            .data_layers()?
+            .into_iter()
+            .map(|(layer, layout)| self.visible_in(layer, layout).count())
+            .sum();
         Ok(StepReport {
             fetch,
             modeled_ms,
@@ -367,59 +371,63 @@ impl Session {
         Arc::clone(&self.snapshot)
     }
 
-    /// Rows visible in the current viewport, per non-static layer,
-    /// deduplicated by tuple_id (region responses renumber synthesized ids,
-    /// so ids are unique within one cached region).
-    pub fn visible(&mut self, limit_per_layer: usize) -> Result<Vec<(usize, Vec<Row>)>> {
-        let vp = self.effective_viewport();
-        let canvas = self.canvas.clone();
-        let n_layers = self.current_canvas().layers.len();
-        let statics: Vec<bool> = self
-            .current_canvas()
-            .layers
-            .iter()
-            .map(|l| l.is_static)
-            .collect();
+    /// The current canvas's layers that carry data rows, with the accessor
+    /// layout of those rows.
+    fn data_layers(&self) -> Result<Vec<(usize, LayerRowLayout)>> {
         let mut out = Vec::new();
-        for (layer, is_static) in statics.iter().enumerate().take(n_layers) {
-            if *is_static {
+        for (layer, l) in self.current_canvas().layers.iter().enumerate() {
+            if l.is_static {
                 continue;
             }
-            let store = self.server.store(&canvas, layer)?;
-            let Some(layout) = store.layout() else {
-                continue;
-            };
-            let mut rows = Vec::new();
-            let mut seen: HashSet<i64> = HashSet::new();
-            if let Some(cached) = self.cache.peek(layer, &vp) {
-                for row in cached.iter() {
-                    if rows.len() >= limit_per_layer {
-                        break;
-                    }
-                    let bbox = layout.bbox(row);
-                    if bbox.intersects(&vp) && seen.insert(layout.tuple_id(row)) {
-                        rows.push(row.clone());
-                    }
-                }
+            if let Some(layout) = self.server.layout(&self.canvas, layer)? {
+                out.push((layer, layout));
             }
-            out.push((layer, rows));
         }
         Ok(out)
     }
 
+    /// The one borrowing pass behind [`Session::visible`],
+    /// [`Session::object_at`], [`Session::render`] and the per-step row
+    /// count: the rows of a layer's cached region whose box intersects
+    /// the viewport, each tuple id once, in cache order.
+    fn visible_in(&self, layer: usize, layout: LayerRowLayout) -> impl Iterator<Item = &Row> {
+        let vp = self.effective_viewport();
+        let mut seen: HashSet<i64> = HashSet::new();
+        self.cache
+            .peek(layer, &vp)
+            .into_iter()
+            .flat_map(|rows| rows.iter())
+            .filter(move |row| {
+                layout.bbox(row).intersects(&vp) && seen.insert(layout.tuple_id(row))
+            })
+    }
+
+    /// Rows visible in the current viewport, per non-static layer: copies
+    /// of the cached region's rows whose box intersects the viewport, at
+    /// most `limit_per_layer` each, deduplicated by tuple id (a region
+    /// response carries ids unique within it — the server's merge keeps a
+    /// tile straddler once and renumbers synthesized ids). Callers that
+    /// only inspect or count rows inside the session borrow them instead.
+    pub fn visible(&mut self, limit_per_layer: usize) -> Result<Vec<(usize, Vec<Row>)>> {
+        Ok(self
+            .data_layers()?
+            .into_iter()
+            .map(|(layer, layout)| {
+                let rows = self.visible_in(layer, layout).take(limit_per_layer);
+                (layer, rows.cloned().collect())
+            })
+            .collect())
+    }
+
     /// Topmost object whose bounding box contains the canvas point.
     pub fn object_at(&mut self, cx: f64, cy: f64) -> Result<Option<(usize, Row)>> {
-        let visible = self.visible(usize::MAX)?;
-        let canvas = self.current_canvas();
         // top layer first
-        for (layer, rows) in visible.into_iter().rev() {
-            let Some(store_layout) = self.server.store(&canvas.id, layer)?.layout() else {
-                continue;
-            };
-            for row in rows {
-                if store_layout.bbox(&row).contains_point(cx, cy) {
-                    return Ok(Some((layer, row)));
-                }
+        for (layer, layout) in self.data_layers()?.into_iter().rev() {
+            let hit = self
+                .visible_in(layer, layout)
+                .find(|row| layout.bbox(row).contains_point(cx, cy));
+            if let Some(row) = hit {
+                return Ok(Some((layer, row.clone())));
             }
         }
         Ok(None)
@@ -432,10 +440,7 @@ impl Session {
         let vp = self.viewport;
         let mut frame = Frame::new(vp.width as usize, vp.height as usize);
         frame.clear(Color::WHITE);
-        let visible = self.visible(usize::MAX)?;
-        let canvas = self.current_canvas().clone();
-
-        for (li, layer) in canvas.layers.iter().enumerate() {
+        for (li, layer) in self.current_canvas().layers.iter().enumerate() {
             match &layer.rendering {
                 CompiledRender::Static(marks) => {
                     // static layers draw in *viewport* coordinates
@@ -444,19 +449,14 @@ impl Session {
                     }
                 }
                 CompiledRender::Marks(enc) => {
-                    let Some(layout) = self.server.store(&canvas.id, li)?.layout() else {
+                    let Some(layout) = self.server.layout(&self.canvas, li)? else {
                         continue;
                     };
-                    let rows = visible
-                        .iter()
-                        .find(|(l, _)| *l == li)
-                        .map(|(_, r)| r.as_slice())
-                        .unwrap_or(&[]);
                     let color_scale = enc
                         .color
                         .as_ref()
                         .map(|(_, d0, d1, ramp)| ColorScale::new(*d0, *d1, ramp.ramp()));
-                    for row in rows {
+                    for row in self.visible_in(li, layout) {
                         let data = &row.values[..layout.n_data_cols];
                         let (sx, sy) = vp.to_screen(layout.cx(row), layout.cy(row));
                         let size = enc.size.eval_f64(data).unwrap_or(2.0);

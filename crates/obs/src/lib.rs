@@ -52,5 +52,5 @@ mod report;
 mod span;
 
 pub use metrics::{bucket_bounds, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{HistogramFamily, Registry};
+pub use registry::{FamilyMember, HistogramFamily, Registry};
 pub use span::{render_trace, Span, SpanEvent};

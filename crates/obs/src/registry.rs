@@ -211,6 +211,16 @@ impl HistogramFamily {
         Arc::clone(&self.total)
     }
 
+    /// A recorder for `label` with both histograms resolved once — for
+    /// hot paths that would otherwise format the child's name and look it
+    /// up on every observation.
+    pub fn member(&self, label: &str) -> FamilyMember {
+        FamilyMember {
+            child: self.labeled(label),
+            total: self.total(),
+        }
+    }
+
     /// Record `us` microseconds under `label` (and into the total).
     pub fn record(&self, label: &str, us: u64) {
         self.labeled(label).record(us);
@@ -220,6 +230,28 @@ impl HistogramFamily {
     /// Record a [`Duration`] under `label` (and into the total).
     pub fn record_duration(&self, label: &str, d: Duration) {
         self.record(label, d.as_micros().min(u64::MAX as u128) as u64);
+    }
+}
+
+/// One label of a [`HistogramFamily`], created by
+/// [`HistogramFamily::member`]: observations land in the label's child
+/// and the family total, like [`HistogramFamily::record`].
+#[derive(Debug, Clone)]
+pub struct FamilyMember {
+    child: Arc<Histogram>,
+    total: Arc<Histogram>,
+}
+
+impl FamilyMember {
+    /// Record `us` microseconds under this label (and into the total).
+    pub fn record(&self, us: u64) {
+        self.child.record(us);
+        self.total.record(us);
+    }
+
+    /// Record a [`Duration`] under this label (and into the total).
+    pub fn record_duration(&self, d: Duration) {
+        self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 }
 
@@ -253,5 +285,9 @@ mod tests {
             .merged(&fam.labeled("l1").snapshot());
         assert_eq!(total, merged);
         assert_eq!(total.count(), 3);
+        // a pre-resolved member writes the same two histograms
+        fam.member("l1").record(70);
+        assert_eq!(fam.labeled("l1").snapshot().count(), 2);
+        assert_eq!(fam.total().snapshot().count(), 4);
     }
 }

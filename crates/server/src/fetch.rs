@@ -4,10 +4,15 @@ use crate::backend::SnapshotView;
 use crate::dbox::BoxPolicy;
 use crate::error::{Result, ServerError};
 use crate::metrics::FetchMetrics;
-use crate::precompute::{FetchPlan, LayerStore};
+use crate::precompute::{FetchPlan, LayerRowLayout, LayerStore};
 use crate::tile::{TileId, Tiling};
 use kyrix_storage::{Rect, Row, Value};
 use std::time::Instant;
+
+/// Wire size of the geometry tail a separable fetch appends to each raw
+/// row: `cx, cy, minx, miny, maxx, maxy` floats plus the tuple id, 8 bytes
+/// each.
+const GEOMETRY_WIRE_BYTES: u64 = 7 * 8;
 
 /// Map a canvas-space rectangle to the raw-data domain through the inverse
 /// placement affines, expanding by the constant object extent so objects
@@ -63,6 +68,8 @@ pub fn fetch_rect(
             layout,
             x_affine,
             y_affine,
+            x_col,
+            y_col,
             obj_w,
             obj_h,
         } => {
@@ -79,34 +86,32 @@ pub fn fetch_rect(
                 ],
             )?;
             // synthesize the standard layer row layout: raw row values are
-            // exactly the transform output (SELECT *, no derived columns).
-            // Resolve the affine variable columns once, not per row.
-            let _ = layout;
-            let schema = db.table_schema(table)?;
-            let x_idx = schema.index_of(x_affine.var.as_deref().unwrap_or_default())?;
-            let y_idx = schema.index_of(y_affine.var.as_deref().unwrap_or_default())?;
-            let mut rows = Vec::with_capacity(raw_rows.len());
-            let mut bytes = 0u64;
-            for (i, raw_row) in raw_rows.into_iter().enumerate() {
-                let cx = x_affine.apply(raw_row.get(x_idx).as_f64()?);
-                let cy = y_affine.apply(raw_row.get(y_idx).as_f64()?);
-                let bbox = Rect::centered(cx, cy, *obj_w, *obj_h);
-                let mut values = raw_row.values;
-                values.extend([
-                    Value::Float(cx),
-                    Value::Float(cy),
-                    Value::Float(bbox.min_x),
-                    Value::Float(bbox.min_y),
-                    Value::Float(bbox.max_x),
-                    Value::Float(bbox.max_y),
-                    Value::Int(i as i64),
-                ]);
-                let row = Row::new(values);
-                bytes += row.wire_size() as u64;
-                rows.push(row);
-            }
-            metrics.rows = rows.len() as u64;
-            metrics.bytes = bytes;
+            // exactly the transform output (SELECT *, no derived columns),
+            // so each layer row is built once at its final width and its
+            // wire size is the query's own plus the constant geometry tail
+            let width = layout.width();
+            let rows: Vec<Row> = raw_rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, raw_row)| {
+                    let cx = x_affine.apply(raw_row.get(*x_col).as_f64()?);
+                    let cy = y_affine.apply(raw_row.get(*y_col).as_f64()?);
+                    let bbox = Rect::centered(cx, cy, *obj_w, *obj_h);
+                    let mut values = Vec::with_capacity(width);
+                    values.extend(raw_row.values);
+                    values.extend([
+                        Value::Float(cx),
+                        Value::Float(cy),
+                        Value::Float(bbox.min_x),
+                        Value::Float(bbox.min_y),
+                        Value::Float(bbox.max_x),
+                        Value::Float(bbox.max_y),
+                        Value::Int(i as i64),
+                    ]);
+                    Ok(Row::new(values))
+                })
+                .collect::<Result<_>>()?;
+            metrics.bytes += rows.len() as u64 * GEOMETRY_WIRE_BYTES;
             Ok((rows, metrics))
         }
         LayerStore::TileMapping { .. } => Err(ServerError::Config(
@@ -150,6 +155,79 @@ pub fn fetch_tile(
         }
         LayerStore::Spatial { .. } | LayerStore::SeparableRaw { .. } => {
             fetch_rect(db, store, &tiling.tile_rect(tile))
+        }
+    }
+}
+
+/// The predicate one tile's fetch evaluates in the DBMS, replayed on an
+/// already-fetched layer row: `matches(row)` is true exactly when
+/// [`fetch_tile`] for that tile returns the row. The region merge uses it
+/// to tell which of several covering tiles saw a straddling mark first.
+pub(crate) enum TileMatcher {
+    /// Separable store: the raw `(x, y)` lies in the tile's raw-space
+    /// query rectangle — the very floats [`fetch_rect`] sends.
+    RawPoint {
+        raw: Rect,
+        x_col: usize,
+        y_col: usize,
+    },
+    /// Spatial store: the row's bounding box intersects the tile.
+    Bbox { tile: Rect, layout: LayerRowLayout },
+    /// Tuple–tile mapping: the mapping table lists the tile for the row,
+    /// i.e. the tile is among [`Tiling::covering`] of its bounding box.
+    Mapped {
+        tiling: Tiling,
+        tile: TileId,
+        layout: LayerRowLayout,
+    },
+}
+
+impl TileMatcher {
+    /// The matcher of `tile` under `store` (None for static layers, whose
+    /// tiles hold no rows).
+    pub(crate) fn new(store: &LayerStore, tiling: Tiling, tile: TileId) -> Result<Option<Self>> {
+        Ok(match store {
+            LayerStore::Static => None,
+            LayerStore::Spatial { layout, .. } => Some(TileMatcher::Bbox {
+                tile: tiling.tile_rect(tile),
+                layout: *layout,
+            }),
+            LayerStore::SeparableRaw {
+                x_affine,
+                y_affine,
+                x_col,
+                y_col,
+                obj_w,
+                obj_h,
+                ..
+            } => Some(TileMatcher::RawPoint {
+                raw: raw_query_rect(&tiling.tile_rect(tile), x_affine, y_affine, *obj_w, *obj_h)?,
+                x_col: *x_col,
+                y_col: *y_col,
+            }),
+            LayerStore::TileMapping { layout, .. } => Some(TileMatcher::Mapped {
+                tiling,
+                tile,
+                layout: *layout,
+            }),
+        })
+    }
+
+    /// Whether the tile's fetch returns `row`.
+    pub(crate) fn matches(&self, row: &Row) -> bool {
+        match self {
+            TileMatcher::RawPoint { raw, x_col, y_col } => {
+                match (row.get(*x_col).as_f64(), row.get(*y_col).as_f64()) {
+                    (Ok(x), Ok(y)) => Rect::point(x, y).intersects(raw),
+                    _ => false,
+                }
+            }
+            TileMatcher::Bbox { tile, layout } => layout.bbox(row).intersects(tile),
+            TileMatcher::Mapped {
+                tiling,
+                tile,
+                layout,
+            } => tiling.covers(&layout.bbox(row), *tile),
         }
     }
 }

@@ -122,6 +122,10 @@ pub enum LayerStore {
         x_affine: Affine,
         /// Canvas-y as an affine of the indexed y attribute.
         y_affine: Affine,
+        /// Position of the indexed x attribute in a raw (and layer) row.
+        x_col: usize,
+        /// Position of the indexed y attribute in a raw (and layer) row.
+        y_col: usize,
         /// Constant object width in canvas units.
         obj_w: f64,
         /// Constant object height in canvas units.
@@ -221,6 +225,8 @@ pub(crate) fn separable_store(db: &Database, layer: &CompiledLayer) -> Option<La
         },
         x_affine: sep.x_affine.clone(),
         y_affine: sep.y_affine.clone(),
+        x_col: table.schema.index_of(&sep.x_column).ok()?,
+        y_col: table.schema.index_of(&sep.y_column).ok()?,
         obj_w,
         obj_h,
     })

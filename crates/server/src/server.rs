@@ -12,11 +12,11 @@ use crate::cost::CostModel;
 use crate::drift::DriftReport;
 use crate::error::{Result, ServerError};
 use crate::fetch::fetch_rect;
-use crate::fetch::{compute_fetch_box, count_rect, fetch_tile};
+use crate::fetch::{compute_fetch_box, count_rect, fetch_tile, TileMatcher};
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{
-    estimate_layer_rows, precompute_layer, separable_store, FetchPlan, LayerStore,
+    estimate_layer_rows, precompute_layer, separable_store, FetchPlan, LayerRowLayout, LayerStore,
     PrecomputeReport, TileDesign,
 };
 use crate::prefetch::{
@@ -26,7 +26,7 @@ use crate::tile::{TileId, Tiling};
 use crate::tuner::{self, TuningReport};
 use crossbeam::channel::{unbounded, Sender};
 use kyrix_core::CompiledApp;
-use kyrix_obs::{HistogramFamily, Registry};
+use kyrix_obs::{Counter, FamilyMember, Registry};
 use kyrix_parallel::QueryRouter;
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{Database, Rect, Row, Value};
@@ -215,9 +215,14 @@ struct Inner {
     /// query observer feeds `span.sql.execute` here; the fetch and
     /// mutation paths emit the rest.
     obs: Arc<Registry>,
-    /// Per-`(canvas, layer)` region-serve latency family
-    /// (`fetch.region.layer{canvas/N}` plus a total).
-    region_family: HistogramFamily,
+    /// Region-serve latency recorders of the `fetch.region.layer{canvas/N}`
+    /// family, one per layer, resolved at launch so a fetch formats no label.
+    region_latency: FxHashMap<(u32, u32), FamilyMember>,
+    /// Rows the covering tiles of tiled region fetches returned
+    /// (`fetch.region.rows_in`) and rows the merge kept
+    /// (`fetch.region.rows_out`); in − out is the tile-straddler tax.
+    region_rows_in: Arc<Counter>,
+    region_rows_out: Arc<Counter>,
     /// Foreground [`KyrixServer::fetch_region`] serves per
     /// `(canvas idx, layer idx)` — the step count drift detection uses to
     /// normalize `layer_totals` to a per-interaction cost.
@@ -225,6 +230,50 @@ struct Inner {
 }
 
 impl Inner {
+    /// Serving state over a launched backend: empty caches, zeroed totals,
+    /// version 0, and the per-layer telemetry handles resolved once.
+    fn new(
+        app: CompiledApp,
+        backend: Box<dyn ServingBackend>,
+        stores: FxHashMap<(u32, u32), LayerStore>,
+        plans: FxHashMap<(u32, u32), FetchPlan>,
+        config: &ServerConfig,
+        obs: Arc<Registry>,
+    ) -> Self {
+        let family = obs.histogram_family("fetch.region.layer");
+        let region_latency = stores
+            .keys()
+            .map(|&(ci, li)| {
+                let label = format!("{}/{li}", app.canvases[ci as usize].id);
+                ((ci, li), family.member(&label))
+            })
+            .collect();
+        Inner {
+            app,
+            backend,
+            writer: Mutex::new(()),
+            stores,
+            plans,
+            cost: config.cost,
+            tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
+            box_caches: Mutex::new(FxHashMap::default()),
+            box_cache_entries: config.box_cache_entries,
+            totals: Mutex::new(FetchMetrics::default()),
+            layer_totals: Mutex::new(FxHashMap::default()),
+            prefetch_totals: Mutex::new(FetchMetrics::default()),
+            semantic: Mutex::new(FxHashMap::default()),
+            mutations: Mutex::new(MutationLog {
+                version: 0,
+                entries: VecDeque::new(),
+            }),
+            region_latency,
+            region_rows_in: obs.counter("fetch.region.rows_in"),
+            region_rows_out: obs.counter("fetch.region.rows_out"),
+            obs,
+            layer_regions: Mutex::new(FxHashMap::default()),
+        }
+    }
+
     /// Pin the published head view (two atomic ops; the backend's head
     /// lock is released before this returns).
     fn snapshot(&self) -> Arc<dyn SnapshotView> {
@@ -623,29 +672,7 @@ impl KyrixServer {
         }
         obs.gauge("snapshot.head_version").set(0);
         let backend = Box::new(SingleNodeBackend::new(db, obs.gauge("snapshot.pinned")));
-        let region_family = obs.histogram_family("fetch.region.layer");
-        let inner = Arc::new(Inner {
-            app,
-            backend,
-            writer: Mutex::new(()),
-            stores,
-            plans,
-            cost: config.cost,
-            tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
-            box_caches: Mutex::new(FxHashMap::default()),
-            box_cache_entries: config.box_cache_entries,
-            totals: Mutex::new(FetchMetrics::default()),
-            layer_totals: Mutex::new(FxHashMap::default()),
-            prefetch_totals: Mutex::new(FetchMetrics::default()),
-            semantic: Mutex::new(FxHashMap::default()),
-            mutations: Mutex::new(MutationLog {
-                version: 0,
-                entries: VecDeque::new(),
-            }),
-            obs,
-            region_family,
-            layer_regions: Mutex::new(FxHashMap::default()),
-        });
+        let inner = Arc::new(Inner::new(app, backend, stores, plans, &config, obs));
         let prefetcher = if config.prefetch {
             Some(Prefetcher::spawn(inner.clone()))
         } else {
@@ -783,29 +810,7 @@ impl KyrixServer {
             telemetry,
             obs.gauge("snapshot.pinned"),
         )?);
-        let region_family = obs.histogram_family("fetch.region.layer");
-        let inner = Arc::new(Inner {
-            app,
-            backend,
-            writer: Mutex::new(()),
-            stores,
-            plans,
-            cost: config.cost,
-            tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
-            box_caches: Mutex::new(FxHashMap::default()),
-            box_cache_entries: config.box_cache_entries,
-            totals: Mutex::new(FetchMetrics::default()),
-            layer_totals: Mutex::new(FxHashMap::default()),
-            prefetch_totals: Mutex::new(FetchMetrics::default()),
-            semantic: Mutex::new(FxHashMap::default()),
-            mutations: Mutex::new(MutationLog {
-                version: 0,
-                entries: VecDeque::new(),
-            }),
-            obs,
-            region_family,
-            layer_regions: Mutex::new(FxHashMap::default()),
-        });
+        let inner = Arc::new(Inner::new(app, backend, stores, plans, &config, obs));
         let prefetcher = if config.prefetch {
             Some(Prefetcher::spawn(inner.clone()))
         } else {
@@ -872,6 +877,12 @@ impl KyrixServer {
         self.inner.store(canvas, layer).cloned()
     }
 
+    /// Row accessor layout of a layer's rows (None for static layers),
+    /// without copying the store.
+    pub fn layout(&self, canvas: &str, layer: usize) -> Result<Option<LayerRowLayout>> {
+        Ok(self.inner.store(canvas, layer)?.layout())
+    }
+
     /// Fetch one tile of a layer (static-tile plans only).
     pub fn fetch_tile(&self, canvas: &str, layer: usize, tile: TileId) -> Result<TileResponse> {
         let snap = {
@@ -893,11 +904,12 @@ impl KyrixServer {
     }
 
     /// Fetch everything intersecting a canvas rectangle under *either*
-    /// plan: the covering tiles (through the tile cache, deduplicated by
-    /// tuple id — a tuple whose box straddles a tile edge arrives via
-    /// several tiles) when serving static tiles, the dynamic box
-    /// otherwise. Lets callers drive every canvas of a multi-level (LoD)
-    /// app uniformly without matching on the plan; cache keys stay
+    /// plan: the covering tiles (through the tile cache, deduplicated — a
+    /// tuple whose box straddles a tile edge arrives via several tiles and
+    /// is kept from the first that sees it) when serving static tiles, the
+    /// dynamic box otherwise; tuple ids are unique within the response.
+    /// Lets callers drive every canvas of a multi-level (LoD) app
+    /// uniformly without matching on the plan; cache keys stay
     /// per-(canvas, layer), so levels never collide.
     ///
     /// The whole region is resolved against *one* pinned snapshot: even
@@ -922,66 +934,54 @@ impl KyrixServer {
                 .fetch_box_cached(&*snap, canvas, layer, rect, false),
             FetchPlan::StaticTiles { size, .. } => {
                 let store = self.inner.store(canvas, layer)?;
-                let layout = store.layout();
-                // SeparableRaw synthesizes tuple ids per fetch (enumeration
-                // order), so they are not stable across tiles; key those
-                // rows by their content instead, as a multiset (a raw table
-                // may legitimately hold identical rows — every tile that
-                // sees such a mark returns all copies, so the number of
-                // copies per key is the max over tiles, not the sum).
-                let stable_ids = !matches!(store, LayerStore::SeparableRaw { .. });
                 let tiling = Tiling::new(size);
+                let tiles = tiling.covering(rect)?;
+                // separable stores number tuple ids per fetch, so they
+                // repeat across tiles: those rows get response-unique ids as
+                // they are copied (callers dedup visible rows by tuple id)
+                let fresh_id_col = match store {
+                    LayerStore::SeparableRaw { layout, .. } => Some(layout.width() - 1),
+                    _ => None,
+                };
                 let mut rows = Vec::new();
-                let mut seen_ids = std::collections::HashSet::new();
-                let mut emitted: std::collections::HashMap<Vec<u8>, usize> =
-                    std::collections::HashMap::new();
                 let mut metrics = FetchMetrics::default();
                 let mut covered = Rect::empty();
-                for tile in tiling.covering(rect)? {
+                for &tile in &tiles {
                     let resp = self
                         .inner
                         .fetch_tile_cached(&*snap, canvas, layer, tile, false)?;
                     let _merge = obs.span("merge");
-                    match layout {
-                        None => rows.extend(resp.rows.iter().cloned()),
-                        Some(l) if stable_ids => {
-                            for row in resp.rows.iter() {
-                                if seen_ids.insert(l.tuple_id(row)) {
-                                    rows.push(row.clone());
-                                }
-                            }
+                    // A mark straddling a tile edge arrives through every
+                    // tile whose fetch sees it — with all its copies, when
+                    // the table holds identical rows. Keep a row only from
+                    // the first covering tile (row-major) that sees it. A
+                    // tile's fetch is an interval test per axis, so if any
+                    // earlier covering tile saw the row, this tile's left
+                    // or upper neighbour did: replay those two fetches'
+                    // predicates on the row.
+                    let mut earlier = Vec::with_capacity(2);
+                    for (dx, dy) in [(1, 0), (0, 1)] {
+                        let before = TileId::new(tile.x - dx, tile.y - dy);
+                        if before.x >= tiles[0].x && before.y >= tiles[0].y {
+                            earlier.extend(TileMatcher::new(store, tiling, before)?);
                         }
-                        Some(l) => {
-                            let mut in_tile: std::collections::HashMap<Vec<u8>, usize> =
-                                std::collections::HashMap::new();
-                            for row in resp.rows.iter() {
-                                // key: everything but the synthesized id
-                                let key = Row::new(row.values[..l.width() - 1].to_vec()).encode();
-                                let copy = *in_tile
-                                    .entry(key.clone())
-                                    .and_modify(|c| *c += 1)
-                                    .or_insert(1);
-                                let done = emitted.entry(key).or_insert(0);
-                                if copy > *done {
-                                    *done = copy;
-                                    rows.push(row.clone());
-                                }
-                            }
+                    }
+                    self.inner.region_rows_in.add(resp.rows.len() as u64);
+                    rows.reserve(resp.rows.len());
+                    for row in resp.rows.iter() {
+                        if earlier.iter().any(|t| t.matches(row)) {
+                            continue;
                         }
+                        let mut row = row.clone();
+                        if let Some(col) = fresh_id_col {
+                            row.values[col] = Value::Int(rows.len() as i64);
+                        }
+                        rows.push(row);
                     }
                     metrics.merge(&resp.metrics);
                     covered = covered.union(&tiling.tile_rect(tile));
                 }
-                if !stable_ids {
-                    // per-tile synthesized ids collide across tiles; rewrite
-                    // them to be unique within this response so callers can
-                    // dedup visible rows by tuple id like any other store
-                    if let Some(l) = layout {
-                        for (i, row) in rows.iter_mut().enumerate() {
-                            row.values[l.width() - 1] = Value::Int(i as i64);
-                        }
-                    }
-                }
+                self.inner.region_rows_out.add(rows.len() as u64);
                 Ok(BoxResponse {
                     rect: covered,
                     rows: Arc::new(rows),
@@ -996,9 +996,9 @@ impl KyrixServer {
                 .lock()
                 .entry((ci, layer as u32))
                 .or_insert(0) += 1;
-            self.inner
-                .region_family
-                .record_duration(&format!("{canvas}/{layer}"), started.elapsed());
+            if let Some(latency) = self.inner.region_latency.get(&(ci, layer as u32)) {
+                latency.record_duration(started.elapsed());
+            }
         }
         out
     }

@@ -71,6 +71,29 @@ impl Tiling {
         )
     }
 
+    /// First and last tile (both inclusive, per axis) of the tiles
+    /// intersecting a rectangle; None for an empty rectangle.
+    fn span(&self, rect: &Rect) -> Option<(TileId, TileId)> {
+        if rect.is_empty() {
+            return None;
+        }
+        let x0 = (rect.min_x / self.size).floor() as i32;
+        let y0 = (rect.min_y / self.size).floor() as i32;
+        // boundary-exclusive on the high side: a viewport ending exactly on
+        // a tile edge does not need the next tile
+        let x1 = ((rect.max_x / self.size).ceil() as i32 - 1).max(x0);
+        let y1 = ((rect.max_y / self.size).ceil() as i32 - 1).max(y0);
+        Some((TileId::new(x0, y0), TileId::new(x1, y1)))
+    }
+
+    /// Whether `tile` is one of [`Tiling::covering`]`(rect)`, without
+    /// listing them.
+    pub fn covers(&self, rect: &Rect, tile: TileId) -> bool {
+        self.span(rect).is_some_and(|(lo, hi)| {
+            (lo.x..=hi.x).contains(&tile.x) && (lo.y..=hi.y).contains(&tile.y)
+        })
+    }
+
     /// All tiles intersecting a rectangle, in row-major order.
     /// The paper's frontend "requests the tiles that intersect with the
     /// given viewport".
@@ -81,15 +104,9 @@ impl Tiling {
     /// tile count overflows 32-bit arithmetic) and checked before any
     /// allocation happens.
     pub fn covering(&self, rect: &Rect) -> Result<Vec<TileId>> {
-        if rect.is_empty() {
+        let Some((TileId { x: x0, y: y0 }, TileId { x: x1, y: y1 })) = self.span(rect) else {
             return Ok(Vec::new());
-        }
-        let x0 = (rect.min_x / self.size).floor() as i32;
-        let y0 = (rect.min_y / self.size).floor() as i32;
-        // boundary-exclusive on the high side: a viewport ending exactly on
-        // a tile edge does not need the next tile
-        let x1 = ((rect.max_x / self.size).ceil() as i32 - 1).max(x0);
-        let y1 = ((rect.max_y / self.size).ceil() as i32 - 1).max(y0);
+        };
         let nx = x1 as i64 - x0 as i64 + 1;
         let ny = y1 as i64 - y0 as i64 + 1;
         // check each axis before multiplying: nx * ny can overflow even i64

@@ -1,52 +1,61 @@
-//! Property: the plan-agnostic `fetch_region` over a `SeparableRaw` store
-//! under a static-tile plan returns exactly the same row *multiset* as a
-//! single direct `fetch_rect` over the covered area. This exercises the
-//! content-keyed cross-tile deduplication in `server.rs`: separable stores
-//! synthesize tuple ids per fetch, so a mark whose box straddles a tile
-//! edge arrives via several tiles and must be re-unified by content — while
-//! genuinely duplicated raw rows (two marks at the same position) must
-//! survive as two rows, not collapse to one.
+//! Property: the plan-agnostic `fetch_region` under a static-tile plan
+//! returns exactly the row *multiset* one direct fetch over the covered
+//! area returns, with tuple ids unique within the response — on every
+//! store a tile plan can serve from (`SeparableRaw`, `Spatial`,
+//! `TileMapping`).
+//!
+//! This pins the merge's first-seeing-tile rule (`server.rs`): a mark whose
+//! box straddles a tile edge arrives through every covering tile that sees
+//! it and must be kept exactly once, while genuinely duplicated raw rows
+//! (two marks at the same position) must survive as two rows, not collapse
+//! to one. The fixtures put marks where that rule can go wrong: exactly on
+//! tile edges and corners, exactly half a mark either side of an edge
+//! (boxes that only *touch* the next tile), marks larger than a tile, and
+//! placements through a non-trivial affine, all with duplicated rows and
+//! under tiles with negative coordinates.
 
 use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
 };
-use kyrix_server::{fetch_rect, FetchPlan, KyrixServer, ServerConfig, TileDesign};
+use kyrix_server::{fetch_rect, FetchPlan, KyrixServer, ServerConfig, TileDesign, Tiling};
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const TILE: f64 = 10.0;
 
-/// Dots on a 50x50 integer grid (1x1 boxes: every dot at a multiple of the
-/// tile size straddles a tile edge), plus deliberate duplicate rows.
-fn server() -> &'static KyrixServer {
-    static SERVER: OnceLock<KyrixServer> = OnceLock::new();
-    SERVER.get_or_init(|| {
-        let mut db = Database::new();
-        db.create_table(
+/// Which physical design the fixture's layer is served from.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Store {
+    /// Raw table with a point index: the §3.2 skip path.
+    SeparableRaw,
+    /// Materialized layer table with an R-tree over the boxes.
+    Spatial,
+    /// Record + tuple–tile mapping tables.
+    TileMapping,
+}
+
+/// A server over `points` (id, x, y), one dynamic layer placed by
+/// `placement`, served by static tiles of [`TILE`] from `store`.
+fn launch(points: &[(i64, f64, f64)], placement: PlacementSpec, store: Store) -> KyrixServer {
+    let mut db = Database::new();
+    db.create_table(
+        "dots",
+        Schema::empty()
+            .with("id", DataType::Int)
+            .with("x", DataType::Float)
+            .with("y", DataType::Float),
+    )
+    .unwrap();
+    for &(id, x, y) in points {
+        db.insert(
             "dots",
-            Schema::empty()
-                .with("id", DataType::Int)
-                .with("x", DataType::Float)
-                .with("y", DataType::Float),
+            Row::new(vec![Value::Int(id), Value::Float(x), Value::Float(y)]),
         )
         .unwrap();
-        let mut insert = |id: i64, x: f64, y: f64| {
-            db.insert(
-                "dots",
-                Row::new(vec![Value::Int(id), Value::Float(x), Value::Float(y)]),
-            )
-            .unwrap();
-        };
-        for i in 0..2500i64 {
-            insert(i, (i % 50) as f64, (i / 50) as f64);
-        }
-        // duplicated marks: same id and position twice, sitting on a tile
-        // corner and in a tile interior
-        insert(9000, 20.0, 20.0);
-        insert(9000, 20.0, 20.0);
-        insert(9001, 13.5, 7.5);
-        insert(9001, 13.5, 7.5);
+    }
+    // without the point index the layer is materialized instead of skipped
+    if store == Store::SeparableRaw {
         db.create_index(
             "dots",
             "dots_xy",
@@ -56,44 +65,168 @@ fn server() -> &'static KyrixServer {
             }),
         )
         .unwrap();
-        let spec = AppSpec::new("propgrid")
-            .add_transform(TransformSpec::query("t", "SELECT * FROM dots"))
-            .add_canvas(
-                CanvasSpec::new("main", 50.0, 50.0).layer(LayerSpec::dynamic(
-                    "t",
-                    PlacementSpec::point("x", "y"),
-                    RenderSpec::Marks(MarkEncoding::circle()),
-                )),
-            )
-            .initial("main", 25.0, 25.0)
-            .viewport(10.0, 10.0);
-        let app = compile(&spec, &db).unwrap();
-        let (server, reports) = KyrixServer::launch(
-            app,
-            db,
-            ServerConfig::new(FetchPlan::StaticTiles {
-                size: TILE,
-                design: TileDesign::SpatialIndex,
-            }),
+    }
+    let spec = AppSpec::new("propgrid")
+        .add_transform(TransformSpec::query("t", "SELECT * FROM dots"))
+        .add_canvas(
+            CanvasSpec::new("main", 50.0, 50.0).layer(LayerSpec::dynamic(
+                "t",
+                placement,
+                RenderSpec::Marks(MarkEncoding::circle()),
+            )),
         )
-        .unwrap();
-        assert!(
-            reports[0].skipped_separable,
-            "the property targets the SeparableRaw store"
-        );
-        server
+        .initial("main", 25.0, 25.0)
+        .viewport(10.0, 10.0);
+    let app = compile(&spec, &db).unwrap();
+    let design = match store {
+        Store::TileMapping => TileDesign::TupleTileMapping,
+        _ => TileDesign::SpatialIndex,
+    };
+    let plan = FetchPlan::StaticTiles { size: TILE, design };
+    let (server, reports) = KyrixServer::launch(app, db, ServerConfig::new(plan)).unwrap();
+    assert_eq!(
+        reports[0].skipped_separable,
+        store == Store::SeparableRaw,
+        "fixture must land on the {store:?} store"
+    );
+    server
+}
+
+/// Dots on a 50x50 integer grid (1x1 boxes: every dot at a multiple of the
+/// tile size straddles a tile edge), plus deliberate duplicate rows.
+fn grid_server() -> &'static KyrixServer {
+    static SERVER: OnceLock<KyrixServer> = OnceLock::new();
+    SERVER.get_or_init(|| {
+        let mut points: Vec<(i64, f64, f64)> = (0..2500i64)
+            .map(|i| (i, (i % 50) as f64, (i / 50) as f64))
+            .collect();
+        // duplicated marks: same id and position twice, sitting on a tile
+        // corner and in a tile interior
+        points.extend([(9000, 20.0, 20.0), (9000, 20.0, 20.0)]);
+        points.extend([(9001, 13.5, 7.5), (9001, 13.5, 7.5)]);
+        launch(&points, PlacementSpec::point("x", "y"), Store::SeparableRaw)
     })
 }
 
-/// Sorted multiset of row contents, ignoring the synthesized trailing
-/// tuple_id (its numbering differs between the two fetch paths).
-fn content_multiset(rows: &[Row], width: usize) -> Vec<Vec<u8>> {
+/// Sorted multiset of row contents, ignoring the trailing tuple_id (the
+/// separable store numbers it per fetch, so it differs between paths).
+fn content_multiset<'a>(rows: impl IntoIterator<Item = &'a Row>, width: usize) -> Vec<Vec<u8>> {
     let mut keys: Vec<Vec<u8>> = rows
-        .iter()
+        .into_iter()
         .map(|r| Row::new(r.values[..width - 1].to_vec()).encode())
         .collect();
     keys.sort();
     keys
+}
+
+/// Tuple ids of a response, sorted.
+fn sorted_ids(server: &KyrixServer, rows: &[Row]) -> Vec<i64> {
+    let layout = server.layout("main", 0).unwrap().unwrap();
+    let mut ids: Vec<i64> = rows.iter().map(|r| layout.tuple_id(r)).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// One dataset served from all three stores.
+struct Fixture {
+    name: &'static str,
+    separable: KyrixServer,
+    spatial: KyrixServer,
+    mapping: KyrixServer,
+    /// Every layer row of the materialized stores (they share tuple ids:
+    /// both enumerate the same transform output).
+    all_rows: Vec<Row>,
+}
+
+impl Fixture {
+    fn new(name: &'static str, points: &[(i64, f64, f64)], placement: PlacementSpec) -> Self {
+        let spatial = launch(points, placement.clone(), Store::Spatial);
+        let everywhere = Rect::new(-1e6, -1e6, 1e6, 1e6);
+        let (all_rows, _) = fetch_rect(
+            &*spatial.database(),
+            &spatial.store("main", 0).unwrap(),
+            &everywhere,
+        )
+        .unwrap();
+        assert_eq!(all_rows.len(), points.len());
+        Fixture {
+            name,
+            separable: launch(points, placement.clone(), Store::SeparableRaw),
+            mapping: launch(points, placement, Store::TileMapping),
+            spatial,
+            all_rows,
+        }
+    }
+}
+
+/// Positions that stress one axis of a 2-wide mark on [`TILE`]-tiles, over
+/// tiles -2..=3: on each edge, exactly half a mark either side of it (the
+/// box then only touches the neighbouring tile), and mid-tile.
+fn edge_coords() -> Vec<f64> {
+    (-2..=3)
+        .flat_map(|k| {
+            let edge = k as f64 * TILE;
+            [edge - 1.0, edge, edge + 1.0, edge + 5.0]
+        })
+        .collect()
+}
+
+fn fixtures() -> &'static [Fixture] {
+    static FIXTURES: OnceLock<Vec<Fixture>> = OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        // (a) 2x2 marks on every combination of the edge positions: edge
+        // straddlers, corner marks seen by four tiles, touching boxes;
+        // every corner mark and every third other mark is stored twice
+        let coords = edge_coords();
+        let mut edges = Vec::new();
+        for (i, &x) in coords.iter().enumerate() {
+            for (j, &y) in coords.iter().enumerate() {
+                let id = (i * coords.len() + j) as i64;
+                edges.push((id, x, y));
+                let corner = x % TILE == 0.0 && y % TILE == 0.0;
+                if corner || id % 3 == 0 {
+                    edges.push((id, x, y));
+                }
+            }
+        }
+        // (c) 25x25 marks: each reaches tiles that are not neighbours
+        let mut big = Vec::new();
+        for i in 0..9i64 {
+            for j in 0..9i64 {
+                let id = i * 9 + j;
+                big.push((id, -25.0 + 7.5 * i as f64, -25.0 + 7.5 * j as f64));
+                if id % 4 == 0 {
+                    big.push((id, -25.0 + 7.5 * i as f64, -25.0 + 7.5 * j as f64));
+                }
+            }
+        }
+        // placements through inexact affines, one with a negative scale:
+        // the replayed tile predicate must agree with the fetch to the bit
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut affine = Vec::new();
+        for id in 0..1500i64 {
+            let p = (id, -80.0 + 220.0 * unit(), -30.0 + 110.0 * unit());
+            affine.push(p);
+            if id % 5 == 0 {
+                affine.push(p);
+            }
+        }
+        vec![
+            Fixture::new("edges", &edges, PlacementSpec::boxed("x", "y", "2", "2")),
+            Fixture::new("big", &big, PlacementSpec::boxed("x", "y", "25", "25")),
+            Fixture::new(
+                "affine",
+                &affine,
+                PlacementSpec::boxed("x * 0.3 - 4", "y * -0.7 + 31", "2", "2"),
+            ),
+        ]
+    })
 }
 
 proptest! {
@@ -114,7 +247,7 @@ proptest! {
             (x0, y0)
         };
         let vp = Rect::new(x0, y0, x0 + w, y0 + h);
-        let server = server();
+        let server = grid_server();
         let store = server.store("main", 0).unwrap();
         let width = store.layout().unwrap().width();
 
@@ -123,7 +256,7 @@ proptest! {
         // (tile-aligned) area
         let (direct, _) = fetch_rect(&*server.database(), &store, &region.rect).unwrap();
 
-        let got = content_multiset(&region.rows, width);
+        let got = content_multiset(region.rows.iter(), width);
         let want = content_multiset(&direct, width);
         prop_assert_eq!(
             got.len(), want.len(),
@@ -132,13 +265,129 @@ proptest! {
         prop_assert_eq!(got, want, "row multiset for viewport {:?}", vp);
 
         // synthesized ids were renumbered: unique within the response
-        let mut ids: Vec<i64> = region
-            .rows
-            .iter()
-            .map(|r| store.layout().unwrap().tuple_id(r))
-            .collect();
-        ids.sort_unstable();
+        let mut ids = sorted_ids(server, &region.rows);
         ids.dedup();
         prop_assert_eq!(ids.len(), region.rows.len(), "tuple ids not unique");
     }
+
+    /// Viewports covering exactly `nx` x `ny` tiles (1..=9 tiles) anywhere
+    /// over tiles -3..=4, edge-aligned in half the cases, on every fixture
+    /// and every store.
+    #[test]
+    fn straddlers_are_kept_once_on_every_store(
+        (tx, ty) in (-3i32..3, -3i32..3),
+        (nx, ny) in (1i32..4, 1i32..4),
+        (fx, fy) in (0.0f64..5.0, 0.0f64..5.0),
+        (gx, gy) in (5.0f64..9.9, 5.0f64..9.9),
+        aligned in any::<bool>(),
+    ) {
+        let tile = |t: i32| t as f64 * TILE;
+        let vp = if aligned {
+            Rect::new(tile(tx), tile(ty), tile(tx + nx), tile(ty + ny))
+        } else {
+            Rect::new(
+                tile(tx) + fx,
+                tile(ty) + fy,
+                tile(tx + nx - 1) + gx,
+                tile(ty + ny - 1) + gy,
+            )
+        };
+        let covered = Rect::new(tile(tx), tile(ty), tile(tx + nx), tile(ty + ny));
+        let tiling = Tiling::new(TILE);
+        let tiles = tiling.covering(&vp).unwrap();
+        prop_assert_eq!(tiles.len() as i32, nx * ny);
+
+        for f in fixtures() {
+            let layout = f.spatial.layout("main", 0).unwrap().unwrap();
+            let width = layout.width();
+
+            // stores fetched by rectangle: one direct fetch over the
+            // covered area is the reference
+            for server in [&f.separable, &f.spatial] {
+                let store = server.store("main", 0).unwrap();
+                let region = server.fetch_region("main", 0, &vp).unwrap();
+                prop_assert_eq!(region.rect, covered);
+                let (direct, _) = fetch_rect(&*server.database(), &store, &covered).unwrap();
+                prop_assert_eq!(
+                    content_multiset(region.rows.iter(), width),
+                    content_multiset(&direct, width),
+                    "{}: row multiset for viewport {:?}", f.name, vp
+                );
+                let mut ids = sorted_ids(server, &region.rows);
+                if !matches!(store, kyrix_server::LayerStore::SeparableRaw { .. }) {
+                    // stable ids: the very tuples the direct fetch names
+                    prop_assert_eq!(&ids, &sorted_ids(server, &direct));
+                }
+                ids.dedup();
+                prop_assert_eq!(ids.len(), region.rows.len(), "{}: ids not unique", f.name);
+            }
+
+            // the mapping store has no rectangle fetch; its reference is
+            // the mapping rule itself, applied to every row: a row belongs
+            // to the region iff its box's covering tiles include one of
+            // the viewport's
+            let region = f.mapping.fetch_region("main", 0, &vp).unwrap();
+            prop_assert_eq!(region.rect, covered);
+            let want: Vec<&Row> = f
+                .all_rows
+                .iter()
+                .filter(|r| {
+                    let own = tiling.covering(&layout.bbox(r)).unwrap();
+                    own.iter().any(|t| tiles.contains(t))
+                })
+                .collect();
+            prop_assert_eq!(
+                content_multiset(region.rows.iter(), width),
+                content_multiset(want.iter().copied(), width),
+                "{}: mapped row multiset for viewport {:?}", f.name, vp
+            );
+            let mut want_ids: Vec<i64> = want.iter().map(|r| layout.tuple_id(r)).collect();
+            want_ids.sort_unstable();
+            prop_assert_eq!(sorted_ids(&f.mapping, &region.rows), want_ids);
+        }
+    }
+}
+
+/// A hand-built 4-tile region: the merge reads every copy the covering
+/// tiles return (`fetch.region.rows_in`) and keeps each stored row once
+/// (`fetch.region.rows_out`).
+#[test]
+fn region_row_counters_pin_the_straddler_tax() {
+    let points = [
+        (1, 5.0, 5.0),   // inside tile (0,0): 1 tile
+        (2, 15.0, 15.0), // inside tile (1,1): 1 tile
+        (3, 10.0, 5.0),  // on the edge between (0,0) and (1,0): 2 tiles
+        (4, 5.0, 9.0),   // box touches the edge of (0,1) from above: 2 tiles
+        (5, 10.0, 10.0), // on the corner: 4 tiles ...
+        (5, 10.0, 10.0), // ... stored twice: 4 more
+    ];
+    let server = launch(
+        &points,
+        PlacementSpec::boxed("x", "y", "2", "2"),
+        Store::SeparableRaw,
+    );
+    let count = |name: &str| server.obs().counter(name).get();
+    let vp = Rect::new(1.0, 1.0, 19.0, 19.0);
+
+    let region = server.fetch_region("main", 0, &vp).unwrap();
+    assert_eq!(region.rect, Rect::new(0.0, 0.0, 20.0, 20.0));
+    assert_eq!(region.rows.len(), 6);
+    assert_eq!(sorted_ids(&server, &region.rows), vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(count("fetch.region.rows_in"), 14);
+    assert_eq!(count("fetch.region.rows_out"), 6);
+
+    // a warm refetch (all four tiles cached) merges the same rows again
+    let warm = server.fetch_region("main", 0, &vp).unwrap();
+    assert_eq!(warm.metrics.cache_hits, 4);
+    assert_eq!(warm.rows.len(), 6);
+    assert_eq!(count("fetch.region.rows_in"), 28);
+    assert_eq!(count("fetch.region.rows_out"), 12);
+
+    // a one-tile region has nothing to merge away
+    let one = server
+        .fetch_region("main", 0, &Rect::new(1.0, 1.0, 9.0, 9.0))
+        .unwrap();
+    assert_eq!(one.rows.len(), 5);
+    assert_eq!(count("fetch.region.rows_in"), 33);
+    assert_eq!(count("fetch.region.rows_out"), 17);
 }
