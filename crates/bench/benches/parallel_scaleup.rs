@@ -6,46 +6,17 @@
 //! queries stay flat because they touch a bounded number of grid cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kyrix_bench::ExperimentConfig;
-use kyrix_parallel::{ParallelDatabase, Partitioner};
-use kyrix_storage::{Database, IndexKind, Row, SpatialCols, Value};
+use kyrix_bench::{dots_on_grid, ExperimentConfig};
+use kyrix_parallel::{scatter_gather, QueryRouter};
+use kyrix_storage::{Database, Value};
 use kyrix_workload::load_uniform;
 
-fn build_pdb(cfg: &ExperimentConfig, cols: u32, rows_grid: u32) -> ParallelDatabase {
+/// The uniform dots table spread over a `cols` x `rows_grid` spatial
+/// grid of shard databases, plus its router.
+fn build_shards(cfg: &ExperimentConfig, cols: u32, rows_grid: u32) -> (Vec<Database>, QueryRouter) {
     let mut src = Database::new();
     load_uniform(&mut src, &cfg.dots).expect("load");
-    let schema = src.table("dots").expect("dots").schema.clone();
-    let mut rows: Vec<Row> = Vec::with_capacity(cfg.dots.n);
-    src.table("dots")
-        .expect("dots")
-        .scan(|_, r| rows.push(r))
-        .expect("scan");
-
-    let pdb = ParallelDatabase::new(
-        (cols * rows_grid) as usize,
-        "dots",
-        Partitioner::SpatialGrid {
-            x_column: "x".into(),
-            y_column: "y".into(),
-            cols,
-            rows: rows_grid,
-            width: cfg.dots.width,
-            height: cfg.dots.height,
-        },
-    )
-    .expect("pdb");
-    pdb.create_table("dots", schema).expect("table");
-    pdb.create_index(
-        "dots",
-        "sp",
-        IndexKind::Spatial(SpatialCols::Point {
-            x: "x".into(),
-            y: "y".into(),
-        }),
-    )
-    .expect("index");
-    pdb.load("dots", rows).expect("load");
-    pdb
+    dots_on_grid(&src, &cfg.dots, cols, rows_grid)
 }
 
 fn bench_parallel(c: &mut Criterion) {
@@ -54,14 +25,16 @@ fn bench_parallel(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("parallel_routed_viewport");
     for &(cols, rows_grid) in grids {
-        let pdb = build_pdb(&cfg, cols, rows_grid);
+        let pdb = build_shards(&cfg, cols, rows_grid);
         let vp = (cfg.viewport.0, cfg.viewport.1);
         group.bench_with_input(
             BenchmarkId::from_parameter(cols * rows_grid),
             &pdb,
-            |b, pdb| {
+            |b, (shards, router)| {
                 b.iter(|| {
-                    pdb.query(
+                    scatter_gather(
+                        shards,
+                        router,
                         "SELECT COUNT(*) FROM dots WHERE bbox && rect($1, $2, $3, $4)",
                         &[
                             Value::Float(cfg.dots.width / 3.0),
@@ -80,14 +53,19 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_broadcast_aggregate");
     group.sample_size(20);
     for &(cols, rows_grid) in grids {
-        let pdb = build_pdb(&cfg, cols, rows_grid);
+        let pdb = build_shards(&cfg, cols, rows_grid);
         group.bench_with_input(
             BenchmarkId::from_parameter(cols * rows_grid),
             &pdb,
-            |b, pdb| {
+            |b, (shards, router)| {
                 b.iter(|| {
-                    pdb.query("SELECT AVG(weight), COUNT(*) FROM dots", &[])
-                        .expect("broadcast aggregate")
+                    scatter_gather(
+                        shards,
+                        router,
+                        "SELECT AVG(weight), COUNT(*) FROM dots",
+                        &[],
+                    )
+                    .expect("broadcast aggregate")
                 })
             },
         );

@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the substrate extensions: SQL aggregation, the
-//! transaction/WAL layer, and placement-by-example synthesis.
+//! Micro-benchmarks of the substrate extensions: SQL aggregation and
+//! placement-by-example synthesis.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kyrix_bench::ExperimentConfig;
 use kyrix_core::{synthesize_placement, PlacementExample};
-use kyrix_storage::wal::{Wal, WalRecord};
-use kyrix_storage::{DataType, Database, Row, Schema, TxnDatabase, Value};
+use kyrix_storage::{DataType, Database, Row, Schema, Value};
 use kyrix_workload::load_uniform;
 
 fn dots_db() -> (Database, usize) {
@@ -49,114 +48,6 @@ fn bench_sql_aggregate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-transaction overhead: raw inserts vs. transactional inserts vs.
-/// WAL-logged transactional inserts.
-fn bench_txn_overhead(c: &mut Criterion) {
-    let schema = Schema::empty()
-        .with("id", DataType::Int)
-        .with("v", DataType::Float);
-    let mut group = c.benchmark_group("txn_overhead");
-    group.sample_size(30);
-
-    group.bench_function("raw_insert_100", |b| {
-        b.iter_with_setup(
-            || {
-                let mut db = Database::new();
-                db.create_table("t", schema.clone()).unwrap();
-                db
-            },
-            |mut db| {
-                for i in 0..100i64 {
-                    db.insert("t", Row::new(vec![Value::Int(i), Value::Float(0.5)]))
-                        .unwrap();
-                }
-                db
-            },
-        )
-    });
-
-    group.bench_function("txn_insert_100_commit", |b| {
-        b.iter_with_setup(
-            || {
-                let mut db = Database::new();
-                db.create_table("t", schema.clone()).unwrap();
-                TxnDatabase::new(db)
-            },
-            |tdb| {
-                let mut t = tdb.begin();
-                for i in 0..100i64 {
-                    t.insert("t", Row::new(vec![Value::Int(i), Value::Float(0.5)]))
-                        .unwrap();
-                }
-                t.commit().unwrap();
-                tdb
-            },
-        )
-    });
-
-    let wal_dir = std::env::temp_dir().join(format!("kyrix_bench_wal_{}", std::process::id()));
-    std::fs::create_dir_all(&wal_dir).unwrap();
-    group.bench_function("txn_insert_100_commit_wal", |b| {
-        let mut run = 0u64;
-        b.iter_with_setup(
-            || {
-                run += 1;
-                let mut db = Database::new();
-                db.create_table("t", schema.clone()).unwrap();
-                let path = wal_dir.join(format!("bench_{run}.log"));
-                std::fs::remove_file(&path).ok();
-                TxnDatabase::with_wal(db, path).unwrap()
-            },
-            |tdb| {
-                let mut t = tdb.begin();
-                for i in 0..100i64 {
-                    t.insert("t", Row::new(vec![Value::Int(i), Value::Float(0.5)]))
-                        .unwrap();
-                }
-                t.commit().unwrap();
-                tdb
-            },
-        )
-    });
-    group.finish();
-    std::fs::remove_dir_all(&wal_dir).ok();
-}
-
-/// WAL append + flush throughput (the §4 update model's write path).
-fn bench_wal_append(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join(format!("kyrix_bench_walx_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let row = Row::new(vec![Value::Int(7), Value::Float(0.25)]);
-    let mut group = c.benchmark_group("wal");
-    group.bench_function("append_flush_100", |b| {
-        let mut run = 0u64;
-        b.iter_with_setup(
-            || {
-                run += 1;
-                let path = dir.join(format!("w{run}.log"));
-                std::fs::remove_file(&path).ok();
-                Wal::open(path).unwrap()
-            },
-            |mut wal| {
-                wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
-                for _ in 0..100 {
-                    wal.append(&WalRecord::Insert {
-                        txn: 1,
-                        table: "t".into(),
-                        row: row.clone(),
-                    })
-                    .unwrap();
-                }
-                wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
-                wal.flush().unwrap();
-                wal
-            },
-        )
-    });
-    group.finish();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Placement-by-example synthesis cost over growing example sets.
 fn bench_by_example(c: &mut Criterion) {
     let schema = Schema::empty()
@@ -189,11 +80,5 @@ fn bench_by_example(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sql_aggregate,
-    bench_txn_overhead,
-    bench_wal_append,
-    bench_by_example
-);
+criterion_group!(benches, bench_sql_aggregate, bench_by_example);
 criterion_main!(benches);

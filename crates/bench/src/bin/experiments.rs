@@ -14,17 +14,17 @@
 //! registry (spans, counters, gauges) as JSON to `<path>`.
 
 use kyrix_bench::{
-    build_database, figure_table, launch_scheme, load_table, paper_traces, run_cell, run_figure,
-    run_load_comparison, run_lod_experiment, run_lod_maintenance, run_lod_plan_comparison,
-    run_shard_scaleup, shard_table, span_table, Dataset, ExperimentConfig, LoadConfig, LoadMode,
+    build_database, dots_on_grid, figure_table, launch_scheme, load_table, paper_traces, run_cell,
+    run_figure, run_load, run_lod_experiment, run_lod_maintenance, run_lod_plan_comparison,
+    run_shard_scaleup, shard_table, span_table, Dataset, ExperimentConfig, LoadConfig,
 };
 use kyrix_client::{run_trace, Session};
 use kyrix_core::compile;
-use kyrix_parallel::{ParallelDatabase, Partitioner};
+use kyrix_parallel::scatter_gather;
 use kyrix_server::{
     BoxPolicy, CostModel, FetchPlan, KyrixServer, PrefetchPolicy, ServerConfig, TileDesign,
 };
-use kyrix_storage::{Database, Row, Value};
+use kyrix_storage::{Database, Value};
 use kyrix_workload::{
     dots_app, index_dots, load_uniform, load_usmap, straight_pan, usmap_app, GalaxyConfig,
     SkewConfig,
@@ -340,52 +340,25 @@ fn parallel(cfg: &ExperimentConfig) {
 
     // one source of truth for the rows
     let src = build_database(Dataset::Skewed(SkewConfig::default()), &cfg.dots);
-    let mut rows: Vec<Row> = Vec::with_capacity(cfg.dots.n);
-    src.table("dots")
-        .expect("dots")
-        .scan(|_, row| rows.push(row))
-        .expect("scan");
-    let schema = src.table("dots").expect("dots").schema.clone();
 
     for (label, cols, grid_rows) in [
         ("1 (1x1)", 1u32, 1u32),
         ("4 (2x2)", 2, 2),
         ("16 (4x4)", 4, 4),
     ] {
-        let shards = (cols * grid_rows) as usize;
-        let pdb = ParallelDatabase::new(
-            shards,
-            "dots",
-            Partitioner::SpatialGrid {
-                x_column: "x".into(),
-                y_column: "y".into(),
-                cols,
-                rows: grid_rows,
-                width: cfg.dots.width,
-                height: cfg.dots.height,
-            },
-        )
-        .expect("pdb");
-        pdb.create_table("dots", schema.clone()).expect("table");
-        pdb.create_index(
-            "dots",
-            "sp",
-            kyrix_storage::IndexKind::Spatial(kyrix_storage::SpatialCols::Point {
-                x: "x".into(),
-                y: "y".into(),
-            }),
-        )
-        .expect("index");
-        pdb.load("dots", rows.clone()).expect("load");
+        let (shards, router) = dots_on_grid(&src, &cfg.dots, cols, grid_rows);
 
         // routed viewport counts across a diagonal of viewports
         let q_view = "SELECT COUNT(*) FROM dots WHERE bbox && rect($1, $2, $3, $4)";
         let n_queries = 12;
+        let mut touched = 0;
         let t0 = Instant::now();
         for i in 0..n_queries {
             let x = (i as f64 / n_queries as f64) * (cfg.dots.width - cfg.viewport.0);
             let y = (i as f64 / n_queries as f64) * (cfg.dots.height - cfg.viewport.1);
-            pdb.query(
+            let g = scatter_gather(
+                &shards,
+                &router,
                 q_view,
                 &[
                     Value::Float(x),
@@ -395,22 +368,24 @@ fn parallel(cfg: &ExperimentConfig) {
                 ],
             )
             .expect("viewport count");
+            touched += g.shards.len();
         }
         let routed_ms = t0.elapsed().as_secs_f64() * 1000.0 / n_queries as f64;
-        let shards_per_query = pdb.stats.shards_touched() as f64 / pdb.stats.queries() as f64;
+        let shards_per_query = touched as f64 / n_queries as f64;
 
         // broadcast aggregate (a coordinated-view rollup); with real cores
         // its latency is bounded by the largest shard's scan
-        let largest = pdb
-            .shard_sizes("dots")
-            .expect("sizes")
-            .into_iter()
+        let largest = shards
+            .iter()
+            .map(|s| s.table("dots").expect("dots").len())
             .max()
             .unwrap_or(0);
         let t0 = Instant::now();
         let agg_runs = 3;
         for _ in 0..agg_runs {
-            pdb.query(
+            scatter_gather(
+                &shards,
+                &router,
                 "SELECT AVG(weight), MIN(weight), MAX(weight), COUNT(*) FROM dots",
                 &[],
             )
@@ -551,13 +526,10 @@ fn cache(cfg: &ExperimentConfig) {
 
 /// Concurrent serving under live mutation: N sessions replay zoom walks
 /// over the LoD pyramid while a mutator thread folds insert/delete
-/// batches into it. The `global-lock` row emulates the pre-snapshot
-/// discipline (one server-wide RwLock, fetches block behind repairs);
-/// the `snapshot` row is the server's native versioned-snapshot store.
-/// The headline number is the interaction tail latency (p99). The
-/// per-span breakdown under the table comes straight from the snapshot
-/// run's telemetry registry; `--telemetry <path>` dumps that registry
-/// as JSON.
+/// batches into it through the server's versioned-snapshot store. The
+/// headline number is the interaction tail latency (p99). The per-span
+/// breakdown under the table comes straight from the run's telemetry
+/// registry; `--telemetry <path>` dumps that registry as JSON.
 fn load(small: bool, telemetry: Option<&str>) {
     let lcfg = if small {
         LoadConfig::small()
@@ -570,18 +542,16 @@ fn load(small: bool, telemetry: Option<&str>) {
          mutator batch {}\n",
         lcfg.sessions, lcfg.laps, lcfg.galaxy.n, lcfg.mutate_batch
     );
-    let rows = run_load_comparison(&lcfg);
+    let r = run_load(&lcfg);
     print!(
         "{}",
-        load_table("Interaction latency under a live mutator", &rows)
+        load_table("Interaction latency under a live mutator", &r)
     );
-    if let Some(r) = rows.iter().find(|r| r.mode == LoadMode::Snapshot) {
-        println!();
-        print!("{}", span_table(r));
-        if let Some(path) = telemetry {
-            std::fs::write(path, &r.telemetry_json).expect("write telemetry dump");
-            println!("\n(telemetry registry dumped to {path})");
-        }
+    println!();
+    print!("{}", span_table(&r));
+    if let Some(path) = telemetry {
+        std::fs::write(path, &r.telemetry_json).expect("write telemetry dump");
+        println!("\n(telemetry registry dumped to {path})");
     }
     println!("\n(ran in {:.1}s)\n", started.elapsed().as_secs_f64());
 }

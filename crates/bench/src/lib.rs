@@ -625,35 +625,9 @@ impl LoadConfig {
     }
 }
 
-/// How readers and the mutator synchronize in a load run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// The server's native discipline: every interaction resolves against
-    /// the published snapshot; mutations build successors off to the side.
-    /// Readers never wait for the mutator.
-    Snapshot,
-    /// The pre-snapshot baseline, emulated at the harness level: one
-    /// global `RwLock` over the whole server — sessions hold a read guard
-    /// for each interaction, the mutator holds the write guard across each
-    /// `mutate_raw`. Every fetch that arrives during a pyramid repair
-    /// blocks behind it, which is exactly the tail-latency pathology the
-    /// snapshot store removes.
-    GlobalLock,
-}
-
-impl LoadMode {
-    pub fn label(&self) -> &'static str {
-        match self {
-            LoadMode::Snapshot => "snapshot",
-            LoadMode::GlobalLock => "global-lock",
-        }
-    }
-}
-
 /// What one load run measured.
 #[derive(Debug, Clone)]
 pub struct LoadResult {
-    pub mode: LoadMode,
     pub sessions: usize,
     /// Session interactions measured (opens + pans across all sessions).
     pub steps: usize,
@@ -661,9 +635,7 @@ pub struct LoadResult {
     pub mutations: u64,
     /// Interaction latency percentiles/mean, ms, read back from the
     /// shared `interaction.latency` histogram every reader records into
-    /// in the server's telemetry registry. Latency includes any time
-    /// spent waiting on the mode's synchronization, which is the
-    /// quantity under test.
+    /// in the server's telemetry registry.
     pub p50_ms: f64,
     pub p99_ms: f64,
     pub max_ms: f64,
@@ -699,12 +671,11 @@ pub struct SpanStat {
 /// Render one load run's per-span latency breakdown as a Markdown table.
 pub fn span_table(r: &LoadResult) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "### Per-span latency — {} mode\n\n\
+    out.push_str(
+        "### Per-span latency\n\n\
          | span | count | p50 (ms) | p95 (ms) | p99 (ms) | mean (ms) |\n\
          |---|---|---|---|---|---|\n",
-        r.mode.label()
-    ));
+    );
     for s in &r.spans {
         out.push_str(&format!(
             "| {} | {} | {:.3} | {:.3} | {:.3} | {:.3} |\n",
@@ -714,16 +685,17 @@ pub fn span_table(r: &LoadResult) -> String {
     out
 }
 
-/// Run the multi-session load experiment in one mode: build the galaxy
-/// pyramid, launch one server with the mixed (hinted) plan policy, then
+/// Run the multi-session load experiment: build the galaxy pyramid, launch one server with the mixed (hinted) plan policy, then
 /// let `cfg.sessions` reader threads replay seeded zoom walks while a
 /// mutator thread loops insert-batch / delete-batch pyramid repairs
-/// through [`KyrixServer::mutate_raw`] until the readers finish.
-pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
+/// through [`KyrixServer::mutate_raw`] until the readers finish. Every
+/// interaction resolves against the published snapshot while mutations
+/// build successors off to the side, so readers never wait for the
+/// mutator.
+pub fn run_load(cfg: &LoadConfig) -> LoadResult {
     use kyrix_lod::RawPoint;
     use kyrix_server::{DirtyRegion, ServerError};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::RwLock;
 
     let lod = galaxy_lod_config(&cfg.galaxy, cfg.levels, cfg.spacing);
     let mut db = Database::new();
@@ -752,9 +724,6 @@ pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
     pyramid.set_observability(Arc::clone(&obs));
     let interactions = obs.histogram("interaction.latency");
 
-    // the GlobalLock baseline's whole-server lock; Snapshot mode never
-    // touches it
-    let gate = RwLock::new(());
     let readers_done = AtomicBool::new(false);
     let mutations = AtomicU64::new(0);
     let tables: Vec<String> = (0..=cfg.levels).map(|k| lod.level_table(k)).collect();
@@ -786,10 +755,6 @@ pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
                 let ids: Vec<i64> = pts.iter().map(|p| p.id).collect();
                 let table_refs: Vec<&str> = tables.iter().map(String::as_str).collect();
                 for pass in 0..2 {
-                    let _w = match mode {
-                        LoadMode::GlobalLock => Some(gate.write().expect("gate poisoned")),
-                        LoadMode::Snapshot => None,
-                    };
                     server
                         .mutate_raw(&table_refs, |db| {
                             let report = if pass == 0 {
@@ -816,7 +781,6 @@ pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
             .map(|s| {
                 let server = Arc::clone(&server);
                 let interactions = Arc::clone(&interactions);
-                let gate = &gate;
                 scope.spawn(move || {
                     let walk = zoom_walk(
                         lod,
@@ -831,10 +795,6 @@ pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
                             let c = rect.center();
                             let (cx, cy) = (c.x, c.y);
                             let t = Instant::now();
-                            let _r = match mode {
-                                LoadMode::GlobalLock => Some(gate.read().expect("gate poisoned")),
-                                LoadMode::Snapshot => None,
-                            };
                             match session.as_mut().filter(|s| s.canvas_id() == canvas) {
                                 Some(s) => {
                                     s.pan_to(cx, cy).expect("pan");
@@ -877,7 +837,6 @@ pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
         })
         .collect();
     LoadResult {
-        mode,
         sessions: cfg.sessions,
         steps,
         mutations: mutations.load(Ordering::Relaxed),
@@ -892,38 +851,64 @@ pub fn run_load(cfg: &LoadConfig, mode: LoadMode) -> LoadResult {
     }
 }
 
-/// The before/after comparison `experiments -- load` prints: the same
-/// load in [`LoadMode::GlobalLock`] (the pre-snapshot baseline) and
-/// [`LoadMode::Snapshot`] (the server's native discipline).
-pub fn run_load_comparison(cfg: &LoadConfig) -> Vec<LoadResult> {
-    vec![
-        run_load(cfg, LoadMode::GlobalLock),
-        run_load(cfg, LoadMode::Snapshot),
-    ]
+/// Render a load result as a Markdown table.
+pub fn load_table(title: &str, r: &LoadResult) -> String {
+    format!(
+        "## {title}\n\n\
+         | sessions | steps | mutations | p50 (ms) | p99 (ms) | max (ms) | steps/s |\n\
+         |---|---|---|---|---|---|---|\n\
+         | {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.0} |\n",
+        r.sessions, r.steps, r.mutations, r.p50_ms, r.p99_ms, r.max_ms, r.steps_per_sec,
+    )
 }
 
-/// Render load results as a Markdown table.
-pub fn load_table(title: &str, rows: &[LoadResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("## {title}\n\n"));
-    out.push_str(
-        "| mode | sessions | steps | mutations | p50 (ms) | p99 (ms) | \
-         max (ms) | steps/s |\n|---|---|---|---|---|---|---|---|\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.0} |\n",
-            r.mode.label(),
-            r.sessions,
-            r.steps,
-            r.mutations,
-            r.p50_ms,
-            r.p99_ms,
-            r.max_ms,
-            r.steps_per_sec,
-        ));
-    }
-    out
+// ------------------------------------------------- partitioned dots
+
+/// `src`'s `dots` table spread over a `cols` x `rows` spatial grid of
+/// shard databases (each spatially indexed on `(x, y)`), plus the router
+/// over them — the sharded database `kyrix_parallel::scatter_gather`
+/// executes on in the §4 parallel table and the `parallel_scaleup` bench.
+pub fn dots_on_grid(
+    src: &Database,
+    dots: &DotsConfig,
+    cols: u32,
+    rows: u32,
+) -> (Vec<Database>, kyrix_parallel::QueryRouter) {
+    use kyrix_storage::{IndexKind, SpatialCols};
+    let n = (cols * rows) as usize;
+    let part = kyrix_parallel::Partitioner::SpatialGrid {
+        x_column: "x".into(),
+        y_column: "y".into(),
+        cols,
+        rows,
+        width: dots.width,
+        height: dots.height,
+    };
+    let table = src.table("dots").expect("dots");
+    let mut empty = Database::new();
+    empty
+        .create_table("dots", table.schema.clone())
+        .expect("table");
+    empty
+        .create_index(
+            "dots",
+            "sp",
+            IndexKind::Spatial(SpatialCols::Point {
+                x: "x".into(),
+                y: "y".into(),
+            }),
+        )
+        .expect("index");
+    let mut shards = vec![empty; n];
+    table
+        .scan(|_, row| {
+            let s = part.route(&table.schema, &row, n).expect("route");
+            shards[s].insert("dots", row).expect("load");
+        })
+        .expect("scan");
+    let mut router = kyrix_parallel::QueryRouter::new(n).expect("router");
+    router.register("dots", part).expect("register");
+    (shards, router)
 }
 
 // ------------------------------------------------------ shard scale-up
@@ -1188,7 +1173,7 @@ mod tests {
         let mut cfg = LoadConfig::small();
         cfg.sessions = 2;
         cfg.laps = 1;
-        let r = run_load(&cfg, LoadMode::Snapshot);
+        let r = run_load(&cfg);
         assert!(
             r.steps >= r.sessions,
             "each session interacted at least once"

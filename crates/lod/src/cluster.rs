@@ -83,30 +83,13 @@ impl RetentionStatus {
     }
 }
 
-/// Phase 2: greedy retention under the spacing bound. Returns the level's
-/// clusters sorted by representative id (a canonical storage order).
-pub fn retain_with_spacing(
-    cells: FxHashMap<Cell, Cluster>,
-    scale: f64,
-    spacing: f64,
-) -> Vec<Cluster> {
-    let (_, outs) = retain_with_spacing_tracked(cells, scale, spacing);
-    let mut retained: Vec<Cluster> = outs.into_values().collect();
-    retained.sort_unstable_by_key(|c| c.rep_id);
-    retained
-}
-
-/// Phase 2 with full bookkeeping: besides the post-absorption output
-/// clusters (keyed by the retained candidate's cell), report every cell's
-/// [`RetentionStatus`]. This pair is exactly the per-level state that
-/// incremental maintenance ([`crate::maintain`]) repairs locally — a
-/// candidate's decision depends only on retained marks in its 3×3 cell
-/// neighborhood, so the statuses localize the recomputation after a
-/// mutation.
-///
-/// Identical to [`retain_with_spacing`] in every float operation (same
-/// processing order, same absorb sequence), so tracked and untracked
-/// builds produce bit-identical level tables.
+/// Phase 2: greedy retention under the spacing bound. Returns the
+/// post-absorption output clusters (keyed by the retained candidate's
+/// cell) and every cell's [`RetentionStatus`]. This pair is exactly the
+/// per-level state that incremental maintenance ([`crate::maintain`])
+/// repairs locally — a candidate's decision depends only on retained
+/// marks in its 3×3 cell neighborhood, so the statuses localize the
+/// recomputation after a mutation.
 pub fn retain_with_spacing_tracked(
     cells: FxHashMap<Cell, Cluster>,
     scale: f64,
@@ -150,6 +133,18 @@ mod tests {
 
     fn pt(id: i64, x: f64, y: f64, m: f64) -> Cluster {
         Cluster::from_point(id, x, y, &[m])
+    }
+
+    /// A level's marks in storage order (by representative id).
+    fn retain_with_spacing(
+        cells: FxHashMap<Cell, Cluster>,
+        scale: f64,
+        spacing: f64,
+    ) -> Vec<Cluster> {
+        let (_, outs) = retain_with_spacing_tracked(cells, scale, spacing);
+        let mut retained: Vec<Cluster> = outs.into_values().collect();
+        retained.sort_unstable_by_key(|c| c.rep_id);
+        retained
     }
 
     #[test]

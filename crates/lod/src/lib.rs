@@ -14,15 +14,13 @@
 //!   (no two retained marks closer than the spacing bound), each cluster
 //!   carrying `cnt`, `sum_*`/`avg_*` of the configured measures and its
 //!   members' bounding box;
-//! * [`build_pyramid_sharded`] runs the same construction over a
-//!   [`kyrix_parallel::ParallelDatabase`]: shards cluster their local
-//!   points into grid cells in parallel and the coordinator merges
-//!   boundary cells, producing the same level tables as a single node;
-//! * [`build_pyramid_on_shards`] keeps the level tables *on* the shards
-//!   instead — each level row on the shard whose grid cell owns it, with
-//!   a [`kyrix_parallel::QueryRouter`] over every level table — the
-//!   layout `kyrix-server`'s scatter-gather backend serves directly, and
-//!   the only sharded build that stays maintainable
+//! * [`build_pyramid_on_shards`] runs the same construction over a raw
+//!   table partitioned across shard databases: shards cluster their
+//!   local points into grid cells in parallel, the coordinator merges
+//!   boundary cells — producing the same level tables as a single node —
+//!   and each level row is written to the shard whose grid cell owns it,
+//!   with a [`kyrix_parallel::QueryRouter`] over every level table: the
+//!   layout `kyrix-server`'s scatter-gather backend serves directly
 //!   ([`LodPyramid::insert_points_sharded`] /
 //!   [`LodPyramid::delete_points_sharded`] route each delta to its
 //!   owning shard and merge boundary cells at the coordinator);
@@ -92,13 +90,10 @@ pub mod pyramid;
 pub use aggregate::Cluster;
 pub use app::{lod_app, lod_calibration_walk};
 pub use cluster::{
-    aggregate_into_cells, merge_cell_maps, retain_with_spacing, retain_with_spacing_tracked,
-    RetentionStatus,
+    aggregate_into_cells, merge_cell_maps, retain_with_spacing_tracked, RetentionStatus,
 };
 pub use config::LodConfig;
 pub use error::{LodError, Result};
 pub use grid::{cell_of, Cell, SpacingGrid};
 pub use maintain::{LevelMaintenance, MaintenanceReport, RawPoint, TupleId};
-pub use pyramid::{
-    build_pyramid, build_pyramid_on_shards, build_pyramid_sharded, LevelInfo, LodPyramid,
-};
+pub use pyramid::{build_pyramid, build_pyramid_on_shards, LevelInfo, LodPyramid};

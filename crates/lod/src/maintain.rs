@@ -382,9 +382,11 @@ impl LodPyramid {
     /// build from scratch over the mutated table (bit-identical level
     /// tables; float measure sums exact for integer-valued measures).
     ///
-    /// Errors if the pyramid was built sharded (no maintenance state), a
-    /// point's id is already live, or a point's measure count does not
-    /// match the config — all checked before anything mutates. Should a
+    /// Errors if the pyramid lives on shards (use
+    /// [`LodPyramid::insert_points_sharded`]), an earlier batch poisoned
+    /// the maintenance state, a point's id is already live, or a point's
+    /// measure count does not match the config — all checked before
+    /// anything mutates. Should a
     /// failure occur *after* mutation starts (a storage error mid-batch),
     /// the raw table may be partially mutated while the level tables are
     /// not yet repaired; the pyramid then drops its maintenance state, so
@@ -427,8 +429,9 @@ impl LodPyramid {
     /// level table in place. Each deleted row dirties its level-1 grid
     /// cell, which is re-aggregated from the raw rows still inside it via
     /// the raw table's spatial index; repair then proceeds exactly as for
-    /// inserts. Errors if the pyramid was built sharded or an id is not
-    /// live — checked before anything mutates; as with
+    /// inserts. Errors if the pyramid lives on shards, an earlier batch
+    /// poisoned the maintenance state, or an id is not live — checked
+    /// before anything mutates; as with
     /// [`LodPyramid::insert_points`], a failure after mutation starts
     /// drops the maintenance state so later calls refuse loudly.
     pub fn delete_points(
@@ -661,8 +664,8 @@ fn apply_delete(
 fn require_state(state: Option<&mut MaintainState>) -> Result<&mut MaintainState> {
     state.ok_or_else(|| {
         LodError::Maintenance(
-            "pyramid carries no maintenance state: sharded builds keep their raw data \
-             on the shards; rebuild with `build_pyramid` to mutate in place"
+            "pyramid carries no maintenance state: an earlier batch failed after it \
+             started mutating; rebuild the pyramid to mutate in place again"
                 .to_string(),
         )
     })
@@ -1552,41 +1555,6 @@ mod tests {
         // later maintenance refuses instead of silently diverging
         assert!(matches!(
             p.delete_points(&mut db, &[1]),
-            Err(LodError::Maintenance(_))
-        ));
-    }
-
-    #[test]
-    fn sharded_pyramids_refuse_maintenance() {
-        use kyrix_parallel::{ParallelDatabase, Partitioner};
-        let pdb = ParallelDatabase::new(
-            2,
-            "pts",
-            Partitioner::Hash {
-                column: "id".into(),
-            },
-        )
-        .unwrap();
-        pdb.create_table("pts", raw_schema()).unwrap();
-        pdb.load(
-            "pts",
-            (0..32)
-                .map(|i| {
-                    Row::new(vec![
-                        Value::Int(i),
-                        Value::Float((i % 8) as f64 * 30.0),
-                        Value::Float((i / 8) as f64 * 30.0),
-                        Value::Float(0.0),
-                    ])
-                })
-                .collect(),
-        )
-        .unwrap();
-        let mut out = Database::new();
-        let mut p = crate::pyramid::build_pyramid_sharded(&pdb, &cfg(), &mut out).unwrap();
-        assert!(!p.can_maintain());
-        assert!(matches!(
-            p.insert_points(&mut out, &[RawPoint::new(99, 1.0, 1.0, &[0.0])]),
             Err(LodError::Maintenance(_))
         ));
     }

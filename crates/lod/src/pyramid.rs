@@ -8,7 +8,7 @@ use crate::config::LodConfig;
 use crate::error::{LodError, Result};
 use crate::grid::{cell_of, Cell};
 use crate::maintain::{LevelState, MaintainState};
-use kyrix_parallel::{ParallelDatabase, Partitioner, QueryRouter};
+use kyrix_parallel::{Partitioner, QueryRouter};
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
 use std::time::{Duration, Instant};
@@ -39,11 +39,10 @@ pub struct LodPyramid {
     /// Wall-clock spent clustering and writing level tables.
     pub build_time: Duration,
     /// Incremental-maintenance state (per-level candidate cell maps and
-    /// retention statuses). Present after a single-node [`build_pyramid`]
-    /// and after [`build_pyramid_on_shards`] (whose level tables live on
-    /// the shards but whose repair state is coordinator-side); `None`
-    /// after [`build_pyramid_sharded`], which evacuates the level tables
-    /// to a coordinator database — see [`LodPyramid::insert_points`].
+    /// retention statuses), coordinator-side even when the level tables
+    /// live on shards. Every build captures it; `None` only after a
+    /// maintenance batch failed mid-apply — see
+    /// [`LodPyramid::insert_points`].
     pub(crate) maintenance: Option<MaintainState>,
     /// Routing of the raw table and every level table over serving
     /// shards. Present only after [`build_pyramid_on_shards`]; selects
@@ -85,9 +84,8 @@ impl LodPyramid {
     }
 
     /// Whether this pyramid carries the state incremental maintenance
-    /// needs (true after [`build_pyramid`] and
-    /// [`build_pyramid_on_shards`], false after
-    /// [`build_pyramid_sharded`]).
+    /// needs: true from every build until a maintenance batch fails
+    /// mid-apply (then rebuild to recover).
     pub fn can_maintain(&self) -> bool {
         self.maintenance.is_some()
     }
@@ -187,46 +185,108 @@ pub(crate) fn level_row(scale: f64, c: &Cluster) -> Row {
     Row::new(values)
 }
 
+/// One database's raw points aggregated into level-1 grid cells, plus
+/// the level-1 cell of every point id (the secondary index maintenance
+/// keeps).
+type LocalCells = (FxHashMap<Cell, Cluster>, FxHashMap<i64, Cell>);
+
+/// Phase 1 over one database's raw table (local to a shard).
+fn local_cells(db: &Database, cfg: &LodConfig, layout: &RawLayout) -> Result<LocalCells> {
+    let points = extract_points(db, cfg, layout)?;
+    let scale1 = cfg.level_scale(1);
+    let mut ids: FxHashMap<i64, Cell> = FxHashMap::default();
+    for p in &points {
+        ids.insert(
+            p.rep_id,
+            cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
+        );
+    }
+    if ids.len() != points.len() {
+        return Err(LodError::Schema(format!(
+            "table `{}` has duplicate values in id column `{}`",
+            cfg.table, cfg.id_column
+        )));
+    }
+    Ok((aggregate_into_cells(points, scale1, cfg.spacing), ids))
+}
+
 /// Write one clustered level as a table with a point spatial index on
-/// `(cx, cy)` — the shape the server's separable fast path serves directly.
+/// `(cx, cy)` — the shape the server's separable fast path serves
+/// directly. The table and its index exist on every database of `dbs`
+/// (empty where the level has no local marks); with a `router`, each row
+/// goes to the shard whose grid cell owns its position, without one
+/// `dbs` is the single database that holds everything.
 fn write_level(
-    db: &mut Database,
+    dbs: &mut [Database],
+    router: Option<&QueryRouter>,
     cfg: &LodConfig,
     level: usize,
     clusters: &[Cluster],
 ) -> Result<()> {
     let table = cfg.level_table(level);
-    if db.has_table(&table) {
-        db.drop_table(&table)?;
+    let schema = level_schema(cfg);
+    for db in dbs.iter_mut() {
+        if db.has_table(&table) {
+            db.drop_table(&table)?;
+        }
+        db.create_table(&table, schema.clone())?;
     }
-    db.create_table(&table, level_schema(cfg))?;
+    let part = router.map(|r| {
+        r.partitioner(&table)
+            .expect("level table registered by sharded_router")
+    });
     let scale = cfg.level_scale(level);
     for c in clusters {
-        db.insert(&table, level_row(scale, c))?;
+        let row = level_row(scale, c);
+        let owner = match part {
+            Some(p) => p.route(&schema, &row, dbs.len())?,
+            None => 0,
+        };
+        dbs[owner].insert(&table, row)?;
     }
-    db.create_index(
-        &table,
-        format!("{table}_cxcy"),
-        IndexKind::Spatial(SpatialCols::Point {
-            x: "cx".into(),
-            y: "cy".into(),
-        }),
-    )?;
+    for db in dbs.iter_mut() {
+        db.create_index(
+            &table,
+            format!("{table}_cxcy"),
+            IndexKind::Spatial(SpatialCols::Point {
+                x: "cx".into(),
+                y: "cy".into(),
+            }),
+        )?;
+    }
     Ok(())
 }
 
-/// Cluster levels `1..=cfg.levels` starting from the merged level-1 cell
-/// maps, then write every level table into `db`. When `id_cells` is
-/// supplied (single-node builds), the per-level candidate maps and
-/// retention statuses are kept on the pyramid as maintenance state.
-fn finish_build(
-    db: &mut Database,
+/// The level loop every build runs: merge the per-database level-1 cell
+/// maps (in database order — the canonical float accumulation order),
+/// cluster levels `1..=cfg.levels` keeping each level's candidate map and
+/// retention statuses as maintenance state, and write every level table
+/// into `dbs` (routed by `sharding` when the pyramid lives on shards).
+fn build_levels(
+    dbs: &mut [Database],
+    sharding: Option<QueryRouter>,
     cfg: &LodConfig,
-    raw_rows: usize,
-    level1_maps: Vec<FxHashMap<Cell, Cluster>>,
-    id_cells: Option<FxHashMap<i64, Cell>>,
+    local: Vec<LocalCells>,
     start: Instant,
 ) -> Result<LodPyramid> {
+    let mut maps = Vec::with_capacity(local.len());
+    let mut id_cells: FxHashMap<i64, Cell> = FxHashMap::default();
+    let mut raw_rows = 0usize;
+    for (map, ids) in local {
+        raw_rows += ids.len();
+        if id_cells.is_empty() {
+            id_cells = ids;
+        } else {
+            id_cells.extend(ids);
+        }
+        maps.push(map);
+    }
+    if id_cells.len() != raw_rows {
+        return Err(LodError::Schema(format!(
+            "table `{}` has duplicate values in id column `{}` across shards",
+            cfg.table, cfg.id_column
+        )));
+    }
     let mut levels = vec![LevelInfo {
         level: 0,
         table: cfg.level_table(0),
@@ -234,33 +294,23 @@ fn finish_build(
         width: cfg.width,
         height: cfg.height,
     }];
-    let tracking = id_cells.is_some();
     let mut states: Vec<LevelState> = Vec::new();
     let mut prev_sorted: Vec<Cluster> = Vec::new();
-    let mut cands = merge_cell_maps(level1_maps);
+    let mut cands = merge_cell_maps(maps);
     for k in 1..=cfg.levels {
         let scale = cfg.level_scale(k);
         if k > 1 {
             cands = aggregate_into_cells(std::mem::take(&mut prev_sorted), scale, cfg.spacing);
         }
-        // maintenance state (candidate maps + retention statuses) is only
-        // captured for single-node builds; sharded builds skip the map
-        // clone entirely — their raw data stays on the shards, so the
-        // pyramid cannot be maintained in place anyway
-        let sorted = if tracking {
-            let (status, outs) = retain_with_spacing_tracked(cands.clone(), scale, cfg.spacing);
-            let state = LevelState {
-                cands: std::mem::take(&mut cands),
-                status,
-                outs,
-            };
-            let sorted = state.sorted_outputs();
-            states.push(state);
-            sorted
-        } else {
-            crate::cluster::retain_with_spacing(std::mem::take(&mut cands), scale, cfg.spacing)
+        let (status, outs) = retain_with_spacing_tracked(cands.clone(), scale, cfg.spacing);
+        let state = LevelState {
+            cands: std::mem::take(&mut cands),
+            status,
+            outs,
         };
-        write_level(db, cfg, k, &sorted)?;
+        let sorted = state.sorted_outputs();
+        states.push(state);
+        write_level(dbs, sharding.as_ref(), cfg, k, &sorted)?;
         let (w, h) = cfg.level_size(k);
         levels.push(LevelInfo {
             level: k,
@@ -275,11 +325,11 @@ fn finish_build(
         config: cfg.clone(),
         levels,
         build_time: start.elapsed(),
-        maintenance: id_cells.map(|ids| MaintainState {
+        maintenance: Some(MaintainState {
             levels: states,
-            id_cells: ids,
+            id_cells,
         }),
-        sharding: None,
+        sharding,
         observability: None,
     })
 }
@@ -290,70 +340,8 @@ pub fn build_pyramid(db: &mut Database, cfg: &LodConfig) -> Result<LodPyramid> {
     cfg.validate()?;
     let start = Instant::now();
     let layout = raw_layout(db, cfg)?;
-    let points = extract_points(db, cfg, &layout)?;
-    let raw_rows = points.len();
-    let scale1 = cfg.level_scale(1);
-    let mut id_cells: FxHashMap<i64, Cell> = FxHashMap::default();
-    for p in &points {
-        id_cells.insert(
-            p.rep_id,
-            cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
-        );
-    }
-    if id_cells.len() != raw_rows {
-        return Err(LodError::Schema(format!(
-            "table `{}` has duplicate values in id column `{}`",
-            cfg.table, cfg.id_column
-        )));
-    }
-    let cells = aggregate_into_cells(points, scale1, cfg.spacing);
-    finish_build(db, cfg, raw_rows, vec![cells], Some(id_cells), start)
-}
-
-/// Build the pyramid from a sharded raw table: every shard aggregates its
-/// local points into level-1 grid cells in parallel (local clustering);
-/// the coordinator merges cells split across shard boundaries, runs the
-/// retention passes, and writes the level tables into `out`.
-///
-/// Produces the same level tables as [`build_pyramid`] on an unsharded
-/// copy of the data: cell aggregation is merge-order independent (exactly
-/// so for counts, bounding boxes and representatives; up to
-/// floating-point sum association for measure sums, which is exact for
-/// integer-valued measures).
-pub fn build_pyramid_sharded(
-    pdb: &ParallelDatabase,
-    cfg: &LodConfig,
-    out: &mut Database,
-) -> Result<LodPyramid> {
-    cfg.validate()?;
-    let start = Instant::now();
-    let layout = pdb.with_shard(0, |db| raw_layout(db, cfg))?;
-    let scale = cfg.level_scale(1);
-    let shard_maps: Vec<Result<FxHashMap<Cell, Cluster>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..pdb.shard_count())
-            .map(|i| {
-                let layout = &layout;
-                s.spawn(move || {
-                    pdb.with_shard(i, |db| {
-                        let points = extract_points(db, cfg, layout)?;
-                        Ok(aggregate_into_cells(points, scale, cfg.spacing))
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard clustering panicked"))
-            .collect()
-    });
-    let mut maps = Vec::with_capacity(shard_maps.len());
-    let mut raw_rows = 0usize;
-    for m in shard_maps {
-        let m = m?;
-        raw_rows += m.values().map(|c| c.count as usize).sum::<usize>();
-        maps.push(m);
-    }
-    finish_build(out, cfg, raw_rows, maps, None, start)
+    let local = local_cells(db, cfg, &layout)?;
+    build_levels(std::slice::from_mut(db), None, cfg, vec![local], start)
 }
 
 /// The statement router of a shard-resident pyramid: the raw table under
@@ -405,58 +393,15 @@ fn sharded_router(partitioner: &Partitioner, cfg: &LodConfig, n: usize) -> Resul
     Ok(router)
 }
 
-/// Write one clustered level across the shards: the table and its
-/// `(cx, cy)` spatial index exist on every shard (empty where the level
-/// has no local marks), each row on the shard whose grid cell owns its
-/// position.
-fn write_level_sharded(
-    shards: &mut [Database],
-    router: &QueryRouter,
-    cfg: &LodConfig,
-    level: usize,
-    clusters: &[Cluster],
-) -> Result<()> {
-    let table = cfg.level_table(level);
-    let schema = level_schema(cfg);
-    for db in shards.iter_mut() {
-        if db.has_table(&table) {
-            db.drop_table(&table)?;
-        }
-        db.create_table(&table, schema.clone())?;
-    }
-    let part = router
-        .partitioner(&table)
-        .expect("level table registered by sharded_router");
-    let scale = cfg.level_scale(level);
-    for c in clusters {
-        let row = level_row(scale, c);
-        let shard = part.route(&schema, &row, shards.len())?;
-        shards[shard].insert(&table, row)?;
-    }
-    for db in shards.iter_mut() {
-        db.create_index(
-            &table,
-            format!("{table}_cxcy"),
-            IndexKind::Spatial(SpatialCols::Point {
-                x: "cx".into(),
-                y: "cy".into(),
-            }),
-        )?;
-    }
-    Ok(())
-}
-
 /// Build the pyramid *and its level tables* directly on serving shards:
 /// every shard aggregates its local raw points into level-1 grid cells in
 /// parallel, the coordinator merges cells split across shard boundaries
-/// and runs the retention passes with maintenance tracking, and each
-/// level row is written to the shard whose grid cell owns its `(cx, cy)`
-/// position — the layout `kyrix-server`'s sharded backend serves with
-/// per-shard R-tree probes.
+/// and runs the same level loop as [`build_pyramid`], and each level row
+/// is written to the shard whose grid cell owns its `(cx, cy)` position —
+/// the layout `kyrix-server`'s sharded backend serves with per-shard
+/// R-tree probes.
 ///
-/// Unlike [`build_pyramid_sharded`] (which evacuates the level tables to
-/// a coordinator database and cannot maintain them), the returned pyramid
-/// carries maintenance state plus a router ([`LodPyramid::shard_router`])
+/// The returned pyramid carries a router ([`LodPyramid::shard_router`])
 /// over the raw table and every level table; mutate it in place with
 /// [`LodPyramid::insert_points_sharded`] /
 /// [`LodPyramid::delete_points_sharded`].
@@ -464,10 +409,10 @@ fn write_level_sharded(
 /// `partitioner` must be a [`Partitioner::SpatialGrid`] over the
 /// configured raw x/y columns whose natural shard count is
 /// `shards.len()`. Level-table contents are identical to a single-node
-/// [`build_pyramid`] over the union of the shards, with the sharded
-/// build's usual caveat: counts, bounding boxes and representatives
-/// match bitwise; float measure sums match when measure values are
-/// integer-valued.
+/// [`build_pyramid`] over the union of the shards: cell aggregation is
+/// merge-order independent — exactly so for counts, bounding boxes and
+/// representatives; up to floating-point sum association for measure
+/// sums, which is exact for integer-valued measures.
 pub fn build_pyramid_on_shards(
     shards: &mut [Database],
     partitioner: &Partitioner,
@@ -477,32 +422,13 @@ pub fn build_pyramid_on_shards(
     let start = Instant::now();
     let router = sharded_router(partitioner, cfg, shards.len())?;
     let layout = raw_layout(&shards[0], cfg)?;
-    let scale1 = cfg.level_scale(1);
-    // local clustering fan-out, plus the per-point cell index maintenance
-    // needs (the same secondary index build_pyramid keeps)
-    type ShardOut = Result<(FxHashMap<Cell, Cluster>, FxHashMap<i64, Cell>)>;
-    let per_shard: Vec<ShardOut> = std::thread::scope(|s| {
+    // local clustering fan-out
+    let local: Vec<Result<LocalCells>> = std::thread::scope(|s| {
         let handles: Vec<_> = shards
             .iter()
             .map(|db| {
                 let layout = &layout;
-                s.spawn(move || {
-                    let points = extract_points(db, cfg, layout)?;
-                    let mut ids = FxHashMap::default();
-                    for p in &points {
-                        ids.insert(
-                            p.rep_id,
-                            cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
-                        );
-                    }
-                    if ids.len() != points.len() {
-                        return Err(LodError::Schema(format!(
-                            "table `{}` has duplicate values in id column `{}`",
-                            cfg.table, cfg.id_column
-                        )));
-                    }
-                    Ok((aggregate_into_cells(points, scale1, cfg.spacing), ids))
-                })
+                s.spawn(move || local_cells(db, cfg, layout))
             })
             .collect();
         handles
@@ -510,69 +436,8 @@ pub fn build_pyramid_on_shards(
             .map(|h| h.join().expect("shard clustering panicked"))
             .collect()
     });
-    let mut maps = Vec::with_capacity(per_shard.len());
-    let mut id_cells: FxHashMap<i64, Cell> = FxHashMap::default();
-    let mut raw_rows = 0usize;
-    for r in per_shard {
-        let (map, ids) = r?;
-        raw_rows += ids.len();
-        id_cells.extend(ids);
-        maps.push(map);
-    }
-    if id_cells.len() != raw_rows {
-        return Err(LodError::Schema(format!(
-            "table `{}` has duplicate values in id column `{}` across shards",
-            cfg.table, cfg.id_column
-        )));
-    }
-    // coordinator: merge boundary cells, then run the level loop exactly
-    // as the tracked single-node build does, writing each level row to
-    // the shard that owns it
-    let mut levels = vec![LevelInfo {
-        level: 0,
-        table: cfg.level_table(0),
-        rows: raw_rows,
-        width: cfg.width,
-        height: cfg.height,
-    }];
-    let mut states: Vec<LevelState> = Vec::new();
-    let mut prev_sorted: Vec<Cluster> = Vec::new();
-    let mut cands = merge_cell_maps(maps);
-    for k in 1..=cfg.levels {
-        let scale = cfg.level_scale(k);
-        if k > 1 {
-            cands = aggregate_into_cells(std::mem::take(&mut prev_sorted), scale, cfg.spacing);
-        }
-        let (status, outs) = retain_with_spacing_tracked(cands.clone(), scale, cfg.spacing);
-        let state = LevelState {
-            cands: std::mem::take(&mut cands),
-            status,
-            outs,
-        };
-        let sorted = state.sorted_outputs();
-        states.push(state);
-        write_level_sharded(shards, &router, cfg, k, &sorted)?;
-        let (w, h) = cfg.level_size(k);
-        levels.push(LevelInfo {
-            level: k,
-            table: cfg.level_table(k),
-            rows: sorted.len(),
-            width: w,
-            height: h,
-        });
-        prev_sorted = sorted;
-    }
-    Ok(LodPyramid {
-        config: cfg.clone(),
-        levels,
-        build_time: start.elapsed(),
-        maintenance: Some(MaintainState {
-            levels: states,
-            id_cells,
-        }),
-        sharding: Some(router),
-        observability: None,
-    })
+    let local = local.into_iter().collect::<Result<Vec<_>>>()?;
+    build_levels(shards, Some(router), cfg, local, start)
 }
 
 #[cfg(test)]
@@ -630,44 +495,6 @@ mod tests {
                 .unwrap();
             assert_eq!(r.rows[0].get(0).as_i64().unwrap(), 1024, "level {k} count");
             assert_eq!(r.rows[0].get(1).as_f64().unwrap(), raw_sum, "level {k} sum");
-        }
-    }
-
-    #[test]
-    fn sharded_build_matches_single_node() {
-        let rows = grid_rows(1024);
-        let mut single = Database::new();
-        single.create_table("pts", raw_schema()).unwrap();
-        for r in rows.clone() {
-            single.insert("pts", r.clone()).unwrap();
-        }
-        let p1 = build_pyramid(&mut single, &cfg()).unwrap();
-
-        let pdb = ParallelDatabase::new(
-            4,
-            "pts",
-            Partitioner::SpatialGrid {
-                x_column: "x".into(),
-                y_column: "y".into(),
-                cols: 2,
-                rows: 2,
-                width: 256.0,
-                height: 256.0,
-            },
-        )
-        .unwrap();
-        pdb.create_table("pts", raw_schema()).unwrap();
-        pdb.load("pts", rows).unwrap();
-        let mut out = Database::new();
-        let p2 = build_pyramid_sharded(&pdb, &cfg(), &mut out).unwrap();
-
-        assert_eq!(p1.levels, p2.levels);
-        for k in 1..=2 {
-            let t = p1.levels[k].table.clone();
-            let q = format!("SELECT * FROM {t} ORDER BY id");
-            let a = single.query(&q, &[]).unwrap();
-            let b = out.query(&q, &[]).unwrap();
-            assert_eq!(a.rows, b.rows, "level {k} tables differ");
         }
     }
 

@@ -12,9 +12,9 @@
 use kyrix_client::Session;
 use kyrix_core::compile;
 use kyrix_lod::{
-    build_pyramid, build_pyramid_sharded, lod_app, lod_calibration_walk, LodConfig, SpacingGrid,
+    build_pyramid, build_pyramid_on_shards, lod_app, lod_calibration_walk, LodConfig, SpacingGrid,
 };
-use kyrix_parallel::{ParallelDatabase, Partitioner};
+use kyrix_parallel::{scatter_gather, Partitioner};
 use kyrix_server::{
     BoxPolicy, CalibrationTrace, FetchPlan, KyrixServer, PlanPolicy, ServerConfig, TileDesign,
     Tiling,
@@ -470,29 +470,30 @@ fn sharded_pyramid_matches_single_node() {
     let cfg = lod_config(&g);
     let (single, p1) = built_db(&g, &cfg);
 
-    let pdb = ParallelDatabase::new(
-        4,
-        "galaxy",
-        Partitioner::SpatialGrid {
-            x_column: "x".into(),
-            y_column: "y".into(),
-            cols: 2,
-            rows: 2,
-            width: g.width,
-            height: g.height,
-        },
-    )
-    .unwrap();
-    pdb.create_table("galaxy", galaxy_schema()).unwrap();
-    pdb.load("galaxy", galaxy_rows(&g)).unwrap();
-    let mut out = Database::new();
-    let p2 = build_pyramid_sharded(&pdb, &cfg, &mut out).unwrap();
+    let part = Partitioner::SpatialGrid {
+        x_column: "x".into(),
+        y_column: "y".into(),
+        cols: 2,
+        rows: 2,
+        width: g.width,
+        height: g.height,
+    };
+    let schema = galaxy_schema();
+    let mut empty = Database::new();
+    empty.create_table("galaxy", schema.clone()).unwrap();
+    let mut shards = vec![empty; 4];
+    for row in galaxy_rows(&g) {
+        let s = part.route(&schema, &row, 4).unwrap();
+        shards[s].insert("galaxy", row).unwrap();
+    }
+    let p2 = build_pyramid_on_shards(&mut shards, &part, &cfg).unwrap();
+    let router = p2.shard_router().unwrap();
 
     assert_eq!(p1.levels, p2.levels);
     for k in 1..=LEVELS {
         let q = format!("SELECT * FROM {} ORDER BY id", cfg.level_table(k));
         let a = single.query(&q, &[]).unwrap();
-        let b = out.query(&q, &[]).unwrap();
+        let b = scatter_gather(&shards, router, &q, &[]).unwrap().result;
         assert_eq!(a.rows.len(), b.rows.len(), "level {k} row count");
         assert_eq!(a.rows, b.rows, "level {k} tables differ");
     }

@@ -3,10 +3,11 @@
 //!
 //! Paper §4: *"Fifty terabytes will require a parallel multi-node DBMS to
 //! achieve our performance goals."* This crate simulates that multi-node
-//! deployment in-process: a [`ParallelDatabase`] holds N independent shards
-//! (each a full [`kyrix_storage::Database`], standing in for one node),
-//! routes inserts through a [`Partitioner`], and executes queries on all —
-//! or, for spatially routed viewport queries, only the intersecting —
+//! deployment in-process: a sharded database is N independent shards (each
+//! a full [`kyrix_storage::Database`], standing in for one node) whose rows
+//! were placed by a [`Partitioner`], plus the [`QueryRouter`] that records
+//! which table is partitioned how. [`scatter_gather`] executes a query on
+//! all — or, for spatially routed viewport queries, only the intersecting —
 //! shards on parallel threads, then merges results at a coordinator.
 //!
 //! The merge layer understands the full SQL surface of the engine:
@@ -24,9 +25,9 @@
 
 pub mod merge;
 pub mod partition;
-pub mod pdb;
 pub mod router;
+pub mod scatter;
 
 pub use partition::Partitioner;
-pub use pdb::{ParallelDatabase, ParallelStats};
 pub use router::QueryRouter;
+pub use scatter::{scatter_gather, Gathered};

@@ -1,11 +1,10 @@
 //! Table-aware query routing: which shards must a statement touch?
 //!
-//! [`ParallelDatabase`](crate::ParallelDatabase) routes one partitioned
-//! table. A serving tier routes *many* — a raw point table plus every
-//! LoD level table, each with its own [`Partitioner`] — so the routing
-//! logic lives here, keyed by table name, and both the coordinator and
-//! external scatter-gather executors (e.g. `kyrix-server`'s sharded
-//! backend) share it.
+//! A serving tier routes *many* partitioned tables — a raw point table
+//! plus every LoD level table, each with its own [`Partitioner`] — so the
+//! routing logic lives here, keyed by table name;
+//! [`scatter_gather`](crate::scatter_gather) asks it where each statement
+//! must run.
 //!
 //! Routing is conservative: a statement over a registered table routes by
 //! the first usable predicate (spatial-rect intersection, partition-key
@@ -80,7 +79,7 @@ impl QueryRouter {
     /// statements over unregistered (replicated) tables only run on
     /// shard 0.
     pub fn targets(&self, stmt: &Select, params: &[Value]) -> Vec<usize> {
-        let all: Vec<usize> = (0..self.n).collect();
+        let all = || (0..self.n).collect();
         // routing applies to the registered table the statement scans
         // (joins still work: the partitioned side determines placement,
         // the replicated side is present everywhere)
@@ -94,7 +93,7 @@ impl QueryRouter {
             return vec![0];
         };
         let Some(where_clause) = &stmt.where_clause else {
-            return all;
+            return all();
         };
         let empty = Schema::empty();
         let bindings = Bindings::single("_", &empty);
@@ -150,7 +149,7 @@ impl QueryRouter {
                 _ => {}
             }
         }
-        all
+        all()
     }
 }
 

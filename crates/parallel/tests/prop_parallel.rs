@@ -1,8 +1,9 @@
-//! Property: for any data distribution and any supported query, the
-//! partitioned database returns exactly what a single node would.
+//! Property: for any data distribution and any supported query,
+//! scatter-gather over the partitioned shards returns exactly what a
+//! single node would.
 
-use kyrix_parallel::{ParallelDatabase, Partitioner};
-use kyrix_storage::{DataType, Database, Row, Schema, Value};
+use kyrix_parallel::{scatter_gather, Partitioner, QueryRouter};
+use kyrix_storage::{DataType, Database, QueryResult, Row, Schema, Value};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -22,9 +23,33 @@ fn make_row(id: i64, x: f64, y: f64, g: i64) -> Row {
     ])
 }
 
+/// `n` shards of `pts`, each row on the shard `p` routes it to, plus the
+/// router that says so.
+fn sharded(n: usize, p: Partitioner, rows: Vec<Row>) -> (Vec<Database>, QueryRouter) {
+    let mut empty = Database::new();
+    empty.create_table("pts", schema()).unwrap();
+    let mut shards = vec![empty; n];
+    for row in rows {
+        let s = p.route(&schema(), &row, n).unwrap();
+        shards[s].insert("pts", row).unwrap();
+    }
+    let mut router = QueryRouter::new(n).unwrap();
+    router.register("pts", p).unwrap();
+    (shards, router)
+}
+
+fn query(db: &(Vec<Database>, QueryRouter), sql: &str, params: &[Value]) -> QueryResult {
+    scatter_gather(&db.0, &db.1, sql, params).unwrap().result
+}
+
+fn column_names(r: &QueryResult) -> Vec<&str> {
+    r.schema.columns().iter().map(|c| c.name.as_str()).collect()
+}
+
 /// Queries whose parallel/serial agreement we pin. Chosen to cover: plain
 /// scans, filters, multi-key order + offset/limit, global and grouped
-/// aggregates, HAVING, AVG decomposition, and spatial predicates.
+/// aggregates, HAVING, AVG decomposition, range predicates — and an
+/// inverted `BETWEEN`, which a range layout routes to no shard at all.
 const QUERIES: &[&str] = &[
     "SELECT COUNT(*) FROM pts",
     "SELECT id, g FROM pts ORDER BY g DESC, id LIMIT 9 OFFSET 2",
@@ -33,6 +58,7 @@ const QUERIES: &[&str] = &[
     "SELECT AVG(x), COUNT(id) FROM pts WHERE g = 1",
     "SELECT id FROM pts WHERE x BETWEEN 10 AND 70 ORDER BY y, id",
     "SELECT SUM(g) FROM pts WHERE id != 3",
+    "SELECT id, x FROM pts WHERE x BETWEEN 50 AND 10",
 ];
 
 /// Value equality with float tolerance: partial sums combine in a
@@ -107,20 +133,19 @@ proptest! {
         }
 
         for (n, p) in partitioners() {
-            let pdb = ParallelDatabase::new(n, "pts", p).unwrap();
-            pdb.create_table("pts", schema()).unwrap();
-            pdb.load(
-                "pts",
+            let pdb = sharded(
+                n,
+                p,
                 points
                     .iter()
                     .map(|(id, x, y, g)| make_row(*id, *x, *y, *g))
                     .collect(),
-            )
-            .unwrap();
+            );
 
             for q in QUERIES {
-                let par = pdb.query(q, &[]).unwrap();
+                let par = query(&pdb, q, &[]);
                 let mut seq = reference.query(q, &[]).unwrap();
+                prop_assert_eq!(column_names(&par), column_names(&seq), "query {}", q);
                 // row order for unsorted queries is unspecified; normalize
                 let by_all_cols = |a: &Row, b: &Row| {
                     a.values
@@ -155,89 +180,66 @@ proptest! {
 
 #[test]
 fn empty_partitioned_table_answers_all_query_shapes() {
-    let pdb = ParallelDatabase::new(
+    let pdb = sharded(
         4,
-        "pts",
         Partitioner::Hash {
             column: "id".into(),
         },
-    )
-    .unwrap();
-    pdb.create_table("pts", schema()).unwrap();
+        Vec::new(),
+    );
 
-    let r = pdb.query("SELECT COUNT(*) FROM pts", &[]).unwrap();
+    let r = query(&pdb, "SELECT COUNT(*) FROM pts", &[]);
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0].get(0), &Value::Int(0));
 
-    let r = pdb
-        .query("SELECT g, SUM(x) FROM pts GROUP BY g", &[])
-        .unwrap();
+    let r = query(&pdb, "SELECT g, SUM(x) FROM pts GROUP BY g", &[]);
     assert!(r.rows.is_empty());
 
-    let r = pdb
-        .query("SELECT id FROM pts ORDER BY x DESC LIMIT 3", &[])
-        .unwrap();
+    let r = query(&pdb, "SELECT id FROM pts ORDER BY x DESC LIMIT 3", &[]);
     assert!(r.rows.is_empty());
     assert_eq!(r.schema.len(), 1);
 }
 
 #[test]
 fn limit_zero_and_huge_offset() {
-    let pdb = ParallelDatabase::new(
+    let pdb = sharded(
         2,
-        "pts",
         Partitioner::Hash {
             column: "id".into(),
         },
-    )
-    .unwrap();
-    pdb.create_table("pts", schema()).unwrap();
-    for i in 0..20 {
-        pdb.insert("pts", make_row(i, i as f64, 0.0, i % 3))
-            .unwrap();
-    }
-    let r = pdb.query("SELECT id FROM pts LIMIT 0", &[]).unwrap();
+        (0..20).map(|i| make_row(i, i as f64, 0.0, i % 3)).collect(),
+    );
+    let r = query(&pdb, "SELECT id FROM pts LIMIT 0", &[]);
     assert!(r.rows.is_empty());
-    let r = pdb
-        .query("SELECT id FROM pts ORDER BY id LIMIT 5 OFFSET 1000", &[])
-        .unwrap();
+    let r = query(
+        &pdb,
+        "SELECT id FROM pts ORDER BY id LIMIT 5 OFFSET 1000",
+        &[],
+    );
     assert!(r.rows.is_empty());
-    let r = pdb
-        .query("SELECT id FROM pts ORDER BY id LIMIT 5 OFFSET 18", &[])
-        .unwrap();
+    let r = query(
+        &pdb,
+        "SELECT id FROM pts ORDER BY id LIMIT 5 OFFSET 18",
+        &[],
+    );
     assert_eq!(r.rows.len(), 2);
     assert_eq!(r.rows[0].get(0), &Value::Int(18));
 }
 
 #[test]
 fn coordinator_having_uses_original_params() {
-    let pdb = ParallelDatabase::new(
+    let pdb = sharded(
         3,
-        "pts",
         Partitioner::Range {
             column: "x".into(),
             bounds: vec![30.0, 60.0],
         },
-    )
-    .unwrap();
-    pdb.create_table("pts", schema()).unwrap();
-    for i in 0..90 {
-        pdb.insert("pts", make_row(i, i as f64, 0.0, i % 2))
-            .unwrap();
-    }
+        (0..90).map(|i| make_row(i, i as f64, 0.0, i % 2)).collect(),
+    );
     // HAVING references a parameter, evaluated at the coordinator
-    let r = pdb
-        .query(
-            "SELECT g, COUNT(*) AS n FROM pts GROUP BY g HAVING n > $1",
-            &[Value::Int(44)],
-        )
-        .unwrap();
+    let q = "SELECT g, COUNT(*) AS n FROM pts GROUP BY g HAVING n > $1";
+    let r = query(&pdb, q, &[Value::Int(44)]);
     assert_eq!(r.rows.len(), 2); // both groups have 45
-    let r = pdb
-        .query(
-            "SELECT g, COUNT(*) AS n FROM pts GROUP BY g HAVING n > $1",
-            &[Value::Int(45)],
-        )
-        .unwrap();
+    let r = query(&pdb, q, &[Value::Int(45)]);
     assert!(r.rows.is_empty());
 }

@@ -6,12 +6,11 @@
 //!
 //! * [`DatabaseSnapshot`]: today's single-node head, unchanged;
 //! * [`ShardedSnapshot`]: N shard databases plus a
-//!   [`QueryRouter`]. A query is decomposed by
-//!   [`ShardPlan`], routed to the shards whose grid
-//!   cells its predicate touches, executed in parallel (`shard.scatter`
-//!   span, per-shard `fetch.shard{i}` histogram family), and recombined by
-//!   the coordinator merge (`shard.merge` span) — the same machinery the
-//!   sharded LoD build uses for boundary cells.
+//!   [`QueryRouter`]. A query runs through
+//!   [`kyrix_parallel::scatter_gather`]: decomposed, routed to the shards
+//!   whose grid cells its predicate touches, executed in parallel
+//!   (`shard.scatter` span, per-shard `fetch.shard{i}` histogram family),
+//!   and recombined by the coordinator merge (`shard.merge` span).
 //!
 //! Above the view sits the [`ServingBackend`]: the mutable head pointer
 //! the server publishes through. It pins the current view, hands out
@@ -24,13 +23,10 @@
 
 use crate::snapshot::DatabaseSnapshot;
 use kyrix_obs::{Gauge, HistogramFamily, Registry};
-use kyrix_parallel::merge::ShardPlan;
-use kyrix_parallel::QueryRouter;
-use kyrix_storage::sql::{execute_select, parse};
+use kyrix_parallel::{scatter_gather, QueryRouter};
 use kyrix_storage::{Database, QueryResult, Rect, Schema, StorageError, Value};
 use parking_lot::RwLock;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// An immutable, versioned read surface: what a fetch resolves against.
 ///
@@ -192,38 +188,16 @@ impl SnapshotView for ShardedSnapshot {
     }
 
     fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        let stmt = parse(sql)?;
-        let plan = ShardPlan::new(&stmt)?;
-        let targets = self.router.targets(&stmt, params);
-        let shard_results: Vec<QueryResult> = {
-            let _scatter = self.telemetry.as_ref().map(|t| t.obs.span("shard.scatter"));
-            if targets.len() == 1 {
-                // routed to one shard: run inline, no fan-out overhead —
-                // a fully routed sharded fetch costs what a single node
-                // with 1/N of the rows would pay
-                let i = targets[0];
-                vec![self.run_shard(i, &plan, params)?]
-            } else {
-                let plan = &plan;
-                let results: Vec<kyrix_storage::Result<QueryResult>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = targets
-                        .iter()
-                        .map(|&i| s.spawn(move || self.run_shard(i, plan, params)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard query panicked"))
-                        .collect()
-                });
-                let mut ok = Vec::with_capacity(results.len());
-                for r in results {
-                    ok.push(r?);
-                }
-                ok
+        let gathered = scatter_gather(&self.shards, &self.router, sql, params)?;
+        if let Some(t) = &self.telemetry {
+            t.obs
+                .record_external_span("shard.scatter", gathered.scatter);
+            for (i, dur) in &gathered.shards {
+                t.family.record_duration(&i.to_string(), *dur);
             }
-        };
-        let _merge = self.telemetry.as_ref().map(|t| t.obs.span("shard.merge"));
-        plan.merge(shard_results, params)
+            t.obs.record_external_span("shard.merge", gathered.merge);
+        }
+        Ok(gathered.result)
     }
 
     fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema> {
@@ -259,22 +233,6 @@ impl SnapshotView for ShardedSnapshot {
             }
         }
         Ok(Some(total))
-    }
-}
-
-impl ShardedSnapshot {
-    fn run_shard(
-        &self,
-        i: usize,
-        plan: &ShardPlan,
-        params: &[Value],
-    ) -> kyrix_storage::Result<QueryResult> {
-        let start = Instant::now();
-        let result = execute_select(&self.shards[i], &plan.shard_stmt, params);
-        if let Some(t) = &self.telemetry {
-            t.family.record_duration(&i.to_string(), start.elapsed());
-        }
-        result
     }
 }
 

@@ -657,12 +657,20 @@ impl KyrixServer {
                 (stores, plans, reports, None)
             }
         };
-        // Telemetry: installed after tuning so the calibration replay's
-        // queries never pollute the serving-path histograms. The observer
-        // closure survives every copy-on-write clone of the database, so
-        // successor snapshots keep reporting `sql.execute` spans.
+        let obs = Self::observe_queries(std::slice::from_mut(&mut db));
+        let backend = Box::new(SingleNodeBackend::new(db, obs.gauge("snapshot.pinned")));
+        let server = Self::start(app, backend, stores, plans, config, tuning, obs);
+        Ok((server, reports))
+    }
+
+    /// The serving registry, with every database of the backend-to-be
+    /// reporting into it. Called after tuning so the calibration replay's
+    /// queries never pollute the serving-path histograms. The observer
+    /// closure survives every copy-on-write clone of a database, so
+    /// successor snapshots keep reporting `sql.execute` spans.
+    fn observe_queries(dbs: &mut [Database]) -> Arc<Registry> {
         let obs = Arc::new(Registry::new());
-        {
+        for db in dbs {
             let reg = Arc::clone(&obs);
             let scanned = reg.counter("sql.rows_scanned");
             db.set_query_observer(Some(Arc::new(move |_sql, dur, stats| {
@@ -671,22 +679,32 @@ impl KyrixServer {
             })));
         }
         obs.gauge("snapshot.head_version").set(0);
-        let backend = Box::new(SingleNodeBackend::new(db, obs.gauge("snapshot.pinned")));
+        obs
+    }
+
+    /// The tail of every launch: wire the built backend and the resolved
+    /// stores/plans into the shared state and start the prefetch worker.
+    fn start(
+        app: CompiledApp,
+        backend: Box<dyn ServingBackend>,
+        stores: FxHashMap<(u32, u32), LayerStore>,
+        plans: FxHashMap<(u32, u32), FetchPlan>,
+        config: ServerConfig,
+        tuning: Option<TuningReport>,
+        obs: Arc<Registry>,
+    ) -> Self {
         let inner = Arc::new(Inner::new(app, backend, stores, plans, &config, obs));
         let prefetcher = if config.prefetch {
             Some(Prefetcher::spawn(inner.clone()))
         } else {
             None
         };
-        Ok((
-            KyrixServer {
-                inner,
-                prefetcher,
-                config,
-                tuning,
-            },
-            reports,
-        ))
+        KyrixServer {
+            inner,
+            prefetcher,
+            config,
+            tuning,
+        }
     }
 
     /// Launch over `shards` — one [`Database`] per shard, partitioned per
@@ -790,16 +808,7 @@ impl KyrixServer {
                  spatial tile design"
             )));
         }
-        let obs = Arc::new(Registry::new());
-        for db in &mut shards {
-            let reg = Arc::clone(&obs);
-            let scanned = reg.counter("sql.rows_scanned");
-            db.set_query_observer(Some(Arc::new(move |_sql, dur, stats| {
-                reg.record_external_span("sql.execute", dur);
-                scanned.add(stats.rows_scanned);
-            })));
-        }
-        obs.gauge("snapshot.head_version").set(0);
+        let obs = Self::observe_queries(&mut shards);
         let telemetry = ShardTelemetry {
             obs: Arc::clone(&obs),
             family: obs.histogram_family("fetch.shard"),
@@ -810,18 +819,9 @@ impl KyrixServer {
             telemetry,
             obs.gauge("snapshot.pinned"),
         )?);
-        let inner = Arc::new(Inner::new(app, backend, stores, plans, &config, obs));
-        let prefetcher = if config.prefetch {
-            Some(Prefetcher::spawn(inner.clone()))
-        } else {
-            None
-        };
-        Ok(KyrixServer {
-            inner,
-            prefetcher,
-            config,
-            tuning,
-        })
+        Ok(Self::start(
+            app, backend, stores, plans, config, tuning, obs,
+        ))
     }
 
     /// How many shards the backend serves from (1 for a

@@ -219,6 +219,39 @@ pub fn measure_plan(
     Ok(totals)
 }
 
+fn require_candidates(candidates: &[FetchPlan]) -> Result<()> {
+    if candidates.is_empty() {
+        return Err(ServerError::Config(
+            "Measured policy needs at least one candidate plan".to_string(),
+        ));
+    }
+    Ok(())
+}
+
+/// Cost every candidate with `measure` and pick the cheapest by modeled
+/// cost. Strict `<`: ties keep the earlier candidate (preference order).
+fn cheapest(
+    candidates: &[FetchPlan],
+    cost: &CostModel,
+    mut measure: impl FnMut(&FetchPlan) -> Result<FetchMetrics>,
+) -> Result<(usize, Vec<CandidateCost>)> {
+    let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
+    let mut chosen = 0;
+    for plan in candidates {
+        let metrics = measure(plan)?;
+        let modeled_ms = metrics.modeled_ms(cost);
+        if !costs.is_empty() && modeled_ms < costs[chosen].modeled_ms {
+            chosen = costs.len();
+        }
+        costs.push(CandidateCost {
+            plan: *plan,
+            metrics,
+            modeled_ms,
+        });
+    }
+    Ok((chosen, costs))
+}
+
 /// Everything `KyrixServer::launch` needs from a `Measured` resolution.
 pub(crate) struct TunedLaunch {
     pub stores: FxHashMap<(u32, u32), LayerStore>,
@@ -238,11 +271,7 @@ pub(crate) fn tune(
     trace: &CalibrationTrace,
     cost: &CostModel,
 ) -> Result<TunedLaunch> {
-    if candidates.is_empty() {
-        return Err(ServerError::Config(
-            "Measured policy needs at least one candidate plan".to_string(),
-        ));
-    }
+    require_candidates(candidates)?;
     let mut out = TunedLaunch {
         stores: FxHashMap::default(),
         plans: FxHashMap::default(),
@@ -262,41 +291,27 @@ pub(crate) fn tune(
                 continue;
             }
             let steps = trace.steps_for(&canvas.id);
-            let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
-            let mut cand_stores: Vec<LayerStore> = Vec::with_capacity(candidates.len());
-            let mut best: Option<(usize, PrecomputeReport)> = None;
-            for plan in candidates {
-                let (store, report) = precompute_layer(db, layer, plan, &app.name)?;
+            let mut cand_stores: Vec<(LayerStore, PrecomputeReport)> =
+                Vec::with_capacity(candidates.len());
+            let (chosen, costs) = cheapest(candidates, cost, |plan| {
+                let built = precompute_layer(db, layer, plan, &app.name)?;
                 // pin a snapshot per candidate: the COW clone is cheap and
                 // keeps the measurement isolated from the precomputation
                 // the next candidate runs against `db`
                 let snap = DatabaseSnapshot::pin(db);
-                let metrics = measure_plan(&snap, &store, plan, &bounds, &steps)?;
-                let modeled_ms = metrics.modeled_ms(cost);
-                // strict <: ties keep the earlier candidate (preference order)
-                let wins = match &best {
-                    None => true,
-                    Some((b, _)) => modeled_ms < costs[*b].modeled_ms,
-                };
-                costs.push(CandidateCost {
-                    plan: *plan,
-                    metrics,
-                    modeled_ms,
-                });
-                cand_stores.push(store);
-                if wins {
-                    best = Some((costs.len() - 1, report));
-                }
-            }
-            let (chosen, report) = best.expect("candidates checked non-empty");
-            for (i, store) in cand_stores.iter().enumerate() {
+                let metrics = measure_plan(&snap, &built.0, plan, &bounds, &steps);
+                cand_stores.push(built);
+                metrics
+            })?;
+            for (i, (store, _)) in cand_stores.iter().enumerate() {
                 if i != chosen {
                     if let LayerStore::TileMapping { mapping_table, .. } = store {
                         losing_maps.push(mapping_table.clone());
                     }
                 }
             }
-            out.stores.insert(key, cand_stores.swap_remove(chosen));
+            let (store, report) = cand_stores.swap_remove(chosen);
+            out.stores.insert(key, store);
             out.plans.insert(key, costs[chosen].plan);
             out.reports.push(report);
             out.tuning.layers.push(LayerTuning {
@@ -360,11 +375,7 @@ pub(crate) fn tune_sharded(
     trace: &CalibrationTrace,
     cost: &CostModel,
 ) -> Result<TunedShardedLaunch> {
-    if candidates.is_empty() {
-        return Err(ServerError::Config(
-            "Measured policy needs at least one candidate plan".to_string(),
-        ));
-    }
+    require_candidates(candidates)?;
     if candidates.iter().any(|p| {
         matches!(
             p,
@@ -394,21 +405,9 @@ pub(crate) fn tune_sharded(
                 ServerError::Config(format!("no store for layer {li} of `{}`", canvas.id))
             })?;
             let steps = trace.steps_for(&canvas.id);
-            let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
-            let mut chosen = 0;
-            for plan in candidates {
-                let metrics = measure_plan(view, store, plan, &bounds, &steps)?;
-                let modeled_ms = metrics.modeled_ms(cost);
-                // strict <: ties keep the earlier candidate (preference order)
-                if !costs.is_empty() && modeled_ms < costs[chosen].modeled_ms {
-                    chosen = costs.len();
-                }
-                costs.push(CandidateCost {
-                    plan: *plan,
-                    metrics,
-                    modeled_ms,
-                });
-            }
+            let (chosen, costs) = cheapest(candidates, cost, |plan| {
+                measure_plan(view, store, plan, &bounds, &steps)
+            })?;
             plans.insert(key, costs[chosen].plan);
             tuning.layers.push(LayerTuning {
                 canvas: canvas.id.clone(),

@@ -31,12 +31,6 @@ pub enum StorageError {
     MissingParam(usize),
     /// Value decoding failed (corrupt page or schema drift).
     DecodeError(String),
-    /// A lock request was refused to break a (potential) deadlock
-    /// (wait-die policy: the younger transaction dies). The transaction
-    /// must be rolled back and may be retried.
-    Deadlock { txn: u64, blocker: u64 },
-    /// Operation on a transaction that already committed or rolled back.
-    TxnFinished(u64),
 }
 
 impl fmt::Display for StorageError {
@@ -57,13 +51,6 @@ impl fmt::Display for StorageError {
             StorageError::ExecError(m) => write!(f, "execution error: {m}"),
             StorageError::MissingParam(i) => write!(f, "missing query parameter ${i}"),
             StorageError::DecodeError(m) => write!(f, "decode error: {m}"),
-            StorageError::Deadlock { txn, blocker } => write!(
-                f,
-                "transaction {txn} aborted to avoid deadlock (blocked by {blocker}); retry"
-            ),
-            StorageError::TxnFinished(t) => {
-                write!(f, "transaction {t} has already committed or rolled back")
-            }
         }
     }
 }

@@ -13,10 +13,13 @@
 //! * a **SQL layer** ([`sql`]) whose planner picks between those access
 //!   paths exactly the way the paper's two database designs require, with
 //!   aggregates/GROUP BY, DML, DDL, and EXPLAIN on top,
-//! * **transactions** ([`txn`]: row-level 2PL with wait-die deadlock
-//!   avoidance) and a **write-ahead log** ([`wal`]) with crash recovery —
-//!   the paper's §4 "editing updates ... supported by DBMS concurrency
-//!   control".
+//! * a **snapshot file format** ([`persist`]) — the only on-disk form of
+//!   a database; loading validates every length and tag it reads.
+//!
+//! A [`Database`] is a plain value: cloning it is table-granularity
+//! copy-on-write, which is what `kyrix-server` builds its concurrency
+//! control on (a mutation edits a clone and publishes it; readers keep
+//! the snapshot they pinned). The engine itself has no locks and no log.
 //!
 //! ```
 //! use kyrix_storage::{Database, Schema, DataType, Row, Value, IndexKind, SpatialCols};
@@ -56,9 +59,7 @@ pub mod rtree;
 pub mod schema;
 pub mod sql;
 pub mod stats;
-pub mod txn;
 pub mod value;
-pub mod wal;
 
 pub use catalog::{IndexKind, SpatialCols, Table};
 pub use database::{Database, Prepared, QueryObserver};
@@ -69,6 +70,4 @@ pub use row::Row;
 pub use schema::{Column, Schema};
 pub use sql::QueryResult;
 pub use stats::{DbCounters, ExecStats};
-pub use txn::{LockKey, LockManager, LockMode, Txn, TxnDatabase};
 pub use value::{DataType, OrdValue, Value};
-pub use wal::{TxnId, Wal, WalRecord};

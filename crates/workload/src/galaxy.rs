@@ -97,7 +97,7 @@ fn gaussian(rng: &mut SmallRng) -> f64 {
 }
 
 /// Generate the rows without a database (shared by [`load_zipf_galaxy`]
-/// and `ParallelDatabase` bulk loads, so both paths see identical data).
+/// and hand-partitioned shard loads, so both paths see identical data).
 pub fn galaxy_rows(cfg: &GalaxyConfig) -> Vec<Row> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     // Zipf core populations, normalized to a cumulative distribution

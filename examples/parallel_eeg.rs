@@ -32,39 +32,49 @@ fn main() {
     // the `t` column is the sample index (one canvas pixel per sample)
     let total_time = cfg.samples as f64;
     let bounds: Vec<f64> = (1..4).map(|i| total_time * i as f64 / 4.0).collect();
-    let pdb = ParallelDatabase::new(
-        4,
-        "eeg",
-        Partitioner::Range {
-            column: "t".into(),
-            bounds,
-        },
-    )
-    .expect("parallel database");
-
+    let part = Partitioner::Range {
+        column: "t".into(),
+        bounds,
+    };
     let schema = staging.table("eeg").expect("eeg").schema.clone();
-    pdb.create_table("eeg", schema).expect("table");
-    let mut rows = Vec::with_capacity(n_samples);
+    let mut empty = Database::new();
+    empty.create_table("eeg", schema.clone()).expect("table");
+    let mut nodes = vec![empty; 4];
     staging
         .table("eeg")
         .expect("eeg")
-        .scan(|_, r| rows.push(r))
+        .scan(|_, r| {
+            let node = part.route(&schema, &r, 4).expect("route");
+            nodes[node].insert("eeg", r).expect("load");
+        })
         .expect("scan");
-    pdb.load("eeg", rows).expect("load");
+    let mut router = QueryRouter::new(4).expect("router");
+    router.register("eeg", part).expect("register");
     println!(
         "partitioned over 4 nodes by time: {:?} rows/node",
-        pdb.shard_sizes("eeg").expect("sizes")
+        nodes
+            .iter()
+            .map(|n| n.table("eeg").expect("eeg").len())
+            .collect::<Vec<_>>()
     );
+    // every query below goes through the scatter-gather executor; count
+    // what the coordinator did as we go
+    let (mut queries, mut touched, mut broadcasts) = (0, 0, 0);
+    let mut query = |sql: &str, params: &[Value]| {
+        let g = scatter_gather(&nodes, &router, sql, params).expect("query");
+        queries += 1;
+        touched += g.shards.len();
+        broadcasts += usize::from(g.shards.len() == nodes.len());
+        g.result
+    };
 
     // ---- 3. temporal-view window queries route to owning nodes ----------
     let window = 8.0 * cfg.sample_rate; // 8 seconds of samples on screen
     for start in [0.0, total_time * 0.4, total_time * 0.8] {
-        let r = pdb
-            .query(
-                "SELECT COUNT(*) FROM eeg WHERE t BETWEEN $1 AND $2 AND channel = 0",
-                &[Value::Float(start), Value::Float(start + window)],
-            )
-            .expect("window query");
+        let r = query(
+            "SELECT COUNT(*) FROM eeg WHERE t BETWEEN $1 AND $2 AND channel = 0",
+            &[Value::Float(start), Value::Float(start + window)],
+        );
         let count = match r.rows[0].get(0) {
             Value::Int(n) => *n,
             other => panic!("unexpected {other:?}"),
@@ -77,13 +87,11 @@ fn main() {
     }
 
     // ---- 4. spectral rollup: per-channel amplitude statistics -----------
-    let r = pdb
-        .query(
-            "SELECT channel, COUNT(*) AS n, AVG(amplitude), MIN(amplitude), MAX(amplitude) \
-             FROM eeg GROUP BY channel ORDER BY channel",
-            &[],
-        )
-        .expect("rollup");
+    let r = query(
+        "SELECT channel, COUNT(*) AS n, AVG(amplitude), MIN(amplitude), MAX(amplitude) \
+         FROM eeg GROUP BY channel ORDER BY channel",
+        &[],
+    );
     println!("\nper-channel rollup (recombined from 4 nodes):");
     println!("channel |     n |      avg |      min |      max");
     for row in &r.rows {
@@ -99,9 +107,7 @@ fn main() {
 
     // ---- 5. coordinator statistics ---------------------------------------
     println!(
-        "\ncoordinator: {} queries, {:.1} nodes touched per query, {} full broadcasts",
-        pdb.stats.queries(),
-        pdb.stats.shards_touched() as f64 / pdb.stats.queries() as f64,
-        pdb.stats.broadcasts()
+        "\ncoordinator: {queries} queries, {:.1} nodes touched per query, {broadcasts} full broadcasts",
+        touched as f64 / queries as f64,
     );
 }

@@ -9,7 +9,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`storage`] | `kyrix-storage` | embedded DBMS: heap tables, B+tree / hash / R-tree indexes, SQL with aggregates/DML, transactions + WAL |
+//! | [`storage`] | `kyrix-storage` | embedded DBMS: heap tables, B+tree / hash / R-tree indexes, SQL with aggregates/DML, snapshot files |
 //! | [`parallel`] | `kyrix-parallel` | partitioned scatter-gather execution (§4 multi-node) |
 //! | [`expr`] | `kyrix-expr` | the declarative expression language (placements, selectors, encodings) |
 //! | [`core`] | `kyrix-core` | canvases, layers, jumps + the spec compiler + placement-by-example (§4) |
@@ -81,16 +81,14 @@ pub mod prelude {
         RampKind, RenderSpec, SynthesizedPlacement, TransformSpec, ZoomLevelRef,
     };
     pub use kyrix_expr::{as_affine, eval, parse, Compiled, Expr, VarMap};
-    pub use kyrix_lod::{build_pyramid, build_pyramid_sharded, lod_app, LodConfig, LodPyramid};
-    pub use kyrix_parallel::{ParallelDatabase, Partitioner};
+    pub use kyrix_lod::{build_pyramid, build_pyramid_on_shards, lod_app, LodConfig, LodPyramid};
+    pub use kyrix_parallel::{scatter_gather, Partitioner, QueryRouter};
     pub use kyrix_render::{save_ppm, Color, Frame, Mark, MarkType};
     pub use kyrix_server::{
         BoxPolicy, CostModel, DatabaseSnapshot, FetchPlan, KyrixServer, PlanPolicy, PrefetchPolicy,
         ServerConfig, TileDesign, TileId, Tiling,
     };
-    pub use kyrix_storage::{
-        DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, TxnDatabase, Value,
-    };
+    pub use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
     pub use kyrix_workload::{
         dots_app, load_skewed, load_uniform, load_usmap, load_zipf_galaxy, trace_a, usmap_app,
         zoom_trace, DotsConfig, GalaxyConfig, SkewConfig,

@@ -1,9 +1,8 @@
 //! Integration tests for the §4 extensions working *together* through the
-//! public facade: a learned placement drives a partitioned database whose
-//! edits run under transactions, with analytics over the result.
+//! public facade: a learned placement drives an application, and edits to
+//! a snapshot-file-backed database feed scatter-gather analytics.
 
 use kyrix::prelude::*;
-use kyrix::storage::StorageError;
 use std::sync::Arc;
 
 fn cities(n: i64) -> (Schema, Vec<Row>) {
@@ -89,10 +88,11 @@ fn learned_placement_runs_end_to_end() {
     assert!(step.modeled_ms < 500.0);
 }
 
-/// Transactional edits on a durable database feed a partitioned analytics
-/// tier; both agree with each other after recovery.
+/// Edits to a database restored from its snapshot file feed a
+/// partitioned analytics tier; scatter-gather aggregates over the shards
+/// agree with the single-node answer.
 #[test]
-fn txn_edits_flow_into_parallel_analytics() {
+fn edits_flow_into_parallel_analytics() {
     let dir = std::env::temp_dir().join(format!("kyrix_ext_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -108,10 +108,9 @@ fn txn_edits_flow_into_parallel_analytics() {
         db.save_to(dir.join("snapshot.kyrix")).unwrap();
     }
 
-    // transactional edits: boost west-coast populations, abort one edit
-    let tdb = TxnDatabase::open(&dir).unwrap();
-    let mut t = tdb.begin();
-    let boosted = t
+    // restore and edit: boost west-coast populations
+    let mut edited = Database::load_from(dir.join("snapshot.kyrix")).unwrap();
+    let boosted = edited
         .update_where(
             "cities",
             &[("pop", Value::Float(9_999_999.0))],
@@ -120,75 +119,35 @@ fn txn_edits_flow_into_parallel_analytics() {
         )
         .unwrap();
     assert!(boosted > 0);
-    t.commit().unwrap();
-    let mut t = tdb.begin();
-    t.delete_where("cities", "id >= 0", &[]).unwrap(); // fat-fingered wipe
-    t.rollback().unwrap(); // phew
-    drop(tdb);
 
-    // recover and ship into the partitioned tier
-    let recovered = TxnDatabase::open(&dir).unwrap();
-    let shipped: Vec<Row> = recovered.with_read(|db| {
-        let mut v = Vec::new();
-        db.table("cities").unwrap().scan(|_, r| v.push(r)).unwrap();
-        v
-    });
-    assert_eq!(shipped.len(), 1_200, "the aborted wipe must not survive");
+    // ship into the partitioned tier
+    let part = Partitioner::Hash {
+        column: "id".into(),
+    };
+    let mut empty = Database::new();
+    empty.create_table("cities", schema.clone()).unwrap();
+    let mut shards = vec![empty; 4];
+    edited
+        .table("cities")
+        .unwrap()
+        .scan(|_, r| {
+            let s = part.route(&schema, &r, 4).unwrap();
+            shards[s].insert("cities", r).unwrap();
+        })
+        .unwrap();
+    let mut router = QueryRouter::new(4).unwrap();
+    router.register("cities", part).unwrap();
 
-    let pdb = ParallelDatabase::new(
-        4,
-        "cities",
-        Partitioner::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
-    pdb.create_table("cities", schema).unwrap();
-    pdb.load("cities", shipped).unwrap();
-
-    // the committed boost is visible in parallel aggregates and matches
-    // the single-node answer
+    // the boost is visible in parallel aggregates and matches the
+    // single-node answer
     let q = "SELECT COUNT(*) AS n, MAX(pop) FROM cities WHERE lng < -120";
-    let par = pdb.query(q, &[]).unwrap();
-    let seq = recovered.query(q, &[]).unwrap();
+    let par = scatter_gather(&shards, &router, q, &[]).unwrap().result;
+    let seq = edited.query(q, &[]).unwrap();
     assert_eq!(par.rows, seq.rows);
     assert_eq!(par.rows[0].get(0), &Value::Int(boosted as i64));
     assert_eq!(par.rows[0].get(1), &Value::Float(9_999_999.0));
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Wait-die surfaces as a retryable error through the facade.
-#[test]
-fn deadlock_error_is_retryable_through_facade() {
-    let (schema, rows) = cities(10);
-    let mut db = Database::new();
-    db.create_table("cities", schema).unwrap();
-    for r in rows {
-        db.insert("cities", r).unwrap();
-    }
-    let tdb = TxnDatabase::new(db);
-    let mut old = tdb.begin();
-    let mut young = tdb.begin();
-    old.update_where("cities", &[("pop", Value::Float(1.0))], "id = 0", &[])
-        .unwrap();
-    match young.update_where("cities", &[("pop", Value::Float(2.0))], "id = 0", &[]) {
-        Err(StorageError::Deadlock { .. }) => {
-            young.rollback().unwrap();
-        }
-        other => panic!("expected wait-die, got {other:?}"),
-    }
-    old.commit().unwrap();
-    // retry succeeds
-    let mut retry = tdb.begin();
-    retry
-        .update_where("cities", &[("pop", Value::Float(2.0))], "id = 0", &[])
-        .unwrap();
-    retry.commit().unwrap();
-    let r = tdb
-        .query("SELECT pop FROM cities WHERE id = 0", &[])
-        .unwrap();
-    assert_eq!(r.rows[0].get(0), &Value::Float(2.0));
 }
 
 /// The semantic prefetch policy is reachable through the facade config.

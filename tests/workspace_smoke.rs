@@ -25,12 +25,11 @@ fn storage_entry_points() {
 
     let rect = Rect::new(0.0, 0.0, 10.0, 10.0);
     assert!(rect.intersects(&Rect::new(5.0, 5.0, 15.0, 15.0)));
-    // index + txn types are at least nameable through the prelude
+    // index types are at least nameable through the prelude
     let _: IndexKind = IndexKind::BTree {
         column: "id".into(),
     };
     let _: Option<SpatialCols> = None;
-    let _: Option<&TxnDatabase> = None;
 }
 
 /// kyrix-expr: parse, evaluate, compile, affine analysis.
@@ -55,29 +54,29 @@ fn expr_entry_points() {
     assert_eq!(aff.apply(3.0), 7.0);
 }
 
-/// kyrix-parallel: partitioned database answers like a single node.
+/// kyrix-parallel: scatter-gather over partitioned shards answers like a
+/// single node.
 #[test]
 fn parallel_entry_points() {
-    let pdb = ParallelDatabase::new(
-        2,
-        "t",
-        Partitioner::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
-    pdb.create_table(
-        "t",
-        Schema::empty()
-            .with("id", DataType::Int)
-            .with("v", DataType::Int),
-    )
-    .unwrap();
+    let part = Partitioner::Hash {
+        column: "id".into(),
+    };
+    let schema = Schema::empty()
+        .with("id", DataType::Int)
+        .with("v", DataType::Int);
+    let mut empty = Database::new();
+    empty.create_table("t", schema.clone()).unwrap();
+    let mut shards = vec![empty; 2];
     for i in 0..10 {
-        pdb.insert("t", Row::new(vec![Value::Int(i), Value::Int(i * 2)]))
-            .unwrap();
+        let row = Row::new(vec![Value::Int(i), Value::Int(i * 2)]);
+        let s = part.route(&schema, &row, 2).unwrap();
+        shards[s].insert("t", row).unwrap();
     }
-    let r = pdb.query("SELECT SUM(v) FROM t", &[]).unwrap();
+    let mut router = QueryRouter::new(2).unwrap();
+    router.register("t", part).unwrap();
+    let r = scatter_gather(&shards, &router, "SELECT SUM(v) FROM t", &[])
+        .unwrap()
+        .result;
     assert_eq!(r.rows[0].get(0), &Value::Int(90));
 }
 
@@ -102,25 +101,31 @@ fn lod_entry_points() {
     assert_eq!(pyramid.depth(), 3);
     assert!(pyramid.levels[2].rows < pyramid.levels[1].rows);
 
-    // sharded construction reproduces the same level tables
-    let pdb = ParallelDatabase::new(
-        2,
-        "galaxy",
-        Partitioner::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
-    pdb.create_table("galaxy", kyrix::workload::galaxy_schema())
-        .unwrap();
-    pdb.load("galaxy", kyrix::workload::galaxy_rows(&g))
-        .unwrap();
-    let mut out = Database::new();
-    build_pyramid_sharded(&pdb, &cfg, &mut out).unwrap();
+    // construction on shards reproduces the same level tables
+    let part = Partitioner::SpatialGrid {
+        x_column: "x".into(),
+        y_column: "y".into(),
+        cols: 2,
+        rows: 1,
+        width: g.width,
+        height: g.height,
+    };
+    let schema = kyrix::workload::galaxy_schema();
+    let mut empty = Database::new();
+    empty.create_table("galaxy", schema.clone()).unwrap();
+    let mut shards = vec![empty; 2];
+    for row in kyrix::workload::galaxy_rows(&g) {
+        let s = part.route(&schema, &row, 2).unwrap();
+        shards[s].insert("galaxy", row).unwrap();
+    }
+    let on_shards = build_pyramid_on_shards(&mut shards, &part, &cfg).unwrap();
     let q = "SELECT * FROM galaxy_lod1 ORDER BY id";
     assert_eq!(
         db.query(q, &[]).unwrap().rows,
-        out.query(q, &[]).unwrap().rows
+        scatter_gather(&shards, on_shards.shard_router().unwrap(), q, &[])
+            .unwrap()
+            .result
+            .rows
     );
 
     // the generated app serves through the ordinary server + session stack
