@@ -253,8 +253,15 @@ pub trait ServingBackend: Send + Sync {
 
     /// Publish mutated shards as the head at `version`. `shard_dirty[i]`
     /// says whether shard `i` actually changed — untouched shards keep
-    /// their previous version-vector entry.
-    fn publish(&self, shards: Vec<Database>, version: u64, shard_dirty: &[bool]);
+    /// their previous version-vector entry. Returns the retired head so
+    /// the caller can drop it once it holds no lock a reader needs:
+    /// when no reader pins it, that drop is what frees the version.
+    fn publish(
+        &self,
+        shards: Vec<Database>,
+        version: u64,
+        shard_dirty: &[bool],
+    ) -> Arc<dyn SnapshotView>;
 
     /// Route a table-space rect to the shards owning intersecting rows
     /// (`None`: unroutable, treat every shard as affected).
@@ -290,10 +297,15 @@ impl ServingBackend for SingleNodeBackend {
         vec![self.head.read().database().clone()]
     }
 
-    fn publish(&self, mut shards: Vec<Database>, version: u64, _shard_dirty: &[bool]) {
+    fn publish(
+        &self,
+        mut shards: Vec<Database>,
+        version: u64,
+        _shard_dirty: &[bool],
+    ) -> Arc<dyn SnapshotView> {
         let db = shards.pop().expect("single-node publish needs one shard");
         let next = DatabaseSnapshot::new(db, version).tracked(Arc::clone(&self.gauge));
-        *self.head.write() = Arc::new(next);
+        std::mem::replace(&mut *self.head.write(), Arc::new(next)) as Arc<dyn SnapshotView>
     }
 
     fn route_rect(&self, _table: &str, _rect: &Rect) -> Option<Vec<usize>> {
@@ -350,7 +362,12 @@ impl ServingBackend for ShardedBackend {
         self.head.read().clone_shards()
     }
 
-    fn publish(&self, shards: Vec<Database>, version: u64, shard_dirty: &[bool]) {
+    fn publish(
+        &self,
+        shards: Vec<Database>,
+        version: u64,
+        shard_dirty: &[bool],
+    ) -> Arc<dyn SnapshotView> {
         let prev = self.head.read().versions().to_vec();
         let versions: Vec<u64> = prev
             .iter()
@@ -360,7 +377,7 @@ impl ServingBackend for ShardedBackend {
         let next = ShardedSnapshot::new(shards, versions, Arc::clone(&self.router))
             .with_telemetry(self.telemetry.clone())
             .tracked(Arc::clone(&self.gauge));
-        *self.head.write() = Arc::new(next);
+        std::mem::replace(&mut *self.head.write(), Arc::new(next)) as Arc<dyn SnapshotView>
     }
 
     fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>> {

@@ -1318,8 +1318,9 @@ impl KyrixServer {
     /// cannot be patched in place; relaunch to re-tile).
     ///
     /// `apply` runs against a *successor* database built off to the side
-    /// (a copy-on-write clone of the published head: it deep-copies only
-    /// the tables it actually mutates) and returns its own result plus
+    /// (a copy-on-write clone of the published head: it shares pages and
+    /// index nodes with the head, and a write copies the page and the
+    /// root-to-leaf nodes it changes) and returns its own result plus
     /// the [`DirtyRegion`]s it touched (table coordinates). Concurrent
     /// fetches keep resolving against the published head the whole time —
     /// they never block behind the repair. On success the server
@@ -1389,17 +1390,38 @@ impl KyrixServer {
             let _clone = obs.span("cow.clone");
             self.inner.backend.begin_write()
         };
-        // `DbCounters` is shared between clones, so the delta across
-        // `apply` is exactly the deep copies this mutation's writes forced
-        // (mutators are serialized by the writer lock held above)
-        let cow_before: u64 = next.iter().map(|d| d.counters.cow_table_copies()).sum();
+        // `DbCounters` is shared between clones and a cloned table carries
+        // its `cow_stats` tallies along, so the deltas across `apply` are
+        // exactly the tables this mutation unshared and the pages and index
+        // nodes its writes copied (mutators are serialized by the writer
+        // lock held above)
+        let cow_totals = |shards: &[Database]| {
+            let mut totals = (0u64, 0u64, 0u64);
+            for db in shards {
+                totals.0 += db.counters.cow_table_copies();
+                for table in tables.iter().filter_map(|t| db.table(t).ok()) {
+                    let stats = table.cow_stats();
+                    totals.1 += stats.pages_copied;
+                    totals.2 += stats.nodes_copied;
+                }
+            }
+            totals
+        };
+        let (tables_before, pages_before, nodes_before) = cow_totals(&next);
         match apply(&mut next) {
             Ok((out, dirty)) => {
-                let cow_after: u64 = next.iter().map(|d| d.counters.cow_table_copies()).sum();
-                let copies = cow_after.saturating_sub(cow_before);
+                let (tables_after, pages_after, nodes_after) = cow_totals(&next);
+                let copies = tables_after.saturating_sub(tables_before);
                 obs.counter("snapshot.cow_table_copies").add(copies);
+                obs.counter("snapshot.cow_pages_copied")
+                    .add(pages_after.saturating_sub(pages_before));
+                obs.counter("snapshot.cow_nodes_copied")
+                    .add(nodes_after.saturating_sub(nodes_before));
                 obs.gauge("mutation.last_cow_copies").set(copies as i64);
-                self.publish_locked(next, &dirty)?;
+                // the retired head comes back out of `publish_locked` and
+                // is dropped here, after the cache and log locks are
+                // released: no reader's cache lookup waits for the free
+                drop(self.publish_locked(next, &dirty)?);
                 Ok(out)
             }
             // drop the successors; the head was never touched
@@ -1467,7 +1489,12 @@ impl KyrixServer {
     /// before the retain, which drops the entry, or sees the bumped
     /// version and skips), and a session that observes the new
     /// `data_version` is guaranteed to find the matching log entry.
-    fn publish_locked(&self, next: Vec<Database>, dirty: &[DirtyRegion]) -> Result<u64> {
+    /// Returns the retired head for the caller to drop outside those locks.
+    fn publish_locked(
+        &self,
+        next: Vec<Database>,
+        dirty: &[DirtyRegion],
+    ) -> Result<Arc<dyn SnapshotView>> {
         let obs = Arc::clone(&self.inner.obs);
         let _publish = obs.span("publish");
         // which shards actually changed: route every dirty region through
@@ -1497,15 +1524,17 @@ impl KyrixServer {
             _ => None,
         });
         if let Some(table) = stale_mapping {
-            let mut tiles = self.inner.tile_cache.lock();
-            let mut boxes = self.inner.box_caches.lock();
-            let mut log = self.inner.mutations.lock();
-            log.version += 1;
-            log.entries.clear();
-            tiles.clear();
-            boxes.clear();
-            obs.gauge("snapshot.head_version").set(log.version as i64);
-            self.inner.backend.publish(next, log.version, &shard_dirty);
+            let _retired = {
+                let mut tiles = self.inner.tile_cache.lock();
+                let mut boxes = self.inner.box_caches.lock();
+                let mut log = self.inner.mutations.lock();
+                log.version += 1;
+                log.entries.clear();
+                tiles.clear();
+                boxes.clear();
+                obs.gauge("snapshot.head_version").set(log.version as i64);
+                self.inner.backend.publish(next, log.version, &shard_dirty)
+            };
             return Err(ServerError::Config(format!(
                 "table `{table}` backs a tuple–tile mapping layer; its mapping rows \
                  are now stale — relaunch to re-precompute"
@@ -1565,7 +1594,7 @@ impl KyrixServer {
         log.version += 1;
         let version = log.version;
         obs.gauge("snapshot.head_version").set(version as i64);
-        self.inner.backend.publish(next, version, &shard_dirty);
+        let retired = self.inner.backend.publish(next, version, &shard_dirty);
         let named: Vec<MutationEntry> = entries
             .iter()
             .map(|&(ci, li, rect)| (self.inner.app.canvases[ci as usize].id.clone(), li, rect))
@@ -1592,7 +1621,7 @@ impl KyrixServer {
                 shelf.retain(|(r, _, _)| !r.intersects(rect));
             }
         }
-        Ok(version)
+        Ok(retired)
     }
 
     /// Monotonic data-version stamp: 0 at launch, bumped by every

@@ -10,10 +10,10 @@
 //! applied mutation. Old snapshots stay alive until the last reader drops
 //! its `Arc`.
 //!
-//! Cheapness comes from the storage layer: [`Database`] clones share
-//! tables behind `Arc` and deep-copy a table only when a mutation first
-//! touches it (copy-on-write at table granularity), so publishing a
-//! successor pays for the mutated tables only.
+//! Cheapness comes from the storage layer: a [`Database`] clone shares
+//! pages and index nodes with the original, and a write copies the page
+//! and the root-to-leaf nodes it changes, so a successor costs what its
+//! mutation wrote and an old snapshot pins only what has since diverged.
 
 use kyrix_obs::Gauge;
 use kyrix_storage::Database;

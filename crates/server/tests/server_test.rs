@@ -1169,6 +1169,45 @@ fn mutate_raw_invalidates_only_overlapping_boxes() {
 }
 
 #[test]
+fn pinned_view_keeps_its_rows_across_publishes() {
+    let server = launch(
+        grid_db(true),
+        PlacementSpec::point("x", "y"),
+        FetchPlan::DynamicBox {
+            policy: BoxPolicy::Exact,
+        },
+    );
+    let reads = [
+        "SELECT * FROM dots",
+        "SELECT * FROM dots WHERE bbox && rect(0, 0, 60, 60)",
+    ];
+    let pinned = server.database();
+    let before: Vec<Vec<Row>> = reads
+        .iter()
+        .map(|sql| pinned.query(sql, &[]).unwrap().rows)
+        .collect();
+
+    // three publishes, each deleting a dot the pinned view can see
+    for (id, x, y) in [(0, 0.0, 0.0), (5050, 50.0, 50.0), (303, 3.0, 3.0)] {
+        delete_dot(&server, id, x, y);
+    }
+    assert_eq!(server.data_version(), 3);
+    assert_eq!(server.database().table_len("dots").unwrap(), 9_997);
+
+    // the successors were built from pages and nodes shared with the
+    // pinned version; it answers as it did before them
+    for (sql, rows) in reads.iter().zip(&before) {
+        assert_eq!(&pinned.query(sql, &[]).unwrap().rows, rows, "{sql}");
+    }
+    // each publish unshared the table and copied the one heap page and the
+    // one R-tree leaf its delete landed on
+    let count = |name: &str| server.obs().counter(name).get();
+    assert_eq!(count("snapshot.cow_table_copies"), 3);
+    assert_eq!(count("snapshot.cow_pages_copied"), 3);
+    assert_eq!(count("snapshot.cow_nodes_copied"), 3);
+}
+
+#[test]
 fn mutation_log_truncates_to_a_full_refetch_signal() {
     let server = launch(
         grid_db(true),

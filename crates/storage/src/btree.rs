@@ -2,13 +2,18 @@
 //!
 //! This is the index behind the paper's *tuple–tile mapping* design: a B-tree
 //! on `mapping.tile_id` (non-unique: one tile maps to many tuples) and on
-//! `record.tuple_id` (unique). Nodes live in an arena (`Vec<Node>`) and leaves
-//! are chained for range scans.
+//! `record.tuple_id` (unique). Nodes live in an arena of `Arc`s and leaves are
+//! chained for range scans. Cloning a tree shares every node; a writer copies
+//! exactly the nodes it changes (`node_mut`), and because the arena index is a
+//! node's identity in every version, neither parents nor the leaf chain need
+//! fix-ups. Descents are read-only until they reach the node that changes.
 //!
 //! Deletion is *lazy*: entries are removed from leaves without rebalancing.
 //! Kyrix workloads are read-only after load (paper §3.2, "Kyrix applications
 //! function like read-only browsers"), so structural deletes are not on the
 //! hot path.
+
+use std::sync::Arc;
 
 /// Maximum number of keys per node before a split.
 const DEFAULT_ORDER: usize = 64;
@@ -27,12 +32,17 @@ enum Node<K, V> {
 }
 
 /// B+tree supporting duplicate keys.
+///
+/// `Clone` shares every node with the original; see the module docs.
 #[derive(Clone)]
 pub struct BPlusTree<K, V> {
-    nodes: Vec<Node<K, V>>,
+    nodes: Vec<Arc<Node<K, V>>>,
     root: usize,
     len: usize,
     order: usize,
+    /// Nodes copied because a write hit one shared with another clone.
+    /// Carried across `clone`, so a writer reads its own cost as a delta.
+    nodes_copied: u64,
 }
 
 impl<K: Ord + Clone, V: Clone> Default for BPlusTree<K, V> {
@@ -50,15 +60,31 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn with_order(order: usize) -> Self {
         assert!(order >= 3, "B+tree order must be >= 3");
         BPlusTree {
-            nodes: vec![Node::Leaf {
+            nodes: vec![Arc::new(Node::Leaf {
                 keys: Vec::new(),
                 vals: Vec::new(),
                 next: None,
-            }],
+            })],
             root: 0,
             len: 0,
             order,
+            nodes_copied: 0,
         }
+    }
+
+    /// Nodes copied so far by writes to nodes shared with another clone.
+    pub(crate) fn nodes_copied(&self) -> u64 {
+        self.nodes_copied
+    }
+
+    /// Writable access to a node, copying it first if another clone of
+    /// the tree still shares it.
+    fn node_mut(&mut self, n: usize) -> &mut Node<K, V> {
+        let node = &mut self.nodes[n];
+        if Arc::get_mut(node).is_none() {
+            self.nodes_copied += 1;
+        }
+        Arc::make_mut(node)
     }
 
     /// Number of entries (duplicates counted).
@@ -75,7 +101,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         let mut h = 1;
         let mut node = self.root;
         loop {
-            match &self.nodes[node] {
+            match &*self.nodes[node] {
                 Node::Leaf { .. } => return h,
                 Node::Internal { children, .. } => {
                     node = children[0];
@@ -89,48 +115,50 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn insert(&mut self, key: K, val: V) {
         if let Some((sep, right)) = self.insert_rec(self.root, key, val) {
             let old_root = self.root;
-            self.nodes.push(Node::Internal {
+            self.nodes.push(Arc::new(Node::Internal {
                 keys: vec![sep],
                 children: vec![old_root, right],
-            });
+            }));
             self.root = self.nodes.len() - 1;
         }
         self.len += 1;
     }
 
+    /// Recursive insert; returns the separator and new right sibling if
+    /// `node` split. Internal nodes are only read unless a child split.
     fn insert_rec(&mut self, node: usize, key: K, val: V) -> Option<(K, usize)> {
-        match &mut self.nodes[node] {
-            Node::Leaf { keys, vals, .. } => {
-                // insert after existing equal keys to keep insertion order
-                let pos = keys.partition_point(|k| *k <= key);
-                keys.insert(pos, key);
-                vals.insert(pos, val);
-                if keys.len() > self.order {
-                    return Some(self.split_leaf(node));
-                }
-                None
-            }
+        let order = self.order;
+        let child = match &*self.nodes[node] {
+            Node::Leaf { .. } => None,
             Node::Internal { keys, children } => {
-                let child_idx = keys.partition_point(|k| *k <= key);
-                let child = children[child_idx];
-                if let Some((sep, right)) = self.insert_rec(child, key, val) {
-                    if let Node::Internal { keys, children } = &mut self.nodes[node] {
-                        let pos = keys.partition_point(|k| *k <= sep);
-                        keys.insert(pos, sep);
-                        children.insert(pos + 1, right);
-                        if keys.len() > self.order {
-                            return Some(self.split_internal(node));
-                        }
-                    }
-                }
-                None
+                Some(children[keys.partition_point(|k| *k <= key)])
             }
-        }
+        };
+        let Some(child) = child else {
+            let Node::Leaf { keys, vals, .. } = self.node_mut(node) else {
+                unreachable!()
+            };
+            // insert after existing equal keys to keep insertion order
+            let pos = keys.partition_point(|k| *k <= key);
+            keys.insert(pos, key);
+            vals.insert(pos, val);
+            let overfull = keys.len() > order;
+            return overfull.then(|| self.split_leaf(node));
+        };
+        let (sep, right) = self.insert_rec(child, key, val)?;
+        let Node::Internal { keys, children } = self.node_mut(node) else {
+            unreachable!()
+        };
+        let pos = keys.partition_point(|k| *k <= sep);
+        keys.insert(pos, sep);
+        children.insert(pos + 1, right);
+        let overfull = keys.len() > order;
+        overfull.then(|| self.split_internal(node))
     }
 
     fn split_leaf(&mut self, node: usize) -> (K, usize) {
         let new_idx = self.nodes.len();
-        let (sep, right) = if let Node::Leaf { keys, vals, next } = &mut self.nodes[node] {
+        let (sep, right) = if let Node::Leaf { keys, vals, next } = self.node_mut(node) {
             let mid = keys.len() / 2;
             let rkeys: Vec<K> = keys.split_off(mid);
             let rvals: Vec<V> = vals.split_off(mid);
@@ -145,13 +173,13 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         } else {
             unreachable!("split_leaf on internal node")
         };
-        self.nodes.push(right);
+        self.nodes.push(Arc::new(right));
         (sep, new_idx)
     }
 
     fn split_internal(&mut self, node: usize) -> (K, usize) {
         let new_idx = self.nodes.len();
-        let (sep, right) = if let Node::Internal { keys, children } = &mut self.nodes[node] {
+        let (sep, right) = if let Node::Internal { keys, children } = self.node_mut(node) {
             let mid = keys.len() / 2;
             let rkeys: Vec<K> = keys.split_off(mid + 1);
             let sep = keys.pop().expect("internal node must have keys");
@@ -166,7 +194,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         } else {
             unreachable!("split_internal on leaf")
         };
-        self.nodes.push(right);
+        self.nodes.push(Arc::new(right));
         (sep, new_idx)
     }
 
@@ -174,7 +202,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     fn find_leaf(&self, key: &K) -> usize {
         let mut node = self.root;
         loop {
-            match &self.nodes[node] {
+            match &*self.nodes[node] {
                 Node::Leaf { .. } => return node,
                 Node::Internal { keys, children } => {
                     let idx = keys.partition_point(|k| k < key);
@@ -188,7 +216,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn get_first(&self, key: &K) -> Option<&V> {
         let mut leaf = self.find_leaf(key);
         loop {
-            if let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
+            if let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] {
                 let pos = keys.partition_point(|k| k < key);
                 if pos < keys.len() {
                     return if &keys[pos] == key {
@@ -231,7 +259,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         }
         let mut leaf = self.find_leaf(lo);
         loop {
-            if let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
+            if let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] {
                 let start = keys.partition_point(|k| k < lo);
                 for i in start..keys.len() {
                     if &keys[i] > hi {
@@ -257,33 +285,30 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     }
 
     /// Remove the first entry equal to `key` whose value satisfies `pred`.
-    /// Lazy removal: the tree is not rebalanced.
+    /// Lazy removal: the tree is not rebalanced. The walk along the key run
+    /// is read-only; only the leaf that loses the entry is written.
     pub fn remove_one<F: Fn(&V) -> bool>(&mut self, key: &K, pred: F) -> Option<V> {
         let mut leaf = self.find_leaf(key);
-        loop {
-            if let Node::Leaf { keys, vals, next } = &mut self.nodes[leaf] {
-                let start = keys.partition_point(|k| k < key);
-                let mut i = start;
-                while i < keys.len() && &keys[i] == key {
-                    if pred(&vals[i]) {
-                        keys.remove(i);
-                        let v = vals.remove(i);
-                        self.len -= 1;
-                        return Some(v);
-                    }
-                    i += 1;
-                }
-                if i < keys.len() {
-                    return None; // moved past the key run
-                }
-                match next {
-                    Some(n) => leaf = *n,
-                    None => return None,
-                }
-            } else {
-                unreachable!()
+        let pos = loop {
+            let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] else {
+                unreachable!("find_leaf returned internal node")
+            };
+            let start = keys.partition_point(|k| k < key);
+            let run = keys[start..].iter().take_while(|k| *k == key).count();
+            if let Some(i) = (start..start + run).find(|&i| pred(&vals[i])) {
+                break i;
             }
-        }
+            if start + run < keys.len() {
+                return None; // moved past the key run
+            }
+            leaf = (*next)?;
+        };
+        self.len -= 1;
+        let Node::Leaf { keys, vals, .. } = self.node_mut(leaf) else {
+            unreachable!()
+        };
+        keys.remove(pos);
+        Some(vals.remove(pos))
     }
 
     /// Visit all entries in key order.
@@ -302,11 +327,11 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn for_each_while<F: FnMut(&K, &V) -> bool>(&self, mut f: F) {
         // leftmost leaf
         let mut node = self.root;
-        while let Node::Internal { children, .. } = &self.nodes[node] {
+        while let Node::Internal { children, .. } = &*self.nodes[node] {
             node = children[0];
         }
         let mut leaf = node;
-        while let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
+        while let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] {
             for (k, v) in keys.iter().zip(vals) {
                 if !f(k, v) {
                     return;
@@ -332,7 +357,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     }
 
     fn rev_walk<F: FnMut(&K, &V) -> bool>(&self, node: usize, f: &mut F) -> bool {
-        match &self.nodes[node] {
+        match &*self.nodes[node] {
             Node::Leaf { keys, vals, .. } => {
                 for (k, v) in keys.iter().zip(vals).rev() {
                     if !f(k, v) {
@@ -442,6 +467,33 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.remove_one(&1, |v| *v == "zzz"), None);
         assert_eq!(t.remove_one(&2, |_| true), None);
+    }
+
+    #[test]
+    fn a_write_on_a_clone_copies_only_the_nodes_it_changes() {
+        let mut base = BPlusTree::with_order(4);
+        for i in 0..500i64 {
+            base.insert(i * 2, i);
+        }
+        assert!(base.height() >= 4);
+        for i in 0..50i64 {
+            // a removal copies the leaf; finding it copies nothing
+            let mut next = base.clone();
+            assert_eq!(next.remove_one(&(i * 20), |_| true), Some(i * 10));
+            assert_eq!(next.nodes_copied(), 1);
+            // an insert copies the leaf, plus one parent per node it splits
+            let mut next = base.clone();
+            next.insert(i * 20 + 1, -1);
+            let splits = (next.nodes.len() - base.nodes.len()) as u64;
+            assert!((1..=1 + splits).contains(&next.nodes_copied()));
+            assert_eq!(next.get_first(&(i * 20 + 1)), Some(&-1));
+            assert_eq!(next.len(), 501);
+        }
+        // none of it reached the original, leaf chain included
+        assert_eq!((base.len(), base.nodes_copied()), (500, 0));
+        let mut keys = Vec::new();
+        base.for_each(|k, _| keys.push(*k));
+        assert_eq!(keys, (0..500).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

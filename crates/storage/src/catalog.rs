@@ -8,6 +8,7 @@ use crate::heap::{RecordId, TableHeap};
 use crate::row::Row;
 use crate::rtree::RTree;
 use crate::schema::Schema;
+use crate::stats::CowStats;
 use crate::value::{OrdValue, Value};
 
 /// Which columns a spatial index covers.
@@ -52,9 +53,12 @@ pub(crate) enum IndexImpl {
 
 /// A table: schema + heap + indexes.
 ///
-/// `Clone` deep-copies the heap and every index; [`crate::Database`] shares
-/// tables behind `Arc` and only pays this copy when a shared table is
-/// mutated (copy-on-write at table granularity).
+/// `Clone` shares heap pages and B+tree / R-tree nodes with the original
+/// (one refcount bump each); a write then copies the page and the
+/// root-to-leaf index nodes it changes, which [`Table::cow_stats`] counts.
+/// [`crate::Database`] holds tables behind `Arc` and clones one the first
+/// time it is mutated through a handle that shares it. A hash index is the
+/// exception: it is copied whole (see [`HashIndex`]).
 #[derive(Clone)]
 pub struct Table {
     pub name: String,
@@ -88,6 +92,26 @@ impl Table {
 
     pub fn indexes(&self) -> impl Iterator<Item = &Index> {
         self.indexes.iter()
+    }
+
+    /// Pages and index nodes copied so far because a write landed on one
+    /// still shared with another clone of this table. The tallies carry
+    /// across `clone`, so the cost of a batch of writes is the difference
+    /// between the clone's reading and the original's.
+    pub fn cow_stats(&self) -> CowStats {
+        let nodes_copied = self
+            .indexes
+            .iter()
+            .map(|idx| match &idx.imp {
+                IndexImpl::BTree(t) => t.nodes_copied(),
+                IndexImpl::Spatial(t) => t.nodes_copied(),
+                IndexImpl::Hash(_) => 0,
+            })
+            .sum();
+        CowStats {
+            pages_copied: self.heap.pages_copied(),
+            nodes_copied,
+        }
     }
 
     /// Extract the bbox of a row for a spatial index definition.

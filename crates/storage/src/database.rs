@@ -27,11 +27,13 @@ pub type QueryObserver = Arc<dyn Fn(&str, Duration, &ExecStats) + Send + Sync>;
 /// An embedded relational database.
 ///
 /// Tables are held behind `Arc` so that cloning a `Database` is cheap: the
-/// clone shares every table with the original (copy-on-write at table
-/// granularity). A table is deep-copied only the first time it is mutated
-/// through a handle that shares it with another clone — this is what lets a
-/// serving layer publish immutable snapshots while a mutator builds the next
-/// version off to the side, paying only for the tables it actually touches.
+/// clone shares every table with the original. The first mutation through
+/// a handle that shares a table with another clone gives that handle its
+/// own [`Table`] — which still shares pages and index nodes with the other
+/// clone's — and each write then copies the page and the root-to-leaf
+/// nodes it changes. This is what lets a serving layer publish immutable
+/// snapshots while a mutator builds the next version off to the side,
+/// paying only for what it actually writes.
 #[derive(Default)]
 pub struct Database {
     tables: FxHashMap<String, Arc<Table>>,
@@ -101,9 +103,10 @@ impl Database {
     }
 
     /// Mutable access to a table. If the table is shared with another
-    /// `Database` clone (a published snapshot), it is deep-copied first so
-    /// the other clone keeps seeing the old contents; each such copy bumps
-    /// [`DbCounters::cow_table_copies`].
+    /// `Database` clone (a published snapshot), this handle first gets its
+    /// own [`Table`] that shares pages and index nodes with the other
+    /// clone's, so the other clone keeps seeing the old contents; each such
+    /// unsharing bumps [`DbCounters::cow_table_copies`].
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         let counters = &self.counters;
         self.tables
@@ -476,6 +479,7 @@ fn coerce(v: Value, dtype: DataType) -> Value {
 mod tests {
     use super::*;
     use crate::catalog::SpatialCols;
+    use crate::stats::CowStats;
     use crate::value::DataType;
 
     /// Build the paper's two-design database: a record table, a tuple→tile
@@ -802,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_copy_on_write_at_table_granularity() {
+    fn clone_shares_tables_until_written() {
         let base = paper_db();
         let mut succ = base.clone();
         // the clone shares every table physically
@@ -815,7 +819,7 @@ mod tests {
         assert_eq!(n, 100);
         assert_eq!(succ.table("record").unwrap().len(), 300);
         assert_eq!(base.table("record").unwrap().len(), 400);
-        // ...and only the mutated table was copied
+        // ...and only the mutated table was unshared
         assert!(!std::ptr::eq(
             base.table("record").unwrap(),
             succ.table("record").unwrap()
@@ -852,19 +856,35 @@ mod tests {
     }
 
     #[test]
-    fn cow_deep_copies_are_counted() {
+    fn cow_unsharing_is_counted() {
         let base = paper_db();
         base.counters.reset();
         let mut succ = base.clone();
-        // first mutation through a shared handle deep-copies the table
+        // first mutation through a shared handle unshares the table and
+        // copies the one page and the one R-tree leaf the row sits in
+        // (the hash index on `record` is copied whole and not counted)
         succ.delete_where("record", "tuple_id = 0", &[]).unwrap();
         assert_eq!(base.counters.cow_table_copies(), 1);
-        // the handle is now unshared: further mutations copy nothing
+        let stats = succ.table("record").unwrap().cow_stats();
+        assert_eq!((stats.pages_copied, stats.nodes_copied), (1, 1));
+        // the table is now unshared and that page is this handle's own:
+        // a second delete on it copies only another leaf, if any
         succ.delete_where("record", "tuple_id = 1", &[]).unwrap();
         assert_eq!(succ.counters.cow_table_copies(), 1);
-        // a different shared table pays its own copy
+        let stats = succ.table("record").unwrap().cow_stats();
+        assert_eq!(stats.pages_copied, 1);
+        assert!(stats.nodes_copied <= 2);
+        // a different shared table pays its own unsharing: one page and
+        // one B+tree leaf
         succ.delete_where("mapping", "tuple_id = 0", &[]).unwrap();
         assert_eq!(succ.counters.cow_table_copies(), 2);
+        let stats = succ.table("mapping").unwrap().cow_stats();
+        assert_eq!((stats.pages_copied, stats.nodes_copied), (1, 1));
+        // the original never copied anything
+        assert_eq!(
+            base.table("record").unwrap().cow_stats(),
+            CowStats::default()
+        );
     }
 
     #[test]

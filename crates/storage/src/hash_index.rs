@@ -11,6 +11,11 @@ const MAX_LOAD_NUM: usize = 3; // resize when len > buckets * 3/4
 const MAX_LOAD_DEN: usize = 4;
 
 /// A hash index mapping keys to (possibly many) values.
+///
+/// Unlike the heap, the B+tree and the R-tree, `Clone` deep-copies every
+/// bucket: hash indexes sit only on the record tables of tuple–tile mapping
+/// layers, which the server refuses to mutate, so no snapshot write path
+/// ever clones one.
 #[derive(Clone)]
 pub struct HashIndex<K, V> {
     buckets: Vec<Vec<(K, V)>>,

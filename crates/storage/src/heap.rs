@@ -29,10 +29,16 @@ impl RecordId {
 }
 
 /// An append-oriented heap of slotted pages.
+///
+/// `Clone` shares every page with the original (one refcount bump per
+/// page); a write copies only the page it lands on.
 #[derive(Clone, Default)]
 pub struct TableHeap {
     pages: Vec<Page>,
     live: usize,
+    /// Pages copied because a write hit one shared with another clone.
+    /// Carried across `clone`, so a writer reads its own cost as a delta.
+    pages_copied: u64,
 }
 
 impl TableHeap {
@@ -40,6 +46,7 @@ impl TableHeap {
         TableHeap {
             pages: Vec::new(),
             live: 0,
+            pages_copied: 0,
         }
     }
 
@@ -61,14 +68,21 @@ impl TableHeap {
         self.pages.len() * PAGE_SIZE
     }
 
+    /// Pages copied so far by writes to pages shared with another clone.
+    pub(crate) fn pages_copied(&self) -> u64 {
+        self.pages_copied
+    }
+
     /// Append a tuple; allocates a new page when the last one is full.
     pub fn insert(&mut self, tuple: &[u8]) -> Result<RecordId> {
         if tuple.len() + 8 > PAGE_SIZE {
             return Err(StorageError::TupleTooLarge(tuple.len()));
         }
         if let Some(last) = self.pages.last_mut() {
+            let shared = last.is_shared();
             if let Some(slot) = last.insert(tuple) {
                 self.live += 1;
+                self.pages_copied += u64::from(shared);
                 return Ok(RecordId::new((self.pages.len() - 1) as u32, slot));
             }
         }
@@ -89,8 +103,10 @@ impl TableHeap {
     /// Tombstone a tuple. Returns whether it was live.
     pub fn delete(&mut self, rid: RecordId) -> bool {
         if let Some(p) = self.pages.get_mut(rid.page as usize) {
+            let shared = p.is_shared();
             if p.delete(rid.slot) {
                 self.live -= 1;
+                self.pages_copied += u64::from(shared);
                 return true;
             }
         }
@@ -138,6 +154,29 @@ mod tests {
             h.insert(&vec![0u8; PAGE_SIZE]),
             Err(StorageError::TupleTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn clone_shares_pages_and_a_write_copies_one() {
+        let mut base = TableHeap::new();
+        let tuple = vec![7u8; 1000];
+        let rids: Vec<_> = (0..50).map(|_| base.insert(&tuple).unwrap()).collect();
+        let mut next = base.clone();
+        assert_eq!(next.pages_copied(), 0);
+        // a refused write copies nothing
+        assert!(!next.delete(RecordId::new(0, 99)));
+        assert_eq!(next.pages_copied(), 0);
+        // two deletes on one page copy it once; the base keeps its rows
+        assert!(next.delete(rids[0]));
+        assert!(next.delete(rids[1]));
+        assert_eq!(next.pages_copied(), 1);
+        assert_eq!((base.len(), next.len()), (50, 48));
+        assert_eq!(base.get(rids[0]).unwrap(), &tuple[..]);
+        assert!(next.get(rids[0]).is_none());
+        // an append copies the shared last page, never a fresh one
+        next.insert(b"tail").unwrap();
+        assert_eq!(next.pages_copied(), 2);
+        assert_eq!(base.pages_copied(), 0);
     }
 
     #[test]

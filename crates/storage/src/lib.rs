@@ -16,10 +16,11 @@
 //! * a **snapshot file format** ([`persist`]) — the only on-disk form of
 //!   a database; loading validates every length and tag it reads.
 //!
-//! A [`Database`] is a plain value: cloning it is table-granularity
-//! copy-on-write, which is what `kyrix-server` builds its concurrency
-//! control on (a mutation edits a clone and publishes it; readers keep
-//! the snapshot they pinned). The engine itself has no locks and no log.
+//! A [`Database`] is a plain value: a clone shares pages and index nodes
+//! with the original, and a write copies the page and the root-to-leaf
+//! nodes it changes. `kyrix-server` builds its concurrency control on that
+//! (a mutation edits a clone and publishes it; readers keep the snapshot
+//! they pinned). The engine itself has no locks and no log.
 //!
 //! ```
 //! use kyrix_storage::{Database, Schema, DataType, Row, Value, IndexKind, SpatialCols};
@@ -69,5 +70,5 @@ pub use heap::RecordId;
 pub use row::Row;
 pub use schema::{Column, Schema};
 pub use sql::QueryResult;
-pub use stats::{DbCounters, ExecStats};
+pub use stats::{CowStats, DbCounters, ExecStats};
 pub use value::{DataType, OrdValue, Value};

@@ -9,42 +9,54 @@
 //! ...    tuple data   (packed at the end of the page)
 //! ```
 //! A slot with `len == 0` is a tombstone (deleted tuple).
+//!
+//! The buffer sits behind an `Arc`: cloning a page shares it, and the first
+//! write through a shared handle copies the 8 KiB (`Arc::make_mut`). Every
+//! mutating method checks that it will succeed *before* it touches the
+//! buffer, so a refused insert or a double delete never copies.
 
-use bytes::BytesMut;
+use std::sync::Arc;
 
 /// Page size in bytes. 8 KiB, matching the common DBMS default.
 pub const PAGE_SIZE: usize = 8192;
 const HEADER: usize = 4;
 const SLOT: usize = 4;
 
-/// A single slotted page backed by a `BytesMut` buffer.
+/// A single slotted page; clones share the buffer until one writes.
 #[derive(Clone)]
 pub struct Page {
-    data: BytesMut,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// Create an empty page.
     pub fn new() -> Self {
-        let mut data = BytesMut::zeroed(PAGE_SIZE);
-        write_u16(&mut data, 0, 0);
+        let mut data = [0u8; PAGE_SIZE];
         write_u16(&mut data, 2, PAGE_SIZE as u16);
-        Page { data }
+        Page {
+            data: Arc::new(data),
+        }
+    }
+
+    /// Whether a write to this page would copy it first (another clone
+    /// still holds the buffer).
+    pub(crate) fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.data) > 1
     }
 
     pub fn slot_count(&self) -> u16 {
-        read_u16(&self.data, 0)
+        read_u16(&*self.data, 0)
     }
 
     fn free_end(&self) -> usize {
-        read_u16(&self.data, 2) as usize
+        read_u16(&*self.data, 2) as usize
     }
 
     fn slot(&self, idx: u16) -> (usize, usize) {
         let base = HEADER + idx as usize * SLOT;
         (
-            read_u16(&self.data, base) as usize,
-            read_u16(&self.data, base + 2) as usize,
+            read_u16(&*self.data, base) as usize,
+            read_u16(&*self.data, base + 2) as usize,
         )
     }
 
@@ -67,12 +79,13 @@ impl Page {
         }
         let slot_idx = self.slot_count();
         let new_end = self.free_end() - tuple.len();
-        self.data[new_end..new_end + tuple.len()].copy_from_slice(tuple);
+        let data = Arc::make_mut(&mut self.data);
+        data[new_end..new_end + tuple.len()].copy_from_slice(tuple);
         let base = HEADER + slot_idx as usize * SLOT;
-        write_u16(&mut self.data, base, new_end as u16);
-        write_u16(&mut self.data, base + 2, tuple.len() as u16);
-        write_u16(&mut self.data, 0, slot_idx + 1);
-        write_u16(&mut self.data, 2, new_end as u16);
+        write_u16(data, base, new_end as u16);
+        write_u16(data, base + 2, tuple.len() as u16);
+        write_u16(data, 0, slot_idx + 1);
+        write_u16(data, 2, new_end as u16);
         Some(slot_idx)
     }
 
@@ -96,10 +109,11 @@ impl Page {
             return false;
         }
         let base = HEADER + slot as usize * SLOT;
-        if read_u16(&self.data, base + 2) == 0 {
+        if read_u16(&*self.data, base + 2) == 0 {
             return false;
         }
-        write_u16(&mut self.data, base + 2, 0);
+        let data = Arc::make_mut(&mut self.data);
+        write_u16(data, base + 2, 0);
         true
     }
 

@@ -3,8 +3,15 @@
 //! This is the index behind the paper's second database design: a spatial
 //! index over per-tuple bounding boxes, answering "all tuples whose bbox
 //! intersects this rectangle" for both static-tile and dynamic-box fetching.
+//!
+//! Nodes live in an arena of `Arc`s: cloning a tree shares every node, and
+//! a writer copies exactly the nodes it changes (`node_mut`). The arena
+//! index is a node's identity in every version, so a copied node needs no
+//! pointer fix-ups in its parent. Descents are therefore read-only until
+//! they reach a node that really changes.
 
 use crate::geom::Rect;
+use std::sync::Arc;
 
 /// Maximum entries per node.
 const MAX_ENTRIES: usize = 16;
@@ -31,12 +38,17 @@ impl<V> Node<V> {
 }
 
 /// An R-tree mapping rectangles to values.
+///
+/// `Clone` shares every node with the original; see the module docs.
 #[derive(Clone)]
 pub struct RTree<V> {
-    nodes: Vec<Node<V>>,
+    nodes: Vec<Arc<Node<V>>>,
     root: usize,
     len: usize,
     height: usize,
+    /// Nodes copied because a write hit one shared with another clone.
+    /// Carried across `clone`, so a writer reads its own cost as a delta.
+    nodes_copied: u64,
 }
 
 impl<V: Clone> Default for RTree<V> {
@@ -48,12 +60,13 @@ impl<V: Clone> Default for RTree<V> {
 impl<V: Clone> RTree<V> {
     pub fn new() -> Self {
         RTree {
-            nodes: vec![Node::Leaf {
+            nodes: vec![Arc::new(Node::Leaf {
                 entries: Vec::new(),
-            }],
+            })],
             root: 0,
             len: 0,
             height: 1,
+            nodes_copied: 0,
         }
     }
 
@@ -74,6 +87,21 @@ impl<V: Clone> RTree<V> {
         self.nodes[self.root].mbr()
     }
 
+    /// Nodes copied so far by writes to nodes shared with another clone.
+    pub(crate) fn nodes_copied(&self) -> u64 {
+        self.nodes_copied
+    }
+
+    /// Writable access to a node, copying it first if another clone of
+    /// the tree still shares it.
+    fn node_mut(&mut self, n: usize) -> &mut Node<V> {
+        let node = &mut self.nodes[n];
+        if Arc::get_mut(node).is_none() {
+            self.nodes_copied += 1;
+        }
+        Arc::make_mut(node)
+    }
+
     // ---------------------------------------------------------- insertion
 
     /// Insert an entry, splitting nodes as needed (quadratic split).
@@ -81,9 +109,9 @@ impl<V: Clone> RTree<V> {
         if let Some((split_mbr, split_idx)) = self.insert_at(self.root, rect, value) {
             let old_root = self.root;
             let old_mbr = self.nodes[old_root].mbr();
-            self.nodes.push(Node::Internal {
+            self.nodes.push(Arc::new(Node::Internal {
                 children: vec![(old_mbr, old_root), (split_mbr, split_idx)],
-            });
+            }));
             self.root = self.nodes.len() - 1;
             self.height += 1;
         }
@@ -91,93 +119,86 @@ impl<V: Clone> RTree<V> {
     }
 
     /// Recursive insert; returns Some((mbr, node)) if `node` split.
+    /// Only the leaf and the ancestors whose entry for the descended child
+    /// really changes are written.
     fn insert_at(&mut self, node: usize, rect: Rect, value: V) -> Option<(Rect, usize)> {
-        let is_leaf = matches!(self.nodes[node], Node::Leaf { .. });
-        if is_leaf {
-            if let Node::Leaf { entries } = &mut self.nodes[node] {
+        let (chosen, child_idx, old_mbr) = match &*self.nodes[node] {
+            Node::Leaf { .. } => {
+                let Node::Leaf { entries } = self.node_mut(node) else {
+                    unreachable!()
+                };
                 entries.push((rect, value));
-                if entries.len() > MAX_ENTRIES {
-                    return Some(self.split_leaf(node));
-                }
+                let overfull = entries.len() > MAX_ENTRIES;
+                return overfull.then(|| self.split_leaf(node));
             }
-            return None;
-        }
-        // choose subtree with least enlargement (ties: smaller area)
-        let chosen = {
-            let Node::Internal { children } = &self.nodes[node] else {
-                unreachable!()
-            };
-            let mut best = 0usize;
-            let mut best_enl = f64::INFINITY;
-            let mut best_area = f64::INFINITY;
-            for (i, (r, _)) in children.iter().enumerate() {
-                let enl = r.enlargement(&rect);
-                let area = r.area();
-                if enl < best_enl || (enl == best_enl && area < best_area) {
-                    best = i;
-                    best_enl = enl;
-                    best_area = area;
+            // choose subtree with least enlargement (ties: smaller area)
+            Node::Internal { children } => {
+                let mut best = 0usize;
+                let mut best_enl = f64::INFINITY;
+                let mut best_area = f64::INFINITY;
+                for (i, (r, _)) in children.iter().enumerate() {
+                    let enl = r.enlargement(&rect);
+                    let area = r.area();
+                    if enl < best_enl || (enl == best_enl && area < best_area) {
+                        best = i;
+                        best_enl = enl;
+                        best_area = area;
+                    }
                 }
+                (best, children[best].1, children[best].0)
             }
-            best
-        };
-        let child_idx = {
-            let Node::Internal { children } = &self.nodes[node] else {
-                unreachable!()
-            };
-            children[chosen].1
         };
         let split = self.insert_at(child_idx, rect, value);
-        // refresh chosen child's mbr
         let child_mbr = self.nodes[child_idx].mbr();
-        if let Node::Internal { children } = &mut self.nodes[node] {
-            children[chosen].0 = child_mbr;
-            if let Some((smbr, sidx)) = split {
-                children.push((smbr, sidx));
-                if children.len() > MAX_ENTRIES {
-                    return Some(self.split_internal(node));
-                }
+        if split.is_none() && child_mbr == old_mbr {
+            return None;
+        }
+        let Node::Internal { children } = self.node_mut(node) else {
+            unreachable!()
+        };
+        children[chosen].0 = child_mbr;
+        if let Some(split) = split {
+            children.push(split);
+            if children.len() > MAX_ENTRIES {
+                return Some(self.split_internal(node));
             }
         }
         None
     }
 
     fn split_leaf(&mut self, node: usize) -> (Rect, usize) {
-        let entries = if let Node::Leaf { entries } = &mut self.nodes[node] {
-            std::mem::take(entries)
-        } else {
+        let Node::Leaf { entries } = self.node_mut(node) else {
             unreachable!()
         };
-        let (left, right) = quadratic_split(entries, |e| e.0);
+        let (left, right) = quadratic_split(std::mem::take(entries), |e| e.0);
+        *entries = left;
         let right_node = Node::Leaf { entries: right };
         let right_mbr = right_node.mbr();
-        self.nodes[node] = Node::Leaf { entries: left };
-        self.nodes.push(right_node);
+        self.nodes.push(Arc::new(right_node));
         (right_mbr, self.nodes.len() - 1)
     }
 
     fn split_internal(&mut self, node: usize) -> (Rect, usize) {
-        let children = if let Node::Internal { children } = &mut self.nodes[node] {
-            std::mem::take(children)
-        } else {
+        let Node::Internal { children } = self.node_mut(node) else {
             unreachable!()
         };
-        let (left, right) = quadratic_split(children, |e| e.0);
+        let (left, right) = quadratic_split(std::mem::take(children), |e| e.0);
+        *children = left;
         let right_node = Node::Internal { children: right };
         let right_mbr = right_node.mbr();
-        self.nodes[node] = Node::Internal { children: left };
-        self.nodes.push(right_node);
+        self.nodes.push(Arc::new(right_node));
         (right_mbr, self.nodes.len() - 1)
     }
 
     /// Remove the first entry with exactly this rectangle whose value
     /// satisfies `pred`. Like the B+tree, removal is lazy: parent MBRs are
     /// not tightened (queries stay correct, just marginally less
-    /// selective). Supports the update model of paper §4.
+    /// selective). Supports the update model of paper §4. The search is
+    /// read-only; only the leaf that loses the entry is written.
     pub fn remove_one<F: Fn(&V) -> bool>(&mut self, rect: &Rect, pred: F) -> Option<V> {
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
-            match &mut self.nodes[n] {
+            match &*self.nodes[n] {
                 Node::Internal { children } => {
                     for (r, c) in children.iter() {
                         if r.contains(rect) || r.intersects(rect) {
@@ -187,6 +208,9 @@ impl<V: Clone> RTree<V> {
                 }
                 Node::Leaf { entries } => {
                     if let Some(pos) = entries.iter().position(|(r, v)| r == rect && pred(v)) {
+                        let Node::Leaf { entries } = self.node_mut(n) else {
+                            unreachable!()
+                        };
                         let (_, v) = entries.remove(pos);
                         self.len -= 1;
                         return Some(v);
@@ -206,7 +230,7 @@ impl<V: Clone> RTree<V> {
         let mut visited = 0;
         while let Some(n) = stack.pop() {
             visited += 1;
-            match &self.nodes[n] {
+            match &*self.nodes[n] {
                 Node::Internal { children } => {
                     for (r, c) in children {
                         if r.intersects(query) {
@@ -254,6 +278,7 @@ impl<V: Clone> RTree<V> {
             root: 0,
             len: items.len(),
             height: 1,
+            nodes_copied: 0,
         };
         // pack leaves with STR
         let leaf_rects = tree.pack_leaves(items);
@@ -287,7 +312,7 @@ impl<V: Clone> RTree<V> {
                     .collect();
                 let node = Node::Leaf { entries };
                 let mbr = node.mbr();
-                self.nodes.push(node);
+                self.nodes.push(Arc::new(node));
                 out.push((mbr, self.nodes.len() - 1));
                 start = end;
             }
@@ -311,7 +336,7 @@ impl<V: Clone> RTree<V> {
                 let children: Vec<(Rect, usize)> = slice[start..end].to_vec();
                 let node = Node::Internal { children };
                 let mbr = node.mbr();
-                self.nodes.push(node);
+                self.nodes.push(Arc::new(node));
                 out.push((mbr, self.nodes.len() - 1));
                 start = end;
             }
@@ -455,6 +480,40 @@ mod tests {
         }
         let q = Rect::new(3.0, 3.0, 17.0, 8.0);
         assert_eq!(t.count_intersecting(&q), t.query(&q).len());
+    }
+
+    #[test]
+    fn a_write_on_a_clone_copies_only_the_nodes_it_changes() {
+        let mut base = RTree::new();
+        for x in 0..40 {
+            for y in 0..40 {
+                base.insert(pt(x as f64, y as f64), (x, y));
+            }
+        }
+        assert!(base.height() >= 3);
+        assert_eq!(base.nodes_copied(), 0);
+        for i in 0..40 {
+            let at = pt(i as f64, (39 - i) as f64);
+            // a removal copies the leaf; the search for it copies nothing
+            let mut next = base.clone();
+            assert_eq!(next.remove_one(&at, |_| true), Some((i, 39 - i)));
+            assert_eq!(next.nodes_copied(), 1);
+            // an insert that grows no MBR copies the leaf, plus one parent
+            // per node it splits
+            let mut next = base.clone();
+            next.insert(at, (-1, -1));
+            let splits = (next.nodes.len() - base.nodes.len()) as u64;
+            assert!((1..=1 + splits).contains(&next.nodes_copied()));
+            // an insert far outside grows every MBR on its path
+            let mut next = base.clone();
+            next.insert(pt(1e6, 1e6 + i as f64), (-1, -1));
+            assert_eq!(next.nodes_copied(), base.height() as u64);
+            assert_eq!(next.query(&at), vec![(i, 39 - i)]);
+        }
+        // none of it reached the original
+        assert_eq!((base.len(), base.nodes_copied()), (1600, 0));
+        assert_eq!(base.bounds(), Rect::new(0.0, 0.0, 39.0, 39.0));
+        assert_eq!(base.count_intersecting(&base.bounds()), 1600);
     }
 
     #[test]

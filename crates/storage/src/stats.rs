@@ -27,6 +27,16 @@ impl ExecStats {
     }
 }
 
+/// What copy-on-write has physically copied in one [`crate::Table`]
+/// (see [`crate::Table::cow_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CowStats {
+    /// Heap pages copied before a write.
+    pub pages_copied: u64,
+    /// B+tree and R-tree nodes copied before a write.
+    pub nodes_copied: u64,
+}
+
 /// Cumulative, thread-safe counters kept by a [`crate::Database`].
 #[derive(Debug, Default)]
 pub struct DbCounters {
@@ -34,10 +44,12 @@ pub struct DbCounters {
     pub rows_scanned: AtomicU64,
     pub rows_out: AtomicU64,
     pub bytes_out: AtomicU64,
-    /// Tables deep-copied by copy-on-write (`Database::table_mut` on a
-    /// table shared with another clone). Shared between clones like the
-    /// other counters, so a snapshot-serving layer can attribute the
-    /// copies one mutation pays for by sampling around it.
+    /// Tables unshared by copy-on-write (`Database::table_mut` on a table
+    /// shared with another clone): the table gets its own page and node
+    /// spines, the pages and nodes themselves stay shared until written
+    /// ([`CowStats`] counts those). Shared between clones like the other
+    /// counters, so a snapshot-serving layer can attribute what one
+    /// mutation pays for by sampling around it.
     pub cow_table_copies: AtomicU64,
 }
 
@@ -54,7 +66,7 @@ impl DbCounters {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Tables deep-copied so far by copy-on-write mutation.
+    /// Tables unshared so far by copy-on-write mutation.
     pub fn cow_table_copies(&self) -> u64 {
         self.cow_table_copies.load(Ordering::Relaxed)
     }

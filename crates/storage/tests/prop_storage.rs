@@ -4,8 +4,12 @@ use kyrix_storage::btree::BPlusTree;
 use kyrix_storage::hash_index::HashIndex;
 use kyrix_storage::page::Page;
 use kyrix_storage::rtree::RTree;
-use kyrix_storage::{Rect, Row, Schema, Value};
+use kyrix_storage::{
+    CowStats, DataType, IndexKind, RecordId, Rect, Row, Schema, SpatialCols, Table, Value,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 // ------------------------------------------------------------------ values
 
@@ -230,4 +234,293 @@ proptest! {
         // enlargement is non-negative
         prop_assert!(a.enlargement(&b) >= -1e-9);
     }
+}
+
+// ------------------------------------------------ copy-on-write versions
+
+/// `dots(id, x, y)` with a point R-tree on `(x, y)` and a B+tree on `id`.
+fn dots_table(rows: &[(i64, f64, f64)]) -> Table {
+    let schema = Schema::empty()
+        .with("id", DataType::Int)
+        .with("x", DataType::Float)
+        .with("y", DataType::Float);
+    let mut t = Table::new("dots", schema);
+    for &(id, x, y) in rows {
+        t.insert(dot(id, x, y)).unwrap();
+    }
+    t.create_index(
+        "sp",
+        IndexKind::Spatial(SpatialCols::Point {
+            x: "x".into(),
+            y: "y".into(),
+        }),
+    )
+    .unwrap();
+    t.create_index(
+        "by_id",
+        IndexKind::BTree {
+            column: "id".into(),
+        },
+    )
+    .unwrap();
+    t
+}
+
+fn dot(id: i64, x: f64, y: f64) -> Row {
+    Row::new(vec![Value::Int(id), Value::Float(x), Value::Float(y)])
+}
+
+fn rid_of(t: &Table, id: i64) -> RecordId {
+    let mut found = None;
+    t.probe_eq(t.btree_index_on("id").unwrap(), &Value::Int(id), |rid| {
+        found = Some(rid)
+    });
+    found.unwrap_or_else(|| panic!("id {id} is live"))
+}
+
+/// Ids the equality and range probes of [`answers`] cover.
+const ID_SPACE: i64 = 640;
+
+/// One list per read — the full scan, four spatial probes, B+tree equality
+/// on every third id and three B+tree ranges — of `(record id, row bytes)`
+/// in the order the access path visits them.
+type Answers = Vec<Vec<(u64, Vec<u8>)>>;
+
+fn answers(t: &Table) -> Answers {
+    let fetch = |rid: RecordId| (rid.to_u64(), t.get(rid).unwrap().unwrap().encode());
+    let mut out = Vec::new();
+    let mut scan = Vec::new();
+    t.scan(|rid, row| scan.push((rid.to_u64(), row.encode())))
+        .unwrap();
+    out.push(scan);
+    let sp = t.spatial_index().unwrap();
+    for rect in [
+        Rect::new(0.0, 0.0, 1000.0, 1000.0),
+        Rect::new(100.0, 100.0, 400.0, 300.0),
+        Rect::new(500.0, 0.0, 520.0, 1000.0),
+        Rect::new(990.0, 990.0, 2000.0, 2000.0),
+    ] {
+        let mut hits = Vec::new();
+        t.probe_spatial(sp, &rect, |rid| hits.push(fetch(rid)));
+        out.push(hits);
+    }
+    let by_id = t.btree_index_on("id").unwrap();
+    for id in (0..ID_SPACE).step_by(3) {
+        let mut hits = Vec::new();
+        t.probe_eq(by_id, &Value::Int(id), |rid| hits.push(fetch(rid)));
+        out.push(hits);
+    }
+    for (lo, hi) in [(0, ID_SPACE), (50, 90), (300, 500)] {
+        let mut hits = Vec::new();
+        t.probe_range(by_id, &Value::Int(lo), &Value::Int(hi), |rid| {
+            hits.push(fetch(rid))
+        });
+        out.push(hits);
+    }
+    out
+}
+
+/// [`Answers`] without physical placement: per read, the sorted row bytes.
+/// Two tables holding the same rows agree on this whatever their histories.
+fn logical(answers: &Answers) -> Vec<Vec<&[u8]>> {
+    answers
+        .iter()
+        .map(|hits| {
+            let mut rows: Vec<&[u8]> = hits.iter().map(|(_, row)| &row[..]).collect();
+            rows.sort_unstable();
+            rows
+        })
+        .collect()
+}
+
+/// One write of a batch: `kind` 0 inserts a fresh id at `(x, y)`, 1 deletes
+/// the live row `pick` selects, 2 moves it to `(x, y)`.
+type WriteOp = (u8, u32, f64, f64);
+
+/// Apply a batch to `t`, keeping `live` (the rows it should now hold) and
+/// `next_id` in step.
+fn apply_batch(t: &mut Table, live: &mut Vec<(i64, f64, f64)>, next_id: &mut i64, ops: &[WriteOp]) {
+    for &(kind, pick, x, y) in ops {
+        if kind == 0 || live.is_empty() {
+            t.insert(dot(*next_id, x, y)).unwrap();
+            live.push((*next_id, x, y));
+            *next_id += 1;
+            continue;
+        }
+        let at = pick as usize % live.len();
+        let rid = rid_of(t, live[at].0);
+        if kind == 1 {
+            assert!(t.delete_row(rid).unwrap());
+            live.swap_remove(at);
+        } else {
+            live[at] = (live[at].0, x, y);
+            t.update_row(rid, dot(live[at].0, x, y)).unwrap();
+        }
+    }
+}
+
+fn arb_batch() -> impl Strategy<Value = Vec<WriteOp>> {
+    prop::collection::vec(
+        (0u8..3, any::<u32>(), 0.0f64..1000.0, 0.0f64..1000.0),
+        1..24,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A chain of clone → write-batch generations: every generation still
+    /// held keeps answering every read exactly as it did when it was
+    /// finished, however many successors were built from it and in whatever
+    /// order its neighbours are dropped; and each new head holds exactly
+    /// the rows a from-scratch build of its contents holds.
+    #[test]
+    fn cow_generations_are_isolated(
+        initial in prop::collection::vec((0.0f64..1000.0, 0.0f64..1000.0), 150..300),
+        batches in prop::collection::vec(arb_batch(), 8..11),
+        drop_keys in prop::collection::vec(any::<u32>(), 11..12),
+    ) {
+        let mut live: Vec<(i64, f64, f64)> = initial
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (i as i64, x, y))
+            .collect();
+        let mut next_id = live.len() as i64;
+        let first = dots_table(&live);
+        let first_answers = answers(&first);
+        let mut held: Vec<Option<(Table, Answers)>> = vec![Some((first, first_answers))];
+        for ops in &batches {
+            let (head, _) = held.last().unwrap().as_ref().unwrap();
+            let mut next = head.clone();
+            apply_batch(&mut next, &mut live, &mut next_id, ops);
+            let next_answers = answers(&next);
+            prop_assert_eq!(logical(&next_answers), logical(&answers(&dots_table(&live))));
+            held.push(Some((next, next_answers)));
+            for (table, published) in held.iter().flatten() {
+                prop_assert_eq!(&answers(table), published);
+            }
+        }
+        prop_assert!(next_id <= ID_SPACE, "probes must cover every id");
+        let mut order: Vec<usize> = (0..held.len()).collect();
+        order.sort_by_key(|&g| drop_keys[g]);
+        for g in order {
+            held[g] = None;
+            for (table, published) in held.iter().flatten() {
+                prop_assert_eq!(&answers(table), published);
+            }
+        }
+    }
+}
+
+/// Two readers keep checking a pinned generation while a writer builds
+/// eight successors from it. The barriers put the readers' first pass
+/// beside the first four batches and at least one more beside the rest.
+#[test]
+fn cow_pinned_generation_is_stable_beside_a_writer() {
+    let mut live: Vec<(i64, f64, f64)> = (0..400)
+        .map(|i| (i, (i * 37 % 1000) as f64, (i * 91 % 1000) as f64))
+        .collect();
+    let mut next_id = live.len() as i64;
+    let pinned = dots_table(&live);
+    let published = answers(&pinned);
+    let (start, halfway) = (Barrier::new(3), Barrier::new(3));
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                assert_eq!(answers(&pinned), published);
+                halfway.wait();
+                loop {
+                    assert_eq!(answers(&pinned), published);
+                    if done.load(Ordering::SeqCst) {
+                        break;
+                    }
+                }
+            });
+        }
+        start.wait();
+        let mut head = pinned.clone();
+        for generation in 0..8u32 {
+            if generation == 4 {
+                halfway.wait();
+            }
+            let ops: Vec<WriteOp> = (0..20u32)
+                .map(|i| {
+                    let n = generation * 20 + i;
+                    (
+                        (n % 3) as u8,
+                        n * 7919,
+                        (n * 53 % 1000) as f64,
+                        (n * 29 % 1000) as f64,
+                    )
+                })
+                .collect();
+            let mut next = head.clone();
+            apply_batch(&mut next, &mut live, &mut next_id, &ops);
+            head = next;
+        }
+        done.store(true, Ordering::SeqCst);
+        assert_eq!(
+            logical(&answers(&head)),
+            logical(&answers(&dots_table(&live)))
+        );
+    });
+    assert_eq!(answers(&pinned), published);
+}
+
+/// What a batch of writes on a clone copies, by [`Table::cow_stats`]:
+/// nothing at clone time; per delete one page and one leaf in each index
+/// (the search for the entry copies nothing); per insert at most one
+/// root-to-leaf path in each index, and one heap page for the whole batch.
+/// So clone + 64 scattered inserts + 64 deletes stays far inside 130 pages
+/// and 128 x height nodes, on a table of 100k rows.
+#[test]
+fn cow_batch_copies_what_it_touches() {
+    const N: i64 = 100_000;
+    let xy = |i: i64| {
+        (
+            (i * 7919 % 100_003) as f64 / 100.0,
+            (i * 104_729 % 100_019) as f64 / 100.0,
+        )
+    };
+    let rows: Vec<(i64, f64, f64)> = (0..N).map(|i| (i, xy(i).0, xy(i).1)).collect();
+    let base = dots_table(&rows);
+    // the two index shapes, rebuilt standalone for their heights
+    let rtree_height = RTree::bulk_load(
+        rows.iter()
+            .map(|&(id, x, y)| (Rect::point(x, y), id))
+            .collect(),
+    )
+    .height() as u64;
+    let mut by_id = BPlusTree::new();
+    rows.iter().for_each(|&(id, _, _)| by_id.insert(id, ()));
+    let btree_height = by_id.height() as u64;
+
+    let mut next = base.clone();
+    assert_eq!(next.cow_stats(), CowStats::default());
+
+    for i in 0..64 {
+        let rid = rid_of(&next, i * 1563 % N);
+        assert!(next.delete_row(rid).unwrap());
+    }
+    let deletes = next.cow_stats();
+    assert!(deletes.pages_copied <= 64, "{deletes:?}");
+    assert!(deletes.nodes_copied <= 2 * 64, "{deletes:?}");
+
+    for i in 0..64 {
+        let (x, y) = xy(i * 1567 + 13);
+        next.insert(dot(N + i, x + 0.005, y + 0.005)).unwrap();
+    }
+    let both = next.cow_stats();
+    assert!(both.pages_copied - deletes.pages_copied <= 1, "{both:?}");
+    assert!(
+        both.nodes_copied - deletes.nodes_copied <= 64 * (rtree_height + btree_height),
+        "{both:?} after {deletes:?}, heights {rtree_height} + {btree_height}"
+    );
+    assert!(both.pages_copied <= 130 && both.nodes_copied <= 128 * rtree_height.max(btree_height));
+
+    // the original paid nothing and lost nothing
+    assert_eq!(base.cow_stats(), CowStats::default());
+    assert_eq!((base.len(), next.len()), (N as usize, N as usize));
 }
