@@ -10,7 +10,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kyrix_storage::btree::BPlusTree;
 use kyrix_storage::hash_index::HashIndex;
 use kyrix_storage::rtree::RTree;
-use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
+use kyrix_storage::{
+    DataType, Database, IndexKind, Prepared, Rect, Row, Schema, SpatialCols, Value,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,6 +187,52 @@ fn sql_designs(c: &mut Criterion) {
             .len()
         });
     });
+
+    // The serving shape: `SELECT *` over a 12-column LoD level table,
+    // ~465 rows per rectangle (zoom_cold's rows per covering tile) — the
+    // standalone number beside the benchmark's `storage.execute_us`.
+    // tail 0 is the bare statement, tail 7 the separable store's, whose
+    // rows are decoded with room for the geometry columns.
+    let mut schema = Schema::empty()
+        .with("id", DataType::Int)
+        .with("cx", DataType::Float)
+        .with("cy", DataType::Float)
+        .with("cnt", DataType::Int);
+    for name in [
+        "sum_a", "avg_a", "sum_b", "avg_b", "minx", "miny", "maxx", "maxy",
+    ] {
+        schema = schema.with(name, DataType::Float);
+    }
+    db.create_table("lvl", schema).unwrap();
+    for (i, (x, y)) in pts.iter().enumerate() {
+        let mut values = vec![
+            Value::Int(i as i64),
+            Value::Float(*x),
+            Value::Float(*y),
+            Value::Int(1 + (i % 9) as i64),
+        ];
+        values.extend([0.5, 0.5, 2.5, 2.5, *x, *y, *x, *y].map(Value::Float));
+        db.insert("lvl", Row::new(values)).unwrap();
+    }
+    db.create_index(
+        "lvl",
+        "sp",
+        IndexKind::Spatial(SpatialCols::Point {
+            x: "cx".into(),
+            y: "cy".into(),
+        }),
+    )
+    .unwrap();
+    // 100k points on 10k x 10k: a 682-unit square holds ~465 of them
+    let rect = [4000.0, 4000.0, 4682.0, 4682.0].map(Value::Float);
+    for tail in [0, 7] {
+        let star = Prepared::new("SELECT * FROM lvl WHERE bbox && rect($1, $2, $3, $4)")
+            .unwrap()
+            .reserving(tail);
+        group.bench_function(format!("spatial_rect_star/tail{tail}"), |b| {
+            b.iter(|| db.execute(&star, &rect).unwrap().rows.len());
+        });
+    }
     group.finish();
 }
 

@@ -10,8 +10,8 @@ use crate::viewport::Viewport;
 use kyrix_core::{CompiledCanvas, CompiledRender, JumpType};
 use kyrix_render::{Color, ColorScale, Frame, Mark, MarkType};
 use kyrix_server::{FetchMetrics, KyrixServer, LayerRowLayout, MomentumTracker, SnapshotView};
+use kyrix_storage::fxhash::FxHashSet;
 use kyrix_storage::{Row, Value};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -298,16 +298,15 @@ impl Session {
         let vp = self.effective_viewport();
         let mut fetch = FetchMetrics::default();
         let mut frontend_hits = 0u64;
-        let n_layers = self.current_canvas().layers.len();
-        let statics: Vec<bool> = self
-            .current_canvas()
-            .layers
-            .iter()
-            .map(|l| l.is_static)
-            .collect();
+        // borrowed through the fields, so the cache stays free to mutate
+        let canvas = self
+            .server
+            .app()
+            .canvas(&self.canvas)
+            .expect("session canvas always exists");
 
-        for (layer, is_static) in statics.iter().enumerate().take(n_layers) {
-            if *is_static {
+        for (layer, l) in canvas.layers.iter().enumerate() {
+            if l.is_static {
                 continue;
             }
             if self.cache.lookup(layer, &vp).is_some() {
@@ -392,7 +391,7 @@ impl Session {
     /// the viewport, each tuple id once, in cache order.
     fn visible_in(&self, layer: usize, layout: LayerRowLayout) -> impl Iterator<Item = &Row> {
         let vp = self.effective_viewport();
-        let mut seen: HashSet<i64> = HashSet::new();
+        let mut seen: FxHashSet<i64> = FxHashSet::default();
         self.cache
             .peek(layer, &vp)
             .into_iter()

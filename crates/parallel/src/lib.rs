@@ -30,4 +30,4 @@ pub mod scatter;
 
 pub use partition::Partitioner;
 pub use router::QueryRouter;
-pub use scatter::{scatter_gather, Gathered};
+pub use scatter::{scatter_gather, scatter_gather_prepared, Gathered};

@@ -2,16 +2,17 @@
 //!
 //! A sharded database is a slice of [`Database`]s plus the
 //! [`QueryRouter`] that says which tables are partitioned how.
-//! [`scatter_gather`] parses the statement, decomposes it with
+//! [`scatter_gather_prepared`] decomposes a parsed statement with
 //! [`ShardPlan`], runs the shard statement on the routed shards (on
 //! parallel threads when more than one is targeted) and merges at the
-//! coordinator. `kyrix-server`'s sharded snapshots answer every fetch
-//! through this function.
+//! coordinator; [`scatter_gather`] parses SQL text and calls it.
+//! `kyrix-server`'s sharded snapshots answer every fetch through this
+//! body, with the layer's statement prepared once at launch.
 
 use crate::merge::ShardPlan;
 use crate::router::QueryRouter;
-use kyrix_storage::sql::{execute_select, parse};
-use kyrix_storage::{Database, QueryResult, Result, StorageError, Value};
+use kyrix_storage::sql::execute_select_reserving;
+use kyrix_storage::{Database, Prepared, QueryResult, Result, StorageError, Value};
 use std::time::{Duration, Instant};
 
 /// A merged scatter-gather answer plus what producing it cost.
@@ -28,9 +29,14 @@ pub struct Gathered {
     pub merge: Duration,
 }
 
-fn run_shard(db: &Database, plan: &ShardPlan, params: &[Value]) -> Result<(Duration, QueryResult)> {
+fn run_shard(
+    db: &Database,
+    plan: &ShardPlan,
+    params: &[Value],
+    tail: usize,
+) -> Result<(Duration, QueryResult)> {
     let start = Instant::now();
-    let result = execute_select(db, &plan.shard_stmt, params)?;
+    let result = execute_select_reserving(db, &plan.shard_stmt, params, tail)?;
     Ok((start.elapsed(), result))
 }
 
@@ -42,6 +48,19 @@ pub fn scatter_gather(
     sql: &str,
     params: &[Value],
 ) -> Result<Gathered> {
+    scatter_gather_prepared(shards, router, &Prepared::new(sql)?, params)
+}
+
+/// [`scatter_gather`] for a statement parsed ahead of time. Shards honour
+/// the statement's [`Prepared::tail`]: the coordinator merge of a plain
+/// SELECT moves shard rows into the answer, so they arrive with the room
+/// the shard's executor gave them.
+pub fn scatter_gather_prepared(
+    shards: &[Database],
+    router: &QueryRouter,
+    prepared: &Prepared,
+    params: &[Value],
+) -> Result<Gathered> {
     if router.shard_count() != shards.len() {
         return Err(StorageError::ExecError(format!(
             "router implies {} shards, got {}",
@@ -49,9 +68,10 @@ pub fn scatter_gather(
             shards.len()
         )));
     }
-    let stmt = parse(sql)?;
-    let plan = ShardPlan::new(&stmt)?;
-    let mut targets = router.targets(&stmt, params);
+    let stmt = prepared.statement();
+    let tail = prepared.tail();
+    let plan = ShardPlan::new(stmt)?;
+    let mut targets = router.targets(stmt, params);
     if targets.is_empty() {
         // the routed predicate is unsatisfiable: any shard answers it
         // with no rows and the right columns
@@ -68,13 +88,13 @@ pub fn scatter_gather(
         // routed to one shard: run inline, no fan-out overhead — a fully
         // routed sharded fetch costs what a single node with 1/N of the
         // rows would pay
-        keep(i, run_shard(&shards[i], &plan, params)?);
+        keep(i, run_shard(&shards[i], &plan, params, tail)?);
     } else {
         let plan = &plan;
         let runs: Vec<Result<(Duration, QueryResult)>> = std::thread::scope(|s| {
             let handles: Vec<_> = targets
                 .iter()
-                .map(|&i| s.spawn(move || run_shard(&shards[i], plan, params)))
+                .map(|&i| s.spawn(move || run_shard(&shards[i], plan, params, tail)))
                 .collect();
             handles
                 .into_iter()
@@ -237,6 +257,38 @@ mod tests {
                 seq.schema.columns().len(),
                 "schema width: {q}"
             );
+        }
+    }
+
+    /// `SELECT *` rows are the shards' own rows, moved through the merge
+    /// with the room the statement reserved — also when the rectangle
+    /// routes to no shard at all and shard 0 answers with no rows.
+    #[test]
+    fn star_rows_arrive_with_their_reserved_room() {
+        let (shards, router) = dots(4, Some(grid()));
+        let (single, _) = dots(1, None);
+        for (rect, routed, rows) in [
+            ("rect(150, 150, 50, 50)", 0, 0),
+            ("rect(0, 0, 40, 40)", 1, 25),
+            ("rect(80, 80, 120, 120)", 4, 25),
+        ] {
+            let sql = format!("SELECT * FROM dots WHERE bbox && {rect}");
+            let prepared = Prepared::new(&sql).unwrap().reserving(7);
+            assert_eq!(router.targets(prepared.statement(), &[]).len(), routed);
+            let g = scatter_gather_prepared(&shards, &router, &prepared, &[]).unwrap();
+            let seq = single[0].query(&sql, &[]).unwrap();
+            assert_eq!(g.result.schema, seq.schema, "{sql}");
+            assert_eq!(g.result.rows.len(), rows, "{sql}");
+            let by_id = |mut rows: Vec<Row>| {
+                rows.sort_by_key(|r| r.get(0).as_i64().unwrap());
+                rows
+            };
+            assert_eq!(by_id(g.result.rows.clone()), by_id(seq.rows), "{sql}");
+            assert_eq!(g.result.stats.rows_out, rows as u64);
+            // `clone` above trims; the gathered rows themselves keep the room
+            for row in &g.result.rows {
+                assert_eq!(row.values.capacity(), dots_schema().len() + 7);
+            }
         }
     }
 

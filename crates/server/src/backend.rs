@@ -23,16 +23,16 @@
 
 use crate::snapshot::DatabaseSnapshot;
 use kyrix_obs::{Gauge, HistogramFamily, Registry};
-use kyrix_parallel::{scatter_gather, QueryRouter};
-use kyrix_storage::{Database, QueryResult, Rect, Schema, StorageError, Value};
+use kyrix_parallel::{scatter_gather_prepared, QueryRouter};
+use kyrix_storage::{Database, Prepared, QueryResult, Rect, Schema, StorageError, Value};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// An immutable, versioned read surface: what a fetch resolves against.
 ///
-/// One SQL round trip per [`SnapshotView::query`] call regardless of how
-/// many shards execute it — sharding is invisible above this trait (cache
-/// keys gain nothing from it).
+/// One SQL round trip per [`SnapshotView::execute`] call regardless of
+/// how many shards execute it — sharding is invisible above this trait
+/// (cache keys gain nothing from it).
 pub trait SnapshotView: Send + Sync {
     /// Per-shard published versions (single node: one entry). Entry `i`
     /// is the data version of the last mutation that touched shard `i`.
@@ -48,8 +48,15 @@ pub trait SnapshotView: Send + Sync {
         self.versions().len()
     }
 
-    /// Execute one SELECT against the view.
-    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult>;
+    /// Execute one prepared SELECT against the view — the fetch path: a
+    /// layer's statement is prepared once at launch and outlives every
+    /// snapshot version.
+    fn execute(&self, prepared: &Prepared, params: &[Value]) -> kyrix_storage::Result<QueryResult>;
+
+    /// Parse and execute one SELECT against the view.
+    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
+        self.execute(&Prepared::new(sql)?, params)
+    }
 
     /// Schema of a table (identical on every shard; DDL is broadcast).
     fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema>;
@@ -89,6 +96,12 @@ impl SnapshotView for DatabaseSnapshot {
         self.version_slice()
     }
 
+    fn execute(&self, prepared: &Prepared, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
+        self.database().execute(prepared, params)
+    }
+
+    /// Through [`Database::query`], which also answers `EXPLAIN SELECT ..`
+    /// ([`crate::KyrixServer::explain`] asks for the fetch statement's plan).
     fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
         self.database().query(sql, params)
     }
@@ -187,8 +200,8 @@ impl SnapshotView for ShardedSnapshot {
         &self.versions
     }
 
-    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        let gathered = scatter_gather(&self.shards, &self.router, sql, params)?;
+    fn execute(&self, prepared: &Prepared, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
+        let gathered = scatter_gather_prepared(&self.shards, &self.router, prepared, params)?;
         if let Some(t) = &self.telemetry {
             t.obs
                 .record_external_span("shard.scatter", gathered.scatter);

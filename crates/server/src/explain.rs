@@ -43,23 +43,11 @@ pub struct LayerExplain {
     pub storage_plan: Vec<String>,
 }
 
-/// The representative SQL one store answers fetches with, placeholders
-/// included — the same statement text [`crate::fetch`] issues.
+/// The SQL one store answers fetches with, placeholders included: the
+/// text of the very statement [`crate::fetch`] executes
+/// ([`LayerStore::fetch_statement`]).
 pub fn fetch_sql(store: &LayerStore) -> Option<String> {
-    match store {
-        LayerStore::Static => None,
-        LayerStore::Spatial { table, .. } | LayerStore::SeparableRaw { table, .. } => Some(
-            format!("SELECT * FROM {table} WHERE bbox && rect($1, $2, $3, $4)"),
-        ),
-        LayerStore::TileMapping {
-            record_table,
-            mapping_table,
-            ..
-        } => Some(format!(
-            "SELECT r.* FROM {mapping_table} m JOIN {record_table} r \
-             ON m.tuple_id = r.tuple_id WHERE m.tile_id = $1"
-        )),
-    }
+    store.fetch_statement().map(|p| p.sql.clone())
 }
 
 impl LayerExplain {

@@ -1,4 +1,6 @@
-//! Fetch primitives: one SQL round trip per call, against a layer store.
+//! Fetch primitives: one SQL round trip per call, against a layer store —
+//! an execution of the statement the store prepared at launch
+//! ([`LayerStore::fetch_statement`]).
 
 use crate::backend::SnapshotView;
 use crate::dbox::BoxPolicy;
@@ -6,13 +8,18 @@ use crate::error::{Result, ServerError};
 use crate::metrics::FetchMetrics;
 use crate::precompute::{FetchPlan, LayerRowLayout, LayerStore};
 use crate::tile::{TileId, Tiling};
-use kyrix_storage::{Rect, Row, Value};
+use kyrix_storage::{Prepared, Rect, Row, Value};
 use std::time::Instant;
 
 /// Wire size of the geometry tail a separable fetch appends to each raw
 /// row: `cx, cy, minx, miny, maxx, maxy` floats plus the tuple id, 8 bytes
 /// each.
-const GEOMETRY_WIRE_BYTES: u64 = 7 * 8;
+const GEOMETRY_WIRE_BYTES: u64 = LayerRowLayout::GEOMETRY_COLS as u64 * 8;
+
+/// A rectangle as the `$1..$4` of a store's rectangle fetch.
+fn rect_params(r: &Rect) -> [Value; 4] {
+    [r.min_x, r.min_y, r.max_x, r.max_y].map(Value::Float)
+}
 
 /// Map a canvas-space rectangle to the raw-data domain through the inverse
 /// placement affines, expanding by the constant object extent so objects
@@ -50,67 +57,39 @@ pub fn fetch_rect(
 ) -> Result<(Vec<Row>, FetchMetrics)> {
     match store {
         LayerStore::Static => Ok((Vec::new(), FetchMetrics::default())),
-        LayerStore::Spatial { table, .. } => {
-            let sql = format!("SELECT * FROM {table} WHERE bbox && rect($1, $2, $3, $4)");
-            run_query(
-                db,
-                &sql,
-                &[
-                    Value::Float(rect.min_x),
-                    Value::Float(rect.min_y),
-                    Value::Float(rect.max_x),
-                    Value::Float(rect.max_y),
-                ],
-            )
-        }
+        LayerStore::Spatial { fetch, .. } => run_query(db, fetch, &rect_params(rect)),
         LayerStore::SeparableRaw {
-            table,
-            layout,
             x_affine,
             y_affine,
             x_col,
             y_col,
             obj_w,
             obj_h,
+            fetch,
+            ..
         } => {
             let raw = raw_query_rect(rect, x_affine, y_affine, *obj_w, *obj_h)?;
-            let sql = format!("SELECT * FROM {table} WHERE bbox && rect($1, $2, $3, $4)");
-            let (raw_rows, mut metrics) = run_query(
-                db,
-                &sql,
-                &[
-                    Value::Float(raw.min_x),
-                    Value::Float(raw.min_y),
-                    Value::Float(raw.max_x),
-                    Value::Float(raw.max_y),
-                ],
-            )?;
-            // synthesize the standard layer row layout: raw row values are
-            // exactly the transform output (SELECT *, no derived columns),
-            // so each layer row is built once at its final width and its
-            // wire size is the query's own plus the constant geometry tail
-            let width = layout.width();
-            let rows: Vec<Row> = raw_rows
-                .into_iter()
-                .enumerate()
-                .map(|(i, raw_row)| {
-                    let cx = x_affine.apply(raw_row.get(*x_col).as_f64()?);
-                    let cy = y_affine.apply(raw_row.get(*y_col).as_f64()?);
-                    let bbox = Rect::centered(cx, cy, *obj_w, *obj_h);
-                    let mut values = Vec::with_capacity(width);
-                    values.extend(raw_row.values);
-                    values.extend([
-                        Value::Float(cx),
-                        Value::Float(cy),
-                        Value::Float(bbox.min_x),
-                        Value::Float(bbox.min_y),
-                        Value::Float(bbox.max_x),
-                        Value::Float(bbox.max_y),
-                        Value::Int(i as i64),
-                    ]);
-                    Ok(Row::new(values))
-                })
-                .collect::<Result<_>>()?;
+            let (mut rows, mut metrics) = run_query(db, fetch, &rect_params(&raw))?;
+            // complete the standard layer row layout in place: raw row
+            // values are exactly the transform output (SELECT *, no derived
+            // columns) and `fetch` had the executor decode each row with
+            // room for the geometry tail, so the row stays the one buffer
+            // it was decoded into; its wire size is the query's own plus
+            // the constant tail
+            for (i, row) in rows.iter_mut().enumerate() {
+                let cx = x_affine.apply(row.get(*x_col).as_f64()?);
+                let cy = y_affine.apply(row.get(*y_col).as_f64()?);
+                let bbox = Rect::centered(cx, cy, *obj_w, *obj_h);
+                row.values.extend([
+                    Value::Float(cx),
+                    Value::Float(cy),
+                    Value::Float(bbox.min_x),
+                    Value::Float(bbox.min_y),
+                    Value::Float(bbox.max_x),
+                    Value::Float(bbox.max_y),
+                    Value::Int(i as i64),
+                ]);
+            }
             metrics.bytes += rows.len() as u64 * GEOMETRY_WIRE_BYTES;
             Ok((rows, metrics))
         }
@@ -132,9 +111,8 @@ pub fn fetch_tile(
     match store {
         LayerStore::Static => Ok((Vec::new(), FetchMetrics::default())),
         LayerStore::TileMapping {
-            record_table,
-            mapping_table,
             tiling: store_tiling,
+            fetch,
             ..
         } => {
             // exact comparison on purpose: both sizes originate from the
@@ -147,11 +125,7 @@ pub fn fetch_tile(
                     store_tiling.size, tiling.size
                 )));
             }
-            let sql = format!(
-                "SELECT r.* FROM {mapping_table} m JOIN {record_table} r \
-                 ON m.tuple_id = r.tuple_id WHERE m.tile_id = $1"
-            );
-            run_query(db, &sql, &[Value::Int(tile.key())])
+            run_query(db, fetch, &[Value::Int(tile.key())])
         }
         LayerStore::Spatial { .. } | LayerStore::SeparableRaw { .. } => {
             fetch_rect(db, store, &tiling.tile_rect(tile))
@@ -316,14 +290,14 @@ pub fn count_rect(db: &dyn SnapshotView, store: &LayerStore, rect: &Rect) -> Res
     }
 }
 
-/// Run one SQL query, timing it and extracting metrics.
+/// Execute a store's fetch statement, timing it and extracting metrics.
 fn run_query(
     db: &dyn SnapshotView,
-    sql: &str,
+    fetch: &Prepared,
     params: &[Value],
 ) -> Result<(Vec<Row>, FetchMetrics)> {
     let start = Instant::now();
-    let result = db.query(sql, params)?;
+    let result = db.execute(fetch, params)?;
     let db_ms = start.elapsed().as_secs_f64() * 1000.0;
     let metrics = FetchMetrics {
         requests: 0, // the caller (server) counts frontend requests

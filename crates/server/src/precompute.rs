@@ -21,7 +21,10 @@ use crate::error::{Result, ServerError};
 use crate::tile::{TileId, Tiling};
 use kyrix_core::CompiledLayer;
 use kyrix_expr::Affine;
-use kyrix_storage::{sql, DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
+use kyrix_storage::{
+    sql, DataType, Database, IndexKind, Prepared, Rect, Row, Schema, SpatialCols, Value,
+};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which database design backs static tiles (paper §3.1).
@@ -72,6 +75,10 @@ pub struct LayerRowLayout {
 }
 
 impl LayerRowLayout {
+    /// How many geometry columns follow the data columns: `cx, cy, minx,
+    /// miny, maxx, maxy, tuple_id`.
+    pub const GEOMETRY_COLS: usize = 7;
+
     /// Placement center x of a layer row.
     pub fn cx(&self, row: &Row) -> f64 {
         row.get(self.n_data_cols).as_f64().unwrap_or(0.0)
@@ -95,11 +102,14 @@ impl LayerRowLayout {
 
     /// Total row width.
     pub fn width(&self) -> usize {
-        self.n_data_cols + 7
+        self.n_data_cols + Self::GEOMETRY_COLS
     }
 }
 
-/// How a layer's data is physically fetched.
+/// How a layer's data is physically fetched. Every fetching store holds
+/// its one fetch statement, prepared when the store is built at launch
+/// ([`LayerStore::fetch_statement`]); [`crate::fetch`] executes it with a
+/// fetch's parameters and never sees SQL text.
 #[derive(Debug, Clone)]
 pub enum LayerStore {
     /// Static layer: no data fetching.
@@ -110,6 +120,8 @@ pub enum LayerStore {
         table: String,
         /// Row accessor layout of `table`.
         layout: LayerRowLayout,
+        /// The rectangle fetch over `table`.
+        fetch: Arc<Prepared>,
     },
     /// Separable skip path: query the raw table's spatial index directly,
     /// mapping canvas rectangles through the placement's affine inverses.
@@ -130,6 +142,9 @@ pub enum LayerStore {
         obj_w: f64,
         /// Constant object height in canvas units.
         obj_h: f64,
+        /// The rectangle fetch over the raw table, reserving the geometry
+        /// tail [`crate::fetch_rect`] appends to every raw row.
+        fetch: Arc<Prepared>,
     },
     /// Record + mapping tables (tuple–tile design).
     TileMapping {
@@ -141,7 +156,27 @@ pub enum LayerStore {
         tiling: Tiling,
         /// Row accessor layout of `record_table`.
         layout: LayerRowLayout,
+        /// The tile fetch: mapping rows of one tile joined to their records.
+        fetch: Arc<Prepared>,
     },
+}
+
+/// The statement fetching the rows of a spatially indexed table that
+/// intersect a rectangle (`$1..$4`: min x, min y, max x, max y), for a
+/// consumer that appends `tail` values to each row.
+fn rect_fetch(table: &str, tail: usize) -> kyrix_storage::Result<Arc<Prepared>> {
+    let sql = format!("SELECT * FROM {table} WHERE bbox && rect($1, $2, $3, $4)");
+    Ok(Arc::new(Prepared::new(&sql)?.reserving(tail)))
+}
+
+/// The statement fetching one tile (`$1`: tile key) under the tuple–tile
+/// mapping design.
+fn mapping_fetch(record_table: &str, mapping_table: &str) -> kyrix_storage::Result<Arc<Prepared>> {
+    let sql = format!(
+        "SELECT r.* FROM {mapping_table} m JOIN {record_table} r \
+         ON m.tuple_id = r.tuple_id WHERE m.tile_id = $1"
+    );
+    Ok(Arc::new(Prepared::new(&sql)?))
 }
 
 impl LayerStore {
@@ -152,6 +187,17 @@ impl LayerStore {
             LayerStore::Spatial { layout, .. }
             | LayerStore::SeparableRaw { layout, .. }
             | LayerStore::TileMapping { layout, .. } => Some(*layout),
+        }
+    }
+
+    /// The statement this store answers fetches with (None for static
+    /// layers, which fetch nothing).
+    pub fn fetch_statement(&self) -> Option<&Prepared> {
+        match self {
+            LayerStore::Static => None,
+            LayerStore::Spatial { fetch, .. }
+            | LayerStore::SeparableRaw { fetch, .. }
+            | LayerStore::TileMapping { fetch, .. } => Some(fetch),
         }
     }
 }
@@ -219,6 +265,7 @@ pub(crate) fn separable_store(db: &Database, layer: &CompiledLayer) -> Option<La
     let obj_w = placement.width.eval_f64(&[]).ok()?;
     let obj_h = placement.height.eval_f64(&[]).ok()?;
     Some(LayerStore::SeparableRaw {
+        fetch: rect_fetch(&stmt.from.table, LayerRowLayout::GEOMETRY_COLS).ok()?,
         table: stmt.from.table.clone(),
         layout: LayerRowLayout {
             n_data_cols: layer.transform.columns.len(),
@@ -419,7 +466,11 @@ pub fn precompute_layer(
                     max_y: "maxy".into(),
                 }),
             )?;
-            LayerStore::Spatial { table, layout }
+            LayerStore::Spatial {
+                fetch: rect_fetch(&table, 0)?,
+                table,
+                layout,
+            }
         }
         FetchPlan::StaticTiles {
             size,
@@ -428,6 +479,7 @@ pub fn precompute_layer(
             let tiling = Tiling::new(*size);
             let mapping_table = build_mapping(db, &table, layout, tiling)?;
             LayerStore::TileMapping {
+                fetch: mapping_fetch(&table, &mapping_table)?,
                 record_table: table,
                 mapping_table,
                 tiling,

@@ -1,0 +1,150 @@
+//! Allocation budget of the cold fetch path on a separable store: one
+//! buffer per fetched row from heap page to tile cache, one more per row a
+//! region merge keeps. A single test in a binary of its own, because the
+//! counting `#[global_allocator]` sees every thread of the process.
+
+use kyrix_core::{
+    compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
+};
+use kyrix_server::{FetchPlan, KyrixServer, LayerStore, ServerConfig, TileDesign, TileId};
+use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting every allocation it hands out (a
+/// `realloc` that may move counts as one).
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` states; the counter touches no memory
+// the allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`
+        // is valid for `layout`'s alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` performs (no other thread runs meanwhile: one test,
+/// prefetch off).
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+const TILE: f64 = 40.0;
+
+/// Dots at every integer point of [0, 100)², spatially indexed on the
+/// placement columns, served as 40-unit tiles: tile (0, 0) holds 41 x 41
+/// of them.
+fn launch() -> KyrixServer {
+    let mut db = Database::new();
+    db.create_table(
+        "dots",
+        Schema::empty()
+            .with("id", DataType::Int)
+            .with("x", DataType::Float)
+            .with("y", DataType::Float)
+            .with("v", DataType::Float),
+    )
+    .unwrap();
+    for i in 0..10_000i64 {
+        db.insert(
+            "dots",
+            Row::new(vec![
+                Value::Int(i),
+                Value::Float((i % 100) as f64),
+                Value::Float((i / 100) as f64),
+                Value::Float((i % 7) as f64),
+            ]),
+        )
+        .unwrap();
+    }
+    db.create_index(
+        "dots",
+        "dots_xy",
+        IndexKind::Spatial(SpatialCols::Point {
+            x: "x".into(),
+            y: "y".into(),
+        }),
+    )
+    .unwrap();
+    let spec = AppSpec::new("grid")
+        .add_transform(TransformSpec::query("t", "SELECT * FROM dots"))
+        .add_canvas(
+            CanvasSpec::new("main", 100.0, 100.0).layer(LayerSpec::dynamic(
+                "t",
+                PlacementSpec::point("x", "y"),
+                RenderSpec::Marks(MarkEncoding::circle()),
+            )),
+        )
+        .initial("main", 50.0, 50.0)
+        .viewport(10.0, 10.0);
+    let app = compile(&spec, &db).unwrap();
+    let plan = FetchPlan::StaticTiles {
+        size: TILE,
+        design: TileDesign::SpatialIndex,
+    };
+    let (server, _) = KyrixServer::launch(app, db, ServerConfig::new(plan)).unwrap();
+    server
+}
+
+#[test]
+fn cold_fetch_allocates_one_buffer_per_row() {
+    let server = launch();
+    assert!(matches!(
+        server.store("main", 0).unwrap(),
+        LayerStore::SeparableRaw { .. }
+    ));
+    let width = server.layout("main", 0).unwrap().unwrap().width();
+
+    // one cold tile: the decode of each row is its only allocation
+    let (tile, allocs) = allocations(|| server.fetch_tile("main", 0, TileId::new(0, 0)).unwrap());
+    let n = tile.rows.len() as u64;
+    assert_eq!(tile.metrics.cache_misses, 1);
+    assert!(n >= 1000, "tile holds {n} rows");
+    assert!(
+        allocs <= n + 128,
+        "cold fetch_tile of {n} rows made {allocs} allocations"
+    );
+    for row in tile.rows.iter() {
+        assert_eq!(row.values.capacity(), width, "row buffers are exact");
+    }
+
+    // a cold four-tile region: one allocation per row fetched, one per
+    // row the merge keeps
+    server.clear_caches();
+    let rect = Rect::new(30.0, 30.0, 50.0, 50.0);
+    let (region, allocs) = allocations(|| server.fetch_region("main", 0, &rect).unwrap());
+    assert_eq!(region.metrics.cache_misses, 4);
+    let rows_in = region.metrics.rows;
+    let rows_out = region.rows.len() as u64;
+    assert!(rows_out < rows_in, "straddlers were merged");
+    assert!(
+        allocs <= rows_in + rows_out + 256,
+        "cold fetch_region ({rows_in} rows in, {rows_out} out) made {allocs} allocations"
+    );
+    for row in region.rows.iter() {
+        assert_eq!(row.values.capacity(), width, "row buffers are exact");
+    }
+}

@@ -22,6 +22,9 @@ use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCol
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+mod common;
+use common::separable_rows_by_formula;
+
 const TILE: f64 = 10.0;
 
 /// Which physical design the fixture's layer is served from.
@@ -255,6 +258,11 @@ proptest! {
         // compare against one direct spatial query over the same covered
         // (tile-aligned) area
         let (direct, _) = fetch_rect(&*server.database(), &store, &region.rect).unwrap();
+        // ... which is the raw query plus the geometry formula, row for row
+        prop_assert_eq!(
+            &direct,
+            &separable_rows_by_formula(&*server.database(), &store, &region.rect)
+        );
 
         let got = content_multiset(region.rows.iter(), width);
         let want = content_multiset(&direct, width);
@@ -314,7 +322,15 @@ proptest! {
                     "{}: row multiset for viewport {:?}", f.name, vp
                 );
                 let mut ids = sorted_ids(server, &region.rows);
-                if !matches!(store, kyrix_server::LayerStore::SeparableRaw { .. }) {
+                if matches!(store, kyrix_server::LayerStore::SeparableRaw { .. }) {
+                    // synthesized rows: the raw query plus the geometry
+                    // formula, row for row
+                    prop_assert_eq!(
+                        &direct,
+                        &separable_rows_by_formula(&*server.database(), &store, &covered),
+                        "{}: synthesized rows for {:?}", f.name, covered
+                    );
+                } else {
                     // stable ids: the very tuples the direct fetch names
                     prop_assert_eq!(&ids, &sorted_ids(server, &direct));
                 }

@@ -11,10 +11,13 @@ use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
 };
 use kyrix_parallel::{Partitioner, QueryRouter};
-use kyrix_server::{FetchPlan, KyrixServer, ServerConfig, TileDesign};
+use kyrix_server::{fetch_rect, FetchPlan, KyrixServer, ServerConfig, TileDesign};
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+mod common;
+use common::separable_rows_by_formula;
 
 const TILE: f64 = 10.0;
 const EXTENT: f64 = 50.0;
@@ -177,6 +180,21 @@ proptest! {
 
         let reference = single.fetch_region("main", 0, &vp).unwrap();
         let want = content_multiset(&reference.rows, width);
+
+        // on every backend a rectangle fetch is the view's own query plus
+        // the geometry formula, row for row (rows gathered from several
+        // shards keep the coordinator's order on both sides)
+        for server in std::iter::once(single).chain(sharded) {
+            let view = server.database();
+            let store = server.store("main", 0).unwrap();
+            let (direct, _) = fetch_rect(&*view, &store, &reference.rect).unwrap();
+            prop_assert_eq!(
+                &direct,
+                &separable_rows_by_formula(&*view, &store, &reference.rect),
+                "synthesized rows on {} shards for {:?}",
+                server.shard_count(), reference.rect
+            );
+        }
 
         for server in sharded {
             let region = server.fetch_region("main", 0, &vp).unwrap();

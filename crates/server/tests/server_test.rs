@@ -6,10 +6,13 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_server::{
-    BoxPolicy, CalibrationTrace, CostModel, FetchMetrics, FetchPlan, KyrixServer, LayerStore,
-    MomentumTracker, PlanPolicy, ServerConfig, TileDesign, TileId,
+    fetch_tile, BoxPolicy, CalibrationTrace, CostModel, DatabaseSnapshot, FetchMetrics, FetchPlan,
+    KyrixServer, LayerStore, MomentumTracker, PlanPolicy, ServerConfig, TileDesign, TileId, Tiling,
 };
-use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
+use kyrix_storage::{
+    DataType, Database, ExecStats, IndexKind, Rect, Row, Schema, SpatialCols, Value,
+};
+use std::sync::{Arc, Mutex};
 
 /// Grid database: dots at every integer (x, y) in [0, 100) x [0, 100),
 /// canvas maps 1 canvas unit = 1 raw unit (placement = raw attributes).
@@ -1416,8 +1419,26 @@ fn explain_renders_plan_tuner_drift_and_storage_path() {
     assert!(text.contains("drift: not assessed"), "{text}");
 
     // The storage half: the layer's fetch SQL and its access path.
+    // The SQL is the statement a fetch executes, text for text: fetch one
+    // tile through the served store against a copy of the data whose
+    // query observer records what ran.
     let sql = ex.fetch_sql.as_ref().expect("dynamic layer fetches");
-    assert!(sql.contains("bbox && rect($1, $2, $3, $4)"), "{sql}");
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let mut db = grid_db(true);
+    db.set_query_observer(Some(Arc::new(move |sql: &str, _, _: &ExecStats| {
+        sink.lock().unwrap().push(sql.to_string())
+    })));
+    let store = server.store("overview", 0).unwrap();
+    let (rows, _) = fetch_tile(
+        &DatabaseSnapshot::pin(&db),
+        &store,
+        Tiling::new(10.0),
+        TileId::new(2, 2),
+    )
+    .unwrap();
+    assert!(!rows.is_empty());
+    assert_eq!(*seen.lock().unwrap(), std::slice::from_ref(sql));
     assert!(
         ex.storage_plan
             .iter()

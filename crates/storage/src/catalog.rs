@@ -181,8 +181,14 @@ impl Table {
 
     /// Fetch and decode a row.
     pub fn get(&self, rid: RecordId) -> Result<Option<Row>> {
+        self.get_reserving(rid, 0)
+    }
+
+    /// [`Table::get`] with room for `tail` more values in the decoded row
+    /// (see [`Row::decode_reserving`]).
+    pub fn get_reserving(&self, rid: RecordId, tail: usize) -> Result<Option<Row>> {
         match self.heap.get(rid) {
-            Some(bytes) => Ok(Some(Row::decode(bytes, &self.schema)?)),
+            Some(bytes) => Ok(Some(Row::decode_reserving(bytes, &self.schema, tail)?)),
             None => Ok(None),
         }
     }
@@ -197,10 +203,11 @@ impl Table {
 
     /// Scan live rows until the callback returns false. The substrate for
     /// LIMIT pushdown: a `LIMIT k` scan decodes only the rows it keeps
-    /// plus the ones its filter rejects, instead of the whole heap.
-    pub fn scan_while<F: FnMut(RecordId, Row) -> bool>(&self, mut f: F) -> Result<()> {
+    /// plus the ones its filter rejects, instead of the whole heap. Rows are
+    /// decoded with room for `tail` more values.
+    pub fn scan_while<F: FnMut(RecordId, Row) -> bool>(&self, tail: usize, mut f: F) -> Result<()> {
         for (rid, bytes) in self.heap.iter() {
-            if !f(rid, Row::decode(bytes, &self.schema)?) {
+            if !f(rid, Row::decode_reserving(bytes, &self.schema, tail)?) {
                 break;
             }
         }

@@ -7,8 +7,8 @@ use crate::row::Row;
 use crate::schema::Schema;
 use crate::sql::bind::{Bindings, BoundExpr};
 use crate::sql::{
-    execute_select, explain_select, output_schema, parse, parse_statement, QueryResult, Select,
-    Statement,
+    execute_select, execute_select_reserving, explain_select, output_schema, parse,
+    parse_statement, QueryResult, Select, Statement,
 };
 use crate::stats::{DbCounters, ExecStats};
 use crate::value::{DataType, Value};
@@ -58,12 +58,50 @@ impl Clone for Database {
 
 /// A parsed statement, reusable across executions with different parameters.
 /// This mirrors the prepared-statement path a Kyrix backend would use against
-/// PostgreSQL for its per-tile / per-box queries.
+/// PostgreSQL for its per-tile / per-box queries: the server prepares each
+/// layer's fetch statement once at launch and executes it per fetch.
+///
+/// A statement is independent of any one database (planning happens per
+/// execution), so one `Prepared` serves every snapshot version and every
+/// shard.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    pub(crate) stmt: Select,
+    stmt: Select,
     /// Original SQL, kept for diagnostics.
     pub sql: String,
+    tail: usize,
+}
+
+impl Prepared {
+    /// Parse a SELECT.
+    pub fn new(sql: &str) -> Result<Prepared> {
+        Ok(Prepared {
+            stmt: parse(sql)?,
+            sql: sql.to_string(),
+            tail: 0,
+        })
+    }
+
+    /// Declare that the consumer appends `tail` values to every returned
+    /// row. The executor then allocates each row of a non-aggregate,
+    /// single-table result with exactly `schema.len() + tail` capacity
+    /// ([`crate::sql::exec::execute_select_reserving`]), so the row is
+    /// allocated once, at its final width.
+    pub fn reserving(mut self, tail: usize) -> Prepared {
+        self.tail = tail;
+        self
+    }
+
+    /// The parsed statement.
+    pub fn statement(&self) -> &Select {
+        &self.stmt
+    }
+
+    /// How many values the consumer appends per row (see
+    /// [`Prepared::reserving`]).
+    pub fn tail(&self) -> usize {
+        self.tail
+    }
 }
 
 impl Database {
@@ -357,17 +395,16 @@ impl Database {
 
     /// Parse once; execute many times with different parameters.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        Ok(Prepared {
-            stmt: parse(sql)?,
-            sql: sql.to_string(),
-        })
+        Prepared::new(sql)
     }
 
     /// Execute a prepared statement. Planning happens per execution (the
     /// plan depends on available indexes, which may change between calls).
+    /// Result rows come back with room for the statement's
+    /// [`Prepared::tail`].
     pub fn execute(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
         let start = self.observer.as_ref().map(|_| Instant::now());
-        let result = execute_select(self, &prepared.stmt, params);
+        let result = execute_select_reserving(self, &prepared.stmt, params, prepared.tail);
         if let (Some(obs), Some(t0)) = (&self.observer, start) {
             let stats = result.as_ref().map(|r| r.stats).unwrap_or_default();
             obs(&prepared.sql, t0.elapsed(), &stats);

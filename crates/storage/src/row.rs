@@ -43,8 +43,15 @@ impl Row {
 
     /// Decode a row of `schema.len()` values from `buf`.
     pub fn decode(buf: &[u8], schema: &Schema) -> Result<Row> {
+        Row::decode_reserving(buf, schema, 0)
+    }
+
+    /// [`Row::decode`] into a buffer of exactly `schema.len() + tail`
+    /// capacity, so a consumer that appends `tail` more values to the row
+    /// never reallocates it.
+    pub fn decode_reserving(buf: &[u8], schema: &Schema, tail: usize) -> Result<Row> {
         let mut pos = 0;
-        let mut values = Vec::with_capacity(schema.len());
+        let mut values = Vec::with_capacity(schema.len() + tail);
         for _ in 0..schema.len() {
             values.push(Value::decode(buf, &mut pos)?);
         }
@@ -94,6 +101,9 @@ mod tests {
         let buf = row.encode();
         let back = Row::decode(&buf, &schema).unwrap();
         assert_eq!(back, row);
+        let roomy = Row::decode_reserving(&buf, &schema, 7).unwrap();
+        assert_eq!(roomy, row);
+        assert_eq!(roomy.values.capacity(), schema.len() + 7);
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! Plan executor: materializes SELECT results (including aggregation,
 //! multi-key ordering, OFFSET/LIMIT) and renders EXPLAIN output.
+//!
+//! A non-aggregate result row is allocated once. The scan decodes it from
+//! its heap page; when the select list is the scan's columns in scan
+//! order (`SELECT *`, or every column named in order) the projection hands
+//! the scan's rows on as the result instead of copying them, and
+//! [`execute_select_reserving`] lets a caller that will append columns
+//! of its own have each row decoded with exactly that much room.
 
 use super::ast::{AggFunc, ColumnRef, OrderBy, Select, SelectItem, SqlExpr};
 use super::bind::{Bindings, BoundExpr};
@@ -8,7 +15,7 @@ use crate::database::Database;
 use crate::error::{Result, StorageError};
 use crate::geom::Rect;
 use crate::row::Row;
-use crate::schema::Schema;
+use crate::schema::{Column, Schema};
 use crate::stats::ExecStats;
 use crate::value::{DataType, OrdValue, Value};
 use std::collections::HashMap;
@@ -65,7 +72,7 @@ pub fn output_schema(db: &Database, stmt: &Select) -> Result<Schema> {
     let (schema, _) = if stmt.is_aggregate() {
         aggregate(&out, stmt, &[])?
     } else {
-        project(&out, &stmt.items, &[])?
+        project(out, &stmt.items, &[], 0)?
     };
     Ok(schema)
 }
@@ -106,12 +113,27 @@ fn scan_entries<'a>(db: &'a Database, plan: &ScanPlan) -> Result<Vec<(String, &'
 
 /// Execute a parsed SELECT.
 pub fn execute_select(db: &Database, stmt: &Select, params: &[Value]) -> Result<QueryResult> {
+    execute_select_reserving(db, stmt, params, 0)
+}
+
+/// [`execute_select`] for a caller that appends `tail` values of its own
+/// to every returned row: each row of a non-aggregate, single-table
+/// result comes back with exactly `schema.len() + tail` capacity, so the
+/// appends never reallocate it. Content, order and [`ExecStats`] are
+/// those of `execute_select`; aggregates and join outputs ignore `tail`.
+pub fn execute_select_reserving(
+    db: &Database,
+    stmt: &Select,
+    params: &[Value],
+    tail: usize,
+) -> Result<QueryResult> {
     if let Some(fast) = plan_fast_path(db, stmt)? {
-        return execute_fast_path(db, stmt, &fast, params);
+        return execute_fast_path(db, stmt, &fast, params, tail);
     }
     let plan = plan_select(db, stmt)?;
     let mut stats = ExecStats::default();
-    let mut out = run_scan(db, &plan, params, limit_pushdown_cap(stmt), &mut stats)?;
+    let cap = limit_pushdown_cap(stmt);
+    let mut out = run_scan(db, &plan, params, cap, tail, &mut stats)?;
 
     let (schema, mut rows) = if stmt.is_aggregate() {
         let (schema, mut rows) = aggregate(&out, stmt, params)?;
@@ -128,7 +150,7 @@ pub fn execute_select(db: &Database, stmt: &Select, params: &[Value]) -> Result<
         if !sorted && sort_rows(&mut out, &stmt.order_by).is_ok() {
             sorted = true;
         }
-        let (schema, mut rows) = project(&out, &stmt.items, params)?;
+        let (schema, mut rows) = project(out, &stmt.items, params, tail)?;
         if !sorted {
             sort_by_output(&schema, &mut rows, &stmt.order_by)?;
         }
@@ -136,14 +158,20 @@ pub fn execute_select(db: &Database, stmt: &Select, params: &[Value]) -> Result<
     };
 
     apply_offset_limit(&mut rows, stmt.offset, stmt.limit);
+    Ok(finish(db, schema, rows, stats))
+}
+
+/// Close a result: count its rows and wire bytes and fold the statistics
+/// into the database's cumulative counters.
+fn finish(db: &Database, schema: Schema, rows: Vec<Row>, mut stats: ExecStats) -> QueryResult {
     stats.rows_out = rows.len() as u64;
     stats.bytes_out = rows.iter().map(|r| r.wire_size() as u64).sum();
     db.counters.record(&stats);
-    Ok(QueryResult {
+    QueryResult {
         schema,
         rows,
         stats,
-    })
+    }
 }
 
 fn apply_offset_limit(rows: &mut Vec<Row>, offset: Option<u64>, limit: Option<u64>) {
@@ -176,6 +204,7 @@ fn execute_fast_path(
     stmt: &Select,
     fast: &FastPath,
     params: &[Value],
+    tail: usize,
 ) -> Result<QueryResult> {
     let mut stats = ExecStats::default();
     let (schema, mut rows) = match fast {
@@ -189,7 +218,7 @@ fn execute_fast_path(
                     .expect("MetaAggregate items are all aggregates");
                 match meta {
                     MetaAgg::CountStar => {
-                        cols.push(crate::schema::Column::new(name, DataType::Int));
+                        cols.push(Column::new(name, DataType::Int));
                         values.push(Value::Int(t.len() as i64));
                     }
                     MetaAgg::Min { column, .. } | MetaAgg::Max { column, .. } => {
@@ -202,7 +231,7 @@ fn execute_fast_path(
                             MetaAgg::Min { .. } => t.index_min(index_no),
                             _ => t.index_max(index_no),
                         };
-                        cols.push(crate::schema::Column::new(name, t.schema.column(ci).dtype));
+                        cols.push(Column::new(name, t.schema.column(ci).dtype));
                         values.push(v);
                     }
                 }
@@ -238,7 +267,7 @@ fn execute_fast_path(
             stats.index_probes += 1;
             if need > 0 {
                 t.index_ordered_walk(*index_no, *desc, |rid| {
-                    let row = match t.get(rid) {
+                    let row = match t.get_reserving(rid, tail) {
                         Ok(Some(row)) => row,
                         Ok(None) => {
                             err = Some(StorageError::ExecError("dangling index entry".into()));
@@ -269,18 +298,11 @@ fn execute_fast_path(
                 rows: scan_rows,
             };
             // rows already arrive in ORDER BY order; project only
-            project(&out, &stmt.items, params)?
+            project(out, &stmt.items, params, tail)?
         }
     };
     apply_offset_limit(&mut rows, stmt.offset, stmt.limit);
-    stats.rows_out = rows.len() as u64;
-    stats.bytes_out = rows.iter().map(|r| r.wire_size() as u64).sum();
-    db.counters.record(&stats);
-    Ok(QueryResult {
-        schema,
-        rows,
-        stats,
-    })
+    Ok(finish(db, schema, rows, stats))
 }
 
 /// Multi-key comparison over resolved (index, desc) pairs.
@@ -334,6 +356,7 @@ fn run_scan<'a>(
     plan: &ScanPlan,
     params: &[Value],
     cap: Option<usize>,
+    tail: usize,
     stats: &mut ExecStats,
 ) -> Result<ScanOutput<'a>> {
     match plan {
@@ -351,7 +374,7 @@ fn run_scan<'a>(
             let mut scanned = 0u64;
             let mut err = None;
             if cap != Some(0) {
-                t.scan_while(|_, row| {
+                t.scan_while(tail, |_, row| {
                     scanned += 1;
                     match &bound {
                         Some(f) => match f.eval(&row.values, params).and_then(|v| v.as_bool()) {
@@ -389,7 +412,7 @@ fn run_scan<'a>(
             let mut rids = Vec::new();
             t.probe_eq(*index_no, &key_val, |rid| rids.push(rid));
             stats.index_probes += 1;
-            let rows = fetch_filter(t, &rids, residual, &bindings, params, cap, stats)?;
+            let rows = fetch_filter(t, &rids, residual, &bindings, params, cap, tail, stats)?;
             Ok(ScanOutput {
                 entries: vec![(binding.clone(), &t.schema)],
                 rows,
@@ -410,7 +433,7 @@ fn run_scan<'a>(
             let mut rids = Vec::new();
             t.probe_range(*index_no, &lo_v, &hi_v, |rid| rids.push(rid));
             stats.index_probes += 1;
-            let rows = fetch_filter(t, &rids, residual, &bindings, params, cap, stats)?;
+            let rows = fetch_filter(t, &rids, residual, &bindings, params, cap, tail, stats)?;
             Ok(ScanOutput {
                 entries: vec![(binding.clone(), &t.schema)],
                 rows,
@@ -436,7 +459,7 @@ fn run_scan<'a>(
             let (_, visited) = t.probe_spatial(*index_no, &query, |rid| rids.push(rid));
             stats.index_probes += 1;
             stats.nodes_visited += visited as u64;
-            let rows = fetch_filter(t, &rids, residual, &bindings, params, cap, stats)?;
+            let rows = fetch_filter(t, &rids, residual, &bindings, params, cap, tail, stats)?;
             Ok(ScanOutput {
                 entries: vec![(binding.clone(), &t.schema)],
                 rows,
@@ -451,7 +474,7 @@ fn run_scan<'a>(
             outer_is_from,
             residual,
         } => {
-            let outer_out = run_scan(db, outer, params, None, stats)?;
+            let outer_out = run_scan(db, outer, params, None, 0, stats)?;
             let inner_t = db.table(inner_table)?;
             let outer_bindings = outer_out.bindings();
             let (key_idx, _) = outer_bindings.resolve(outer_key)?;
@@ -503,7 +526,7 @@ fn run_scan<'a>(
             outer_is_from,
             residual,
         } => {
-            let outer_out = run_scan(db, outer, params, None, stats)?;
+            let outer_out = run_scan(db, outer, params, None, 0, stats)?;
             let inner_t = db.table(inner_table)?;
             let outer_bindings = outer_out.bindings();
             let (key_idx, _) = outer_bindings.resolve(outer_key)?;
@@ -587,7 +610,9 @@ fn keep(filter: &Option<BoundExpr>, row: &Row, params: &[Value]) -> Result<bool>
 }
 
 /// Fetch rows by record id and apply a residual filter; stops as soon as
-/// `cap` kept rows have been produced (LIMIT pushdown).
+/// `cap` kept rows have been produced (LIMIT pushdown). Rows are decoded
+/// with room for `tail` more values.
+#[allow(clippy::too_many_arguments)]
 fn fetch_filter(
     t: &crate::catalog::Table,
     rids: &[crate::heap::RecordId],
@@ -595,6 +620,7 @@ fn fetch_filter(
     bindings: &Bindings<'_>,
     params: &[Value],
     cap: Option<usize>,
+    tail: usize,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
     let bound = residual
@@ -607,7 +633,7 @@ fn fetch_filter(
             break;
         }
         let row = t
-            .get(rid)?
+            .get_reserving(rid, tail)?
             .ok_or_else(|| StorageError::ExecError("dangling index entry".into()))?;
         stats.rows_scanned += 1;
         if keep(&bound, &row, params)? {
@@ -619,35 +645,41 @@ fn fetch_filter(
 
 // ------------------------------------------------------------- projection
 
+/// Evaluate the select list over the scan's rows. When the list is the
+/// scan's columns in scan order the scan's rows *are* the result and move
+/// into it untouched (the scan decoded them with room for `tail`); any
+/// other list builds each output row once, at `width + tail` capacity.
 fn project(
-    out: &ScanOutput<'_>,
+    out: ScanOutput<'_>,
     items: &[SelectItem],
     params: &[Value],
+    tail: usize,
 ) -> Result<(Schema, Vec<Row>)> {
     let bindings = out.bindings();
     let flat_schema = out.flat_schema();
     let types: Vec<DataType> = flat_schema.columns().iter().map(|c| c.dtype).collect();
 
-    // expand items into (name, source) where source is a column index or a
-    // bound expression
+    // expand items into output columns and where each comes from: a scan
+    // column index or a bound expression
     enum Source {
         Col(usize),
         Expr(BoundExpr),
     }
-    let mut cols: Vec<(String, DataType, Source)> = Vec::new();
+    let mut columns: Vec<Column> = Vec::new();
+    let mut sources: Vec<Source> = Vec::new();
     for (i, item) in items.iter().enumerate() {
         match item {
             SelectItem::Star => {
-                for (idx, c) in flat_schema.columns().iter().enumerate() {
-                    cols.push((c.name.clone(), c.dtype, Source::Col(idx)));
-                }
+                columns.extend_from_slice(flat_schema.columns());
+                sources.extend((0..flat_schema.len()).map(Source::Col));
             }
             SelectItem::QualifiedStar(b) => {
                 let Some(list) = bindings.columns_of(b) else {
                     return Err(StorageError::UnknownTable(b.clone()));
                 };
                 for (idx, name, dtype) in list {
-                    cols.push((name, dtype, Source::Col(idx)));
+                    columns.push(Column::new(name, dtype));
+                    sources.push(Source::Col(idx));
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -656,12 +688,11 @@ fn project(
                     SqlExpr::Column(ColumnRef { column, .. }) => column.clone(),
                     _ => format!("expr{i}"),
                 });
-                let dtype = bound.infer_type(&types);
-                let src = match &bound {
-                    BoundExpr::Col(idx) => Source::Col(*idx),
-                    _ => Source::Expr(bound),
-                };
-                cols.push((name, dtype, src));
+                columns.push(Column::new(name, bound.infer_type(&types)));
+                sources.push(match bound {
+                    BoundExpr::Col(idx) => Source::Col(idx),
+                    bound => Source::Expr(bound),
+                });
             }
             SelectItem::Aggregate { .. } => {
                 return Err(StorageError::PlanError(
@@ -671,15 +702,19 @@ fn project(
         }
     }
 
-    let schema = Schema::new(
-        cols.iter()
-            .map(|(n, t, _)| crate::schema::Column::new(n.clone(), *t))
-            .collect(),
-    );
+    let schema = Schema::new(columns);
+    let identity = sources.len() == flat_schema.len()
+        && sources
+            .iter()
+            .enumerate()
+            .all(|(i, src)| matches!(src, Source::Col(c) if *c == i));
+    if identity {
+        return Ok((schema, out.rows));
+    }
     let mut rows = Vec::with_capacity(out.rows.len());
     for row in &out.rows {
-        let mut values = Vec::with_capacity(cols.len());
-        for (_, _, src) in &cols {
+        let mut values = Vec::with_capacity(sources.len() + tail);
+        for src in &sources {
             values.push(match src {
                 Source::Col(i) => row.get(*i).clone(),
                 Source::Expr(e) => e.eval(&row.values, params)?,
@@ -939,7 +974,7 @@ fn aggregate(out: &ScanOutput<'_>, stmt: &Select, params: &[Value]) -> Result<(S
 
     let schema = Schema::new(
         cols.iter()
-            .map(|(n, t, _)| crate::schema::Column::new(n.clone(), *t))
+            .map(|(n, t, _)| Column::new(n.clone(), *t))
             .collect(),
     );
 

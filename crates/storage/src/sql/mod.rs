@@ -54,6 +54,8 @@ pub use ast::{
     AggFunc, ColumnRef, CreateIndex, CreateTable, Delete, IndexSpec, Insert, Select, SelectItem,
     SqlExpr, Statement, Update,
 };
-pub use exec::{execute_select, explain_select, output_schema, QueryResult};
+pub use exec::{
+    execute_select, execute_select_reserving, explain_select, output_schema, QueryResult,
+};
 pub use parser::{parse, parse_statement};
 pub use plan::{plan_fast_path, plan_select, FastPath, MetaAgg, ScanPlan};

@@ -8,6 +8,12 @@
 //! (never parsed back) so the reference stays independent of the SQL
 //! pipeline under test.
 //!
+//! The non-aggregate shapes run under three select lists ([`Proj`]): two
+//! that are the scan's columns in scan order, whose result rows the
+//! executor *moves* out of the scan, and one that is not, whose rows it
+//! builds — both against the same reference. Hand-written cases below
+//! cover what the generators cannot express (joins, ORDER BY fallbacks).
+//!
 //! Each generated case also asserts *plan-level* expectations: eligible
 //! shapes must resolve to a fast path (and show the matching `ExecStats`),
 //! ineligible ones must fall back — so the shortcuts are provably
@@ -32,6 +38,9 @@ enum Filter {
     /// `k BETWEEN lo AND hi` — plans to an index range scan, which makes
     /// top-N ineligible (the fallback must still match the reference).
     KBetween(i64, i64),
+    /// `k BETWEEN lo AND hi AND v >= c` — the index range scan with a
+    /// residual filter on the rows it fetches.
+    KBetweenVGe(i64, i64, i64),
 }
 
 impl Filter {
@@ -40,6 +49,9 @@ impl Filter {
             Filter::None => String::new(),
             Filter::VGe(c) => format!(" WHERE v >= {c}"),
             Filter::KBetween(lo, hi) => format!(" WHERE k BETWEEN {lo} AND {hi}"),
+            Filter::KBetweenVGe(lo, hi, c) => {
+                format!(" WHERE k BETWEEN {lo} AND {hi} AND v >= {c}")
+            }
         }
     }
 
@@ -49,6 +61,37 @@ impl Filter {
             Filter::None => true,
             Filter::VGe(c) => v.is_some_and(|v| v >= *c),
             Filter::KBetween(lo, hi) => k.is_some_and(|k| k >= *lo && k <= *hi),
+            Filter::KBetweenVGe(lo, hi, c) => {
+                Filter::KBetween(*lo, *hi).matches(k, v) && Filter::VGe(*c).matches(k, v)
+            }
+        }
+    }
+
+    /// Whether the WHERE plans to an index scan on `k`.
+    fn is_indexed(&self) -> bool {
+        matches!(self, Filter::KBetween(..) | Filter::KBetweenVGe(..))
+    }
+}
+
+/// Select lists of the non-aggregate shapes. The first two are the scan's
+/// columns in scan order — the executor hands the scan's rows on as the
+/// result — the third is not, and builds each output row from its source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Proj {
+    /// `SELECT *`.
+    Star,
+    /// `SELECT id, k, v`.
+    Named,
+    /// `SELECT v, k, id`.
+    Reversed,
+}
+
+impl Proj {
+    fn sql(&self) -> &'static str {
+        match self {
+            Proj::Star => "*",
+            Proj::Named => "id, k, v",
+            Proj::Reversed => "v, k, id",
         }
     }
 }
@@ -122,10 +165,11 @@ fn build_db(rows: &[GenRow], index_v: bool) -> Database {
 
 /// What the generators can express: `SELECT <items> FROM t [WHERE ..]
 /// [ORDER BY k [DESC]] [LIMIT n] [OFFSET n]` where `<items>` is either
-/// `id, k, v` or a non-empty aggregate list.
+/// a [`Proj`] or a non-empty aggregate list.
 #[derive(Debug, Clone)]
 struct GenQuery {
     aggs: Vec<Agg>,
+    proj: Proj,
     filter: Filter,
     order_desc: Option<bool>,
     limit: Option<u64>,
@@ -135,7 +179,7 @@ struct GenQuery {
 impl GenQuery {
     fn sql(&self) -> String {
         let items = if self.aggs.is_empty() {
-            "id, k, v".to_string()
+            self.proj.sql().to_string()
         } else {
             self.aggs
                 .iter()
@@ -205,7 +249,13 @@ fn naive_execute(rows: &[GenRow], q: &GenQuery) -> Vec<Vec<Value>> {
         kept.truncate(l as usize);
     }
     kept.into_iter()
-        .map(|(id, k, v)| vec![Value::Int(id), opt(k), opt(v)])
+        .map(|(id, k, v)| {
+            let mut row = vec![Value::Int(id), opt(k), opt(v)];
+            if q.proj == Proj::Reversed {
+                row.reverse();
+            }
+            row
+        })
         .collect()
 }
 
@@ -294,10 +344,19 @@ mod generated {
     }
 
     fn filter_strategy() -> impl Strategy<Value = Filter> {
-        (0u8..3, -40..40i64, 0..8i64, 0..8i64).prop_map(|(sel, c, a, b)| match sel {
+        (0u8..4, -40..40i64, 0..8i64, 0..8i64).prop_map(|(sel, c, a, b)| match sel {
             0 => Filter::None,
             1 => Filter::VGe(c),
-            _ => Filter::KBetween(a.min(b), a.max(b)),
+            2 => Filter::KBetween(a.min(b), a.max(b)),
+            _ => Filter::KBetweenVGe(a.min(b), a.max(b), c),
+        })
+    }
+
+    fn proj_strategy() -> impl Strategy<Value = Proj> {
+        (0u8..3).prop_map(|sel| match sel {
+            0 => Proj::Star,
+            1 => Proj::Named,
+            _ => Proj::Reversed,
         })
     }
 
@@ -317,6 +376,7 @@ mod generated {
             let db = build_db(&rows, index_v);
             let q = GenQuery {
                 aggs: aggs_of(mask),
+                proj: Proj::Star,
                 filter,
                 order_desc: None,
                 limit: None,
@@ -348,10 +408,12 @@ mod generated {
             limit in 0u64..12,
             offset in prop::option::of(0u64..6),
             filter in filter_strategy(),
+            proj in proj_strategy(),
         ) {
             let db = build_db(&rows, false);
             let q = GenQuery {
                 aggs: Vec::new(),
+                proj,
                 filter,
                 order_desc: Some(desc),
                 limit: Some(limit),
@@ -360,14 +422,13 @@ mod generated {
             let r = check_differential(&db, &rows, &q).unwrap_or_else(|e| panic!("{e}"));
 
             let fast = fast_path_of(&db, &q.sql());
-            match filter {
-                Filter::KBetween(..) => {
-                    prop_assert!(fast.is_none(), "indexed WHERE keeps its range scan");
-                }
-                _ => prop_assert!(
+            if filter.is_indexed() {
+                prop_assert!(fast.is_none(), "indexed WHERE keeps its range scan");
+            } else {
+                prop_assert!(
                     matches!(fast, Some(FastPath::TopN { .. })),
                     "expected top-N for `{}`", q.sql()
-                ),
+                );
             }
             if filter == Filter::None {
                 let need = (offset.unwrap_or(0) + limit) as usize;
@@ -387,10 +448,12 @@ mod generated {
             limit in 0u64..12,
             offset in prop::option::of(0u64..6),
             filter in filter_strategy(),
+            proj in proj_strategy(),
         ) {
             let db = build_db(&rows, false);
             let q = GenQuery {
                 aggs: Vec::new(),
+                proj,
                 filter,
                 order_desc: None,
                 limit: Some(limit),
@@ -547,4 +610,132 @@ fn fast_paths_survive_deletions() {
         .unwrap();
     let got: Vec<&Value> = r.rows.iter().map(|row| row.get(0)).collect();
     assert_eq!(got, vec![&Value::Int(24), &Value::Int(23), &Value::Int(22)]);
+}
+
+// ------------------------------------------- SELECT * moves the scan's rows
+
+/// One row of table `u(k, name)`.
+type URow = (Option<i64>, String);
+
+/// `t(id, k, v)` beside `u(k, name)` with two rows per key 1..=3 (and a
+/// NULL key that joins nothing); `index_u` decides which side an index
+/// join can probe.
+fn join_db(index_u: bool) -> (Database, Vec<GenRow>, Vec<URow>) {
+    let rows: Vec<GenRow> = (0..24)
+        .map(|i| (if i % 6 == 5 { None } else { Some(i % 5) }, Some(i - 10)))
+        .collect();
+    let mut db = build_db(&rows, false);
+    db.create_table(
+        "u",
+        Schema::empty()
+            .with("k", DataType::Int)
+            .with("name", DataType::Text),
+    )
+    .unwrap();
+    let mut u_rows = vec![(None, "nobody".to_string())];
+    for k in 1..=3 {
+        for copy in ["a", "b"] {
+            u_rows.push((Some(k), format!("{copy}{k}")));
+        }
+    }
+    for (k, name) in &u_rows {
+        db.insert("u", Row::new(vec![opt(*k), Value::Text(name.clone())]))
+            .unwrap();
+    }
+    if index_u {
+        db.create_index("u", "idx_uk", IndexKind::BTree { column: "k".into() })
+            .unwrap();
+    }
+    (db, rows, u_rows)
+}
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<String> {
+    let mut v: Vec<String> = rows.drain(..).map(|r| format!("{r:?}")).collect();
+    v.sort();
+    v
+}
+
+/// `SELECT *` over an index join is the joined row `t ++ u` whichever
+/// side drives the join, and an inner-side conjunct stays a residual.
+#[test]
+fn star_over_an_index_join_matches_nested_loops() {
+    for (index_u, outer_is_from) in [(true, true), (false, false)] {
+        let (db, t_rows, u_rows) = join_db(index_u);
+        for (where_sql, min_v) in [("", i64::MIN), (" WHERE t.v >= 0", 0)] {
+            // a filter on the FROM side makes it the outer side when the
+            // joined side can be probed; without one the indexes decide
+            let sql = format!("SELECT * FROM t JOIN u ON t.k = u.k{where_sql}");
+            let stmt = sql::parse(&sql).unwrap();
+            match sql::plan_select(&db, &stmt).unwrap() {
+                sql::ScanPlan::IndexJoin {
+                    outer_is_from: got, ..
+                } => assert_eq!(got, outer_is_from, "`{sql}`"),
+                other => panic!("`{sql}` planned {}", other.describe()),
+            }
+            let mut want = Vec::new();
+            for (id, (k, v)) in t_rows.iter().enumerate() {
+                for (uk, name) in &u_rows {
+                    if k.is_some() && k == uk && v.is_some_and(|v| v >= min_v) {
+                        want.push(vec![
+                            Value::Int(id as i64),
+                            opt(*k),
+                            opt(*v),
+                            opt(*uk),
+                            Value::Text(name.clone()),
+                        ]);
+                    }
+                }
+            }
+            assert!(!want.is_empty());
+            let r = db.query(&sql, &[]).unwrap();
+            let names: Vec<&str> = r.schema.columns().iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["id", "t.k", "v", "u.k", "name"]);
+            assert_eq!(sorted(result_rows(&r)), sorted(want), "`{sql}`");
+        }
+    }
+}
+
+/// An ORDER BY key that is no scan column sorts *after* projection, by
+/// output name — on rows the star projection moved, not copied.
+#[test]
+fn star_sorts_after_projection_when_the_key_is_no_scan_column() {
+    let (db, _) = hits_db();
+    // an unknown qualifier fails scan-column resolution and falls back to
+    // the bare output name
+    let by_name = db.query("SELECT * FROM t ORDER BY x.v DESC", &[]).unwrap();
+    let by_col = db.query("SELECT * FROM t ORDER BY v DESC", &[]).unwrap();
+    assert_eq!(by_name.rows.len(), 40);
+    assert_eq!(result_rows(&by_name), result_rows(&by_col));
+    let by_name = db
+        .query("SELECT * FROM t ORDER BY x.k LIMIT 5 OFFSET 3", &[])
+        .unwrap();
+    let by_col = db
+        .query("SELECT * FROM t ORDER BY k LIMIT 5 OFFSET 3", &[])
+        .unwrap();
+    assert_eq!(result_rows(&by_name), result_rows(&by_col));
+    // a key that is neither errors as before
+    let err = db.query("SELECT * FROM t ORDER BY nope", &[]).unwrap_err();
+    assert!(err.to_string().contains("neither a scan column"), "{err}");
+}
+
+/// Moved or built, a result row is allocated once at `width + tail`.
+#[test]
+fn result_rows_are_allocated_at_final_width() {
+    let (db, n) = hits_db();
+    for (sql, width) in [
+        ("SELECT * FROM t", 3),
+        ("SELECT * FROM t WHERE k BETWEEN 1 AND 3 AND v >= 0", 3),
+        ("SELECT * FROM t ORDER BY k LIMIT 9", 3),
+        ("SELECT v, id FROM t", 2),
+    ] {
+        for tail in [0, 7] {
+            let prepared = kyrix_storage::Prepared::new(sql).unwrap().reserving(tail);
+            let r = db.execute(&prepared, &[]).unwrap();
+            assert!(!r.rows.is_empty() && r.rows.len() <= n);
+            assert_eq!(r.rows, db.query(sql, &[]).unwrap().rows, "`{sql}`");
+            for row in &r.rows {
+                assert_eq!(row.values.capacity(), width + tail, "`{sql}` tail {tail}");
+            }
+        }
+    }
 }
