@@ -558,8 +558,9 @@ fn load(small: bool, telemetry: Option<&str>) {
 
 /// §4: the sharded serving engine — the LoD pyramid built *on* a shard
 /// grid with `build_pyramid_on_shards`, served through the scatter-gather
-/// backend (`KyrixServer::launch_sharded`), against the single-node
-/// backend on the same data and the same cold zoom walk. Every grid
+/// backend (`KyrixServer::launch_sharded`), from one shard (served
+/// inline, the baseline) up, on the same data and the same cold zoom
+/// walk. Every grid
 /// returns the same tuples (the parity guarantee the `prop_shard_serve`
 /// suite pins); what moves is latency: routed viewports touch a constant
 /// number of cells, so each shard probes a shrinking R-tree, and the

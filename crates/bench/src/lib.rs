@@ -916,11 +916,10 @@ pub fn dots_on_grid(
 /// One row of the shard scale-up experiment ([`run_shard_scaleup`]).
 #[derive(Debug, Clone)]
 pub struct ShardScaleupResult {
-    /// Row label, e.g. `4 (2x2)` or `1 (single-node)`.
+    /// Row label, e.g. `4 (2x2)`.
     pub label: String,
     pub shards: usize,
-    /// Pyramid construction wall-clock, ms (`build_pyramid_on_shards`
-    /// on the sharded rows, `build_pyramid` on the single-node row).
+    /// Pyramid construction wall-clock, ms (`build_pyramid_on_shards`).
     pub build_ms: f64,
     /// Cold per-step serve latency over the zoom walk, ms (exact
     /// harness-side percentiles over the individual steps).
@@ -933,8 +932,8 @@ pub struct ShardScaleupResult {
     /// scatter-gather parity guarantee (same data, same walk).
     pub rows_fetched: u64,
     /// Mean latency of the scatter (fan-out + per-shard R-tree probes)
-    /// and coordinator-merge spans, ms; zero on the single-node row,
-    /// which never emits either span.
+    /// and coordinator-merge spans, ms; zero on the one-shard row, which
+    /// is served inline and never emits either span.
     pub scatter_mean_ms: f64,
     pub merge_mean_ms: f64,
     /// Whole-registry dump ([`KyrixServer::telemetry_json`]) taken after
@@ -946,11 +945,11 @@ pub struct ShardScaleupResult {
 /// The shard scale-up experiment: build the galaxy pyramid *on* each
 /// shard grid with [`kyrix_lod::build_pyramid_on_shards`], launch the
 /// scatter-gather serving backend over it, and walk the same cold zoom
-/// trace the single-node LoD experiment uses. The `(1, 1)` grid runs the
-/// single-node backend (`KyrixServer::launch`) as the baseline; every
-/// other grid goes through [`KyrixServer::launch_sharded`]. All rows
-/// serve identical data along an identical walk, so `rows_fetched` must
-/// agree across shard counts — only the latency moves.
+/// trace the single-node LoD experiment uses. Every grid, `(1, 1)`
+/// included, goes through the same two calls: one shard is the baseline
+/// because the backend serves it inline. All rows serve identical data
+/// along an identical walk, so `rows_fetched` must agree across shard
+/// counts — only the latency moves.
 pub fn run_shard_scaleup(
     g: &GalaxyConfig,
     levels: usize,
@@ -999,25 +998,12 @@ pub fn run_shard_scaleup(
         }
 
         let t0 = Instant::now();
-        let (server, label) = if n == 1 {
-            let mut db = shards.pop().expect("one shard");
-            build_pyramid(&mut db, &lod).expect("build pyramid");
-            let build = t0.elapsed();
-            let app = compile(&lod_app(&lod, viewport), &db).expect("lod app compiles");
-            let (server, _) =
-                KyrixServer::launch(app, db, ServerConfig::new(plan)).expect("server launches");
-            (server, (build, "1 (single-node)".to_string()))
-        } else {
-            let pyramid =
-                build_pyramid_on_shards(&mut shards, &part, &lod).expect("build on shards");
-            let build = t0.elapsed();
-            let router = pyramid.shard_router().expect("sharded router").clone();
-            let app = compile(&lod_app(&lod, viewport), &shards[0]).expect("lod app compiles");
-            let server = KyrixServer::launch_sharded(app, shards, router, ServerConfig::new(plan))
-                .expect("sharded server launches");
-            (server, (build, format!("{n} ({cols}x{grid_rows})")))
-        };
-        let (build, label) = label;
+        let pyramid = build_pyramid_on_shards(&mut shards, &part, &lod).expect("build on shards");
+        let build = t0.elapsed();
+        let router = pyramid.shard_router().expect("sharded router").clone();
+        let app = compile(&lod_app(&lod, viewport), &shards[0]).expect("lod app compiles");
+        let server = KyrixServer::launch_sharded(app, shards, router, ServerConfig::new(plan))
+            .expect("sharded server launches");
 
         let mut lat_ms: Vec<f64> = Vec::with_capacity(walk.len());
         let mut rows_fetched = 0u64;
@@ -1043,7 +1029,7 @@ pub fn run_shard_scaleup(
                 .unwrap_or(0.0)
         };
         out.push(ShardScaleupResult {
-            label,
+            label: format!("{n} ({cols}x{grid_rows})"),
             shards: n,
             build_ms: build.as_secs_f64() * 1000.0,
             p50_ms: pct(0.50),
@@ -1238,13 +1224,14 @@ mod tests {
                 .all(|w| w[0].rows_fetched == w[1].rows_fetched),
             "rows fetched diverged across shard counts"
         );
-        // sharded rows carry the scatter/merge telemetry; the
-        // single-node baseline must not
+        // sharded rows carry the scatter/merge telemetry; the one-shard
+        // row goes through the same `launch_sharded` and must not — the
+        // guard that N = 1 stays inline
         let sharded = &rows[2];
         assert!(sharded.telemetry_json.contains("span.shard.scatter"));
         assert!(sharded.telemetry_json.contains("span.shard.merge"));
         assert!(sharded.telemetry_json.contains("fetch.shard{"));
-        assert!(!rows[0].telemetry_json.contains("span.shard.scatter"));
+        assert!(!rows[0].telemetry_json.contains("shard"));
     }
 
     #[test]

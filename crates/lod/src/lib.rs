@@ -20,16 +20,18 @@
 //!   boundary cells — producing the same level tables as a single node —
 //!   and each level row is written to the shard whose grid cell owns it,
 //!   with a [`kyrix_parallel::QueryRouter`] over every level table: the
-//!   layout `kyrix-server`'s scatter-gather backend serves directly
-//!   ([`LodPyramid::insert_points_sharded`] /
-//!   [`LodPyramid::delete_points_sharded`] route each delta to its
-//!   owning shard and merge boundary cells at the coordinator);
+//!   layout `kyrix-server`'s scatter-gather backend serves directly;
 //! * [`lod_app`] emits the multi-canvas [`kyrix_core::AppSpec`] with
 //!   `geometric_semantic_zoom` jumps auto-wired between adjacent levels;
-//! * [`LodPyramid::insert_points`] / [`LodPyramid::delete_points`]
-//!   ([`maintain`]) mutate the raw table and fold the delta into every
-//!   level table **in place** — a local repair around the dirty grid
-//!   cells, bit-identical to a from-scratch rebuild.
+//! * [`LodPyramid::insert_points_sharded`] /
+//!   [`LodPyramid::delete_points_sharded`] ([`maintain`]) mutate the raw
+//!   table and fold the delta into every level table **in place** — a
+//!   local repair around the dirty grid cells, bit-identical to a
+//!   from-scratch rebuild — over the databases the pyramid was built on:
+//!   each delta routes to its owning shard and boundary cells merge at
+//!   the coordinator; [`LodPyramid::insert_points`] /
+//!   [`LodPyramid::delete_points`] pass the one database of a
+//!   [`build_pyramid`] pyramid as a one-element slice.
 //!
 //! Every level table carries a point R-tree on its `(cx, cy)` columns, so
 //! the existing `kyrix-server` precompute paths (spatial design,

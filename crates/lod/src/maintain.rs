@@ -176,116 +176,54 @@ struct RepairOutcome {
 const FALLBACK_NUM: usize = 1;
 const FALLBACK_DEN: usize = 2;
 
-/// The physical row operations of one maintenance pass, abstracted over
-/// where the tables live: one database, or a shard set with a router.
-/// The repair logic above this trait is identical either way — sharding
-/// only decides *which* physical table a raw point or level row lands in.
-pub(crate) trait MaintainTarget {
-    /// Insert one raw point's row into (the owning shard of) the raw table.
-    fn insert_raw(
-        &mut self,
-        cfg: &LodConfig,
-        layout: &RawLayout,
-        schema_len: usize,
-        p: &RawPoint,
-    ) -> Result<()>;
-    /// Delete the given ids from one level-1 cell of the raw table.
-    fn delete_in_cell(
-        &mut self,
-        cfg: &LodConfig,
-        layout: &RawLayout,
-        cell: Cell,
-        ids: &FxHashSet<i64>,
-    ) -> Result<()>;
-    /// Re-aggregate one level-1 cell from the raw rows still inside it.
-    fn aggregate_cell(
-        &self,
-        cfg: &LodConfig,
-        layout: &RawLayout,
-        cell: Cell,
-    ) -> Result<Option<Cluster>>;
-    /// Delete one level-table row by representative id and position.
-    fn remove_level_row(&mut self, table: &str, out: &Cluster, scale: f64) -> Result<()>;
-    /// Insert the level-table row of one cluster.
-    fn add_level_row(&mut self, table: &str, scale: f64, c: &Cluster) -> Result<()>;
-}
-
-impl MaintainTarget for Database {
-    fn insert_raw(
-        &mut self,
-        cfg: &LodConfig,
-        layout: &RawLayout,
-        schema_len: usize,
-        p: &RawPoint,
-    ) -> Result<()> {
-        self.insert(&cfg.table, raw_row(layout, schema_len, p))?;
-        Ok(())
-    }
-
-    fn delete_in_cell(
-        &mut self,
-        cfg: &LodConfig,
-        layout: &RawLayout,
-        cell: Cell,
-        ids: &FxHashSet<i64>,
-    ) -> Result<()> {
-        delete_rows_in_cell(self, cfg, layout, cell, ids)
-    }
-
-    fn aggregate_cell(
-        &self,
-        cfg: &LodConfig,
-        layout: &RawLayout,
-        cell: Cell,
-    ) -> Result<Option<Cluster>> {
-        aggregate_raw_cell(self, cfg, layout, cell)
-    }
-
-    fn remove_level_row(&mut self, table: &str, out: &Cluster, scale: f64) -> Result<()> {
-        delete_level_row(self, table, out, scale)
-    }
-
-    fn add_level_row(&mut self, table: &str, scale: f64, c: &Cluster) -> Result<()> {
-        self.insert(table, level_row(scale, c))?;
-        Ok(())
-    }
-}
-
-/// Maintenance target over a shard set: raw deltas route by `(x, y)`
-/// through the raw table's grid, level rows by `(cx, cy)` through the
-/// per-level grids — the same routing the sharded serving backend reads
-/// with, so a repair always patches the shard a fetch would probe.
-pub(crate) struct ShardedTarget<'a> {
+/// Where the physical rows of one maintenance pass land: the databases a
+/// pyramid was built over — one, or a shard set with its router. The
+/// repair logic above is the same for any count; the router only decides
+/// *which* database a raw point or level row lives in, and without one
+/// everything lives in database 0. Raw deltas route by `(x, y)` through
+/// the raw table's grid, level rows by `(cx, cy)` through the per-level
+/// grids — the same routing the sharded serving backend reads with, so a
+/// repair always patches the shard a fetch would probe.
+struct ShardedTarget<'a> {
     shards: &'a mut [Database],
-    router: &'a QueryRouter,
+    router: Option<&'a QueryRouter>,
 }
 
 impl ShardedTarget<'_> {
-    fn partitioner(&self, table: &str) -> Result<&Partitioner> {
-        self.router.partitioner(table).ok_or_else(|| {
-            LodError::Maintenance(format!("no partitioner registered for `{table}`"))
-        })
+    /// How `table` is spread over the shards; `None` without a router,
+    /// when every table lives whole in database 0.
+    fn partitioner(&self, table: &str) -> Result<Option<&Partitioner>> {
+        let Some(router) = self.router else {
+            return Ok(None);
+        };
+        match router.partitioner(table) {
+            Some(part) => Ok(Some(part)),
+            None => Err(LodError::Maintenance(format!(
+                "no partitioner registered for `{table}`"
+            ))),
+        }
     }
 
     /// The one shard whose grid cell owns `row`'s position.
     fn route_row(&self, table: &str, row: &Row) -> Result<usize> {
+        let Some(part) = self.partitioner(table)? else {
+            return Ok(0);
+        };
         let schema = &self.shards[0].table(table)?.schema;
-        Ok(self
-            .partitioner(table)?
-            .route(schema, row, self.shards.len())?)
+        Ok(part.route(schema, row, self.shards.len())?)
     }
 
     /// Shards whose grid cells intersect `rect`, in ascending order.
     fn targets(&self, table: &str, rect: &Rect) -> Result<Vec<usize>> {
-        self.partitioner(table)?
-            .route_rect(rect, self.shards.len())
-            .ok_or_else(|| {
-                LodError::Maintenance(format!("partitioner for `{table}` cannot route rectangles"))
-            })
+        let Some(part) = self.partitioner(table)? else {
+            return Ok(vec![0]);
+        };
+        part.route_rect(rect, self.shards.len()).ok_or_else(|| {
+            LodError::Maintenance(format!("partitioner for `{table}` cannot route rectangles"))
+        })
     }
-}
 
-impl MaintainTarget for ShardedTarget<'_> {
+    /// Insert one raw point's row into the shard owning its position.
     fn insert_raw(
         &mut self,
         cfg: &LodConfig,
@@ -299,6 +237,7 @@ impl MaintainTarget for ShardedTarget<'_> {
         Ok(())
     }
 
+    /// Delete the given ids from one level-1 cell of the raw table.
     fn delete_in_cell(
         &mut self,
         cfg: &LodConfig,
@@ -333,6 +272,7 @@ impl MaintainTarget for ShardedTarget<'_> {
         Ok(())
     }
 
+    /// Re-aggregate one level-1 cell from the raw rows still inside it.
     fn aggregate_cell(
         &self,
         cfg: &LodConfig,
@@ -340,7 +280,7 @@ impl MaintainTarget for ShardedTarget<'_> {
         cell: Cell,
     ) -> Result<Option<Cluster>> {
         // per-shard partial folds merge in shard order — the fold order a
-        // from-scratch sharded build uses (`merge_cell_maps`)
+        // from-scratch build uses (`merge_cell_maps`)
         let rect = raw_cell_rect(cfg, cell);
         let mut acc: Option<Cluster> = None;
         for i in self.targets(&cfg.table, &rect)? {
@@ -354,6 +294,7 @@ impl MaintainTarget for ShardedTarget<'_> {
         Ok(acc)
     }
 
+    /// Delete one level-table row by representative id and position.
     fn remove_level_row(&mut self, table: &str, out: &Cluster, scale: f64) -> Result<()> {
         // a degenerate point rect lies in exactly one grid cell — the
         // same cell `add_level_row` routed the insert to
@@ -365,6 +306,7 @@ impl MaintainTarget for ShardedTarget<'_> {
         delete_level_row(&mut self.shards[shard], table, out, scale)
     }
 
+    /// Insert the level-table row of one cluster.
     fn add_level_row(&mut self, table: &str, scale: f64, c: &Cluster) -> Result<()> {
         let row = level_row(scale, c);
         let shard = self.route_row(table, &row)?;
@@ -374,233 +316,161 @@ impl MaintainTarget for ShardedTarget<'_> {
 }
 
 impl LodPyramid {
-    /// Insert a batch of raw points and fold them into every level table
-    /// in place: each point merges into its level-1 grid cell (the
-    /// associative aggregation fold), the affected neighborhoods are
-    /// repaired per level, and only the changed level-table rows are
-    /// rewritten. The result is the pyramid [`crate::build_pyramid`] would
-    /// build from scratch over the mutated table (bit-identical level
-    /// tables; float measure sums exact for integer-valued measures).
-    ///
-    /// Errors if the pyramid lives on shards (use
-    /// [`LodPyramid::insert_points_sharded`]), an earlier batch poisoned
-    /// the maintenance state, a point's id is already live, or a point's
-    /// measure count does not match the config — all checked before
-    /// anything mutates. Should a
-    /// failure occur *after* mutation starts (a storage error mid-batch),
-    /// the raw table may be partially mutated while the level tables are
-    /// not yet repaired; the pyramid then drops its maintenance state, so
-    /// every later maintenance call refuses loudly
-    /// ([`LodPyramid::can_maintain`] turns false) instead of silently
-    /// diverging — rebuild with [`crate::build_pyramid`] to recover.
+    /// [`LodPyramid::insert_points_sharded`] over the one database a
+    /// [`crate::build_pyramid`] pyramid lives in.
     pub fn insert_points(
         &mut self,
         db: &mut Database,
         points: &[RawPoint],
     ) -> Result<MaintenanceReport> {
-        self.require_single_node("insert_points_sharded")?;
-        let cfg = self.config.clone();
-        // validation phase: read-only, a failure here leaves everything
-        // untouched
-        let (layout, schema_len) = {
-            let state = require_state(self.maintenance.as_mut())?;
-            if points.is_empty() {
-                return Ok(empty_report(&cfg, 0, 0));
-            }
-            validate_insert(&cfg, state, db, points)?
-        };
-        // application phase: errors past this point poison the state
-        let obs = self.observability.clone();
-        let _repair = obs.as_deref().map(|o| o.span("pyramid.repair"));
-        let LodPyramid {
-            maintenance,
-            levels,
-            ..
-        } = self;
-        let state = maintenance.as_mut().expect("validated above");
-        let result = apply_insert(db, &cfg, state, levels, &layout, schema_len, points);
-        if result.is_err() {
-            *maintenance = None;
-        }
-        result
+        self.insert_points_sharded(std::slice::from_mut(db), points)
     }
 
-    /// Delete a batch of raw rows by id and fold the removals into every
-    /// level table in place. Each deleted row dirties its level-1 grid
-    /// cell, which is re-aggregated from the raw rows still inside it via
-    /// the raw table's spatial index; repair then proceeds exactly as for
-    /// inserts. Errors if the pyramid lives on shards, an earlier batch
-    /// poisoned the maintenance state, or an id is not live — checked
-    /// before anything mutates; as with
-    /// [`LodPyramid::insert_points`], a failure after mutation starts
-    /// drops the maintenance state so later calls refuse loudly.
+    /// [`LodPyramid::delete_points_sharded`] over the one database a
+    /// [`crate::build_pyramid`] pyramid lives in.
     pub fn delete_points(
         &mut self,
         db: &mut Database,
         ids: &[TupleId],
     ) -> Result<MaintenanceReport> {
-        self.require_single_node("delete_points_sharded")?;
-        let cfg = self.config.clone();
-        // validation phase — ids live and distinct, spatial index present
-        // — before mutating any state
-        let (layout, by_cell) = {
-            let state = require_state(self.maintenance.as_mut())?;
-            if ids.is_empty() {
-                return Ok(empty_report(&cfg, 0, 0));
-            }
-            require_raw_spatial_index(db, &cfg)?;
-            validate_delete(&cfg, state, db, ids)?
-        };
-        // application phase: errors past this point poison the state
-        let obs = self.observability.clone();
-        let _repair = obs.as_deref().map(|o| o.span("pyramid.repair"));
-        let LodPyramid {
-            maintenance,
-            levels,
-            ..
-        } = self;
-        let state = maintenance.as_mut().expect("validated above");
-        let result = apply_delete(db, &cfg, state, levels, &layout, by_cell, ids.len());
-        if result.is_err() {
-            *maintenance = None;
-        }
-        result
+        self.delete_points_sharded(std::slice::from_mut(db), ids)
     }
 
-    /// Insert a batch of raw points into a shard-resident pyramid built
-    /// with [`crate::build_pyramid_on_shards`]: each point's raw row lands
-    /// on the shard whose grid cell owns its position, the coordinator
-    /// folds the batch into the maintained level-1 cell map (merging
-    /// boundary cells across shards exactly as the sharded build does)
-    /// and repairs every level, and each changed level row is rewritten
-    /// on the shard that owns it. The report carries the same per-level
-    /// dirty regions as the single-node path — the shape
+    /// Insert a batch of raw points and fold them into every level table
+    /// in place, over the databases the pyramid was built on — the one
+    /// database of [`crate::build_pyramid`] as a one-element slice, or the
+    /// shard set of [`crate::build_pyramid_on_shards`]. Each point's raw
+    /// row lands on the shard whose grid cell owns its position and merges
+    /// into its level-1 grid cell (the associative aggregation fold;
+    /// boundary cells merge across shards exactly as the build does), the
+    /// affected neighborhoods are repaired per level, and only the changed
+    /// level-table rows are rewritten, each on the shard that owns it. The
+    /// result is the pyramid a from-scratch build over the mutated tables
+    /// would produce: counts, bounding boxes and representatives are
+    /// bit-identical; float measure sums are exact when measure values are
+    /// integer-valued. The report's per-level dirty regions are the shape
     /// `KyrixServer::mutate_shards` feeds its cache invalidation.
     ///
-    /// Exactness matches the sharded build's: counts, bounding boxes and
-    /// representatives are bit-identical to a from-scratch rebuild over
-    /// the mutated shards; float measure sums are exact when measure
-    /// values are integer-valued.
-    ///
-    /// Errors if the pyramid is not shard-resident, `shards` does not
-    /// match the build-time shard count, an id is already live, or a
-    /// measure count mismatches — all checked before anything mutates. As
-    /// with [`LodPyramid::insert_points`], a failure *after* mutation
-    /// starts drops the maintenance state so later calls refuse loudly.
+    /// Errors if `shards` is not as many databases as the pyramid was
+    /// built over, an earlier batch poisoned the maintenance state, a
+    /// point's id is already live, or a point's measure count does not
+    /// match the config — all checked before anything mutates. Should a
+    /// failure occur *after* mutation starts (a storage error mid-batch),
+    /// the raw table may be partially mutated while the level tables are
+    /// not yet repaired; the pyramid then drops its maintenance state, so
+    /// every later maintenance call refuses loudly
+    /// ([`LodPyramid::can_maintain`] turns false) instead of silently
+    /// diverging — rebuild to recover.
     pub fn insert_points_sharded(
         &mut self,
         shards: &mut [Database],
         points: &[RawPoint],
     ) -> Result<MaintenanceReport> {
-        let cfg = self.config.clone();
-        let router = require_router(self.sharding.as_ref(), shards.len())?.clone();
-        let (layout, schema_len) = {
-            let state = require_state(self.maintenance.as_mut())?;
-            if points.is_empty() {
-                return Ok(empty_report(&cfg, 0, 0));
-            }
-            validate_insert(&cfg, state, &shards[0], points)?
-        };
-        let obs = self.observability.clone();
-        let _repair = obs.as_deref().map(|o| o.span("pyramid.repair"));
-        let LodPyramid {
-            maintenance,
-            levels,
-            ..
-        } = self;
-        let state = maintenance.as_mut().expect("validated above");
-        let mut target = ShardedTarget {
+        self.maintain(
             shards,
-            router: &router,
-        };
-        let result = apply_insert(
-            &mut target,
-            &cfg,
-            state,
-            levels,
-            &layout,
-            schema_len,
-            points,
-        );
-        if result.is_err() {
-            *maintenance = None;
-        }
-        result
+            points.is_empty(),
+            |cfg, state, shards| validate_insert(cfg, state, &shards[0], points),
+            |target, cfg, state, levels, (layout, schema_len)| {
+                apply_insert(target, cfg, state, levels, &layout, schema_len, points)
+            },
+        )
     }
 
-    /// Delete a batch of raw rows by id from a shard-resident pyramid:
-    /// each dirtied level-1 cell is re-aggregated from the raw rows still
-    /// inside it — probing only the shards the cell's extent intersects
-    /// and folding the per-shard partials in shard order, the sharded
-    /// build's own merge order — and repair proceeds exactly as for
-    /// [`LodPyramid::insert_points_sharded`]. Errors if the pyramid is
-    /// not shard-resident, the shard count mismatches, or an id is not
-    /// live — checked before anything mutates; a failure after mutation
-    /// starts drops the maintenance state so later calls refuse loudly.
+    /// Delete a batch of raw rows by id and fold the removals into every
+    /// level table in place, over the databases the pyramid was built on
+    /// (see [`LodPyramid::insert_points_sharded`]). Each deleted row
+    /// dirties its level-1 grid cell, which is re-aggregated from the raw
+    /// rows still inside it via the raw tables' spatial indexes — probing
+    /// only the shards the cell's extent intersects and folding the
+    /// per-shard partials in shard order, the build's own merge order;
+    /// repair then proceeds exactly as for inserts. Errors if the database
+    /// count mismatches, an earlier batch poisoned the maintenance state,
+    /// or an id is not live — checked before anything mutates; a failure
+    /// after mutation starts drops the maintenance state so later calls
+    /// refuse loudly.
     pub fn delete_points_sharded(
         &mut self,
         shards: &mut [Database],
         ids: &[TupleId],
     ) -> Result<MaintenanceReport> {
-        let cfg = self.config.clone();
-        let router = require_router(self.sharding.as_ref(), shards.len())?.clone();
-        let (layout, by_cell) = {
-            let state = require_state(self.maintenance.as_mut())?;
-            if ids.is_empty() {
-                return Ok(empty_report(&cfg, 0, 0));
-            }
-            for shard in shards.iter() {
-                require_raw_spatial_index(shard, &cfg)?;
-            }
-            validate_delete(&cfg, state, &shards[0], ids)?
-        };
-        let obs = self.observability.clone();
-        let _repair = obs.as_deref().map(|o| o.span("pyramid.repair"));
+        self.maintain(
+            shards,
+            ids.is_empty(),
+            |cfg, state, shards| {
+                for shard in shards {
+                    require_raw_spatial_index(shard, cfg)?;
+                }
+                validate_delete(cfg, state, &shards[0], ids)
+            },
+            |target, cfg, state, levels, (layout, by_cell)| {
+                apply_delete(target, cfg, state, levels, &layout, by_cell, ids.len())
+            },
+        )
+    }
+
+    /// What every batch does around its own two halves: refuse a database
+    /// count other than the build's and a poisoned state, answer an
+    /// `empty_batch` with an empty report, run the read-only `validate` (a
+    /// failure there leaves everything untouched), then `apply` under a
+    /// `pyramid.repair` span — an error past that point poisons the
+    /// maintenance state.
+    fn maintain<V>(
+        &mut self,
+        shards: &mut [Database],
+        empty_batch: bool,
+        validate: impl FnOnce(&LodConfig, &MaintainState, &[Database]) -> Result<V>,
+        apply: impl FnOnce(
+            &mut ShardedTarget<'_>,
+            &LodConfig,
+            &mut MaintainState,
+            &mut [crate::pyramid::LevelInfo],
+            V,
+        ) -> Result<MaintenanceReport>,
+    ) -> Result<MaintenanceReport> {
         let LodPyramid {
+            config,
             maintenance,
             levels,
+            sharding,
+            observability,
             ..
         } = self;
-        let state = maintenance.as_mut().expect("validated above");
+        let built_over = sharding.as_ref().map_or(1, QueryRouter::shard_count);
+        if built_over != shards.len() {
+            return Err(LodError::Maintenance(format!(
+                "pyramid `{}` was built over {built_over} databases, got {}",
+                config.table,
+                shards.len()
+            )));
+        }
+        let state = maintenance.as_mut().ok_or_else(|| {
+            LodError::Maintenance(
+                "pyramid carries no maintenance state: an earlier batch failed after it \
+                 started mutating; rebuild the pyramid to mutate in place again"
+                    .to_string(),
+            )
+        })?;
+        if empty_batch {
+            return Ok(empty_report(config, 0, 0));
+        }
+        let validated = validate(config, state, shards)?;
+        let _repair = observability.as_deref().map(|o| o.span("pyramid.repair"));
         let mut target = ShardedTarget {
             shards,
-            router: &router,
+            router: sharding.as_ref(),
         };
-        let result = apply_delete(
-            &mut target,
-            &cfg,
-            state,
-            levels,
-            &layout,
-            by_cell,
-            ids.len(),
-        );
+        let result = apply(&mut target, config, state, levels, validated);
         if result.is_err() {
             *maintenance = None;
         }
         result
     }
-
-    /// Single-database maintenance on a shard-resident pyramid would
-    /// write level rows nobody serves; refuse with a pointer to the
-    /// sharded entry point.
-    fn require_single_node(&self, sharded_name: &str) -> Result<()> {
-        match &self.sharding {
-            Some(r) => Err(LodError::Maintenance(format!(
-                "pyramid `{}` lives on {} shards; use {sharded_name}",
-                self.config.table,
-                r.shard_count()
-            ))),
-            None => Ok(()),
-        }
-    }
 }
 
-/// The mutating half of [`LodPyramid::insert_points`] (and its sharded
-/// sibling — the target decides where rows physically land).
-#[allow(clippy::too_many_arguments)]
+/// The mutating half of [`LodPyramid::insert_points_sharded`] (the target
+/// decides where rows physically land).
 fn apply_insert(
-    target: &mut dyn MaintainTarget,
+    target: &mut ShardedTarget<'_>,
     cfg: &LodConfig,
     state: &mut MaintainState,
     levels: &mut [crate::pyramid::LevelInfo],
@@ -628,10 +498,9 @@ fn apply_insert(
     propagate(target, cfg, state, levels, dirty, points.len(), 0)
 }
 
-/// The mutating half of [`LodPyramid::delete_points`] (and its sharded
-/// sibling).
+/// The mutating half of [`LodPyramid::delete_points_sharded`].
 fn apply_delete(
-    target: &mut dyn MaintainTarget,
+    target: &mut ShardedTarget<'_>,
     cfg: &LodConfig,
     state: &mut MaintainState,
     levels: &mut [crate::pyramid::LevelInfo],
@@ -661,36 +530,6 @@ fn apply_delete(
     propagate(target, cfg, state, levels, dirty, 0, deleted)
 }
 
-fn require_state(state: Option<&mut MaintainState>) -> Result<&mut MaintainState> {
-    state.ok_or_else(|| {
-        LodError::Maintenance(
-            "pyramid carries no maintenance state: an earlier batch failed after it \
-             started mutating; rebuild the pyramid to mutate in place again"
-                .to_string(),
-        )
-    })
-}
-
-/// The router a sharded maintenance call runs over; errs when the
-/// pyramid is not shard-resident or the shard count does not match the
-/// one it was built over.
-fn require_router(router: Option<&QueryRouter>, shards: usize) -> Result<&QueryRouter> {
-    let router = router.ok_or_else(|| {
-        LodError::Maintenance(
-            "pyramid is not shard-resident: build with `build_pyramid_on_shards` to \
-             maintain across shards, or use insert_points/delete_points on one database"
-                .to_string(),
-        )
-    })?;
-    if router.shard_count() != shards {
-        return Err(LodError::Maintenance(format!(
-            "pyramid was built over {} shards, got {shards}",
-            router.shard_count()
-        )));
-    }
-    Ok(router)
-}
-
 fn require_raw_spatial_index(db: &Database, cfg: &LodConfig) -> Result<()> {
     if db.table(&cfg.table)?.spatial_index().is_none() {
         return Err(LodError::Maintenance(format!(
@@ -701,10 +540,9 @@ fn require_raw_spatial_index(db: &Database, cfg: &LodConfig) -> Result<()> {
     Ok(())
 }
 
-/// Read-only insert validation shared by the single-node and sharded
-/// entry points: schema shape, measure arity and id freshness.
-/// `catalog` is the raw table's database (shard 0 carries the broadcast
-/// catalog on sharded targets).
+/// Read-only insert validation: schema shape, measure arity and id
+/// freshness. `catalog` is the raw table's database (shard 0 carries the
+/// broadcast catalog).
 fn validate_insert(
     cfg: &LodConfig,
     state: &MaintainState,
@@ -741,8 +579,8 @@ fn validate_insert(
     Ok((layout, schema_len))
 }
 
-/// Read-only delete validation shared by the single-node and sharded
-/// entry points: every id live and distinct, grouped by its level-1 cell.
+/// Read-only delete validation: every id live and distinct, grouped by its
+/// level-1 cell.
 fn validate_delete(
     cfg: &LodConfig,
     state: &MaintainState,
@@ -817,7 +655,7 @@ fn level_cell_rect(spacing: f64, cell: Cell) -> Rect {
 
 /// Row ids of the `ids` members inside `rect` on one database, located
 /// through the raw table's spatial index (no scan, no count check — the
-/// caller verifies the total, which on a sharded target spans shards).
+/// caller verifies the total, which may span shards).
 fn cell_victims(
     db: &Database,
     cfg: &LodConfig,
@@ -846,33 +684,6 @@ fn cell_victims(
         }
     }
     Ok(victims)
-}
-
-/// Delete the rows with the given ids from one level-1 cell of the raw
-/// table, located through the spatial index (no scan).
-fn delete_rows_in_cell(
-    db: &mut Database,
-    cfg: &LodConfig,
-    layout: &RawLayout,
-    cell: Cell,
-    ids: &FxHashSet<i64>,
-) -> Result<()> {
-    let rect = raw_cell_rect(cfg, cell);
-    let victims = cell_victims(db, cfg, layout, &rect, ids)?;
-    if victims.len() != ids.len() {
-        return Err(LodError::Maintenance(format!(
-            "cell ({}, {}) holds {} of {} rows to delete: id index out of sync",
-            cell.x,
-            cell.y,
-            victims.len(),
-            ids.len()
-        )));
-    }
-    let table = db.table_mut(&cfg.table)?;
-    for rid in victims {
-        table.delete_row(rid)?;
-    }
-    Ok(())
 }
 
 /// Re-aggregate one level-1 cell from the raw rows inside it, in heap scan
@@ -922,7 +733,7 @@ fn aggregate_raw_cell(
 /// raw mutation that dirtied `dirty` cells. Rewrites level tables in place
 /// and updates the pyramid's per-level row counts.
 fn propagate(
-    target: &mut dyn MaintainTarget,
+    target: &mut ShardedTarget<'_>,
     cfg: &LodConfig,
     state: &mut MaintainState,
     infos: &mut [crate::pyramid::LevelInfo],
@@ -1286,7 +1097,7 @@ fn output_for(st: &LevelState, r: Cell) -> Cluster {
 /// new versions. Deletes run first so a representative migrating between
 /// cells never collides with itself.
 fn rewrite_level_table(
-    target: &mut dyn MaintainTarget,
+    target: &mut ShardedTarget<'_>,
     cfg: &LodConfig,
     level: usize,
     scale: f64,
@@ -1659,6 +1470,13 @@ mod tests {
         assert_eq!(raw_total, sharded.levels[0].rows);
     }
 
+    /// A pyramid built over K databases refuses a slice of any other
+    /// length, through either entry-point name, before anything mutates.
+    /// The refusal is by count alone: this test used to also pin that a
+    /// `build_pyramid` pyramid refused `insert_points_sharded` outright
+    /// ("not shard-resident") — that half was removed on purpose when the
+    /// single-database entry points became the one-element-slice case of
+    /// the sharded ones, and the call is now simply the general form.
     #[test]
     fn sharded_and_single_node_entry_points_refuse_each_other() {
         let part = grid_partitioner();
@@ -1668,8 +1486,12 @@ mod tests {
         let mut db = seeded_db(64);
         let mut single = build_pyramid(&mut db, &cfg()).unwrap();
         let pt = [RawPoint::new(901, 10.0, 10.0, &[1.0])];
+        let raw_rows = |dbs: &[Database]| -> Vec<usize> {
+            dbs.iter().map(|d| d.table("pts").unwrap().len()).collect()
+        };
+        let before = (raw_rows(&shards), raw_rows(std::slice::from_ref(&db)));
 
-        // shard-resident pyramid refuses the single-database path…
+        // a four-shard pyramid refuses one database…
         assert!(matches!(
             sharded.insert_points(&mut db, &pt),
             Err(LodError::Maintenance(_))
@@ -1678,18 +1500,30 @@ mod tests {
             sharded.delete_points(&mut db, &[1]),
             Err(LodError::Maintenance(_))
         ));
-        // …the single-node pyramid refuses the sharded one…
-        assert!(matches!(
-            single.insert_points_sharded(&mut shards, &pt),
-            Err(LodError::Maintenance(_))
-        ));
-        // …and a shard-count mismatch is caught before any mutation
+        // …and two shards; a one-database pyramid refuses four
         assert!(matches!(
             sharded.insert_points_sharded(&mut shards[..2], &pt),
             Err(LodError::Maintenance(_))
         ));
-        assert!(sharded.can_maintain(), "refusals must not poison state");
+        assert!(matches!(
+            single.insert_points_sharded(&mut shards, &pt),
+            Err(LodError::Maintenance(_))
+        ));
+        assert_eq!(
+            before,
+            (raw_rows(&shards), raw_rows(std::slice::from_ref(&db))),
+            "a refused batch mutates nothing"
+        );
+        assert!(
+            sharded.can_maintain() && single.can_maintain(),
+            "refusals must not poison state"
+        );
+        // the right count goes through, under either name
         sharded.insert_points_sharded(&mut shards, &pt).unwrap();
+        single
+            .insert_points_sharded(std::slice::from_mut(&mut db), &pt)
+            .unwrap();
+        assert_matches_scratch(&db, &cfg(), &single);
     }
 
     #[test]

@@ -42,11 +42,12 @@ pub struct LodPyramid {
     /// retention statuses), coordinator-side even when the level tables
     /// live on shards. Every build captures it; `None` only after a
     /// maintenance batch failed mid-apply — see
-    /// [`LodPyramid::insert_points`].
+    /// [`LodPyramid::insert_points_sharded`].
     pub(crate) maintenance: Option<MaintainState>,
     /// Routing of the raw table and every level table over serving
-    /// shards. Present only after [`build_pyramid_on_shards`]; selects
-    /// between the single-database and sharded maintenance entry points.
+    /// shards. Present only after [`build_pyramid_on_shards`]; maintenance
+    /// routes each row through it, and without it everything lives in the
+    /// one database [`build_pyramid`] wrote.
     pub(crate) sharding: Option<QueryRouter>,
     /// Telemetry registry maintenance batches record `pyramid.repair`
     /// spans into (attached with [`LodPyramid::set_observability`]).
@@ -69,7 +70,8 @@ impl LodPyramid {
     }
 
     /// Attach a telemetry registry: every later maintenance batch
-    /// ([`LodPyramid::insert_points`] / [`LodPyramid::delete_points`])
+    /// ([`LodPyramid::insert_points_sharded`] /
+    /// [`LodPyramid::delete_points_sharded`])
     /// records its in-place level repair as a `pyramid.repair` span
     /// there — typically the serving server's own registry, so pyramid
     /// repairs land in the same trace as the mutation that triggered

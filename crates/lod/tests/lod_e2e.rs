@@ -160,7 +160,7 @@ fn pyramid_end_to_end() {
     assert_eq!(session.canvas_id(), cfg.level_canvas(LEVELS));
     assert!(first.visible_rows > 0, "the coarse overview shows marks");
     let top = server
-        .database()
+        .snapshot()
         .query(
             &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(LEVELS)),
             &[],
@@ -194,7 +194,7 @@ fn pyramid_end_to_end() {
         cfg.level_canvas(LEVELS)
     );
     let fine_row = server
-        .database()
+        .snapshot()
         .query(
             &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(LEVELS - 1)),
             &[],
@@ -312,7 +312,7 @@ fn mixed_plans_serve_one_lod_app_across_a_zoom_trace() {
     for to in (0..LEVELS).rev() {
         let from = to + 1;
         let row = server
-            .database()
+            .snapshot()
             .query(
                 &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(from)),
                 &[],
@@ -338,7 +338,7 @@ fn mixed_plans_serve_one_lod_app_across_a_zoom_trace() {
 
     // cross the plan boundary back out: raw (boxes) → level1 (tiles)
     let raw_row = server
-        .database()
+        .snapshot()
         .query(
             &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(0)),
             &[],
@@ -428,7 +428,7 @@ fn auto_tuned_policy_serves_the_pyramid_end_to_end() {
     for to in (0..LEVELS).rev() {
         let from = to + 1;
         let row = server
-            .database()
+            .snapshot()
             .query(
                 &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(from)),
                 &[],
@@ -446,7 +446,7 @@ fn auto_tuned_policy_serves_the_pyramid_end_to_end() {
     }
     assert_eq!(session.canvas_id(), "level0");
     let raw_row = server
-        .database()
+        .snapshot()
         .query(
             &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(0)),
             &[],
@@ -543,7 +543,7 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     for to in (0..LEVELS).rev() {
         let from = to + 1;
         let row = server
-            .database()
+            .snapshot()
             .query(
                 &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(from)),
                 &[],
@@ -634,7 +634,7 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     let n_now = (g.n + 64) as i64;
     for k in 1..=LEVELS {
         let r = server
-            .database()
+            .snapshot()
             .query(&format!("SELECT SUM(cnt) FROM {}", cfg.level_table(k)), &[])
             .unwrap();
         assert_eq!(r.rows[0].get(0).as_i64().unwrap(), n_now, "level {k} count");
@@ -652,7 +652,7 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     // ---- zoom out across the plan boundary, then delete the blob plus
     // some original points
     let raw_row = server
-        .database()
+        .snapshot()
         .query(
             &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(0)),
             &[],
@@ -687,7 +687,7 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     let n_final = (g.n - 100) as i64;
     for k in 1..=LEVELS {
         let r = server
-            .database()
+            .snapshot()
             .query(&format!("SELECT SUM(cnt) FROM {}", cfg.level_table(k)), &[])
             .unwrap();
         assert_eq!(
@@ -703,7 +703,7 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     let mut fresh = Database::new();
     fresh.create_table("galaxy", galaxy_schema()).unwrap();
     {
-        let live = server.database();
+        let live = server.snapshot();
         let all = live.query("SELECT * FROM galaxy", &[]).unwrap();
         for row in &all.rows {
             fresh.insert("galaxy", row.clone()).unwrap();
@@ -713,7 +713,7 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     assert_eq!(pyramid.levels, scratch.levels);
     for k in 1..=LEVELS {
         let q = format!("SELECT * FROM {} ORDER BY id", cfg.level_table(k));
-        let a = server.database().query(&q, &[]).unwrap();
+        let a = server.snapshot().query(&q, &[]).unwrap();
         let b = fresh.query(&q, &[]).unwrap();
         assert_eq!(a.rows, b.rows, "level {k} diverged from a full rebuild");
 

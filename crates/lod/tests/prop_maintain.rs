@@ -5,6 +5,11 @@
 //! Positions and batch shapes are arbitrary; measures are integer-valued
 //! (the same exactness condition the sharded-build parity pins), so even
 //! the floating-point `sum_*` columns must match bitwise.
+//!
+//! Every batch also runs on a twin through the general entry points
+//! (`insert_points_sharded` / `delete_points_sharded` over the database as
+//! a one-element slice): reports and level tables must equal the
+//! single-database shims' bit for bit.
 
 use kyrix_lod::{build_pyramid, LodConfig, RawPoint};
 use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
@@ -86,6 +91,7 @@ proptest! {
         let cfg = cfg();
         let mut db = seed_db(&initial);
         let mut pyramid = build_pyramid(&mut db, &cfg).unwrap();
+        let (mut twin_db, mut twin) = (db.clone(), pyramid.clone());
         let mut live: Vec<i64> = (0..initial.len() as i64).collect();
         let mut next_id = initial.len() as i64;
 
@@ -102,6 +108,10 @@ proptest! {
                         .collect();
                     let report = pyramid.insert_points(&mut db, &pts).unwrap();
                     prop_assert_eq!(report.inserted, pts.len());
+                    let general = twin
+                        .insert_points_sharded(std::slice::from_mut(&mut twin_db), &pts)
+                        .unwrap();
+                    prop_assert_eq!(report, general, "insert reports diverge");
                 }
                 Batch::Delete(picks) => {
                     if live.is_empty() {
@@ -117,8 +127,20 @@ proptest! {
                     live.retain(|id| !victims.contains(id));
                     let report = pyramid.delete_points(&mut db, &victims).unwrap();
                     prop_assert_eq!(report.deleted, victims.len());
+                    let general = twin
+                        .delete_points_sharded(std::slice::from_mut(&mut twin_db), &victims)
+                        .unwrap();
+                    prop_assert_eq!(report, general, "delete reports diverge");
                 }
             }
+        }
+
+        prop_assert_eq!(&pyramid.levels, &twin.levels);
+        for k in 0..=cfg.levels {
+            let q = format!("SELECT * FROM {}", cfg.level_table(k));
+            let a = db.query(&q, &[]).unwrap();
+            let b = twin_db.query(&q, &[]).unwrap();
+            prop_assert_eq!(&a.rows, &b.rows, "level {} differs through the general form", k);
         }
 
         // oracle: rebuild from scratch over the same final rows in the

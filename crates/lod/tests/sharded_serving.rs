@@ -23,7 +23,7 @@ use kyrix_server::{
     BoxPolicy, CalibrationTrace, DirtyRegion, FetchPlan, KyrixServer, PlanPolicy, ServerConfig,
     ServerError, TileDesign,
 };
-use kyrix_storage::Database;
+use kyrix_storage::{Database, Rect};
 use kyrix_workload::{galaxy_rows, galaxy_schema, index_galaxy, load_zipf_galaxy, GalaxyConfig};
 use std::sync::Arc;
 
@@ -153,7 +153,22 @@ fn sharded_mutations_serve_live_end_to_end() {
     let server = Arc::new(server);
     assert_eq!(server.shard_count(), 4);
     assert_eq!(server.data_version(), 0);
-    assert_eq!(server.database().versions(), &[0, 0, 0, 0]);
+    assert_eq!(server.snapshot().versions(), &[0, 0, 0, 0]);
+
+    // one cold box on the raw level, centered on the 2x2 seam, scatters to
+    // all four shards — and every shard run reaches the storage observer
+    // exactly as a single-node query does: four `sql.execute`
+    // observations, rows scanned counted
+    let seam = Rect::centered(g.width / 2.0, g.height / 2.0, viewport.0, viewport.1);
+    let cold = server.fetch_region("level0", 0, &seam).unwrap();
+    assert_eq!((cold.metrics.queries, cold.rows.is_empty()), (1, false));
+    let obs = server.obs();
+    let observations = |name: &str| obs.histogram(name).snapshot().count();
+    assert_eq!(observations("span.shard.scatter"), 1);
+    assert_eq!(observations("fetch.shard"), 4, "the box ran on every shard");
+    assert_eq!(observations("span.sql.execute"), 4, "one per shard run");
+    assert!(obs.counter("sql.rows_scanned").get() > 0);
+    server.clear_caches();
 
     // a session watches the raw level at the canvas center — right on the
     // 2x2 shard seam — and another watches a far corner
@@ -195,7 +210,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     assert_eq!(report.inserted, 64);
     assert_eq!(server.data_version(), 1);
     assert_eq!(
-        server.database().versions(),
+        server.snapshot().versions(),
         &[1, 1, 1, 1],
         "a seam-straddling blob dirties every shard"
     );
@@ -220,7 +235,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     // conservation across the merged shards, on every clustered level
     for k in 1..=levels {
         let r = server
-            .database()
+            .snapshot()
             .query(&format!("SELECT SUM(cnt) FROM {}", cfg.level_table(k)), &[])
             .unwrap();
         assert_eq!(
@@ -257,7 +272,7 @@ fn sharded_mutations_serve_live_end_to_end() {
         })
         .unwrap();
     assert_eq!(server.data_version(), 2);
-    let versions = server.database().versions().to_vec();
+    let versions = server.snapshot().versions().to_vec();
     assert_eq!(versions.iter().max(), Some(&2));
     assert!(
         versions.iter().filter(|&&v| v == 2).count() < 4,
@@ -285,7 +300,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     let n_final = (g.n - 100) as i64;
     for k in 1..=levels {
         let r = server
-            .database()
+            .snapshot()
             .query(&format!("SELECT SUM(cnt) FROM {}", cfg.level_table(k)), &[])
             .unwrap();
         assert_eq!(
@@ -302,7 +317,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     assert_eq!(pyramid.levels[0].rows, n_final as usize);
     let mut fresh = Database::new();
     fresh.create_table("galaxy", galaxy_schema()).unwrap();
-    let live = server.database();
+    let live = server.snapshot();
     for row in &live.query("SELECT * FROM galaxy", &[]).unwrap().rows {
         fresh.insert("galaxy", row.clone()).unwrap();
     }

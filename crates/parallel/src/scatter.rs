@@ -11,7 +11,6 @@
 
 use crate::merge::ShardPlan;
 use crate::router::QueryRouter;
-use kyrix_storage::sql::execute_select_reserving;
 use kyrix_storage::{Database, Prepared, QueryResult, Result, StorageError, Value};
 use std::time::{Duration, Instant};
 
@@ -29,14 +28,17 @@ pub struct Gathered {
     pub merge: Duration,
 }
 
+/// Run the shard statement on one shard through that database's observed
+/// execution, under the original SQL text: a shard run reaches the query
+/// observer exactly like a single-node execution does.
 fn run_shard(
     db: &Database,
     plan: &ShardPlan,
+    prepared: &Prepared,
     params: &[Value],
-    tail: usize,
 ) -> Result<(Duration, QueryResult)> {
     let start = Instant::now();
-    let result = execute_select_reserving(db, &plan.shard_stmt, params, tail)?;
+    let result = db.execute_statement(&plan.shard_stmt, &prepared.sql, params, prepared.tail())?;
     Ok((start.elapsed(), result))
 }
 
@@ -69,7 +71,6 @@ pub fn scatter_gather_prepared(
         )));
     }
     let stmt = prepared.statement();
-    let tail = prepared.tail();
     let plan = ShardPlan::new(stmt)?;
     let mut targets = router.targets(stmt, params);
     if targets.is_empty() {
@@ -88,13 +89,13 @@ pub fn scatter_gather_prepared(
         // routed to one shard: run inline, no fan-out overhead — a fully
         // routed sharded fetch costs what a single node with 1/N of the
         // rows would pay
-        keep(i, run_shard(&shards[i], &plan, params, tail)?);
+        keep(i, run_shard(&shards[i], &plan, prepared, params)?);
     } else {
         let plan = &plan;
         let runs: Vec<Result<(Duration, QueryResult)>> = std::thread::scope(|s| {
             let handles: Vec<_> = targets
                 .iter()
-                .map(|&i| s.spawn(move || run_shard(&shards[i], plan, params, tail)))
+                .map(|&i| s.spawn(move || run_shard(&shards[i], plan, prepared, params)))
                 .collect();
             handles
                 .into_iter()

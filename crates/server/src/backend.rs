@@ -1,30 +1,34 @@
-//! Backend-agnostic serving: the snapshot-view and serving-backend traits.
+//! The serving backend: one immutable, versioned [`Snapshot`] over N shard
+//! databases — a single node is the one-shard case — and the `Head`
+//! pointer the server publishes successors through.
 //!
-//! Every fetch primitive in [`crate::fetch`] resolves against a
-//! [`SnapshotView`] — an immutable, versioned read surface — instead of a
-//! concrete [`DatabaseSnapshot`]. Two implementations exist:
+//! Every fetch primitive in [`crate::fetch`] resolves against the
+//! [`SnapshotView`] trait, whose only implementor is [`Snapshot`]:
 //!
-//! * [`DatabaseSnapshot`]: today's single-node head, unchanged;
-//! * [`ShardedSnapshot`]: N shard databases plus a
-//!   [`QueryRouter`]. A query runs through
-//!   [`kyrix_parallel::scatter_gather`]: decomposed, routed to the shards
-//!   whose grid cells its predicate touches, executed in parallel
-//!   (`shard.scatter` span, per-shard `fetch.shard{i}` histogram family),
-//!   and recombined by the coordinator merge (`shard.merge` span).
+//! * **one shard** answers with that [`Database`]'s own `execute`/`query`
+//!   — no decomposition, no routing, no `shard.*` span, no allocation;
+//! * **several shards** answer through
+//!   [`kyrix_parallel::scatter_gather_prepared`]: the statement is
+//!   decomposed, routed to the shards whose grid cells its predicate
+//!   touches, executed in parallel (`shard.scatter` span, per-shard
+//!   `fetch.shard{i}` histogram family) and recombined by the coordinator
+//!   merge (`shard.merge` span). Each shard run goes through its database's
+//!   observed execution, so `sql.execute` counts one observation per run.
 //!
-//! Above the view sits the [`ServingBackend`]: the mutable head pointer
-//! the server publishes through. It pins the current view, hands out
-//! copy-on-write shard clones for a mutation, and publishes the successor
-//! atomically. Versions are **per-shard vectors**: a mutation whose dirty
-//! regions route to shards {1, 3} bumps only those entries, so a session
-//! comparing vectors knows exactly how stale its pin is, while the scalar
+//! The server pins the head per fetch (two atomic ops, no lock held
+//! afterwards), a mutation applies to copy-on-write clones of the shards
+//! off to the side, and `Head::publish` swaps the successor in, so a
+//! reader never blocks behind a repair and never observes a half-applied
+//! mutation; a retired snapshot lives until its last reader drops it.
+//! Versions are **per-shard vectors**: a mutation whose dirty regions
+//! route to shards {1, 3} bumps only those entries, so a session comparing
+//! vectors knows exactly how stale its pin is, while the scalar
 //! [`SnapshotView::version`] (the max entry) keeps the single counter the
 //! caches and mutation log key on.
 
-use crate::snapshot::DatabaseSnapshot;
 use kyrix_obs::{Gauge, HistogramFamily, Registry};
 use kyrix_parallel::{scatter_gather_prepared, QueryRouter};
-use kyrix_storage::{Database, Prepared, QueryResult, Rect, Schema, StorageError, Value};
+use kyrix_storage::{Database, Prepared, QueryResult, Rect, Schema, Value};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -53,10 +57,10 @@ pub trait SnapshotView: Send + Sync {
     /// snapshot version.
     fn execute(&self, prepared: &Prepared, params: &[Value]) -> kyrix_storage::Result<QueryResult>;
 
-    /// Parse and execute one SELECT against the view.
-    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        self.execute(&Prepared::new(sql)?, params)
-    }
+    /// Parse and execute one read-only statement against the view: a
+    /// SELECT, or `EXPLAIN <select>` ([`crate::KyrixServer::explain`] asks
+    /// for the fetch statement's plan).
+    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult>;
 
     /// Schema of a table (identical on every shard; DDL is broadcast).
     fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema>;
@@ -91,41 +95,9 @@ fn local_spatial_count(
     Ok(Some(n))
 }
 
-impl SnapshotView for DatabaseSnapshot {
-    fn versions(&self) -> &[u64] {
-        self.version_slice()
-    }
-
-    fn execute(&self, prepared: &Prepared, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        self.database().execute(prepared, params)
-    }
-
-    /// Through [`Database::query`], which also answers `EXPLAIN SELECT ..`
-    /// ([`crate::KyrixServer::explain`] asks for the fetch statement's plan).
-    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        self.database().query(sql, params)
-    }
-
-    fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema> {
-        Ok(self.database().table(table)?.schema.clone())
-    }
-
-    fn has_table(&self, table: &str) -> bool {
-        self.database().has_table(table)
-    }
-
-    fn table_len(&self, table: &str) -> kyrix_storage::Result<usize> {
-        Ok(self.database().table(table)?.len())
-    }
-
-    fn spatial_count(&self, table: &str, rect: &Rect) -> kyrix_storage::Result<Option<usize>> {
-        local_spatial_count(self.database(), table, rect)
-    }
-}
-
-/// Telemetry hooks a [`ShardedSnapshot`] records into (optional so pinned
-/// calibration views stay out of the serving histograms, mirroring the
-/// single-node launch installing its query observer after tuning).
+/// Where a several-shard [`Snapshot`] records its scatter-gather spans
+/// (absent on pinned calibration views, which stay out of the serving
+/// histograms, and on one-shard snapshots, which never scatter).
 #[derive(Clone)]
 pub(crate) struct ShardTelemetry {
     pub(crate) obs: Arc<Registry>,
@@ -133,61 +105,111 @@ pub(crate) struct ShardTelemetry {
     pub(crate) family: HistogramFamily,
 }
 
-/// An immutable view over N shard databases, queried by scatter-gather.
+/// An immutable view over N shard databases at one version vector — the
+/// only [`SnapshotView`] there is. A single-node server publishes
+/// one-shard snapshots.
 ///
 /// Rows of partitioned tables live on exactly one shard, so concatenating
 /// routed per-shard results (in shard-index order, via the coordinator
 /// merge) yields the same row multiset as a single node holding all rows.
-pub struct ShardedSnapshot {
+///
+/// Cheapness comes from the storage layer: a [`Database`] clone shares
+/// pages and index nodes with the original, and a write copies the page
+/// and the root-to-leaf nodes it changes, so a successor costs what its
+/// mutation wrote and an old snapshot pins only what has since diverged.
+pub struct Snapshot {
     shards: Vec<Database>,
     versions: Vec<u64>,
-    router: Arc<QueryRouter>,
+    /// How the shards' tables are partitioned. Present whenever there are
+    /// several shards; a one-shard snapshot never consults it.
+    router: Option<Arc<QueryRouter>>,
     telemetry: Option<ShardTelemetry>,
-    /// Outstanding-snapshot gauge (see [`DatabaseSnapshot`]); decremented
-    /// on drop.
+    /// Outstanding-snapshot gauge this snapshot is counted in (the
+    /// server's `snapshot.pinned`: published head + any older versions
+    /// still held by readers); decremented on drop.
     tracked: Option<Arc<Gauge>>,
 }
 
-impl ShardedSnapshot {
-    pub(crate) fn new(shards: Vec<Database>, versions: Vec<u64>, router: Arc<QueryRouter>) -> Self {
-        debug_assert_eq!(shards.len(), versions.len());
-        ShardedSnapshot {
+impl Snapshot {
+    /// A version-0 view over `shards`, partitioned per `router` (which
+    /// several shards need; one database may go without).
+    pub(crate) fn new(shards: Vec<Database>, router: Option<Arc<QueryRouter>>) -> Self {
+        debug_assert!(shards.len() == 1 || router.is_some());
+        Snapshot {
+            versions: vec![0; shards.len()],
             shards,
-            versions,
             router,
             telemetry: None,
             tracked: None,
         }
     }
 
-    pub(crate) fn with_telemetry(mut self, telemetry: ShardTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
+    /// Record scatter-gather spans into `telemetry` (successors inherit it).
+    pub(crate) fn with_telemetry(mut self, telemetry: Option<ShardTelemetry>) -> Self {
+        self.telemetry = telemetry;
         self
     }
 
+    /// Count this snapshot in `gauge` until it drops (successors inherit it).
     pub(crate) fn tracked(mut self, gauge: Arc<Gauge>) -> Self {
         gauge.add(1);
         self.tracked = Some(gauge);
         self
     }
 
-    /// The routing table (raw + level tables → partitioners).
-    pub fn router(&self) -> &QueryRouter {
-        &self.router
-    }
-
-    /// One shard's database (read-only; tests and diagnostics).
-    pub fn shard(&self, i: usize) -> &Database {
-        &self.shards[i]
+    /// Pin a point-in-time view of one database (cheap: shares every table
+    /// until the original mutates one). Used outside the serving path —
+    /// e.g. the tuner calibrates candidate plans against pinned snapshots
+    /// while it keeps mutating the launch database — so the version is 0.
+    pub fn pin(db: &Database) -> Self {
+        Self::new(vec![db.clone()], None)
     }
 
     /// Copy-on-write clones of every shard (a mutation's scratch space).
     pub(crate) fn clone_shards(&self) -> Vec<Database> {
         self.shards.clone()
     }
+
+    /// The shards whose rows of `table` can intersect `rect` (table
+    /// coordinates). `None` means every shard: there is only one, or the
+    /// table is not partitioned by a layout that routes rectangles.
+    pub(crate) fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>> {
+        match &self.shards[..] {
+            [_] => None,
+            _ => self.router().route_rect(table, rect),
+        }
+    }
+
+    fn router(&self) -> &QueryRouter {
+        self.router
+            .as_deref()
+            .expect("several shards are only ever published with their router")
+    }
+
+    /// The view `shards` publish as at `version`: entries of the version
+    /// vector move only where `shard_dirty` says the shard changed.
+    fn successor(&self, shards: Vec<Database>, version: u64, shard_dirty: &[bool]) -> Snapshot {
+        let versions = self
+            .versions
+            .iter()
+            .zip(shard_dirty)
+            .map(|(&v, &dirty)| if dirty { version } else { v })
+            .collect();
+        let next = Snapshot {
+            shards,
+            versions,
+            router: self.router.clone(),
+            telemetry: self.telemetry.clone(),
+            tracked: None,
+        };
+        match &self.tracked {
+            Some(gauge) => next.tracked(Arc::clone(gauge)),
+            None => next,
+        }
+    }
 }
 
-impl Drop for ShardedSnapshot {
+impl Drop for Snapshot {
     fn drop(&mut self) {
         if let Some(g) = &self.tracked {
             g.add(-1);
@@ -195,13 +217,17 @@ impl Drop for ShardedSnapshot {
     }
 }
 
-impl SnapshotView for ShardedSnapshot {
+impl SnapshotView for Snapshot {
     fn versions(&self) -> &[u64] {
         &self.versions
     }
 
     fn execute(&self, prepared: &Prepared, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        let gathered = scatter_gather_prepared(&self.shards, &self.router, prepared, params)?;
+        let shards = match &self.shards[..] {
+            [db] => return db.execute(prepared, params),
+            shards => shards,
+        };
+        let gathered = scatter_gather_prepared(shards, self.router(), prepared, params)?;
         if let Some(t) = &self.telemetry {
             t.obs
                 .record_external_span("shard.scatter", gathered.scatter);
@@ -213,6 +239,18 @@ impl SnapshotView for ShardedSnapshot {
         Ok(gathered.result)
     }
 
+    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
+        if let [db] = &self.shards[..] {
+            return db.query(sql, params);
+        }
+        match Prepared::new(sql) {
+            Ok(prepared) => self.execute(&prepared, params),
+            // not a SELECT: every shard plans alike, so shard 0 answers an
+            // `EXPLAIN <select>` for all of them — and refuses the rest
+            Err(_) => self.shards[0].query(sql, params),
+        }
+    }
+
     fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema> {
         Ok(self.shards[0].table(table)?.schema.clone())
     }
@@ -222,25 +260,26 @@ impl SnapshotView for ShardedSnapshot {
     }
 
     fn table_len(&self, table: &str) -> kyrix_storage::Result<usize> {
-        if self.router.partitioner(table).is_some() {
-            let mut total = 0;
-            for shard in &self.shards {
-                total += shard.table(table)?.len();
-            }
-            Ok(total)
-        } else {
-            Ok(self.shards[0].table(table)?.len())
+        let partitioned = self
+            .router
+            .as_ref()
+            .is_some_and(|r| r.partitioner(table).is_some());
+        let holders = if partitioned { self.shards.len() } else { 1 };
+        let mut total = 0;
+        for shard in &self.shards[..holders] {
+            total += shard.table(table)?.len();
         }
+        Ok(total)
     }
 
     fn spatial_count(&self, table: &str, rect: &Rect) -> kyrix_storage::Result<Option<usize>> {
-        let targets = match self.router.route_rect(table, rect) {
-            Some(ids) => ids,
-            None => (0..self.shards.len()).collect(),
-        };
+        let routed = self.route_rect(table, rect);
         let mut total = 0;
-        for i in targets {
-            match local_spatial_count(&self.shards[i], table, rect)? {
+        for (i, shard) in self.shards.iter().enumerate() {
+            if routed.as_ref().is_some_and(|ids| !ids.contains(&i)) {
+                continue;
+            }
+            match local_spatial_count(shard, table, rect)? {
                 Some(n) => total += n,
                 None => return Ok(None),
             }
@@ -249,151 +288,34 @@ impl SnapshotView for ShardedSnapshot {
     }
 }
 
-/// The mutable head pointer: pins the published [`SnapshotView`], hands
-/// out copy-on-write shard clones to a mutation, and swaps in the
-/// successor atomically. Exactly one publisher runs at a time (the
+/// The mutable head pointer: pins the published [`Snapshot`] and swaps in
+/// its successor atomically. Exactly one publisher runs at a time (the
 /// server's writer mutex); readers never block.
-pub trait ServingBackend: Send + Sync {
-    /// Pin the currently published view.
-    fn head(&self) -> Arc<dyn SnapshotView>;
+pub(crate) struct Head(RwLock<Arc<Snapshot>>);
 
-    /// How many shards this backend serves from.
-    fn shard_count(&self) -> usize;
+impl Head {
+    pub(crate) fn new(snapshot: Snapshot) -> Self {
+        Head(RwLock::new(Arc::new(snapshot)))
+    }
 
-    /// Copy-on-write clones of every shard, for a mutation to apply to
-    /// (single node: one entry).
-    fn begin_write(&self) -> Vec<Database>;
+    /// Pin the currently published snapshot.
+    pub(crate) fn pin(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.0.read())
+    }
 
     /// Publish mutated shards as the head at `version`. `shard_dirty[i]`
     /// says whether shard `i` actually changed — untouched shards keep
     /// their previous version-vector entry. Returns the retired head so
     /// the caller can drop it once it holds no lock a reader needs:
     /// when no reader pins it, that drop is what frees the version.
-    fn publish(
+    pub(crate) fn publish(
         &self,
         shards: Vec<Database>,
         version: u64,
         shard_dirty: &[bool],
-    ) -> Arc<dyn SnapshotView>;
-
-    /// Route a table-space rect to the shards owning intersecting rows
-    /// (`None`: unroutable, treat every shard as affected).
-    fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>>;
-}
-
-/// Today's backend: one database, one snapshot head.
-pub(crate) struct SingleNodeBackend {
-    head: RwLock<Arc<DatabaseSnapshot>>,
-    gauge: Arc<Gauge>,
-}
-
-impl SingleNodeBackend {
-    pub(crate) fn new(db: Database, gauge: Arc<Gauge>) -> Self {
-        let head = DatabaseSnapshot::new(db, 0).tracked(Arc::clone(&gauge));
-        SingleNodeBackend {
-            head: RwLock::new(Arc::new(head)),
-            gauge,
-        }
-    }
-}
-
-impl ServingBackend for SingleNodeBackend {
-    fn head(&self) -> Arc<dyn SnapshotView> {
-        Arc::clone(&*self.head.read()) as Arc<dyn SnapshotView>
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn begin_write(&self) -> Vec<Database> {
-        vec![self.head.read().database().clone()]
-    }
-
-    fn publish(
-        &self,
-        mut shards: Vec<Database>,
-        version: u64,
-        _shard_dirty: &[bool],
-    ) -> Arc<dyn SnapshotView> {
-        let db = shards.pop().expect("single-node publish needs one shard");
-        let next = DatabaseSnapshot::new(db, version).tracked(Arc::clone(&self.gauge));
-        std::mem::replace(&mut *self.head.write(), Arc::new(next)) as Arc<dyn SnapshotView>
-    }
-
-    fn route_rect(&self, _table: &str, _rect: &Rect) -> Option<Vec<usize>> {
-        Some(vec![0])
-    }
-}
-
-/// The sharded backend: N shard databases behind one published
-/// [`ShardedSnapshot`] head.
-pub(crate) struct ShardedBackend {
-    head: RwLock<Arc<ShardedSnapshot>>,
-    router: Arc<QueryRouter>,
-    telemetry: ShardTelemetry,
-    gauge: Arc<Gauge>,
-}
-
-impl ShardedBackend {
-    pub(crate) fn new(
-        shards: Vec<Database>,
-        router: Arc<QueryRouter>,
-        telemetry: ShardTelemetry,
-        gauge: Arc<Gauge>,
-    ) -> Result<Self, StorageError> {
-        if router.shard_count() != shards.len() {
-            return Err(StorageError::ExecError(format!(
-                "router implies {} shards, backend has {}",
-                router.shard_count(),
-                shards.len()
-            )));
-        }
-        let versions = vec![0; shards.len()];
-        let head = ShardedSnapshot::new(shards, versions, Arc::clone(&router))
-            .with_telemetry(telemetry.clone())
-            .tracked(Arc::clone(&gauge));
-        Ok(ShardedBackend {
-            head: RwLock::new(Arc::new(head)),
-            router,
-            telemetry,
-            gauge,
-        })
-    }
-}
-
-impl ServingBackend for ShardedBackend {
-    fn head(&self) -> Arc<dyn SnapshotView> {
-        Arc::clone(&*self.head.read()) as Arc<dyn SnapshotView>
-    }
-
-    fn shard_count(&self) -> usize {
-        self.router.shard_count()
-    }
-
-    fn begin_write(&self) -> Vec<Database> {
-        self.head.read().clone_shards()
-    }
-
-    fn publish(
-        &self,
-        shards: Vec<Database>,
-        version: u64,
-        shard_dirty: &[bool],
-    ) -> Arc<dyn SnapshotView> {
-        let prev = self.head.read().versions().to_vec();
-        let versions: Vec<u64> = prev
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if shard_dirty[i] { version } else { v })
-            .collect();
-        let next = ShardedSnapshot::new(shards, versions, Arc::clone(&self.router))
-            .with_telemetry(self.telemetry.clone())
-            .tracked(Arc::clone(&self.gauge));
-        std::mem::replace(&mut *self.head.write(), Arc::new(next)) as Arc<dyn SnapshotView>
-    }
-
-    fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>> {
-        self.router.route_rect(table, rect)
+    ) -> Arc<Snapshot> {
+        let mut head = self.0.write();
+        let next = head.successor(shards, version, shard_dirty);
+        std::mem::replace(&mut *head, Arc::new(next))
     }
 }

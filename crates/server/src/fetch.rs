@@ -46,10 +46,10 @@ fn raw_query_rect(
 /// Valid for spatial-index-backed stores (paper: dynamic boxes always use
 /// the spatial design; spatial static tiles also route through this).
 ///
-/// Backend-agnostic: `db` may be a single-node [`crate::DatabaseSnapshot`]
-/// or a [`crate::ShardedSnapshot`] — on the latter, the `bbox && rect`
-/// predicate routes the query to the shards the rectangle intersects and
-/// the coordinator merge concatenates their rows.
+/// Shard-count-agnostic: on a [`crate::Snapshot`] over several shards the
+/// `bbox && rect` predicate routes the query to the shards the rectangle
+/// intersects and the coordinator merge concatenates their rows; over one
+/// shard it is that database's own execution.
 pub fn fetch_rect(
     db: &dyn SnapshotView,
     store: &LayerStore,

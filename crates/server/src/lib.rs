@@ -21,10 +21,10 @@
 //! * **telemetry** threaded through the whole request and mutation paths
 //!   (spans, histograms, snapshot gauges; `kyrix-obs`) and **plan-drift
 //!   detection** against the tuner's calibration — [`drift`];
-//! * a backend-agnostic serving abstraction: fetches resolve against a
-//!   [`SnapshotView`], implemented by the single-node snapshot *and* a
-//!   scatter-gather [`ShardedSnapshot`] over partitioned shards —
-//!   [`backend`].
+//! * one serving backend for any shard count: fetches resolve against a
+//!   [`SnapshotView`], whose one implementor is a [`Snapshot`] over N
+//!   shard databases — a single node is the one-shard case, answered
+//!   inline; several shards answer by scatter-gather — [`backend`].
 
 #![warn(missing_docs)]
 
@@ -41,11 +41,10 @@ pub mod policy;
 pub mod precompute;
 pub mod prefetch;
 pub mod server;
-pub mod snapshot;
 pub mod tile;
 pub mod tuner;
 
-pub use backend::{ServingBackend, ShardedSnapshot, SnapshotView};
+pub use backend::{Snapshot, SnapshotView};
 pub use cache::{CacheStats, LruCache};
 pub use cost::CostModel;
 pub use dbox::BoxPolicy;
@@ -66,6 +65,5 @@ pub use prefetch::{
 pub use server::{
     BoxResponse, DirtyRegion, KyrixServer, PrefetchPolicy, ServerConfig, TileResponse,
 };
-pub use snapshot::DatabaseSnapshot;
 pub use tile::{TileId, Tiling, MAX_COVERING_TILES};
 pub use tuner::{measure_plan, CalibrationTrace, CandidateCost, LayerTuning, TuningReport};

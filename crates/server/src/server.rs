@@ -2,10 +2,7 @@
 //! stores produced by precomputation, the backend caches, and the
 //! prefetcher; answers tile and box requests from the frontend.
 
-use crate::backend::{
-    ServingBackend, ShardTelemetry, ShardedBackend, ShardedSnapshot, SingleNodeBackend,
-    SnapshotView,
-};
+use crate::backend::{Head, ShardTelemetry, Snapshot, SnapshotView};
 use crate::cache::CacheStats;
 use crate::cache::LruCache;
 use crate::cost::CostModel;
@@ -25,7 +22,7 @@ use crate::prefetch::{
 use crate::tile::{TileId, Tiling};
 use crate::tuner::{self, TuningReport};
 use crossbeam::channel::{unbounded, Sender};
-use kyrix_core::CompiledApp;
+use kyrix_core::{CompiledApp, CompiledLayer};
 use kyrix_obs::{Counter, FamilyMember, Registry};
 use kyrix_parallel::QueryRouter;
 use kyrix_storage::fxhash::FxHashMap;
@@ -145,7 +142,7 @@ type CachedRows = (Arc<Vec<Row>>, u64); // rows + wire bytes
 type BoxCacheShelf = VecDeque<(Rect, Arc<Vec<Row>>, u64)>; // rect, rows, bytes
 
 /// A rectangle of one physical table whose rows changed in a
-/// [`KyrixServer::mutate_raw`] call, in that table's own coordinates.
+/// [`KyrixServer::mutate_shards`] call, in that table's own coordinates.
 /// The server maps it onto the canvases/layers the table backs and
 /// invalidates exactly the intersecting cache state.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,36 +173,56 @@ struct MutationLog {
     entries: VecDeque<(u64, Vec<MutationEntry>)>,
 }
 
-struct Inner {
-    app: CompiledApp,
-    /// The serving backend: publishes the *head* [`SnapshotView`]. Every
-    /// fetch pins the head (the backend's lock is held only for that
-    /// clone) and resolves against it with no lock held;
-    /// [`KyrixServer::mutate_raw`] builds the successor shard set off to
-    /// the side and publishes it through the backend. Readers therefore
-    /// never block behind a mutation. Single-node and sharded backends
-    /// are indistinguishable above this field.
-    backend: Box<dyn ServingBackend>,
-    /// Serializes mutators ([`KyrixServer::mutate_raw`]). Never held by
-    /// any fetch path.
-    writer: Mutex<()>,
-    stores: FxHashMap<(u32, u32), LayerStore>,
-    /// Plan resolved by the policy per `(canvas idx, layer idx)`, stored
-    /// alongside the layer's store at launch. Every plan-matching site
-    /// (tile/box fetch, region fetch, prefetch dispatch) consults this map,
-    /// never a server-wide plan.
-    plans: FxHashMap<(u32, u32), FetchPlan>,
-    cost: CostModel,
-    tile_cache: Mutex<LruCache<TileKey, CachedRows>>,
-    box_caches: Mutex<FxHashMap<(u32, u32), BoxCacheShelf>>,
-    box_cache_entries: usize,
-    totals: Mutex<FetchMetrics>,
-    /// Foreground metrics attributed per `(canvas idx, layer idx)` — and
-    /// therefore per resolved plan, since each layer serves exactly one.
+/// `(canvas idx, layer idx)`: the key of everything kept per layer.
+type LayerKey = (u32, u32);
+
+/// Serving totals of one layer. Server-wide totals are sums over layers,
+/// so a fetch takes no metrics lock shared with another layer's.
+#[derive(Default)]
+struct LayerStats {
+    /// Foreground metrics — and therefore of the layer's resolved plan.
     /// The substrate for inspecting how a plan assignment performs live
     /// (the tuner measures candidates on its own side channel instead).
-    layer_totals: Mutex<FxHashMap<(u32, u32), FetchMetrics>>,
-    prefetch_totals: Mutex<FetchMetrics>,
+    foreground: FetchMetrics,
+    /// Backend-side work the prefetch worker did on this layer.
+    prefetch: FetchMetrics,
+    /// Foreground [`KyrixServer::fetch_region`] serves — the step count
+    /// drift detection uses to normalize `foreground` to a
+    /// per-interaction cost.
+    regions: u64,
+}
+
+/// Everything the server keeps per `(canvas, layer)`, built once at
+/// launch: one lookup per fetch resolves all of it.
+struct LayerServing {
+    store: LayerStore,
+    /// Plan the policy resolved for the layer. Every plan-matching site
+    /// (tile/box fetch, region fetch, prefetch dispatch) consults this,
+    /// never a server-wide plan.
+    plan: FetchPlan,
+    /// Region-serve latency recorder of the `fetch.region.layer{canvas/N}`
+    /// family, resolved at launch so a fetch formats no label.
+    latency: FamilyMember,
+    stats: Mutex<LayerStats>,
+}
+
+struct Inner {
+    app: CompiledApp,
+    /// The published *head* [`Snapshot`]. Every fetch pins it (the head
+    /// lock is held only for that clone) and resolves against it with no
+    /// lock held; [`KyrixServer::mutate_shards`] builds the successor
+    /// shard set off to the side and publishes it here. Readers therefore
+    /// never block behind a mutation. How many shards the snapshot spans
+    /// is invisible above this field.
+    head: Head,
+    /// Serializes mutators ([`KyrixServer::mutate_shards`]). Never held by
+    /// any fetch path.
+    writer: Mutex<()>,
+    layers: FxHashMap<LayerKey, LayerServing>,
+    cost: CostModel,
+    tile_cache: Mutex<LruCache<TileKey, CachedRows>>,
+    box_caches: Mutex<FxHashMap<LayerKey, BoxCacheShelf>>,
+    box_cache_entries: usize,
     /// Per-canvas semantic profiles (data characteristics of recently
     /// viewed regions).
     semantic: Mutex<FxHashMap<u32, SemanticTracker>>,
@@ -215,69 +232,56 @@ struct Inner {
     /// query observer feeds `span.sql.execute` here; the fetch and
     /// mutation paths emit the rest.
     obs: Arc<Registry>,
-    /// Region-serve latency recorders of the `fetch.region.layer{canvas/N}`
-    /// family, one per layer, resolved at launch so a fetch formats no label.
-    region_latency: FxHashMap<(u32, u32), FamilyMember>,
     /// Rows the covering tiles of tiled region fetches returned
     /// (`fetch.region.rows_in`) and rows the merge kept
     /// (`fetch.region.rows_out`); in − out is the tile-straddler tax.
     region_rows_in: Arc<Counter>,
     region_rows_out: Arc<Counter>,
-    /// Foreground [`KyrixServer::fetch_region`] serves per
-    /// `(canvas idx, layer idx)` — the step count drift detection uses to
-    /// normalize `layer_totals` to a per-interaction cost.
-    layer_regions: Mutex<FxHashMap<(u32, u32), u64>>,
 }
 
 impl Inner {
-    /// Serving state over a launched backend: empty caches, zeroed totals,
-    /// version 0, and the per-layer telemetry handles resolved once.
+    /// Serving state over a launched head: empty caches, zeroed totals,
+    /// version 0, and one [`LayerServing`] per resolved `(store, plan)`.
     fn new(
         app: CompiledApp,
-        backend: Box<dyn ServingBackend>,
-        stores: FxHashMap<(u32, u32), LayerStore>,
-        plans: FxHashMap<(u32, u32), FetchPlan>,
+        head: Head,
+        stores: FxHashMap<LayerKey, LayerStore>,
+        plans: &FxHashMap<LayerKey, FetchPlan>,
         config: &ServerConfig,
         obs: Arc<Registry>,
     ) -> Self {
         let family = obs.histogram_family("fetch.region.layer");
-        let region_latency = stores
-            .keys()
-            .map(|&(ci, li)| {
+        let layers = stores
+            .into_iter()
+            .map(|(key @ (ci, li), store)| {
                 let label = format!("{}/{li}", app.canvases[ci as usize].id);
-                ((ci, li), family.member(&label))
+                let serving = LayerServing {
+                    store,
+                    plan: plans[&key],
+                    latency: family.member(&label),
+                    stats: Mutex::default(),
+                };
+                (key, serving)
             })
             .collect();
         Inner {
             app,
-            backend,
+            head,
             writer: Mutex::new(()),
-            stores,
-            plans,
+            layers,
             cost: config.cost,
             tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
             box_caches: Mutex::new(FxHashMap::default()),
             box_cache_entries: config.box_cache_entries,
-            totals: Mutex::new(FetchMetrics::default()),
-            layer_totals: Mutex::new(FxHashMap::default()),
-            prefetch_totals: Mutex::new(FetchMetrics::default()),
             semantic: Mutex::new(FxHashMap::default()),
             mutations: Mutex::new(MutationLog {
                 version: 0,
                 entries: VecDeque::new(),
             }),
-            region_latency,
             region_rows_in: obs.counter("fetch.region.rows_in"),
             region_rows_out: obs.counter("fetch.region.rows_out"),
             obs,
-            layer_regions: Mutex::new(FxHashMap::default()),
         }
-    }
-
-    /// Pin the published head view (two atomic ops; the backend's head
-    /// lock is released before this returns).
-    fn snapshot(&self) -> Arc<dyn SnapshotView> {
-        self.backend.head()
     }
 
     /// Density signature of a region, from spatial-index counts on the
@@ -292,14 +296,15 @@ impl Inner {
             .iter()
             .position(|l| !l.is_static)
             .ok_or_else(|| ServerError::BadRequest("canvas has no data layers".to_string()))?;
-        let store = self.store(canvas, layer)?;
-        let snap = self.snapshot();
+        let (_, serving) = self.layer(canvas, layer)?;
+        let snap = self.head.pin();
         let counts: Vec<u64> = RegionSignature::cell_rects(rect)
             .iter()
-            .map(|cell| count_rect(&*snap, store, cell).map(|n| n as u64))
+            .map(|cell| count_rect(&*snap, &serving.store, cell).map(|n| n as u64))
             .collect::<Result<_>>()?;
         Ok(RegionSignature::from_counts(&counts))
     }
+
     fn canvas_idx(&self, canvas: &str) -> Result<u32> {
         self.app
             .canvases
@@ -309,38 +314,35 @@ impl Inner {
             .ok_or_else(|| ServerError::BadRequest(format!("unknown canvas `{canvas}`")))
     }
 
-    fn store(&self, canvas: &str, layer: usize) -> Result<&LayerStore> {
-        let ci = self.canvas_idx(canvas)?;
-        self.stores
-            .get(&(ci, layer as u32))
+    /// The one per-fetch lookup: a layer's key and everything kept for it.
+    fn layer(&self, canvas: &str, layer: usize) -> Result<(LayerKey, &LayerServing)> {
+        let key = (self.canvas_idx(canvas)?, layer as u32);
+        self.layers
+            .get(&key)
+            .map(|serving| (key, serving))
             .ok_or_else(|| ServerError::BadRequest(format!("unknown layer {layer} of `{canvas}`")))
     }
 
-    /// The plan resolved for a layer at launch.
-    fn plan_for(&self, ci: u32, layer: usize) -> Result<FetchPlan> {
-        self.plans
-            .get(&(ci, layer as u32))
-            .copied()
-            .ok_or_else(|| ServerError::BadRequest(format!("unknown layer {layer}")))
+    fn canvas_id(&self, ci: u32) -> &str {
+        &self.app.canvases[ci as usize].id
     }
 
     fn fetch_tile_cached(
         &self,
         snap: &dyn SnapshotView,
-        canvas: &str,
-        layer: usize,
+        (ci, li): LayerKey,
+        serving: &LayerServing,
         tile: TileId,
         background: bool,
     ) -> Result<TileResponse> {
-        let ci = self.canvas_idx(canvas)?;
-        let store = self.store(canvas, layer)?;
-        let FetchPlan::StaticTiles { size, .. } = self.plan_for(ci, layer)? else {
+        let FetchPlan::StaticTiles { size, .. } = serving.plan else {
             return Err(ServerError::Config(format!(
-                "tile request on dynamic-box layer {layer} of `{canvas}`"
+                "tile request on dynamic-box layer {li} of `{}`",
+                self.canvas_id(ci)
             )));
         };
         let tiling = Tiling::new(size);
-        let key = (ci, layer as u32, tile.key());
+        let key = (ci, li, tile.key());
 
         // Cache entries are always valid for the *published* version
         // (invalidation drops intersecting ones under the same lock as the
@@ -365,7 +367,7 @@ impl Inner {
                 cache_hits: 1,
                 ..Default::default()
             };
-            self.record(&metrics, background, (ci, layer as u32));
+            serving.record(&metrics, background);
             return Ok(TileResponse {
                 tile,
                 rows,
@@ -374,7 +376,7 @@ impl Inner {
         }
 
         // no lock held while the query runs: the snapshot is immutable
-        let (rows, mut metrics) = fetch_tile(snap, store, tiling, tile)?;
+        let (rows, mut metrics) = fetch_tile(snap, &serving.store, tiling, tile)?;
         let rows = Arc::new(rows);
         let bytes = metrics.bytes;
         {
@@ -390,7 +392,7 @@ impl Inner {
         }
         metrics.requests = 1;
         metrics.cache_misses = 1;
-        self.record(&metrics, background, (ci, layer as u32));
+        serving.record(&metrics, background);
         Ok(TileResponse {
             tile,
             rows,
@@ -401,19 +403,17 @@ impl Inner {
     fn fetch_box_cached(
         &self,
         snap: &dyn SnapshotView,
-        canvas: &str,
-        layer: usize,
+        key @ (ci, li): LayerKey,
+        serving: &LayerServing,
         viewport: &Rect,
         background: bool,
     ) -> Result<BoxResponse> {
-        let ci = self.canvas_idx(canvas)?;
-        let store = self.store(canvas, layer)?;
-        let FetchPlan::DynamicBox { policy } = self.plan_for(ci, layer)? else {
+        let FetchPlan::DynamicBox { policy } = serving.plan else {
             return Err(ServerError::Config(format!(
-                "box request on static-tile layer {layer} of `{canvas}`"
+                "box request on static-tile layer {li} of `{}`",
+                self.canvas_id(ci)
             )));
         };
-        let key = (ci, layer as u32);
 
         // backend box cache: any cached box containing the viewport serves
         // it — but only when our pinned snapshot is still the published
@@ -442,7 +442,7 @@ impl Inner {
                     cache_hits: 1,
                     ..Default::default()
                 };
-                self.record(&metrics, background, key);
+                serving.record(&metrics, background);
                 return Ok(BoxResponse {
                     rect,
                     rows,
@@ -451,13 +451,9 @@ impl Inner {
             }
         }
 
-        let canvas_bounds = self
-            .app
-            .canvas(canvas)
-            .map(|c| c.bounds())
-            .unwrap_or_else(Rect::empty);
-        let rect = compute_fetch_box(snap, store, &policy, viewport, &canvas_bounds);
-        let (rows, mut metrics) = fetch_rect(snap, store, &rect)?;
+        let canvas_bounds = self.app.canvases[ci as usize].bounds();
+        let rect = compute_fetch_box(snap, &serving.store, &policy, viewport, &canvas_bounds);
+        let (rows, mut metrics) = fetch_rect(snap, &serving.store, &rect)?;
         let rows = Arc::new(rows);
         metrics.requests = 1;
         metrics.cache_misses = 1;
@@ -481,7 +477,7 @@ impl Inner {
                 }
             }
         }
-        self.record(&metrics, background, key);
+        serving.record(&metrics, background);
         Ok(BoxResponse {
             rect,
             rows,
@@ -494,7 +490,19 @@ impl Inner {
         self.mutations.lock().version
     }
 
-    fn record(&self, metrics: &FetchMetrics, background: bool, layer: (u32, u32)) {
+    /// Sum one field of every layer's stats (server-wide totals are
+    /// computed, not kept).
+    fn sum_stats(&self, field: impl Fn(&LayerStats) -> &FetchMetrics) -> FetchMetrics {
+        let mut total = FetchMetrics::default();
+        for serving in self.layers.values() {
+            total.merge(field(&serving.stats.lock()));
+        }
+        total
+    }
+}
+
+impl LayerServing {
+    fn record(&self, metrics: &FetchMetrics, background: bool) {
         if background {
             // Prefetch work is backend-internal: no frontend↔backend round
             // trip happens and no bytes cross the frontend link until a
@@ -509,14 +517,9 @@ impl Inner {
                 bytes: 0,
                 ..*metrics
             };
-            self.prefetch_totals.lock().merge(&backend_side);
+            self.stats.lock().prefetch.merge(&backend_side);
         } else {
-            self.totals.lock().merge(metrics);
-            self.layer_totals
-                .lock()
-                .entry(layer)
-                .or_default()
-                .merge(metrics);
+            self.stats.lock().foreground.merge(metrics);
         }
     }
 }
@@ -556,34 +559,38 @@ impl Prefetcher {
                             // router sends it only to the shards whose
                             // grid cells that viewport intersects —
                             // off-path shards do no work
-                            let snap = inner.snapshot();
+                            let snap = inner.head.pin();
                             for (li, layer) in cc.layers.iter().enumerate() {
                                 if layer.is_static {
                                     continue;
                                 }
+                                let key = (ci, li as u32);
+                                let Some(serving) = inner.layers.get(&key) else {
+                                    continue;
+                                };
                                 // dispatch per the layer's *resolved* plan:
                                 // one predicted viewport may warm tiles on
                                 // one layer and a box on the next
-                                match inner.plan_for(ci, li) {
-                                    Ok(FetchPlan::StaticTiles { size, .. }) => {
+                                match serving.plan {
+                                    FetchPlan::StaticTiles { size, .. } => {
                                         let Ok(tiles) = Tiling::new(size).covering(&rect) else {
                                             continue; // degenerate prediction
                                         };
                                         for tile in tiles {
-                                            let _ = inner
-                                                .fetch_tile_cached(&*snap, &canvas, li, tile, true);
+                                            let _ = inner.fetch_tile_cached(
+                                                &*snap, key, serving, tile, true,
+                                            );
                                         }
                                     }
-                                    Ok(FetchPlan::DynamicBox { .. }) => {
+                                    FetchPlan::DynamicBox { .. } => {
                                         // widen the prediction slightly so a
                                         // near-miss (momentum estimate off by
                                         // a few pixels) still serves the real
                                         // next viewport from the box cache
                                         let widened = rect.inflate_frac(0.15, 0.15);
                                         let _ = inner
-                                            .fetch_box_cached(&*snap, &canvas, li, &widened, true);
+                                            .fetch_box_cached(&*snap, key, serving, &widened, true);
                                     }
-                                    Err(_) => {}
                                 }
                             }
                         }
@@ -637,30 +644,50 @@ impl KyrixServer {
                 (tuned.stores, tuned.plans, tuned.reports, Some(tuned.tuning))
             }
             policy => {
+                let plans = Self::resolve_plans(&app, policy, std::slice::from_ref(&db))?;
                 let mut stores = FxHashMap::default();
-                let mut plans = FxHashMap::default();
                 let mut reports = Vec::new();
-                for (ci, canvas) in app.canvases.iter().enumerate() {
-                    for (li, layer) in canvas.layers.iter().enumerate() {
-                        let estimated_rows = if policy.needs_row_estimate() {
-                            estimate_layer_rows(&db, layer)?
-                        } else {
-                            0
-                        };
-                        let plan = policy.resolve(layer, estimated_rows);
-                        let (store, report) = precompute_layer(&mut db, layer, &plan, &app.name)?;
-                        stores.insert((ci as u32, li as u32), store);
-                        plans.insert((ci as u32, li as u32), plan);
-                        reports.push(report);
-                    }
+                for (key, layer) in Self::layers_of(&app) {
+                    let (store, report) =
+                        precompute_layer(&mut db, layer, &plans[&key], &app.name)?;
+                    stores.insert(key, store);
+                    reports.push(report);
                 }
                 (stores, plans, reports, None)
             }
         };
-        let obs = Self::observe_queries(std::slice::from_mut(&mut db));
-        let backend = Box::new(SingleNodeBackend::new(db, obs.gauge("snapshot.pinned")));
-        let server = Self::start(app, backend, stores, plans, config, tuning, obs);
+        let server = Self::start(app, vec![db], None, stores, &plans, config, tuning);
         Ok((server, reports))
+    }
+
+    /// Every layer of the app with its key, in canvas-then-layer order.
+    fn layers_of(app: &CompiledApp) -> impl Iterator<Item = (LayerKey, &CompiledLayer)> {
+        app.canvases.iter().enumerate().flat_map(|(ci, canvas)| {
+            let layers = canvas.layers.iter().enumerate();
+            layers.map(move |(li, layer)| ((ci as u32, li as u32), layer))
+        })
+    }
+
+    /// Resolve a static (non-`Measured`) policy for every layer. A layer's
+    /// row estimate, where the policy wants one, is the sum over `dbs`:
+    /// partitioned rows live on exactly one shard.
+    fn resolve_plans(
+        app: &CompiledApp,
+        policy: &PlanPolicy,
+        dbs: &[Database],
+    ) -> Result<FxHashMap<LayerKey, FetchPlan>> {
+        let mut plans = FxHashMap::default();
+        for (key, layer) in Self::layers_of(app) {
+            let estimated_rows = if policy.needs_row_estimate() {
+                dbs.iter()
+                    .map(|db| estimate_layer_rows(db, layer))
+                    .sum::<Result<usize>>()?
+            } else {
+                0
+            };
+            plans.insert(key, policy.resolve(layer, estimated_rows));
+        }
+        Ok(plans)
     }
 
     /// The serving registry, with every database of the backend-to-be
@@ -682,18 +709,35 @@ impl KyrixServer {
         obs
     }
 
-    /// The tail of every launch: wire the built backend and the resolved
-    /// stores/plans into the shared state and start the prefetch worker.
+    /// The tail of every launch: publish `shards` as the version-0 head
+    /// (several shards record their scatter-gather spans; one never
+    /// scatters), wire the resolved stores/plans into the shared state and
+    /// start the prefetch worker.
     fn start(
         app: CompiledApp,
-        backend: Box<dyn ServingBackend>,
-        stores: FxHashMap<(u32, u32), LayerStore>,
-        plans: FxHashMap<(u32, u32), FetchPlan>,
+        mut shards: Vec<Database>,
+        router: Option<Arc<QueryRouter>>,
+        stores: FxHashMap<LayerKey, LayerStore>,
+        plans: &FxHashMap<LayerKey, FetchPlan>,
         config: ServerConfig,
         tuning: Option<TuningReport>,
-        obs: Arc<Registry>,
     ) -> Self {
-        let inner = Arc::new(Inner::new(app, backend, stores, plans, &config, obs));
+        let obs = Self::observe_queries(&mut shards);
+        let telemetry = (shards.len() > 1).then(|| ShardTelemetry {
+            obs: Arc::clone(&obs),
+            family: obs.histogram_family("fetch.shard"),
+        });
+        let head = Snapshot::new(shards, router)
+            .with_telemetry(telemetry)
+            .tracked(obs.gauge("snapshot.pinned"));
+        let inner = Arc::new(Inner::new(
+            app,
+            Head::new(head),
+            stores,
+            plans,
+            &config,
+            obs,
+        ));
         let prefetcher = if config.prefetch {
             Some(Prefetcher::spawn(inner.clone()))
         } else {
@@ -712,7 +756,9 @@ impl KyrixServer {
     /// to the shards its rectangle intersects, each probes its own R-tree,
     /// and the coordinator merge recombines the rows. Everything above the
     /// backend (caches, prefetch, sessions, tuning) is unchanged — shards
-    /// are invisible above the [`SnapshotView`] trait.
+    /// are invisible above the [`SnapshotView`] trait. One shard is served
+    /// exactly as [`KyrixServer::launch`] serves its database: inline, with
+    /// no routing, scatter or merge.
     ///
     /// Sharded serving fetches straight off the partitioned tables, so
     /// every non-static layer must take the §3.2 separable fast path
@@ -726,7 +772,7 @@ impl KyrixServer {
     /// scatter-gather serve it will pick plans for.
     pub fn launch_sharded(
         app: CompiledApp,
-        mut shards: Vec<Database>,
+        shards: Vec<Database>,
         router: QueryRouter,
         config: ServerConfig,
     ) -> Result<Self> {
@@ -737,61 +783,35 @@ impl KyrixServer {
                 shards.len()
             )));
         }
+        let router = Arc::new(router);
         // stores first: plan-independent on this path (separable stores
         // serve both spatial static tiles and dynamic boxes)
         let mut stores = FxHashMap::default();
-        for (ci, canvas) in app.canvases.iter().enumerate() {
-            for (li, layer) in canvas.layers.iter().enumerate() {
-                let store = if layer.is_static {
-                    LayerStore::Static
-                } else {
-                    separable_store(&shards[0], layer).ok_or_else(|| {
-                        ServerError::Config(format!(
-                            "layer {li} of canvas `{}` is not separable; sharded serving \
-                             fetches straight off partitioned raw tables — relaunch \
-                             single-node or make the layer separable",
-                            canvas.id
-                        ))
-                    })?
-                };
-                stores.insert((ci as u32, li as u32), store);
-            }
+        for (key @ (ci, li), layer) in Self::layers_of(&app) {
+            let store = if layer.is_static {
+                LayerStore::Static
+            } else {
+                separable_store(&shards[0], layer).ok_or_else(|| {
+                    ServerError::Config(format!(
+                        "layer {li} of canvas `{}` is not separable; sharded serving \
+                         fetches straight off partitioned raw tables — relaunch \
+                         single-node or make the layer separable",
+                        app.canvases[ci as usize].id
+                    ))
+                })?
+            };
+            stores.insert(key, store);
         }
         let (plans, tuning) = match &config.policy {
             PlanPolicy::Measured { candidates, trace } => {
                 // pin a calibration view with no telemetry so the replay
                 // stays out of the serving histograms
-                let view = ShardedSnapshot::new(
-                    shards.clone(),
-                    vec![0; shards.len()],
-                    Arc::new(router.clone()),
-                );
+                let view = Snapshot::new(shards.clone(), Some(Arc::clone(&router)));
                 let tuned =
                     tuner::tune_sharded(&view, &app, &stores, candidates, trace, &config.cost)?;
                 (tuned.plans, Some(tuned.tuning))
             }
-            policy => {
-                let mut plans = FxHashMap::default();
-                for (ci, canvas) in app.canvases.iter().enumerate() {
-                    for (li, layer) in canvas.layers.iter().enumerate() {
-                        let estimated_rows = if policy.needs_row_estimate() && !layer.is_static {
-                            // partitioned rows live on exactly one shard,
-                            // so the global estimate is the per-shard sum
-                            shards
-                                .iter()
-                                .map(|s| estimate_layer_rows(s, layer))
-                                .sum::<Result<usize>>()?
-                        } else {
-                            0
-                        };
-                        plans.insert(
-                            (ci as u32, li as u32),
-                            policy.resolve(layer, estimated_rows),
-                        );
-                    }
-                }
-                (plans, None)
-            }
+            policy => (Self::resolve_plans(&app, policy, &shards)?, None),
         };
         if let Some(((ci, li), _)) = plans.iter().find(|(_, p)| {
             matches!(
@@ -808,26 +828,21 @@ impl KyrixServer {
                  spatial tile design"
             )));
         }
-        let obs = Self::observe_queries(&mut shards);
-        let telemetry = ShardTelemetry {
-            obs: Arc::clone(&obs),
-            family: obs.histogram_family("fetch.shard"),
-        };
-        let backend = Box::new(ShardedBackend::new(
-            shards,
-            Arc::new(router),
-            telemetry,
-            obs.gauge("snapshot.pinned"),
-        )?);
         Ok(Self::start(
-            app, backend, stores, plans, config, tuning, obs,
+            app,
+            shards,
+            Some(router),
+            stores,
+            &plans,
+            config,
+            tuning,
         ))
     }
 
     /// How many shards the backend serves from (1 for a
     /// [`KyrixServer::launch`]ed single-node server).
     pub fn shard_count(&self) -> usize {
-        self.inner.backend.shard_count()
+        self.inner.head.pin().shard_count()
     }
 
     /// The compiled app this server serves.
@@ -842,8 +857,7 @@ impl KyrixServer {
 
     /// The fetch plan resolved for one layer at launch.
     pub fn plan_for(&self, canvas: &str, layer: usize) -> Result<FetchPlan> {
-        let ci = self.inner.canvas_idx(canvas)?;
-        self.inner.plan_for(ci, layer)
+        Ok(self.inner.layer(canvas, layer)?.1.plan)
     }
 
     /// The tuner's per-layer candidate costs and chosen assignment. Present
@@ -874,33 +888,35 @@ impl KyrixServer {
 
     /// The physical store backing a layer (exposed for tests/inspection).
     pub fn store(&self, canvas: &str, layer: usize) -> Result<LayerStore> {
-        self.inner.store(canvas, layer).cloned()
+        Ok(self.inner.layer(canvas, layer)?.1.store.clone())
     }
 
     /// Row accessor layout of a layer's rows (None for static layers),
     /// without copying the store.
     pub fn layout(&self, canvas: &str, layer: usize) -> Result<Option<LayerRowLayout>> {
-        Ok(self.inner.store(canvas, layer)?.layout())
+        Ok(self.inner.layer(canvas, layer)?.1.store.layout())
     }
 
     /// Fetch one tile of a layer (static-tile plans only).
     pub fn fetch_tile(&self, canvas: &str, layer: usize, tile: TileId) -> Result<TileResponse> {
-        let snap = {
-            let _pin = self.inner.obs.span("snapshot.pin");
-            self.inner.snapshot()
-        };
+        let snap = self.pin_head();
+        let (key, serving) = self.inner.layer(canvas, layer)?;
         self.inner
-            .fetch_tile_cached(&*snap, canvas, layer, tile, false)
+            .fetch_tile_cached(&*snap, key, serving, tile, false)
+    }
+
+    /// Pin the published head under a `snapshot.pin` span.
+    fn pin_head(&self) -> Arc<Snapshot> {
+        let _pin = self.inner.obs.span("snapshot.pin");
+        self.inner.head.pin()
     }
 
     /// Fetch the dynamic box for a viewport (dynamic-box plans only).
     pub fn fetch_box(&self, canvas: &str, layer: usize, viewport: &Rect) -> Result<BoxResponse> {
-        let snap = {
-            let _pin = self.inner.obs.span("snapshot.pin");
-            self.inner.snapshot()
-        };
+        let snap = self.pin_head();
+        let (key, serving) = self.inner.layer(canvas, layer)?;
         self.inner
-            .fetch_box_cached(&*snap, canvas, layer, viewport, false)
+            .fetch_box_cached(&*snap, key, serving, viewport, false)
     }
 
     /// Fetch everything intersecting a canvas rectangle under *either*
@@ -919,21 +935,17 @@ impl KyrixServer {
         let obs = Arc::clone(&self.inner.obs);
         let _region = obs.span("fetch.region");
         let started = Instant::now();
-        let snap = {
-            let _pin = obs.span("snapshot.pin");
-            self.inner.snapshot()
-        };
-        let ci = self.inner.canvas_idx(canvas)?;
-        let plan = {
+        let snap = self.pin_head();
+        let (key, serving) = {
             let _resolve = obs.span("plan.resolve");
-            self.inner.plan_for(ci, layer)?
+            self.inner.layer(canvas, layer)?
         };
-        let out = match plan {
+        let out = match serving.plan {
             FetchPlan::DynamicBox { .. } => self
                 .inner
-                .fetch_box_cached(&*snap, canvas, layer, rect, false),
+                .fetch_box_cached(&*snap, key, serving, rect, false),
             FetchPlan::StaticTiles { size, .. } => {
-                let store = self.inner.store(canvas, layer)?;
+                let store = &serving.store;
                 let tiling = Tiling::new(size);
                 let tiles = tiling.covering(rect)?;
                 // separable stores number tuple ids per fetch, so they
@@ -949,7 +961,7 @@ impl KyrixServer {
                 for &tile in &tiles {
                     let resp = self
                         .inner
-                        .fetch_tile_cached(&*snap, canvas, layer, tile, false)?;
+                        .fetch_tile_cached(&*snap, key, serving, tile, false)?;
                     let _merge = obs.span("merge");
                     // A mark straddling a tile edge arrives through every
                     // tile whose fetch sees it — with all its copies, when
@@ -990,26 +1002,16 @@ impl KyrixServer {
             }
         };
         if out.is_ok() {
-            *self
-                .inner
-                .layer_regions
-                .lock()
-                .entry((ci, layer as u32))
-                .or_insert(0) += 1;
-            if let Some(latency) = self.inner.region_latency.get(&(ci, layer as u32)) {
-                latency.record_duration(started.elapsed());
-            }
+            serving.stats.lock().regions += 1;
+            serving.latency.record_duration(started.elapsed());
         }
         out
     }
 
     /// Count layer objects in a canvas rectangle (no data transfer).
     pub fn count_in_rect(&self, canvas: &str, layer: usize, rect: &Rect) -> Result<usize> {
-        count_rect(
-            &*self.inner.snapshot(),
-            self.inner.store(canvas, layer)?,
-            rect,
-        )
+        let (_, serving) = self.inner.layer(canvas, layer)?;
+        count_rect(&*self.inner.head.pin(), &serving.store, rect)
     }
 
     /// Inform the server of the user's pan momentum so it can prefetch
@@ -1104,25 +1106,16 @@ impl KyrixServer {
         }
     }
 
-    /// Cumulative foreground metrics.
+    /// Cumulative foreground metrics: the sum of every layer's.
     pub fn totals(&self) -> FetchMetrics {
-        *self.inner.totals.lock()
+        self.inner.sum_stats(|s| &s.foreground)
     }
 
     /// Cumulative foreground metrics of one `(canvas, layer)` — and thus of
     /// the one plan the policy resolved for it. Zero until the layer serves
     /// its first foreground request.
     pub fn layer_totals(&self, canvas: &str, layer: usize) -> Result<FetchMetrics> {
-        let ci = self.inner.canvas_idx(canvas)?;
-        // validate the layer exists so a typo is an error, not silent zeros
-        self.inner.plan_for(ci, layer)?;
-        Ok(self
-            .inner
-            .layer_totals
-            .lock()
-            .get(&(ci, layer as u32))
-            .copied()
-            .unwrap_or_default())
+        Ok(self.inner.layer(canvas, layer)?.1.stats.lock().foreground)
     }
 
     /// Cumulative background (prefetch) metrics. Prefetching is
@@ -1134,16 +1127,15 @@ impl KyrixServer {
     /// [`KyrixServer::totals`] + `prefetch_totals` carries the same
     /// request/query/byte totals a cold run of that trace would.
     pub fn prefetch_totals(&self) -> FetchMetrics {
-        *self.inner.prefetch_totals.lock()
+        self.inner.sum_stats(|s| &s.prefetch)
     }
 
     /// Zero every accumulated serving total (fetch metrics, per-layer
     /// totals and serve counts, prefetch totals, cache statistics).
     pub fn reset_totals(&self) {
-        *self.inner.totals.lock() = FetchMetrics::default();
-        self.inner.layer_totals.lock().clear();
-        self.inner.layer_regions.lock().clear();
-        *self.inner.prefetch_totals.lock() = FetchMetrics::default();
+        for serving in self.inner.layers.values() {
+            *serving.stats.lock() = LayerStats::default();
+        }
         self.inner.tile_cache.lock().reset_stats();
     }
 
@@ -1161,15 +1153,7 @@ impl KyrixServer {
     /// Foreground [`KyrixServer::fetch_region`] serves of one layer so far
     /// (the step count [`KyrixServer::drift_report`] normalizes by).
     pub fn layer_region_serves(&self, canvas: &str, layer: usize) -> Result<u64> {
-        let ci = self.inner.canvas_idx(canvas)?;
-        self.inner.plan_for(ci, layer)?;
-        Ok(self
-            .inner
-            .layer_regions
-            .lock()
-            .get(&(ci, layer as u32))
-            .copied()
-            .unwrap_or(0))
+        Ok(self.inner.layer(canvas, layer)?.1.stats.lock().regions)
     }
 
     /// Backend tile-cache accounting: hits, misses, and removals split by
@@ -1216,16 +1200,12 @@ impl KyrixServer {
     /// [`PlanPolicy::Measured`], like [`KyrixServer::tuning_report`].
     pub fn drift_report(&self) -> Option<DriftReport> {
         let tuning = self.tuning.as_ref()?;
-        let layer_totals = self.inner.layer_totals.lock().clone();
-        let layer_regions = self.inner.layer_regions.lock().clone();
         Some(DriftReport::assess(
             tuning,
             &self.inner.cost,
             |canvas, layer| {
-                let ci = self.inner.canvas_idx(canvas).ok()?;
-                let key = (ci, layer as u32);
-                let steps = layer_regions.get(&key).copied().unwrap_or(0);
-                Some((layer_totals.get(&key).copied().unwrap_or_default(), steps))
+                let stats = self.inner.layer(canvas, layer).ok()?.1.stats.lock();
+                Some((stats.foreground, stats.regions))
             },
         ))
     }
@@ -1254,15 +1234,11 @@ impl KyrixServer {
         let fetch_sql = crate::explain::fetch_sql(&store);
         let mut storage_plan = Vec::new();
         if let Some(sql) = &fetch_sql {
-            let snap = self.inner.snapshot();
+            let snap = self.inner.head.pin();
             let result = snap.query(&format!("EXPLAIN {sql}"), &[])?;
             for row in &result.rows {
                 if let Value::Text(line) = row.get(0) {
-                    // sharded views concatenate per-shard plan rows; every
-                    // shard plans identically, so keep the first copy only
-                    if !storage_plan.iter().any(|l| l == line) {
-                        storage_plan.push(line.clone());
-                    }
+                    storage_plan.push(line.clone());
                 }
             }
         }
@@ -1284,31 +1260,29 @@ impl KyrixServer {
         self.inner.box_caches.lock().clear();
     }
 
-    /// The latest published [`SnapshotView`] (single-node: a
-    /// [`crate::DatabaseSnapshot`]; sharded: a
-    /// [`crate::ShardedSnapshot`]). The returned `Arc` is an owned,
-    /// immutable view: hold it as long as you like, concurrent mutations
-    /// publish new views without touching yours. Its
+    /// The latest published [`SnapshotView`] (a [`Snapshot`] over the
+    /// server's shards; query it with [`SnapshotView::query`]). The
+    /// returned `Arc` is an owned, immutable view holding no lock: keep it
+    /// as long as you like, concurrent mutations publish new views without
+    /// touching yours — it is *pinned*, so call again for a fresh one. Its
     /// [`SnapshotView::versions`] vector says, per shard, which data
     /// version last touched it.
     pub fn snapshot(&self) -> Arc<dyn SnapshotView> {
-        self.inner.snapshot()
-    }
-
-    /// Direct read-only access to the underlying data, as an owned
-    /// snapshot view (query it with [`SnapshotView::query`]).
-    ///
-    /// This used to return a `parking_lot` read guard, which made
-    /// `server.mutate_raw(..)` while holding the guard a silent
-    /// self-deadlock (the lock is not reentrant). The returned view
-    /// holds no lock at all, so that hazard is gone by construction — but
-    /// note it is *pinned*: it does not observe mutations published after
-    /// this call. Call again for a fresh view.
-    pub fn database(&self) -> Arc<dyn SnapshotView> {
-        self.inner.snapshot()
+        self.inner.head.pin()
     }
 
     // ---------------------------------------------------- live mutation
+
+    /// One-database shorthand for [`KyrixServer::mutate_shards`]: `apply`
+    /// sees the single shard of a [`KyrixServer::launch`]ed (or one-shard)
+    /// server; refused, before anything is applied, on several shards.
+    pub fn mutate_raw<T>(
+        &self,
+        tables: &[&str],
+        apply: impl FnOnce(&mut Database) -> Result<(T, Vec<DirtyRegion>)>,
+    ) -> Result<T> {
+        self.mutate_shards(tables, |shards| apply(sole_shard(shards)?))
+    }
 
     /// Apply a mutation to the database and publish the result as a new
     /// snapshot, surgically invalidating serving state. `tables`
@@ -1317,20 +1291,29 @@ impl KyrixServer {
     /// refused *before* anything is applied (its precomputed mapping rows
     /// cannot be patched in place; relaunch to re-tile).
     ///
-    /// `apply` runs against a *successor* database built off to the side
-    /// (a copy-on-write clone of the published head: it shares pages and
-    /// index nodes with the head, and a write copies the page and the
-    /// root-to-leaf nodes it changes) and returns its own result plus
-    /// the [`DirtyRegion`]s it touched (table coordinates). Concurrent
-    /// fetches keep resolving against the published head the whole time —
-    /// they never block behind the repair. On success the server
-    /// publishes the successor atomically with the invalidation:
+    /// `apply` runs against a *successor* shard set built off to the side
+    /// — a copy-on-write clone of *every* shard of the published head
+    /// (single node: a one-element slice): it shares pages and index nodes
+    /// with the head, and a write copies the page and the root-to-leaf
+    /// nodes it changes — routes each delta to its owning shard itself
+    /// (`kyrix_lod`'s pyramid maintenance folds per-shard point deltas plus
+    /// the boundary-cell changes of the coordinator merge this way), and
+    /// returns its own result plus the [`DirtyRegion`]s it touched (table
+    /// coordinates). Concurrent fetches keep resolving against the
+    /// published head the whole time — they never block behind the repair.
+    /// On success the server publishes the successor atomically with the
+    /// invalidation:
     ///
     /// * bumps the data-version stamp, tags the new snapshot with it, and
     ///   logs the canvas-space dirty rectangles, so sessions
     ///   ([`KyrixServer::changes_since`]) refetch exactly the invalidated
     ///   regions (in-flight fetches that pinned the pre-mutation snapshot
     ///   compare their snapshot tag and refuse to cache),
+    /// * routes each [`DirtyRegion`] through the head's partitioners and
+    ///   bumps the version-vector entry of only the shards it lands on
+    ///   (unroutable regions conservatively dirty every shard), so
+    ///   sessions pinning per-shard version vectors see exactly which
+    ///   shards moved under them,
     /// * drops every backend cached tile whose extent intersects a dirty
     ///   region of the table backing its layer (per the layer's resolved
     ///   plan and tiling),
@@ -1345,38 +1328,12 @@ impl KyrixServer {
     /// state the closure mutated, e.g. a LoD pyramid's maintenance
     /// bookkeeping, is the caller's to roll back or poison.)
     ///
-    /// Mutators are serialized against each other; a second `mutate_raw`
-    /// blocks until the first publishes, then clones the fresh head.
+    /// Mutators are serialized against each other; a second call blocks
+    /// until the first publishes, then clones the fresh head.
     ///
     /// Typical caller: `kyrix_lod`'s incremental pyramid maintenance,
     /// whose `MaintenanceReport` names exactly the tables and dirty
     /// regions this expects.
-    pub fn mutate_raw<T>(
-        &self,
-        tables: &[&str],
-        apply: impl FnOnce(&mut Database) -> Result<(T, Vec<DirtyRegion>)>,
-    ) -> Result<T> {
-        self.mutate_shards(tables, |shards| match shards {
-            [db] => apply(db),
-            _ => Err(ServerError::Config(
-                "mutate_raw closures see one database; this backend is sharded — \
-                 use mutate_shards and route each delta to its owning shard"
-                    .to_string(),
-            )),
-        })
-    }
-
-    /// Sharded form of [`KyrixServer::mutate_raw`]: `apply` sees a
-    /// copy-on-write clone of *every* shard (single node: a one-element
-    /// slice) and routes each delta to its owning shard itself —
-    /// `kyrix_lod`'s sharded pyramid maintenance folds per-shard point
-    /// deltas plus the boundary-cell changes of the coordinator merge this
-    /// way. Publication semantics match `mutate_raw`, with one addition:
-    /// each returned [`DirtyRegion`] is routed through the backend's
-    /// partitioners, and only the shards it lands on get their
-    /// version-vector entry bumped (unroutable regions conservatively dirty
-    /// every shard). Sessions pinning per-shard version vectors therefore
-    /// see exactly which shards moved under them.
     pub fn mutate_shards<T>(
         &self,
         tables: &[&str],
@@ -1388,7 +1345,7 @@ impl KyrixServer {
         let _writer = self.inner.writer.lock();
         let mut next = {
             let _clone = obs.span("cow.clone");
-            self.inner.backend.begin_write()
+            self.inner.head.pin().clone_shards()
         };
         // `DbCounters` is shared between clones and a cloned table carries
         // its `cow_stats` tallies along, so the deltas across `apply` are
@@ -1435,8 +1392,8 @@ impl KyrixServer {
     /// side table (the copy would silently go stale). Separable layers —
     /// served straight off their raw table — are the mutable surface.
     fn validate_mutable(&self, tables: &[&str]) -> Result<()> {
-        for (&(ci, li), store) in &self.inner.stores {
-            let materialized = match store {
+        for (&(ci, li), serving) in &self.inner.layers {
+            let materialized = match &serving.store {
                 LayerStore::TileMapping { record_table, .. } => {
                     if tables.contains(&record_table.as_str()) {
                         return Err(ServerError::Config(format!(
@@ -1472,7 +1429,7 @@ impl KyrixServer {
                     "table `{src}` feeds the materialized layer {li} of canvas \
                      `{}`; the materialized copy cannot be maintained in place — \
                      relaunch to re-precompute",
-                    self.inner.app.canvases[ci as usize].id
+                    self.inner.canvas_id(ci)
                 )));
             }
         }
@@ -1490,22 +1447,21 @@ impl KyrixServer {
     /// version and skips), and a session that observes the new
     /// `data_version` is guaranteed to find the matching log entry.
     /// Returns the retired head for the caller to drop outside those locks.
-    fn publish_locked(
-        &self,
-        next: Vec<Database>,
-        dirty: &[DirtyRegion],
-    ) -> Result<Arc<dyn SnapshotView>> {
+    fn publish_locked(&self, next: Vec<Database>, dirty: &[DirtyRegion]) -> Result<Arc<Snapshot>> {
         let obs = Arc::clone(&self.inner.obs);
         let _publish = obs.span("publish");
         // which shards actually changed: route every dirty region through
-        // the backend's partitioners. An empty or unroutable dirty set
-        // conservatively dirties every shard.
-        let n = self.inner.backend.shard_count();
-        let mut shard_dirty = vec![dirty.is_empty(); n];
-        for d in dirty {
-            match self.inner.backend.route_rect(&d.table, &d.rect) {
-                Some(ids) => ids.into_iter().for_each(|i| shard_dirty[i] = true),
-                None => shard_dirty.iter_mut().for_each(|f| *f = true),
+        // the head's partitioners. An empty or unroutable dirty set
+        // conservatively dirties every shard (as does any region when
+        // there is only one).
+        let mut shard_dirty = vec![dirty.is_empty(); next.len()];
+        {
+            let head = self.inner.head.pin();
+            for d in dirty {
+                match head.route_rect(&d.table, &d.rect) {
+                    Some(ids) => ids.into_iter().for_each(|i| shard_dirty[i] = true),
+                    None => shard_dirty.iter_mut().for_each(|f| *f = true),
+                }
             }
         }
         // backstop for closures that report a dirty region on a
@@ -1515,7 +1471,7 @@ impl KyrixServer {
         // it, drop everything, truncate the log so every session
         // refetches, and surface the error; tile fetches on that layer
         // keep consulting stale mapping rows until a relaunch
-        let stale_mapping = self.inner.stores.values().find_map(|s| match s {
+        let stale_mapping = self.inner.layers.values().find_map(|l| match &l.store {
             LayerStore::TileMapping { record_table, .. }
                 if dirty.iter().any(|d| d.table == *record_table) =>
             {
@@ -1533,7 +1489,7 @@ impl KyrixServer {
                 tiles.clear();
                 boxes.clear();
                 obs.gauge("snapshot.head_version").set(log.version as i64);
-                self.inner.backend.publish(next, log.version, &shard_dirty)
+                self.inner.head.publish(next, log.version, &shard_dirty)
             };
             return Err(ServerError::Config(format!(
                 "table `{table}` backs a tuple–tile mapping layer; its mapping rows \
@@ -1544,8 +1500,8 @@ impl KyrixServer {
         // map table-space dirty rects onto the (canvas, layer)s they back
         type CanvasMap = Box<dyn Fn(&Rect) -> Rect>;
         let mut entries: Vec<(u32, u32, Rect)> = Vec::new();
-        for (&(ci, li), store) in &self.inner.stores {
-            let (table, to_canvas): (&str, CanvasMap) = match store {
+        for (&(ci, li), serving) in &self.inner.layers {
+            let (table, to_canvas): (&str, CanvasMap) = match &serving.store {
                 LayerStore::Static | LayerStore::TileMapping { .. } => continue,
                 LayerStore::Spatial { table, .. } => (table.as_str(), Box::new(|r: &Rect| *r)),
                 LayerStore::SeparableRaw {
@@ -1594,10 +1550,10 @@ impl KyrixServer {
         log.version += 1;
         let version = log.version;
         obs.gauge("snapshot.head_version").set(version as i64);
-        let retired = self.inner.backend.publish(next, version, &shard_dirty);
+        let retired = self.inner.head.publish(next, version, &shard_dirty);
         let named: Vec<MutationEntry> = entries
             .iter()
-            .map(|&(ci, li, rect)| (self.inner.app.canvases[ci as usize].id.clone(), li, rect))
+            .map(|&(ci, li, rect)| (self.inner.canvas_id(ci).to_string(), li, rect))
             .collect();
         log.entries.push_back((version, named));
         while log.entries.len() > MUTATION_LOG_CAP {
@@ -1606,7 +1562,7 @@ impl KyrixServer {
         let _evict = obs.span("evict");
         // backend tile cache: drop intersecting tiles of affected layers
         for &(ci, li, ref rect) in &entries {
-            if let Ok(FetchPlan::StaticTiles { size, .. }) = self.inner.plan_for(ci, li as usize) {
+            if let FetchPlan::StaticTiles { size, .. } = self.inner.layers[&(ci, li)].plan {
                 let tiling = Tiling::new(size);
                 tiles.retain(|&(kci, kli, key), _| {
                     kci != ci
@@ -1650,5 +1606,17 @@ impl KyrixServer {
                 .flat_map(|(_, es)| es.iter().map(|(c, l, r)| (c.clone(), *l as usize, *r)))
                 .collect(),
         )
+    }
+}
+
+/// The one database a [`KyrixServer::mutate_raw`] closure sees.
+fn sole_shard(shards: &mut [Database]) -> Result<&mut Database> {
+    match shards {
+        [db] => Ok(db),
+        _ => Err(ServerError::Config(
+            "mutate_raw closures see one database; this backend is sharded — \
+             use mutate_shards and route each delta to its owning shard"
+                .to_string(),
+        )),
     }
 }

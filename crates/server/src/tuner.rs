@@ -24,14 +24,13 @@
 //! ([`TuningReport::frozen_policy`]) so later launches skip the
 //! calibration replay.
 
-use crate::backend::SnapshotView;
+use crate::backend::{Snapshot, SnapshotView};
 use crate::cost::CostModel;
 use crate::error::{Result, ServerError};
 use crate::fetch::fetch_plan_cold;
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{precompute_layer, FetchPlan, LayerStore, PrecomputeReport};
-use crate::snapshot::DatabaseSnapshot;
 use kyrix_core::CompiledApp;
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{Database, Rect};
@@ -200,10 +199,8 @@ impl TuningReport {
 
 /// Replay calibration steps against one `(store, plan)` pair and
 /// accumulate the cold-serve metrics (the tuner's measurement inner loop).
-/// Reads go through a pinned [`SnapshotView`] — a [`DatabaseSnapshot`] for
-/// a single-node launch, a sharded view for
-/// [`crate::KyrixServer::launch_sharded`] — the same read surface the
-/// launched server serves from.
+/// Reads go through a pinned [`SnapshotView`] — the same read surface the
+/// launched server serves from, over one database or several shards.
 pub fn measure_plan(
     snap: &dyn SnapshotView,
     store: &LayerStore,
@@ -298,7 +295,7 @@ pub(crate) fn tune(
                 // pin a snapshot per candidate: the COW clone is cheap and
                 // keeps the measurement isolated from the precomputation
                 // the next candidate runs against `db`
-                let snap = DatabaseSnapshot::pin(db);
+                let snap = Snapshot::pin(db);
                 let metrics = measure_plan(&snap, &built.0, plan, &bounds, &steps);
                 cand_stores.push(built);
                 metrics

@@ -1,11 +1,15 @@
 //! Allocation budget of the cold fetch path on a separable store: one
 //! buffer per fetched row from heap page to tile cache, one more per row a
-//! region merge keeps. A single test in a binary of its own, because the
-//! counting `#[global_allocator]` sees every thread of the process.
+//! region merge keeps — the same budget whether the one database is
+//! launched directly or as the one shard of `launch_sharded` (the inline
+//! path allocates nothing for routing or merge). A single test in a binary
+//! of its own, because the counting `#[global_allocator]` sees every
+//! thread of the process.
 
 use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
 };
+use kyrix_parallel::QueryRouter;
 use kyrix_server::{FetchPlan, KyrixServer, LayerStore, ServerConfig, TileDesign, TileId};
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,8 +60,9 @@ const TILE: f64 = 40.0;
 
 /// Dots at every integer point of [0, 100)², spatially indexed on the
 /// placement columns, served as 40-unit tiles: tile (0, 0) holds 41 x 41
-/// of them.
-fn launch() -> KyrixServer {
+/// of them — launched single-node, and as the one shard of
+/// `launch_sharded`.
+fn launch() -> [KyrixServer; 2] {
     let mut db = Database::new();
     db.create_table(
         "dots",
@@ -105,13 +110,22 @@ fn launch() -> KyrixServer {
         size: TILE,
         design: TileDesign::SpatialIndex,
     };
-    let (server, _) = KyrixServer::launch(app, db, ServerConfig::new(plan)).unwrap();
-    server
+    let (single, _) =
+        KyrixServer::launch(app.clone(), db.clone(), ServerConfig::new(plan)).unwrap();
+    let router = QueryRouter::new(1).unwrap();
+    let one_shard =
+        KyrixServer::launch_sharded(app, vec![db], router, ServerConfig::new(plan)).unwrap();
+    [single, one_shard]
 }
 
 #[test]
 fn cold_fetch_allocates_one_buffer_per_row() {
-    let server = launch();
+    for server in launch() {
+        cold_fetch_stays_in_budget(&server);
+    }
+}
+
+fn cold_fetch_stays_in_budget(server: &KyrixServer) {
     assert!(matches!(
         server.store("main", 0).unwrap(),
         LayerStore::SeparableRaw { .. }

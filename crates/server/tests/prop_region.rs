@@ -146,7 +146,7 @@ impl Fixture {
         let spatial = launch(points, placement.clone(), Store::Spatial);
         let everywhere = Rect::new(-1e6, -1e6, 1e6, 1e6);
         let (all_rows, _) = fetch_rect(
-            &*spatial.database(),
+            &*spatial.snapshot(),
             &spatial.store("main", 0).unwrap(),
             &everywhere,
         )
@@ -257,11 +257,11 @@ proptest! {
         let region = server.fetch_region("main", 0, &vp).unwrap();
         // compare against one direct spatial query over the same covered
         // (tile-aligned) area
-        let (direct, _) = fetch_rect(&*server.database(), &store, &region.rect).unwrap();
+        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &region.rect).unwrap();
         // ... which is the raw query plus the geometry formula, row for row
         prop_assert_eq!(
             &direct,
-            &separable_rows_by_formula(&*server.database(), &store, &region.rect)
+            &separable_rows_by_formula(&*server.snapshot(), &store, &region.rect)
         );
 
         let got = content_multiset(region.rows.iter(), width);
@@ -315,7 +315,7 @@ proptest! {
                 let store = server.store("main", 0).unwrap();
                 let region = server.fetch_region("main", 0, &vp).unwrap();
                 prop_assert_eq!(region.rect, covered);
-                let (direct, _) = fetch_rect(&*server.database(), &store, &covered).unwrap();
+                let (direct, _) = fetch_rect(&*server.snapshot(), &store, &covered).unwrap();
                 prop_assert_eq!(
                     content_multiset(region.rows.iter(), width),
                     content_multiset(&direct, width),
@@ -327,7 +327,7 @@ proptest! {
                     // formula, row for row
                     prop_assert_eq!(
                         &direct,
-                        &separable_rows_by_formula(&*server.database(), &store, &covered),
+                        &separable_rows_by_formula(&*server.snapshot(), &store, &covered),
                         "{}: synthesized rows for {:?}", f.name, covered
                     );
                 } else {

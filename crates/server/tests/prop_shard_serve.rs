@@ -5,7 +5,9 @@
 //! duplicated raw rows (two marks at the same position, including on a
 //! shard boundary) must survive as two rows, and the synthesized tuple
 //! ids must still be unique within each sharded response after the
-//! coordinator merge renumbers them.
+//! coordinator merge renumbers them. The `(1, 1)` grid goes through the
+//! same `launch_sharded` and must *be* the single-node server: identical
+//! rows, ids and version vector, and no `shard.*` telemetry.
 
 use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
@@ -88,8 +90,8 @@ fn config() -> ServerConfig {
     })
 }
 
-/// The single-node reference plus one sharded server per grid in
-/// {2 (2x1), 4 (2x2), 8 (4x2)} — identical rows, plan, and app.
+/// The single-node reference plus one `launch_sharded` server per grid in
+/// {1 (1x1), 2 (2x1), 4 (2x2), 8 (4x2)} — identical rows, plan, and app.
 fn servers() -> &'static (KyrixServer, Vec<KyrixServer>) {
     static SERVERS: OnceLock<(KyrixServer, Vec<KyrixServer>)> = OnceLock::new();
     SERVERS.get_or_init(|| {
@@ -110,7 +112,7 @@ fn servers() -> &'static (KyrixServer, Vec<KyrixServer>) {
         );
 
         let mut sharded = Vec::new();
-        for (cols, grid_rows) in [(2u32, 1u32), (2, 2), (4, 2)] {
+        for (cols, grid_rows) in [(1u32, 1u32), (2, 1), (2, 2), (4, 2)] {
             let n = (cols * grid_rows) as usize;
             let part = Partitioner::SpatialGrid {
                 x_column: "x".into(),
@@ -185,7 +187,7 @@ proptest! {
         // the geometry formula, row for row (rows gathered from several
         // shards keep the coordinator's order on both sides)
         for server in std::iter::once(single).chain(sharded) {
-            let view = server.database();
+            let view = server.snapshot();
             let store = server.store("main", 0).unwrap();
             let (direct, _) = fetch_rect(&*view, &store, &reference.rect).unwrap();
             prop_assert_eq!(
@@ -220,6 +222,15 @@ proptest! {
                 ids.len(), region.rows.len(),
                 "tuple ids not unique on {} shards", server.shard_count()
             );
+
+            // one shard is served inline: the single-node answer itself
+            if server.shard_count() == 1 {
+                prop_assert_eq!(&region.rows, &reference.rows, "rows and ids for {:?}", vp);
+                let (a, b) = (server.snapshot(), single.snapshot());
+                prop_assert_eq!(a.versions(), b.versions());
+                let spans = server.obs().histograms();
+                prop_assert!(spans.iter().all(|(name, _)| !name.contains("shard")));
+            }
         }
     }
 }

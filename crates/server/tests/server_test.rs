@@ -6,8 +6,8 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_server::{
-    fetch_tile, BoxPolicy, CalibrationTrace, CostModel, DatabaseSnapshot, FetchMetrics, FetchPlan,
-    KyrixServer, LayerStore, MomentumTracker, PlanPolicy, ServerConfig, TileDesign, TileId, Tiling,
+    fetch_tile, BoxPolicy, CalibrationTrace, CostModel, FetchMetrics, FetchPlan, KyrixServer,
+    LayerStore, MomentumTracker, PlanPolicy, ServerConfig, Snapshot, TileDesign, TileId, Tiling,
 };
 use kyrix_storage::{
     DataType, Database, ExecStats, IndexKind, Rect, Row, Schema, SpatialCols, Value,
@@ -126,7 +126,7 @@ fn dbox_uses_separable_skip_when_raw_index_exists() {
         LayerStore::SeparableRaw { .. }
     ));
     // no side table was created
-    assert!(!server.database().has_table("k_grid_main_l0"));
+    assert!(!server.snapshot().has_table("k_grid_main_l0"));
     let vp = Rect::new(10.0, 10.0, 14.0, 14.0);
     let resp = server.fetch_box("main", 0, &vp).unwrap();
     assert_eq!(row_ids(&resp.rows).len(), 25);
@@ -182,7 +182,7 @@ fn non_separable_placement_materializes_side_table() {
         server.store("main", 0).unwrap(),
         LayerStore::Spatial { .. }
     ));
-    assert!(server.database().has_table("k_grid_main_l0"));
+    assert!(server.snapshot().has_table("k_grid_main_l0"));
     // x in [0,100) -> canvas cx in [0, 100); query a band
     let resp = server
         .fetch_box("main", 0, &Rect::new(0.0, 0.0, 30.0, 0.0))
@@ -419,7 +419,7 @@ fn mapping_tables_created_with_expected_names() {
             design: TileDesign::TupleTileMapping,
         },
     );
-    let db = server.database();
+    let db = server.snapshot();
     assert!(db.has_table("k_grid_main_l0"));
     assert!(db.has_table("k_grid_main_l0_map10"));
     // record table has dots + 7 layout columns
@@ -1078,10 +1078,10 @@ fn tuner_drops_losing_mapping_tables() {
     assert_eq!(server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
     // the losing candidates' mapping tables were reclaimed; the shared
     // record tables stay — the winning box stores serve from them
-    assert!(!server.database().has_table("k_mixed_overview_l0_map10"));
-    assert!(!server.database().has_table("k_mixed_detail_l0_map10"));
-    assert!(server.database().has_table("k_mixed_overview_l0"));
-    assert!(server.database().has_table("k_mixed_detail_l0"));
+    assert!(!server.snapshot().has_table("k_mixed_overview_l0_map10"));
+    assert!(!server.snapshot().has_table("k_mixed_detail_l0_map10"));
+    assert!(server.snapshot().has_table("k_mixed_overview_l0"));
+    assert!(server.snapshot().has_table("k_mixed_detail_l0"));
     server
         .fetch_box("detail", 0, &Rect::new(40.0, 40.0, 50.0, 50.0))
         .unwrap();
@@ -1184,7 +1184,7 @@ fn pinned_view_keeps_its_rows_across_publishes() {
         "SELECT * FROM dots",
         "SELECT * FROM dots WHERE bbox && rect(0, 0, 60, 60)",
     ];
-    let pinned = server.database();
+    let pinned = server.snapshot();
     let before: Vec<Vec<Row>> = reads
         .iter()
         .map(|sql| pinned.query(sql, &[]).unwrap().rows)
@@ -1195,7 +1195,7 @@ fn pinned_view_keeps_its_rows_across_publishes() {
         delete_dot(&server, id, x, y);
     }
     assert_eq!(server.data_version(), 3);
-    assert_eq!(server.database().table_len("dots").unwrap(), 9_997);
+    assert_eq!(server.snapshot().table_len("dots").unwrap(), 9_997);
 
     // the successors were built from pages and nodes shared with the
     // pinned version; it answers as it did before them
@@ -1252,7 +1252,7 @@ fn mutate_raw_refuses_mapping_backed_tables_before_applying() {
         LayerStore::TileMapping { record_table, .. } => record_table,
         other => panic!("expected a mapping store, got {other:?}"),
     };
-    let rows_before = server.database().table_len(&record_table).unwrap();
+    let rows_before = server.snapshot().table_len(&record_table).unwrap();
     let result = server.mutate_raw(&[record_table.as_str()], |db| {
         db.delete_where(&record_table, "tuple_id >= $1", &[Value::Int(0)])
             .map_err(kyrix_server::ServerError::from)?;
@@ -1260,7 +1260,7 @@ fn mutate_raw_refuses_mapping_backed_tables_before_applying() {
     });
     assert!(result.is_err(), "mapping-backed mutation must be refused");
     assert_eq!(
-        server.database().table_len(&record_table).unwrap(),
+        server.snapshot().table_len(&record_table).unwrap(),
         rows_before,
         "the closure must never have run"
     );
@@ -1281,7 +1281,7 @@ fn failed_mutation_closure_aborts_atomically() {
             design: TileDesign::SpatialIndex,
         },
     );
-    let rows_before = server.database().table_len("dots").unwrap();
+    let rows_before = server.snapshot().table_len("dots").unwrap();
     let tile = TileId::new(3, 3);
     server.fetch_tile("main", 0, tile).unwrap(); // warm a far-away tile
     let result: Result<(), _> = server.mutate_raw(&["dots"], |db| {
@@ -1295,7 +1295,7 @@ fn failed_mutation_closure_aborts_atomically() {
     assert!(result.is_err());
     assert_eq!(server.data_version(), 0, "aborted mutations never bump");
     assert_eq!(
-        server.database().table_len("dots").unwrap(),
+        server.snapshot().table_len("dots").unwrap(),
         rows_before,
         "the partial delete must not be visible"
     );
@@ -1431,7 +1431,7 @@ fn explain_renders_plan_tuner_drift_and_storage_path() {
     })));
     let store = server.store("overview", 0).unwrap();
     let (rows, _) = fetch_tile(
-        &DatabaseSnapshot::pin(&db),
+        &Snapshot::pin(&db),
         &store,
         Tiling::new(10.0),
         TileId::new(2, 2),

@@ -403,11 +403,27 @@ impl Database {
     /// Result rows come back with room for the statement's
     /// [`Prepared::tail`].
     pub fn execute(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
+        self.execute_statement(&prepared.stmt, &prepared.sql, params, prepared.tail)
+    }
+
+    /// Execute a parsed SELECT with room for `tail` more values per row,
+    /// reporting to the query observer under `sql`. The one observed
+    /// execution: [`Database::execute`] runs a [`Prepared`] through it, and
+    /// a scatter-gather executor runs each shard's rewritten statement
+    /// through it under the original text, so a shard run is observed
+    /// exactly like a single-node one.
+    pub fn execute_statement(
+        &self,
+        stmt: &Select,
+        sql: &str,
+        params: &[Value],
+        tail: usize,
+    ) -> Result<QueryResult> {
         let start = self.observer.as_ref().map(|_| Instant::now());
-        let result = execute_select_reserving(self, &prepared.stmt, params, prepared.tail);
+        let result = execute_select_reserving(self, stmt, params, tail);
         if let (Some(obs), Some(t0)) = (&self.observer, start) {
             let stats = result.as_ref().map(|r| r.stats).unwrap_or_default();
-            obs(&prepared.sql, t0.elapsed(), &stats);
+            obs(sql, t0.elapsed(), &stats);
         }
         result
     }

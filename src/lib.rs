@@ -85,8 +85,8 @@ pub mod prelude {
     pub use kyrix_parallel::{scatter_gather, Partitioner, QueryRouter};
     pub use kyrix_render::{save_ppm, Color, Frame, Mark, MarkType};
     pub use kyrix_server::{
-        BoxPolicy, CostModel, DatabaseSnapshot, FetchPlan, KyrixServer, PlanPolicy, PrefetchPolicy,
-        ServerConfig, TileDesign, TileId, Tiling,
+        BoxPolicy, CostModel, FetchPlan, KyrixServer, PlanPolicy, PrefetchPolicy, ServerConfig,
+        Snapshot, TileDesign, TileId, Tiling,
     };
     pub use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
     pub use kyrix_workload::{

@@ -144,7 +144,7 @@ fn lod_entry_points() {
     assert_eq!(session.canvas_id(), "level2");
     assert!(first.visible_rows > 0);
     let row = server
-        .database()
+        .snapshot()
         .query("SELECT * FROM galaxy_lod2 LIMIT 1", &[])
         .unwrap()
         .rows[0]
