@@ -193,6 +193,23 @@ fn sql_designs(c: &mut Criterion) {
     // standalone number beside the benchmark's `storage.execute_us`.
     // tail 0 is the bare statement, tail 7 the separable store's, whose
     // rows are decoded with room for the geometry columns.
+    load_level_table(&mut db, &pts);
+    // 100k points on 10k x 10k: a 682-unit square holds ~465 of them
+    let rect = [4000.0, 4000.0, 4682.0, 4682.0].map(Value::Float);
+    for tail in [0, 7] {
+        let star = Prepared::new("SELECT * FROM lvl WHERE bbox && rect($1, $2, $3, $4)")
+            .unwrap()
+            .reserving(tail);
+        group.bench_function(format!("spatial_rect_star/tail{tail}"), |b| {
+            b.iter(|| db.execute(&star, &rect).unwrap().rows.len());
+        });
+    }
+    group.finish();
+}
+
+/// Table `lvl`: one mark per point in the 12-column shape of a LoD level
+/// table, with the point R-tree on `(cx, cy)` the server fetches through.
+fn load_level_table(db: &mut Database, pts: &[(f64, f64)]) {
     let mut schema = Schema::empty()
         .with("id", DataType::Int)
         .with("cx", DataType::Float)
@@ -223,14 +240,43 @@ fn sql_designs(c: &mut Criterion) {
         }),
     )
     .unwrap();
-    // 100k points on 10k x 10k: a 682-unit square holds ~465 of them
-    let rect = [4000.0, 4000.0, 4682.0, 4682.0].map(Value::Float);
-    for tail in [0, 7] {
-        let star = Prepared::new("SELECT * FROM lvl WHERE bbox && rect($1, $2, $3, $4)")
-            .unwrap()
-            .reserving(tail);
-        group.bench_function(format!("spatial_rect_star/tail{tail}"), |b| {
-            b.iter(|| db.execute(&star, &rect).unwrap().rows.len());
+}
+
+/// The cold side of `spatial_rect_star`: the same 12-column level-table
+/// shape at a million rows (~185 MB of heap, past any cache), one
+/// ~465-row rectangle per iteration along a shuffled tour of 2,048, so
+/// the pages a query reads were last touched a whole tour ago — first on
+/// the heap as loaded (rows in random spatial order), then on the same
+/// table after `cluster`. One statement on both sides; the standalone
+/// number beside the in-situ `fetch_filter` share of a cold interaction.
+fn sql_cold_tile_fetch(c: &mut Criterion) {
+    const ROWS: usize = 1_000_000;
+    const TOUR: usize = 2048;
+    let mut db = Database::new();
+    load_level_table(&mut db, &random_points(ROWS, 6));
+    // a million points on 10k x 10k: a 215.6-unit square holds ~465
+    let side = WORLD * (465.0 / ROWS as f64).sqrt();
+    let tour: Vec<[Value; 4]> = random_points(TOUR, 7)
+        .into_iter()
+        .map(|(x, y)| {
+            let (x, y) = (x.min(WORLD - side), y.min(WORLD - side));
+            [x, y, x + side, y + side].map(Value::Float)
+        })
+        .collect();
+    let star = Prepared::new("SELECT * FROM lvl WHERE bbox && rect($1, $2, $3, $4)").unwrap();
+
+    let mut group = c.benchmark_group("index_micro/sql_tile_fetch");
+    group.sample_size(TOUR);
+    for heap in ["insertion_order", "clustered"] {
+        if heap == "clustered" {
+            db.cluster("lvl", "sp").unwrap();
+        }
+        let mut stop = 0;
+        group.bench_function(format!("cold_1m/{heap}"), |b| {
+            b.iter(|| {
+                stop = (stop + 1) % TOUR;
+                db.execute(&star, &tour[stop]).unwrap().rows.len()
+            });
         });
     }
     group.finish();
@@ -241,6 +287,7 @@ criterion_group!(
     rtree_query,
     rtree_build,
     btree_and_hash,
-    sql_designs
+    sql_designs,
+    sql_cold_tile_fetch
 );
 criterion_main!(benches);

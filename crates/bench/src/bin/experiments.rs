@@ -627,12 +627,12 @@ fn lod(small: bool) {
         pyramid.build_time.as_secs_f64() * 1000.0,
         pyramid.depth() - 1
     );
-    println!("| level | marks | avg cold fetch (ms) | avg tuples/fetch |");
-    println!("|---|---|---|---|");
+    println!("| level | marks | avg cold fetch (ms) | avg tuples/fetch | heap pages / row |");
+    println!("|---|---|---|---|---|");
     for r in &levels {
         println!(
-            "| {} | {} | {:.3} | {:.0} |",
-            r.level, r.rows, r.avg_fetch_ms, r.avg_rows_fetched
+            "| {} | {} | {:.3} | {:.0} | {:.3} |",
+            r.level, r.rows, r.avg_fetch_ms, r.avg_rows_fetched, r.heap_pages_per_row
         );
     }
     println!();

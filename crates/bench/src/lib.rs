@@ -343,6 +343,10 @@ pub struct LodLevelResult {
     pub avg_fetch_ms: f64,
     /// Average tuples returned per viewport.
     pub avg_rows_fetched: f64,
+    /// Heap pages read per heap row examined by this level's fetches
+    /// (`sql.heap_pages ÷ sql.rows_scanned`): ~1 on a heap in load order,
+    /// a few hundredths on one in the order of its spatial index.
+    pub heap_pages_per_row: f64,
     /// Viewports fetched on this level.
     pub fetches: usize,
 }
@@ -1110,11 +1114,20 @@ pub fn run_lod_experiment(
     .expect("server launches");
 
     let obs = server.obs();
+    let heap_reads = || {
+        let count = |name: &str| obs.counter(name).get();
+        (count("sql.heap_pages"), count("sql.rows_scanned"))
+    };
     let mut rows_fetched = vec![0.0f64; levels + 1];
+    let mut heap_read = vec![(0u64, 0u64); levels + 1];
     let mut canvases = vec![String::new(); levels + 1];
     for (k, canvas, rect) in zoom_walk(&lod, levels, steps_per_level, viewport, g.seed) {
         server.clear_caches();
+        let before = heap_reads();
         let resp = server.fetch_region(&canvas, 0, &rect).expect("fetch");
+        let after = heap_reads();
+        heap_read[k].0 += after.0 - before.0;
+        heap_read[k].1 += after.1 - before.1;
         rows_fetched[k] += resp.rows.len() as f64;
         canvases[k] = canvas;
     }
@@ -1131,6 +1144,7 @@ pub fn run_lod_experiment(
                 rows: pyramid.levels[level].rows,
                 avg_fetch_ms: snap.mean_ms(),
                 avg_rows_fetched: rows / (snap.count().max(1)) as f64,
+                heap_pages_per_row: heap_read[level].0 as f64 / heap_read[level].1.max(1) as f64,
                 fetches: snap.count() as usize,
             }
         })

@@ -47,14 +47,19 @@ pub fn aggregate_into_cells<I: IntoIterator<Item = Cluster>>(
 /// Merge per-shard cell maps into one (the coordinator step of a sharded
 /// build): cells split across shard boundaries combine their partial
 /// aggregates. Maps must be supplied in shard-id order so the
-/// floating-point sum accumulation order is canonical.
+/// floating-point sum accumulation order is canonical: the first map is
+/// the accumulator and each later one folds into it, so a cell's sum is
+/// its shard-0 part, plus its shard-1 part, and so on — whatever order a
+/// map's own cells are visited in, since a map holds a cell once. A
+/// single map — a single-node build — comes back as it is. Nothing
+/// downstream reads the result's iteration order (retention sorts its
+/// candidates by a total order).
 pub fn merge_cell_maps(maps: Vec<FxHashMap<Cell, Cluster>>) -> FxHashMap<Cell, Cluster> {
-    let mut out: FxHashMap<Cell, Cluster> = FxHashMap::default();
+    let mut maps = maps.into_iter();
+    let mut out = maps.next().unwrap_or_default();
     for map in maps {
-        // deterministic within-map order: cells sorted by coordinates
-        let mut entries: Vec<(Cell, Cluster)> = map.into_iter().collect();
-        entries.sort_unstable_by_key(|(cell, _)| *cell);
-        for (cell, c) in entries {
+        out.reserve(map.len());
+        for (cell, c) in map {
             match out.get_mut(&cell) {
                 Some(agg) => agg.merge(&c),
                 None => {

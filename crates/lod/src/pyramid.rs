@@ -10,7 +10,8 @@ use crate::grid::{cell_of, Cell};
 use crate::maintain::{LevelState, MaintainState};
 use kyrix_parallel::{Partitioner, QueryRouter};
 use kyrix_storage::fxhash::FxHashMap;
-use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
+use kyrix_storage::rtree::RTree;
+use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use std::time::{Duration, Instant};
 
 /// What one level of a built pyramid looks like.
@@ -212,12 +213,35 @@ fn local_cells(db: &Database, cfg: &LodConfig, layout: &RawLayout) -> Result<Loc
     Ok((aggregate_into_cells(points, scale1, cfg.spacing), ids))
 }
 
+/// The order a spatial index over points `at` will hold them in: its leaf
+/// order, which is the order every rectangle probe returns rows in. Read
+/// off a throwaway index of the positions alone — STR packing depends only
+/// on the positions, so the table's own index, bulk-loaded later from the
+/// rows, comes out the same (two marks with an equal coordinate may swap).
+fn leaf_order(at: impl Iterator<Item = (f64, f64)>) -> Vec<usize> {
+    // NaN meets no rectangle; such a mark may sit anywhere, but must stay
+    let finite = |v: f64| if v.is_nan() { 0.0 } else { v };
+    let tree = RTree::bulk_load(
+        at.enumerate()
+            .map(|(i, (x, y))| (Rect::point(finite(x), finite(y)), i))
+            .collect(),
+    );
+    tree.query(&tree.bounds())
+}
+
 /// Write one clustered level as a table with a point spatial index on
 /// `(cx, cy)` — the shape the server's separable fast path serves
 /// directly. The table and its index exist on every database of `dbs`
 /// (empty where the level has no local marks); with a `router`, each row
 /// goes to the shard whose grid cell owns its position, without one
 /// `dbs` is the single database that holds everything.
+///
+/// `clusters` arrive in rep-id order — the next level's fold order — but
+/// each database's rows are *written* in the leaf order of the index it
+/// is about to build ([`leaf_order`]), so a tile's rows sit on adjacent
+/// heap pages. The table is born in the order `Table::cluster` would give
+/// it instead of being clustered afterwards, which would hold two copies
+/// of the level's heap while it ran.
 fn write_level(
     dbs: &mut [Database],
     router: Option<&QueryRouter>,
@@ -238,14 +262,30 @@ fn write_level(
             .expect("level table registered by sharded_router")
     });
     let scale = cfg.level_scale(level);
+    let at = |c: &Cluster| (c.rep_x / scale, c.rep_y / scale);
+    // each database's marks, still in rep-id order
+    let mut local: Vec<Vec<&Cluster>> = vec![Vec::new(); dbs.len()];
     for c in clusters {
-        let row = level_row(scale, c);
+        let (x, y) = at(c);
         let owner = match part {
-            Some(p) => p.route(&schema, &row, dbs.len())?,
+            // a point lies in exactly one grid cell
+            Some(p) => p
+                .route_rect(&Rect::point(x, y), dbs.len())
+                .and_then(|owners| owners.first().copied())
+                .ok_or_else(|| {
+                    LodError::Config(format!("({x}, {y}) routes to no shard of `{table}`"))
+                })?,
             None => 0,
         };
-        dbs[owner].insert(&table, row)?;
+        local[owner].push(c);
     }
+    for (db, marks) in dbs.iter_mut().zip(local) {
+        let level_table = db.table_mut(&table)?;
+        for i in leaf_order(marks.iter().map(|c| at(c))) {
+            level_table.insert(level_row(scale, marks[i]))?;
+        }
+    }
+    // the orders are gone before the index builds allocate
     for db in dbs.iter_mut() {
         db.create_index(
             &table,
@@ -338,6 +378,13 @@ fn build_levels(
 
 /// Build the full pyramid on one node: cluster the raw table level by
 /// level and materialize each level as a spatially-indexed table in `db`.
+///
+/// Level 1 folds the raw rows in the raw table's scan order, and
+/// maintenance later re-folds cells in that same order. A raw table that
+/// is to be physically clustered (`Database::cluster`, for cheap cold
+/// fetches) must therefore be clustered *before* this call — its loader
+/// does it right after indexing — and never between build and
+/// maintenance.
 pub fn build_pyramid(db: &mut Database, cfg: &LodConfig) -> Result<LodPyramid> {
     cfg.validate()?;
     let start = Instant::now();

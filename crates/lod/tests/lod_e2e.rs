@@ -499,6 +499,68 @@ fn sharded_pyramid_matches_single_node() {
     }
 }
 
+/// Physical design: the raw table is clustered on its spatial index by its
+/// loader and every level table is written in the leaf order of its own,
+/// so a viewport's rows sit on adjacent heap pages — summed over a walk of
+/// every level, fetches read a few pages per hundred rows (one page per
+/// row on heaps in load / rep-id order), on one node and on a 2x2 grid.
+#[test]
+fn a_zoom_walk_reads_a_few_heap_pages_per_hundred_rows() {
+    let g = GalaxyConfig::e2e();
+    let cfg = lod_config(&g);
+    let (single, _) = built_db(&g, &cfg);
+
+    let part = Partitioner::SpatialGrid {
+        x_column: "x".into(),
+        y_column: "y".into(),
+        cols: 2,
+        rows: 2,
+        width: g.width,
+        height: g.height,
+    };
+    let schema = galaxy_schema();
+    let mut empty = Database::new();
+    empty.create_table("galaxy", schema.clone()).unwrap();
+    let mut shards = vec![empty; 4];
+    for row in galaxy_rows(&g) {
+        let s = part.route(&schema, &row, 4).unwrap();
+        shards[s].insert("galaxy", row).unwrap();
+    }
+    for shard in &mut shards {
+        index_galaxy(shard).unwrap();
+    }
+    let pyramid = build_pyramid_on_shards(&mut shards, &part, &cfg).unwrap();
+    let router = pyramid.shard_router().unwrap();
+
+    let table_of = |canvas: &str| {
+        let level = (0..=LEVELS).find(|k| cfg.level_canvas(*k) == canvas);
+        cfg.level_table(level.expect("the walk stays on the pyramid's canvases"))
+    };
+    let (mut one_node, mut on_grid) = ((0, 0), (0, 0));
+    for (canvas, rect) in lod_calibration_walk(&cfg, (1024.0, 1024.0), 6) {
+        let sql = format!(
+            "SELECT * FROM {} WHERE bbox && rect($1, $2, $3, $4)",
+            table_of(&canvas)
+        );
+        let params = [rect.min_x, rect.min_y, rect.max_x, rect.max_y].map(Value::Float);
+        let a = single.query(&sql, &params).unwrap().stats;
+        let b = scatter_gather(&shards, router, &sql, &params)
+            .unwrap()
+            .result
+            .stats;
+        assert_eq!(a.rows_scanned, b.rows_scanned, "{sql} over {rect:?}");
+        one_node = (one_node.0 + a.heap_pages, one_node.1 + a.rows_scanned);
+        on_grid = (on_grid.0 + b.heap_pages, on_grid.1 + b.rows_scanned);
+    }
+    for (pages, rows) in [one_node, on_grid] {
+        assert!(rows > 5_000, "the walk fetched only {rows} rows");
+        assert!(
+            pages * 10 <= rows,
+            "{pages} heap pages for {rows} rows: more than 0.1 per row"
+        );
+    }
+}
+
 /// Acceptance: the pyramid is a *live* data structure. Raw-table inserts
 /// and deletes fold into every level table in place through
 /// `KyrixServer::mutate_raw` (local repair, no rebuild), the server

@@ -242,11 +242,9 @@ impl ShardPlan {
     /// original query parameters (HAVING may reference them).
     pub fn merge(&self, shard_results: Vec<QueryResult>, params: &[Value]) -> Result<QueryResult> {
         let mut stats = kyrix_storage::ExecStats::default();
+        // shard work adds up; each arm below counts the merged rows itself
         for r in &shard_results {
-            stats.rows_scanned += r.stats.rows_scanned;
-            stats.index_probes += r.stats.index_probes;
-            stats.nodes_visited += r.stats.nodes_visited;
-            stats.bytes_out += r.stats.bytes_out;
+            stats.merge(&r.stats);
         }
         match &self.merge {
             MergeKind::Plain {

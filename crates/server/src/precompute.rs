@@ -279,13 +279,14 @@ pub(crate) fn separable_store(db: &Database, layer: &CompiledLayer) -> Option<La
     })
 }
 
-/// Create an index unless one with this name already exists.
-fn ensure_index(db: &mut Database, table: &str, name: &str, kind: IndexKind) -> Result<()> {
+/// Create an index unless one with this name already exists; returns
+/// whether this call created it.
+fn ensure_index(db: &mut Database, table: &str, name: &str, kind: IndexKind) -> Result<bool> {
     let exists = db.table(table)?.indexes().any(|i| i.name == name);
     if !exists {
         db.create_index(table, name, kind)?;
     }
-    Ok(())
+    Ok(!exists)
 }
 
 /// Materialize the layer table (data columns ++ geometry ++ tuple_id) if it
@@ -455,7 +456,7 @@ pub fn precompute_layer(
             design: TileDesign::SpatialIndex,
             ..
         } => {
-            ensure_index(
+            let created = ensure_index(
                 db,
                 &table,
                 "sp_bbox",
@@ -466,6 +467,13 @@ pub fn precompute_layer(
                     max_y: "maxy".into(),
                 }),
             )?;
+            if created {
+                // the layer table sits in transform-output order; put it in
+                // the order its fetches read it in (tuple ids live in the
+                // rows, so they survive; a mapping design's `h_tuple` on
+                // the same table is rebuilt)
+                db.cluster(&table, "sp_bbox")?;
+            }
             LayerStore::Spatial {
                 fetch: rect_fetch(&table, 0)?,
                 table,

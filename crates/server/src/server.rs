@@ -700,9 +700,11 @@ impl KyrixServer {
         for db in dbs {
             let reg = Arc::clone(&obs);
             let scanned = reg.counter("sql.rows_scanned");
+            let pages = reg.counter("sql.heap_pages");
             db.set_query_observer(Some(Arc::new(move |_sql, dur, stats| {
                 reg.record_external_span("sql.execute", dur);
                 scanned.add(stats.rows_scanned);
+                pages.add(stats.heap_pages);
             })));
         }
         obs.gauge("snapshot.head_version").set(0);

@@ -189,6 +189,19 @@ fn non_separable_placement_materializes_side_table() {
         .unwrap();
     // sqrt(x)*10 <= 30 -> x <= 9 -> 10 dots in row y=0
     assert_eq!(row_ids(&resp.rows).len(), 10);
+    // the side table was clustered on `sp_bbox` once that index existed:
+    // a fetch of everything reads the heap front to back, a run per page
+    // (~80 rows), where transform-output order would hop between the
+    // four grid rows under every leaf
+    let all = server
+        .snapshot()
+        .query(
+            "SELECT * FROM k_grid_main_l0 WHERE bbox && rect(-1, -1, 101, 101)",
+            &[],
+        )
+        .unwrap();
+    assert_eq!(all.stats.rows_scanned, 10_000);
+    assert!(all.stats.heap_pages <= 200, "{:?}", all.stats);
 }
 
 #[test]

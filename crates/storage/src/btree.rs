@@ -77,6 +77,11 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         self.nodes_copied
     }
 
+    /// Continue the copy tally of the tree this one replaces.
+    pub(crate) fn carry_nodes_copied(&mut self, from_predecessor: u64) {
+        self.nodes_copied += from_predecessor;
+    }
+
     /// Writable access to a node, copying it first if another clone of
     /// the tree still shares it.
     fn node_mut(&mut self, n: usize) -> &mut Node<K, V> {

@@ -51,6 +51,27 @@ pub(crate) enum IndexImpl {
     Spatial(RTree<RecordId>),
 }
 
+impl IndexImpl {
+    /// Nodes this index copied on write (a hash index is copied whole and
+    /// counts nothing).
+    fn nodes_copied(&self) -> u64 {
+        match self {
+            IndexImpl::BTree(t) => t.nodes_copied(),
+            IndexImpl::Spatial(t) => t.nodes_copied(),
+            IndexImpl::Hash(_) => 0,
+        }
+    }
+
+    /// Continue the copy tally of the index this one replaces.
+    fn carry_nodes_copied(&mut self, from_predecessor: u64) {
+        match self {
+            IndexImpl::BTree(t) => t.carry_nodes_copied(from_predecessor),
+            IndexImpl::Spatial(t) => t.carry_nodes_copied(from_predecessor),
+            IndexImpl::Hash(_) => {}
+        }
+    }
+}
+
 /// A table: schema + heap + indexes.
 ///
 /// `Clone` shares heap pages and B+tree / R-tree nodes with the original
@@ -99,43 +120,35 @@ impl Table {
     /// across `clone`, so the cost of a batch of writes is the difference
     /// between the clone's reading and the original's.
     pub fn cow_stats(&self) -> CowStats {
-        let nodes_copied = self
-            .indexes
-            .iter()
-            .map(|idx| match &idx.imp {
-                IndexImpl::BTree(t) => t.nodes_copied(),
-                IndexImpl::Spatial(t) => t.nodes_copied(),
-                IndexImpl::Hash(_) => 0,
-            })
-            .sum();
         CowStats {
             pages_copied: self.heap.pages_copied(),
-            nodes_copied,
+            nodes_copied: self.indexes.iter().map(|i| i.imp.nodes_copied()).sum(),
         }
     }
 
-    /// Extract the bbox of a row for a spatial index definition.
-    pub(crate) fn row_bbox(&self, row: &Row, cols: &SpatialCols) -> Result<Rect> {
-        match cols {
+    /// Positions of the columns a spatial index reads a row's bbox from,
+    /// as `[min x, min y, max x, max y]` (a point names each twice).
+    fn bbox_columns(&self, cols: &SpatialCols) -> Result<[usize; 4]> {
+        let at = |column: &String| self.schema.index_of(column);
+        Ok(match cols {
             SpatialCols::Point { x, y } => {
-                let xi = self.schema.index_of(x)?;
-                let yi = self.schema.index_of(y)?;
-                let px = row.get(xi).as_f64()?;
-                let py = row.get(yi).as_f64()?;
-                Ok(Rect::point(px, py))
+                let (x, y) = (at(x)?, at(y)?);
+                [x, y, x, y]
             }
             SpatialCols::Bbox {
                 min_x,
                 min_y,
                 max_x,
                 max_y,
-            } => Ok(Rect::new(
-                row.get(self.schema.index_of(min_x)?).as_f64()?,
-                row.get(self.schema.index_of(min_y)?).as_f64()?,
-                row.get(self.schema.index_of(max_x)?).as_f64()?,
-                row.get(self.schema.index_of(max_y)?).as_f64()?,
-            )),
-        }
+            } => [at(min_x)?, at(min_y)?, at(max_x)?, at(max_y)?],
+        })
+    }
+
+    /// Extract the bbox of a row for a spatial index definition.
+    pub(crate) fn row_bbox(&self, row: &Row, cols: &SpatialCols) -> Result<Rect> {
+        let [x0, y0, x1, y1] = self.bbox_columns(cols)?;
+        let f = |i: usize| row.get(i).as_f64();
+        Ok(Rect::new(f(x0)?, f(y0)?, f(x1)?, f(y1)?))
     }
 
     /// Insert a row, maintaining every index.
@@ -215,61 +228,117 @@ impl Table {
     }
 
     /// Create an index and build it from the current heap contents.
-    /// Spatial indexes over a non-empty heap are STR bulk-loaded.
+    /// Spatial indexes over a non-empty heap are STR bulk-loaded. The heap
+    /// stays as it is — [`Table::cluster`] is the separate, explicit step
+    /// that reorders it.
     pub fn create_index(&mut self, name: impl Into<String>, kind: IndexKind) -> Result<()> {
         let name = name.into();
         if self.indexes.iter().any(|i| i.name == name) {
             return Err(StorageError::IndexExists(name));
         }
-        // validate columns exist up front
-        match &kind {
-            IndexKind::BTree { column } | IndexKind::Hash { column } => {
-                self.schema.index_of(column)?;
-            }
-            IndexKind::Spatial(SpatialCols::Point { x, y }) => {
-                self.schema.index_of(x)?;
-                self.schema.index_of(y)?;
-            }
-            IndexKind::Spatial(SpatialCols::Bbox {
-                min_x,
-                min_y,
-                max_x,
-                max_y,
-            }) => {
-                for c in [min_x, min_y, max_x, max_y] {
-                    self.schema.index_of(c)?;
-                }
-            }
-        }
-        let imp = match &kind {
+        let imp = self.build_index(&kind)?;
+        self.indexes.push(Index { name, kind, imp });
+        Ok(())
+    }
+
+    /// Build the structure of an index of `kind` over the current heap,
+    /// decoding only the key columns of each tuple. Unknown columns are
+    /// refused before the first tuple is read.
+    fn build_index(&self, kind: &IndexKind) -> Result<IndexImpl> {
+        let at = |column: &String| self.schema.index_of(column);
+        Ok(match kind {
             IndexKind::BTree { column } => {
-                let ci = self.schema.index_of(column)?;
+                let ci = at(column)?;
                 let mut t = BPlusTree::new();
                 for (rid, bytes) in self.heap.iter() {
-                    let row = Row::decode(bytes, &self.schema)?;
-                    t.insert(OrdValue(row.get(ci).clone()), rid);
+                    let [key] = Row::decode_columns(bytes, [ci])?;
+                    t.insert(OrdValue(key), rid);
                 }
                 IndexImpl::BTree(t)
             }
             IndexKind::Hash { column } => {
-                let ci = self.schema.index_of(column)?;
+                let ci = at(column)?;
                 let mut h = HashIndex::with_capacity(self.heap.len());
                 for (rid, bytes) in self.heap.iter() {
-                    let row = Row::decode(bytes, &self.schema)?;
-                    h.insert(OrdValue(row.get(ci).clone()), rid);
+                    let [key] = Row::decode_columns(bytes, [ci])?;
+                    h.insert(OrdValue(key), rid);
                 }
                 IndexImpl::Hash(h)
             }
             IndexKind::Spatial(cols) => {
+                let cols = self.bbox_columns(cols)?;
                 let mut items = Vec::with_capacity(self.heap.len());
                 for (rid, bytes) in self.heap.iter() {
-                    let row = Row::decode(bytes, &self.schema)?;
-                    items.push((self.row_bbox(&row, cols)?, rid));
+                    let [x0, y0, x1, y1] = Row::decode_columns(bytes, cols)?;
+                    let rect = Rect::new(x0.as_f64()?, y0.as_f64()?, x1.as_f64()?, y1.as_f64()?);
+                    items.push((rect, rid));
                 }
                 IndexImpl::Spatial(RTree::bulk_load(items))
             }
+        })
+    }
+
+    /// Rewrite the heap in the leaf order of spatial index `index_no` —
+    /// this engine's `CLUSTER … USING`. Afterwards the rows a rectangle
+    /// probe of that index returns sit on a handful of adjacent pages
+    /// instead of one page each, which is what a cold fetch pays for.
+    ///
+    /// One walk of the R-tree copies each entry's tuple bytes (no decode)
+    /// to the tail of a fresh heap and patches the entry's [`RecordId`] in
+    /// place: the tree keeps its shape, so every probe returns the rows it
+    /// returned before, in the order it returned them. Tombstones are left
+    /// behind, every *other* index of the table is rebuilt over the new
+    /// heap, and [`Table::cow_stats`] carries on from its earlier reading.
+    /// A clone taken before the call keeps its own pages and nodes and
+    /// answers as it did (the walk copies each leaf it still shares).
+    ///
+    /// Two things change for callers, which is why this is never a side
+    /// effect of [`Table::create_index`]:
+    ///
+    /// * every [`RecordId`] handed out before the call is stale;
+    /// * [`Table::scan`] order — heap order — is now the index's leaf
+    ///   order. A consumer that folds floats in scan order (the LoD
+    ///   pyramid's build and its maintenance) must see one order
+    ///   throughout: cluster a raw table before the pyramid is built over
+    ///   it, never between build and maintenance.
+    ///
+    /// Rows written later land at the heap tail as always, so the order
+    /// decays under churn; `ExecStats::heap_pages ÷ rows_scanned` over the
+    /// index's probes measures by how much. Clustering a clustered table
+    /// rewrites it to the same bytes.
+    ///
+    /// Errors on an index that is not spatial or does not hold one entry
+    /// per live tuple, and — with the table left unusable — on an entry
+    /// that addresses no live tuple: index and heap had already diverged.
+    pub fn cluster(&mut self, index_no: usize) -> Result<()> {
+        let Some(IndexImpl::Spatial(tree)) = self.indexes.get_mut(index_no).map(|i| &mut i.imp)
+        else {
+            return Err(StorageError::PlanError(
+                "cluster orders a heap by a spatial index".into(),
+            ));
         };
-        self.indexes.push(Index { name, kind, imp });
+        let old = &self.heap;
+        if tree.len() != old.len() {
+            return Err(StorageError::ExecError(format!(
+                "index holds {} entries for {} live tuples",
+                tree.len(),
+                old.len()
+            )));
+        }
+        let mut heap = old.successor();
+        tree.try_for_each_value_mut(|rid| -> Result<()> {
+            let tuple = old
+                .get(*rid)
+                .ok_or_else(|| StorageError::ExecError("dangling index entry".into()))?;
+            *rid = heap.insert(tuple)?;
+            Ok(())
+        })?;
+        self.heap = heap;
+        for i in (0..self.indexes.len()).filter(|i| *i != index_no) {
+            let mut imp = self.build_index(&self.indexes[i].kind)?;
+            imp.carry_nodes_copied(self.indexes[i].imp.nodes_copied());
+            self.indexes[i].imp = imp;
+        }
         Ok(())
     }
 

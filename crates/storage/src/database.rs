@@ -186,6 +186,20 @@ impl Database {
         self.table_mut(table)?.create_index(index_name, kind)
     }
 
+    /// Rewrite a table's heap in the leaf order of its spatial index
+    /// `index_name` ([`Table::cluster`]: record ids and scan order change,
+    /// query answers do not). Goes through [`Database::table_mut`], so a
+    /// clone of this database — a pinned snapshot — keeps the old pages
+    /// and nodes and answers as before.
+    pub fn cluster(&mut self, table: &str, index_name: &str) -> Result<()> {
+        let index_no = self
+            .table(table)?
+            .indexes()
+            .position(|i| i.name == index_name)
+            .ok_or_else(|| StorageError::UnknownIndex(index_name.to_string()))?;
+        self.table_mut(table)?.cluster(index_no)
+    }
+
     /// Parse + plan + execute a read-only statement (SELECT or EXPLAIN).
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let start = self.observer.as_ref().map(|_| Instant::now());
@@ -938,6 +952,51 @@ mod tests {
             base.table("record").unwrap().cow_stats(),
             CowStats::default()
         );
+    }
+
+    #[test]
+    fn cluster_puts_a_rectangles_rows_on_adjacent_pages() {
+        // a 200x200 lattice loaded in a scattered order (7919 is coprime
+        // to 40,000): neighbours on the plane are strangers in the heap
+        let mut db = Database::new();
+        let schema = Schema::empty()
+            .with("id", DataType::Int)
+            .with("x", DataType::Float)
+            .with("y", DataType::Float);
+        db.create_table("dots", schema).unwrap();
+        for i in 0..40_000i64 {
+            let at = i * 7919 % 40_000;
+            let (x, y) = ((at % 200) as f64, (at / 200) as f64);
+            db.insert(
+                "dots",
+                Row::new(vec![Value::Int(i), Value::Float(x), Value::Float(y)]),
+            )
+            .unwrap();
+        }
+        let sp = IndexKind::Spatial(SpatialCols::Point {
+            x: "x".into(),
+            y: "y".into(),
+        });
+        db.create_index("dots", "sp", sp).unwrap();
+        let tile = "SELECT * FROM dots WHERE bbox && rect(50, 50, 69, 69)";
+        let scattered = db.query(tile, &[]).unwrap();
+        assert_eq!(scattered.stats.rows_scanned, 400);
+        assert!(scattered.stats.heap_pages > 300, "{:?}", scattered.stats);
+
+        assert!(matches!(
+            db.cluster("dots", "nope"),
+            Err(StorageError::UnknownIndex(_))
+        ));
+        db.cluster("dots", "sp").unwrap();
+        let clustered = db.query(tile, &[]).unwrap();
+        assert_eq!(clustered.rows, scattered.rows, "same rows, same order");
+        assert_eq!(clustered.stats.rows_scanned, 400);
+        assert!(clustered.stats.heap_pages <= 30, "{:?}", clustered.stats);
+        // a seq scan counts each page it reads once
+        let all = db.query("SELECT * FROM dots WHERE x < 0", &[]).unwrap();
+        assert_eq!(all.stats.rows_scanned, 40_000);
+        let pages = (db.heap_bytes() / crate::page::PAGE_SIZE) as u64;
+        assert_eq!(all.stats.heap_pages, pages);
     }
 
     #[test]

@@ -50,6 +50,17 @@ impl TableHeap {
         }
     }
 
+    /// An empty heap that continues this one's copy tally — what a
+    /// rewrite of the whole heap fills, so [`crate::Table::cow_stats`]
+    /// stays monotone across it.
+    pub(crate) fn successor(&self) -> Self {
+        TableHeap {
+            pages: Vec::with_capacity(self.pages.len()),
+            live: 0,
+            pages_copied: self.pages_copied,
+        }
+    }
+
     /// Number of live tuples.
     pub fn len(&self) -> usize {
         self.live

@@ -22,6 +22,12 @@
 //! (a mutation edits a clone and publishes it; readers keep the snapshot
 //! they pinned). The engine itself has no locks and no log.
 //!
+//! Physical row order belongs to the engine too: [`Database::cluster`]
+//! rewrites a heap in the leaf order of one of its spatial indexes, so the
+//! rows a rectangle probe returns share a few adjacent pages, and
+//! [`ExecStats::heap_pages`] counts the pages a query's rows were read
+//! from.
+//!
 //! ```
 //! use kyrix_storage::{Database, Schema, DataType, Row, Value, IndexKind, SpatialCols};
 //!

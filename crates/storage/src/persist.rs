@@ -6,6 +6,8 @@
 //! per table its schema, its live rows (heap order), and its index
 //! *definitions* — indexes are rebuilt on load (spatial ones via STR bulk
 //! load), which keeps the format simple and compacts lazy deletions away.
+//! Heap order survives the round trip, so a table clustered before saving
+//! ([`crate::Table::cluster`]) comes back clustered.
 
 use crate::catalog::{IndexKind, SpatialCols};
 use crate::database::Database;
@@ -339,6 +341,30 @@ mod tests {
             .query("SELECT * FROM dots WHERE id = 50", &[])
             .unwrap();
         assert!(r.rows.is_empty());
+    }
+
+    #[test]
+    fn a_clustered_heap_keeps_its_order() {
+        // rows are saved in heap order and loaded by appending, so the
+        // order `cluster` gave a table is the order it comes back in
+        let mut db = sample_db();
+        let scan_ids = |db: &Database| {
+            let mut ids = Vec::new();
+            db.table("dots")
+                .unwrap()
+                .scan(|_, row| ids.push(row.get(0).clone()))
+                .unwrap();
+            ids
+        };
+        let loaded_order = scan_ids(&db);
+        db.cluster("dots", "sp").unwrap();
+        let clustered_order = scan_ids(&db);
+        assert_ne!(clustered_order, loaded_order);
+        let path = tmp("clustered");
+        db.save_to(&path).unwrap();
+        let loaded = Database::load_from(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(scan_ids(&loaded), clustered_order);
     }
 
     #[test]

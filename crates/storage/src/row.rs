@@ -58,6 +58,28 @@ impl Row {
         Ok(Row { values })
     }
 
+    /// Decode only the values at column positions `cols` of an encoded
+    /// row, in `cols` order, stepping over every other column with
+    /// [`Value::skip`] — no row buffer, no value the caller will not read.
+    /// What an index build uses to pull its key columns off a heap tuple.
+    pub fn decode_columns<const N: usize>(buf: &[u8], cols: [usize; N]) -> Result<[Value; N]> {
+        let mut out: [Value; N] = std::array::from_fn(|_| Value::Null);
+        let mut pos = 0;
+        for col in 0..cols.iter().max().map_or(0, |last| last + 1) {
+            match cols.iter().position(|c| *c == col) {
+                Some(slot) => out[slot] = Value::decode(buf, &mut pos)?,
+                None => Value::skip(buf, &mut pos)?,
+            }
+        }
+        // a position named twice was decoded into its first slot
+        for slot in 1..N {
+            if let Some(first) = cols[..slot].iter().position(|c| *c == cols[slot]) {
+                out[slot] = out[first].clone();
+            }
+        }
+        Ok(out)
+    }
+
     /// Concatenate two rows (join output).
     pub fn concat(&self, other: &Row) -> Row {
         let mut values = Vec::with_capacity(self.len() + other.len());
@@ -104,6 +126,14 @@ mod tests {
         let roomy = Row::decode_reserving(&buf, &schema, 7).unwrap();
         assert_eq!(roomy, row);
         assert_eq!(roomy.values.capacity(), schema.len() + 7);
+        // a column subset in any order, a position twice, none at all
+        let [label, id, again] = Row::decode_columns(&buf, [2, 0, 2]).unwrap();
+        assert_eq!((&label, &id, &again), (&row[2], &row[0], &row[2]));
+        assert!(Row::decode_columns::<0>(&buf, []).unwrap().is_empty());
+        assert!(
+            Row::decode_columns(&buf, [4]).is_err(),
+            "past the last value"
+        );
     }
 
     #[test]

@@ -92,6 +92,11 @@ impl<V: Clone> RTree<V> {
         self.nodes_copied
     }
 
+    /// Continue the copy tally of the tree this one replaces.
+    pub(crate) fn carry_nodes_copied(&mut self, from_predecessor: u64) {
+        self.nodes_copied += from_predecessor;
+    }
+
     /// Writable access to a node, copying it first if another clone of
     /// the tree still shares it.
     fn node_mut(&mut self, n: usize) -> &mut Node<V> {
@@ -250,6 +255,34 @@ impl<V: Clone> RTree<V> {
         visited
     }
 
+    /// Rewrite every value in place, in *leaf order*: the order
+    /// [`RTree::for_each_intersecting`] visits entries in when the query
+    /// covers everything (same stack discipline), whatever their
+    /// rectangles. Rectangles and shape are untouched; each leaf is
+    /// copied first if another clone still shares it. Stops at the first
+    /// error, leaving the values visited so far rewritten.
+    pub(crate) fn try_for_each_value_mut<E>(
+        &mut self,
+        mut f: impl FnMut(&mut V) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            match &*self.nodes[n] {
+                Node::Internal { children } => {
+                    stack.extend(children.iter().map(|(_, c)| *c));
+                    continue;
+                }
+                Node::Leaf { entries } if entries.is_empty() => continue,
+                Node::Leaf { .. } => {}
+            }
+            let Node::Leaf { entries } = self.node_mut(n) else {
+                unreachable!()
+            };
+            entries.iter_mut().try_for_each(|(_, v)| f(v))?;
+        }
+        Ok(())
+    }
+
     /// Collect values intersecting `query`.
     pub fn query(&self, query: &Rect) -> Vec<V> {
         let mut out = Vec::new();
@@ -298,11 +331,11 @@ impl<V: Clone> RTree<V> {
         let num_leaves = n.div_ceil(per_node);
         let num_slices = (num_leaves as f64).sqrt().ceil() as usize;
         let per_slice = n.div_ceil(num_slices);
-        items.sort_by(|a, b| a.0.center().x.total_cmp(&b.0.center().x));
+        items.sort_by_cached_key(|e| total_order(e.0.center().x));
         let mut out = Vec::with_capacity(num_leaves);
         let mut items = items.into_iter().collect::<Vec<_>>();
         for slice in items.chunks_mut(per_slice.max(1)) {
-            slice.sort_by(|a, b| a.0.center().y.total_cmp(&b.0.center().y));
+            slice.sort_by_cached_key(|e| total_order(e.0.center().y));
             let mut start = 0;
             while start < slice.len() {
                 let end = (start + per_node).min(slice.len());
@@ -326,10 +359,10 @@ impl<V: Clone> RTree<V> {
         let num_nodes = n.div_ceil(per_node);
         let num_slices = (num_nodes as f64).sqrt().ceil() as usize;
         let per_slice = n.div_ceil(num_slices);
-        level.sort_by(|a, b| a.0.center().x.total_cmp(&b.0.center().x));
+        level.sort_by_cached_key(|e| total_order(e.0.center().x));
         let mut out = Vec::with_capacity(num_nodes);
         for slice in level.chunks_mut(per_slice.max(1)) {
-            slice.sort_by(|a, b| a.0.center().y.total_cmp(&b.0.center().y));
+            slice.sort_by_cached_key(|e| total_order(e.0.center().y));
             let mut start = 0;
             while start < slice.len() {
                 let end = (start + per_node).min(slice.len());
@@ -343,6 +376,15 @@ impl<V: Clone> RTree<V> {
         }
         out
     }
+}
+
+/// An integer that orders as [`f64::total_cmp`] orders `v` (the same bit
+/// trick). STR sorts on it with `sort_by_cached_key` — stable like
+/// `sort_by`, so ties still keep input order, but it sorts 16-byte
+/// (key, index) pairs and moves each 40-byte entry once.
+fn total_order(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Quadratic split (Guttman): pick the two seeds wasting the most area
@@ -461,6 +503,29 @@ mod tests {
 
         let t = RTree::bulk_load(vec![(pt(5.0, 5.0), 7u32)]);
         assert_eq!(t.query(&Rect::new(0.0, 0.0, 10.0, 10.0)), vec![7]);
+    }
+
+    #[test]
+    fn total_order_key_orders_as_total_cmp() {
+        let values = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.5,
+            -f64::MIN_POSITIVE / 2.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.5,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(total_order(a).cmp(&total_order(b)), a.total_cmp(&b));
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use super::plan::{plan_fast_path, plan_select, FastPath, MetaAgg, ScanPlan};
 use crate::database::Database;
 use crate::error::{Result, StorageError};
 use crate::geom::Rect;
+use crate::heap::RecordId;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
 use crate::stats::ExecStats;
@@ -33,6 +34,24 @@ impl QueryResult {
     pub fn value(&self, row: usize, column: &str) -> Result<&Value> {
         let ci = self.schema.index_of(column)?;
         Ok(self.rows[row].get(ci))
+    }
+}
+
+/// Where a scan last read the heap. Every examined tuple goes through
+/// [`HeapCursor::read`], which keeps [`ExecStats::rows_scanned`] and
+/// [`ExecStats::heap_pages`] in step: a row counts a page only when it
+/// sits on a different one than the row examined before it.
+#[derive(Default)]
+struct HeapCursor {
+    page: Option<u32>,
+}
+
+impl HeapCursor {
+    fn read(&mut self, rid: RecordId, stats: &mut ExecStats) {
+        stats.rows_scanned += 1;
+        if self.page.replace(rid.page) != Some(rid.page) {
+            stats.heap_pages += 1;
+        }
     }
 }
 
@@ -264,6 +283,7 @@ fn execute_fast_path(
             let need = (*offset as usize).saturating_add(*k as usize);
             let mut scan_rows = Vec::with_capacity(need.min(1024));
             let mut err = None;
+            let mut heap = HeapCursor::default();
             stats.index_probes += 1;
             if need > 0 {
                 t.index_ordered_walk(*index_no, *desc, |rid| {
@@ -278,7 +298,7 @@ fn execute_fast_path(
                             return false;
                         }
                     };
-                    stats.rows_scanned += 1;
+                    heap.read(rid, &mut stats);
                     match keep(&bound, &row, params) {
                         Ok(true) => scan_rows.push(row),
                         Ok(false) => {}
@@ -371,11 +391,11 @@ fn run_scan<'a>(
                 .map(|f| BoundExpr::bind(f, &Bindings::single(binding, &t.schema)))
                 .transpose()?;
             let mut rows = Vec::new();
-            let mut scanned = 0u64;
+            let mut heap = HeapCursor::default();
             let mut err = None;
             if cap != Some(0) {
-                t.scan_while(tail, |_, row| {
-                    scanned += 1;
+                t.scan_while(tail, |rid, row| {
+                    heap.read(rid, stats);
                     match &bound {
                         Some(f) => match f.eval(&row.values, params).and_then(|v| v.as_bool()) {
                             Ok(true) => rows.push(row),
@@ -393,7 +413,6 @@ fn run_scan<'a>(
             if let Some(e) = err {
                 return Err(e);
             }
-            stats.rows_scanned += scanned;
             Ok(ScanOutput {
                 entries: vec![(binding.clone(), &t.schema)],
                 rows,
@@ -492,6 +511,7 @@ fn run_scan<'a>(
                 .transpose()?;
 
             let mut rows = Vec::new();
+            let mut heap = HeapCursor::default();
             for orow in &outer_out.rows {
                 let key = orow.get(key_idx);
                 if key.is_null() {
@@ -504,7 +524,7 @@ fn run_scan<'a>(
                     let irow = inner_t
                         .get(rid)?
                         .ok_or_else(|| StorageError::ExecError("dangling index entry".into()))?;
-                    stats.rows_scanned += 1;
+                    heap.read(rid, stats);
                     let flat = if outer_first {
                         orow.concat(&irow)
                     } else {
@@ -545,15 +565,14 @@ fn run_scan<'a>(
 
             // build
             let mut table: HashMap<OrdValue, Vec<Row>> = HashMap::new();
-            let mut scanned = 0u64;
-            inner_t.scan(|_, row| {
-                scanned += 1;
+            let mut heap = HeapCursor::default();
+            inner_t.scan(|rid, row| {
+                heap.read(rid, stats);
                 let k = row.get(inner_key_idx).clone();
                 if !k.is_null() {
                     table.entry(OrdValue(k)).or_default().push(row);
                 }
             })?;
-            stats.rows_scanned += scanned;
 
             // probe
             let mut rows = Vec::new();
@@ -615,7 +634,7 @@ fn keep(filter: &Option<BoundExpr>, row: &Row, params: &[Value]) -> Result<bool>
 #[allow(clippy::too_many_arguments)]
 fn fetch_filter(
     t: &crate::catalog::Table,
-    rids: &[crate::heap::RecordId],
+    rids: &[RecordId],
     residual: &Option<SqlExpr>,
     bindings: &Bindings<'_>,
     params: &[Value],
@@ -628,6 +647,7 @@ fn fetch_filter(
         .map(|r| BoundExpr::bind(r, bindings))
         .transpose()?;
     let mut rows = Vec::with_capacity(rids.len());
+    let mut heap = HeapCursor::default();
     for &rid in rids {
         if cap.is_some_and(|c| rows.len() >= c) {
             break;
@@ -635,7 +655,7 @@ fn fetch_filter(
         let row = t
             .get_reserving(rid, tail)?
             .ok_or_else(|| StorageError::ExecError("dangling index entry".into()))?;
-        stats.rows_scanned += 1;
+        heap.read(rid, stats);
         if keep(&bound, &row, params)? {
             rows.push(row);
         }

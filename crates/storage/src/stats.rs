@@ -7,6 +7,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct ExecStats {
     /// Heap tuples examined (seq scans + fetches through indexes).
     pub rows_scanned: u64,
+    /// Heap pages those tuples were read from, counted as page *runs*:
+    /// how often an examined tuple sits on a different page than the one
+    /// examined before it. Never more than `rows_scanned`; a seq scan
+    /// counts each page it takes rows from once, and fetches through an
+    /// index count one page per row on a heap in load order and a few per
+    /// hundred rows on a heap clustered by that index
+    /// ([`crate::Table::cluster`]) — `heap_pages ÷ rows_scanned` is the
+    /// gauge of how much of that order is left.
+    pub heap_pages: u64,
     /// Number of index probes (point lookups / range / spatial queries).
     pub index_probes: u64,
     /// Index nodes visited while probing.
@@ -20,6 +29,7 @@ pub struct ExecStats {
 impl ExecStats {
     pub fn merge(&mut self, other: &ExecStats) {
         self.rows_scanned += other.rows_scanned;
+        self.heap_pages += other.heap_pages;
         self.index_probes += other.index_probes;
         self.nodes_visited += other.nodes_visited;
         self.rows_out += other.rows_out;
@@ -97,6 +107,7 @@ mod tests {
     fn merge_accumulates() {
         let mut a = ExecStats {
             rows_scanned: 1,
+            heap_pages: 1,
             index_probes: 2,
             nodes_visited: 3,
             rows_out: 4,
@@ -104,6 +115,7 @@ mod tests {
         };
         a.merge(&a.clone());
         assert_eq!(a.rows_scanned, 2);
+        assert_eq!(a.heap_pages, 2);
         assert_eq!(a.bytes_out, 10);
     }
 

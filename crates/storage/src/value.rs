@@ -213,6 +213,34 @@ impl Value {
             t => Err(StorageError::DecodeError(format!("bad value tag {t}"))),
         }
     }
+
+    /// Advance `*pos` past one encoded value without materializing it:
+    /// the same tag validation and bounds checks as [`Value::decode`] and
+    /// the same final position, so a reader that wants column `k` of a row
+    /// skips `k` values and decodes one. Only a text body's UTF-8 goes
+    /// unchecked — the one check that reads the bytes it steps over.
+    pub fn skip(buf: &[u8], pos: &mut usize) -> Result<()> {
+        let err = |m: &str| StorageError::DecodeError(m.to_string());
+        let tag = *buf.get(*pos).ok_or_else(|| err("truncated value tag"))?;
+        let body = *pos + 1;
+        let end = match tag {
+            0 => body,
+            1 => body + 1,
+            2 | 3 => body + 8,
+            4 => {
+                let len_bytes = buf
+                    .get(body..body + 4)
+                    .ok_or_else(|| err("truncated text len"))?;
+                body + 4 + u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize
+            }
+            t => return Err(StorageError::DecodeError(format!("bad value tag {t}"))),
+        };
+        if end > buf.len() {
+            return Err(err("truncated value"));
+        }
+        *pos = end;
+        Ok(())
+    }
 }
 
 impl fmt::Display for Value {
@@ -337,10 +365,12 @@ mod tests {
         for v in &values {
             v.encode(&mut buf);
         }
-        let mut pos = 0;
+        let (mut pos, mut skipped) = (0, 0);
         for v in &values {
             let got = Value::decode(&buf, &mut pos).unwrap();
             assert_eq!(&got, v);
+            Value::skip(&buf, &mut skipped).unwrap();
+            assert_eq!(skipped, pos, "skip lands where decode lands");
         }
         assert_eq!(pos, buf.len());
     }
@@ -352,7 +382,9 @@ mod tests {
         for cut in 0..buf.len() {
             let mut pos = 0;
             assert!(Value::decode(&buf[..cut], &mut pos).is_err(), "cut={cut}");
+            assert!(Value::skip(&buf[..cut], &mut 0).is_err(), "cut={cut}");
         }
+        assert!(Value::skip(&[9], &mut 0).is_err(), "bad tag");
     }
 
     #[test]

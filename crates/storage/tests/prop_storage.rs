@@ -40,6 +40,39 @@ proptest! {
         prop_assert_eq!(pos, buf.len());
     }
 
+    /// `Value::skip` lands where `Value::decode` lands on every encodable
+    /// value, and fails at the same value of a truncated or bad-tag buffer.
+    #[test]
+    fn value_skip_tracks_decode(
+        values in prop::collection::vec(arb_value(), 1..20),
+        cut in any::<u16>(),
+        bad_tag in 5u8..255,
+        victim in any::<u16>(),
+    ) {
+        let buf = Row::new(values.clone()).encode();
+        let mut boundaries = vec![0usize];
+        for _ in &values {
+            let mut pos = *boundaries.last().unwrap();
+            Value::decode(&buf, &mut pos).unwrap();
+            boundaries.push(pos);
+        }
+        // a bad tag where value `victim` starts; a cut anywhere
+        let mut bad = buf.clone();
+        bad[boundaries[victim as usize % values.len()]] = bad_tag;
+        for damaged in [&buf[..], &buf[..cut as usize % buf.len()], &bad[..]] {
+            let (mut decoded, mut skipped) = (0, 0);
+            for _ in &values {
+                let d = Value::decode(damaged, &mut decoded);
+                let s = Value::skip(damaged, &mut skipped);
+                prop_assert_eq!(d.is_ok(), s.is_ok(), "at byte {}", skipped);
+                if d.is_err() {
+                    break;
+                }
+                prop_assert_eq!(skipped, decoded);
+            }
+        }
+    }
+
     /// total_cmp is a total order: antisymmetric and transitive on samples.
     #[test]
     fn value_order_total(a in arb_value(), b in arb_value(), c in arb_value()) {
@@ -410,6 +443,148 @@ proptest! {
             }
         }
     }
+}
+
+// -------------------------------------------------------------- clustering
+
+/// Row bytes per read in visit order: [`Answers`] without record ids.
+fn visit_order(answers: &Answers) -> Vec<Vec<&[u8]>> {
+    answers
+        .iter()
+        .map(|hits| hits.iter().map(|(_, row)| &row[..]).collect())
+        .collect()
+}
+
+/// Sorted row bytes the preferred equality index on `id` (the hash index,
+/// where there is one) returns for every seventh id.
+fn eq_hits(t: &Table) -> Vec<Vec<Vec<u8>>> {
+    let index = t.eq_index_on("id").unwrap();
+    (0..ID_SPACE)
+        .step_by(7)
+        .map(|id| {
+            let mut rows = Vec::new();
+            t.probe_eq(index, &Value::Int(id), |rid| {
+                rows.push(t.get(rid).unwrap().unwrap().encode())
+            });
+            rows.sort_unstable();
+            rows
+        })
+        .collect()
+}
+
+/// Everything `Table::cluster` promises, on `dots(id, x, y)` with an
+/// R-tree, a B+tree and a hash index, after the rows `doomed` picks were
+/// deleted on a clone (so there are tombstones, and pages and nodes have
+/// been copied before).
+fn check_cluster(rows: &[(i64, f64, f64)], doomed: &[u32]) {
+    let base = dots_table(rows);
+    let mut t = base.clone();
+    t.create_index(
+        "h_id",
+        IndexKind::Hash {
+            column: "id".into(),
+        },
+    )
+    .unwrap();
+    let mut rids = Vec::new();
+    t.scan(|rid, _| rids.push(rid)).unwrap();
+    for pick in doomed {
+        if rids.is_empty() {
+            break;
+        }
+        let rid = rids.swap_remove(*pick as usize % rids.len());
+        assert!(t.delete_row(rid).unwrap());
+    }
+    let (sp, by_id) = (t.spatial_index().unwrap(), t.btree_index_on("id").unwrap());
+    let pinned = t.clone();
+    let (before, before_eq, before_stats) = (answers(&t), eq_hits(&t), t.cow_stats());
+
+    // only a spatial index orders a heap; a refusal changes nothing
+    assert!(t.cluster(by_id).is_err());
+    assert!(t.cluster(t.eq_index_on("id").unwrap()).is_err());
+    assert_eq!(answers(&t), before);
+
+    t.cluster(sp).unwrap();
+    let after = answers(&t);
+    // the same rows: the scan, every spatial probe, every B+tree and hash
+    // equality probe and every range answer with the same multiset
+    assert_eq!(t.len(), rids.len());
+    assert_eq!(logical(&after), logical(&before));
+    assert_eq!(eq_hits(&t), before_eq);
+    // the R-tree kept its shape: spatial probes answer in the same order
+    assert_eq!(visit_order(&after)[1..=4], visit_order(&before)[1..=4]);
+    // heap order is leaf order: the probe over everything (read 1) meets
+    // strictly ascending record ids, and is the scan (read 0)
+    assert!(after[1].windows(2).all(|w| w[0].0 < w[1].0));
+    assert_eq!(after[0], after[1]);
+    // no tombstone: every page's live slots are 0, 1, 2, ..., and the heap
+    // is as small as one freshly filled with these rows
+    let placed: Vec<RecordId> = after[0]
+        .iter()
+        .map(|(rid, _)| RecordId::from_u64(*rid))
+        .collect();
+    for (i, rid) in placed.iter().enumerate() {
+        let (page, slot) = match i.checked_sub(1).map(|p| placed[p]) {
+            Some(prev) if prev.page == rid.page => (prev.page, prev.slot + 1),
+            Some(prev) => (prev.page + 1, 0),
+            None => (0, 0),
+        };
+        assert_eq!((rid.page, rid.slot), (page, slot), "row {i} left a gap");
+    }
+    let mut fresh = Table::new("fresh", t.schema.clone());
+    t.scan(|_, row| {
+        fresh.insert(row).unwrap();
+    })
+    .unwrap();
+    assert_eq!(t.heap_bytes(), fresh.heap_bytes());
+
+    // a second cluster finds nothing to move
+    t.cluster(sp).unwrap();
+    assert_eq!(answers(&t), after);
+    assert_eq!(eq_hits(&t), before_eq);
+
+    // clones taken before still answer exactly as they did, and the
+    // copy tallies only ever grow
+    assert_eq!(answers(&pinned), before);
+    assert_eq!(answers(&base), answers(&dots_table(rows)));
+    assert_eq!(pinned.cow_stats(), before_stats);
+    let stats = t.cow_stats();
+    assert!(
+        stats.pages_copied >= before_stats.pages_copied
+            && stats.nodes_copied >= before_stats.nodes_copied,
+        "{stats:?} after {before_stats:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `cluster` on generated tables: duplicate ids, duplicate positions,
+    /// whole duplicate rows, and up to all rows deleted beforehand.
+    #[test]
+    fn cluster_reorders_the_heap_and_nothing_else(
+        rows in prop::collection::vec(
+            (0i64..ID_SPACE / 8, 0u32..40, 0u32..40, any::<bool>()),
+            0..400,
+        ),
+        doomed in prop::collection::vec(any::<u32>(), 0..450),
+    ) {
+        let mut table: Vec<(i64, f64, f64)> = Vec::new();
+        for (id, x, y, repeat) in rows {
+            match table.last().copied() {
+                Some(last) if repeat => table.push(last),
+                _ => table.push((id, x as f64 * 25.0, y as f64 * 25.0)),
+            }
+        }
+        check_cluster(&table, &doomed);
+    }
+}
+
+#[test]
+fn cluster_of_an_empty_table_and_of_one_row() {
+    check_cluster(&[], &[]);
+    check_cluster(&[(7, 3.0, 4.0)], &[]);
+    check_cluster(&[(7, 3.0, 4.0)], &[0]);
 }
 
 /// Two readers keep checking a pinned generation while a writer builds

@@ -14,13 +14,20 @@
 //! builds — both against the same reference. Hand-written cases below
 //! cover what the generators cannot express (joins, ORDER BY fallbacks).
 //!
+//! Every generated case runs twice on the same table — as loaded, and
+//! after `Database::cluster` has rewritten its heap in the order of a
+//! spatial index — against the same reference, which is handed the rows in
+//! the heap order each run finds them in (what ties under `ORDER BY` are
+//! pinned to). Clustering may change where rows sit, never what a query
+//! answers; and on both runs `heap_pages <= rows_scanned`.
+//!
 //! Each generated case also asserts *plan-level* expectations: eligible
 //! shapes must resolve to a fast path (and show the matching `ExecStats`),
 //! ineligible ones must fall back — so the shortcuts are provably
 //! exercised, not silently skipped.
 
 use kyrix_storage::sql::{self, FastPath};
-use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, Value};
+use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
 
 // ------------------------------------------------------------ generators
 
@@ -206,14 +213,14 @@ impl GenQuery {
 
 /// The reference interpreter: no planner, no indexes, no pushdown — just
 /// filter → stable sort → aggregate/project → offset → limit over the
-/// generated rows in insertion order.
-fn naive_execute(rows: &[GenRow], q: &GenQuery) -> Vec<Vec<Value>> {
+/// generated rows in heap order (`heap_order` lists their ids: insertion
+/// order until the table is clustered).
+fn naive_execute(rows: &[GenRow], heap_order: &[usize], q: &GenQuery) -> Vec<Vec<Value>> {
     type Kept = (i64, Option<i64>, Option<i64>);
-    let mut kept: Vec<Kept> = rows
+    let mut kept: Vec<Kept> = heap_order
         .iter()
-        .enumerate()
-        .filter(|(_, (k, v))| q.filter.matches(*k, *v))
-        .map(|(id, (k, v))| (id as i64, *k, *v))
+        .map(|&id| (id as i64, rows[id].0, rows[id].1))
+        .filter(|(_, k, v)| q.filter.matches(*k, *v))
         .collect();
 
     if !q.aggs.is_empty() {
@@ -267,25 +274,59 @@ fn result_rows(r: &kyrix_storage::QueryResult) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Run `q` through the real executor and compare with the reference.
-/// `ORDER BY` queries compare exact sequences (ties are pinned to
-/// insertion order on both sides); unordered queries compare the result
-/// multiset. The one legitimately looser case is a `LIMIT`/`OFFSET`
-/// window over an *unspecified* order — SQL lets the executor window any
-/// ordering (an index scan reorders rows before LIMIT applies), so there
-/// the window size must match the reference and every returned row must
-/// come from the filtered set.
+/// Run `q` through the real executor on `db` as loaded and again on a
+/// clustered copy, comparing each run with the reference
+/// ([`check_against`]). Returns the as-loaded result, whose `ExecStats`
+/// the callers' plan-level assertions read.
 fn check_differential(
     db: &Database,
     rows: &[GenRow],
+    q: &GenQuery,
+) -> std::result::Result<kyrix_storage::QueryResult, String> {
+    let insertion_order: Vec<usize> = (0..rows.len()).collect();
+    let loaded = check_against(db, rows, &insertion_order, q)?;
+
+    // `id` on both axes: leaf order is not insertion order once the tree
+    // has more than one leaf (the probe stack visits the last leaf first)
+    let mut clustered = db.clone();
+    let on_id = IndexKind::Spatial(SpatialCols::Point {
+        x: "id".into(),
+        y: "id".into(),
+    });
+    clustered.create_index("t", "sp_id", on_id).unwrap();
+    clustered.cluster("t", "sp_id").unwrap();
+    let mut heap_order = Vec::with_capacity(rows.len());
+    clustered
+        .table("t")
+        .unwrap()
+        .scan(|_, row| heap_order.push(row.get(0).as_i64().unwrap() as usize))
+        .unwrap();
+    check_against(&clustered, rows, &heap_order, q).map_err(|e| format!("clustered: {e}"))?;
+    Ok(loaded)
+}
+
+/// One run against the reference. `ORDER BY` queries compare exact
+/// sequences (ties are pinned to heap order on both sides); unordered
+/// queries compare the result multiset. The one legitimately looser case
+/// is a `LIMIT`/`OFFSET` window over an *unspecified* order — SQL lets the
+/// executor window any ordering (an index scan reorders rows before LIMIT
+/// applies), so there the window size must match the reference and every
+/// returned row must come from the filtered set.
+fn check_against(
+    db: &Database,
+    rows: &[GenRow],
+    heap_order: &[usize],
     q: &GenQuery,
 ) -> std::result::Result<kyrix_storage::QueryResult, String> {
     let sql = q.sql();
     let r = db
         .query(&sql, &[])
         .map_err(|e| format!("`{sql}` failed: {e}"))?;
+    if r.stats.heap_pages > r.stats.rows_scanned {
+        return Err(format!("`{sql}`: more pages than rows in {:?}", r.stats));
+    }
     let got = result_rows(&r);
-    let want = naive_execute(rows, q);
+    let want = naive_execute(rows, heap_order, q);
     let key = |rows: &[Vec<Value>]| {
         let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
         v.sort();
@@ -308,7 +349,7 @@ fn check_differential(
             offset: None,
             ..q.clone()
         };
-        let mut pool = key(&naive_execute(rows, &unwindowed));
+        let mut pool = key(&naive_execute(rows, heap_order, &unwindowed));
         for row in key(&got) {
             match pool.binary_search(&row) {
                 Ok(i) => {

@@ -162,7 +162,11 @@ pub fn load_zipf_galaxy(db: &mut Database, cfg: &GalaxyConfig) -> Result<usize> 
 }
 
 /// Build the raw spatial index on `(x, y)` (enables the separable skip
-/// path for the pyramid's level-0 canvas, like [`crate::index_dots`]).
+/// path for the pyramid's level-0 canvas, like [`crate::index_dots`]) and
+/// cluster the heap on it: the generator emits points in random spatial
+/// order, and a viewport's rows should share pages. Call it right after
+/// loading — it changes scan order, so it must come before
+/// `kyrix_lod::build_pyramid` reads the table, never after.
 pub fn index_galaxy(db: &mut Database) -> Result<()> {
     db.create_index(
         "galaxy",
@@ -171,7 +175,8 @@ pub fn index_galaxy(db: &mut Database) -> Result<()> {
             x: "x".into(),
             y: "y".into(),
         }),
-    )
+    )?;
+    db.cluster("galaxy", "galaxy_xy")
 }
 
 #[cfg(test)]
