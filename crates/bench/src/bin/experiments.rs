@@ -9,14 +9,17 @@
 //!
 //! Subcommands: `fig6`, `fig7`, `separability`, `prefetch`,
 //! `prefetch-policy`, `parallel`, `latency`, `boxsweep`, `cache`, `lod`,
-//! `load`, `shard`, `all`. `--small` shrinks the dataset for quick runs.
+//! `load`, `shard`, `all`. `--small` shrinks the dataset for quick runs;
+//! `lod --points N` runs only the pyramid part of `lod`, on a galaxy of
+//! `N` points at the million set's density.
 //! `--telemetry <path>` writes the load (or shard) run's full telemetry
 //! registry (spans, counters, gauges) as JSON to `<path>`.
 
 use kyrix_bench::{
-    build_database, dots_on_grid, figure_table, launch_scheme, load_table, paper_traces, run_cell,
-    run_figure, run_load, run_lod_experiment, run_lod_maintenance, run_lod_plan_comparison,
-    run_shard_scaleup, shard_table, span_table, Dataset, ExperimentConfig, LoadConfig,
+    build_database, dots_on_grid, figure_table, galaxy_at_million_density, launch_scheme,
+    load_table, paper_traces, proc_status_mb, run_cell, run_figure, run_load, run_lod_experiment,
+    run_lod_maintenance, run_lod_plan_comparison, run_shard_scaleup, shard_table, span_table,
+    Dataset, ExperimentConfig, LoadConfig, LodExperiment,
 };
 use kyrix_client::{run_trace, Session};
 use kyrix_core::compile;
@@ -47,11 +50,26 @@ fn main() {
     let small = args.iter().any(|a| a == "--small");
     let telemetry_idx = args.iter().position(|a| a == "--telemetry");
     let telemetry: Option<String> = telemetry_idx.and_then(|i| args.get(i + 1)).cloned();
+    let points_idx = args.iter().position(|a| a == "--points");
+    let points: Option<usize> = points_idx.map(|i| {
+        let n = args
+            .get(i + 1)
+            .and_then(|n| n.replace('_', "").parse().ok());
+        n.filter(|n| *n > 0).unwrap_or_else(|| {
+            eprintln!("--points takes a positive point count");
+            std::process::exit(2);
+        })
+    });
+    let value_of = |flag: Option<usize>| flag.map(|f| f + 1);
     let what = args
         .iter()
         .enumerate()
-        // skip flags and the --telemetry value when finding the subcommand
-        .find(|(i, a)| !a.starts_with("--") && Some(*i) != telemetry_idx.map(|t| t + 1))
+        // skip flags and the flags' values when finding the subcommand
+        .find(|(i, a)| {
+            !a.starts_with("--")
+                && Some(*i) != value_of(telemetry_idx)
+                && Some(*i) != value_of(points_idx)
+        })
         .map(|(_, a)| a.clone())
         .unwrap_or_else(|| "all".to_string());
     let cfg = config(small);
@@ -86,7 +104,10 @@ fn main() {
         "latency" => latency(),
         "boxsweep" => boxsweep(&cfg),
         "cache" => cache(&cfg),
-        "lod" => lod(small),
+        "lod" => match points {
+            Some(n) => lod_pyramid(&galaxy_at_million_density(n)),
+            None => lod(small),
+        },
         "load" => load(small, telemetry.as_deref()),
         "shard" => shard(small, telemetry.as_deref()),
         "all" => {
@@ -608,6 +629,103 @@ fn shard(small: bool, telemetry: Option<&str>) {
     println!("\n(ran in {:.1}s)\n", started.elapsed().as_secs_f64());
 }
 
+/// The pyramid part of the LoD experiment on one galaxy: set-up stage
+/// times, bytes by owner (table heaps beside the maintenance state), and
+/// per-level cold fetches against the 500 ms interactivity budget.
+fn lod_pyramid(g: &GalaxyConfig) {
+    println!(
+        "## LoD pyramid — zipf_galaxy, {} points on a {:.0}x{:.0} canvas\n",
+        g.n, g.width, g.height
+    );
+    let LodExperiment {
+        pyramid,
+        levels,
+        stages,
+        heap_bytes,
+    } = run_lod_experiment(g, 3, 24.0, (1024.0, 1024.0), 6);
+    println!(
+        "pyramid build: {:.1} ms ({} levels above raw)\n",
+        pyramid.build_time.as_secs_f64() * 1000.0,
+        pyramid.depth() - 1
+    );
+    println!("| set-up stage | seconds |");
+    println!("|---|---|");
+    for (name, s) in [
+        ("generate + load", stages.load_s),
+        ("index + cluster", stages.index_s),
+        ("build_pyramid", stages.build_s),
+        ("compile + launch", stages.launch_s),
+    ] {
+        println!("| {name} | {s:.2} |");
+    }
+    if let Some(mb) = proc_status_mb("VmHWM:") {
+        println!("\npeak resident set after the walk: {mb:.0} MB");
+    }
+    println!();
+
+    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
+    let raw_points = pyramid.levels[0].rows.max(1) as f64;
+    println!("### bytes by owner\n");
+    println!("| owner | entries | buckets | boxed outputs | MiB | B / raw point |");
+    println!("|---|---|---|---|---|---|");
+    let mut heaps = 0;
+    for ((table, bytes), info) in heap_bytes.iter().zip(&pyramid.levels) {
+        heaps += bytes;
+        println!(
+            "| heap: {table} | {} rows | | | {:.1} | {:.1} |",
+            info.rows,
+            mib(*bytes),
+            *bytes as f64 / raw_points
+        );
+    }
+    let state = pyramid
+        .memory_report()
+        .expect("a fresh pyramid carries its maintenance state");
+    for l in &state.levels {
+        println!(
+            "| maintenance state: level {} | {} cells, {} retained | {} | {} | {:.1} | {:.1} |",
+            l.level,
+            l.candidate_cells,
+            l.retained,
+            l.buckets,
+            l.boxed_outputs,
+            mib(l.bytes),
+            l.bytes as f64 / raw_points
+        );
+    }
+    println!(
+        "| maintenance state: id → cell map | {} ids | | | {:.1} | {:.1} |",
+        state.id_map_entries,
+        mib(state.id_map_bytes),
+        state.id_map_bytes as f64 / raw_points
+    );
+    println!(
+        "| **heaps / maintenance state** | | | | **{:.1} / {:.1}** | {:.1} / {:.1} |",
+        mib(heaps),
+        mib(state.total_bytes()),
+        heaps as f64 / raw_points,
+        state.total_bytes() as f64 / raw_points
+    );
+    println!("\n(heaps are `Table::heap_bytes`: pages, not their spatial indexes)\n");
+
+    println!(
+        "| level | marks | avg cold fetch (ms) | of the 500 ms budget | avg tuples/fetch | heap pages / row |"
+    );
+    println!("|---|---|---|---|---|---|");
+    for r in &levels {
+        println!(
+            "| {} | {} | {:.3} | {:.3} % | {:.0} | {:.3} |",
+            r.level,
+            r.rows,
+            r.avg_fetch_ms,
+            r.avg_fetch_ms / 500.0 * 100.0,
+            r.avg_rows_fetched,
+            r.heap_pages_per_row
+        );
+    }
+    println!();
+}
+
 /// LoD: cluster-pyramid construction over `zipf_galaxy`, per-level fetch
 /// latency along a zoom-in/zoom-out trace, and the uniform-vs-mixed
 /// fetch-plan policy comparison on the same app.
@@ -617,25 +735,7 @@ fn lod(small: bool) {
     } else {
         GalaxyConfig::million()
     };
-    println!(
-        "## LoD pyramid — zipf_galaxy, {} points on a {:.0}x{:.0} canvas\n",
-        g.n, g.width, g.height
-    );
-    let (pyramid, levels) = run_lod_experiment(&g, 3, 24.0, (1024.0, 1024.0), 6);
-    println!(
-        "pyramid build: {:.1} ms ({} levels above raw)\n",
-        pyramid.build_time.as_secs_f64() * 1000.0,
-        pyramid.depth() - 1
-    );
-    println!("| level | marks | avg cold fetch (ms) | avg tuples/fetch | heap pages / row |");
-    println!("|---|---|---|---|---|");
-    for r in &levels {
-        println!(
-            "| {} | {} | {:.3} | {:.0} | {:.3} |",
-            r.level, r.rows, r.avg_fetch_ms, r.avg_rows_fetched, r.heap_pages_per_row
-        );
-    }
-    println!();
+    lod_pyramid(&g);
 
     // plan-policy comparison, walked cold across the clustered↔raw plan
     // boundary in both directions. Deliberately run at e2e scale (131k

@@ -351,6 +351,57 @@ pub struct LodLevelResult {
     pub fetches: usize,
 }
 
+/// Wall-clock of the LoD experiment's set-up, stage by stage.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LodStageTimes {
+    /// Generating the galaxy and inserting it into the raw table.
+    pub load_s: f64,
+    /// Raw spatial index plus the heap rewrite into its leaf order.
+    pub index_s: f64,
+    /// `build_pyramid`: every level's clustering, table and index.
+    pub build_s: f64,
+    /// Compiling the LoD app and launching the server over the database.
+    pub launch_s: f64,
+}
+
+/// What [`run_lod_experiment`] built and measured.
+#[derive(Debug, Clone)]
+pub struct LodExperiment {
+    /// The built pyramid (its `memory_report` is the maintenance state's
+    /// bytes by owner).
+    pub pyramid: LodPyramid,
+    /// One result per level, raw level first.
+    pub levels: Vec<LodLevelResult>,
+    /// Set-up wall-clock by stage.
+    pub stages: LodStageTimes,
+    /// Heap bytes of the raw table and every level table
+    /// (`Table::heap_bytes`), raw first.
+    pub heap_bytes: Vec<(String, usize)>,
+}
+
+/// One `kB` field of `/proc/self/status` (`VmRSS`: resident now,
+/// `VmHWM`: its high-water mark) in MB; `None` where there is no procfs.
+pub fn proc_status_mb(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// A galaxy of `n` points on a square canvas whose area scales with `n`,
+/// so point density — and with it rows per viewport on every level — is
+/// that of [`GalaxyConfig::million`] at any size.
+pub fn galaxy_at_million_density(n: usize) -> GalaxyConfig {
+    let million = GalaxyConfig::million();
+    let side = (million.width * (n as f64 / million.n as f64).sqrt()).ceil();
+    GalaxyConfig {
+        n,
+        width: side,
+        height: side,
+        ..million
+    }
+}
+
 /// The per-step viewports of the LoD zoom trace: visit levels coarsest →
 /// finest → coarsest (crossing every adjacent-level boundary twice),
 /// panning a seeded walk on each level. Returns `(level, canvas, rect)`
@@ -1088,21 +1139,40 @@ pub fn galaxy_lod_config(g: &GalaxyConfig, levels: usize, spacing: f64) -> LodCo
 /// dataset (timing the build), then walk a zoom-in/zoom-out trace of
 /// cold fetches through the server. Per-level fetch latency is read
 /// back from the server's own `fetch.region.layer{canvas/layer}`
-/// telemetry histograms rather than harness-side stopwatches. Returns
-/// the built pyramid (whose `build_time` is the construction cost) and
-/// one result per level.
+/// telemetry histograms rather than harness-side stopwatches. Each
+/// set-up stage reports to stderr as it ends, with the resident set at
+/// that moment, so a run that outgrows the host says where it stopped.
 pub fn run_lod_experiment(
     g: &GalaxyConfig,
     levels: usize,
     spacing: f64,
     viewport: (f64, f64),
     steps_per_level: usize,
-) -> (LodPyramid, Vec<LodLevelResult>) {
+) -> LodExperiment {
+    let mut stages = LodStageTimes::default();
+    let mut clock = Instant::now();
+    let mut stage = |name: &str, slot: &mut f64| {
+        *slot = clock.elapsed().as_secs_f64();
+        let rss =
+            proc_status_mb("VmRSS:").map_or(String::new(), |mb| format!(", {mb:.0} MB resident"));
+        eprintln!("lod set-up: {name} took {:.2} s{rss}", *slot);
+        clock = Instant::now();
+    };
     let mut db = Database::new();
     load_zipf_galaxy(&mut db, g).expect("load galaxy");
+    stage("load", &mut stages.load_s);
     index_galaxy(&mut db).expect("index galaxy");
+    stage("index + cluster", &mut stages.index_s);
     let lod = galaxy_lod_config(g, levels, spacing);
     let pyramid = build_pyramid(&mut db, &lod).expect("build pyramid");
+    stage("build_pyramid", &mut stages.build_s);
+    let heap_bytes = (0..=levels)
+        .map(|k| {
+            let table = lod.level_table(k);
+            let bytes = db.table(&table).expect("level table").heap_bytes();
+            (table, bytes)
+        })
+        .collect();
     let app = compile(&lod_app(&lod, viewport), &db).expect("lod app compiles");
     let (server, _reports) = KyrixServer::launch(
         app,
@@ -1112,6 +1182,7 @@ pub fn run_lod_experiment(
         }),
     )
     .expect("server launches");
+    stage("compile + launch", &mut stages.launch_s);
 
     let obs = server.obs();
     let heap_reads = || {
@@ -1131,7 +1202,7 @@ pub fn run_lod_experiment(
         rows_fetched[k] += resp.rows.len() as f64;
         canvases[k] = canvas;
     }
-    let results = rows_fetched
+    let levels = rows_fetched
         .into_iter()
         .enumerate()
         .map(|(level, rows)| {
@@ -1149,7 +1220,12 @@ pub fn run_lod_experiment(
             }
         })
         .collect();
-    (pyramid, results)
+    LodExperiment {
+        pyramid,
+        levels,
+        stages,
+        heap_bytes,
+    }
 }
 
 #[cfg(test)]
@@ -1158,10 +1234,23 @@ mod tests {
 
     #[test]
     fn lod_experiment_touches_every_level() {
-        let (pyramid, results) =
-            run_lod_experiment(&GalaxyConfig::tiny(), 2, 16.0, (256.0, 256.0), 3);
+        let LodExperiment {
+            pyramid,
+            levels: results,
+            stages,
+            heap_bytes,
+        } = run_lod_experiment(&GalaxyConfig::tiny(), 2, 16.0, (256.0, 256.0), 3);
         assert_eq!(pyramid.depth(), 3);
         assert_eq!(results.len(), 3);
+        assert!(stages.build_s > 0.0);
+        // bytes by owner: a heap per level, a state entry per clustered one
+        let tables: Vec<&str> = heap_bytes.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(tables, ["galaxy", "galaxy_lod1", "galaxy_lod2"]);
+        assert!(heap_bytes.iter().all(|(_, bytes)| *bytes > 0));
+        let state = pyramid.memory_report().expect("a fresh build can maintain");
+        assert_eq!(state.levels.len(), 2);
+        assert_eq!(state.levels[0].retained, results[1].rows);
+        assert_eq!(state.id_map_entries, results[0].rows);
         assert!(results.iter().all(|r| r.fetches > 0));
         // coarser levels hold fewer marks
         assert!(results[1].rows < results[0].rows);

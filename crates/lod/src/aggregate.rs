@@ -3,6 +3,103 @@
 
 use kyrix_storage::Rect;
 
+/// How many measure sums a [`Cluster`] holds inline. An app declares a
+/// handful of measures (`zipf_galaxy` has two); a cluster with at most
+/// this many owns no heap allocation, one with more spills its sums into
+/// a boxed slice.
+pub const INLINE_MEASURES: usize = 2;
+
+/// The per-measure sums of a [`Cluster`]: a short `[f64]` stored inline
+/// up to [`INLINE_MEASURES`] values, on the heap beyond. Reads and writes
+/// go through the slice it dereferences to.
+#[derive(Clone)]
+pub struct Sums(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        vals: [f64; INLINE_MEASURES],
+    },
+    Spilled(Box<[f64]>),
+}
+
+impl Sums {
+    /// Whether the values live in a heap allocation of their own.
+    pub fn spilled(&self) -> bool {
+        matches!(self.0, Repr::Spilled(_))
+    }
+}
+
+impl FromIterator<f64> for Sums {
+    /// Collects inline while the values fit; the first value past
+    /// [`INLINE_MEASURES`] moves everything to the heap.
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut it = iter.into_iter();
+        let mut vals = [0.0; INLINE_MEASURES];
+        let mut len = 0;
+        while len < INLINE_MEASURES {
+            match it.next() {
+                Some(v) => vals[len] = v,
+                None => break,
+            }
+            len += 1;
+        }
+        match it.next() {
+            None => Sums(Repr::Inline {
+                len: len as u8,
+                vals,
+            }),
+            Some(next) => Sums(Repr::Spilled(
+                vals.into_iter().chain([next]).chain(it).collect(),
+            )),
+        }
+    }
+}
+
+impl From<&[f64]> for Sums {
+    fn from(values: &[f64]) -> Self {
+        values.iter().copied().collect()
+    }
+}
+
+impl std::ops::Deref for Sums {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        match &self.0 {
+            Repr::Inline { len, vals } => &vals[..*len as usize],
+            Repr::Spilled(vals) => vals,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Sums {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        match &mut self.0 {
+            Repr::Inline { len, vals } => &mut vals[..*len as usize],
+            Repr::Spilled(vals) => vals,
+        }
+    }
+}
+
+impl PartialEq for Sums {
+    fn eq(&self, other: &Sums) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<f64>> for Sums {
+    fn eq(&self, other: &Vec<f64>) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Sums {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One cluster (or, at the base of the recursion, one raw point).
 ///
 /// A cluster is *represented by an actual raw point* — the member with the
@@ -28,7 +125,7 @@ pub struct Cluster {
     /// Number of raw points in the cluster.
     pub count: u64,
     /// Per-measure sums over all member raw points.
-    pub sums: Vec<f64>,
+    pub sums: Sums,
     /// Bounding box of all member raw points, in raw coordinates.
     pub bbox: Rect,
 }
@@ -36,13 +133,19 @@ pub struct Cluster {
 impl Cluster {
     /// A singleton cluster from one raw point.
     pub fn from_point(id: i64, x: f64, y: f64, measures: &[f64]) -> Self {
+        Cluster::singleton(id, x, y, measures.into())
+    }
+
+    /// [`Cluster::from_point`] over measures already gathered into
+    /// [`Sums`] — what a table scan builds straight from a row's columns.
+    pub(crate) fn singleton(id: i64, x: f64, y: f64, sums: Sums) -> Self {
         Cluster {
             rep_id: id,
             rep_x: x,
             rep_y: y,
-            rep_weight: measures.first().copied().unwrap_or(0.0),
+            rep_weight: sums.first().copied().unwrap_or(0.0),
             count: 1,
-            sums: measures.to_vec(),
+            sums,
             bbox: Rect::new(x, y, x, y),
         }
     }
@@ -93,15 +196,15 @@ impl Cluster {
     /// spacing guarantee over retained marks would break.
     pub fn absorb(&mut self, other: &Cluster) {
         self.count += other.count;
-        for (s, o) in self.sums.iter_mut().zip(&other.sums) {
+        for (s, o) in self.sums.iter_mut().zip(other.sums.iter()) {
             *s += o;
         }
         self.bbox = self.bbox.union(&other.bbox);
     }
 
-    /// Per-measure averages (`sum / count`).
-    pub fn avgs(&self) -> Vec<f64> {
-        self.sums.iter().map(|s| s / self.count as f64).collect()
+    /// Per-measure averages (`sum / count`), in measure order.
+    pub fn avgs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.sums.iter().map(|s| s / self.count as f64)
     }
 }
 
@@ -119,7 +222,7 @@ mod tests {
         assert_eq!(a.count, 2);
         assert_eq!(a.sums, vec![17.0]);
         assert_eq!(a.bbox, Rect::new(1.0, 2.0, 4.0, 6.0));
-        assert_eq!(a.avgs(), vec![8.5]);
+        assert_eq!(a.avgs().collect::<Vec<_>>(), vec![8.5]);
 
         // merging the other way elects the same representative
         let mut c = Cluster::from_point(3, 4.0, 6.0, &[7.0]);
@@ -154,6 +257,21 @@ mod tests {
         assert_eq!((kept.rep_x, kept.rep_y), (0.0, 0.0));
         assert_eq!(kept.count, 2);
         assert_eq!(kept.sums, vec![101.0]);
+    }
+
+    #[test]
+    fn sums_stay_inline_up_to_the_const_and_spill_beyond() {
+        for n in 0..=INLINE_MEASURES + 2 {
+            let values: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
+            let mut c = Cluster::from_point(1, 0.0, 0.0, &values);
+            assert_eq!(c.sums.spilled(), n > INLINE_MEASURES, "{n} measures");
+            assert_eq!(c.sums, values);
+            // both representations fold alike
+            c.merge(&Cluster::from_point(2, 1.0, 1.0, &values));
+            let doubled: Vec<f64> = values.iter().map(|v| v * 2.0).collect();
+            assert_eq!(c.sums, doubled);
+            assert_eq!(c.avgs().collect::<Vec<_>>(), values);
+        }
     }
 
     #[test]

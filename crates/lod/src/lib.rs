@@ -82,20 +82,19 @@
 
 pub mod aggregate;
 pub mod app;
-pub mod cluster;
+mod cluster;
 pub mod config;
 pub mod error;
 pub mod grid;
 pub mod maintain;
 pub mod pyramid;
+mod state;
 
 pub use aggregate::Cluster;
 pub use app::{lod_app, lod_calibration_walk};
-pub use cluster::{
-    aggregate_into_cells, merge_cell_maps, retain_with_spacing_tracked, RetentionStatus,
-};
 pub use config::LodConfig;
 pub use error::{LodError, Result};
 pub use grid::{cell_of, Cell, SpacingGrid};
 pub use maintain::{LevelMaintenance, MaintenanceReport, RawPoint, TupleId};
 pub use pyramid::{build_pyramid, build_pyramid_on_shards, LevelInfo, LodPyramid};
+pub use state::{LevelMemory, MemoryReport};

@@ -35,14 +35,16 @@
 //! and up to float association otherwise.
 
 use crate::aggregate::Cluster;
-use crate::cluster::{retain_with_spacing_tracked, RetentionStatus};
+use crate::cluster::{by_importance, retain_with_spacing};
 use crate::config::LodConfig;
 use crate::error::{LodError, Result};
 use crate::grid::{cell_of, Cell, SpacingGrid};
-use crate::pyramid::{level_row, raw_layout, LodPyramid, RawLayout};
+use crate::pyramid::{level_row, raw_layout, raw_singleton, LodPyramid, RawLayout};
+use crate::state::{Fate, LevelState, MaintainState};
 use kyrix_parallel::{Partitioner, QueryRouter};
 use kyrix_storage::fxhash::{FxHashMap, FxHashSet};
 use kyrix_storage::{Database, RecordId, Rect, Row, Value};
+use std::borrow::Cow;
 
 /// One raw point to insert: the id, position and measure values of a new
 /// row of the pyramid's raw table (measures in [`LodConfig::measures`]
@@ -73,42 +75,6 @@ impl RawPoint {
 
 /// Raw row identifier: the value of the configured id column.
 pub type TupleId = i64;
-
-/// Retention state of one clustered level: the phase-1 candidate cell map
-/// plus phase-2 statuses and post-absorption outputs. `repair_level`
-/// mutates all three in lockstep with the level table.
-#[derive(Debug, Clone)]
-pub(crate) struct LevelState {
-    /// Candidate cluster per grid cell (pre-retention).
-    pub(crate) cands: FxHashMap<Cell, Cluster>,
-    /// Retention decision per candidate cell.
-    pub(crate) status: FxHashMap<Cell, RetentionStatus>,
-    /// Post-absorption output cluster per *retained* cell — the level
-    /// table's rows.
-    pub(crate) outs: FxHashMap<Cell, Cluster>,
-}
-
-impl LevelState {
-    /// The level's output clusters in canonical (rep-id) order — both the
-    /// level-table row order and the fold order the next level's cell
-    /// aggregation consumes, so incremental re-aggregation reproduces a
-    /// from-scratch build's float sums exactly.
-    pub(crate) fn sorted_outputs(&self) -> Vec<Cluster> {
-        let mut outs: Vec<Cluster> = self.outs.values().cloned().collect();
-        outs.sort_unstable_by_key(|c| c.rep_id);
-        outs
-    }
-}
-
-/// Maintenance state of a single-node-built pyramid.
-#[derive(Debug, Clone)]
-pub(crate) struct MaintainState {
-    /// One state per clustered level (index 0 = level 1).
-    pub(crate) levels: Vec<LevelState>,
-    /// Level-1 grid cell of every live raw row — the secondary index that
-    /// turns a delete-by-id into a single-cell repair instead of a scan.
-    pub(crate) id_cells: FxHashMap<TupleId, Cell>,
-}
 
 /// What one maintenance pass touched on one level (level 0 = raw table).
 #[derive(Debug, Clone, PartialEq)]
@@ -213,14 +179,18 @@ impl ShardedTarget<'_> {
         Ok(part.route(schema, row, self.shards.len())?)
     }
 
-    /// Shards whose grid cells intersect `rect`, in ascending order.
-    fn targets(&self, table: &str, rect: &Rect) -> Result<Vec<usize>> {
+    /// Shards whose grid cells intersect `rect`, in ascending order —
+    /// without a router the one database, which costs no allocation.
+    fn targets(&self, table: &str, rect: &Rect) -> Result<Cow<'static, [usize]>> {
         let Some(part) = self.partitioner(table)? else {
-            return Ok(vec![0]);
+            return Ok(Cow::Borrowed(&[0]));
         };
-        part.route_rect(rect, self.shards.len()).ok_or_else(|| {
-            LodError::Maintenance(format!("partitioner for `{table}` cannot route rectangles"))
-        })
+        match part.route_rect(rect, self.shards.len()) {
+            Some(shards) => Ok(Cow::Owned(shards)),
+            None => Err(LodError::Maintenance(format!(
+                "partitioner for `{table}` cannot route rectangles"
+            ))),
+        }
     }
 
     /// Insert one raw point's row into the shard owning its position.
@@ -250,7 +220,7 @@ impl ShardedTarget<'_> {
         let rect = raw_cell_rect(cfg, cell);
         let mut victims: Vec<(usize, Vec<RecordId>)> = Vec::new();
         let mut found = 0usize;
-        for i in self.targets(&cfg.table, &rect)? {
+        for &i in self.targets(&cfg.table, &rect)?.iter() {
             let rids = cell_victims(&self.shards[i], cfg, layout, &rect, ids)?;
             found += rids.len();
             victims.push((i, rids));
@@ -283,7 +253,7 @@ impl ShardedTarget<'_> {
         // from-scratch build uses (`merge_cell_maps`)
         let rect = raw_cell_rect(cfg, cell);
         let mut acc: Option<Cluster> = None;
-        for i in self.targets(&cfg.table, &rect)? {
+        for &i in self.targets(&cfg.table, &rect)?.iter() {
             if let Some(part) = aggregate_raw_cell(&self.shards[i], cfg, layout, cell)? {
                 match &mut acc {
                     Some(agg) => agg.merge(&part),
@@ -484,15 +454,18 @@ fn apply_insert(
         target.insert_raw(cfg, layout, schema_len, p)?;
         let cell = cell_of(p.x / scale1, p.y / scale1, cfg.spacing);
         state.id_cells.insert(p.id, cell);
-        // fold into the level-1 candidate map: new rows append to the
-        // raw table, so this fold order matches a rebuild's scan order
-        let singleton = Cluster::from_point(p.id, p.x, p.y, &p.measures);
-        match state.levels[0].cands.get_mut(&cell) {
-            Some(agg) => agg.merge(&singleton),
-            None => {
-                state.levels[0].cands.insert(cell, singleton);
+        // fold into the level-1 candidate: new rows append to the raw
+        // table, so this fold order matches a rebuild's scan order
+        let point = Cluster::from_point(p.id, p.x, p.y, &p.measures);
+        let folded = match state.levels[0].cand(cell) {
+            Some(agg) => {
+                let mut agg = agg.clone();
+                agg.merge(&point);
+                agg
             }
-        }
+            None => point,
+        };
+        state.levels[0].set_cand(cell, Some(folded));
         dirty.insert(cell);
     }
     propagate(target, cfg, state, levels, dirty, points.len(), 0)
@@ -514,14 +487,8 @@ fn apply_delete(
     for (cell, cell_ids) in cells {
         target.delete_in_cell(cfg, layout, cell, &cell_ids)?;
         // re-aggregate the cell from the raw rows still inside it
-        match target.aggregate_cell(cfg, layout, cell)? {
-            Some(cluster) => {
-                state.levels[0].cands.insert(cell, cluster);
-            }
-            None => {
-                state.levels[0].cands.remove(&cell);
-            }
-        }
+        let survivors = target.aggregate_cell(cfg, layout, cell)?;
+        state.levels[0].set_cand(cell, survivors);
         for id in &cell_ids {
             state.id_cells.remove(id);
         }
@@ -707,20 +674,12 @@ fn aggregate_raw_cell(
     let mut acc: Option<Cluster> = None;
     for rid in rids {
         let Some(row) = table.get(rid)? else { continue };
-        let f = |i: usize| row.get(i).as_f64();
-        let (Ok(id), Ok(x), Ok(y)) = (row.get(layout.id).as_i64(), f(layout.x), f(layout.y)) else {
-            return Err(LodError::Schema(format!(
-                "non-numeric row in `{}`",
-                cfg.table
-            )));
-        };
+        let c = raw_singleton(&row, layout)
+            .ok_or_else(|| LodError::Schema(format!("non-numeric row in `{}`", cfg.table)))?;
         // the probe rect is closed; boundary rows belong to the next cell
-        if cell_of(x / scale1, y / scale1, cfg.spacing) != cell {
+        if cell_of(c.rep_x / scale1, c.rep_y / scale1, cfg.spacing) != cell {
             continue;
         }
-        let ms: std::result::Result<Vec<f64>, _> = layout.measures.iter().map(|&i| f(i)).collect();
-        let ms = ms.map_err(|_| LodError::Schema(format!("non-numeric row in `{}`", cfg.table)))?;
-        let c = Cluster::from_point(id, x, y, &ms);
         match &mut acc {
             Some(agg) => agg.merge(&c),
             None => acc = Some(c),
@@ -779,20 +738,8 @@ fn propagate(
             }
             for cell in touched {
                 let fresh = aggregate_cell_from_below(prev, cell, scale, cfg);
-                let differs = match (cur.cands.get(&cell), &fresh) {
-                    (Some(o), Some(n)) => o != n,
-                    (None, None) => false,
-                    _ => true,
-                };
-                if differs {
-                    match fresh {
-                        Some(n) => {
-                            cur.cands.insert(cell, n);
-                        }
-                        None => {
-                            cur.cands.remove(&cell);
-                        }
-                    }
+                if cur.cand(cell) != fresh.as_ref() {
+                    cur.set_cand(cell, fresh);
                     dirty.insert(cell);
                 }
             }
@@ -811,7 +758,7 @@ fn propagate(
         }
         let outcome = repair_level(&mut state.levels[k - 1], scale, cfg.spacing, &dirty);
         rewrite_level_table(target, cfg, k, scale, &outcome.changed)?;
-        infos[k].rows = state.levels[k - 1].outs.len();
+        infos[k].rows = state.levels[k - 1].retained_len();
         report.levels.push(LevelMaintenance {
             level: k,
             table: cfg.level_table(k),
@@ -854,7 +801,7 @@ fn aggregate_cell_from_below(
     let mut members: Vec<&Cluster> = Vec::new();
     for py in y0..=y1 {
         for px in x0..=x1 {
-            if let Some(o) = prev.outs.get(&Cell { x: px, y: py }) {
+            if let Some(o) = prev.table_row(Cell { x: px, y: py }) {
                 if cell_of(o.rep_x / scale, o.rep_y / scale, spacing) == cell {
                     members.push(o);
                 }
@@ -870,12 +817,15 @@ fn aggregate_cell_from_below(
     Some(acc)
 }
 
-/// Repair one level's retention after the candidate clusters of `dirty`
-/// cells changed (including appeared/vanished). Recomputes retention for
-/// a region that starts at the dirty cells plus their neighborhoods and
-/// expands along retained-membership flips until the boundary is clean —
-/// at which point the regional decisions provably equal a full re-run's.
-/// Updates `st.status`/`st.outs` and returns the output delta.
+/// Repair one level's retention after the candidates of `dirty` cells
+/// were rewritten through [`LevelState::set_cand`] (including appeared
+/// and vanished). Recomputes retention for a region that starts at the
+/// dirty cells plus their neighborhoods and expands along
+/// retained-membership flips until the boundary is clean — at which point
+/// the regional decisions provably equal a full re-run's. Commits the
+/// fates, sweeps the tombstones, re-derives the outputs that could have
+/// changed and returns the output delta; what a cell's row *was* is read
+/// off its record, where `set_cand` pinned it.
 fn repair_level(
     st: &mut LevelState,
     scale: f64,
@@ -885,17 +835,15 @@ fn repair_level(
     let mut region: FxHashSet<Cell> = dirty.clone();
     for c in dirty {
         for n in c.neighborhood() {
-            if st.cands.contains_key(&n) {
+            if st.cand(n).is_some() {
                 region.insert(n);
             }
         }
     }
 
-    let mut fallback = false;
-    let new_status: FxHashMap<Cell, RetentionStatus> = loop {
-        if st.cands.len() > 64 && region.len() * FALLBACK_DEN > st.cands.len() * FALLBACK_NUM {
-            fallback = true;
-            break FxHashMap::default(); // unused on the fallback path
+    let new_fates: FxHashMap<Cell, Fate> = loop {
+        if st.cands_len() > 64 && region.len() * FALLBACK_DEN > st.cands_len() * FALLBACK_NUM {
+            return full_retention(st, scale, spacing);
         }
         let computed = regional_retention(st, scale, spacing, &region);
         // expansion: a retained-membership flip influences neighbors that
@@ -903,11 +851,10 @@ fn repair_level(
         let mut grew = false;
         let snapshot: Vec<Cell> = region.iter().copied().collect();
         for cell in snapshot {
-            let old_ret = matches!(st.status.get(&cell), Some(RetentionStatus::Retained));
-            let new_ret = matches!(computed.get(&cell), Some(RetentionStatus::Retained));
-            if old_ret != new_ret {
+            let new_ret = computed.get(&cell).is_some_and(|f| f.is_retained());
+            if st.is_retained(cell) != new_ret {
                 for n in cell.neighborhood() {
-                    if st.cands.contains_key(&n) && region.insert(n) {
+                    if st.cand(n).is_some() && region.insert(n) {
                         grew = true;
                     }
                 }
@@ -918,67 +865,44 @@ fn repair_level(
         }
     };
 
-    if fallback {
-        // exact full re-run from the maintained cell map (no raw scan)
-        let (status, outs) = retain_with_spacing_tracked(st.cands.clone(), scale, spacing);
-        let mut cells: FxHashSet<Cell> = st.outs.keys().copied().collect();
-        cells.extend(outs.keys().copied());
-        let mut changed: OutputDelta = Vec::new();
-        for cell in cells {
-            let old = st.outs.get(&cell);
-            let new = outs.get(&cell);
-            if old != new {
-                changed.push((cell, old.cloned(), new.cloned()));
-            }
-        }
-        changed.sort_unstable_by_key(|(c, _, _)| *c);
-        let region_cells = st.cands.len();
-        st.status = status;
-        st.outs = outs;
-        return RepairOutcome {
-            changed,
-            region_cells,
-            fallback: true,
-        };
-    }
-
-    // commit statuses and recompute the outputs that could have changed:
-    // every region cell, plus every retained cell (inside or out) that
-    // gained or lost an absorbed member
+    // the outputs that could have changed: every region cell, plus every
+    // retained cell (inside or out) that gained or lost an absorbed member
     let mut out_dirty: FxHashSet<Cell> = FxHashSet::default();
     for cell in &region {
         out_dirty.insert(*cell);
-        if let Some(RetentionStatus::AbsorbedInto(a)) = st.status.get(cell) {
-            out_dirty.insert(*a);
-        }
-        if let Some(RetentionStatus::AbsorbedInto(a)) = new_status.get(cell) {
-            out_dirty.insert(*a);
+        let old = st.record(*cell).map(|r| r.fate());
+        for fate in [old, new_fates.get(cell).copied()].into_iter().flatten() {
+            out_dirty.extend(fate.absorber(*cell));
         }
     }
+    let mut out_cells: Vec<Cell> = out_dirty.into_iter().collect();
+    out_cells.sort_unstable();
+    // read the rows the level table holds before any fate moves
+    let olds: Vec<Option<Cluster>> = (out_cells.iter())
+        .map(|r| st.table_row(*r).cloned())
+        .collect();
+
     for cell in &region {
-        match new_status.get(cell) {
-            Some(s) => {
-                st.status.insert(*cell, *s);
-            }
+        match new_fates.get(cell) {
+            Some(fate) => st.set_fate(*cell, *fate),
             None => {
-                st.status.remove(cell);
+                st.sweep(*cell);
             }
         }
     }
     let mut changed: OutputDelta = Vec::new();
-    let mut out_cells: Vec<Cell> = out_dirty.into_iter().collect();
-    out_cells.sort_unstable();
-    for r in out_cells {
-        let retained = matches!(st.status.get(&r), Some(RetentionStatus::Retained));
-        let old = st.outs.get(&r).cloned();
-        if retained {
-            let new = output_for(st, r);
-            if old.as_ref() != Some(&new) {
-                st.outs.insert(r, new.clone());
-                changed.push((r, old, Some(new)));
+    for (r, old) in out_cells.into_iter().zip(olds) {
+        if st.record(r).is_none() {
+            // a swept tombstone: its row, if it had one, is gone
+            if old.is_some() {
+                changed.push((r, old, None));
             }
-        } else if let Some(o) = st.outs.remove(&r) {
-            changed.push((r, Some(o), None));
+            continue;
+        }
+        let new = st.is_retained(r).then(|| output_for(st, r));
+        st.store_output(r, new.clone());
+        if old != new {
+            changed.push((r, old, new));
         }
     }
     RepairOutcome {
@@ -988,31 +912,51 @@ fn repair_level(
     }
 }
 
+/// The repair that outgrew its region: re-run full retention from the
+/// maintained candidates — the build's own phase 2, still exact, no raw
+/// scan — and diff the rows it leaves against the rows the level table
+/// holds.
+fn full_retention(st: &mut LevelState, scale: f64, spacing: f64) -> RepairOutcome {
+    let mut held: FxHashMap<Cell, Cluster> = (st.records())
+        .filter_map(|(cell, rec)| Some((cell, rec.table_row()?.clone())))
+        .collect();
+    retain_with_spacing(st, scale, spacing);
+    let mut changed: OutputDelta = Vec::new();
+    for (cell, rec) in st.records() {
+        let Some(new) = rec.table_row() else { continue };
+        let old = held.remove(&cell);
+        if old.as_ref() != Some(new) {
+            changed.push((cell, old, Some(new.clone())));
+        }
+    }
+    changed.extend(held.into_iter().map(|(cell, old)| (cell, Some(old), None)));
+    changed.sort_unstable_by_key(|(c, _, _)| *c);
+    RepairOutcome {
+        changed,
+        region_cells: st.cands_len(),
+        fallback: true,
+    }
+}
+
 /// Run greedy retention over the candidates of `region` only, against a
 /// boundary of unchanged external retained marks. Exactly reproduces the
 /// global greedy's decisions for region cells *given* that no external
-/// status changes (the expansion loop in [`repair_level`] guarantees that
+/// fate changes (the expansion loop in [`repair_level`] guarantees that
 /// at its fixed point).
 fn regional_retention(
     st: &LevelState,
     scale: f64,
     spacing: f64,
     region: &FxHashSet<Cell>,
-) -> FxHashMap<Cell, RetentionStatus> {
+) -> FxHashMap<Cell, Fate> {
     let mut cands: Vec<(Cell, &Cluster)> = region
         .iter()
-        .filter_map(|c| st.cands.get(c).map(|cl| (*c, cl)))
+        .filter_map(|c| st.cand(*c).map(|cl| (*c, cl)))
         .collect();
-    cands.sort_unstable_by(|a, b| {
-        if a.1.more_important_than(b.1) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
+    cands.sort_unstable_by(|a, b| by_importance(a.1, b.1));
 
     let sq = spacing * spacing;
-    let mut out: FxHashMap<Cell, RetentionStatus> = FxHashMap::default();
+    let mut out: FxHashMap<Cell, Fate> = FxHashMap::default();
     let mut grid = SpacingGrid::new(spacing);
     let mut retained: Vec<(Cell, &Cluster)> = Vec::new();
     for (cell, cl) in cands {
@@ -1025,17 +969,17 @@ fn regional_retention(
             (c, d2, r)
         });
         // external boundary: neighbors outside the region whose stored
-        // status is Retained. Only higher-priority externals constrain
+        // fate is retained. Only higher-priority externals constrain
         // this candidate — in the global order, lower-priority marks are
         // not yet present when it is processed.
         for n in cell.neighborhood() {
-            if region.contains(&n) {
+            if region.contains(&n) || !st.is_retained(n) {
                 continue;
             }
-            if !matches!(st.status.get(&n), Some(RetentionStatus::Retained)) {
-                continue;
-            }
-            let ext = &st.cands[&n];
+            // outside the region nothing was written: no tombstones
+            let ext = st
+                .cand(n)
+                .expect("an untouched retained cell has a candidate");
             if !ext.more_important_than(cl) {
                 continue;
             }
@@ -1056,36 +1000,33 @@ fn regional_retention(
         }
         match best {
             Some((absorber, _, _)) => {
-                out.insert(cell, RetentionStatus::AbsorbedInto(absorber));
+                out.insert(cell, Fate::toward(cell, absorber));
             }
             None => {
                 grid.insert(retained.len(), lx, ly);
                 retained.push((cell, cl));
-                out.insert(cell, RetentionStatus::Retained);
+                out.insert(cell, Fate::RETAINED);
             }
         }
     }
     out
 }
 
-/// Recompute the post-absorption output of a retained cell: its own
-/// candidate plus every absorbed neighbor, folded in priority order — the
-/// order the global greedy absorbs in, so the float sums reproduce.
+/// Derive the post-absorption output of a retained cell: its own
+/// candidate plus every neighbor whose fate points at it, folded in
+/// priority order — the order the global greedy absorbs in, so the float
+/// sums reproduce. With no such neighbor the output *is* the candidate,
+/// which is why the state does not store it.
 fn output_for(st: &LevelState, r: Cell) -> Cluster {
     let mut members: Vec<&Cluster> = r
         .neighborhood()
-        .filter(|n| *n != r)
-        .filter(|n| matches!(st.status.get(n), Some(RetentionStatus::AbsorbedInto(t)) if *t == r))
-        .map(|n| &st.cands[&n])
+        .filter_map(|n| {
+            let rec = st.record(n)?;
+            (rec.fate().absorber(n) == Some(r)).then(|| rec.cand())?
+        })
         .collect();
-    members.sort_unstable_by(|a, b| {
-        if a.more_important_than(b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
-    let mut out = st.cands[&r].clone();
+    members.sort_unstable_by(|a, b| by_importance(a, b));
+    let mut out = st.cand(r).expect("a retained cell has a candidate").clone();
     for m in members {
         out.absorb(m);
     }

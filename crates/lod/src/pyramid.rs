@@ -2,12 +2,12 @@
 //! each level as a spatially-indexed table the existing `precompute`
 //! machinery serves unmodified.
 
-use crate::aggregate::Cluster;
-use crate::cluster::{aggregate_into_cells, merge_cell_maps, retain_with_spacing_tracked};
+use crate::aggregate::{Cluster, Sums};
+use crate::cluster::{aggregate_into_cells, merge_cell_maps, retain_with_spacing};
 use crate::config::LodConfig;
 use crate::error::{LodError, Result};
 use crate::grid::{cell_of, Cell};
-use crate::maintain::{LevelState, MaintainState};
+use crate::state::{LevelState, MaintainState, MemoryReport};
 use kyrix_parallel::{Partitioner, QueryRouter};
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::rtree::RTree;
@@ -39,9 +39,9 @@ pub struct LodPyramid {
     pub levels: Vec<LevelInfo>,
     /// Wall-clock spent clustering and writing level tables.
     pub build_time: Duration,
-    /// Incremental-maintenance state (per-level candidate cell maps and
-    /// retention statuses), coordinator-side even when the level tables
-    /// live on shards. Every build captures it; `None` only after a
+    /// Incremental-maintenance state (one record per candidate cell and
+    /// level, plus the id → cell map), coordinator-side even when the
+    /// level tables live on shards. Every build captures it; `None` only after a
     /// maintenance batch failed mid-apply — see
     /// [`LodPyramid::insert_points_sharded`].
     pub(crate) maintenance: Option<MaintainState>,
@@ -101,6 +101,48 @@ impl LodPyramid {
     pub fn shard_router(&self) -> Option<&QueryRouter> {
         self.sharding.as_ref()
     }
+
+    /// The maintenance state's bytes by owner — per level the candidate
+    /// cells, retained marks, boxed outputs, hash-table buckets and bytes,
+    /// plus the id → cell map — computed from the sizes of what is held.
+    /// `None` once a failed batch dropped the state
+    /// ([`LodPyramid::can_maintain`]). The level tables' own bytes are
+    /// the databases' to report (`Database::heap_bytes`).
+    pub fn memory_report(&self) -> Option<MemoryReport> {
+        self.maintenance.as_ref().map(MaintainState::memory)
+    }
+
+    /// Whether two pyramids carry the same maintenance *state* — per
+    /// level and cell the candidate, fate and boxed output, the counters,
+    /// the id → cell map — and the same per-level row counts. `Err` names
+    /// the first difference. The property suite holds a maintained
+    /// pyramid against a scratch build with it after every batch: a stale
+    /// output or a fate pointing at the wrong neighbour shows here at
+    /// once, not batches later in a level table.
+    #[doc(hidden)]
+    pub fn maintenance_eq(&self, other: &LodPyramid) -> std::result::Result<(), String> {
+        if self.levels != other.levels {
+            return Err(format!(
+                "level metadata: {:?} against {:?}",
+                self.levels, other.levels
+            ));
+        }
+        let (a, b) = match (&self.maintenance, &other.maintenance) {
+            (Some(a), Some(b)) => (a, b),
+            (None, None) => return Ok(()),
+            _ => return Err("one pyramid carries no maintenance state".into()),
+        };
+        // equal level metadata: the same number of clustered levels
+        for ((x, y), level) in a.levels.iter().zip(&b.levels).zip(1..) {
+            if let Some(diff) = x.first_difference(y) {
+                return Err(format!("level {level}: {diff}"));
+            }
+        }
+        if a.id_cells != b.id_cells {
+            return Err("id → cell maps differ".into());
+        }
+        Ok(())
+    }
 }
 
 /// Column indexes of the configured raw columns.
@@ -130,23 +172,18 @@ pub(crate) fn raw_layout(db: &Database, cfg: &LodConfig) -> Result<RawLayout> {
     })
 }
 
-/// Read every raw point of one database as singleton clusters (scan order).
-fn extract_points(db: &Database, cfg: &LodConfig, layout: &RawLayout) -> Result<Vec<Cluster>> {
-    let mut points = Vec::with_capacity(db.table(&cfg.table)?.len());
-    let mut bad: Option<String> = None;
-    db.table(&cfg.table)?.scan(|_, row| {
-        let f = |i: usize| row.get(i).as_f64();
-        let id = row.get(layout.id).as_i64();
-        let ms: std::result::Result<Vec<f64>, _> = layout.measures.iter().map(|&i| f(i)).collect();
-        match (id, f(layout.x), f(layout.y), ms) {
-            (Ok(id), Ok(x), Ok(y), Ok(ms)) => points.push(Cluster::from_point(id, x, y, &ms)),
-            _ => bad = Some(format!("non-numeric row in `{}`", cfg.table)),
-        }
-    })?;
-    match bad {
-        Some(msg) => Err(LodError::Schema(msg)),
-        None => Ok(points),
-    }
+/// One raw row as a singleton cluster, its measures gathered straight
+/// into the cluster's sums; `None` if an id, position or measure column
+/// does not hold a number.
+pub(crate) fn raw_singleton(row: &Row, layout: &RawLayout) -> Option<Cluster> {
+    let f = |i: usize| row.get(i).as_f64().ok();
+    let sums: Sums = layout
+        .measures
+        .iter()
+        .map(|&i| f(i))
+        .collect::<Option<_>>()?;
+    let id = row.get(layout.id).as_i64().ok()?;
+    Some(Cluster::singleton(id, f(layout.x)?, f(layout.y)?, sums))
 }
 
 /// Schema of a clustered level table.
@@ -168,12 +205,13 @@ fn level_schema(cfg: &LodConfig) -> Schema {
 
 /// One physical row of a clustered level table for a cluster.
 pub(crate) fn level_row(scale: f64, c: &Cluster) -> Row {
-    let mut values = vec![
+    let mut values = Vec::with_capacity(8 + 2 * c.sums.len());
+    values.extend([
         Value::Int(c.rep_id),
         Value::Float(c.rep_x / scale),
         Value::Float(c.rep_y / scale),
         Value::Int(c.count as i64),
-    ];
+    ]);
     for (sum, avg) in c.sums.iter().zip(c.avgs()) {
         values.push(Value::Float(*sum));
         values.push(Value::Float(avg));
@@ -191,26 +229,39 @@ pub(crate) fn level_row(scale: f64, c: &Cluster) -> Row {
 /// One database's raw points aggregated into level-1 grid cells, plus
 /// the level-1 cell of every point id (the secondary index maintenance
 /// keeps).
-type LocalCells = (FxHashMap<Cell, Cluster>, FxHashMap<i64, Cell>);
+type LocalCells = (LevelState, FxHashMap<i64, Cell>);
 
-/// Phase 1 over one database's raw table (local to a shard).
+/// Phase 1 over one database's raw table (local to a shard): one scan
+/// folds every row into its level-1 cell's record, in scan order. No
+/// point outlives its own fold.
 fn local_cells(db: &Database, cfg: &LodConfig, layout: &RawLayout) -> Result<LocalCells> {
-    let points = extract_points(db, cfg, layout)?;
+    let table = db.table(&cfg.table)?;
     let scale1 = cfg.level_scale(1);
-    let mut ids: FxHashMap<i64, Cell> = FxHashMap::default();
-    for p in &points {
-        ids.insert(
-            p.rep_id,
-            cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
-        );
+    let mut ids: FxHashMap<i64, Cell> =
+        FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
+    // the one table that grows as it fills: counting level 1's cells first
+    // would take a second scan, and its last doubling happens before the
+    // coarser levels exist — far below the build's end state
+    let mut cells = LevelState::default();
+    let mut bad: Option<String> = None;
+    table.scan(|_, row| {
+        let Some(p) = raw_singleton(&row, layout) else {
+            bad = Some(format!("non-numeric row in `{}`", cfg.table));
+            return;
+        };
+        let cell = cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing);
+        if ids.insert(p.rep_id, cell).is_some() {
+            bad = Some(format!(
+                "table `{}` has duplicate values in id column `{}`",
+                cfg.table, cfg.id_column
+            ));
+        }
+        cells.fold_candidate(cell, &p);
+    })?;
+    match bad {
+        Some(msg) => Err(LodError::Schema(msg)),
+        None => Ok((cells, ids)),
     }
-    if ids.len() != points.len() {
-        return Err(LodError::Schema(format!(
-            "table `{}` has duplicate values in id column `{}`",
-            cfg.table, cfg.id_column
-        )));
-    }
-    Ok((aggregate_into_cells(points, scale1, cfg.spacing), ids))
 }
 
 /// The order a spatial index over points `at` will hold them in: its leaf
@@ -247,7 +298,7 @@ fn write_level(
     router: Option<&QueryRouter>,
     cfg: &LodConfig,
     level: usize,
-    clusters: &[Cluster],
+    clusters: &[&Cluster],
 ) -> Result<()> {
     let table = cfg.level_table(level);
     let schema = level_schema(cfg);
@@ -265,7 +316,7 @@ fn write_level(
     let at = |c: &Cluster| (c.rep_x / scale, c.rep_y / scale);
     // each database's marks, still in rep-id order
     let mut local: Vec<Vec<&Cluster>> = vec![Vec::new(); dbs.len()];
-    for c in clusters {
+    for &c in clusters {
         let (x, y) = at(c);
         let owner = match part {
             // a point lies in exactly one grid cell
@@ -301,9 +352,11 @@ fn write_level(
 
 /// The level loop every build runs: merge the per-database level-1 cell
 /// maps (in database order — the canonical float accumulation order),
-/// cluster levels `1..=cfg.levels` keeping each level's candidate map and
-/// retention statuses as maintenance state, and write every level table
-/// into `dbs` (routed by `sharding` when the pyramid lives on shards).
+/// cluster levels `1..=cfg.levels` keeping each level's records as
+/// maintenance state, and write every level table into `dbs` (routed by
+/// `sharding` when the pyramid lives on shards). A level's outputs are
+/// only ever borrowed — sorted for the table and for the next level's
+/// fold, copied into rows and coarser candidates, never cloned as a set.
 fn build_levels(
     dbs: &mut [Database],
     sharding: Option<QueryRouter>,
@@ -311,17 +364,13 @@ fn build_levels(
     local: Vec<LocalCells>,
     start: Instant,
 ) -> Result<LodPyramid> {
-    let mut maps = Vec::with_capacity(local.len());
-    let mut id_cells: FxHashMap<i64, Cell> = FxHashMap::default();
-    let mut raw_rows = 0usize;
-    for (map, ids) in local {
-        raw_rows += ids.len();
-        if id_cells.is_empty() {
-            id_cells = ids;
-        } else {
-            id_cells.extend(ids);
-        }
-        maps.push(map);
+    let (maps, id_maps): (Vec<LevelState>, Vec<FxHashMap<i64, Cell>>) = local.into_iter().unzip();
+    let raw_rows: usize = id_maps.iter().map(FxHashMap::len).sum();
+    let mut id_maps = id_maps.into_iter();
+    let mut id_cells = id_maps.next().unwrap_or_default();
+    id_cells.reserve(raw_rows - id_cells.len());
+    for ids in id_maps {
+        id_cells.extend(ids);
     }
     if id_cells.len() != raw_rows {
         return Err(LodError::Schema(format!(
@@ -336,22 +385,11 @@ fn build_levels(
         width: cfg.width,
         height: cfg.height,
     }];
-    let mut states: Vec<LevelState> = Vec::new();
-    let mut prev_sorted: Vec<Cluster> = Vec::new();
-    let mut cands = merge_cell_maps(maps);
+    let mut states: Vec<LevelState> = Vec::with_capacity(cfg.levels);
+    let mut state = merge_cell_maps(maps);
     for k in 1..=cfg.levels {
-        let scale = cfg.level_scale(k);
-        if k > 1 {
-            cands = aggregate_into_cells(std::mem::take(&mut prev_sorted), scale, cfg.spacing);
-        }
-        let (status, outs) = retain_with_spacing_tracked(cands.clone(), scale, cfg.spacing);
-        let state = LevelState {
-            cands: std::mem::take(&mut cands),
-            status,
-            outs,
-        };
+        retain_with_spacing(&mut state, cfg.level_scale(k), cfg.spacing);
         let sorted = state.sorted_outputs();
-        states.push(state);
         write_level(dbs, sharding.as_ref(), cfg, k, &sorted)?;
         let (w, h) = cfg.level_size(k);
         levels.push(LevelInfo {
@@ -361,7 +399,14 @@ fn build_levels(
             width: w,
             height: h,
         });
-        prev_sorted = sorted;
+        // the next level folds these outputs, in this order
+        let coarser = if k < cfg.levels {
+            aggregate_into_cells(&sorted, cfg.level_scale(k + 1), cfg.spacing)
+        } else {
+            LevelState::default()
+        };
+        drop(sorted);
+        states.push(std::mem::replace(&mut state, coarser));
     }
     Ok(LodPyramid {
         config: cfg.clone(),

@@ -6,12 +6,18 @@
 //! (the same exactness condition the sharded-build parity pins), so even
 //! the floating-point `sum_*` columns must match bitwise.
 //!
+//! After every batch the maintained *state* — per level and cell the
+//! candidate, fate and boxed output, the counters, the id → cell map — is
+//! also held against a scratch build's (`LodPyramid::maintenance_eq`): a
+//! stale output or a fate pointing at the wrong neighbour must fail at the
+//! batch that wrote it, not batches later in a level table.
+//!
 //! Every batch also runs on a twin through the general entry points
 //! (`insert_points_sharded` / `delete_points_sharded` over the database as
 //! a one-element slice): reports and level tables must equal the
 //! single-database shims' bit for bit.
 
-use kyrix_lod::{build_pyramid, LodConfig, RawPoint};
+use kyrix_lod::{build_pyramid, LodConfig, LodPyramid, RawPoint};
 use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
 use proptest::prelude::*;
 
@@ -121,6 +127,25 @@ fn maintenance_over_a_clustered_raw_table_is_bitwise_exact_for_fractional_measur
     assert_eq!(level_tables(&db, &cfg), level_tables(&rebuilt, &cfg));
 }
 
+/// A from-scratch build over `db`'s raw rows in their scan order: the
+/// fresh database and its pyramid, or `None` for an empty raw table
+/// (which cannot seed a pyramid).
+fn scratch_build(db: &Database, cfg: &LodConfig) -> Option<(Database, LodPyramid)> {
+    let mut fresh = Database::new();
+    fresh.create_table("pts", raw_schema()).unwrap();
+    db.table("pts")
+        .unwrap()
+        .scan(|_, row| {
+            fresh.insert("pts", row).unwrap();
+        })
+        .unwrap();
+    if fresh.table("pts").unwrap().is_empty() {
+        return None;
+    }
+    let pyramid = build_pyramid(&mut fresh, cfg).unwrap();
+    Some((fresh, pyramid))
+}
+
 /// One batch of the maintenance trace: insert `inserts` fresh points or
 /// delete up to `deletes` of the currently live ids (chosen by index).
 #[derive(Debug, Clone)]
@@ -196,6 +221,15 @@ proptest! {
                     prop_assert_eq!(report, general, "delete reports diverge");
                 }
             }
+            // the state, not only the tables, and at every step
+            if let Some((_, scratch)) = scratch_build(&db, &cfg) {
+                if let Err(diff) = pyramid.maintenance_eq(&scratch) {
+                    prop_assert!(false, "state diverged from a scratch build: {}", diff);
+                }
+            }
+            if let Err(diff) = pyramid.maintenance_eq(&twin) {
+                prop_assert!(false, "state diverged from the general form's: {}", diff);
+            }
         }
 
         prop_assert_eq!(&pyramid.levels, &twin.levels);
@@ -208,32 +242,24 @@ proptest! {
 
         // oracle: rebuild from scratch over the same final rows in the
         // same scan order
-        let mut fresh = Database::new();
-        fresh.create_table("pts", raw_schema()).unwrap();
-        db.table("pts")
-            .unwrap()
-            .scan(|_, row| {
-                fresh.insert("pts", row).unwrap();
-            })
-            .unwrap();
-        prop_assert_eq!(fresh.table("pts").unwrap().len(), live.len());
-        if live.is_empty() {
-            // an empty raw table cannot seed a pyramid; the maintained
-            // tables must simply be empty
-            for k in 1..=cfg.levels {
-                let n = db
-                    .query(&format!("SELECT COUNT(*) FROM {}", cfg.level_table(k)), &[])
-                    .unwrap();
-                prop_assert_eq!(n.rows[0].get(0).as_i64().unwrap(), 0, "level {} not empty", k);
-            }
-        } else {
-            let scratch = build_pyramid(&mut fresh, &cfg).unwrap();
+        prop_assert_eq!(db.table("pts").unwrap().len(), live.len());
+        if let Some((fresh, scratch)) = scratch_build(&db, &cfg) {
             prop_assert_eq!(&pyramid.levels, &scratch.levels);
             for k in 1..=cfg.levels {
                 let q = format!("SELECT * FROM {} ORDER BY id", cfg.level_table(k));
                 let a = db.query(&q, &[]).unwrap();
                 let b = fresh.query(&q, &[]).unwrap();
                 prop_assert_eq!(&a.rows, &b.rows, "level {} tables differ", k);
+            }
+        } else {
+            // an empty raw table cannot seed a pyramid; the maintained
+            // tables must simply be empty
+            prop_assert!(live.is_empty());
+            for k in 1..=cfg.levels {
+                let n = db
+                    .query(&format!("SELECT COUNT(*) FROM {}", cfg.level_table(k)), &[])
+                    .unwrap();
+                prop_assert_eq!(n.rows[0].get(0).as_i64().unwrap(), 0, "level {} not empty", k);
             }
         }
     }
