@@ -1302,6 +1302,7 @@ mod tests {
         if r.mutations > 0 {
             assert!(count("span.cow.clone") > 0);
             assert!(count("span.publish") > 0);
+            assert!(count("span.snapshot.retire") > 0);
         }
         // interaction latency itself lives in the shared registry too
         assert!(r.telemetry_json.contains("interaction.latency"));

@@ -36,7 +36,10 @@ impl CacheStats {
 /// capacity. A zero-capacity cache stores nothing.
 pub struct LruCache<K, V> {
     map: FxHashMap<K, (V, usize, u64)>, // value, weight, stamp
-    order: VecDeque<(u64, K)>,          // stamps (lazy; stale entries skipped)
+    /// Stamps, oldest first. Lazy: a touch or a removal leaves the key's
+    /// older records behind (eviction skips them), and
+    /// [`LruCache::compact`] drops them once they outnumber the entries.
+    order: VecDeque<(u64, K)>,
     capacity: usize,
     weight: usize,
     next_stamp: u64,
@@ -94,6 +97,19 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         if let Some(entry) = self.map.get_mut(key) {
             entry.2 = stamp;
             self.order.push_back((stamp, key.clone()));
+            self.compact();
+        }
+    }
+
+    /// Drop the stale records from `order` once it exceeds `2 × len + 64`:
+    /// afterwards it holds one record per entry, so the next compaction is
+    /// at least `len + 64` pushes away and each push pays O(1) amortised.
+    /// Records keep their relative order, so recency does too.
+    fn compact(&mut self) {
+        if self.order.len() > 2 * self.map.len() + 64 {
+            let map = &self.map;
+            self.order
+                .retain(|(stamp, k)| map.get(k).is_some_and(|e| e.2 == *stamp));
         }
     }
 
@@ -129,6 +145,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.order.push_back((stamp, key));
         self.weight += weight;
         self.evict();
+        self.compact();
     }
 
     fn evict(&mut self) {
@@ -355,6 +372,42 @@ mod tests {
         c.insert(6, 60, 1);
         assert!(c.peek(&2).is_none(), "surviving LRU evicted first");
         assert!(c.peek(&0).is_some(), "recently touched survivor stays");
+    }
+
+    #[test]
+    fn hits_below_capacity_keep_the_order_queue_bounded() {
+        let mut c: LruCache<u32, u32> = LruCache::new(1000);
+        for i in 0..16 {
+            c.insert(i, i, 1);
+        }
+        for n in 0..1_000_000u32 {
+            assert!(c.get(&(n % 16)).is_some());
+            assert!(
+                c.order.len() <= 2 * c.len() + 64,
+                "{} records",
+                c.order.len()
+            );
+        }
+        // removals leave records behind; the next push clears them
+        for i in 0..8 {
+            c.remove(&i);
+        }
+        c.insert(99, 99, 1);
+        assert!(c.order.len() <= 2 * c.len() + 64);
+        // recency survives the compactions: after the loop 0 is the least
+        // recently used key and 3 was just touched
+        let mut small: LruCache<u32, u32> = LruCache::new(16);
+        for i in 0..16 {
+            small.insert(i, i, 1);
+        }
+        for n in 0..10_000u32 {
+            small.get(&(n % 16));
+        }
+        small.get(&3);
+        small.insert(100, 100, 1);
+        assert!(small.peek(&0).is_none(), "the least recently used goes");
+        assert!(small.peek(&3).is_some() && small.peek(&100).is_some());
+        assert_eq!(small.len(), 16);
     }
 
     #[test]

@@ -19,16 +19,17 @@ use crate::precompute::{
 use crate::prefetch::{
     neighbor_rects, predict_viewports, rank_by_similarity, RegionSignature, SemanticTracker,
 };
-use crate::tile::{TileId, Tiling};
+use crate::tile::{TileId, Tiling, MAX_COVERING_TILES};
 use crate::tuner::{self, TuningReport};
 use crossbeam::channel::{unbounded, Sender};
 use kyrix_core::{CompiledApp, CompiledLayer};
 use kyrix_obs::{Counter, FamilyMember, Registry};
 use kyrix_parallel::QueryRouter;
 use kyrix_storage::fxhash::FxHashMap;
-use kyrix_storage::{Database, Rect, Row, Value};
+use kyrix_storage::{CowStats, Database, Rect, Row, Value};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -1351,36 +1352,45 @@ impl KyrixServer {
         };
         // `DbCounters` is shared between clones and a cloned table carries
         // its `cow_stats` tallies along, so the deltas across `apply` are
-        // exactly the tables this mutation unshared and the pages and index
-        // nodes its writes copied (mutators are serialized by the writer
-        // lock held above)
+        // exactly the tables this mutation unshared and the pages, index
+        // nodes and chunks of their handles its writes copied (mutators are
+        // serialized by the writer lock held above)
         let cow_totals = |shards: &[Database]| {
-            let mut totals = (0u64, 0u64, 0u64);
+            let mut totals = (0u64, CowStats::default());
             for db in shards {
                 totals.0 += db.counters.cow_table_copies();
                 for table in tables.iter().filter_map(|t| db.table(t).ok()) {
                     let stats = table.cow_stats();
-                    totals.1 += stats.pages_copied;
-                    totals.2 += stats.nodes_copied;
+                    totals.1.pages_copied += stats.pages_copied;
+                    totals.1.nodes_copied += stats.nodes_copied;
+                    totals.1.chunks_copied += stats.chunks_copied;
                 }
             }
             totals
         };
-        let (tables_before, pages_before, nodes_before) = cow_totals(&next);
+        let (tables_before, before) = cow_totals(&next);
         match apply(&mut next) {
             Ok((out, dirty)) => {
-                let (tables_after, pages_after, nodes_after) = cow_totals(&next);
+                let (tables_after, after) = cow_totals(&next);
                 let copies = tables_after.saturating_sub(tables_before);
                 obs.counter("snapshot.cow_table_copies").add(copies);
                 obs.counter("snapshot.cow_pages_copied")
-                    .add(pages_after.saturating_sub(pages_before));
+                    .add(after.pages_copied.saturating_sub(before.pages_copied));
                 obs.counter("snapshot.cow_nodes_copied")
-                    .add(nodes_after.saturating_sub(nodes_before));
+                    .add(after.nodes_copied.saturating_sub(before.nodes_copied));
+                obs.counter("snapshot.cow_chunks_copied")
+                    .add(after.chunks_copied.saturating_sub(before.chunks_copied));
                 obs.gauge("mutation.last_cow_copies").set(copies as i64);
                 // the retired head comes back out of `publish_locked` and
                 // is dropped here, after the cache and log locks are
-                // released: no reader's cache lookup waits for the free
-                drop(self.publish_locked(next, &dirty)?);
+                // released: no reader's cache lookup waits for the free.
+                // It is the last pin unless a reader still holds one, and
+                // then that reader pays the release instead
+                let retired = self.publish_locked(next, &dirty)?;
+                {
+                    let _retire = obs.span("snapshot.retire");
+                    drop(retired);
+                }
                 Ok(out)
             }
             // drop the successors; the head was never touched
@@ -1562,21 +1572,20 @@ impl KyrixServer {
             log.entries.pop_front();
         }
         let _evict = obs.span("evict");
-        // backend tile cache: drop intersecting tiles of affected layers
-        for &(ci, li, ref rect) in &entries {
-            if let FetchPlan::StaticTiles { size, .. } = self.inner.layers[&(ci, li)].plan {
+        // `entries` holds each layer's rects side by side (one pass over
+        // the layer map pushed them): resolve the plan once per layer, drop
+        // the intersecting tiles by key, and sweep the layer's box shelf
+        // once for all of its rects
+        for group in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let layer = (group[0].0, group[0].1);
+            if let FetchPlan::StaticTiles { size, .. } = self.inner.layers[&layer].plan {
                 let tiling = Tiling::new(size);
-                tiles.retain(|&(kci, kli, key), _| {
-                    kci != ci
-                        || kli != li
-                        || !tiling.tile_rect(TileId::from_key(key)).intersects(rect)
-                });
+                for (_, _, rect) in group {
+                    evict_tiles(&mut tiles, layer, tiling, rect);
+                }
             }
-        }
-        // backend box shelves: drop overlapping boxes
-        for &(ci, li, ref rect) in &entries {
-            if let Some(shelf) = boxes.get_mut(&(ci, li)) {
-                shelf.retain(|(r, _, _)| !r.intersects(rect));
+            if let Some(shelf) = boxes.get_mut(&layer) {
+                shelf.retain(|(r, _, _)| !group.iter().any(|(_, _, d)| r.intersects(d)));
             }
         }
         Ok(retired)
@@ -1611,6 +1620,32 @@ impl KyrixServer {
     }
 }
 
+/// Drop every cached tile of `layer` whose closed extent intersects `rect`
+/// ([`Rect::intersects`]: touching counts). The tiles `rect` can touch are
+/// listed and removed by key; when they outnumber the cached entries (or
+/// [`MAX_COVERING_TILES`]), one `retain` over the cache is cheaper and runs
+/// instead.
+fn evict_tiles<V>(tiles: &mut LruCache<TileKey, V>, layer: LayerKey, tiling: Tiling, rect: &Rect) {
+    let (ci, li) = layer;
+    let hit = |tile: TileId| tiling.tile_rect(tile).intersects(rect);
+    let cap = tiles.len().min(MAX_COVERING_TILES) as i64;
+    let count = |r: &RangeInclusive<i32>| i64::from(*r.end()) - i64::from(*r.start()) + 1;
+    match tiling.touching(rect) {
+        Some((xs, ys)) if count(&xs).checked_mul(count(&ys)).is_some_and(|n| n <= cap) => {
+            for y in ys {
+                for x in xs.clone() {
+                    let tile = TileId::new(x, y);
+                    if hit(tile) {
+                        tiles.remove(&(ci, li, tile.key()));
+                    }
+                }
+            }
+        }
+        _ => tiles
+            .retain(|&(kci, kli, key), _| kci != ci || kli != li || !hit(TileId::from_key(key))),
+    }
+}
+
 /// The one database a [`KyrixServer::mutate_raw`] closure sees.
 fn sole_shard(shards: &mut [Database]) -> Result<&mut Database> {
     match shards {
@@ -1620,5 +1655,129 @@ fn sole_shard(shards: &mut [Database]) -> Result<&mut Database> {
              use mutate_shards and route each delta to its owning shard"
                 .to_string(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The eviction `evict_tiles` replaces, kept as its reference: one
+    /// `retain` over the whole cache per dirty rectangle.
+    fn evict_tiles_by_scan<V>(
+        tiles: &mut LruCache<TileKey, V>,
+        (ci, li): LayerKey,
+        tiling: Tiling,
+        rect: &Rect,
+    ) {
+        tiles.retain(|&(kci, kli, key), _| {
+            kci != ci || kli != li || !tiling.tile_rect(TileId::from_key(key)).intersects(rect)
+        });
+    }
+
+    /// A rect coordinate: on a tile edge, or anywhere.
+    #[derive(Debug, Clone, Copy)]
+    enum Coord {
+        Edge(i32),
+        Free(f64),
+    }
+
+    impl Coord {
+        fn at(self, size: f64) -> f64 {
+            match self {
+                Coord::Edge(k) => k as f64 * size,
+                Coord::Free(t) => t * size,
+            }
+        }
+    }
+
+    fn arb_coord() -> impl Strategy<Value = Coord> {
+        prop_oneof![
+            (-8i32..8).prop_map(Coord::Edge),
+            (-8.0f64..8.0).prop_map(Coord::Free),
+        ]
+    }
+
+    /// Every key the generated caches can hold.
+    fn universe() -> Vec<TileKey> {
+        let mut keys = Vec::new();
+        for (ci, li) in [(0, 0), (0, 1), (1, 0)] {
+            for x in -6..6 {
+                for y in -6..6 {
+                    keys.push((ci, li, TileId::new(x, y).key()));
+                }
+            }
+        }
+        keys
+    }
+
+    fn contents(c: &LruCache<TileKey, u32>) -> Vec<(TileKey, u32)> {
+        universe()
+            .into_iter()
+            .filter_map(|k| c.peek(&k).map(|v| (k, *v)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Removing the touched tiles by key leaves exactly the cache a
+        /// `retain` per rect leaves — entries, weight, statistics and
+        /// recency (checked by pushing everything out afterwards) — on
+        /// random caches and tile sizes, with rect edges on tile edges,
+        /// degenerate rects, and rects wider than the cache.
+        #[test]
+        fn evicting_by_key_leaves_the_cache_a_scan_leaves(
+            size in prop_oneof![Just(1.0f64), Just(0.3), Just(7.5), Just(100.0)],
+            cached in prop::collection::vec((0usize..3, -6i32..6, -6i32..6, 1usize..4), 0..80),
+            touches in prop::collection::vec(any::<u16>(), 0..40),
+            rects in prop::collection::vec(
+                (0usize..3, arb_coord(), arb_coord(), 0i32..4, 0i32..4),
+                1..10,
+            ),
+        ) {
+            let layers = [(0u32, 0u32), (0, 1), (1, 0)];
+            let tiling = Tiling::new(size);
+            let build = || {
+                let mut cache: LruCache<TileKey, u32> = LruCache::new(120);
+                for (n, &(l, x, y, w)) in cached.iter().enumerate() {
+                    let (ci, li) = layers[l];
+                    cache.insert((ci, li, TileId::new(x, y).key()), n as u32, w);
+                }
+                let keys: Vec<TileKey> = contents(&cache).into_iter().map(|(k, _)| k).collect();
+                for t in touches.iter().filter(|_| !keys.is_empty()) {
+                    cache.get(&keys[*t as usize % keys.len()]);
+                }
+                cache
+            };
+            let (mut by_key, mut by_scan) = (build(), build());
+
+            for &(l, x, y, w, h) in &rects {
+                let (x0, y0) = (x.at(size), y.at(size));
+                // whole tiles of width and height, so a rect that starts on
+                // an edge ends on one
+                let rect = Rect::new(x0, y0, x0 + w as f64 * size, y0 + h as f64 * size);
+                evict_tiles(&mut by_key, layers[l], tiling, &rect);
+                evict_tiles_by_scan(&mut by_scan, layers[l], tiling, &rect);
+                prop_assert_eq!(contents(&by_key), contents(&by_scan), "after {:?}", rect);
+            }
+            // a rect spanning more tiles than the cache holds takes the
+            // `retain` path
+            let wide = Rect::new(-7.0 * size, -7.0 * size, 7.0 * size, 0.0);
+            evict_tiles(&mut by_key, layers[0], tiling, &wide);
+            evict_tiles_by_scan(&mut by_scan, layers[0], tiling, &wide);
+            prop_assert_eq!(contents(&by_key), contents(&by_scan));
+            prop_assert_eq!(by_key.weight(), by_scan.weight());
+            prop_assert_eq!(by_key.len(), by_scan.len());
+            prop_assert_eq!(by_key.stats(), by_scan.stats());
+            // the survivors leave in the same order under pressure
+            for n in 0..120u32 {
+                let key = (2, 2, i64::from(n));
+                by_key.insert(key, n, 1);
+                by_scan.insert(key, n, 1);
+                prop_assert_eq!(contents(&by_key), contents(&by_scan));
+            }
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::error::{Result, ServerError};
 use kyrix_storage::Rect;
+use std::ops::RangeInclusive;
 
 /// Hard cap on how many tiles a single covering request may produce. A
 /// realistic viewport covers a handful of tiles; anything near this bound
@@ -84,6 +85,32 @@ impl Tiling {
         let x1 = ((rect.max_x / self.size).ceil() as i32 - 1).max(x0);
         let y1 = ((rect.max_y / self.size).ceil() as i32 - 1).max(y0);
         Some((TileId::new(x0, y0), TileId::new(x1, y1)))
+    }
+
+    /// Inclusive per-axis tile ranges holding every tile whose *closed*
+    /// extent ([`Tiling::tile_rect`]) intersects `rect` — touching counts,
+    /// as in [`Rect::intersects`], so unlike [`Tiling::covering`] a tile
+    /// that meets `rect` only on its high edge is in. One tile of slack on
+    /// each side absorbs the rounding of the division, so the ranges are a
+    /// superset: test each tile before acting on it. `None` when `rect` is
+    /// empty or not finite, or the ranges leave the tile space
+    /// `tile_rect` can address.
+    pub(crate) fn touching(
+        &self,
+        rect: &Rect,
+    ) -> Option<(RangeInclusive<i32>, RangeInclusive<i32>)> {
+        if rect.is_empty() {
+            return None;
+        }
+        let axis = |lo: f64, hi: f64| {
+            let first = (lo / self.size).floor() - 1.0;
+            let last = (hi / self.size).floor() + 1.0;
+            // `tile_rect` computes `x + 1`, so the last tile stays below MAX
+            let addressable = (i32::MIN as f64..i32::MAX as f64).contains(&first)
+                && (i32::MIN as f64..i32::MAX as f64).contains(&last);
+            addressable.then_some(first as i32..=last as i32)
+        };
+        Some((axis(rect.min_x, rect.max_x)?, axis(rect.min_y, rect.max_y)?))
     }
 
     /// Whether `tile` is one of [`Tiling::covering`]`(rect)`, without
@@ -215,6 +242,24 @@ mod tests {
         assert_eq!(r, Rect::new(300.0, -200.0, 400.0, -100.0));
         let c = r.center();
         assert_eq!(t.tile_of(c.x, c.y), tile);
+    }
+
+    #[test]
+    fn touching_includes_tiles_met_only_on_an_edge() {
+        let t = Tiling::new(100.0);
+        // a rect ending exactly on the edge between tiles 0 and 1 touches
+        // tile 1 (closed extents), which `covering` leaves out
+        let r = Rect::new(10.0, 10.0, 100.0, 50.0);
+        let (xs, ys) = t.touching(&r).unwrap();
+        assert!(xs.contains(&1) && xs.contains(&0) && ys.contains(&0));
+        assert_eq!(t.covering(&r).unwrap(), vec![TileId::new(0, 0)]);
+        assert!(t.tile_rect(TileId::new(1, 0)).intersects(&r));
+        // nothing to list for an empty, infinite or unaddressable rect
+        assert!(t.touching(&Rect::empty()).is_none());
+        assert!(t
+            .touching(&Rect::new(0.0, 0.0, f64::INFINITY, 1.0))
+            .is_none());
+        assert!(t.touching(&Rect::new(0.0, 0.0, 1e12, 1.0)).is_none());
     }
 
     #[test]

@@ -1216,11 +1216,15 @@ fn pinned_view_keeps_its_rows_across_publishes() {
         assert_eq!(&pinned.query(sql, &[]).unwrap().rows, rows, "{sql}");
     }
     // each publish unshared the table and copied the one heap page and the
-    // one R-tree leaf its delete landed on
+    // one R-tree leaf its delete landed on, each with its chunk of handles,
+    // then dropped the head it retired
     let count = |name: &str| server.obs().counter(name).get();
     assert_eq!(count("snapshot.cow_table_copies"), 3);
     assert_eq!(count("snapshot.cow_pages_copied"), 3);
     assert_eq!(count("snapshot.cow_nodes_copied"), 3);
+    assert_eq!(count("snapshot.cow_chunks_copied"), 6);
+    let retires = server.obs().histogram("span.snapshot.retire").snapshot();
+    assert_eq!(retires.count(), 3);
 }
 
 #[test]

@@ -2,18 +2,19 @@
 //!
 //! This is the index behind the paper's *tuple–tile mapping* design: a B-tree
 //! on `mapping.tile_id` (non-unique: one tile maps to many tuples) and on
-//! `record.tuple_id` (unique). Nodes live in an arena of `Arc`s and leaves are
-//! chained for range scans. Cloning a tree shares every node; a writer copies
-//! exactly the nodes it changes (`node_mut`), and because the arena index is a
-//! node's identity in every version, neither parents nor the leaf chain need
-//! fix-ups. Descents are read-only until they reach the node that changes.
+//! `record.tuple_id` (unique). Nodes live in a copy-on-write arena
+//! ([`Spine`]) and leaves are chained for range scans. Cloning a tree shares
+//! every node; a writer copies exactly the nodes it changes (indexing the
+//! arena mutably), and because the arena index is a node's identity in every
+//! version, neither parents nor the leaf chain need fix-ups. Descents are
+//! read-only until they reach the node that changes.
 //!
 //! Deletion is *lazy*: entries are removed from leaves without rebalancing.
 //! Kyrix workloads are read-only after load (paper §3.2, "Kyrix applications
 //! function like read-only browsers"), so structural deletes are not on the
 //! hot path.
 
-use std::sync::Arc;
+use crate::spine::{Copies, Spine};
 
 /// Maximum number of keys per node before a split.
 const DEFAULT_ORDER: usize = 64;
@@ -36,13 +37,10 @@ enum Node<K, V> {
 /// `Clone` shares every node with the original; see the module docs.
 #[derive(Clone)]
 pub struct BPlusTree<K, V> {
-    nodes: Vec<Arc<Node<K, V>>>,
+    nodes: Spine<Node<K, V>>,
     root: usize,
     len: usize,
     order: usize,
-    /// Nodes copied because a write hit one shared with another clone.
-    /// Carried across `clone`, so a writer reads its own cost as a delta.
-    nodes_copied: u64,
 }
 
 impl<K: Ord + Clone, V: Clone> Default for BPlusTree<K, V> {
@@ -59,37 +57,29 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// `order` = max keys per node; must be at least 3.
     pub fn with_order(order: usize) -> Self {
         assert!(order >= 3, "B+tree order must be >= 3");
+        let mut nodes = Spine::new();
+        let root = nodes.push(Node::Leaf {
+            keys: Vec::new(),
+            vals: Vec::new(),
+            next: None,
+        });
         BPlusTree {
-            nodes: vec![Arc::new(Node::Leaf {
-                keys: Vec::new(),
-                vals: Vec::new(),
-                next: None,
-            })],
-            root: 0,
+            nodes,
+            root,
             len: 0,
             order,
-            nodes_copied: 0,
         }
     }
 
-    /// Nodes copied so far by writes to nodes shared with another clone.
-    pub(crate) fn nodes_copied(&self) -> u64 {
-        self.nodes_copied
+    /// Nodes (`elements`) and chunks of node handles copied so far by
+    /// writes that hit one shared with another clone.
+    pub(crate) fn copies(&self) -> Copies {
+        self.nodes.copies()
     }
 
     /// Continue the copy tally of the tree this one replaces.
-    pub(crate) fn carry_nodes_copied(&mut self, from_predecessor: u64) {
-        self.nodes_copied += from_predecessor;
-    }
-
-    /// Writable access to a node, copying it first if another clone of
-    /// the tree still shares it.
-    fn node_mut(&mut self, n: usize) -> &mut Node<K, V> {
-        let node = &mut self.nodes[n];
-        if Arc::get_mut(node).is_none() {
-            self.nodes_copied += 1;
-        }
-        Arc::make_mut(node)
+    pub(crate) fn carry_copies(&mut self, from_predecessor: Copies) {
+        self.nodes.carry(from_predecessor);
     }
 
     /// Number of entries (duplicates counted).
@@ -106,7 +96,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         let mut h = 1;
         let mut node = self.root;
         loop {
-            match &*self.nodes[node] {
+            match &self.nodes[node] {
                 Node::Leaf { .. } => return h,
                 Node::Internal { children, .. } => {
                     node = children[0];
@@ -120,11 +110,10 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn insert(&mut self, key: K, val: V) {
         if let Some((sep, right)) = self.insert_rec(self.root, key, val) {
             let old_root = self.root;
-            self.nodes.push(Arc::new(Node::Internal {
+            self.root = self.nodes.push(Node::Internal {
                 keys: vec![sep],
                 children: vec![old_root, right],
-            }));
-            self.root = self.nodes.len() - 1;
+            });
         }
         self.len += 1;
     }
@@ -133,14 +122,14 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// `node` split. Internal nodes are only read unless a child split.
     fn insert_rec(&mut self, node: usize, key: K, val: V) -> Option<(K, usize)> {
         let order = self.order;
-        let child = match &*self.nodes[node] {
+        let child = match &self.nodes[node] {
             Node::Leaf { .. } => None,
             Node::Internal { keys, children } => {
                 Some(children[keys.partition_point(|k| *k <= key)])
             }
         };
         let Some(child) = child else {
-            let Node::Leaf { keys, vals, .. } = self.node_mut(node) else {
+            let Node::Leaf { keys, vals, .. } = &mut self.nodes[node] else {
                 unreachable!()
             };
             // insert after existing equal keys to keep insertion order
@@ -151,7 +140,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             return overfull.then(|| self.split_leaf(node));
         };
         let (sep, right) = self.insert_rec(child, key, val)?;
-        let Node::Internal { keys, children } = self.node_mut(node) else {
+        let Node::Internal { keys, children } = &mut self.nodes[node] else {
             unreachable!()
         };
         let pos = keys.partition_point(|k| *k <= sep);
@@ -163,7 +152,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
 
     fn split_leaf(&mut self, node: usize) -> (K, usize) {
         let new_idx = self.nodes.len();
-        let (sep, right) = if let Node::Leaf { keys, vals, next } = self.node_mut(node) {
+        let (sep, right) = if let Node::Leaf { keys, vals, next } = &mut self.nodes[node] {
             let mid = keys.len() / 2;
             let rkeys: Vec<K> = keys.split_off(mid);
             let rvals: Vec<V> = vals.split_off(mid);
@@ -178,13 +167,13 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         } else {
             unreachable!("split_leaf on internal node")
         };
-        self.nodes.push(Arc::new(right));
+        self.nodes.push(right);
         (sep, new_idx)
     }
 
     fn split_internal(&mut self, node: usize) -> (K, usize) {
         let new_idx = self.nodes.len();
-        let (sep, right) = if let Node::Internal { keys, children } = self.node_mut(node) {
+        let (sep, right) = if let Node::Internal { keys, children } = &mut self.nodes[node] {
             let mid = keys.len() / 2;
             let rkeys: Vec<K> = keys.split_off(mid + 1);
             let sep = keys.pop().expect("internal node must have keys");
@@ -199,7 +188,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         } else {
             unreachable!("split_internal on leaf")
         };
-        self.nodes.push(Arc::new(right));
+        self.nodes.push(right);
         (sep, new_idx)
     }
 
@@ -207,7 +196,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     fn find_leaf(&self, key: &K) -> usize {
         let mut node = self.root;
         loop {
-            match &*self.nodes[node] {
+            match &self.nodes[node] {
                 Node::Leaf { .. } => return node,
                 Node::Internal { keys, children } => {
                     let idx = keys.partition_point(|k| k < key);
@@ -221,7 +210,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn get_first(&self, key: &K) -> Option<&V> {
         let mut leaf = self.find_leaf(key);
         loop {
-            if let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] {
+            if let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
                 let pos = keys.partition_point(|k| k < key);
                 if pos < keys.len() {
                     return if &keys[pos] == key {
@@ -264,7 +253,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         }
         let mut leaf = self.find_leaf(lo);
         loop {
-            if let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] {
+            if let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
                 let start = keys.partition_point(|k| k < lo);
                 for i in start..keys.len() {
                     if &keys[i] > hi {
@@ -295,7 +284,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn remove_one<F: Fn(&V) -> bool>(&mut self, key: &K, pred: F) -> Option<V> {
         let mut leaf = self.find_leaf(key);
         let pos = loop {
-            let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] else {
+            let Node::Leaf { keys, vals, next } = &self.nodes[leaf] else {
                 unreachable!("find_leaf returned internal node")
             };
             let start = keys.partition_point(|k| k < key);
@@ -309,7 +298,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             leaf = (*next)?;
         };
         self.len -= 1;
-        let Node::Leaf { keys, vals, .. } = self.node_mut(leaf) else {
+        let Node::Leaf { keys, vals, .. } = &mut self.nodes[leaf] else {
             unreachable!()
         };
         keys.remove(pos);
@@ -332,11 +321,11 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn for_each_while<F: FnMut(&K, &V) -> bool>(&self, mut f: F) {
         // leftmost leaf
         let mut node = self.root;
-        while let Node::Internal { children, .. } = &*self.nodes[node] {
+        while let Node::Internal { children, .. } = &self.nodes[node] {
             node = children[0];
         }
         let mut leaf = node;
-        while let Node::Leaf { keys, vals, next } = &*self.nodes[leaf] {
+        while let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
             for (k, v) in keys.iter().zip(vals) {
                 if !f(k, v) {
                     return;
@@ -362,7 +351,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     }
 
     fn rev_walk<F: FnMut(&K, &V) -> bool>(&self, node: usize, f: &mut F) -> bool {
-        match &*self.nodes[node] {
+        match &self.nodes[node] {
             Node::Leaf { keys, vals, .. } => {
                 for (k, v) in keys.iter().zip(vals).rev() {
                     if !f(k, v) {
@@ -485,17 +474,17 @@ mod tests {
             // a removal copies the leaf; finding it copies nothing
             let mut next = base.clone();
             assert_eq!(next.remove_one(&(i * 20), |_| true), Some(i * 10));
-            assert_eq!(next.nodes_copied(), 1);
+            assert_eq!(next.copies().elements, 1);
             // an insert copies the leaf, plus one parent per node it splits
             let mut next = base.clone();
             next.insert(i * 20 + 1, -1);
             let splits = (next.nodes.len() - base.nodes.len()) as u64;
-            assert!((1..=1 + splits).contains(&next.nodes_copied()));
+            assert!((1..=1 + splits).contains(&next.copies().elements));
             assert_eq!(next.get_first(&(i * 20 + 1)), Some(&-1));
             assert_eq!(next.len(), 501);
         }
         // none of it reached the original, leaf chain included
-        assert_eq!((base.len(), base.nodes_copied()), (500, 0));
+        assert_eq!((base.len(), base.copies().elements), (500, 0));
         let mut keys = Vec::new();
         base.for_each(|k, _| keys.push(*k));
         assert_eq!(keys, (0..500).map(|i| i * 2).collect::<Vec<_>>());

@@ -8,6 +8,7 @@ use crate::heap::{RecordId, TableHeap};
 use crate::row::Row;
 use crate::rtree::RTree;
 use crate::schema::Schema;
+use crate::spine::Copies;
 use crate::stats::CowStats;
 use crate::value::{OrdValue, Value};
 
@@ -52,21 +53,21 @@ pub(crate) enum IndexImpl {
 }
 
 impl IndexImpl {
-    /// Nodes this index copied on write (a hash index is copied whole and
-    /// counts nothing).
-    fn nodes_copied(&self) -> u64 {
+    /// Nodes and chunks of node handles this index copied on write (a hash
+    /// index is copied whole and counts nothing).
+    fn copies(&self) -> Copies {
         match self {
-            IndexImpl::BTree(t) => t.nodes_copied(),
-            IndexImpl::Spatial(t) => t.nodes_copied(),
-            IndexImpl::Hash(_) => 0,
+            IndexImpl::BTree(t) => t.copies(),
+            IndexImpl::Spatial(t) => t.copies(),
+            IndexImpl::Hash(_) => Copies::default(),
         }
     }
 
     /// Continue the copy tally of the index this one replaces.
-    fn carry_nodes_copied(&mut self, from_predecessor: u64) {
+    fn carry_copies(&mut self, from_predecessor: Copies) {
         match self {
-            IndexImpl::BTree(t) => t.carry_nodes_copied(from_predecessor),
-            IndexImpl::Spatial(t) => t.carry_nodes_copied(from_predecessor),
+            IndexImpl::BTree(t) => t.carry_copies(from_predecessor),
+            IndexImpl::Spatial(t) => t.carry_copies(from_predecessor),
             IndexImpl::Hash(_) => {}
         }
     }
@@ -75,8 +76,10 @@ impl IndexImpl {
 /// A table: schema + heap + indexes.
 ///
 /// `Clone` shares heap pages and B+tree / R-tree nodes with the original
-/// (one refcount bump each); a write then copies the page and the
-/// root-to-leaf index nodes it changes, which [`Table::cow_stats`] counts.
+/// (one refcount bump per chunk of [`crate::spine::CHUNK`] page or node
+/// handles); a write then copies the page and the root-to-leaf index nodes
+/// it changes, plus the first time each chunk's handles, which
+/// [`Table::cow_stats`] counts.
 /// [`crate::Database`] holds tables behind `Arc` and clones one the first
 /// time it is mutated through a handle that shares it. A hash index is the
 /// exception: it is copied whole (see [`HashIndex`]).
@@ -115,14 +118,21 @@ impl Table {
         self.indexes.iter()
     }
 
-    /// Pages and index nodes copied so far because a write landed on one
-    /// still shared with another clone of this table. The tallies carry
-    /// across `clone`, so the cost of a batch of writes is the difference
-    /// between the clone's reading and the original's.
+    /// Pages, index nodes and chunks of their handles copied so far
+    /// because a write landed on one still shared with another clone of
+    /// this table. The tallies carry across `clone`, so the cost of a batch
+    /// of writes is the difference between the clone's reading and the
+    /// original's.
     pub fn cow_stats(&self) -> CowStats {
+        let heap = self.heap.copies();
+        let mut nodes = Copies::default();
+        for index in &self.indexes {
+            nodes += index.imp.copies();
+        }
         CowStats {
-            pages_copied: self.heap.pages_copied(),
-            nodes_copied: self.indexes.iter().map(|i| i.imp.nodes_copied()).sum(),
+            pages_copied: heap.elements,
+            nodes_copied: nodes.elements,
+            chunks_copied: heap.chunks + nodes.chunks,
         }
     }
 
@@ -336,7 +346,7 @@ impl Table {
         self.heap = heap;
         for i in (0..self.indexes.len()).filter(|i| *i != index_no) {
             let mut imp = self.build_index(&self.indexes[i].kind)?;
-            imp.carry_nodes_copied(self.indexes[i].imp.nodes_copied());
+            imp.carry_copies(self.indexes[i].imp.copies());
             self.indexes[i].imp = imp;
         }
         Ok(())

@@ -2,6 +2,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PAGE_SIZE};
+use crate::spine::{Copies, Spine};
 
 /// Physical address of a tuple: page number + slot within the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,35 +31,27 @@ impl RecordId {
 
 /// An append-oriented heap of slotted pages.
 ///
-/// `Clone` shares every page with the original (one refcount bump per
-/// page); a write copies only the page it lands on.
+/// The pages sit in a [`Spine`]: `Clone` shares them with the original
+/// (one refcount bump per chunk of pages), and a write copies only the
+/// page it lands on (plus, the first time, its chunk's handles).
 #[derive(Clone, Default)]
 pub struct TableHeap {
-    pages: Vec<Page>,
+    pages: Spine<Page>,
     live: usize,
-    /// Pages copied because a write hit one shared with another clone.
-    /// Carried across `clone`, so a writer reads its own cost as a delta.
-    pages_copied: u64,
 }
 
 impl TableHeap {
     pub fn new() -> Self {
-        TableHeap {
-            pages: Vec::new(),
-            live: 0,
-            pages_copied: 0,
-        }
+        TableHeap::default()
     }
 
     /// An empty heap that continues this one's copy tally — what a
     /// rewrite of the whole heap fills, so [`crate::Table::cow_stats`]
     /// stays monotone across it.
     pub(crate) fn successor(&self) -> Self {
-        TableHeap {
-            pages: Vec::with_capacity(self.pages.len()),
-            live: 0,
-            pages_copied: self.pages_copied,
-        }
+        let mut pages = Spine::with_capacity(self.pages.len());
+        pages.carry(self.pages.copies());
+        TableHeap { pages, live: 0 }
     }
 
     /// Number of live tuples.
@@ -79,9 +72,10 @@ impl TableHeap {
         self.pages.len() * PAGE_SIZE
     }
 
-    /// Pages copied so far by writes to pages shared with another clone.
-    pub(crate) fn pages_copied(&self) -> u64 {
-        self.pages_copied
+    /// Pages (`elements`) and chunks of page handles copied so far by
+    /// writes that hit one shared with another clone.
+    pub(crate) fn copies(&self) -> Copies {
+        self.pages.copies()
     }
 
     /// Append a tuple; allocates a new page when the last one is full.
@@ -89,21 +83,15 @@ impl TableHeap {
         if tuple.len() + 8 > PAGE_SIZE {
             return Err(StorageError::TupleTooLarge(tuple.len()));
         }
-        if let Some(last) = self.pages.last_mut() {
-            let shared = last.is_shared();
-            if let Some(slot) = last.insert(tuple) {
-                self.live += 1;
-                self.pages_copied += u64::from(shared);
-                return Ok(RecordId::new((self.pages.len() - 1) as u32, slot));
-            }
-        }
-        let mut page = Page::new();
-        let slot = page
+        let pno = match self.pages.last() {
+            Some(last) if last.fits(tuple.len()) => self.pages.len() - 1,
+            _ => self.pages.push(Page::new()),
+        };
+        let slot = self.pages[pno]
             .insert(tuple)
             .ok_or(StorageError::TupleTooLarge(tuple.len()))?;
-        self.pages.push(page);
         self.live += 1;
-        Ok(RecordId::new((self.pages.len() - 1) as u32, slot))
+        Ok(RecordId::new(pno as u32, slot))
     }
 
     /// Point lookup.
@@ -111,17 +99,16 @@ impl TableHeap {
         self.pages.get(rid.page as usize)?.get(rid.slot)
     }
 
-    /// Tombstone a tuple. Returns whether it was live.
+    /// Tombstone a tuple. Returns whether it was live; a refused delete
+    /// copies nothing.
     pub fn delete(&mut self, rid: RecordId) -> bool {
-        if let Some(p) = self.pages.get_mut(rid.page as usize) {
-            let shared = p.is_shared();
-            if p.delete(rid.slot) {
-                self.live -= 1;
-                self.pages_copied += u64::from(shared);
-                return true;
-            }
+        let pno = rid.page as usize;
+        if !self.pages.get(pno).is_some_and(|p| p.is_live(rid.slot)) {
+            return false;
         }
-        false
+        self.pages[pno].delete(rid.slot);
+        self.live -= 1;
+        true
     }
 
     /// Full scan over live tuples.
@@ -173,21 +160,41 @@ mod tests {
         let tuple = vec![7u8; 1000];
         let rids: Vec<_> = (0..50).map(|_| base.insert(&tuple).unwrap()).collect();
         let mut next = base.clone();
-        assert_eq!(next.pages_copied(), 0);
-        // a refused write copies nothing
+        assert_eq!(next.copies(), Copies::default());
+        // a refused write copies nothing: a slot past the page's end, a
+        // page past the heap's end
         assert!(!next.delete(RecordId::new(0, 99)));
-        assert_eq!(next.pages_copied(), 0);
+        assert!(!next.delete(RecordId::new(99, 0)));
+        assert_eq!(next.copies(), Copies::default());
         // two deletes on one page copy it once; the base keeps its rows
         assert!(next.delete(rids[0]));
         assert!(next.delete(rids[1]));
-        assert_eq!(next.pages_copied(), 1);
+        assert_eq!(
+            next.copies(),
+            Copies {
+                elements: 1,
+                chunks: 1
+            }
+        );
+        // a dead slot on a page this clone already owns is refused too
+        assert!(!next.delete(rids[0]));
         assert_eq!((base.len(), next.len()), (50, 48));
         assert_eq!(base.get(rids[0]).unwrap(), &tuple[..]);
         assert!(next.get(rids[0]).is_none());
         // an append copies the shared last page, never a fresh one
         next.insert(b"tail").unwrap();
-        assert_eq!(next.pages_copied(), 2);
-        assert_eq!(base.pages_copied(), 0);
+        assert_eq!(next.copies().elements, 2);
+        assert_eq!(base.copies(), Copies::default());
+    }
+
+    #[test]
+    fn a_delete_of_a_dead_slot_on_a_shared_page_copies_nothing() {
+        let mut base = TableHeap::new();
+        let rid = base.insert(b"row").unwrap();
+        assert!(base.delete(rid));
+        let mut next = base.clone();
+        assert!(!next.delete(rid));
+        assert_eq!(next.copies(), Copies::default());
     }
 
     #[test]

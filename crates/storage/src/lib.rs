@@ -18,9 +18,12 @@
 //!
 //! A [`Database`] is a plain value: a clone shares pages and index nodes
 //! with the original, and a write copies the page and the root-to-leaf
-//! nodes it changes. `kyrix-server` builds its concurrency control on that
-//! (a mutation edits a clone and publishes it; readers keep the snapshot
-//! they pinned). The engine itself has no locks and no log.
+//! nodes it changes. Pages and nodes sit in one two-level copy-on-write
+//! arena ([`spine::Spine`]), so what a table version costs to clone, to
+//! unshare and to drop grows with its chunks of handles, not its rows.
+//! `kyrix-server` builds its concurrency control on that (a mutation edits
+//! a clone and publishes it; readers keep the snapshot they pinned). The
+//! engine itself has no locks and no log.
 //!
 //! Physical row order belongs to the engine too: [`Database::cluster`]
 //! rewrites a heap in the leaf order of one of its spatial indexes, so the
@@ -64,6 +67,7 @@ pub mod persist;
 pub mod row;
 pub mod rtree;
 pub mod schema;
+pub mod spine;
 pub mod sql;
 pub mod stats;
 pub mod value;

@@ -10,22 +10,20 @@
 //! ```
 //! A slot with `len == 0` is a tombstone (deleted tuple).
 //!
-//! The buffer sits behind an `Arc`: cloning a page shares it, and the first
-//! write through a shared handle copies the 8 KiB (`Arc::make_mut`). Every
-//! mutating method checks that it will succeed *before* it touches the
-//! buffer, so a refused insert or a double delete never copies.
-
-use std::sync::Arc;
+//! A page is a plain buffer: sharing it between table versions, and
+//! copying it on the first write, is the heap's [`crate::spine::Spine`]'s
+//! job. A write that may be refused is therefore checked first
+//! ([`Page::fits`], [`Page::is_live`]), so it never copies.
 
 /// Page size in bytes. 8 KiB, matching the common DBMS default.
 pub const PAGE_SIZE: usize = 8192;
 const HEADER: usize = 4;
 const SLOT: usize = 4;
 
-/// A single slotted page; clones share the buffer until one writes.
+/// A single slotted page.
 #[derive(Clone)]
 pub struct Page {
-    data: Arc<[u8; PAGE_SIZE]>,
+    data: [u8; PAGE_SIZE],
 }
 
 impl Page {
@@ -33,30 +31,22 @@ impl Page {
     pub fn new() -> Self {
         let mut data = [0u8; PAGE_SIZE];
         write_u16(&mut data, 2, PAGE_SIZE as u16);
-        Page {
-            data: Arc::new(data),
-        }
-    }
-
-    /// Whether a write to this page would copy it first (another clone
-    /// still holds the buffer).
-    pub(crate) fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
+        Page { data }
     }
 
     pub fn slot_count(&self) -> u16 {
-        read_u16(&*self.data, 0)
+        read_u16(&self.data, 0)
     }
 
     fn free_end(&self) -> usize {
-        read_u16(&*self.data, 2) as usize
+        read_u16(&self.data, 2) as usize
     }
 
     fn slot(&self, idx: u16) -> (usize, usize) {
         let base = HEADER + idx as usize * SLOT;
         (
-            read_u16(&*self.data, base) as usize,
-            read_u16(&*self.data, base + 2) as usize,
+            read_u16(&self.data, base) as usize,
+            read_u16(&self.data, base + 2) as usize,
         )
     }
 
@@ -79,7 +69,7 @@ impl Page {
         }
         let slot_idx = self.slot_count();
         let new_end = self.free_end() - tuple.len();
-        let data = Arc::make_mut(&mut self.data);
+        let data = &mut self.data;
         data[new_end..new_end + tuple.len()].copy_from_slice(tuple);
         let base = HEADER + slot_idx as usize * SLOT;
         write_u16(data, base, new_end as u16);
@@ -102,18 +92,18 @@ impl Page {
         Some(&self.data[off..off + len])
     }
 
+    /// Whether `slot` holds a live tuple (in range, not a tombstone).
+    pub fn is_live(&self, slot: u16) -> bool {
+        slot < self.slot_count() && self.slot(slot).1 != 0
+    }
+
     /// Tombstone a slot. Space is not reclaimed (read-mostly workload).
     /// Returns true if the slot existed and was live.
     pub fn delete(&mut self, slot: u16) -> bool {
-        if slot >= self.slot_count() {
+        if !self.is_live(slot) {
             return false;
         }
-        let base = HEADER + slot as usize * SLOT;
-        if read_u16(&*self.data, base + 2) == 0 {
-            return false;
-        }
-        let data = Arc::make_mut(&mut self.data);
-        write_u16(data, base + 2, 0);
+        write_u16(&mut self.data, HEADER + slot as usize * SLOT + 2, 0);
         true
     }
 

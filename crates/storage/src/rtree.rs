@@ -4,13 +4,15 @@
 //! index over per-tuple bounding boxes, answering "all tuples whose bbox
 //! intersects this rectangle" for both static-tile and dynamic-box fetching.
 //!
-//! Nodes live in an arena of `Arc`s: cloning a tree shares every node, and
-//! a writer copies exactly the nodes it changes (`node_mut`). The arena
-//! index is a node's identity in every version, so a copied node needs no
-//! pointer fix-ups in its parent. Descents are therefore read-only until
-//! they reach a node that really changes.
+//! Nodes live in a copy-on-write arena ([`Spine`]): cloning a tree shares
+//! every node, and a writer copies exactly the nodes it changes (indexing
+//! the arena mutably). The arena index is a node's identity in every
+//! version, so a copied node needs no pointer fix-ups in its parent.
+//! Descents are therefore read-only until they reach a node that really
+//! changes.
 
 use crate::geom::Rect;
+use crate::spine::{Copies, Spine};
 use std::sync::Arc;
 
 /// Maximum entries per node.
@@ -42,13 +44,10 @@ impl<V> Node<V> {
 /// `Clone` shares every node with the original; see the module docs.
 #[derive(Clone)]
 pub struct RTree<V> {
-    nodes: Vec<Arc<Node<V>>>,
+    nodes: Spine<Node<V>>,
     root: usize,
     len: usize,
     height: usize,
-    /// Nodes copied because a write hit one shared with another clone.
-    /// Carried across `clone`, so a writer reads its own cost as a delta.
-    nodes_copied: u64,
 }
 
 impl<V: Clone> Default for RTree<V> {
@@ -59,14 +58,15 @@ impl<V: Clone> Default for RTree<V> {
 
 impl<V: Clone> RTree<V> {
     pub fn new() -> Self {
+        let mut nodes = Spine::new();
+        let root = nodes.push(Node::Leaf {
+            entries: Vec::new(),
+        });
         RTree {
-            nodes: vec![Arc::new(Node::Leaf {
-                entries: Vec::new(),
-            })],
-            root: 0,
+            nodes,
+            root,
             len: 0,
             height: 1,
-            nodes_copied: 0,
         }
     }
 
@@ -87,24 +87,15 @@ impl<V: Clone> RTree<V> {
         self.nodes[self.root].mbr()
     }
 
-    /// Nodes copied so far by writes to nodes shared with another clone.
-    pub(crate) fn nodes_copied(&self) -> u64 {
-        self.nodes_copied
+    /// Nodes (`elements`) and chunks of node handles copied so far by
+    /// writes that hit one shared with another clone.
+    pub(crate) fn copies(&self) -> Copies {
+        self.nodes.copies()
     }
 
     /// Continue the copy tally of the tree this one replaces.
-    pub(crate) fn carry_nodes_copied(&mut self, from_predecessor: u64) {
-        self.nodes_copied += from_predecessor;
-    }
-
-    /// Writable access to a node, copying it first if another clone of
-    /// the tree still shares it.
-    fn node_mut(&mut self, n: usize) -> &mut Node<V> {
-        let node = &mut self.nodes[n];
-        if Arc::get_mut(node).is_none() {
-            self.nodes_copied += 1;
-        }
-        Arc::make_mut(node)
+    pub(crate) fn carry_copies(&mut self, from_predecessor: Copies) {
+        self.nodes.carry(from_predecessor);
     }
 
     // ---------------------------------------------------------- insertion
@@ -114,10 +105,9 @@ impl<V: Clone> RTree<V> {
         if let Some((split_mbr, split_idx)) = self.insert_at(self.root, rect, value) {
             let old_root = self.root;
             let old_mbr = self.nodes[old_root].mbr();
-            self.nodes.push(Arc::new(Node::Internal {
+            self.root = self.nodes.push(Node::Internal {
                 children: vec![(old_mbr, old_root), (split_mbr, split_idx)],
-            }));
-            self.root = self.nodes.len() - 1;
+            });
             self.height += 1;
         }
         self.len += 1;
@@ -127,9 +117,9 @@ impl<V: Clone> RTree<V> {
     /// Only the leaf and the ancestors whose entry for the descended child
     /// really changes are written.
     fn insert_at(&mut self, node: usize, rect: Rect, value: V) -> Option<(Rect, usize)> {
-        let (chosen, child_idx, old_mbr) = match &*self.nodes[node] {
+        let (chosen, child_idx, old_mbr) = match &self.nodes[node] {
             Node::Leaf { .. } => {
-                let Node::Leaf { entries } = self.node_mut(node) else {
+                let Node::Leaf { entries } = &mut self.nodes[node] else {
                     unreachable!()
                 };
                 entries.push((rect, value));
@@ -158,7 +148,7 @@ impl<V: Clone> RTree<V> {
         if split.is_none() && child_mbr == old_mbr {
             return None;
         }
-        let Node::Internal { children } = self.node_mut(node) else {
+        let Node::Internal { children } = &mut self.nodes[node] else {
             unreachable!()
         };
         children[chosen].0 = child_mbr;
@@ -172,27 +162,23 @@ impl<V: Clone> RTree<V> {
     }
 
     fn split_leaf(&mut self, node: usize) -> (Rect, usize) {
-        let Node::Leaf { entries } = self.node_mut(node) else {
+        let Node::Leaf { entries } = &mut self.nodes[node] else {
             unreachable!()
         };
         let (left, right) = quadratic_split(std::mem::take(entries), |e| e.0);
         *entries = left;
         let right_node = Node::Leaf { entries: right };
-        let right_mbr = right_node.mbr();
-        self.nodes.push(Arc::new(right_node));
-        (right_mbr, self.nodes.len() - 1)
+        (right_node.mbr(), self.nodes.push(right_node))
     }
 
     fn split_internal(&mut self, node: usize) -> (Rect, usize) {
-        let Node::Internal { children } = self.node_mut(node) else {
+        let Node::Internal { children } = &mut self.nodes[node] else {
             unreachable!()
         };
         let (left, right) = quadratic_split(std::mem::take(children), |e| e.0);
         *children = left;
         let right_node = Node::Internal { children: right };
-        let right_mbr = right_node.mbr();
-        self.nodes.push(Arc::new(right_node));
-        (right_mbr, self.nodes.len() - 1)
+        (right_node.mbr(), self.nodes.push(right_node))
     }
 
     /// Remove the first entry with exactly this rectangle whose value
@@ -203,7 +189,7 @@ impl<V: Clone> RTree<V> {
     pub fn remove_one<F: Fn(&V) -> bool>(&mut self, rect: &Rect, pred: F) -> Option<V> {
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
-            match &*self.nodes[n] {
+            match &self.nodes[n] {
                 Node::Internal { children } => {
                     for (r, c) in children.iter() {
                         if r.contains(rect) || r.intersects(rect) {
@@ -213,7 +199,7 @@ impl<V: Clone> RTree<V> {
                 }
                 Node::Leaf { entries } => {
                     if let Some(pos) = entries.iter().position(|(r, v)| r == rect && pred(v)) {
-                        let Node::Leaf { entries } = self.node_mut(n) else {
+                        let Node::Leaf { entries } = &mut self.nodes[n] else {
                             unreachable!()
                         };
                         let (_, v) = entries.remove(pos);
@@ -235,7 +221,7 @@ impl<V: Clone> RTree<V> {
         let mut visited = 0;
         while let Some(n) = stack.pop() {
             visited += 1;
-            match &*self.nodes[n] {
+            match &self.nodes[n] {
                 Node::Internal { children } => {
                     for (r, c) in children {
                         if r.intersects(query) {
@@ -267,7 +253,7 @@ impl<V: Clone> RTree<V> {
     ) -> Result<(), E> {
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
-            match &*self.nodes[n] {
+            match &self.nodes[n] {
                 Node::Internal { children } => {
                     stack.extend(children.iter().map(|(_, c)| *c));
                     continue;
@@ -275,7 +261,7 @@ impl<V: Clone> RTree<V> {
                 Node::Leaf { entries } if entries.is_empty() => continue,
                 Node::Leaf { .. } => {}
             }
-            let Node::Leaf { entries } = self.node_mut(n) else {
+            let Node::Leaf { entries } = &mut self.nodes[n] else {
                 unreachable!()
             };
             entries.iter_mut().try_for_each(|(_, v)| f(v))?;
@@ -306,26 +292,26 @@ impl<V: Clone> RTree<V> {
         if items.is_empty() {
             return Self::new();
         }
-        let mut tree = RTree {
-            nodes: Vec::new(),
-            root: 0,
-            len: items.len(),
-            height: 1,
-            nodes_copied: 0,
-        };
-        // pack leaves with STR
-        let leaf_rects = tree.pack_leaves(items);
-        let mut level: Vec<(Rect, usize)> = leaf_rects;
+        let len = items.len();
+        // pack leaves with STR, then the levels above; the arena is built
+        // over the finished node list (`Spine::from_handles`)
+        let mut nodes = Vec::new();
+        let mut level = Self::pack_leaves(&mut nodes, items);
+        let mut height = 1;
         while level.len() > 1 {
-            level = tree.pack_internal(level);
-            tree.height += 1;
+            level = Self::pack_internal(&mut nodes, level);
+            height += 1;
         }
-        tree.root = level[0].1;
-        tree
+        RTree {
+            nodes: Spine::from_handles(nodes),
+            root: level[0].1,
+            len,
+            height,
+        }
     }
 
     /// Pack items into leaves using STR; returns (mbr, node) per leaf.
-    fn pack_leaves(&mut self, mut items: Vec<(Rect, V)>) -> Vec<(Rect, usize)> {
+    fn pack_leaves(nodes: &mut Vec<Arc<Node<V>>>, mut items: Vec<(Rect, V)>) -> Vec<(Rect, usize)> {
         let n = items.len();
         let per_node = MAX_ENTRIES;
         let num_leaves = n.div_ceil(per_node);
@@ -344,16 +330,18 @@ impl<V: Clone> RTree<V> {
                     .map(|(r, v)| (*r, v.clone()))
                     .collect();
                 let node = Node::Leaf { entries };
-                let mbr = node.mbr();
-                self.nodes.push(Arc::new(node));
-                out.push((mbr, self.nodes.len() - 1));
+                out.push((node.mbr(), nodes.len()));
+                nodes.push(Arc::new(node));
                 start = end;
             }
         }
         out
     }
 
-    fn pack_internal(&mut self, mut level: Vec<(Rect, usize)>) -> Vec<(Rect, usize)> {
+    fn pack_internal(
+        nodes: &mut Vec<Arc<Node<V>>>,
+        mut level: Vec<(Rect, usize)>,
+    ) -> Vec<(Rect, usize)> {
         let n = level.len();
         let per_node = MAX_ENTRIES;
         let num_nodes = n.div_ceil(per_node);
@@ -368,9 +356,8 @@ impl<V: Clone> RTree<V> {
                 let end = (start + per_node).min(slice.len());
                 let children: Vec<(Rect, usize)> = slice[start..end].to_vec();
                 let node = Node::Internal { children };
-                let mbr = node.mbr();
-                self.nodes.push(Arc::new(node));
-                out.push((mbr, self.nodes.len() - 1));
+                out.push((node.mbr(), nodes.len()));
+                nodes.push(Arc::new(node));
                 start = end;
             }
         }
@@ -556,27 +543,27 @@ mod tests {
             }
         }
         assert!(base.height() >= 3);
-        assert_eq!(base.nodes_copied(), 0);
+        assert_eq!(base.copies().elements, 0);
         for i in 0..40 {
             let at = pt(i as f64, (39 - i) as f64);
             // a removal copies the leaf; the search for it copies nothing
             let mut next = base.clone();
             assert_eq!(next.remove_one(&at, |_| true), Some((i, 39 - i)));
-            assert_eq!(next.nodes_copied(), 1);
+            assert_eq!(next.copies().elements, 1);
             // an insert that grows no MBR copies the leaf, plus one parent
             // per node it splits
             let mut next = base.clone();
             next.insert(at, (-1, -1));
             let splits = (next.nodes.len() - base.nodes.len()) as u64;
-            assert!((1..=1 + splits).contains(&next.nodes_copied()));
+            assert!((1..=1 + splits).contains(&next.copies().elements));
             // an insert far outside grows every MBR on its path
             let mut next = base.clone();
             next.insert(pt(1e6, 1e6 + i as f64), (-1, -1));
-            assert_eq!(next.nodes_copied(), base.height() as u64);
+            assert_eq!(next.copies().elements, base.height() as u64);
             assert_eq!(next.query(&at), vec![(i, 39 - i)]);
         }
         // none of it reached the original
-        assert_eq!((base.len(), base.nodes_copied()), (1600, 0));
+        assert_eq!((base.len(), base.copies().elements), (1600, 0));
         assert_eq!(base.bounds(), Rect::new(0.0, 0.0, 39.0, 39.0));
         assert_eq!(base.count_intersecting(&base.bounds()), 1600);
     }

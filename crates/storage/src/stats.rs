@@ -45,6 +45,10 @@ pub struct CowStats {
     pub pages_copied: u64,
     /// B+tree and R-tree nodes copied before a write.
     pub nodes_copied: u64,
+    /// Chunks of page and node handles copied before a write (or an
+    /// append) into one shared with another clone: at most one per chunk
+    /// per clone, each ≤ [`crate::spine::CHUNK`] refcount bumps.
+    pub chunks_copied: u64,
 }
 
 /// Cumulative, thread-safe counters kept by a [`crate::Database`].
@@ -56,8 +60,9 @@ pub struct DbCounters {
     pub bytes_out: AtomicU64,
     /// Tables unshared by copy-on-write (`Database::table_mut` on a table
     /// shared with another clone): the table gets its own page and node
-    /// spines, the pages and nodes themselves stay shared until written
-    /// ([`CowStats`] counts those). Shared between clones like the other
+    /// spines at one refcount bump per chunk of handles; the chunks, pages
+    /// and nodes themselves stay shared until written ([`CowStats`] counts
+    /// those). Shared between clones like the other
     /// counters, so a snapshot-serving layer can attribute what one
     /// mutation pays for by sampling around it.
     pub cow_table_copies: AtomicU64,

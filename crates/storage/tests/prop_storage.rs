@@ -4,10 +4,13 @@ use kyrix_storage::btree::BPlusTree;
 use kyrix_storage::hash_index::HashIndex;
 use kyrix_storage::page::Page;
 use kyrix_storage::rtree::RTree;
+use kyrix_storage::spine::{Copies, Spine, CHUNK};
 use kyrix_storage::{
     CowStats, DataType, IndexKind, RecordId, Rect, Row, Schema, SpatialCols, Table, Value,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
@@ -694,8 +697,190 @@ fn cow_batch_copies_what_it_touches() {
         "{both:?} after {deletes:?}, heights {rtree_height} + {btree_height}"
     );
     assert!(both.pages_copied <= 130 && both.nodes_copied <= 128 * rtree_height.max(btree_height));
+    // a chunk of handles is copied only on the way to a page or node it
+    // holds (or once for the append at a spine's end)
+    assert!(deletes.chunks_copied <= deletes.pages_copied + deletes.nodes_copied);
+    assert!(both.chunks_copied <= both.pages_copied + both.nodes_copied);
 
     // the original paid nothing and lost nothing
     assert_eq!(base.cow_stats(), CowStats::default());
     assert_eq!((base.len(), next.len()), (N as usize, N as usize));
+}
+
+// ------------------------------------------------------------------ spine
+
+/// An element whose `clone` is counted: an element copy is exactly one.
+struct Counted {
+    value: u32,
+    clones: Rc<Cell<u64>>,
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        self.clones.set(self.clones.get() + 1);
+        Counted {
+            value: self.value,
+            clones: Rc::clone(&self.clones),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum SpineOp {
+    Push(u8),
+    Write(u8, u16),
+    Clone(u8),
+    Drop(u8),
+}
+
+/// Pushes and writes four times as often as clones and drops.
+fn arb_spine_op() -> impl Strategy<Value = SpineOp> {
+    (0u8..10, any::<u8>(), any::<u16>()).prop_map(|(kind, s, i)| match kind {
+        0..=3 => SpineOp::Push(s),
+        4..=7 => SpineOp::Write(s, i),
+        8 => SpineOp::Clone(s),
+        _ => SpineOp::Drop(s),
+    })
+}
+
+/// One live clone as the model sees it: its values, the physical chunks it
+/// holds (ids into [`SpineModel::chunks`]) and the copies it has counted.
+#[derive(Clone)]
+struct CloneModel {
+    values: Vec<u32>,
+    chunks: Vec<usize>,
+    copies: Copies,
+}
+
+/// Every chunk allocation ever made, as the element ids it holds. A chunk
+/// is shared when more than one live clone holds it; an element when more
+/// than one chunk some live clone holds contains it.
+struct SpineModel {
+    chunks: Vec<Vec<usize>>,
+    next_element: usize,
+}
+
+impl SpineModel {
+    fn chunk_holders(clones: &[CloneModel], chunk: usize) -> usize {
+        clones.iter().filter(|c| c.chunks.contains(&chunk)).count()
+    }
+
+    fn element_holders(&self, clones: &[CloneModel], element: usize) -> usize {
+        let mut live: Vec<usize> = clones
+            .iter()
+            .flat_map(|c| c.chunks.iter().copied())
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        live.iter()
+            .filter(|&&c| self.chunks[c].contains(&element))
+            .count()
+    }
+
+    fn new_element(&mut self) -> usize {
+        self.next_element += 1;
+        self.next_element
+    }
+
+    /// Give clone `s` its own copy of chunk `c` if another clone holds it.
+    fn unshare_chunk(&mut self, clones: &mut [CloneModel], s: usize, c: usize) {
+        let id = clones[s].chunks[c];
+        if Self::chunk_holders(clones, id) > 1 {
+            self.chunks.push(self.chunks[id].clone());
+            clones[s].chunks[c] = self.chunks.len() - 1;
+            clones[s].copies.chunks += 1;
+        }
+    }
+
+    fn push(&mut self, clones: &mut [CloneModel], s: usize, value: u32) {
+        let element = self.new_element();
+        if clones[s].values.len().is_multiple_of(CHUNK) {
+            self.chunks.push(vec![element]);
+            clones[s].chunks.push(self.chunks.len() - 1);
+        } else {
+            let c = clones[s].chunks.len() - 1;
+            self.unshare_chunk(clones, s, c);
+            self.chunks[clones[s].chunks[c]].push(element);
+        }
+        clones[s].values.push(value);
+    }
+
+    /// Returns whether the element was copied.
+    fn write(&mut self, clones: &mut [CloneModel], s: usize, i: usize, value: u32) -> bool {
+        let (c, slot) = (i / CHUNK, i % CHUNK);
+        self.unshare_chunk(clones, s, c);
+        let id = clones[s].chunks[c];
+        let element = self.chunks[id][slot];
+        let copied = self.element_holders(clones, element) > 1;
+        if copied {
+            self.chunks[id][slot] = self.new_element();
+            clones[s].copies.elements += 1;
+        }
+        clones[s].values[i] = value;
+        copied
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Push / write / clone / drop interleavings against a `Vec` per live
+    /// clone: every clone reads its own values (writes never leak into
+    /// another), and the copy tallies and the element clones are exactly
+    /// what the model's sharing predicts. A refused write (index out of
+    /// range) copies nothing.
+    #[test]
+    fn spine_matches_a_model_per_clone(
+        ops in prop::collection::vec(arb_spine_op(), 1..200),
+    ) {
+        let clones_made = Rc::new(Cell::new(0u64));
+        let mut spines: Vec<Spine<Counted>> = vec![Spine::new()];
+        let mut models = vec![CloneModel { values: Vec::new(), chunks: Vec::new(), copies: Copies::default() }];
+        let mut model = SpineModel { chunks: Vec::new(), next_element: 0 };
+        let mut element_copies = 0u64;
+        for (step, op) in ops.into_iter().enumerate() {
+            let value = step as u32;
+            match op {
+                SpineOp::Push(s) => {
+                    let s = s as usize % spines.len();
+                    let at = spines[s].push(Counted { value, clones: Rc::clone(&clones_made) });
+                    prop_assert_eq!(at, models[s].values.len());
+                    model.push(&mut models, s, value);
+                }
+                SpineOp::Write(s, i) => {
+                    let s = s as usize % spines.len();
+                    // a quarter of the writes land past the end
+                    let len = models[s].values.len();
+                    let i = i as usize % (len + len / 4 + 1);
+                    match spines[s].get_mut(i) {
+                        Some(element) => {
+                            prop_assert!(i < len);
+                            element.value = value;
+                            element_copies += u64::from(model.write(&mut models, s, i, value));
+                        }
+                        None => prop_assert!(i >= len),
+                    }
+                }
+                SpineOp::Clone(s) => {
+                    let s = s as usize % spines.len();
+                    spines.push(spines[s].clone());
+                    models.push(models[s].clone());
+                }
+                SpineOp::Drop(s) if spines.len() > 1 => {
+                    let s = s as usize % spines.len();
+                    spines.swap_remove(s);
+                    models.swap_remove(s);
+                }
+                SpineOp::Drop(_) => {}
+            }
+            for (spine, m) in spines.iter().zip(&models) {
+                let got: Vec<u32> = spine.iter().map(|e| e.value).collect();
+                prop_assert_eq!(&got, &m.values);
+                prop_assert_eq!(spine.len(), m.values.len());
+                prop_assert_eq!(spine.chunk_count(), m.chunks.len());
+                prop_assert_eq!(spine.copies(), m.copies, "step {}", step);
+            }
+            prop_assert_eq!(clones_made.get(), element_copies);
+        }
+    }
 }
