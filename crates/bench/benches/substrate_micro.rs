@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the substrate extensions: SQL aggregation,
-//! placement-by-example synthesis, and what a write batch on a
-//! copy-on-write clone costs over the same batch in place.
+//! Micro-benchmarks of the substrate extensions: SQL aggregation, and what
+//! a write batch on a copy-on-write clone costs over the same batch in
+//! place.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kyrix_bench::ExperimentConfig;
-use kyrix_core::{synthesize_placement, PlacementExample};
-use kyrix_storage::{DataType, Database, RecordId, Row, Schema, Table, Value};
+use kyrix_storage::{Database, RecordId, Row, Table, Value};
 use kyrix_workload::{index_galaxy, load_uniform, load_zipf_galaxy, GalaxyConfig};
 
 fn dots_db() -> (Database, usize) {
@@ -46,38 +45,6 @@ fn bench_sql_aggregate(c: &mut Criterion) {
             .expect("aggregates")
         })
     });
-    group.finish();
-}
-
-/// Placement-by-example synthesis cost over growing example sets.
-fn bench_by_example(c: &mut Criterion) {
-    let schema = Schema::empty()
-        .with("id", DataType::Int)
-        .with("lng", DataType::Float)
-        .with("lat", DataType::Float)
-        .with("pop", DataType::Float);
-    let examples: Vec<PlacementExample> = (0..200)
-        .map(|i| {
-            let lng = -120.0 + i as f64 * 0.25;
-            let lat = 25.0 + (i % 23) as f64;
-            PlacementExample::new(
-                Row::new(vec![
-                    Value::Int(i),
-                    Value::Float(lng),
-                    Value::Float(lat),
-                    Value::Float(i as f64 * 1e4),
-                ]),
-                5.0 * lng + 1000.0,
-                -8.0 * lat + 900.0,
-            )
-        })
-        .collect();
-    let mut group = c.benchmark_group("by_example");
-    for n in [4usize, 50, 200] {
-        group.bench_function(format!("synthesize_{n}"), |b| {
-            b.iter(|| synthesize_placement(&schema, &examples[..n], 0.1).expect("fit"))
-        });
-    }
     group.finish();
 }
 
@@ -133,10 +100,5 @@ fn bench_cow_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sql_aggregate,
-    bench_by_example,
-    bench_cow_batch
-);
+criterion_group!(benches, bench_sql_aggregate, bench_cow_batch);
 criterion_main!(benches);

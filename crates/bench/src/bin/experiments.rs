@@ -9,24 +9,20 @@
 //!
 //! Subcommands: `fig6`, `fig7`, `separability`, `prefetch`,
 //! `prefetch-policy`, `parallel`, `latency`, `boxsweep`, `cache`, `lod`,
-//! `load`, `shard`, `all`. `--small` shrinks the dataset for quick runs;
+//! `all` (the default). `--small` shrinks the dataset for quick runs;
 //! `lod --points N` runs only the pyramid part of `lod`, on a galaxy of
-//! `N` points at the million set's density.
-//! `--telemetry <path>` writes the load (or shard) run's full telemetry
-//! registry (spans, counters, gauges) as JSON to `<path>`.
+//! `N` points at the million set's density. Any other flag, a second
+//! subcommand or an unknown one exits 2 with the usage line.
 
 use kyrix_bench::{
     build_database, dots_on_grid, figure_table, galaxy_at_million_density, launch_scheme,
-    load_table, paper_traces, proc_status_mb, run_cell, run_figure, run_load, run_lod_experiment,
-    run_lod_maintenance, run_lod_plan_comparison, run_shard_scaleup, shard_table, span_table,
-    Dataset, ExperimentConfig, LoadConfig, LodExperiment,
+    paper_traces, proc_status_mb, run_cell, run_figure, run_lod_experiment, run_lod_maintenance,
+    run_lod_plan_comparison, Dataset, ExperimentConfig, LodExperiment,
 };
 use kyrix_client::{run_trace, Session};
 use kyrix_core::compile;
 use kyrix_parallel::scatter_gather;
-use kyrix_server::{
-    BoxPolicy, CostModel, FetchPlan, KyrixServer, PrefetchPolicy, ServerConfig, TileDesign,
-};
+use kyrix_server::{BoxPolicy, FetchPlan, KyrixServer, PrefetchPolicy, ServerConfig, TileDesign};
 use kyrix_storage::{Database, Value};
 use kyrix_workload::{
     dots_app, index_dots, load_uniform, load_usmap, straight_pan, usmap_app, GalaxyConfig,
@@ -34,6 +30,47 @@ use kyrix_workload::{
 };
 use std::sync::Arc;
 use std::time::Instant;
+
+const USAGE: &str = "usage: experiments [fig6|fig7|separability|prefetch|prefetch-policy|\
+                     parallel|latency|boxsweep|cache|lod|all] [--small] [--points N]";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    what: String,
+    small: bool,
+    points: Option<usize>,
+}
+
+/// Parse the arguments after the program name; `Err` is the message
+/// printed above the usage line.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut what = None;
+    let mut small = false;
+    let mut points = None;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--small" => small = true,
+            "--points" => {
+                let n = args
+                    .next()
+                    .and_then(|n| n.replace('_', "").parse().ok())
+                    .filter(|n| *n > 0)
+                    .ok_or("--points takes a positive point count")?;
+                points = Some(n);
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            sub if what.is_some() => return Err(format!("unexpected argument `{sub}`")),
+            sub => what = Some(sub.to_string()),
+        }
+    }
+    Ok(Args {
+        what: what.unwrap_or_else(|| "all".to_string()),
+        small,
+        points,
+    })
+}
 
 fn config(small: bool) -> ExperimentConfig {
     if small {
@@ -45,33 +82,48 @@ fn config(small: bool) -> ExperimentConfig {
     }
 }
 
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    let telemetry_idx = args.iter().position(|a| a == "--telemetry");
-    let telemetry: Option<String> = telemetry_idx.and_then(|i| args.get(i + 1)).cloned();
-    let points_idx = args.iter().position(|a| a == "--points");
-    let points: Option<usize> = points_idx.map(|i| {
-        let n = args
-            .get(i + 1)
-            .and_then(|n| n.replace('_', "").parse().ok());
-        n.filter(|n| *n > 0).unwrap_or_else(|| {
-            eprintln!("--points takes a positive point count");
-            std::process::exit(2);
-        })
-    });
-    let value_of = |flag: Option<usize>| flag.map(|f| f + 1);
-    let what = args
-        .iter()
-        .enumerate()
-        // skip flags and the flags' values when finding the subcommand
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && Some(*i) != value_of(telemetry_idx)
-                && Some(*i) != value_of(points_idx)
-        })
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".to_string());
+    let Args {
+        what,
+        small,
+        points,
+    } = parse_args(&args).unwrap_or_else(|msg| usage_exit(&msg));
+    // resolve the subcommand before printing anything, so a typo exits
+    // with the usage line alone
+    let run: Box<dyn Fn(&ExperimentConfig)> = match what.as_str() {
+        "fig6" => Box::new(fig6),
+        "fig7" => Box::new(fig7),
+        "separability" => Box::new(separability),
+        "prefetch" => Box::new(prefetch),
+        "prefetch-policy" => Box::new(prefetch_policy),
+        "parallel" => Box::new(parallel),
+        "latency" => Box::new(|_| latency()),
+        "boxsweep" => Box::new(boxsweep),
+        "cache" => Box::new(cache),
+        "lod" => Box::new(move |_| match points {
+            Some(n) => lod_pyramid(&galaxy_at_million_density(n)),
+            None => lod(small),
+        }),
+        "all" => Box::new(move |cfg| {
+            fig6(cfg);
+            fig7(cfg);
+            separability(cfg);
+            prefetch(cfg);
+            prefetch_policy(cfg);
+            parallel(cfg);
+            latency();
+            boxsweep(cfg);
+            cache(cfg);
+            lod(small);
+        }),
+        other => usage_exit(&format!("unknown experiment `{other}`")),
+    };
     let cfg = config(small);
 
     println!("# Kyrix reproduction — experiment run");
@@ -94,41 +146,7 @@ fn main() {
         cfg.cost.bytes_per_ms / 1000.0
     );
 
-    match what.as_str() {
-        "fig6" => fig6(&cfg),
-        "fig7" => fig7(&cfg),
-        "separability" => separability(&cfg),
-        "prefetch" => prefetch(&cfg),
-        "prefetch-policy" => prefetch_policy(&cfg),
-        "parallel" => parallel(&cfg),
-        "latency" => latency(),
-        "boxsweep" => boxsweep(&cfg),
-        "cache" => cache(&cfg),
-        "lod" => match points {
-            Some(n) => lod_pyramid(&galaxy_at_million_density(n)),
-            None => lod(small),
-        },
-        "load" => load(small, telemetry.as_deref()),
-        "shard" => shard(small, telemetry.as_deref()),
-        "all" => {
-            fig6(&cfg);
-            fig7(&cfg);
-            separability(&cfg);
-            prefetch(&cfg);
-            prefetch_policy(&cfg);
-            parallel(&cfg);
-            latency();
-            boxsweep(&cfg);
-            cache(&cfg);
-            lod(small);
-            load(small, telemetry.as_deref());
-            shard(small, telemetry.as_deref());
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            std::process::exit(2);
-        }
-    }
+    run(&cfg);
 }
 
 /// Figure 6: average response times on Uniform.
@@ -542,91 +560,6 @@ fn cache(cfg: &ExperimentConfig) {
         );
     }
     println!();
-    let _ = CostModel::zero(); // referenced so the import is intentional
-}
-
-/// Concurrent serving under live mutation: N sessions replay zoom walks
-/// over the LoD pyramid while a mutator thread folds insert/delete
-/// batches into it through the server's versioned-snapshot store. The
-/// headline number is the interaction tail latency (p99). The per-span
-/// breakdown under the table comes straight from the run's telemetry
-/// registry; `--telemetry <path>` dumps that registry as JSON.
-fn load(small: bool, telemetry: Option<&str>) {
-    let lcfg = if small {
-        LoadConfig::small()
-    } else {
-        LoadConfig::default_bench()
-    };
-    let started = Instant::now();
-    println!(
-        "## Concurrent load — {} sessions x {} lap(s) over a {}-point galaxy, \
-         mutator batch {}\n",
-        lcfg.sessions, lcfg.laps, lcfg.galaxy.n, lcfg.mutate_batch
-    );
-    let r = run_load(&lcfg);
-    print!(
-        "{}",
-        load_table("Interaction latency under a live mutator", &r)
-    );
-    println!();
-    print!("{}", span_table(&r));
-    if let Some(path) = telemetry {
-        std::fs::write(path, &r.telemetry_json).expect("write telemetry dump");
-        println!("\n(telemetry registry dumped to {path})");
-    }
-    println!("\n(ran in {:.1}s)\n", started.elapsed().as_secs_f64());
-}
-
-/// §4: the sharded serving engine — the LoD pyramid built *on* a shard
-/// grid with `build_pyramid_on_shards`, served through the scatter-gather
-/// backend (`KyrixServer::launch_sharded`), from one shard (served
-/// inline, the baseline) up, on the same data and the same cold zoom
-/// walk. Every grid
-/// returns the same tuples (the parity guarantee the `prop_shard_serve`
-/// suite pins); what moves is latency: routed viewports touch a constant
-/// number of cells, so each shard probes a shrinking R-tree, and the
-/// per-shard probes run on real threads. `--telemetry <path>` dumps the
-/// widest sharded run's registry (the `span.shard.*` spans and the
-/// `fetch.shard{i}` family) as JSON.
-fn shard(small: bool, telemetry: Option<&str>) {
-    let started = Instant::now();
-    let g = if small {
-        GalaxyConfig::tiny()
-    } else {
-        GalaxyConfig::million()
-    };
-    let (levels, spacing, viewport, steps) = if small {
-        (2, 16.0, (256.0, 256.0), 3)
-    } else {
-        (3, 24.0, (1024.0, 1024.0), 6)
-    };
-    println!(
-        "(host parallelism: {} hardware thread(s); wall-time speedup needs >1)\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    let grids: &[(u32, u32)] = &[(1, 1), (2, 1), (2, 2), (4, 2)];
-    let rows = run_shard_scaleup(&g, levels, spacing, viewport, steps, grids);
-    print!(
-        "{}",
-        shard_table(
-            &format!(
-                "Sharded serving scale-up — zipf_galaxy, {} points, cold zoom walk",
-                g.n
-            ),
-            &rows
-        )
-    );
-    if let Some(path) = telemetry {
-        let widest = rows.last().expect("at least one grid");
-        std::fs::write(path, &widest.telemetry_json).expect("write telemetry dump");
-        println!(
-            "\n(telemetry registry of the {} run dumped to {path})",
-            widest.label
-        );
-    }
-    println!("\n(ran in {:.1}s)\n", started.elapsed().as_secs_f64());
 }
 
 /// The pyramid part of the LoD experiment on one galaxy: set-up stage
@@ -867,4 +800,49 @@ fn sql_fast_paths(g: &GalaxyConfig) {
         );
     }
     println!("\nEXPLAIN dump:\n\n```\n{dump}```\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_subcommand_small_and_points_in_any_order() {
+        let all = Args {
+            what: "all".into(),
+            small: false,
+            points: None,
+        };
+        assert_eq!(parse(&[]), Ok(all));
+        let lod = Args {
+            what: "lod".into(),
+            small: true,
+            points: Some(200_000),
+        };
+        assert_eq!(parse(&["lod", "--small", "--points", "200_000"]), Ok(lod));
+        let lod = parse(&["--points", "5", "--small", "lod"]).unwrap();
+        assert_eq!(
+            (lod.what.as_str(), lod.small, lod.points),
+            ("lod", true, Some(5))
+        );
+    }
+
+    #[test]
+    fn refuses_unknown_flags_and_bad_values() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["lod", "--telemetry", "t.json"],
+            &["--points"],
+            &["lod", "--points", "0"],
+            &["lod", "--points", "many"],
+            &["fig6", "fig7"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} parsed");
+        }
+    }
 }

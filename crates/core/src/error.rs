@@ -36,8 +36,6 @@ pub enum CoreError {
     Expr(kyrix_expr::ExprError),
     /// JSON syntax or shape error.
     Json(String),
-    /// Placement-by-example synthesis failed (paper §4).
-    ByExample(String),
 }
 
 impl fmt::Display for CoreError {
@@ -53,7 +51,6 @@ impl fmt::Display for CoreError {
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
             CoreError::Expr(e) => write!(f, "expression error: {e}"),
             CoreError::Json(m) => write!(f, "json error: {m}"),
-            CoreError::ByExample(m) => write!(f, "placement-by-example: {m}"),
         }
     }
 }

@@ -36,7 +36,6 @@
 //! ```
 
 pub mod app;
-pub mod by_example;
 pub mod canvas;
 pub mod compiler;
 pub mod error;
@@ -48,7 +47,6 @@ pub mod transform;
 pub mod zoom;
 
 pub use app::AppSpec;
-pub use by_example::{synthesize_placement, AxisFit, PlacementExample, SynthesizedPlacement};
 pub use canvas::{CanvasSpec, LayerSpec, PlanHint};
 pub use compiler::{
     compile, CompiledApp, CompiledCanvas, CompiledJump, CompiledLayer, CompiledTransform,

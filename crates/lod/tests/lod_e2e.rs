@@ -598,6 +598,9 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     .unwrap();
     let server = Arc::new(server);
     assert_eq!(server.data_version(), 0);
+    // pyramid repairs report into the serving registry, beside the
+    // mutation that triggered them
+    pyramid.set_observability(server.obs());
 
     // a session zooms from the coarsest level down to raw
     let (mut session, first) = Session::open(server.clone()).unwrap();
@@ -746,6 +749,50 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     // zoom back in: the tiled level refetches what changed and serves
     let step = session.pan_by(64.0, 64.0).unwrap();
     assert!(step.visible_rows > 0);
+
+    // ---- telemetry: every life-of-request and life-of-mutation span,
+    // the copy-on-write counters and the heap-page counter recorded
+    // observations, and the registry dump names each of them
+    let obs = server.obs();
+    let spans = obs.histograms();
+    let observations = |name: &str| {
+        spans
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, s)| s.count())
+    };
+    let dump = server.telemetry_json();
+    for span in [
+        "span.session.interaction",
+        "span.plan.resolve",
+        "span.fetch.region",
+        "span.snapshot.pin",
+        "span.cache.lookup",
+        "span.sql.execute",
+        "span.merge",
+        "span.cow.clone",
+        "span.publish",
+        "span.snapshot.retire",
+    ] {
+        assert!(observations(span) > 0, "no observations in {span}");
+        assert!(dump.contains(&format!("\"{span}\"")), "dump misses {span}");
+    }
+    // one mutation span and one pyramid repair per mutation
+    assert_eq!(observations("span.mutate.raw"), 2);
+    assert_eq!(observations("span.pyramid.repair"), 2);
+    for counter in [
+        "snapshot.cow_pages_copied",
+        "snapshot.cow_nodes_copied",
+        "snapshot.cow_chunks_copied",
+        "sql.heap_pages",
+    ] {
+        assert!(obs.counter(counter).get() > 0, "{counter} stayed at 0");
+        assert!(
+            dump.contains(&format!("\"{counter}\"")),
+            "dump misses {counter}"
+        );
+    }
+
     let n_final = (g.n - 100) as i64;
     for k in 1..=LEVELS {
         let r = server

@@ -231,6 +231,17 @@ fn sharded_mutations_serve_live_end_to_end() {
     // the far session's cached region was not invalidated
     let far_step = far_session.pan_by(0.0, 0.0).unwrap();
     assert_eq!(far_step.fetch.requests, 0, "far region stays cached");
+    // the seam refetch merged shard results, shard runs counted the heap
+    // pages their rows came from, and the mutation tallied its copies
+    assert!(observations("span.shard.merge") > 0);
+    for counter in [
+        "sql.heap_pages",
+        "snapshot.cow_pages_copied",
+        "snapshot.cow_nodes_copied",
+        "snapshot.cow_chunks_copied",
+    ] {
+        assert!(obs.counter(counter).get() > 0, "{counter} stayed at 0");
+    }
 
     // conservation across the merged shards, on every clustered level
     for k in 1..=levels {

@@ -25,8 +25,7 @@
 //!   into a `span.<name>` histogram on drop, track per-thread nesting
 //!   depth, and (while a capture is active) append [`SpanEvent`]s to a
 //!   bounded ring for a renderable text trace ([`render_trace`]) or the
-//!   machine-readable JSON dump ([`Registry::to_json`]) that feeds
-//!   `BENCH_*.json`.
+//!   machine-readable JSON dump ([`Registry::to_json`]).
 //!
 //! ```
 //! use kyrix_obs::Registry;

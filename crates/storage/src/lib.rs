@@ -12,9 +12,7 @@
 //!   *spatial* design,
 //! * a **SQL layer** ([`sql`]) whose planner picks between those access
 //!   paths exactly the way the paper's two database designs require, with
-//!   aggregates/GROUP BY, DML, DDL, and EXPLAIN on top,
-//! * a **snapshot file format** ([`persist`]) — the only on-disk form of
-//!   a database; loading validates every length and tag it reads.
+//!   aggregates/GROUP BY, DML, DDL, and EXPLAIN on top.
 //!
 //! A [`Database`] is a plain value: a clone shares pages and index nodes
 //! with the original, and a write copies the page and the root-to-leaf
@@ -63,7 +61,6 @@ pub mod geom;
 pub mod hash_index;
 pub mod heap;
 pub mod page;
-pub mod persist;
 pub mod row;
 pub mod rtree;
 pub mod schema;

@@ -9,10 +9,10 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`storage`] | `kyrix-storage` | embedded DBMS: heap tables, B+tree / hash / R-tree indexes, SQL with aggregates/DML, snapshot files |
+//! | [`storage`] | `kyrix-storage` | embedded DBMS: heap tables, B+tree / hash / R-tree indexes, SQL with aggregates/DML |
 //! | [`parallel`] | `kyrix-parallel` | partitioned scatter-gather execution (§4 multi-node) |
 //! | [`expr`] | `kyrix-expr` | the declarative expression language (placements, selectors, encodings) |
-//! | [`core`] | `kyrix-core` | canvases, layers, jumps + the spec compiler + placement-by-example (§4) |
+//! | [`core`] | `kyrix-core` | canvases, layers, jumps + the spec compiler |
 //! | [`lod`] | `kyrix-lod` | automatic zoom-level hierarchy: overlap-bounded cluster pyramids + generated multi-level apps |
 //! | [`render`] | `kyrix-render` | software rasterizer (marks, scales, PPM export) |
 //! | [`server`] | `kyrix-server` | backend: tiles, dynamic boxes, precompute, caches, momentum/semantic prefetch |
@@ -76,9 +76,8 @@ pub mod prelude {
         Viewport,
     };
     pub use kyrix_core::{
-        compile, link_zoom_levels, synthesize_placement, AppSpec, AxisFit, CanvasSpec, CompiledApp,
-        JumpSpec, JumpType, LayerSpec, MarkEncoding, PlacementExample, PlacementSpec, PlanHint,
-        RampKind, RenderSpec, SynthesizedPlacement, TransformSpec, ZoomLevelRef,
+        compile, link_zoom_levels, AppSpec, CanvasSpec, CompiledApp, JumpSpec, JumpType, LayerSpec,
+        MarkEncoding, PlacementSpec, PlanHint, RampKind, RenderSpec, TransformSpec, ZoomLevelRef,
     };
     pub use kyrix_expr::{as_affine, eval, parse, Compiled, Expr, VarMap};
     pub use kyrix_lod::{build_pyramid, build_pyramid_on_shards, lod_app, LodConfig, LodPyramid};

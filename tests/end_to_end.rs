@@ -157,35 +157,6 @@ fn interactions_within_500ms() {
     }
 }
 
-/// A database snapshot can be reloaded and served without regenerating
-/// data — the durable-substrate path (DESIGN.md: PostgreSQL substitution).
-#[test]
-fn snapshot_reload_serves_identically() {
-    let db = usmap_db();
-    let mut path = std::env::temp_dir();
-    path.push(format!("kyrix_e2e_snapshot_{}", std::process::id()));
-    db.save_to(&path).unwrap();
-    let reloaded = Database::load_from(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let states_before = db.table("states").unwrap().len();
-    assert_eq!(reloaded.table("states").unwrap().len(), states_before);
-
-    let app = compile(&usmap_app(), &reloaded).unwrap();
-    let (server, _) = KyrixServer::launch(
-        app,
-        reloaded,
-        ServerConfig::new(FetchPlan::DynamicBox {
-            policy: BoxPolicy::Exact,
-        }),
-    )
-    .unwrap();
-    let (mut session, first) = Session::open(Arc::new(server)).unwrap();
-    assert!(first.visible_rows > 0);
-    let step = session.pan_by(90.0, 45.0).unwrap();
-    assert!(step.modeled_ms <= 500.0);
-}
-
 /// Jumps with no explicit viewport function scale the center geometrically.
 #[test]
 fn geometric_jump_scales_center() {
