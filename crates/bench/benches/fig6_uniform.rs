@@ -6,9 +6,7 @@
 //! 6-step (trace c) viewport trace under the paper's cold-cache protocol.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kyrix_bench::{
-    launch_scheme, paper_schemes, paper_traces, run_cell_with, CacheMode, Dataset, ExperimentConfig,
-};
+use kyrix_bench::{paper_schemes, paper_traces, Dataset, ExperimentConfig, LaunchedScheme};
 
 pub fn bench_config() -> ExperimentConfig {
     // paper density on a 20x16 grid of 512-unit reference tiles: keeps each
@@ -34,15 +32,13 @@ fn fig6(c: &mut Criterion) {
     let cfg = bench_config();
     let mut group = c.benchmark_group("fig6_uniform");
     group.sample_size(10);
-    for plan in paper_schemes(cfg.trace_tile) {
-        let (server, _) = launch_scheme(Dataset::Uniform, &cfg, plan);
+    for scheme in paper_schemes(cfg.trace_tile) {
+        let (launched, _) = LaunchedScheme::launch(Dataset::Uniform, &cfg, scheme);
         for (trace_name, start, moves) in paper_traces(&cfg) {
             group.bench_with_input(
-                BenchmarkId::new(plan.label(), trace_name),
+                BenchmarkId::new(scheme.label(), trace_name),
                 &moves,
-                |b, moves| {
-                    b.iter(|| run_cell_with(&server, start, moves, 1, CacheMode::PaperCold));
-                },
+                |b, moves| b.iter(|| launched.run_cell(start, moves, 1)),
             );
         }
     }

@@ -3,9 +3,7 @@
 //! dots in 20% of the canvas area).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kyrix_bench::{
-    launch_scheme, paper_schemes, paper_traces, run_cell_with, CacheMode, Dataset, ExperimentConfig,
-};
+use kyrix_bench::{paper_schemes, paper_traces, Dataset, ExperimentConfig, LaunchedScheme};
 use kyrix_workload::SkewConfig;
 
 fn bench_config() -> ExperimentConfig {
@@ -31,15 +29,13 @@ fn fig7(c: &mut Criterion) {
     let dataset = Dataset::Skewed(SkewConfig::default());
     let mut group = c.benchmark_group("fig7_skewed");
     group.sample_size(10);
-    for plan in paper_schemes(cfg.trace_tile) {
-        let (server, _) = launch_scheme(dataset, &cfg, plan);
+    for scheme in paper_schemes(cfg.trace_tile) {
+        let (launched, _) = LaunchedScheme::launch(dataset, &cfg, scheme);
         for (trace_name, start, moves) in paper_traces(&cfg) {
             group.bench_with_input(
-                BenchmarkId::new(plan.label(), trace_name),
+                BenchmarkId::new(scheme.label(), trace_name),
                 &moves,
-                |b, moves| {
-                    b.iter(|| run_cell_with(&server, start, moves, 1, CacheMode::PaperCold));
-                },
+                |b, moves| b.iter(|| launched.run_cell(start, moves, 1)),
             );
         }
     }

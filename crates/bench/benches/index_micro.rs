@@ -2,13 +2,10 @@
 //! whose relative costs drive the Figure 6/7 shapes:
 //!
 //! * R-tree rectangle queries (the spatial design's unit of work),
-//! * B-tree equality runs + hash probes (the mapping design's join),
 //! * STR bulk loading vs. incremental R-tree inserts (precompute cost),
 //! * end-to-end SQL for one tile via both database designs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kyrix_storage::btree::BPlusTree;
-use kyrix_storage::hash_index::HashIndex;
 use kyrix_storage::rtree::RTree;
 use kyrix_storage::{
     DataType, Database, IndexKind, Prepared, Rect, Row, Schema, SpatialCols, Value,
@@ -68,38 +65,6 @@ fn rtree_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn btree_and_hash(c: &mut Criterion) {
-    // the mapping design: a B-tree from tile ids to tuple ids (duplicates)
-    // and a hash index over tuple ids
-    let mut bt: BPlusTree<i64, u64> = BPlusTree::new();
-    let mut hash: HashIndex<u64, u64> = HashIndex::new();
-    let mut rng = SmallRng::seed_from_u64(3);
-    for i in 0..N as u64 {
-        bt.insert(rng.gen_range(0..1000i64), i);
-        hash.insert(i, i);
-    }
-    let mut group = c.benchmark_group("index_micro/mapping_indexes");
-    group.bench_function("btree_tile_run_of_100", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            bt.for_each_eq(&500, |_| n += 1);
-            n
-        });
-    });
-    group.bench_function("hash_probe_x100", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for k in 0..100u64 {
-                if let Some(v) = hash.get_first(&(k * 997)) {
-                    acc += *v;
-                }
-            }
-            acc
-        });
-    });
-    group.finish();
-}
-
 /// One tile fetched end-to-end through SQL via both database designs.
 fn sql_designs(c: &mut Criterion) {
     let tile = 1000.0;
@@ -136,8 +101,8 @@ fn sql_designs(c: &mut Criterion) {
     }
     db.create_index(
         "rec",
-        "h",
-        IndexKind::Hash {
+        "bt_tuple",
+        IndexKind::BTree {
             column: "tuple_id".into(),
         },
     )
@@ -286,7 +251,6 @@ criterion_group!(
     benches,
     rtree_query,
     rtree_build,
-    btree_and_hash,
     sql_designs,
     sql_cold_tile_fetch
 );

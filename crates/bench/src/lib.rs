@@ -30,6 +30,10 @@
 //! assert!(rows[0].rebuild_ms > 0.0);
 //! ```
 
+pub mod mapping;
+
+pub use mapping::MappingReplay;
+
 use kyrix_client::{run_trace, Move, Session, TraceReport};
 use kyrix_core::compile;
 use kyrix_lod::{build_pyramid, lod_app, LodConfig, LodPyramid};
@@ -120,42 +124,50 @@ impl ExperimentConfig {
     }
 }
 
-/// The paper's eight fetching schemes (Figures 6–7 legend), parameterized
-/// by the reference tile so scaled-down configs stay proportionate:
-/// dbox, dbox 50%, tile spatial {t, t/4, 4t}, tile mapping {t, t/4, 4t}.
-pub fn paper_schemes(reference_tile: f64) -> Vec<FetchPlan> {
+/// One of the paper's eight fetching schemes (Figures 6–7 legend).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scheme {
+    /// A plan the Kyrix server serves.
+    Served(FetchPlan),
+    /// Static tiles of this edge length under the tuple–tile mapping
+    /// design, which only the harness builds ([`MappingReplay`]).
+    TileMapping(f64),
+}
+
+impl Scheme {
+    /// Legend label matching the paper's Figures 6–7.
+    pub fn label(&self) -> String {
+        match self {
+            Scheme::Served(plan) => plan.label(),
+            Scheme::TileMapping(size) => format!("tile mapping {}", *size as u64),
+        }
+    }
+}
+
+/// The paper's eight fetching schemes, parameterized by the reference tile
+/// so scaled-down configs stay proportionate: dbox, dbox 50%, tile spatial
+/// {t, t/4, 4t}, tile mapping {t, t/4, 4t}.
+pub fn paper_schemes(reference_tile: f64) -> Vec<Scheme> {
     let t = reference_tile;
+    let spatial = |size| {
+        Scheme::Served(FetchPlan::StaticTiles {
+            size,
+            design: TileDesign::SpatialIndex,
+        })
+    };
     vec![
-        FetchPlan::DynamicBox {
+        Scheme::Served(FetchPlan::DynamicBox {
             policy: BoxPolicy::Exact,
-        },
-        FetchPlan::DynamicBox {
+        }),
+        Scheme::Served(FetchPlan::DynamicBox {
             policy: BoxPolicy::PctLarger(0.5),
-        },
-        FetchPlan::StaticTiles {
-            size: t,
-            design: TileDesign::SpatialIndex,
-        },
-        FetchPlan::StaticTiles {
-            size: t / 4.0,
-            design: TileDesign::SpatialIndex,
-        },
-        FetchPlan::StaticTiles {
-            size: t * 4.0,
-            design: TileDesign::SpatialIndex,
-        },
-        FetchPlan::StaticTiles {
-            size: t,
-            design: TileDesign::TupleTileMapping,
-        },
-        FetchPlan::StaticTiles {
-            size: t / 4.0,
-            design: TileDesign::TupleTileMapping,
-        },
-        FetchPlan::StaticTiles {
-            size: t * 4.0,
-            design: TileDesign::TupleTileMapping,
-        },
+        }),
+        spatial(t),
+        spatial(t / 4.0),
+        spatial(t * 4.0),
+        Scheme::TileMapping(t),
+        Scheme::TileMapping(t / 4.0),
+        Scheme::TileMapping(t * 4.0),
     ]
 }
 
@@ -182,6 +194,51 @@ pub fn launch_scheme(
     let config = ServerConfig::new(plan).with_cost(cfg.cost);
     let (server, reports) = KyrixServer::launch(app, db, config).expect("server launches");
     (Arc::new(server), reports)
+}
+
+/// A scheme ready to replay traces on.
+pub enum LaunchedScheme {
+    /// A server launched under the scheme's plan.
+    Served(Arc<KyrixServer>),
+    /// The mapping design, built from a server on the spatial design.
+    Mapping(Box<MappingReplay>),
+}
+
+impl LaunchedScheme {
+    /// Launch `scheme` on the dataset; also returns the precompute wall
+    /// clock in ms (a mapping scheme's includes materializing the layer
+    /// table it copies).
+    pub fn launch(dataset: Dataset, cfg: &ExperimentConfig, scheme: Scheme) -> (Self, f64) {
+        let plan = match scheme {
+            Scheme::Served(plan) => plan,
+            Scheme::TileMapping(size) => FetchPlan::StaticTiles {
+                size,
+                design: TileDesign::SpatialIndex,
+            },
+        };
+        let (server, reports) = launch_scheme(dataset, cfg, plan);
+        let mut precompute_ms: f64 = reports
+            .iter()
+            .map(|r| r.elapsed.as_secs_f64() * 1000.0)
+            .sum();
+        let Scheme::TileMapping(size) = scheme else {
+            return (LaunchedScheme::Served(server), precompute_ms);
+        };
+        let started = Instant::now();
+        let replay = MappingReplay::build(&server, size).expect("mapping design builds");
+        precompute_ms += started.elapsed().as_secs_f64() * 1000.0;
+        (LaunchedScheme::Mapping(Box::new(replay)), precompute_ms)
+    }
+
+    /// One cell under the paper's cold-cache protocol ([`run_cell`]).
+    pub fn run_cell(&self, start: TraceStart, moves: &[Move], runs: usize) -> CellResult {
+        match self {
+            LaunchedScheme::Served(server) => run_cell(server, start, moves, runs),
+            LaunchedScheme::Mapping(replay) => {
+                replay.run_cell(start, moves, runs).expect("trace replays")
+            }
+        }
+    }
 }
 
 /// The three Figure 5 traces with their start positions for this config.
@@ -287,19 +344,15 @@ pub struct SchemeRow {
 pub fn run_figure(dataset: Dataset, cfg: &ExperimentConfig) -> Vec<SchemeRow> {
     let traces = paper_traces(cfg);
     let mut rows = Vec::new();
-    for plan in paper_schemes(cfg.trace_tile) {
-        let (server, reports) = launch_scheme(dataset, cfg, plan);
-        let precompute_ms: f64 = reports
-            .iter()
-            .map(|r| r.elapsed.as_secs_f64() * 1000.0)
-            .sum();
+    for scheme in paper_schemes(cfg.trace_tile) {
+        let (launched, precompute_ms) = LaunchedScheme::launch(dataset, cfg, scheme);
         let mut cells = Vec::new();
         for (name, start, moves) in &traces {
-            let cell = run_cell(&server, *start, moves, cfg.runs);
+            let cell = launched.run_cell(*start, moves, cfg.runs);
             cells.push((name.to_string(), cell));
         }
         rows.push(SchemeRow {
-            label: plan.label(),
+            label: scheme.label(),
             precompute_ms,
             cells,
         });
@@ -897,5 +950,18 @@ mod tests {
         // dbox issues exactly one request per step
         assert_eq!(dbox.last_run.total_requests(), 12);
         assert!(small.last_run.total_requests() > 12);
+        // the mapping design at the same tile size replays the same steps:
+        // one request and one query per covering tile, the same rows
+        let (mapping, _) = LaunchedScheme::launch(
+            Dataset::Uniform,
+            &cfg,
+            Scheme::TileMapping(cfg.trace_tile / 4.0),
+        );
+        let mapped = mapping.run_cell(start, &moves_b, 1).last_run;
+        let spatial = &small.last_run;
+        assert_eq!(mapped.total_requests(), spatial.total_requests());
+        assert_eq!(mapped.total_queries(), spatial.total_queries());
+        assert_eq!(mapped.total_rows(), spatial.total_rows());
+        assert_eq!(mapped.total_bytes(), spatial.total_bytes());
     }
 }

@@ -159,8 +159,8 @@ impl Snapshot {
 
     /// Pin a point-in-time view of one database (cheap: shares every table
     /// until the original mutates one). Used outside the serving path —
-    /// e.g. the tuner calibrates candidate plans against pinned snapshots
-    /// while it keeps mutating the launch database — so the version is 0.
+    /// e.g. to run a store's fetch against a copy of the data — so the
+    /// version is 0.
     pub fn pin(db: &Database) -> Self {
         Self::new(vec![db.clone()], None)
     }

@@ -9,7 +9,7 @@ pub enum ServerError {
     Storage(kyrix_storage::StorageError),
     /// Propagated app-compilation error.
     Core(kyrix_core::CoreError),
-    /// Misconfiguration (e.g. box fetch on a tile-mapping store).
+    /// Misconfiguration (e.g. a box request on a static-tile layer).
     Config(String),
     /// Unknown canvas/layer in a request.
     BadRequest(String),

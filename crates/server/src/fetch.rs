@@ -42,9 +42,8 @@ fn raw_query_rect(
     Ok(Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1)))
 }
 
-/// Fetch all layer rows intersecting a canvas rectangle with one query.
-/// Valid for spatial-index-backed stores (paper: dynamic boxes always use
-/// the spatial design; spatial static tiles also route through this).
+/// Fetch all layer rows intersecting a canvas rectangle with one query:
+/// a dynamic box, or one static tile ([`Tiling::tile_rect`]).
 ///
 /// Shard-count-agnostic: on a [`crate::Snapshot`] over several shards the
 /// `bbox && rect` predicate routes the query to the shards the rectangle
@@ -93,49 +92,12 @@ pub fn fetch_rect(
             metrics.bytes += rows.len() as u64 * GEOMETRY_WIRE_BYTES;
             Ok((rows, metrics))
         }
-        LayerStore::TileMapping { .. } => Err(ServerError::Config(
-            "rectangle fetch requires a spatial store (dynamic boxes always \
-             use the spatial design)"
-                .to_string(),
-        )),
-    }
-}
-
-/// Fetch one tile's rows with one query.
-pub fn fetch_tile(
-    db: &dyn SnapshotView,
-    store: &LayerStore,
-    tiling: Tiling,
-    tile: TileId,
-) -> Result<(Vec<Row>, FetchMetrics)> {
-    match store {
-        LayerStore::Static => Ok((Vec::new(), FetchMetrics::default())),
-        LayerStore::TileMapping {
-            tiling: store_tiling,
-            fetch,
-            ..
-        } => {
-            // exact comparison on purpose: both sizes originate from the
-            // same resolved plan value, so any difference is a real
-            // misconfiguration — an absolute epsilon (~2e-16) is meaningless
-            // next to realistic tile sizes (~256.0), where one ulp is ~6e-14
-            if store_tiling.size.to_bits() != tiling.size.to_bits() {
-                return Err(ServerError::Config(format!(
-                    "tile size mismatch: store has {}, request uses {}",
-                    store_tiling.size, tiling.size
-                )));
-            }
-            run_query(db, fetch, &[Value::Int(tile.key())])
-        }
-        LayerStore::Spatial { .. } | LayerStore::SeparableRaw { .. } => {
-            fetch_rect(db, store, &tiling.tile_rect(tile))
-        }
     }
 }
 
 /// The predicate one tile's fetch evaluates in the DBMS, replayed on an
-/// already-fetched layer row: `matches(row)` is true exactly when
-/// [`fetch_tile`] for that tile returns the row. The region merge uses it
+/// already-fetched layer row: `matches(row)` is true exactly when the
+/// tile's [`fetch_rect`] returns the row. The region merge uses it
 /// to tell which of several covering tiles saw a straddling mark first.
 pub(crate) enum TileMatcher {
     /// Separable store: the raw `(x, y)` lies in the tile's raw-space
@@ -147,13 +109,6 @@ pub(crate) enum TileMatcher {
     },
     /// Spatial store: the row's bounding box intersects the tile.
     Bbox { tile: Rect, layout: LayerRowLayout },
-    /// Tuple–tile mapping: the mapping table lists the tile for the row,
-    /// i.e. the tile is among [`Tiling::covering`] of its bounding box.
-    Mapped {
-        tiling: Tiling,
-        tile: TileId,
-        layout: LayerRowLayout,
-    },
 }
 
 impl TileMatcher {
@@ -179,11 +134,6 @@ impl TileMatcher {
                 x_col: *x_col,
                 y_col: *y_col,
             }),
-            LayerStore::TileMapping { layout, .. } => Some(TileMatcher::Mapped {
-                tiling,
-                tile,
-                layout: *layout,
-            }),
         })
     }
 
@@ -197,11 +147,6 @@ impl TileMatcher {
                 }
             }
             TileMatcher::Bbox { tile, layout } => layout.bbox(row).intersects(tile),
-            TileMatcher::Mapped {
-                tiling,
-                tile,
-                layout,
-            } => tiling.covers(&layout.bbox(row), *tile),
         }
     }
 }
@@ -231,7 +176,7 @@ pub fn fetch_plan_cold(
             let mut rows = Vec::new();
             let mut metrics = FetchMetrics::default();
             for tile in tiling.covering(rect)? {
-                let (tile_rows, mut m) = fetch_tile(db, store, tiling, tile)?;
+                let (tile_rows, mut m) = fetch_rect(db, store, &tiling.tile_rect(tile))?;
                 m.requests = 1;
                 metrics.merge(&m);
                 rows.extend(tile_rows);
@@ -284,9 +229,6 @@ pub fn count_rect(db: &dyn SnapshotView, store: &LayerStore, rect: &Rect) -> Res
             db.spatial_count(table, &raw)?
                 .ok_or_else(|| ServerError::Config("raw table lost its spatial index".into()))
         }
-        LayerStore::TileMapping { .. } => Err(ServerError::Config(
-            "count_rect requires a spatial store".to_string(),
-        )),
     }
 }
 

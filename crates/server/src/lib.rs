@@ -1,8 +1,8 @@
 //! `kyrix-server`: the Kyrix backend (paper Figure 1).
 //!
 //! Implements the paper's §3 interactivity machinery:
-//! * static **tiling** and the two database designs behind it
-//!   (spatial index / tuple–tile mapping) — [`tile`], [`precompute`];
+//! * static **tiling** over the paper's spatial database design: one
+//!   store per layer, whatever plan serves it — [`tile`], [`precompute`];
 //! * the novel **dynamic box** fetching granularity with exact, inflated
 //!   and density-adaptive policies — [`dbox`];
 //! * per-layer **plan policies**: one server mixes static tiles and
@@ -51,7 +51,7 @@ pub use dbox::BoxPolicy;
 pub use drift::{DriftReport, LayerDrift, DRIFT_MARGIN};
 pub use error::{Result, ServerError};
 pub use explain::LayerExplain;
-pub use fetch::{count_rect, fetch_plan_cold, fetch_rect, fetch_tile};
+pub use fetch::{count_rect, fetch_plan_cold, fetch_rect};
 pub use metrics::FetchMetrics;
 pub use policy::PlanPolicy;
 pub use precompute::{

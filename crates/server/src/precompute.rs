@@ -1,15 +1,13 @@
 //! Backend precomputation (paper §3.1 "Database Design and Indexing" and
 //! §3.2 "Separability").
 //!
-//! For each non-static layer, the backend materializes a *layer table*
-//! holding the transform output plus placement-derived geometry columns,
-//! then builds the index structures the configured fetch plan needs:
-//!
-//! * **Spatial design** — an R-tree over the per-object bounding boxes;
-//!   serves both dynamic boxes and spatially-indexed static tiles.
-//! * **Tuple–tile mapping design** — a `(tuple_id, tile_id)` side table with
-//!   a B-tree on `tile_id` and a hash index on the record table's
-//!   `tuple_id`; tile queries run as index joins.
+//! Each non-static layer gets one store, whatever plan serves it: the
+//! paper's *spatial* design, in which the backend materializes a *layer
+//! table* holding the transform output plus placement-derived geometry
+//! columns, with an R-tree over the per-object bounding boxes that serves
+//! dynamic boxes and static tiles alike. (The paper's other design, a
+//! tuple–tile mapping table, is only the Figure 6/7 baseline;
+//! `kyrix-bench` builds it itself.)
 //!
 //! When a layer's placement is *separable* (§3.2) and the raw table already
 //! has a spatial index on the placement columns, precomputation is skipped
@@ -18,7 +16,6 @@
 
 use crate::dbox::BoxPolicy;
 use crate::error::{Result, ServerError};
-use crate::tile::{TileId, Tiling};
 use kyrix_core::CompiledLayer;
 use kyrix_expr::Affine;
 use kyrix_storage::{
@@ -27,13 +24,12 @@ use kyrix_storage::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which database design backs static tiles (paper §3.1).
+/// Which database design backs static tiles (paper §3.1). The server
+/// serves the spatial one only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileDesign {
     /// Spatial index on per-object bounding boxes.
     SpatialIndex,
-    /// Record table + (tuple_id, tile_id) mapping table with B-tree/hash.
-    TupleTileMapping,
 }
 
 /// The fetch scheme an application is served with.
@@ -58,10 +54,7 @@ impl FetchPlan {
     pub fn label(&self) -> String {
         match self {
             FetchPlan::DynamicBox { policy } => policy.label(),
-            FetchPlan::StaticTiles { size, design } => match design {
-                TileDesign::SpatialIndex => format!("tile spatial {}", *size as u64),
-                TileDesign::TupleTileMapping => format!("tile mapping {}", *size as u64),
-            },
+            FetchPlan::StaticTiles { size, .. } => format!("tile spatial {}", *size as u64),
         }
     }
 }
@@ -146,19 +139,6 @@ pub enum LayerStore {
         /// tail [`crate::fetch_rect`] appends to every raw row.
         fetch: Arc<Prepared>,
     },
-    /// Record + mapping tables (tuple–tile design).
-    TileMapping {
-        /// Table holding the layer rows, keyed by `tuple_id`.
-        record_table: String,
-        /// `(tuple_id, tile_id)` mapping side table.
-        mapping_table: String,
-        /// The tiling the mapping rows were precomputed under.
-        tiling: Tiling,
-        /// Row accessor layout of `record_table`.
-        layout: LayerRowLayout,
-        /// The tile fetch: mapping rows of one tile joined to their records.
-        fetch: Arc<Prepared>,
-    },
 }
 
 /// The statement fetching the rows of a spatially indexed table that
@@ -169,24 +149,14 @@ fn rect_fetch(table: &str, tail: usize) -> kyrix_storage::Result<Arc<Prepared>> 
     Ok(Arc::new(Prepared::new(&sql)?.reserving(tail)))
 }
 
-/// The statement fetching one tile (`$1`: tile key) under the tuple–tile
-/// mapping design.
-fn mapping_fetch(record_table: &str, mapping_table: &str) -> kyrix_storage::Result<Arc<Prepared>> {
-    let sql = format!(
-        "SELECT r.* FROM {mapping_table} m JOIN {record_table} r \
-         ON m.tuple_id = r.tuple_id WHERE m.tile_id = $1"
-    );
-    Ok(Arc::new(Prepared::new(&sql)?))
-}
-
 impl LayerStore {
     /// Row accessor layout of this store (None for static layers).
     pub fn layout(&self) -> Option<LayerRowLayout> {
         match self {
             LayerStore::Static => None,
-            LayerStore::Spatial { layout, .. }
-            | LayerStore::SeparableRaw { layout, .. }
-            | LayerStore::TileMapping { layout, .. } => Some(*layout),
+            LayerStore::Spatial { layout, .. } | LayerStore::SeparableRaw { layout, .. } => {
+                Some(*layout)
+            }
         }
     }
 
@@ -195,9 +165,9 @@ impl LayerStore {
     pub fn fetch_statement(&self) -> Option<&Prepared> {
         match self {
             LayerStore::Static => None,
-            LayerStore::Spatial { fetch, .. }
-            | LayerStore::SeparableRaw { fetch, .. }
-            | LayerStore::TileMapping { fetch, .. } => Some(fetch),
+            LayerStore::Spatial { fetch, .. } | LayerStore::SeparableRaw { fetch, .. } => {
+                Some(fetch)
+            }
         }
     }
 }
@@ -345,166 +315,53 @@ fn materialize_layer(
     Ok((table, layout, n))
 }
 
-/// Build the mapping table for a tile size; returns its name.
-fn build_mapping(
-    db: &mut Database,
-    record_table: &str,
-    layout: LayerRowLayout,
-    tiling: Tiling,
-) -> Result<String> {
-    let mapping_table = format!("{record_table}_map{}", tiling.size as u64);
-    if db.has_table(&mapping_table) {
-        return Ok(mapping_table);
-    }
-    // collect (tuple_id, tile) pairs from the record table
-    let mut pairs: Vec<(i64, TileId)> = Vec::new();
-    let mut cover_err = None;
-    db.table(record_table)?.scan(|_, row| {
-        let tid = layout.tuple_id(&row);
-        let bbox = layout.bbox(&row);
-        match tiling.covering(&bbox) {
-            Ok(tiles) => pairs.extend(tiles.into_iter().map(|t| (tid, t))),
-            Err(e) => {
-                // an object bigger than the covering cap is a spec bug;
-                // surface it after the scan instead of mapping it nowhere
-                cover_err.get_or_insert(e);
-            }
-        }
-    })?;
-    if let Some(e) = cover_err {
-        return Err(e);
-    }
-    db.create_table(
-        &mapping_table,
-        Schema::empty()
-            .with("tuple_id", DataType::Int)
-            .with("tile_id", DataType::Int),
-    )?;
-    for (tid, tile) in pairs {
-        db.insert(
-            &mapping_table,
-            Row::new(vec![Value::Int(tid), Value::Int(tile.key())]),
-        )?;
-    }
-    ensure_index(
-        db,
-        &mapping_table,
-        "bt_tile",
-        IndexKind::BTree {
-            column: "tile_id".into(),
-        },
-    )?;
-    ensure_index(
-        db,
-        record_table,
-        "h_tuple",
-        IndexKind::Hash {
-            column: "tuple_id".into(),
-        },
-    )?;
-    Ok(mapping_table)
-}
-
-/// Precompute one layer for a fetch plan.
+/// Precompute one layer's store. The store does not depend on the plan
+/// that serves the layer: a separable layer is served off its raw table,
+/// any other is materialized with an R-tree over its boxes, and both answer
+/// tiles and dynamic boxes.
 pub fn precompute_layer(
     db: &mut Database,
     layer: &CompiledLayer,
-    plan: &FetchPlan,
     app_name: &str,
 ) -> Result<(LayerStore, PrecomputeReport)> {
     let start = Instant::now();
-    if layer.is_static {
-        return Ok((
-            LayerStore::Static,
-            PrecomputeReport {
-                canvas: layer.canvas_id.clone(),
-                layer: layer.layer_index,
-                rows: 0,
-                elapsed: start.elapsed(),
-                skipped_separable: false,
-            },
-        ));
-    }
-    // separable fast path applies to spatial-index-based access
-    let spatial_access = matches!(
-        plan,
-        FetchPlan::DynamicBox { .. }
-            | FetchPlan::StaticTiles {
-                design: TileDesign::SpatialIndex,
-                ..
-            }
-    );
-    if spatial_access {
-        if let Some(store) = separable_store(db, layer) {
-            return Ok((
-                store,
-                PrecomputeReport {
-                    canvas: layer.canvas_id.clone(),
-                    layer: layer.layer_index,
-                    rows: 0,
-                    elapsed: start.elapsed(),
-                    skipped_separable: true,
-                },
-            ));
-        }
-    }
-
-    let (table, layout, rows) = materialize_layer(db, layer, app_name)?;
-    let store = match plan {
-        FetchPlan::DynamicBox { .. }
-        | FetchPlan::StaticTiles {
-            design: TileDesign::SpatialIndex,
-            ..
-        } => {
-            let created = ensure_index(
-                db,
-                &table,
-                "sp_bbox",
-                IndexKind::Spatial(SpatialCols::Bbox {
-                    min_x: "minx".into(),
-                    min_y: "miny".into(),
-                    max_x: "maxx".into(),
-                    max_y: "maxy".into(),
-                }),
-            )?;
-            if created {
-                // the layer table sits in transform-output order; put it in
-                // the order its fetches read it in (tuple ids live in the
-                // rows, so they survive; a mapping design's `h_tuple` on
-                // the same table is rebuilt)
-                db.cluster(&table, "sp_bbox")?;
-            }
-            LayerStore::Spatial {
-                fetch: rect_fetch(&table, 0)?,
-                table,
-                layout,
-            }
-        }
-        FetchPlan::StaticTiles {
-            size,
-            design: TileDesign::TupleTileMapping,
-        } => {
-            let tiling = Tiling::new(*size);
-            let mapping_table = build_mapping(db, &table, layout, tiling)?;
-            LayerStore::TileMapping {
-                fetch: mapping_fetch(&table, &mapping_table)?,
-                record_table: table,
-                mapping_table,
-                tiling,
-                layout,
-            }
-        }
+    let report = |rows, skipped_separable| PrecomputeReport {
+        canvas: layer.canvas_id.clone(),
+        layer: layer.layer_index,
+        rows,
+        elapsed: start.elapsed(),
+        skipped_separable,
     };
-    Ok((
-        store,
-        PrecomputeReport {
-            canvas: layer.canvas_id.clone(),
-            layer: layer.layer_index,
-            rows,
-            elapsed: start.elapsed(),
-            skipped_separable: false,
-        },
-    ))
+    if layer.is_static {
+        return Ok((LayerStore::Static, report(0, false)));
+    }
+    if let Some(store) = separable_store(db, layer) {
+        return Ok((store, report(0, true)));
+    }
+    let (table, layout, rows) = materialize_layer(db, layer, app_name)?;
+    let created = ensure_index(
+        db,
+        &table,
+        "sp_bbox",
+        IndexKind::Spatial(SpatialCols::Bbox {
+            min_x: "minx".into(),
+            min_y: "miny".into(),
+            max_x: "maxx".into(),
+            max_y: "maxy".into(),
+        }),
+    )?;
+    if created {
+        // the layer table sits in transform-output order; put it in the
+        // order its fetches read it in (tuple ids live in the rows, so they
+        // survive)
+        db.cluster(&table, "sp_bbox")?;
+    }
+    let store = LayerStore::Spatial {
+        fetch: rect_fetch(&table, 0)?,
+        table,
+        layout,
+    };
+    Ok((store, report(rows, false)))
 }
 
 /// Estimate a layer's row count *before* precomputation, for row-based
@@ -551,14 +408,6 @@ pub fn estimate_layer_rows(db: &Database, layer: &CompiledLayer) -> Result<usize
         }
     }
     Ok(layer.transform.run(db)?.len())
-}
-
-/// Tiling used by a plan's tile mode (None for dynamic boxes).
-pub fn plan_tiling(plan: &FetchPlan) -> Option<Tiling> {
-    match plan {
-        FetchPlan::StaticTiles { size, .. } => Some(Tiling::new(*size)),
-        FetchPlan::DynamicBox { .. } => None,
-    }
 }
 
 impl From<kyrix_expr::ExprError> for ServerError {

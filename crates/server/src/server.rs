@@ -8,19 +8,18 @@ use crate::cache::LruCache;
 use crate::cost::CostModel;
 use crate::drift::DriftReport;
 use crate::error::{Result, ServerError};
-use crate::fetch::fetch_rect;
-use crate::fetch::{compute_fetch_box, count_rect, fetch_tile, TileMatcher};
+use crate::fetch::{compute_fetch_box, count_rect, fetch_rect, TileMatcher};
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{
     estimate_layer_rows, precompute_layer, separable_store, FetchPlan, LayerRowLayout, LayerStore,
-    PrecomputeReport, TileDesign,
+    PrecomputeReport,
 };
 use crate::prefetch::{
     neighbor_rects, predict_viewports, rank_by_similarity, RegionSignature, SemanticTracker,
 };
 use crate::tile::{TileId, Tiling, MAX_COVERING_TILES};
-use crate::tuner::{self, TuningReport};
+use crate::tuner::{self, LayerPlans, TuningReport};
 use crossbeam::channel::{unbounded, Sender};
 use kyrix_core::{CompiledApp, CompiledLayer};
 use kyrix_obs::{Counter, FamilyMember, Registry};
@@ -377,7 +376,7 @@ impl Inner {
         }
 
         // no lock held while the query runs: the snapshot is immutable
-        let (rows, mut metrics) = fetch_tile(snap, &serving.store, tiling, tile)?;
+        let (rows, mut metrics) = fetch_rect(snap, &serving.store, &tiling.tile_rect(tile))?;
         let rows = Arc::new(rows);
         let bytes = metrics.bytes;
         {
@@ -625,39 +624,31 @@ pub struct KyrixServer {
 }
 
 impl KyrixServer {
-    /// Resolve the plan policy per `(canvas, layer)`, precompute every
-    /// layer under its resolved plan, and start the server. Returns the
-    /// per-layer precomputation reports.
+    /// Precompute every layer's store, resolve the plan policy per
+    /// `(canvas, layer)`, and start the server. Returns the per-layer
+    /// precomputation reports.
     ///
-    /// A [`PlanPolicy::Measured`] policy is resolved by the tuner
-    /// ([`crate::tuner`]): every candidate plan is precomputed side by
-    /// side and costed on the calibration trace before the cheapest wins;
-    /// the assignment is available afterwards via
+    /// A layer's store does not depend on its plan, so stores are built
+    /// once, before plans are resolved. A [`PlanPolicy::Measured`] policy is
+    /// resolved by the tuner ([`crate::tuner`]): every candidate plan is
+    /// costed on the calibration trace over the built stores before the
+    /// cheapest wins; the assignment is available afterwards via
     /// [`KyrixServer::tuning_report`].
     pub fn launch(
         app: CompiledApp,
         mut db: Database,
         config: ServerConfig,
     ) -> Result<(Self, Vec<PrecomputeReport>)> {
-        let (stores, plans, reports, tuning) = match &config.policy {
-            PlanPolicy::Measured { candidates, trace } => {
-                let tuned = tuner::tune(&mut db, &app, candidates, trace, &config.cost)?;
-                (tuned.stores, tuned.plans, tuned.reports, Some(tuned.tuning))
-            }
-            policy => {
-                let plans = Self::resolve_plans(&app, policy, std::slice::from_ref(&db))?;
-                let mut stores = FxHashMap::default();
-                let mut reports = Vec::new();
-                for (key, layer) in Self::layers_of(&app) {
-                    let (store, report) =
-                        precompute_layer(&mut db, layer, &plans[&key], &app.name)?;
-                    stores.insert(key, store);
-                    reports.push(report);
-                }
-                (stores, plans, reports, None)
-            }
-        };
-        let server = Self::start(app, vec![db], None, stores, &plans, config, tuning);
+        let mut stores = FxHashMap::default();
+        let mut reports = Vec::new();
+        for (key, layer) in Self::layers_of(&app) {
+            let (store, report) = precompute_layer(&mut db, layer, &app.name)?;
+            stores.insert(key, store);
+            reports.push(report);
+        }
+        let shards = vec![db];
+        let (plans, tuning) = Self::resolve_plans(&app, &config, &stores, &shards, None)?;
+        let server = Self::start(app, shards, None, stores, &plans, config, tuning);
         Ok((server, reports))
     }
 
@@ -669,18 +660,29 @@ impl KyrixServer {
         })
     }
 
-    /// Resolve a static (non-`Measured`) policy for every layer. A layer's
-    /// row estimate, where the policy wants one, is the sum over `dbs`:
-    /// partitioned rows live on exactly one shard.
+    /// Resolve the launch policy for every layer over the built `stores`.
+    /// A `Measured` policy is tuned on a view of `shards` pinned without
+    /// telemetry, so the calibration replay stays out of the serving
+    /// histograms. A layer's row estimate, where a static policy wants one,
+    /// is the sum over `shards`: partitioned rows live on exactly one shard.
     fn resolve_plans(
         app: &CompiledApp,
-        policy: &PlanPolicy,
-        dbs: &[Database],
-    ) -> Result<FxHashMap<LayerKey, FetchPlan>> {
+        config: &ServerConfig,
+        stores: &FxHashMap<LayerKey, LayerStore>,
+        shards: &[Database],
+        router: Option<&Arc<QueryRouter>>,
+    ) -> Result<(LayerPlans, Option<TuningReport>)> {
+        if let PlanPolicy::Measured { candidates, trace } = &config.policy {
+            let view = Snapshot::new(shards.to_vec(), router.cloned());
+            let (plans, tuning) = tuner::tune(&view, app, stores, candidates, trace, &config.cost)?;
+            return Ok((plans, Some(tuning)));
+        }
+        let policy = &config.policy;
         let mut plans = FxHashMap::default();
         for (key, layer) in Self::layers_of(app) {
             let estimated_rows = if policy.needs_row_estimate() {
-                dbs.iter()
+                shards
+                    .iter()
                     .map(|db| estimate_layer_rows(db, layer))
                     .sum::<Result<usize>>()?
             } else {
@@ -688,7 +690,7 @@ impl KyrixServer {
             };
             plans.insert(key, policy.resolve(layer, estimated_rows));
         }
-        Ok(plans)
+        Ok((plans, None))
     }
 
     /// The serving registry, with every database of the backend-to-be
@@ -766,13 +768,12 @@ impl KyrixServer {
     /// Sharded serving fetches straight off the partitioned tables, so
     /// every non-static layer must take the §3.2 separable fast path
     /// (`SELECT *` transform, separable placement, per-shard point spatial
-    /// index on the placement columns) — materialized layer stores would
-    /// need a per-shard precompute pass, and tuple–tile mapping plans have
-    /// no per-shard mapping tables; both are refused at launch.
+    /// index on the placement columns) — a materialized layer store would
+    /// need a per-shard precompute pass and is refused at launch.
     ///
-    /// A [`PlanPolicy::Measured`] policy replays its calibration trace
-    /// against a pinned sharded view, so tuning measures exactly the
-    /// scatter-gather serve it will pick plans for.
+    /// A [`PlanPolicy::Measured`] policy is resolved by the same tuner as
+    /// [`KyrixServer::launch`]'s, on a pinned sharded view, so tuning
+    /// measures exactly the scatter-gather serve it will pick plans for.
     pub fn launch_sharded(
         app: CompiledApp,
         shards: Vec<Database>,
@@ -787,8 +788,8 @@ impl KyrixServer {
             )));
         }
         let router = Arc::new(router);
-        // stores first: plan-independent on this path (separable stores
-        // serve both spatial static tiles and dynamic boxes)
+        // stores first, as in `launch`: separable stores serve both static
+        // tiles and dynamic boxes
         let mut stores = FxHashMap::default();
         for (key @ (ci, li), layer) in Self::layers_of(&app) {
             let store = if layer.is_static {
@@ -805,32 +806,7 @@ impl KyrixServer {
             };
             stores.insert(key, store);
         }
-        let (plans, tuning) = match &config.policy {
-            PlanPolicy::Measured { candidates, trace } => {
-                // pin a calibration view with no telemetry so the replay
-                // stays out of the serving histograms
-                let view = Snapshot::new(shards.clone(), Some(Arc::clone(&router)));
-                let tuned =
-                    tuner::tune_sharded(&view, &app, &stores, candidates, trace, &config.cost)?;
-                (tuned.plans, Some(tuned.tuning))
-            }
-            policy => (Self::resolve_plans(&app, policy, &shards)?, None),
-        };
-        if let Some(((ci, li), _)) = plans.iter().find(|(_, p)| {
-            matches!(
-                p,
-                FetchPlan::StaticTiles {
-                    design: TileDesign::TupleTileMapping,
-                    ..
-                }
-            )
-        }) {
-            return Err(ServerError::Config(format!(
-                "layer {li} of canvas {ci} resolved to a tuple–tile mapping plan; \
-                 sharded backends have no per-shard mapping tables — use the \
-                 spatial tile design"
-            )));
-        }
+        let (plans, tuning) = Self::resolve_plans(&app, &config, &stores, &shards, Some(&router))?;
         Ok(Self::start(
             app,
             shards,
@@ -1290,9 +1266,10 @@ impl KyrixServer {
     /// Apply a mutation to the database and publish the result as a new
     /// snapshot, surgically invalidating serving state. `tables`
     /// declares, up front, every physical table the mutation may touch —
-    /// a table backing a [`crate::TileDesign::TupleTileMapping`] layer is
-    /// refused *before* anything is applied (its precomputed mapping rows
-    /// cannot be patched in place; relaunch to re-tile).
+    /// a source table of a materialized layer is refused *before* anything
+    /// is applied (the layer's copy cannot be patched in place; relaunch
+    /// to re-precompute) — and every [`DirtyRegion`] the closure reports
+    /// must name a declared table, or the successor is dropped unpublished.
     ///
     /// `apply` runs against a *successor* shard set built off to the side
     /// — a copy-on-write clone of *every* shard of the published head
@@ -1371,6 +1348,16 @@ impl KyrixServer {
         let (tables_before, before) = cow_totals(&next);
         match apply(&mut next) {
             Ok((out, dirty)) => {
+                // a dirty region on an undeclared table may sit under a
+                // layer `validate_mutable` never checked: drop the
+                // successors unpublished, the head was never touched
+                if let Some(d) = dirty.iter().find(|d| !tables.contains(&d.table.as_str())) {
+                    return Err(ServerError::Config(format!(
+                        "the mutation reported a dirty region on `{}`, which it did \
+                         not declare",
+                        d.table
+                    )));
+                }
                 let (tables_after, after) = cow_totals(&next);
                 let copies = tables_after.saturating_sub(tables_before);
                 obs.counter("snapshot.cow_table_copies").add(copies);
@@ -1386,7 +1373,7 @@ impl KyrixServer {
                 // released: no reader's cache lookup waits for the free.
                 // It is the last pin unless a reader still holds one, and
                 // then that reader pays the release instead
-                let retired = self.publish_locked(next, &dirty)?;
+                let retired = self.publish_locked(next, &dirty);
                 {
                     let _retire = obs.span("snapshot.retire");
                     drop(retired);
@@ -1399,27 +1386,12 @@ impl KyrixServer {
     }
 
     /// Refuse tables whose serving state cannot be maintained in place:
-    /// record tables of tuple–tile mapping layers (precomputed mapping
-    /// rows), and *source* tables of layers that were materialized into a
-    /// side table (the copy would silently go stale). Separable layers —
-    /// served straight off their raw table — are the mutable surface.
+    /// *source* tables of layers that were materialized into a side table
+    /// (the copy would silently go stale). Separable layers — served
+    /// straight off their raw table — are the mutable surface.
     fn validate_mutable(&self, tables: &[&str]) -> Result<()> {
         for (&(ci, li), serving) in &self.inner.layers {
-            let materialized = match &serving.store {
-                LayerStore::TileMapping { record_table, .. } => {
-                    if tables.contains(&record_table.as_str()) {
-                        return Err(ServerError::Config(format!(
-                            "table `{record_table}` backs a tuple–tile mapping layer; \
-                             its mapping rows cannot be maintained in place — relaunch \
-                             to re-precompute"
-                        )));
-                    }
-                    true
-                }
-                LayerStore::Spatial { .. } => true,
-                LayerStore::Static | LayerStore::SeparableRaw { .. } => false,
-            };
-            if !materialized {
+            if !matches!(serving.store, LayerStore::Spatial { .. }) {
                 continue;
             }
             // a materialized layer's table is a *copy* of its transform
@@ -1459,7 +1431,7 @@ impl KyrixServer {
     /// version and skips), and a session that observes the new
     /// `data_version` is guaranteed to find the matching log entry.
     /// Returns the retired head for the caller to drop outside those locks.
-    fn publish_locked(&self, next: Vec<Database>, dirty: &[DirtyRegion]) -> Result<Arc<Snapshot>> {
+    fn publish_locked(&self, next: Vec<Database>, dirty: &[DirtyRegion]) -> Arc<Snapshot> {
         let obs = Arc::clone(&self.inner.obs);
         let _publish = obs.span("publish");
         // which shards actually changed: route every dirty region through
@@ -1476,45 +1448,12 @@ impl KyrixServer {
                 }
             }
         }
-        // backstop for closures that report a dirty region on a
-        // mapping-backed table they never declared (`validate_mutable`
-        // checks the declared list up front): the mutation is already
-        // applied in `next`, and nothing surgical is possible — publish
-        // it, drop everything, truncate the log so every session
-        // refetches, and surface the error; tile fetches on that layer
-        // keep consulting stale mapping rows until a relaunch
-        let stale_mapping = self.inner.layers.values().find_map(|l| match &l.store {
-            LayerStore::TileMapping { record_table, .. }
-                if dirty.iter().any(|d| d.table == *record_table) =>
-            {
-                Some(record_table.clone())
-            }
-            _ => None,
-        });
-        if let Some(table) = stale_mapping {
-            let _retired = {
-                let mut tiles = self.inner.tile_cache.lock();
-                let mut boxes = self.inner.box_caches.lock();
-                let mut log = self.inner.mutations.lock();
-                log.version += 1;
-                log.entries.clear();
-                tiles.clear();
-                boxes.clear();
-                obs.gauge("snapshot.head_version").set(log.version as i64);
-                self.inner.head.publish(next, log.version, &shard_dirty)
-            };
-            return Err(ServerError::Config(format!(
-                "table `{table}` backs a tuple–tile mapping layer; its mapping rows \
-                 are now stale — relaunch to re-precompute"
-            )));
-        }
-
         // map table-space dirty rects onto the (canvas, layer)s they back
         type CanvasMap = Box<dyn Fn(&Rect) -> Rect>;
         let mut entries: Vec<(u32, u32, Rect)> = Vec::new();
         for (&(ci, li), serving) in &self.inner.layers {
             let (table, to_canvas): (&str, CanvasMap) = match &serving.store {
-                LayerStore::Static | LayerStore::TileMapping { .. } => continue,
+                LayerStore::Static => continue,
                 LayerStore::Spatial { table, .. } => (table.as_str(), Box::new(|r: &Rect| *r)),
                 LayerStore::SeparableRaw {
                     table,
@@ -1588,7 +1527,7 @@ impl KyrixServer {
                 shelf.retain(|(r, _, _)| !group.iter().any(|(_, _, d)| r.intersects(d)));
             }
         }
-        Ok(retired)
+        retired
     }
 
     /// Monotonic data-version stamp: 0 at launch, bumped by every

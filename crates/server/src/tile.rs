@@ -113,14 +113,6 @@ impl Tiling {
         Some((axis(rect.min_x, rect.max_x)?, axis(rect.min_y, rect.max_y)?))
     }
 
-    /// Whether `tile` is one of [`Tiling::covering`]`(rect)`, without
-    /// listing them.
-    pub fn covers(&self, rect: &Rect, tile: TileId) -> bool {
-        self.span(rect).is_some_and(|(lo, hi)| {
-            (lo.x..=hi.x).contains(&tile.x) && (lo.y..=hi.y).contains(&tile.y)
-        })
-    }
-
     /// All tiles intersecting a rectangle, in row-major order.
     /// The paper's frontend "requests the tiles that intersect with the
     /// given viewport".

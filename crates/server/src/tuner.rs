@@ -11,12 +11,12 @@
 //! [`FetchMetrics`], scores them with [`FetchMetrics::modeled_ms`] under
 //! the server's [`CostModel`], and resolves the cheapest plan per layer.
 //!
-//! Candidate plans are precomputed *side by side* on the same database:
-//! layer-table materialization is idempotent and each plan's index
-//! structures (R-tree / tuple–tile mapping tables) are additive, so
-//! measuring a candidate never invalidates another. Replay uses the
-//! cold-cache serving protocol ([`crate::fetch::fetch_plan_cold`]), the
-//! same §3.3 protocol the paper's figures measure.
+//! A layer's store does not depend on its plan, so the launch builds every
+//! store first and the tuner measures every candidate on one pinned view
+//! over them — one database or several shards, the calibration replay pays
+//! exactly the serve the launched server will. Replay uses the cold-cache
+//! serving protocol ([`crate::fetch::fetch_plan_cold`]), the same §3.3
+//! protocol the paper's figures measure.
 //!
 //! The winning assignment is exposed through
 //! [`crate::KyrixServer::tuning_report`] as a [`TuningReport`], which can
@@ -24,16 +24,16 @@
 //! ([`TuningReport::frozen_policy`]) so later launches skip the
 //! calibration replay.
 
-use crate::backend::{Snapshot, SnapshotView};
+use crate::backend::SnapshotView;
 use crate::cost::CostModel;
 use crate::error::{Result, ServerError};
 use crate::fetch::fetch_plan_cold;
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
-use crate::precompute::{precompute_layer, FetchPlan, LayerStore, PrecomputeReport};
+use crate::precompute::{FetchPlan, LayerStore};
 use kyrix_core::CompiledApp;
 use kyrix_storage::fxhash::FxHashMap;
-use kyrix_storage::{Database, Rect};
+use kyrix_storage::Rect;
 
 /// A representative sequence of `(canvas, viewport)` steps the tuner
 /// replays to cost candidate plans. Steps on canvases the app does not
@@ -216,178 +216,30 @@ pub fn measure_plan(
     Ok(totals)
 }
 
-fn require_candidates(candidates: &[FetchPlan]) -> Result<()> {
-    if candidates.is_empty() {
-        return Err(ServerError::Config(
-            "Measured policy needs at least one candidate plan".to_string(),
-        ));
-    }
-    Ok(())
-}
+/// The plan each `(canvas, layer)` resolved to.
+pub(crate) type LayerPlans = FxHashMap<(u32, u32), FetchPlan>;
 
-/// Cost every candidate with `measure` and pick the cheapest by modeled
-/// cost. Strict `<`: ties keep the earlier candidate (preference order).
-fn cheapest(
-    candidates: &[FetchPlan],
-    cost: &CostModel,
-    mut measure: impl FnMut(&FetchPlan) -> Result<FetchMetrics>,
-) -> Result<(usize, Vec<CandidateCost>)> {
-    let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
-    let mut chosen = 0;
-    for plan in candidates {
-        let metrics = measure(plan)?;
-        let modeled_ms = metrics.modeled_ms(cost);
-        if !costs.is_empty() && modeled_ms < costs[chosen].modeled_ms {
-            chosen = costs.len();
-        }
-        costs.push(CandidateCost {
-            plan: *plan,
-            metrics,
-            modeled_ms,
-        });
-    }
-    Ok((chosen, costs))
-}
-
-/// Everything `KyrixServer::launch` needs from a `Measured` resolution.
-pub(crate) struct TunedLaunch {
-    pub stores: FxHashMap<(u32, u32), LayerStore>,
-    pub plans: FxHashMap<(u32, u32), FetchPlan>,
-    pub reports: Vec<PrecomputeReport>,
-    pub tuning: TuningReport,
-}
-
-/// Resolve a `Measured` policy: precompute every candidate plan of every
-/// non-static layer side by side, measure each on the layer's calibration
-/// steps, and keep the cheapest. Static layers take the first candidate
-/// (their store is plan-independent).
-pub(crate) fn tune(
-    db: &mut Database,
-    app: &CompiledApp,
-    candidates: &[FetchPlan],
-    trace: &CalibrationTrace,
-    cost: &CostModel,
-) -> Result<TunedLaunch> {
-    require_candidates(candidates)?;
-    let mut out = TunedLaunch {
-        stores: FxHashMap::default(),
-        plans: FxHashMap::default(),
-        reports: Vec::new(),
-        tuning: TuningReport::default(),
-    };
-    let mut losing_maps: Vec<String> = Vec::new();
-    for (ci, canvas) in app.canvases.iter().enumerate() {
-        let bounds = canvas.bounds();
-        for (li, layer) in canvas.layers.iter().enumerate() {
-            let key = (ci as u32, li as u32);
-            if layer.is_static {
-                let (store, report) = precompute_layer(db, layer, &candidates[0], &app.name)?;
-                out.stores.insert(key, store);
-                out.plans.insert(key, candidates[0]);
-                out.reports.push(report);
-                continue;
-            }
-            let steps = trace.steps_for(&canvas.id);
-            let mut cand_stores: Vec<(LayerStore, PrecomputeReport)> =
-                Vec::with_capacity(candidates.len());
-            let (chosen, costs) = cheapest(candidates, cost, |plan| {
-                let built = precompute_layer(db, layer, plan, &app.name)?;
-                // pin a snapshot per candidate: the COW clone is cheap and
-                // keeps the measurement isolated from the precomputation
-                // the next candidate runs against `db`
-                let snap = Snapshot::pin(db);
-                let metrics = measure_plan(&snap, &built.0, plan, &bounds, &steps);
-                cand_stores.push(built);
-                metrics
-            })?;
-            for (i, (store, _)) in cand_stores.iter().enumerate() {
-                if i != chosen {
-                    if let LayerStore::TileMapping { mapping_table, .. } = store {
-                        losing_maps.push(mapping_table.clone());
-                    }
-                }
-            }
-            let (store, report) = cand_stores.swap_remove(chosen);
-            out.stores.insert(key, store);
-            out.plans.insert(key, costs[chosen].plan);
-            out.reports.push(report);
-            out.tuning.layers.push(LayerTuning {
-                canvas: canvas.id.clone(),
-                layer: li,
-                steps: steps.len(),
-                chosen,
-                candidates: costs,
-            });
-        }
-    }
-    // Losing tuple–tile mapping candidates leave their per-size mapping
-    // tables behind — one row per (tuple, tile), often bigger than the
-    // layer table itself — and the launched server would hold them for its
-    // whole lifetime. Drop every mapping table no kept store references.
-    // (Shared layer/record tables and their indexes stay: the winner uses
-    // them.)
-    let kept: std::collections::HashSet<&str> = out
-        .stores
-        .values()
-        .filter_map(|s| match s {
-            LayerStore::TileMapping { mapping_table, .. } => Some(mapping_table.as_str()),
-            _ => None,
-        })
-        .collect();
-    losing_maps.sort_unstable();
-    losing_maps.dedup();
-    for table in losing_maps {
-        if !kept.contains(table.as_str()) {
-            db.drop_table(&table)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Everything `KyrixServer::launch_sharded` needs from a `Measured`
-/// resolution. Unlike [`TunedLaunch`] there are no per-candidate stores or
-/// precompute reports: sharded layers are separable, so the stores handed
-/// in are already plan-independent.
-pub(crate) struct TunedShardedLaunch {
-    pub plans: FxHashMap<(u32, u32), FetchPlan>,
-    pub tuning: TuningReport,
-}
-
-/// Resolve a `Measured` policy on a sharded backend. Stores are
-/// plan-independent there (separable layers serve both spatial static
-/// tiles and dynamic boxes straight off the partitioned raw tables), so no
-/// per-candidate precompute happens: every candidate is measured on the
-/// same pinned sharded `view` — the calibration replay pays exactly the
-/// scatter-gather cost the launched server will — and the cheapest wins
-/// under the same strict-< / preference-order rule as the single-node
-/// tuner. Because both tuners minimize the same modeled cost over the same
-/// trace, a sharded launch resolves the same per-`(canvas, layer)`
+/// Resolve a `Measured` policy: measure every candidate plan of every
+/// non-static layer on the layer's calibration steps, against the layer's
+/// one `store` on the pinned `view`, and keep the cheapest (strict `<`:
+/// ties keep the earlier candidate, so candidate order is the preference
+/// order). Static layers take the first candidate. Because the measured
+/// cost is the serve itself, a sharded launch resolves the same
 /// assignment as a single-node launch whenever the shard fan-out does not
 /// change which plan is cheapest.
-pub(crate) fn tune_sharded(
+pub(crate) fn tune(
     view: &dyn SnapshotView,
     app: &CompiledApp,
     stores: &FxHashMap<(u32, u32), LayerStore>,
     candidates: &[FetchPlan],
     trace: &CalibrationTrace,
     cost: &CostModel,
-) -> Result<TunedShardedLaunch> {
-    require_candidates(candidates)?;
-    if candidates.iter().any(|p| {
-        matches!(
-            p,
-            FetchPlan::StaticTiles {
-                design: crate::precompute::TileDesign::TupleTileMapping,
-                ..
-            }
-        )
-    }) {
+) -> Result<(LayerPlans, TuningReport)> {
+    let Some(&first) = candidates.first() else {
         return Err(ServerError::Config(
-            "tuple–tile mapping candidates cannot be measured on a sharded \
-             backend (no per-shard mapping tables)"
-                .to_string(),
+            "Measured policy needs at least one candidate plan".to_string(),
         ));
-    }
+    };
     let mut plans = FxHashMap::default();
     let mut tuning = TuningReport::default();
     for (ci, canvas) in app.canvases.iter().enumerate() {
@@ -395,16 +247,27 @@ pub(crate) fn tune_sharded(
         for (li, layer) in canvas.layers.iter().enumerate() {
             let key = (ci as u32, li as u32);
             if layer.is_static {
-                plans.insert(key, candidates[0]);
+                plans.insert(key, first);
                 continue;
             }
             let store = stores.get(&key).ok_or_else(|| {
                 ServerError::Config(format!("no store for layer {li} of `{}`", canvas.id))
             })?;
             let steps = trace.steps_for(&canvas.id);
-            let (chosen, costs) = cheapest(candidates, cost, |plan| {
-                measure_plan(view, store, plan, &bounds, &steps)
-            })?;
+            let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
+            let mut chosen = 0;
+            for plan in candidates {
+                let metrics = measure_plan(view, store, plan, &bounds, &steps)?;
+                let modeled_ms = metrics.modeled_ms(cost);
+                if !costs.is_empty() && modeled_ms < costs[chosen].modeled_ms {
+                    chosen = costs.len();
+                }
+                costs.push(CandidateCost {
+                    plan: *plan,
+                    metrics,
+                    modeled_ms,
+                });
+            }
             plans.insert(key, costs[chosen].plan);
             tuning.layers.push(LayerTuning {
                 canvas: canvas.id.clone(),
@@ -415,7 +278,7 @@ pub(crate) fn tune_sharded(
             });
         }
     }
-    Ok(TunedShardedLaunch { plans, tuning })
+    Ok((plans, tuning))
 }
 
 #[cfg(test)]
@@ -486,7 +349,7 @@ mod tests {
         // a plan no layer measured has no uniform cost
         let other = FetchPlan::StaticTiles {
             size: 1.0,
-            design: TileDesign::TupleTileMapping,
+            design: TileDesign::SpatialIndex,
         };
         assert_eq!(r.uniform_modeled_ms(&other), None);
     }

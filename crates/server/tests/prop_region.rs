@@ -34,8 +34,6 @@ enum Store {
     SeparableRaw,
     /// Materialized layer table with an R-tree over the boxes.
     Spatial,
-    /// Record + tuple–tile mapping tables.
-    TileMapping,
 }
 
 /// A server over `points` (id, x, y), one dynamic layer placed by
@@ -81,11 +79,10 @@ fn launch(points: &[(i64, f64, f64)], placement: PlacementSpec, store: Store) ->
         .initial("main", 25.0, 25.0)
         .viewport(10.0, 10.0);
     let app = compile(&spec, &db).unwrap();
-    let design = match store {
-        Store::TileMapping => TileDesign::TupleTileMapping,
-        _ => TileDesign::SpatialIndex,
+    let plan = FetchPlan::StaticTiles {
+        size: TILE,
+        design: TileDesign::SpatialIndex,
     };
-    let plan = FetchPlan::StaticTiles { size: TILE, design };
     let (server, reports) = KyrixServer::launch(app, db, ServerConfig::new(plan)).unwrap();
     assert_eq!(
         reports[0].skipped_separable,
@@ -130,34 +127,19 @@ fn sorted_ids(server: &KyrixServer, rows: &[Row]) -> Vec<i64> {
     ids
 }
 
-/// One dataset served from all three stores.
+/// One dataset served from both stores.
 struct Fixture {
     name: &'static str,
     separable: KyrixServer,
     spatial: KyrixServer,
-    mapping: KyrixServer,
-    /// Every layer row of the materialized stores (they share tuple ids:
-    /// both enumerate the same transform output).
-    all_rows: Vec<Row>,
 }
 
 impl Fixture {
     fn new(name: &'static str, points: &[(i64, f64, f64)], placement: PlacementSpec) -> Self {
-        let spatial = launch(points, placement.clone(), Store::Spatial);
-        let everywhere = Rect::new(-1e6, -1e6, 1e6, 1e6);
-        let (all_rows, _) = fetch_rect(
-            &*spatial.snapshot(),
-            &spatial.store("main", 0).unwrap(),
-            &everywhere,
-        )
-        .unwrap();
-        assert_eq!(all_rows.len(), points.len());
         Fixture {
             name,
             separable: launch(points, placement.clone(), Store::SeparableRaw),
-            mapping: launch(points, placement, Store::TileMapping),
-            spatial,
-            all_rows,
+            spatial: launch(points, placement, Store::Spatial),
         }
     }
 }
@@ -301,16 +283,13 @@ proptest! {
             )
         };
         let covered = Rect::new(tile(tx), tile(ty), tile(tx + nx), tile(ty + ny));
-        let tiling = Tiling::new(TILE);
-        let tiles = tiling.covering(&vp).unwrap();
+        let tiles = Tiling::new(TILE).covering(&vp).unwrap();
         prop_assert_eq!(tiles.len() as i32, nx * ny);
 
         for f in fixtures() {
-            let layout = f.spatial.layout("main", 0).unwrap().unwrap();
-            let width = layout.width();
+            let width = f.spatial.layout("main", 0).unwrap().unwrap().width();
 
-            // stores fetched by rectangle: one direct fetch over the
-            // covered area is the reference
+            // one direct fetch over the covered area is the reference
             for server in [&f.separable, &f.spatial] {
                 let store = server.store("main", 0).unwrap();
                 let region = server.fetch_region("main", 0, &vp).unwrap();
@@ -338,28 +317,6 @@ proptest! {
                 prop_assert_eq!(ids.len(), region.rows.len(), "{}: ids not unique", f.name);
             }
 
-            // the mapping store has no rectangle fetch; its reference is
-            // the mapping rule itself, applied to every row: a row belongs
-            // to the region iff its box's covering tiles include one of
-            // the viewport's
-            let region = f.mapping.fetch_region("main", 0, &vp).unwrap();
-            prop_assert_eq!(region.rect, covered);
-            let want: Vec<&Row> = f
-                .all_rows
-                .iter()
-                .filter(|r| {
-                    let own = tiling.covering(&layout.bbox(r)).unwrap();
-                    own.iter().any(|t| tiles.contains(t))
-                })
-                .collect();
-            prop_assert_eq!(
-                content_multiset(region.rows.iter(), width),
-                content_multiset(want.iter().copied(), width),
-                "{}: mapped row multiset for viewport {:?}", f.name, vp
-            );
-            let mut want_ids: Vec<i64> = want.iter().map(|r| layout.tuple_id(r)).collect();
-            want_ids.sort_unstable();
-            prop_assert_eq!(sorted_ids(&f.mapping, &region.rows), want_ids);
         }
     }
 }

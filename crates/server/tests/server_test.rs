@@ -6,7 +6,7 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_server::{
-    fetch_tile, BoxPolicy, CalibrationTrace, CostModel, FetchMetrics, FetchPlan, KyrixServer,
+    fetch_rect, BoxPolicy, CalibrationTrace, CostModel, FetchMetrics, FetchPlan, KyrixServer,
     LayerStore, MomentumTracker, PlanPolicy, ServerConfig, Snapshot, TileDesign, TileId, Tiling,
 };
 use kyrix_storage::{
@@ -205,27 +205,6 @@ fn non_separable_placement_materializes_side_table() {
 }
 
 #[test]
-fn tile_spatial_and_tile_mapping_agree() {
-    let tile = TileId::new(1, 2);
-    let mut results = Vec::new();
-    for design in [TileDesign::SpatialIndex, TileDesign::TupleTileMapping] {
-        let server = launch(
-            grid_db(false),
-            PlacementSpec::point("x", "y"),
-            FetchPlan::StaticTiles { size: 10.0, design },
-        );
-        let resp = server.fetch_tile("main", 0, tile).unwrap();
-        results.push(row_ids(&resp.rows));
-    }
-    assert_eq!(results[0], results[1]);
-    // tile (1,2) covers x in [10,20], y in [20,30] (closed bbox
-    // intersection includes boundary points for the spatial design; the
-    // mapping design assigns boundary dots to every overlapped tile, so
-    // both see the same inclusive set)
-    assert!(!results[0].is_empty());
-}
-
-#[test]
 fn backend_tile_cache_hits_on_refetch() {
     let server = launch(
         grid_db(false),
@@ -420,25 +399,6 @@ fn totals_accumulate_and_reset() {
     assert!(t.rows > 0);
     server.reset_totals();
     assert_eq!(server.totals().requests, 0);
-}
-
-#[test]
-fn mapping_tables_created_with_expected_names() {
-    let server = launch(
-        grid_db(false),
-        PlacementSpec::point("x", "y"),
-        FetchPlan::StaticTiles {
-            size: 10.0,
-            design: TileDesign::TupleTileMapping,
-        },
-    );
-    let db = server.snapshot();
-    assert!(db.has_table("k_grid_main_l0"));
-    assert!(db.has_table("k_grid_main_l0_map10"));
-    // record table has dots + 7 layout columns
-    assert_eq!(db.table_schema("k_grid_main_l0").unwrap().len(), 4 + 7);
-    // mapping rows >= record rows (boundary dots map to multiple tiles)
-    assert!(db.table_len("k_grid_main_l0_map10").unwrap() >= 10_000);
 }
 
 #[test]
@@ -1063,43 +1023,6 @@ fn layer_totals_attribute_foreground_metrics_per_layer() {
     );
 }
 
-#[test]
-fn tuner_drops_losing_mapping_tables() {
-    // a losing TupleTileMapping candidate's per-size mapping table (one row
-    // per (tuple, tile)) must not stay in the launched server's database
-    let mapping = FetchPlan::StaticTiles {
-        size: 10.0,
-        design: TileDesign::TupleTileMapping,
-    };
-    let mut trace = CalibrationTrace::new();
-    // tile-straddling viewports: 4 tile requests per step lose to one box
-    for i in 0..3 {
-        let d = 10.0 * (i as f64 + 1.0) + 5.0;
-        trace.push("overview", Rect::new(d, 15.0, d + 10.0, 25.0));
-        trace.push("detail", Rect::new(d, 15.0, d + 10.0, 25.0));
-    }
-    let policy = PlanPolicy::measured(vec![mapping, MIXED_BOXES], trace);
-    let db = grid_db(false);
-    let app = compile(&two_canvas_app(false), &db).unwrap();
-    let (server, _) = KyrixServer::launch(
-        app,
-        db,
-        ServerConfig::from_policy(policy).with_cost(CostModel::new(1.0, 2.0, 2_000.0)),
-    )
-    .unwrap();
-    assert_eq!(server.plan_for("overview", 0).unwrap(), MIXED_BOXES);
-    assert_eq!(server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
-    // the losing candidates' mapping tables were reclaimed; the shared
-    // record tables stay — the winning box stores serve from them
-    assert!(!server.snapshot().has_table("k_mixed_overview_l0_map10"));
-    assert!(!server.snapshot().has_table("k_mixed_detail_l0_map10"));
-    assert!(server.snapshot().has_table("k_mixed_overview_l0"));
-    assert!(server.snapshot().has_table("k_mixed_detail_l0"));
-    server
-        .fetch_box("detail", 0, &Rect::new(40.0, 40.0, 50.0, 50.0))
-        .unwrap();
-}
-
 // ------------------------------------------------------- live mutation
 
 /// Delete one dot by id inside a `mutate_raw` closure, reporting its
@@ -1253,38 +1176,6 @@ fn mutation_log_truncates_to_a_full_refetch_signal() {
 }
 
 #[test]
-fn mutate_raw_refuses_mapping_backed_tables_before_applying() {
-    // tuple–tile mapping layers precompute (tuple, tile) rows that cannot
-    // be patched in place; the refusal must fire *before* the closure
-    // runs, leaving the database untouched
-    let server = launch(
-        grid_db(false),
-        PlacementSpec::point("x", "y"),
-        FetchPlan::StaticTiles {
-            size: 25.0,
-            design: TileDesign::TupleTileMapping,
-        },
-    );
-    let record_table = match server.store("main", 0).unwrap() {
-        LayerStore::TileMapping { record_table, .. } => record_table,
-        other => panic!("expected a mapping store, got {other:?}"),
-    };
-    let rows_before = server.snapshot().table_len(&record_table).unwrap();
-    let result = server.mutate_raw(&[record_table.as_str()], |db| {
-        db.delete_where(&record_table, "tuple_id >= $1", &[Value::Int(0)])
-            .map_err(kyrix_server::ServerError::from)?;
-        Ok(((), vec![]))
-    });
-    assert!(result.is_err(), "mapping-backed mutation must be refused");
-    assert_eq!(
-        server.snapshot().table_len(&record_table).unwrap(),
-        rows_before,
-        "the closure must never have run"
-    );
-    assert_eq!(server.data_version(), 0, "no mutation happened");
-}
-
-#[test]
 fn failed_mutation_closure_aborts_atomically() {
     // the closure mutates a *successor* database built off to the side;
     // when it errors the successor is discarded, so even a partial
@@ -1323,6 +1214,57 @@ fn failed_mutation_closure_aborts_atomically() {
     );
     let again = server.fetch_tile("main", 0, tile).unwrap();
     assert_eq!(again.metrics.cache_hits, 1, "caches survive the abort");
+}
+
+#[test]
+fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
+    // `dots` feeds a materialized layer (no raw point index), so declaring
+    // it is refused up front; a closure that declares another table, then
+    // writes `dots` and reports a dirty region on it, must not publish
+    // either — the layer's copy would go stale without a word
+    let server = launch(
+        grid_db(false),
+        PlacementSpec::point("x", "y"),
+        FetchPlan::StaticTiles {
+            size: 25.0,
+            design: TileDesign::SpatialIndex,
+        },
+    );
+    assert!(matches!(
+        server.store("main", 0).unwrap(),
+        LayerStore::Spatial { .. }
+    ));
+    let declared = server.mutate_raw::<()>(&["dots"], |_| {
+        panic!("a refused table never reaches the closure")
+    });
+    assert!(
+        declared.is_err(),
+        "a materialized layer's source is refused"
+    );
+    let vp = Rect::new(0.0, 0.0, 30.0, 30.0);
+    let pinned = server.snapshot();
+    let seen = server.fetch_region("main", 0, &vp).unwrap();
+    let result = server.mutate_raw(&["other"], |db| {
+        db.delete_where("dots", "id < $1", &[Value::Int(500)])
+            .map_err(kyrix_server::ServerError::from)?;
+        Ok((
+            (),
+            vec![kyrix_server::DirtyRegion::new(
+                "dots",
+                Rect::new(0.0, 0.0, 99.0, 4.0),
+            )],
+        ))
+    });
+    assert!(result.is_err(), "an undeclared dirty table must be refused");
+    assert_eq!(server.data_version(), 0, "nothing was published");
+    assert_eq!(server.changes_since(0), Some(vec![]));
+    assert_eq!(server.snapshot().table_len("dots").unwrap(), 10_000);
+    // the session's pin and the head still answer with the rows it saw
+    let store = server.store("main", 0).unwrap();
+    let (rows, _) = fetch_rect(&*pinned, &store, &seen.rect).unwrap();
+    assert_eq!(row_ids(&rows), row_ids(&seen.rows));
+    let again = server.fetch_region("main", 0, &vp).unwrap();
+    assert_eq!(row_ids(&again.rows), row_ids(&seen.rows));
 }
 
 // ------------------------------------------------------- drift monitor
@@ -1447,13 +1389,8 @@ fn explain_renders_plan_tuner_drift_and_storage_path() {
         sink.lock().unwrap().push(sql.to_string())
     })));
     let store = server.store("overview", 0).unwrap();
-    let (rows, _) = fetch_tile(
-        &Snapshot::pin(&db),
-        &store,
-        Tiling::new(10.0),
-        TileId::new(2, 2),
-    )
-    .unwrap();
+    let tile = Tiling::new(10.0).tile_rect(TileId::new(2, 2));
+    let (rows, _) = fetch_rect(&Snapshot::pin(&db), &store, &tile).unwrap();
     assert!(!rows.is_empty());
     assert_eq!(*seen.lock().unwrap(), std::slice::from_ref(sql));
     assert!(

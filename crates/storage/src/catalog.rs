@@ -3,7 +3,6 @@
 use crate::btree::BPlusTree;
 use crate::error::{Result, StorageError};
 use crate::geom::Rect;
-use crate::hash_index::HashIndex;
 use crate::heap::{RecordId, TableHeap};
 use crate::row::Row;
 use crate::rtree::RTree;
@@ -31,8 +30,6 @@ pub enum SpatialCols {
 pub enum IndexKind {
     /// B+tree on one column (supports equality and ranges; non-unique).
     BTree { column: String },
-    /// Hash index on one column (equality only; non-unique).
-    Hash { column: String },
     /// R-tree over the given spatial columns.
     Spatial(SpatialCols),
 }
@@ -48,18 +45,15 @@ pub struct Index {
 #[derive(Clone)]
 pub(crate) enum IndexImpl {
     BTree(BPlusTree<OrdValue, RecordId>),
-    Hash(HashIndex<OrdValue, RecordId>),
     Spatial(RTree<RecordId>),
 }
 
 impl IndexImpl {
-    /// Nodes and chunks of node handles this index copied on write (a hash
-    /// index is copied whole and counts nothing).
+    /// Nodes and chunks of node handles this index copied on write.
     fn copies(&self) -> Copies {
         match self {
             IndexImpl::BTree(t) => t.copies(),
             IndexImpl::Spatial(t) => t.copies(),
-            IndexImpl::Hash(_) => Copies::default(),
         }
     }
 
@@ -68,7 +62,6 @@ impl IndexImpl {
         match self {
             IndexImpl::BTree(t) => t.carry_copies(from_predecessor),
             IndexImpl::Spatial(t) => t.carry_copies(from_predecessor),
-            IndexImpl::Hash(_) => {}
         }
     }
 }
@@ -81,8 +74,7 @@ impl IndexImpl {
 /// it changes, plus the first time each chunk's handles, which
 /// [`Table::cow_stats`] counts.
 /// [`crate::Database`] holds tables behind `Arc` and clones one the first
-/// time it is mutated through a handle that shares it. A hash index is the
-/// exception: it is copied whole (see [`HashIndex`]).
+/// time it is mutated through a handle that shares it.
 #[derive(Clone)]
 pub struct Table {
     pub name: String,
@@ -173,10 +165,6 @@ impl Table {
                     let ci = self.schema.index_of(column)?;
                     t.insert(OrdValue(row.get(ci).clone()), rid);
                 }
-                (IndexKind::Hash { column }, IndexImpl::Hash(h)) => {
-                    let ci = self.schema.index_of(column)?;
-                    h.insert(OrdValue(row.get(ci).clone()), rid);
-                }
                 (IndexKind::Spatial(_), IndexImpl::Spatial(_)) => {
                     // computed below to avoid double borrow
                 }
@@ -265,15 +253,6 @@ impl Table {
                     t.insert(OrdValue(key), rid);
                 }
                 IndexImpl::BTree(t)
-            }
-            IndexKind::Hash { column } => {
-                let ci = at(column)?;
-                let mut h = HashIndex::with_capacity(self.heap.len());
-                for (rid, bytes) in self.heap.iter() {
-                    let [key] = Row::decode_columns(bytes, [ci])?;
-                    h.insert(OrdValue(key), rid);
-                }
-                IndexImpl::Hash(h)
             }
             IndexKind::Spatial(cols) => {
                 let cols = self.bbox_columns(cols)?;
@@ -367,7 +346,7 @@ impl Table {
         let mut removals = Vec::with_capacity(self.indexes.len());
         for idx in &self.indexes {
             removals.push(match &idx.kind {
-                IndexKind::BTree { column } | IndexKind::Hash { column } => {
+                IndexKind::BTree { column } => {
                     let ci = self.schema.index_of(column)?;
                     Removal::Key(OrdValue(row.get(ci).clone()))
                 }
@@ -378,9 +357,6 @@ impl Table {
             match (&mut idx.imp, removal) {
                 (IndexImpl::BTree(t), Removal::Key(k)) => {
                     t.remove_one(&k, |r| *r == rid);
-                }
-                (IndexImpl::Hash(h), Removal::Key(k)) => {
-                    h.remove_one(&k, |r| *r == rid);
                 }
                 (IndexImpl::Spatial(t), Removal::Box(b)) => {
                     t.remove_one(&b, |r| *r == rid);
@@ -408,14 +384,8 @@ impl Table {
         self.indexes.iter().position(|i| pred(&i.kind))
     }
 
-    /// A B-tree or hash index on `column` (hash preferred for equality).
-    pub fn eq_index_on(&self, column: &str) -> Option<usize> {
-        self.find_index(|k| matches!(k, IndexKind::Hash { column: c } if c == column))
-            .or_else(|| {
-                self.find_index(|k| matches!(k, IndexKind::BTree { column: c } if c == column))
-            })
-    }
-
+    /// A B+tree index on `column`: the one index that serves equality and
+    /// range probes and index joins.
     pub fn btree_index_on(&self, column: &str) -> Option<usize> {
         self.find_index(|k| matches!(k, IndexKind::BTree { column: c } if c == column))
     }
@@ -429,7 +399,6 @@ impl Table {
         let key = OrdValue(key.clone());
         match &self.indexes[index_no].imp {
             IndexImpl::BTree(t) => t.for_each_eq(&key, |rid| f(*rid)),
-            IndexImpl::Hash(h) => h.for_each_eq(&key, |rid| f(*rid)),
             IndexImpl::Spatial(_) => 0,
         }
     }
@@ -616,33 +585,12 @@ mod tests {
             Value::Float(0.0),
         ]))
         .unwrap();
-        let idx = t.eq_index_on("tuple_id").unwrap();
+        let idx = t.btree_index_on("tuple_id").unwrap();
         let mut hits = Vec::new();
         t.probe_eq(idx, &Value::Int(100), |rid| hits.push(rid));
         assert_eq!(hits.len(), 1);
         let row = t.get(hits[0]).unwrap().unwrap();
         assert_eq!(row.get(0), &Value::Int(100));
-    }
-
-    #[test]
-    fn hash_preferred_for_equality() {
-        let mut t = dots_table();
-        t.create_index(
-            "bt",
-            IndexKind::BTree {
-                column: "tuple_id".into(),
-            },
-        )
-        .unwrap();
-        t.create_index(
-            "h",
-            IndexKind::Hash {
-                column: "tuple_id".into(),
-            },
-        )
-        .unwrap();
-        let idx = t.eq_index_on("tuple_id").unwrap();
-        assert!(matches!(t.indexes[idx].kind, IndexKind::Hash { .. }));
     }
 
     #[test]
@@ -671,7 +619,7 @@ mod tests {
         t.create_index("i", IndexKind::BTree { column: "x".into() })
             .unwrap();
         assert!(matches!(
-            t.create_index("i", IndexKind::Hash { column: "y".into() }),
+            t.create_index("i", IndexKind::BTree { column: "y".into() }),
             Err(StorageError::IndexExists(_))
         ));
     }

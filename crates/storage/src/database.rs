@@ -165,12 +165,6 @@ impl Database {
         self.observer = observer;
     }
 
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Insert a row into a table.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<()> {
         self.table_mut(table)?.insert(row).map(|_| ())
@@ -261,7 +255,6 @@ impl Database {
             Statement::CreateIndex(ci) => {
                 let kind = match ci.kind {
                     crate::sql::ast::IndexSpec::BTree { column } => IndexKind::BTree { column },
-                    crate::sql::ast::IndexSpec::Hash { column } => IndexKind::Hash { column },
                     crate::sql::ast::IndexSpec::SpatialPoint { x, y } => {
                         IndexKind::Spatial(crate::catalog::SpatialCols::Point { x, y })
                     }
@@ -586,7 +579,7 @@ mod tests {
         db.create_index(
             "record",
             "record_tuple_id",
-            IndexKind::Hash {
+            IndexKind::BTree {
                 column: "tuple_id".into(),
             },
         )
@@ -802,7 +795,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.rows[0].get(0), &Value::Int(200));
-        // hash index probe on a deleted tuple finds nothing
+        // a B-tree probe on a deleted tuple finds nothing
         let r = db
             .query("SELECT * FROM record WHERE tuple_id = 399", &[])
             .unwrap();
@@ -844,7 +837,7 @@ mod tests {
             )
             .unwrap();
         assert!(r.rows.is_empty());
-        // the hash index still resolves the tuple exactly once
+        // the B-tree on tuple_id still resolves the tuple exactly once
         let r = db
             .query("SELECT * FROM record WHERE tuple_id = 7", &[])
             .unwrap();
@@ -928,12 +921,12 @@ mod tests {
         base.counters.reset();
         let mut succ = base.clone();
         // first mutation through a shared handle unshares the table and
-        // copies the one page and the one R-tree leaf the row sits in
-        // (the hash index on `record` is copied whole and not counted)
+        // copies the one page, the one R-tree leaf and the one B+tree leaf
+        // the row sits in
         succ.delete_where("record", "tuple_id = 0", &[]).unwrap();
         assert_eq!(base.counters.cow_table_copies(), 1);
         let stats = succ.table("record").unwrap().cow_stats();
-        assert_eq!((stats.pages_copied, stats.nodes_copied), (1, 1));
+        assert_eq!((stats.pages_copied, stats.nodes_copied), (1, 2));
         // the table is now unshared and that page is this handle's own:
         // a second delete on it copies only another leaf, if any
         succ.delete_where("record", "tuple_id = 1", &[]).unwrap();

@@ -5,13 +5,12 @@
 //! equivalent substrate built from scratch:
 //!
 //! * slotted-page **heap tables** ([`heap::TableHeap`], 8 KiB pages),
-//! * a **B+tree** with duplicate keys ([`btree::BPlusTree`]) — the index for
-//!   the paper's tuple–tile *mapping* design,
-//! * a **hash index** ([`hash_index::HashIndex`]) for `tuple_id` probes,
+//! * a **B+tree** with duplicate keys ([`btree::BPlusTree`]) for equality
+//!   and range probes,
 //! * an **R-tree** with STR bulk loading ([`rtree::RTree`]) — the paper's
 //!   *spatial* design,
 //! * a **SQL layer** ([`sql`]) whose planner picks between those access
-//!   paths exactly the way the paper's two database designs require, with
+//!   paths (rectangle probes, equality and range probes, index joins), with
 //!   aggregates/GROUP BY, DML, DDL, and EXPLAIN on top.
 //!
 //! A [`Database`] is a plain value: a clone shares pages and index nodes
@@ -58,7 +57,6 @@ pub mod database;
 pub mod error;
 pub mod fxhash;
 pub mod geom;
-pub mod hash_index;
 pub mod heap;
 pub mod page;
 pub mod row;

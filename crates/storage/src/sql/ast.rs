@@ -315,7 +315,7 @@ pub struct CreateTable {
     pub columns: Vec<(String, crate::value::DataType)>,
 }
 
-/// `CREATE INDEX name ON t (col)` (B-tree), `... USING HASH (col)`, or
+/// `CREATE INDEX name ON t (col)` (B-tree, also `USING BTREE`) or
 /// `... USING SPATIAL (x, y)` (point R-tree).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CreateIndex {
@@ -328,7 +328,6 @@ pub struct CreateIndex {
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexSpec {
     BTree { column: String },
-    Hash { column: String },
     SpatialPoint { x: String, y: String },
 }
 

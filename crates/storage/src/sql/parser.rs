@@ -160,9 +160,6 @@ impl Parser {
             (None, 1) | (Some("BTREE"), 1) => IndexSpec::BTree {
                 column: cols.remove(0),
             },
-            (Some("HASH"), 1) => IndexSpec::Hash {
-                column: cols.remove(0),
-            },
             (Some("SPATIAL"), 2) => {
                 let y = cols.pop().expect("two columns");
                 let x = cols.pop().expect("two columns");
@@ -171,7 +168,7 @@ impl Parser {
             (method, n) => {
                 return Err(StorageError::ParseError(format!(
                     "unsupported index: USING {} with {n} column(s); expected \
-                     BTREE/HASH (1 column) or SPATIAL (2 columns)",
+                     BTREE (1 column) or SPATIAL (2 columns)",
                     method.unwrap_or("BTREE")
                 )))
             }

@@ -3,7 +3,7 @@
 //! Planning rules (in priority order, mirroring what PostgreSQL would pick
 //! for the paper's two database designs):
 //! 1. `bbox && rect(...)` with a spatial index → R-tree scan.
-//! 2. `col = const` with a hash/B-tree index → index equality probe.
+//! 2. `col = const` with a B-tree index → index equality probe.
 //! 3. `col BETWEEN a AND b` with a B-tree index → index range scan.
 //! 4. otherwise → filtered sequential scan.
 //!
@@ -366,7 +366,7 @@ fn plan_single(
                 };
                 if let Some((c, key)) = col_key {
                     if table.schema.has_column(&c.column) {
-                        if let Some(index_no) = table.eq_index_on(&c.column) {
+                        if let Some(index_no) = table.btree_index_on(&c.column) {
                             chosen = Some(ScanPlan::IndexEq {
                                 table: table_name.to_string(),
                                 binding: binding.to_string(),
@@ -484,8 +484,8 @@ pub fn plan_select(db: &Database, stmt: &Select) -> Result<ScanPlan> {
     // Prefer the side with a filter as the outer side; the inner side needs
     // an index on its join column for an index join.
     let from_has_filter = !from_conj.is_empty();
-    let joined_key_index = joined_table.eq_index_on(&joined_key.column);
-    let from_key_index = from_table.eq_index_on(&from_key.column);
+    let joined_key_index = joined_table.btree_index_on(&joined_key.column);
+    let from_key_index = from_table.btree_index_on(&from_key.column);
 
     // choose orientation: outer drives, inner is probed
     let (outer_is_from, inner_index) = if from_has_filter && joined_key_index.is_some() {

@@ -1,7 +1,6 @@
 //! Property-based tests of the storage substrate's invariants.
 
 use kyrix_storage::btree::BPlusTree;
-use kyrix_storage::hash_index::HashIndex;
 use kyrix_storage::page::Page;
 use kyrix_storage::rtree::RTree;
 use kyrix_storage::spine::{Copies, Spine, CHUNK};
@@ -193,29 +192,6 @@ proptest! {
             b.sort_unstable();
             prop_assert_eq!(&a, &naive);
             prop_assert_eq!(&b, &naive);
-        }
-    }
-}
-
-// ------------------------------------------------------------------ hash
-
-proptest! {
-    /// The hash index agrees with a vector model across grows.
-    #[test]
-    fn hash_index_matches_model(
-        entries in prop::collection::vec((0u64..100, 0u64..1000), 0..500),
-        probes in prop::collection::vec(0u64..120, 1..20),
-    ) {
-        let mut idx: HashIndex<u64, u64> = HashIndex::with_capacity(4);
-        for (k, v) in &entries {
-            idx.insert(*k, *v);
-        }
-        for k in probes {
-            let mut want: Vec<u64> = entries.iter().filter(|(mk, _)| *mk == k).map(|(_, v)| *v).collect();
-            let mut got = idx.get_all(&k);
-            want.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(got, want);
         }
     }
 }
@@ -458,10 +434,9 @@ fn visit_order(answers: &Answers) -> Vec<Vec<&[u8]>> {
         .collect()
 }
 
-/// Sorted row bytes the preferred equality index on `id` (the hash index,
-/// where there is one) returns for every seventh id.
+/// Sorted row bytes the B+tree on `id` returns for every seventh id.
 fn eq_hits(t: &Table) -> Vec<Vec<Vec<u8>>> {
-    let index = t.eq_index_on("id").unwrap();
+    let index = t.btree_index_on("id").unwrap();
     (0..ID_SPACE)
         .step_by(7)
         .map(|id| {
@@ -476,19 +451,12 @@ fn eq_hits(t: &Table) -> Vec<Vec<Vec<u8>>> {
 }
 
 /// Everything `Table::cluster` promises, on `dots(id, x, y)` with an
-/// R-tree, a B+tree and a hash index, after the rows `doomed` picks were
+/// R-tree and a B+tree, after the rows `doomed` picks were
 /// deleted on a clone (so there are tombstones, and pages and nodes have
 /// been copied before).
 fn check_cluster(rows: &[(i64, f64, f64)], doomed: &[u32]) {
     let base = dots_table(rows);
     let mut t = base.clone();
-    t.create_index(
-        "h_id",
-        IndexKind::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
     let mut rids = Vec::new();
     t.scan(|rid, _| rids.push(rid)).unwrap();
     for pick in doomed {
@@ -504,12 +472,11 @@ fn check_cluster(rows: &[(i64, f64, f64)], doomed: &[u32]) {
 
     // only a spatial index orders a heap; a refusal changes nothing
     assert!(t.cluster(by_id).is_err());
-    assert!(t.cluster(t.eq_index_on("id").unwrap()).is_err());
     assert_eq!(answers(&t), before);
 
     t.cluster(sp).unwrap();
     let after = answers(&t);
-    // the same rows: the scan, every spatial probe, every B+tree and hash
+    // the same rows: the scan, every spatial probe, every B+tree
     // equality probe and every range answer with the same multiset
     assert_eq!(t.len(), rids.len());
     assert_eq!(logical(&after), logical(&before));

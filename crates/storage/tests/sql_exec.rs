@@ -79,7 +79,7 @@ fn index_join_used_when_available() {
     db.create_index(
         "items",
         "items_pk",
-        IndexKind::Hash {
+        IndexKind::BTree {
             column: "item_id".into(),
         },
     )

@@ -11,7 +11,7 @@ fn usmap_db() -> Database {
     db
 }
 
-/// All four physical store paths must produce the same visible data.
+/// Every fetch scheme the server serves must produce the same visible data.
 #[test]
 fn all_schemes_show_the_same_data() {
     let plans = vec![
@@ -24,10 +24,6 @@ fn all_schemes_show_the_same_data() {
         FetchPlan::StaticTiles {
             size: 512.0,
             design: TileDesign::SpatialIndex,
-        },
-        FetchPlan::StaticTiles {
-            size: 512.0,
-            design: TileDesign::TupleTileMapping,
         },
     ];
     let mut baseline: Option<Vec<i64>> = None;
