@@ -1,5 +1,5 @@
-//! `experiments` — regenerates every table/figure of the paper's
-//! evaluation as Markdown, plus this reproduction's ablations.
+//! `experiments` — regenerates the paper's Figure 6/7 tables as Markdown,
+//! plus this reproduction's prefetch and LoD experiments.
 //!
 //! ```text
 //! cargo run -p kyrix-bench --bin experiments --release -- all
@@ -7,37 +7,54 @@
 //! cargo run -p kyrix-bench --bin experiments --release -- fig7 --small
 //! ```
 //!
-//! Subcommands: `fig6`, `fig7`, `separability`, `prefetch`,
-//! `prefetch-policy`, `parallel`, `latency`, `boxsweep`, `cache`, `lod`,
-//! `all` (the default). `--small` shrinks the dataset for quick runs;
-//! `lod --points N` runs only the pyramid part of `lod`, on a galaxy of
-//! `N` points at the million set's density. Any other flag, a second
-//! subcommand or an unknown one exits 2 with the usage line.
+//! Subcommands: `fig6`, `fig7`, `prefetch`, `lod`, `all` (the default).
+//! `--small` shrinks the dataset for quick runs; `lod --points N` runs only
+//! the pyramid part of `lod`, on a galaxy of `N` points at the million
+//! set's density. Any other flag, a second subcommand or an unknown one
+//! exits 2 with the usage line.
 
 use kyrix_bench::{
-    build_database, dots_on_grid, figure_table, galaxy_at_million_density, launch_scheme,
-    paper_traces, proc_status_mb, run_cell, run_figure, run_lod_experiment, run_lod_maintenance,
-    run_lod_plan_comparison, Dataset, ExperimentConfig, LodExperiment,
+    build_database, figure_table, galaxy_at_million_density, proc_status_mb, run_figure,
+    run_lod_experiment, run_lod_maintenance, run_lod_plan_comparison, Dataset, ExperimentConfig,
+    LodExperiment,
 };
-use kyrix_client::{run_trace, Session};
+use kyrix_client::{Move, Session, TraceReport};
 use kyrix_core::compile;
-use kyrix_parallel::scatter_gather;
-use kyrix_server::{BoxPolicy, FetchPlan, KyrixServer, PrefetchPolicy, ServerConfig, TileDesign};
+use kyrix_server::{BoxPolicy, FetchPlan, KyrixServer, PrefetchPolicy, ServerConfig};
 use kyrix_storage::{Database, Value};
-use kyrix_workload::{
-    dots_app, index_dots, load_uniform, load_usmap, straight_pan, usmap_app, GalaxyConfig,
-    SkewConfig,
-};
+use kyrix_workload::{dots_app, straight_pan, GalaxyConfig, SkewConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-const USAGE: &str = "usage: experiments [fig6|fig7|separability|prefetch|prefetch-policy|\
-                     parallel|latency|boxsweep|cache|lod|all] [--small] [--points N]";
+const USAGE: &str = "usage: experiments [fig6|fig7|prefetch|lod|all] [--small] [--points N]";
+
+/// One subcommand.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Experiment {
+    Fig6,
+    Fig7,
+    Prefetch,
+    Lod,
+    All,
+}
+
+impl Experiment {
+    fn named(name: &str) -> Option<Experiment> {
+        Some(match name {
+            "fig6" => Experiment::Fig6,
+            "fig7" => Experiment::Fig7,
+            "prefetch" => Experiment::Prefetch,
+            "lod" => Experiment::Lod,
+            "all" => Experiment::All,
+            _ => return None,
+        })
+    }
+}
 
 /// What the command line asks for.
 #[derive(Debug, PartialEq)]
 struct Args {
-    what: String,
+    what: Experiment,
     small: bool,
     points: Option<usize>,
 }
@@ -62,11 +79,14 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             sub if what.is_some() => return Err(format!("unexpected argument `{sub}`")),
-            sub => what = Some(sub.to_string()),
+            sub => {
+                let known = Experiment::named(sub);
+                what = Some(known.ok_or_else(|| format!("unknown experiment `{sub}`"))?);
+            }
         }
     }
     Ok(Args {
-        what: what.unwrap_or_else(|| "all".to_string()),
+        what: what.unwrap_or(Experiment::All),
         small,
         points,
     })
@@ -82,48 +102,16 @@ fn config(small: bool) -> ExperimentConfig {
     }
 }
 
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Args {
         what,
         small,
         points,
-    } = parse_args(&args).unwrap_or_else(|msg| usage_exit(&msg));
-    // resolve the subcommand before printing anything, so a typo exits
-    // with the usage line alone
-    let run: Box<dyn Fn(&ExperimentConfig)> = match what.as_str() {
-        "fig6" => Box::new(fig6),
-        "fig7" => Box::new(fig7),
-        "separability" => Box::new(separability),
-        "prefetch" => Box::new(prefetch),
-        "prefetch-policy" => Box::new(prefetch_policy),
-        "parallel" => Box::new(parallel),
-        "latency" => Box::new(|_| latency()),
-        "boxsweep" => Box::new(boxsweep),
-        "cache" => Box::new(cache),
-        "lod" => Box::new(move |_| match points {
-            Some(n) => lod_pyramid(&galaxy_at_million_density(n)),
-            None => lod(small),
-        }),
-        "all" => Box::new(move |cfg| {
-            fig6(cfg);
-            fig7(cfg);
-            separability(cfg);
-            prefetch(cfg);
-            prefetch_policy(cfg);
-            parallel(cfg);
-            latency();
-            boxsweep(cfg);
-            cache(cfg);
-            lod(small);
-        }),
-        other => usage_exit(&format!("unknown experiment `{other}`")),
-    };
+    } = parse_args(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}\n{USAGE}");
+        std::process::exit(2);
+    });
     let cfg = config(small);
 
     println!("# Kyrix reproduction — experiment run");
@@ -146,7 +134,21 @@ fn main() {
         cfg.cost.bytes_per_ms / 1000.0
     );
 
-    run(&cfg);
+    match what {
+        Experiment::Fig6 => fig6(&cfg),
+        Experiment::Fig7 => fig7(&cfg),
+        Experiment::Prefetch => prefetch(&cfg),
+        Experiment::Lod => match points {
+            Some(n) => lod_pyramid(&galaxy_at_million_density(n)),
+            None => lod(small),
+        },
+        Experiment::All => {
+            fig6(&cfg);
+            fig7(&cfg);
+            prefetch(&cfg);
+            lod(small);
+        }
+    }
 }
 
 /// Figure 6: average response times on Uniform.
@@ -171,132 +173,39 @@ fn fig7(cfg: &ExperimentConfig) {
     println!("\n(ran in {:.1}s)\n", started.elapsed().as_secs_f64());
 }
 
-/// §3.2: separable layers can skip precomputation entirely.
-fn separability(cfg: &ExperimentConfig) {
-    println!("## Separability (paper §3.2) — precompute skipped vs. materialized\n");
-    println!("| path | precompute (ms) | avg step (ms, trace-b) |");
-    println!("|---|---|---|");
-    for (label, with_raw_index) in [
-        ("materialized (non-separable path)", false),
-        ("skipped (separable path)", true),
-    ] {
-        let mut db = Database::new();
-        load_uniform(&mut db, &cfg.dots).expect("load");
-        if with_raw_index {
-            index_dots(&mut db).expect("index");
-        }
-        let app = compile(&dots_app(&cfg.dots, cfg.viewport), &db).expect("compile");
-        let t0 = Instant::now();
-        let (server, reports) = KyrixServer::launch(
-            app,
-            db,
-            ServerConfig::new(FetchPlan::DynamicBox {
-                policy: BoxPolicy::Exact,
-            })
-            .with_cost(cfg.cost),
-        )
-        .expect("launch");
-        let precompute_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let skipped = reports.iter().any(|r| r.skipped_separable);
-        assert_eq!(
-            skipped, with_raw_index,
-            "skip path engages iff raw index exists"
-        );
-        let server = Arc::new(server);
-        let traces = paper_traces(cfg);
-        let cell = run_cell(&server, traces[1].1, &traces[1].2, cfg.runs);
-        println!(
-            "| {label} | {precompute_ms:.0} | {:.2} |",
-            cell.avg_modeled_ms
-        );
-    }
-    println!();
-}
-
-/// §4: momentum prefetching with dynamic boxes (the paper's future work).
+/// §4 (the paper's future work): prefetching with dynamic boxes, off vs.
+/// each predictor, on two traces — a straight pan (momentum's home turf)
+/// and a patrol along the Skewed dense-cluster edge that reverses
+/// direction every few steps: velocity extrapolation keeps pointing the
+/// wrong way after each reversal, while data-similarity ranking keeps
+/// warming the in-cluster directions.
 fn prefetch(cfg: &ExperimentConfig) {
-    println!("## Momentum prefetching (paper §4) — straight pan, dynamic boxes\n");
-    println!("| prefetch | avg step (ms) | backend cache hits | queries |");
-    println!("|---|---|---|---|");
-    for enabled in [false, true] {
-        let db = build_database(Dataset::Uniform, &cfg.dots);
-        let app = compile(&dots_app(&cfg.dots, cfg.viewport), &db).expect("compile");
-        let (server, _) = KyrixServer::launch(
-            app,
-            db,
-            ServerConfig::new(FetchPlan::DynamicBox {
-                policy: BoxPolicy::Exact,
-            })
-            .with_cost(cfg.cost)
-            .with_prefetch(enabled),
-        )
-        .expect("launch");
-        let server = Arc::new(server);
-        let (mut session, _) = Session::open(server.clone()).expect("open");
-        session.send_momentum_hints = enabled;
-        session
-            .pan_to(cfg.viewport.0 * 2.0, cfg.dots.height / 2.0)
-            .expect("pan");
-        let moves = straight_pan(10, cfg.trace_tile / 2.0, 0.0);
-        // pace the trace like a human pans (the paper's 500 ms budget per
-        // interaction) so the prefetcher has time to run ahead
-        let mut report = kyrix_client::TraceReport::default();
-        for m in &moves {
-            if enabled {
-                server.drain_prefetch();
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            let step = match *m {
-                kyrix_client::Move::PanBy { dx, dy } => session.pan_by(dx, dy).expect("pan"),
-                kyrix_client::Move::PanTo { cx, cy } => session.pan_to(cx, cy).expect("pan"),
-            };
-            report.steps.push(step);
-        }
-        let totals = server.totals();
-        println!(
-            "| {} | {:.2} | {} | {} |",
-            if enabled { "on" } else { "off" },
-            report.avg_modeled_ms(),
-            totals.cache_hits,
-            totals.queries,
-        );
-    }
-    println!();
-}
-
-/// §4 ablation: prefetch predictor comparison (off / momentum / semantic)
-/// on two traces — a straight pan (momentum's home turf) and a patrol along
-/// the Skewed dense-cluster edge that reverses direction every few steps:
-/// velocity extrapolation keeps pointing the wrong way after each reversal,
-/// while data-similarity ranking keeps warming the in-cluster directions.
-fn prefetch_policy(cfg: &ExperimentConfig) {
-    println!("## Prefetch policy ablation (paper §4) — dynamic boxes\n");
-    println!("| trace | policy | avg step (ms) | backend cache hits | foreground queries |");
+    println!("## Prefetching (paper §4) — dynamic boxes\n");
+    println!("| trace | prefetch | avg step (ms) | backend cache hits | foreground queries |");
     println!("|---|---|---|---|---|");
 
     let skew = SkewConfig::default();
     let dense = skew.dense_rect(&cfg.dots);
     let step = cfg.trace_tile / 2.0;
-    let straight: Vec<kyrix_client::Move> = straight_pan(10, step, 0.0);
+    let straight = straight_pan(10, step, 0.0);
     // patrol: 5 steps east, 5 west, repeat — along the cluster's top edge.
     // The legs are longer than the backend box shelf (4 entries), so the
     // no-prefetch baseline cannot ride the plain cache across a whole leg.
-    let patrol: Vec<kyrix_client::Move> = (0..20)
+    let patrol: Vec<Move> = (0..20)
         .map(|i| {
             let dir = if (i / 5) % 2 == 0 { 1.0 } else { -1.0 };
-            kyrix_client::Move::PanBy {
+            Move::PanBy {
                 dx: dir * step,
                 dy: 0.0,
             }
         })
         .collect();
-
-    let policies: [(&str, Option<PrefetchPolicy>); 3] = [
+    let policies = [
         ("off", None),
         ("momentum", Some(PrefetchPolicy::Momentum)),
         ("semantic", Some(PrefetchPolicy::Semantic { top_k: 2 })),
     ];
-    type TraceRow<'a> = (&'a str, Dataset, &'a [kyrix_client::Move], (f64, f64));
+    type TraceRow<'a> = (&'a str, Dataset, &'a [Move], (f64, f64));
     let traces: [TraceRow<'_>; 2] = [
         (
             "straight pan (Uniform)",
@@ -316,35 +225,31 @@ fn prefetch_policy(cfg: &ExperimentConfig) {
     ];
 
     for (trace_label, dataset, moves, start) in traces {
-        for (policy_label, policy) in &policies {
+        for (policy_label, prefetch) in policies {
             let db = build_database(dataset, &cfg.dots);
             let app = compile(&dots_app(&cfg.dots, cfg.viewport), &db).expect("compile");
-            let mut config = ServerConfig::new(FetchPlan::DynamicBox {
-                policy: BoxPolicy::Exact,
-            })
-            .with_cost(cfg.cost);
-            if let Some(p) = policy {
-                config = config.with_prefetch_policy(*p);
-            }
+            let config = ServerConfig {
+                prefetch,
+                ..ServerConfig::new(FetchPlan::DynamicBox {
+                    policy: BoxPolicy::Exact,
+                })
+                .with_cost(cfg.cost)
+            };
             let (server, _) = KyrixServer::launch(app, db, config).expect("launch");
             let server = Arc::new(server);
             let (mut session, _) = Session::open(server.clone()).expect("open");
-            session.send_momentum_hints = matches!(policy, Some(PrefetchPolicy::Momentum));
-            session.send_semantic_hints = matches!(policy, Some(PrefetchPolicy::Semantic { .. }));
             session.pan_to(start.0, start.1).expect("pan to start");
             server.reset_totals();
-            let mut report = kyrix_client::TraceReport::default();
+            let mut report = TraceReport::default();
             for m in moves {
-                if policy.is_some() {
-                    // pace like a human (the prefetcher runs between pans)
-                    server.drain_prefetch();
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
+                // pace like a human: the worker finishes its prediction
+                // between two pans (a no-op with prefetch off)
+                server.drain_prefetch();
                 let s = match *m {
-                    kyrix_client::Move::PanBy { dx, dy } => session.pan_by(dx, dy).expect("pan"),
-                    kyrix_client::Move::PanTo { cx, cy } => session.pan_to(cx, cy).expect("pan"),
+                    Move::PanBy { dx, dy } => session.pan_by(dx, dy),
+                    Move::PanTo { cx, cy } => session.pan_to(cx, cy),
                 };
-                report.steps.push(s);
+                report.steps.push(s.expect("pan"));
             }
             let totals = server.totals();
             println!(
@@ -354,210 +259,6 @@ fn prefetch_policy(cfg: &ExperimentConfig) {
                 totals.queries,
             );
         }
-    }
-    println!();
-}
-
-/// §4: the multi-node deployment, simulated by `kyrix-parallel`. Scale-up
-/// table over shard counts. The headline metric is *work*, not wall time:
-/// spatially routed viewport queries touch a constant number of shards, so
-/// the rows each node scans per query drops with the grid; broadcast
-/// aggregates split their scan across nodes. Wall-clock speedup requires
-/// real cores (this harness reports available parallelism alongside).
-fn parallel(cfg: &ExperimentConfig) {
-    println!("## Parallel partitioned execution (paper §4) — SpatialGrid shards\n");
-    println!(
-        "(host parallelism: {} hardware thread(s); wall-time speedup needs >1)\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    println!(
-        "| shards (grid) | viewport count avg (ms) | shards/query | largest shard (rows) | full-table AVG (ms) |"
-    );
-    println!("|---|---|---|---|---|");
-
-    // one source of truth for the rows
-    let src = build_database(Dataset::Skewed(SkewConfig::default()), &cfg.dots);
-
-    for (label, cols, grid_rows) in [
-        ("1 (1x1)", 1u32, 1u32),
-        ("4 (2x2)", 2, 2),
-        ("16 (4x4)", 4, 4),
-    ] {
-        let (shards, router) = dots_on_grid(&src, &cfg.dots, cols, grid_rows);
-
-        // routed viewport counts across a diagonal of viewports
-        let q_view = "SELECT COUNT(*) FROM dots WHERE bbox && rect($1, $2, $3, $4)";
-        let n_queries = 12;
-        let mut touched = 0;
-        let t0 = Instant::now();
-        for i in 0..n_queries {
-            let x = (i as f64 / n_queries as f64) * (cfg.dots.width - cfg.viewport.0);
-            let y = (i as f64 / n_queries as f64) * (cfg.dots.height - cfg.viewport.1);
-            let g = scatter_gather(
-                &shards,
-                &router,
-                q_view,
-                &[
-                    Value::Float(x),
-                    Value::Float(y),
-                    Value::Float(x + cfg.viewport.0),
-                    Value::Float(y + cfg.viewport.1),
-                ],
-            )
-            .expect("viewport count");
-            touched += g.shards.len();
-        }
-        let routed_ms = t0.elapsed().as_secs_f64() * 1000.0 / n_queries as f64;
-        let shards_per_query = touched as f64 / n_queries as f64;
-
-        // broadcast aggregate (a coordinated-view rollup); with real cores
-        // its latency is bounded by the largest shard's scan
-        let largest = shards
-            .iter()
-            .map(|s| s.table("dots").expect("dots").len())
-            .max()
-            .unwrap_or(0);
-        let t0 = Instant::now();
-        let agg_runs = 3;
-        for _ in 0..agg_runs {
-            scatter_gather(
-                &shards,
-                &router,
-                "SELECT AVG(weight), MIN(weight), MAX(weight), COUNT(*) FROM dots",
-                &[],
-            )
-            .expect("aggregate");
-        }
-        let agg_ms = t0.elapsed().as_secs_f64() * 1000.0 / agg_runs as f64;
-
-        println!("| {label} | {routed_ms:.2} | {shards_per_query:.1} | {largest} | {agg_ms:.2} |");
-    }
-    println!();
-}
-
-/// §3.3 / §3: end-to-end pan and jump latency vs. the 500 ms goal on the
-/// usmap application (Figures 2–3).
-fn latency() {
-    println!("## Interactivity (paper §3) — usmap app, pan + jump vs the 500 ms goal\n");
-    let mut db = Database::new();
-    load_usmap(&mut db, 7).expect("usmap");
-    let app = compile(&usmap_app(), &db).expect("compile");
-    let (server, _) = KyrixServer::launch(
-        app,
-        db,
-        ServerConfig::new(FetchPlan::DynamicBox {
-            policy: BoxPolicy::PctLarger(0.5),
-        }),
-    )
-    .expect("launch");
-    let server = Arc::new(server);
-    let (mut session, initial) = Session::open(server).expect("open");
-    println!("| interaction | modeled (ms) | within 500 ms |");
-    println!("|---|---|---|");
-    println!(
-        "| initial load | {:.2} | {} |",
-        initial.modeled_ms,
-        initial.modeled_ms <= 500.0
-    );
-    let pan = session.pan_by(200.0, 0.0).expect("pan");
-    println!(
-        "| pan | {:.2} | {} |",
-        pan.modeled_ms,
-        pan.modeled_ms <= 500.0
-    );
-    // click inside a state cell (cells are 198 wide on a 200 grid, so the
-    // click must avoid the 2px gutters)
-    let outcome = session
-        .click(480.0, 280.0)
-        .expect("click")
-        .expect("a state triggers the jump");
-    println!(
-        "| jump ({}) | {:.2} | {} |",
-        outcome.name.as_deref().unwrap_or("?"),
-        outcome.report.modeled_ms,
-        outcome.report.modeled_ms <= 500.0
-    );
-    assert_eq!(outcome.to_canvas, "countymap");
-    println!();
-}
-
-/// Ablation: dynamic-box inflation sweep (0%..100%) + density-adaptive.
-fn boxsweep(cfg: &ExperimentConfig) {
-    println!("## Ablation — box inflation policy (Uniform, trace-b)\n");
-    println!("| policy | avg step (ms) | requests | rows fetched |");
-    println!("|---|---|---|---|");
-    let policies = vec![
-        BoxPolicy::Exact,
-        BoxPolicy::PctLarger(0.25),
-        BoxPolicy::PctLarger(0.5),
-        BoxPolicy::PctLarger(1.0),
-        BoxPolicy::DensityAdaptive {
-            target_tuples: (cfg.viewport.0 * cfg.viewport.1 * cfg.dots.density() * 2.0) as usize,
-            max_pct: 1.0,
-        },
-    ];
-    let traces = paper_traces(cfg);
-    for policy in policies {
-        let (server, _) = launch_scheme(Dataset::Uniform, cfg, FetchPlan::DynamicBox { policy });
-        let cell = run_cell(&server, traces[1].1, &traces[1].2, cfg.runs);
-        println!(
-            "| {} | {:.2} | {} | {} |",
-            policy.label(),
-            cell.avg_modeled_ms,
-            cell.last_run.total_requests(),
-            cell.last_run.total_rows(),
-        );
-    }
-    println!();
-}
-
-/// Ablation: backend cache capacity on a revisiting trace.
-fn cache(cfg: &ExperimentConfig) {
-    println!("## Ablation — backend tile cache on a revisiting walk (tile spatial)\n");
-    println!("| backend cache (tuples) | avg step (ms) | cache hits | queries |");
-    println!("|---|---|---|---|");
-    // an out-and-back walk revisits every tile once
-    let t = cfg.trace_tile;
-    let mut moves = Vec::new();
-    for _ in 0..6 {
-        moves.push(kyrix_client::Move::PanBy { dx: -t, dy: 0.0 });
-    }
-    for _ in 0..6 {
-        moves.push(kyrix_client::Move::PanBy { dx: t, dy: 0.0 });
-    }
-    for cache_rows in [0usize, 2_000, 200_000] {
-        let db = build_database(Dataset::Uniform, &cfg.dots);
-        let app = compile(&dots_app(&cfg.dots, cfg.viewport), &db).expect("compile");
-        let (server, _) = KyrixServer::launch(
-            app,
-            db,
-            ServerConfig::new(FetchPlan::StaticTiles {
-                size: cfg.trace_tile,
-                design: TileDesign::SpatialIndex,
-            })
-            .with_cost(cfg.cost)
-            .with_backend_cache(cache_rows),
-        )
-        .expect("launch");
-        let server = Arc::new(server);
-        // frontend cache tiny so revisits go to the backend
-        let (mut session, _) = Session::open_with_cache(server.clone(), 1).expect("open");
-        let traces = paper_traces(cfg);
-        session
-            .pan_to(traces[0].1.cx, traces[0].1.cy)
-            .expect("pan to start");
-        server.reset_totals();
-        let report = run_trace(&mut session, &moves).expect("trace");
-        let totals = server.totals();
-        println!(
-            "| {} | {:.2} | {} | {} |",
-            cache_rows,
-            report.avg_modeled_ms(),
-            totals.cache_hits,
-            totals.queries,
-        );
     }
     println!();
 }
@@ -813,22 +514,24 @@ mod tests {
     #[test]
     fn parses_subcommand_small_and_points_in_any_order() {
         let all = Args {
-            what: "all".into(),
+            what: Experiment::All,
             small: false,
             points: None,
         };
         assert_eq!(parse(&[]), Ok(all));
         let lod = Args {
-            what: "lod".into(),
+            what: Experiment::Lod,
             small: true,
             points: Some(200_000),
         };
         assert_eq!(parse(&["lod", "--small", "--points", "200_000"]), Ok(lod));
         let lod = parse(&["--points", "5", "--small", "lod"]).unwrap();
         assert_eq!(
-            (lod.what.as_str(), lod.small, lod.points),
-            ("lod", true, Some(5))
+            (lod.what, lod.small, lod.points),
+            (Experiment::Lod, true, Some(5))
         );
+        let prefetch = parse(&["prefetch", "--small"]).unwrap();
+        assert_eq!(prefetch.what, Experiment::Prefetch);
     }
 
     #[test]
@@ -841,6 +544,13 @@ mod tests {
             &["lod", "--points", "0"],
             &["lod", "--points", "many"],
             &["fig6", "fig7"],
+            // retired subcommands: each has cover in a test or a bench
+            &["separability"],
+            &["prefetch-policy"],
+            &["parallel"],
+            &["latency"],
+            &["boxsweep"],
+            &["cache"],
         ] {
             assert!(parse(args).is_err(), "{args:?} parsed");
         }

@@ -58,10 +58,6 @@ pub struct Session {
     /// sharded backend the pin carries a per-shard version vector,
     /// published atomically with every mutation.
     snapshot: Arc<dyn SnapshotView>,
-    /// Forward pan hints to the server's momentum prefetcher.
-    pub send_momentum_hints: bool,
-    /// Forward viewed-region hints to the server's semantic prefetcher.
-    pub send_semantic_hints: bool,
 }
 
 impl Session {
@@ -97,8 +93,6 @@ impl Session {
             momentum: MomentumTracker::new(),
             cache_rows: 500_000,
             snapshot,
-            send_momentum_hints: false,
-            send_semantic_hints: false,
         };
         let report = session.ensure_viewport_data()?;
         Ok((session, report))
@@ -132,8 +126,6 @@ impl Session {
             momentum: MomentumTracker::new(),
             cache_rows,
             snapshot,
-            send_momentum_hints: false,
-            send_semantic_hints: false,
         };
         let report = session.ensure_viewport_data()?;
         Ok((session, report))
@@ -173,8 +165,7 @@ impl Session {
     pub fn pan_by(&mut self, dx: f64, dy: f64) -> Result<StepReport> {
         let bounds = self.current_canvas().bounds();
         self.viewport.pan(dx, dy, &bounds);
-        let velocity = self.momentum.observe(&self.viewport.rect());
-        self.send_hints(velocity);
+        self.hint();
         self.ensure_viewport_data()
     }
 
@@ -182,20 +173,16 @@ impl Session {
     pub fn pan_to(&mut self, cx: f64, cy: f64) -> Result<StepReport> {
         let bounds = self.current_canvas().bounds();
         self.viewport.center_on(cx, cy, &bounds);
-        let velocity = self.momentum.observe(&self.viewport.rect());
-        self.send_hints(velocity);
+        self.hint();
         self.ensure_viewport_data()
     }
 
-    fn send_hints(&self, velocity: (f64, f64)) {
-        if self.send_momentum_hints {
-            self.server
-                .hint_momentum(&self.canvas, &self.viewport.rect(), velocity);
-        }
-        if self.send_semantic_hints {
-            self.server
-                .hint_semantic(&self.canvas, &self.viewport.rect());
-        }
+    /// Tell the server's prefetcher where the pan landed (a no-op on a
+    /// server without one).
+    fn hint(&mut self) {
+        let rect = self.viewport.rect();
+        let velocity = self.momentum.observe(&rect);
+        self.server.hint(&self.canvas, &rect, velocity);
     }
 
     /// Click at screen coordinates: find the topmost object under the

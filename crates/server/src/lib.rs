@@ -10,8 +10,8 @@
 //! * §3.2 **separability**: precomputation is skipped for layers whose
 //!   placement is an affine of raw indexed attributes;
 //! * backend **LRU caches** for tiles and boxes — [`cache`];
-//! * **momentum-based prefetching** (the paper's §4 future work,
-//!   implemented) — [`prefetch`];
+//! * **momentum- and semantic-based prefetching** (the paper's §4 future
+//!   work, implemented) on one background worker — [`prefetch`];
 //! * an explicit, configurable **cost model** for the network/DBMS
 //!   overheads that an in-process reproduction does not naturally pay —
 //!   [`cost`];
@@ -59,11 +59,12 @@ pub use precompute::{
     TileDesign,
 };
 pub use prefetch::{
-    neighbor_rects, predict_viewports, rank_by_similarity, MomentumTracker, RegionSignature,
+    neighbor_rects, predict_viewport, rank_by_similarity, MomentumTracker, RegionSignature,
     SemanticTracker, MIN_VELOCITY_FRAC,
 };
 pub use server::{
     BoxResponse, DirtyRegion, KyrixServer, PrefetchPolicy, ServerConfig, TileResponse,
+    PREFETCH_QUEUE_BOUND,
 };
 pub use tile::{TileId, Tiling, MAX_COVERING_TILES};
 pub use tuner::{measure_plan, CalibrationTrace, CandidateCost, LayerTuning, TuningReport};

@@ -4,15 +4,16 @@
 //! them in the dynamic-box context; this module implements both:
 //!
 //! * **Momentum-based**: the user's recent pan velocity is extrapolated to
-//!   predict the next viewport(s) ([`MomentumTracker`],
-//!   [`predict_viewports`]).
+//!   predict the next viewport ([`MomentumTracker`], [`predict_viewport`]).
 //! * **Semantic-based**: neighbors of the current viewport are ranked by
 //!   how similar their *data characteristics* (a normalized density
 //!   histogram, [`RegionSignature`]) are to what the user has recently
 //!   been looking at ([`SemanticTracker`], [`rank_by_similarity`]) — users
 //!   exploring a dense cluster tend to keep exploring it.
 //!
-//! A background worker (see `server.rs`) warms the backend caches with the
+//! Both run on one background worker (see `server.rs`): a pan hint only
+//! enqueues the viewport and its velocity, and the worker predicts with the
+//! server's configured predictor and warms the backend caches with the
 //! predicted regions before the real request arrives.
 
 use kyrix_storage::Rect;
@@ -26,28 +27,14 @@ use kyrix_storage::Rect;
 /// threshold within 9 idle observations (`0.5 * 0.5^9 < 1e-3`).
 pub const MIN_VELOCITY_FRAC: f64 = 1e-3;
 
-/// Predict the next `steps` viewports from the current viewport and the
-/// most recent per-step velocity. Returns nothing when the velocity is
-/// negligible relative to the viewport size (the user has stopped panning).
-///
-/// A degenerate `steps` of 0 does *not* silently produce no candidates:
-/// for a user who is genuinely moving, the current viewport itself is
-/// returned as the sole candidate, so a zero-lookahead configuration still
-/// keeps the region the user occupies warm instead of disabling the
-/// predictor without a trace.
-pub fn predict_viewports(current: &Rect, velocity: (f64, f64), steps: usize) -> Vec<Rect> {
+/// Predict the next viewport from the current one and the most recent
+/// per-step velocity. `None` when the velocity is negligible relative to
+/// the viewport size (the user has stopped panning).
+pub fn predict_viewport(current: &Rect, velocity: (f64, f64)) -> Option<Rect> {
     let (dx, dy) = velocity;
-    if dx.abs() <= current.width() * MIN_VELOCITY_FRAC
-        && dy.abs() <= current.height() * MIN_VELOCITY_FRAC
-    {
-        return Vec::new();
-    }
-    if steps == 0 {
-        return vec![*current];
-    }
-    (1..=steps)
-        .map(|i| current.translate(dx * i as f64, dy * i as f64))
-        .collect()
+    let moving = dx.abs() > current.width() * MIN_VELOCITY_FRAC
+        || dy.abs() > current.height() * MIN_VELOCITY_FRAC;
+    moving.then(|| current.translate(dx, dy))
 }
 
 /// Tracks recent viewports to derive a momentum estimate.
@@ -178,9 +165,10 @@ impl SemanticTracker {
     }
 
     /// Blend a newly viewed region's signature into the running profile
-    /// (weight 0.5, like the momentum tracker's smoothing).
-    pub fn observe(&mut self, sig: &RegionSignature) {
-        self.current = Some(match &self.current {
+    /// (weight 0.5, like the momentum tracker's smoothing); returns the
+    /// blended profile.
+    pub fn observe(&mut self, sig: &RegionSignature) -> &RegionSignature {
+        let blended = match &self.current {
             None => sig.clone(),
             Some(prev) => RegionSignature {
                 cells: prev
@@ -190,17 +178,8 @@ impl SemanticTracker {
                     .map(|(p, s)| 0.5 * p + 0.5 * s)
                     .collect(),
             },
-        });
-    }
-
-    /// The smoothed profile (None until the first observation).
-    pub fn profile(&self) -> Option<&RegionSignature> {
-        self.current.as_ref()
-    }
-
-    /// Forget history (after a jump).
-    pub fn reset(&mut self) {
-        self.current = None;
+        };
+        self.current.insert(blended)
     }
 }
 
@@ -242,37 +221,26 @@ mod tests {
     #[test]
     fn predicts_along_velocity() {
         let vp = Rect::new(0.0, 0.0, 100.0, 100.0);
-        let preds = predict_viewports(&vp, (50.0, 0.0), 3);
-        assert_eq!(preds.len(), 3);
-        assert_eq!(preds[0], Rect::new(50.0, 0.0, 150.0, 100.0));
-        assert_eq!(preds[2], Rect::new(150.0, 0.0, 250.0, 100.0));
+        assert_eq!(
+            predict_viewport(&vp, (50.0, 0.0)),
+            Some(Rect::new(50.0, 0.0, 150.0, 100.0))
+        );
     }
 
     #[test]
     fn zero_velocity_predicts_nothing() {
         let vp = Rect::new(0.0, 0.0, 100.0, 100.0);
-        assert!(predict_viewports(&vp, (0.0, 0.0), 5).is_empty());
-    }
-
-    #[test]
-    fn zero_steps_falls_back_to_the_current_viewport() {
-        // regression: a degenerate lookahead of 0 made the candidate loop
-        // empty, so a moving user silently got no prefetch candidates at
-        // all; the current viewport must be the sole candidate instead
-        let vp = Rect::new(0.0, 0.0, 100.0, 100.0);
-        assert_eq!(predict_viewports(&vp, (50.0, 0.0), 0), vec![vp]);
-        // …but a stopped user still gets nothing, even at 0 steps
-        assert!(predict_viewports(&vp, (0.0, 0.0), 0).is_empty());
+        assert_eq!(predict_viewport(&vp, (0.0, 0.0)), None);
     }
 
     #[test]
     fn sub_threshold_velocity_predicts_nothing() {
         // residual velocity far below a pixel on a 1024-unit viewport
         let vp = Rect::new(0.0, 0.0, 1024.0, 1024.0);
-        assert!(predict_viewports(&vp, (0.5, 0.0), 3).is_empty());
-        assert!(predict_viewports(&vp, (0.0, -0.5), 3).is_empty());
+        assert_eq!(predict_viewport(&vp, (0.5, 0.0)), None);
+        assert_eq!(predict_viewport(&vp, (0.0, -0.5)), None);
         // one healthy axis is enough to keep predicting
-        assert_eq!(predict_viewports(&vp, (64.0, 0.5), 3).len(), 3);
+        assert!(predict_viewport(&vp, (64.0, 0.5)).is_some());
     }
 
     #[test]
@@ -292,7 +260,7 @@ mod tests {
         let mut quiet_from = None;
         for i in 0..64 {
             let v = t.observe(&vp);
-            if predict_viewports(&vp, v, 1).is_empty() {
+            if predict_viewport(&vp, v).is_none() {
                 quiet_from.get_or_insert(i);
             } else {
                 predictions_after_stop += 1;
@@ -410,18 +378,16 @@ mod tests {
     fn semantic_tracker_blends() {
         let n = RegionSignature::GRID * RegionSignature::GRID;
         let mut t = SemanticTracker::new();
-        assert!(t.profile().is_none());
         let mut dense_left = vec![0u64; n];
         dense_left[0] = 100;
         let mut dense_right = vec![0u64; n];
         dense_right[n - 1] = 100;
-        t.observe(&RegionSignature::from_counts(&dense_left));
-        t.observe(&RegionSignature::from_counts(&dense_right));
-        let p = t.profile().unwrap();
+        let left = RegionSignature::from_counts(&dense_left);
+        // the first observation is the profile as-is
+        assert_eq!(t.observe(&left), &left);
+        let p = t.observe(&RegionSignature::from_counts(&dense_right));
         assert!((p.cells[0] - 0.5).abs() < 1e-12);
         assert!((p.cells[n - 1] - 0.5).abs() < 1e-12);
-        t.reset();
-        assert!(t.profile().is_none());
     }
 
     #[test]

@@ -16,11 +16,10 @@ use crate::precompute::{
     PrecomputeReport,
 };
 use crate::prefetch::{
-    neighbor_rects, predict_viewports, rank_by_similarity, RegionSignature, SemanticTracker,
+    neighbor_rects, predict_viewport, rank_by_similarity, RegionSignature, SemanticTracker,
 };
 use crate::tile::{TileId, Tiling, MAX_COVERING_TILES};
 use crate::tuner::{self, LayerPlans, TuningReport};
-use crossbeam::channel::{unbounded, Sender};
 use kyrix_core::{CompiledApp, CompiledLayer};
 use kyrix_obs::{Counter, FamilyMember, Registry};
 use kyrix_parallel::QueryRouter;
@@ -29,6 +28,7 @@ use kyrix_storage::{CowStats, Database, Rect, Row, Value};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -36,6 +36,11 @@ use std::time::Instant;
 /// Mutation-log entries kept for incremental frontend invalidation.
 /// Sessions further behind than this refetch everything instead.
 const MUTATION_LOG_CAP: usize = 64;
+
+/// Pan hints the prefetch queue holds. A hint that finds it full is
+/// dropped and counted in `prefetch.dropped`: a worker that has fallen
+/// this far behind would warm viewports the user has already left.
+pub const PREFETCH_QUEUE_BOUND: usize = 32;
 
 /// Which §4 predictor drives the prefetch worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,12 +67,9 @@ pub struct ServerConfig {
     pub backend_cache_rows: usize,
     /// Cached dynamic boxes kept per layer (0 disables).
     pub box_cache_entries: usize,
-    /// Enable the prefetch worker.
-    pub prefetch: bool,
-    /// Viewports to look ahead when momentum-prefetching.
-    pub prefetch_lookahead: usize,
-    /// Predictor used by the worker.
-    pub prefetch_policy: PrefetchPolicy,
+    /// Predictor of the prefetch worker; `None` starts no worker, and
+    /// [`KyrixServer::hint`] is then a no-op.
+    pub prefetch: Option<PrefetchPolicy>,
 }
 
 impl ServerConfig {
@@ -83,9 +85,7 @@ impl ServerConfig {
             cost: CostModel::paper_default(),
             backend_cache_rows: 200_000,
             box_cache_entries: 4,
-            prefetch: false,
-            prefetch_lookahead: 1,
-            prefetch_policy: PrefetchPolicy::Momentum,
+            prefetch: None,
         }
     }
 
@@ -101,16 +101,9 @@ impl ServerConfig {
         self
     }
 
-    /// Enable or disable the prefetch worker.
-    pub fn with_prefetch(mut self, enabled: bool) -> Self {
-        self.prefetch = enabled;
-        self
-    }
-
-    /// Enable the prefetch worker with an explicit predictor.
-    pub fn with_prefetch_policy(mut self, policy: PrefetchPolicy) -> Self {
-        self.prefetch = true;
-        self.prefetch_policy = policy;
+    /// Start a prefetch worker driven by `policy`.
+    pub fn with_prefetch(mut self, policy: PrefetchPolicy) -> Self {
+        self.prefetch = Some(policy);
         self
     }
 }
@@ -223,9 +216,6 @@ struct Inner {
     tile_cache: Mutex<LruCache<TileKey, CachedRows>>,
     box_caches: Mutex<FxHashMap<LayerKey, BoxCacheShelf>>,
     box_cache_entries: usize,
-    /// Per-canvas semantic profiles (data characteristics of recently
-    /// viewed regions).
-    semantic: Mutex<FxHashMap<u32, SemanticTracker>>,
     /// Data-version stamp + per-mutation invalidation entries.
     mutations: Mutex<MutationLog>,
     /// Telemetry: span histograms, counters, gauges. The storage layer's
@@ -273,7 +263,6 @@ impl Inner {
             tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
             box_caches: Mutex::new(FxHashMap::default()),
             box_cache_entries: config.box_cache_entries,
-            semantic: Mutex::new(FxHashMap::default()),
             mutations: Mutex::new(MutationLog {
                 version: 0,
                 entries: VecDeque::new(),
@@ -282,27 +271,6 @@ impl Inner {
             region_rows_out: obs.counter("fetch.region.rows_out"),
             obs,
         }
-    }
-
-    /// Density signature of a region, from spatial-index counts on the
-    /// first non-static layer (no data transfer).
-    fn region_signature(&self, canvas: &str, rect: &Rect) -> Result<RegionSignature> {
-        let cc = self
-            .app
-            .canvas(canvas)
-            .ok_or_else(|| ServerError::BadRequest(format!("unknown canvas `{canvas}`")))?;
-        let layer = cc
-            .layers
-            .iter()
-            .position(|l| !l.is_static)
-            .ok_or_else(|| ServerError::BadRequest("canvas has no data layers".to_string()))?;
-        let (_, serving) = self.layer(canvas, layer)?;
-        let snap = self.head.pin();
-        let counts: Vec<u64> = RegionSignature::cell_rects(rect)
-            .iter()
-            .map(|cell| count_rect(&*snap, &serving.store, cell).map(|n| n as u64))
-            .collect::<Result<_>>()?;
-        Ok(RegionSignature::from_counts(&counts))
     }
 
     fn canvas_idx(&self, canvas: &str) -> Result<u32> {
@@ -525,83 +493,59 @@ impl LayerServing {
 }
 
 enum Task {
-    Viewport { canvas: String, rect: Rect },
+    /// A pan: the viewport the user now sees on canvas index `canvas`
+    /// and the smoothed per-step velocity that led there.
+    Hint {
+        canvas: u32,
+        viewport: Rect,
+        velocity: (f64, f64),
+    },
+    /// Acknowledge once every task queued before it has been handled.
+    Flush(mpsc::Sender<()>),
     Shutdown,
 }
 
+/// The prefetch worker's handle: a bounded queue into the one thread that
+/// predicts and warms.
 struct Prefetcher {
-    tx: Sender<Task>,
+    tx: SyncSender<Task>,
+    /// Hints refused because the queue was full (`prefetch.dropped`).
+    dropped: Arc<Counter>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Prefetcher {
-    fn spawn(inner: Arc<Inner>) -> Self {
-        let (tx, rx) = unbounded::<Task>();
+    fn spawn(inner: Arc<Inner>, policy: PrefetchPolicy) -> Result<Self> {
+        let (tx, rx) = mpsc::sync_channel::<Task>(PREFETCH_QUEUE_BOUND);
+        let dropped = inner.obs.counter("prefetch.dropped");
         let handle = std::thread::Builder::new()
             .name("kyrix-prefetch".to_string())
             .spawn(move || {
+                let mut worker = Worker {
+                    inner,
+                    policy,
+                    semantic: FxHashMap::default(),
+                };
                 while let Ok(task) = rx.recv() {
                     match task {
-                        Task::Shutdown => break,
-                        Task::Viewport { canvas, rect } => {
-                            let Some(cc) = inner.app.canvas(&canvas) else {
-                                continue;
-                            };
-                            let Ok(ci) = inner.canvas_idx(&canvas) else {
-                                continue;
-                            };
-                            // one pinned snapshot per prediction; if a
-                            // mutation publishes mid-warm, the inserts
-                            // simply skip (snapshot tag mismatch). On a
-                            // sharded backend the warm is shard-aware for
-                            // free: each warming fetch carries the
-                            // predicted rect as its predicate, so the
-                            // router sends it only to the shards whose
-                            // grid cells that viewport intersects —
-                            // off-path shards do no work
-                            let snap = inner.head.pin();
-                            for (li, layer) in cc.layers.iter().enumerate() {
-                                if layer.is_static {
-                                    continue;
-                                }
-                                let key = (ci, li as u32);
-                                let Some(serving) = inner.layers.get(&key) else {
-                                    continue;
-                                };
-                                // dispatch per the layer's *resolved* plan:
-                                // one predicted viewport may warm tiles on
-                                // one layer and a box on the next
-                                match serving.plan {
-                                    FetchPlan::StaticTiles { size, .. } => {
-                                        let Ok(tiles) = Tiling::new(size).covering(&rect) else {
-                                            continue; // degenerate prediction
-                                        };
-                                        for tile in tiles {
-                                            let _ = inner.fetch_tile_cached(
-                                                &*snap, key, serving, tile, true,
-                                            );
-                                        }
-                                    }
-                                    FetchPlan::DynamicBox { .. } => {
-                                        // widen the prediction slightly so a
-                                        // near-miss (momentum estimate off by
-                                        // a few pixels) still serves the real
-                                        // next viewport from the box cache
-                                        let widened = rect.inflate_frac(0.15, 0.15);
-                                        let _ = inner
-                                            .fetch_box_cached(&*snap, key, serving, &widened, true);
-                                    }
-                                }
-                            }
+                        Task::Hint {
+                            canvas,
+                            viewport,
+                            velocity,
+                        } => worker.hint(canvas, &viewport, velocity),
+                        Task::Flush(ack) => {
+                            let _ = ack.send(());
                         }
+                        Task::Shutdown => break,
                     }
                 }
             })
-            .expect("spawn prefetch worker");
-        Prefetcher {
+            .map_err(|e| ServerError::Config(format!("cannot spawn the prefetch worker: {e}")))?;
+        Ok(Prefetcher {
             tx,
+            dropped,
             handle: Some(handle),
-        }
+        })
     }
 }
 
@@ -610,6 +554,101 @@ impl Drop for Prefetcher {
         let _ = self.tx.send(Task::Shutdown);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
+        }
+    }
+}
+
+/// The prefetch thread's state: every prediction runs here, never on the
+/// thread that sent the hint.
+struct Worker {
+    inner: Arc<Inner>,
+    policy: PrefetchPolicy,
+    /// Per-canvas semantic profiles (data characteristics of recently
+    /// viewed regions).
+    semantic: FxHashMap<u32, SemanticTracker>,
+}
+
+impl Worker {
+    /// Predict from one pan hint and warm what the policy picks, all
+    /// against one pinned snapshot: if a mutation publishes mid-warm, the
+    /// cache inserts simply skip (snapshot tag mismatch).
+    fn hint(&mut self, ci: u32, viewport: &Rect, velocity: (f64, f64)) {
+        let snap = self.inner.head.pin();
+        match self.policy {
+            PrefetchPolicy::Momentum => {
+                if let Some(rect) = predict_viewport(viewport, velocity) {
+                    self.warm(&*snap, ci, &rect);
+                }
+            }
+            PrefetchPolicy::Semantic { top_k } => {
+                let Some(current) = self.signature(&*snap, ci, viewport) else {
+                    return;
+                };
+                let bounds = self.inner.app.canvases[ci as usize].bounds();
+                let candidates: Vec<(Rect, RegionSignature)> = neighbor_rects(viewport)
+                    .into_iter()
+                    .filter(|r| r.intersects(&bounds))
+                    .filter_map(|r| Some((r, self.signature(&*snap, ci, &r)?)))
+                    .collect();
+                let profile = self.semantic.entry(ci).or_default().observe(&current);
+                let ranked = rank_by_similarity(profile, candidates);
+                for rect in ranked.into_iter().take(top_k) {
+                    // warm the whole span from here to the predicted
+                    // neighbor, so any partial pan that way is covered
+                    self.warm(&*snap, ci, &rect.union(viewport));
+                }
+            }
+        }
+    }
+
+    /// Density signature of a region, from spatial-index counts on the
+    /// canvas's first non-static layer (no data transfer). `None` when the
+    /// canvas has no data layer or a count fails.
+    fn signature(&self, snap: &dyn SnapshotView, ci: u32, rect: &Rect) -> Option<RegionSignature> {
+        let layers = &self.inner.app.canvases[ci as usize].layers;
+        let li = layers.iter().position(|l| !l.is_static)?;
+        let store = &self.inner.layers.get(&(ci, li as u32))?.store;
+        let counts: Vec<u64> = RegionSignature::cell_rects(rect)
+            .iter()
+            .map(|cell| count_rect(snap, store, cell).map(|n| n as u64))
+            .collect::<Result<_>>()
+            .ok()?;
+        Some(RegionSignature::from_counts(&counts))
+    }
+
+    /// Warm `rect` on every non-static layer of canvas `ci`. On a sharded
+    /// backend the warm is shard-aware for free: each warming fetch carries
+    /// the predicted rect as its predicate, so the router sends it only to
+    /// the shards whose grid cells it intersects.
+    fn warm(&self, snap: &dyn SnapshotView, ci: u32, rect: &Rect) {
+        let inner = &self.inner;
+        for (li, layer) in inner.app.canvases[ci as usize].layers.iter().enumerate() {
+            if layer.is_static {
+                continue;
+            }
+            let key = (ci, li as u32);
+            let Some(serving) = inner.layers.get(&key) else {
+                continue;
+            };
+            // dispatch per the layer's *resolved* plan: one predicted
+            // viewport may warm tiles on one layer and a box on the next
+            match serving.plan {
+                FetchPlan::StaticTiles { size, .. } => {
+                    let Ok(tiles) = Tiling::new(size).covering(rect) else {
+                        continue; // degenerate prediction
+                    };
+                    for tile in tiles {
+                        let _ = inner.fetch_tile_cached(snap, key, serving, tile, true);
+                    }
+                }
+                FetchPlan::DynamicBox { .. } => {
+                    // widen the prediction slightly so a near-miss (momentum
+                    // estimate off by a few pixels) still serves the real
+                    // next viewport from the box cache
+                    let widened = rect.inflate_frac(0.15, 0.15);
+                    let _ = inner.fetch_box_cached(snap, key, serving, &widened, true);
+                }
+            }
         }
     }
 }
@@ -648,7 +687,7 @@ impl KyrixServer {
         }
         let shards = vec![db];
         let (plans, tuning) = Self::resolve_plans(&app, &config, &stores, &shards, None)?;
-        let server = Self::start(app, shards, None, stores, &plans, config, tuning);
+        let server = Self::start(app, shards, None, stores, &plans, config, tuning)?;
         Ok((server, reports))
     }
 
@@ -717,7 +756,8 @@ impl KyrixServer {
     /// The tail of every launch: publish `shards` as the version-0 head
     /// (several shards record their scatter-gather spans; one never
     /// scatters), wire the resolved stores/plans into the shared state and
-    /// start the prefetch worker.
+    /// start the prefetch worker, if the config asks for one. Fails only
+    /// when the OS refuses that worker its thread.
     fn start(
         app: CompiledApp,
         mut shards: Vec<Database>,
@@ -726,7 +766,7 @@ impl KyrixServer {
         plans: &FxHashMap<LayerKey, FetchPlan>,
         config: ServerConfig,
         tuning: Option<TuningReport>,
-    ) -> Self {
+    ) -> Result<Self> {
         let obs = Self::observe_queries(&mut shards);
         let telemetry = (shards.len() > 1).then(|| ShardTelemetry {
             obs: Arc::clone(&obs),
@@ -743,17 +783,16 @@ impl KyrixServer {
             &config,
             obs,
         ));
-        let prefetcher = if config.prefetch {
-            Some(Prefetcher::spawn(inner.clone()))
-        } else {
-            None
-        };
-        KyrixServer {
+        let prefetcher = config
+            .prefetch
+            .map(|policy| Prefetcher::spawn(Arc::clone(&inner), policy))
+            .transpose()?;
+        Ok(KyrixServer {
             inner,
             prefetcher,
             config,
             tuning,
-        }
+        })
     }
 
     /// Launch over `shards` — one [`Database`] per shard, partitioned per
@@ -807,15 +846,7 @@ impl KyrixServer {
             stores.insert(key, store);
         }
         let (plans, tuning) = Self::resolve_plans(&app, &config, &stores, &shards, Some(&router))?;
-        Ok(Self::start(
-            app,
-            shards,
-            Some(router),
-            stores,
-            &plans,
-            config,
-            tuning,
-        ))
+        Self::start(app, shards, Some(router), stores, &plans, config, tuning)
     }
 
     /// How many shards the backend serves from (1 for a
@@ -993,95 +1024,42 @@ impl KyrixServer {
         count_rect(&*self.inner.head.pin(), &serving.store, rect)
     }
 
-    /// Inform the server of the user's pan momentum so it can prefetch
-    /// (paper §4, momentum-based prefetching). No-op when prefetch is off
-    /// or the policy is not [`PrefetchPolicy::Momentum`].
-    pub fn hint_momentum(&self, canvas: &str, viewport: &Rect, velocity: (f64, f64)) {
+    /// Tell the prefetch worker the user panned to `viewport` on `canvas`
+    /// with the smoothed per-step `velocity` (paper §4). The worker
+    /// predicts with the configured [`PrefetchPolicy`] — momentum
+    /// extrapolates the velocity, semantic ranks the viewport's neighbors —
+    /// and warms the backend caches; this call only enqueues. A no-op when
+    /// prefetch is off; a hint that finds the queue full
+    /// ([`PREFETCH_QUEUE_BOUND`]) is dropped and counted in the
+    /// `prefetch.dropped` counter of [`KyrixServer::obs`].
+    pub fn hint(&self, canvas: &str, viewport: &Rect, velocity: (f64, f64)) {
         let Some(p) = &self.prefetcher else {
             return;
         };
-        if !matches!(self.config.prefetch_policy, PrefetchPolicy::Momentum) {
-            return;
-        }
-        for rect in predict_viewports(viewport, velocity, self.config.prefetch_lookahead) {
-            let _ = p.tx.send(Task::Viewport {
-                canvas: canvas.to_string(),
-                rect,
-            });
-        }
-    }
-
-    /// Inform the server of a newly viewed viewport so the semantic
-    /// predictor can update its profile and warm the most similar
-    /// neighboring regions (paper §4 / ForeCache semantic prefetching).
-    /// No-op when prefetch is off or the policy is not
-    /// [`PrefetchPolicy::Semantic`].
-    pub fn hint_semantic(&self, canvas: &str, viewport: &Rect) {
-        let Some(p) = &self.prefetcher else {
+        let Ok(canvas) = self.inner.canvas_idx(canvas) else {
             return;
         };
-        let PrefetchPolicy::Semantic { top_k } = self.config.prefetch_policy else {
-            return;
+        let task = Task::Hint {
+            canvas,
+            viewport: *viewport,
+            velocity,
         };
-        let Ok(ci) = self.inner.canvas_idx(canvas) else {
-            return;
-        };
-        let Ok(current) = self.inner.region_signature(canvas, viewport) else {
-            return;
-        };
-        let profile = {
-            let mut trackers = self.inner.semantic.lock();
-            let tracker = trackers.entry(ci).or_default();
-            tracker.observe(&current);
-            tracker.profile().cloned()
-        };
-        let Some(profile) = profile else { return };
-
-        let bounds = self
-            .inner
-            .app
-            .canvas(canvas)
-            .map(|c| c.bounds())
-            .unwrap_or_else(Rect::empty);
-        let candidates: Vec<(Rect, RegionSignature)> = neighbor_rects(viewport)
-            .into_iter()
-            .filter(|r| r.intersects(&bounds))
-            .filter_map(|r| {
-                self.inner
-                    .region_signature(canvas, &r)
-                    .ok()
-                    .map(|sig| (r, sig))
-            })
-            .collect();
-        for rect in rank_by_similarity(&profile, candidates)
-            .into_iter()
-            .take(top_k)
-        {
-            // warm the whole span from here to the predicted neighbor, so
-            // any partial pan in that direction is already covered
-            let _ = p.tx.send(Task::Viewport {
-                canvas: canvas.to_string(),
-                rect: rect.union(viewport),
-            });
+        if let Err(TrySendError::Full(_)) = p.tx.try_send(task) {
+            p.dropped.add(1);
         }
     }
 
-    /// Drop the semantic profile of every canvas (after a jump).
-    pub fn reset_semantic_profiles(&self) {
-        self.inner.semantic.lock().clear();
-    }
-
-    /// Block until queued prefetch tasks have been processed (test/bench
-    /// helper; foreground requests never need this).
+    /// Block until the prefetch worker has handled every hint queued
+    /// before this call (test/bench barrier; foreground requests never
+    /// need it). Returns at once when prefetch is off.
     pub fn drain_prefetch(&self) {
-        if self.prefetcher.is_some() {
-            // the worker processes tasks in order; an empty channel plus an
-            // idle worker is approximated by yielding until the queue drains
-            while self.prefetcher.as_ref().is_some_and(|p| !p.tx.is_empty()) {
-                std::thread::yield_now();
-            }
-            // one task may still be mid-flight; a tiny sleep is acceptable
-            std::thread::sleep(std::time::Duration::from_millis(2));
+        let Some(p) = &self.prefetcher else {
+            return;
+        };
+        let (ack, done) = mpsc::channel();
+        if p.tx.send(Task::Flush(ack)).is_ok() {
+            // a worker that died drops the ack sender: `recv` errs, no hang
+            let _ = done.recv();
         }
     }
 

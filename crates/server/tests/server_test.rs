@@ -6,8 +6,9 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_server::{
-    fetch_rect, BoxPolicy, CalibrationTrace, CostModel, FetchMetrics, FetchPlan, KyrixServer,
-    LayerStore, MomentumTracker, PlanPolicy, ServerConfig, Snapshot, TileDesign, TileId, Tiling,
+    fetch_rect, BoxPolicy, CalibrationTrace, CostModel, DirtyRegion, FetchMetrics, FetchPlan,
+    KyrixServer, LayerStore, MomentumTracker, PlanPolicy, PrefetchPolicy, ServerConfig, Snapshot,
+    TileDesign, TileId, Tiling, PREFETCH_QUEUE_BOUND,
 };
 use kyrix_storage::{
     DataType, Database, ExecStats, IndexKind, Rect, Row, Schema, SpatialCols, Value,
@@ -326,21 +327,20 @@ fn momentum_prefetch_warms_the_cache() {
         policy: BoxPolicy::Exact,
     })
     .with_cost(CostModel::zero())
-    .with_prefetch(true);
+    .with_prefetch(PrefetchPolicy::Momentum);
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
 
     let vp = Rect::new(10.0, 10.0, 20.0, 20.0);
     // user pans right at 5 units/step; hint the server
-    server.hint_momentum("main", &vp, (5.0, 0.0));
-    // wait for the background worker
-    for _ in 0..200 {
-        server.drain_prefetch();
-        if backend_ops(&server.prefetch_totals()) > 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    assert!(backend_ops(&server.prefetch_totals()) >= 1, "prefetch ran");
+    server.hint("main", &vp, (5.0, 0.0));
+    server.drain_prefetch();
+    // one predicted viewport, one box fetched for it
+    let warmed = server.prefetch_totals();
+    assert_eq!(
+        (warmed.cache_misses, warmed.queries),
+        (1, 1),
+        "prefetch ran"
+    );
     assert_eq!(
         server.prefetch_totals().requests,
         0,
@@ -449,75 +449,26 @@ fn semantic_prefetch_warms_similar_neighbors() {
         policy: BoxPolicy::Exact,
     })
     .with_cost(CostModel::zero())
-    .with_prefetch_policy(kyrix_server::PrefetchPolicy::Semantic { top_k: 1 });
+    .with_prefetch(PrefetchPolicy::Semantic { top_k: 1 });
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
 
-    // two viewports inside the dense cluster build the profile
-    server.hint_semantic("main", &Rect::new(10.0, 10.0, 20.0, 20.0));
-    server.hint_semantic("main", &Rect::new(15.0, 10.0, 25.0, 20.0));
-    for _ in 0..500 {
-        server.drain_prefetch();
-        if backend_ops(&server.prefetch_totals()) >= 1 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    assert!(
-        backend_ops(&server.prefetch_totals()) >= 1,
-        "semantic prefetch ran"
-    );
+    // two viewports inside the dense cluster build the profile. The
+    // velocity plays no part in the semantic predictor: a still user is
+    // prefetched for all the same
+    server.hint("main", &Rect::new(10.0, 10.0, 20.0, 20.0), (0.0, 0.0));
+    server.hint("main", &Rect::new(15.0, 10.0, 25.0, 20.0), (0.0, 0.0));
+    server.drain_prefetch();
+    // top_k = 1: each hint warms one neighbor span, one box each
+    let totals = server.prefetch_totals();
+    assert_eq!(backend_ops(&totals), 2, "semantic prefetch ran per hint");
     // warmed region(s) must be dense-cluster neighbors: every prefetched
     // box should carry dense-cluster row counts (a 10x10 dense window has
     // 400 dots; a sparse one has ~1)
-    let totals = server.prefetch_totals();
     assert!(
         totals.rows >= 100,
         "prefetched rows should come from the dense region, got {}",
         totals.rows
     );
-    // momentum hints are ignored under the semantic policy; wait for the
-    // worker to go quiet first so no queued semantic task lands after the
-    // reset
-    let mut last = backend_ops(&server.prefetch_totals());
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let now = backend_ops(&server.prefetch_totals());
-        if now == last {
-            break;
-        }
-        last = now;
-    }
-    server.reset_totals();
-    server.hint_momentum("main", &Rect::new(10.0, 10.0, 20.0, 20.0), (5.0, 0.0));
-    server.drain_prefetch();
-    std::thread::sleep(std::time::Duration::from_millis(5));
-    assert_eq!(backend_ops(&server.prefetch_totals()), 0);
-    assert_eq!(server.prefetch_totals().queries, 0);
-}
-
-#[test]
-fn semantic_profile_reset_clears_state() {
-    let db = grid_db(false);
-    let app = compile(&dots_app(PlacementSpec::point("x", "y")), &db).unwrap();
-    let config = ServerConfig::new(FetchPlan::DynamicBox {
-        policy: BoxPolicy::Exact,
-    })
-    .with_cost(CostModel::zero())
-    .with_prefetch_policy(kyrix_server::PrefetchPolicy::Semantic { top_k: 2 });
-    let (server, _) = KyrixServer::launch(app, db, config).unwrap();
-    server.hint_semantic("main", &Rect::new(10.0, 10.0, 20.0, 20.0));
-    server.drain_prefetch();
-    server.reset_semantic_profiles();
-    // still works after a reset (profile rebuilt from scratch)
-    server.hint_semantic("main", &Rect::new(50.0, 50.0, 60.0, 60.0));
-    for _ in 0..200 {
-        server.drain_prefetch();
-        if backend_ops(&server.prefetch_totals()) >= 1 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    assert!(backend_ops(&server.prefetch_totals()) >= 1);
 }
 
 /// Two-canvas app over the same dots table ("overview" + "detail"), for
@@ -754,7 +705,7 @@ fn momentum_prefetch_goes_quiet_after_a_stopped_pan() {
         policy: BoxPolicy::Exact,
     })
     .with_cost(CostModel::zero())
-    .with_prefetch(true);
+    .with_prefetch(PrefetchPolicy::Momentum);
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
 
     let mut tracker = MomentumTracker::new();
@@ -762,39 +713,60 @@ fn momentum_prefetch_goes_quiet_after_a_stopped_pan() {
     for _ in 0..6 {
         vp = vp.translate(5.0, 0.0);
         let v = tracker.observe(&vp);
-        server.hint_momentum("main", &vp, v);
+        server.hint("main", &vp, v);
     }
     // the pan stops: the same viewport is observed from here on. The
     // residual velocity (5 units on a 10-unit viewport) must fall below
     // the decay threshold within a bounded number of idle observations…
     for _ in 0..16 {
         let v = tracker.observe(&vp);
-        server.hint_momentum("main", &vp, v);
+        server.hint("main", &vp, v);
     }
-    // wait until the worker is genuinely quiet (a popped task can still be
-    // mid-flight after drain_prefetch) before taking the settled reading
     server.drain_prefetch();
-    let mut settled = backend_ops(&server.prefetch_totals());
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let now = backend_ops(&server.prefetch_totals());
-        if now == settled {
-            break;
-        }
-        settled = now;
-    }
+    let settled = backend_ops(&server.prefetch_totals());
+    assert!(settled >= 5, "the pan itself was prefetched");
     // …after which further idle observations trigger zero backend work
     for _ in 0..16 {
         let v = tracker.observe(&vp);
-        server.hint_momentum("main", &vp, v);
+        server.hint("main", &vp, v);
     }
     server.drain_prefetch();
-    std::thread::sleep(std::time::Duration::from_millis(10));
     assert_eq!(
         backend_ops(&server.prefetch_totals()),
         settled,
         "prefetcher still issuing backend work after the pan stopped"
     );
+}
+
+#[test]
+fn a_full_prefetch_queue_drops_and_counts_hints() {
+    let db = grid_db(false);
+    let app = compile(&dots_app(PlacementSpec::point("x", "y")), &db).unwrap();
+    let config = ServerConfig::new(FetchPlan::DynamicBox {
+        policy: BoxPolicy::Exact,
+    })
+    .with_cost(CostModel::zero())
+    .with_prefetch(PrefetchPolicy::Momentum);
+    let (server, _) = KyrixServer::launch(app, db, config).unwrap();
+
+    // a burst far beyond the queue bound, faster than the worker fetches:
+    // every hint moves, so each one the worker handles fetches one box
+    let sent = 8 * PREFETCH_QUEUE_BOUND as u64;
+    for i in 0..sent {
+        let x = (i % 80) as f64;
+        server.hint("main", &Rect::new(x, 10.0, x + 10.0, 20.0), (1.0, 0.0));
+    }
+    server.drain_prefetch();
+    let handled = backend_ops(&server.prefetch_totals());
+    let dropped = server.obs().counter("prefetch.dropped").get();
+    assert_eq!(handled + dropped, sent, "every hint handled or counted");
+    assert!(handled >= 1, "the worker ran");
+    assert!(dropped > 0, "the burst outran the worker");
+    // once drained, the queue has room again: nothing more is dropped
+    server.hint("main", &Rect::new(0.0, 50.0, 10.0, 60.0), (1.0, 0.0));
+    server.drain_prefetch();
+    assert_eq!(backend_ops(&server.prefetch_totals()), handled + 1);
+    assert_eq!(server.obs().counter("prefetch.dropped").get(), dropped);
 }
 
 #[test]
@@ -880,22 +852,19 @@ fn fully_prefetched_trace_reports_cold_totals() {
     let cold = cold_server.totals();
     assert_eq!(cold.queries, 4, "four distinct tiles, each queried once");
 
-    // warmed run: momentum prediction covers exactly the trace viewports
+    // warmed run: each step's momentum prediction is the next trace
+    // viewport, starting one tile left of the trace
     let db = grid_db(false);
     let app = compile(&dots_app(PlacementSpec::point("x", "y")), &db).unwrap();
-    let mut config = ServerConfig::new(tiles)
+    let config = ServerConfig::new(tiles)
         .with_cost(CostModel::zero())
-        .with_prefetch(true);
-    config.prefetch_lookahead = trace.len();
+        .with_prefetch(PrefetchPolicy::Momentum);
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
-    server.hint_momentum("main", &Rect::new(0.0, 20.0, 10.0, 30.0), (10.0, 0.0));
-    for _ in 0..500 {
-        server.drain_prefetch();
-        if server.prefetch_totals().queries >= 4 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+    let start = Rect::new(0.0, 20.0, 10.0, 30.0);
+    for vp in std::iter::once(&start).chain(&trace[..trace.len() - 1]) {
+        server.hint("main", vp, (10.0, 0.0));
     }
+    server.drain_prefetch();
     assert_eq!(
         server.prefetch_totals().queries,
         4,
@@ -1105,6 +1074,54 @@ fn mutate_raw_invalidates_only_overlapping_boxes() {
     assert_eq!(near2.metrics.cache_misses, 1, "dirty box must refetch");
     assert_eq!(near2.rows.len(), near_before.rows.len() - 1);
     assert!(!row_ids(&near2.rows).contains(&1515));
+}
+
+#[test]
+fn a_publish_invalidates_a_prefetched_tile() {
+    // a tile the prefetch worker warmed is serving state like any other:
+    // a mutation inside it must drop it, and the next fetch must read the
+    // published data
+    let db = grid_db(true);
+    let app = compile(&dots_app(PlacementSpec::point("x", "y")), &db).unwrap();
+    let config = ServerConfig::new(FetchPlan::StaticTiles {
+        size: 10.0,
+        design: TileDesign::SpatialIndex,
+    })
+    .with_cost(CostModel::zero())
+    .with_prefetch(PrefetchPolicy::Momentum);
+    let (server, _) = KyrixServer::launch(app, db, config).unwrap();
+    // panning right from tile (0, 2) predicts tile (1, 2) = [10,20)x[20,30)
+    server.hint("main", &Rect::new(0.0, 20.0, 10.0, 30.0), (10.0, 0.0));
+    server.drain_prefetch();
+    let tile = Rect::new(10.0, 20.0, 20.0, 30.0);
+    assert_eq!(server.prefetch_totals().cache_misses, 1, "tile warmed");
+
+    let (x, y) = (15.5, 25.5);
+    server
+        .mutate_shards(&["dots"], |shards| {
+            let row = Row::new(vec![
+                Value::Int(20_000),
+                Value::Float(x),
+                Value::Float(y),
+                Value::Float(0.0),
+            ]);
+            shards[0]
+                .insert("dots", row)
+                .map_err(kyrix_server::ServerError::from)?;
+            Ok(((), vec![DirtyRegion::new("dots", Rect::new(x, y, x, y))]))
+        })
+        .unwrap();
+
+    let resp = server.fetch_region("main", 0, &tile).unwrap();
+    assert_eq!(
+        (resp.metrics.cache_hits, resp.metrics.cache_misses),
+        (0, 1),
+        "the warmed tile was dropped by the publish"
+    );
+    assert!(
+        row_ids(&resp.rows).contains(&20_000),
+        "the new row is served"
+    );
 }
 
 #[test]

@@ -79,10 +79,6 @@ fn semantic_policy_configurable_from_prelude() {
     let config = ServerConfig::new(FetchPlan::DynamicBox {
         policy: BoxPolicy::Exact,
     })
-    .with_prefetch_policy(PrefetchPolicy::Semantic { top_k: 3 });
-    assert!(config.prefetch);
-    assert_eq!(
-        config.prefetch_policy,
-        PrefetchPolicy::Semantic { top_k: 3 }
-    );
+    .with_prefetch(PrefetchPolicy::Semantic { top_k: 3 });
+    assert_eq!(config.prefetch, Some(PrefetchPolicy::Semantic { top_k: 3 }));
 }

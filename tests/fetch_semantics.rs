@@ -254,17 +254,15 @@ fn prefetch_produces_cache_hits() {
         ServerConfig::new(FetchPlan::DynamicBox {
             policy: BoxPolicy::Exact,
         })
-        .with_prefetch(true),
+        .with_prefetch(PrefetchPolicy::Momentum),
     )
     .unwrap();
     let server = Arc::new(server);
     let (mut session, _) = Session::open(server.clone()).unwrap();
-    session.send_momentum_hints = true;
     session.pan_to(1024.0, 1024.0).unwrap();
     let mut hits = 0;
     for _ in 0..10 {
         server.drain_prefetch();
-        std::thread::sleep(std::time::Duration::from_millis(3));
         let step = session.pan_by(256.0, 0.0).unwrap();
         hits += step.fetch.cache_hits;
     }
