@@ -6,7 +6,7 @@
 //! between adjacent levels, check that sharded pyramid construction
 //! produces the same level tables as a single node, and pin that
 //! incremental maintenance (insert→zoom→delete→zoom through
-//! `KyrixServer::mutate_raw`) stays bit-identical to a from-scratch
+//! `KyrixServer::mutate_shards`) stays bit-identical to a from-scratch
 //! rebuild while sessions refetch exactly the invalidated regions.
 
 use kyrix_client::Session;
@@ -563,7 +563,7 @@ fn a_zoom_walk_reads_a_few_heap_pages_per_hundred_rows() {
 
 /// Acceptance: the pyramid is a *live* data structure. Raw-table inserts
 /// and deletes fold into every level table in place through
-/// `KyrixServer::mutate_raw` (local repair, no rebuild), the server
+/// `KyrixServer::mutate_shards` (local repair, no rebuild), the server
 /// invalidates exactly the caches the dirty cells intersect, sessions
 /// notice the data-version bump and refetch only the stale regions —
 /// and after the whole insert→zoom→delete→zoom trace the maintained
@@ -659,7 +659,8 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
         })
         .collect();
     let report = server
-        .mutate_raw(&tables, |db| {
+        .mutate_shards(&tables, |shards| {
+            let db = &mut shards[0];
             let report = pyramid
                 .insert_points(db, &pts)
                 .map_err(|e| ServerError::Config(e.to_string()))?;
@@ -732,7 +733,8 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
     let mut victims = new_ids.clone();
     victims.extend(0..100); // original galaxy ids
     let report = server
-        .mutate_raw(&tables, |db| {
+        .mutate_shards(&tables, |shards| {
+            let db = &mut shards[0];
             let report = pyramid
                 .delete_points(db, &victims)
                 .map_err(|e| ServerError::Config(e.to_string()))?;

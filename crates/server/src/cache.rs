@@ -167,24 +167,25 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Keep only the entries satisfying the predicate (e.g. surgical
-    /// invalidation after a data mutation). Weights are adjusted; the
-    /// recency order of survivors is preserved.
-    pub fn retain(&mut self, mut f: impl FnMut(&K, &V) -> bool) {
+    /// invalidation after a data mutation), returning the values of the
+    /// others so the caller decides where they are freed. Weights are
+    /// adjusted; the recency order of survivors is preserved.
+    pub fn retain(&mut self, mut f: impl FnMut(&K, &V) -> bool) -> Vec<V> {
         let mut dropped = 0usize;
-        let mut removed = 0u64;
-        self.map.retain(|k, (v, w, _)| {
-            let keep = f(k, v);
-            if !keep {
-                dropped += *w;
-                removed += 1;
-            }
-            keep
-        });
+        let removed: Vec<V> = self
+            .map
+            .extract_if(|k, (v, _, _)| !f(k, v))
+            .map(|(_, (v, w, _))| {
+                dropped += w;
+                v
+            })
+            .collect();
         self.weight -= dropped;
-        self.stats.invalidation_removals += removed;
+        self.stats.invalidation_removals += removed.len() as u64;
         self.stats.evicted_weight += dropped as u64;
         let map = &self.map;
         self.order.retain(|(_, k)| map.contains_key(k));
+        removed
     }
 
     /// Remove one entry, returning its value (counts as an invalidation
@@ -355,7 +356,9 @@ mod tests {
             c.insert(i, i * 10, 1);
         }
         c.get(&0); // 1 becomes LRU
-        c.retain(|k, _| k % 2 == 0); // drop 1 and 3
+        let mut removed = c.retain(|k, _| k % 2 == 0); // drop 1 and 3
+        removed.sort_unstable();
+        assert_eq!(removed, vec![10, 30], "the removed values come back");
         assert_eq!(c.len(), 2);
         assert_eq!(c.weight(), 2);
         let s = c.stats();

@@ -3,6 +3,7 @@
 //! ([`LayerStore::fetch_statement`]).
 
 use crate::backend::SnapshotView;
+use crate::block::Columns;
 use crate::dbox::BoxPolicy;
 use crate::error::{Result, ServerError};
 use crate::metrics::FetchMetrics;
@@ -137,16 +138,17 @@ impl TileMatcher {
         })
     }
 
-    /// Whether the tile's fetch returns `row`.
-    pub(crate) fn matches(&self, row: &Row) -> bool {
+    /// Whether the tile's fetch returns `row` — a fetched [`Row`] or the
+    /// cells of a cached one.
+    pub(crate) fn matches<R: Columns + ?Sized>(&self, row: &R) -> bool {
         match self {
             TileMatcher::RawPoint { raw, x_col, y_col } => {
-                match (row.get(*x_col).as_f64(), row.get(*y_col).as_f64()) {
-                    (Ok(x), Ok(y)) => Rect::point(x, y).intersects(raw),
+                match (row.f64_at(*x_col), row.f64_at(*y_col)) {
+                    (Some(x), Some(y)) => Rect::point(x, y).intersects(raw),
                     _ => false,
                 }
             }
-            TileMatcher::Bbox { tile, layout } => layout.bbox(row).intersects(tile),
+            TileMatcher::Bbox { tile, layout } => layout.bbox_of(row).intersects(tile),
         }
     }
 }

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+mod block;
 pub mod cache;
 pub mod cost;
 pub mod dbox;

@@ -14,6 +14,7 @@
 //! entirely and fetches run against the raw table through the placement's
 //! affine inverse.
 
+use crate::block::Columns;
 use crate::dbox::BoxPolicy;
 use crate::error::{Result, ServerError};
 use kyrix_core::CompiledLayer;
@@ -84,7 +85,12 @@ impl LayerRowLayout {
 
     /// Bounding box of a layer row, canvas coordinates.
     pub fn bbox(&self, row: &Row) -> Rect {
-        let g = |i: usize| row.get(self.n_data_cols + i).as_f64().unwrap_or(0.0);
+        self.bbox_of(row)
+    }
+
+    /// [`LayerRowLayout::bbox`] of a [`Row`] or a cached block row.
+    pub(crate) fn bbox_of<R: Columns + ?Sized>(&self, row: &R) -> Rect {
+        let g = |i: usize| row.f64_at(self.n_data_cols + i).unwrap_or(0.0);
         Rect::new(g(2), g(3), g(4), g(5))
     }
 

@@ -3,6 +3,7 @@
 //! prefetcher; answers tile and box requests from the frontend.
 
 use crate::backend::{Head, ShardTelemetry, Snapshot, SnapshotView};
+use crate::block::RowBlock;
 use crate::cache::CacheStats;
 use crate::cache::LruCache;
 use crate::cost::CostModel;
@@ -113,7 +114,8 @@ impl ServerConfig {
 pub struct TileResponse {
     /// Which tile the rows belong to.
     pub tile: TileId,
-    /// The tile's rows (shared with the backend cache).
+    /// The tile's rows: the fetched rows after a miss, a copy of the
+    /// cached tile after a hit.
     pub rows: Arc<Vec<Row>>,
     /// What serving this tile cost.
     pub metrics: FetchMetrics,
@@ -131,8 +133,26 @@ pub struct BoxResponse {
 }
 
 type TileKey = (u32, u32, i64); // canvas idx, layer, tile key
-type CachedRows = (Arc<Vec<Row>>, u64); // rows + wire bytes
-type BoxCacheShelf = VecDeque<(Rect, Arc<Vec<Row>>, u64)>; // rect, rows, bytes
+type CachedRows = (Arc<RowBlock>, u64); // rows + wire bytes
+type CachedBox = (Rect, Arc<Vec<Row>>, u64); // rect, rows, bytes
+type BoxCacheShelf = VecDeque<CachedBox>;
+
+/// A tile's rows as [`Inner::fetch_tile_cached`] served them.
+enum TileRows {
+    /// A miss: the fetched rows themselves (the cache took a copy).
+    Fetched(Vec<Row>),
+    /// A hit: the cached block.
+    Cached(Arc<RowBlock>),
+}
+
+impl TileRows {
+    fn len(&self) -> usize {
+        match self {
+            TileRows::Fetched(rows) => rows.len(),
+            TileRows::Cached(block) => block.len(),
+        }
+    }
+}
 
 /// A rectangle of one physical table whose rows changed in a
 /// [`KyrixServer::mutate_shards`] call, in that table's own coordinates.
@@ -214,6 +234,9 @@ struct Inner {
     layers: FxHashMap<LayerKey, LayerServing>,
     cost: CostModel,
     tile_cache: Mutex<LruCache<TileKey, CachedRows>>,
+    /// The tile cache's capacity in rows: a miss heavier than this is
+    /// never copied into a block the cache would refuse.
+    tile_cache_rows: usize,
     box_caches: Mutex<FxHashMap<LayerKey, BoxCacheShelf>>,
     box_cache_entries: usize,
     /// Data-version stamp + per-mutation invalidation entries.
@@ -261,6 +284,7 @@ impl Inner {
             layers,
             cost: config.cost,
             tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
+            tile_cache_rows: config.backend_cache_rows,
             box_caches: Mutex::new(FxHashMap::default()),
             box_cache_entries: config.box_cache_entries,
             mutations: Mutex::new(MutationLog {
@@ -295,6 +319,9 @@ impl Inner {
         &self.app.canvases[ci as usize].id
     }
 
+    /// One tile's rows and what serving them cost: the cached block on a
+    /// hit; on a miss the fetched rows, moved to the caller, after a copy
+    /// of them went into the cache.
     fn fetch_tile_cached(
         &self,
         snap: &dyn SnapshotView,
@@ -302,7 +329,7 @@ impl Inner {
         serving: &LayerServing,
         tile: TileId,
         background: bool,
-    ) -> Result<TileResponse> {
+    ) -> Result<(TileRows, FetchMetrics)> {
         let FetchPlan::StaticTiles { size, .. } = serving.plan else {
             return Err(ServerError::Config(format!(
                 "tile request on dynamic-box layer {li} of `{}`",
@@ -327,27 +354,24 @@ impl Inner {
                 None
             }
         };
-        if let Some((rows, bytes)) = hit {
+        if let Some((block, bytes)) = hit {
             let metrics = FetchMetrics {
                 requests: 1,
-                rows: rows.len() as u64,
+                rows: block.len() as u64,
                 bytes,
                 cache_hits: 1,
                 ..Default::default()
             };
             serving.record(&metrics, background);
-            return Ok(TileResponse {
-                tile,
-                rows,
-                metrics,
-            });
+            return Ok((TileRows::Cached(block), metrics));
         }
 
         // no lock held while the query runs: the snapshot is immutable
         let (rows, mut metrics) = fetch_rect(snap, &serving.store, &tiling.tile_rect(tile))?;
-        let rows = Arc::new(rows);
-        let bytes = metrics.bytes;
-        {
+        let weight = rows.len().max(1);
+        if weight <= self.tile_cache_rows {
+            // copied before the lock is taken: no lookup waits for it
+            let block = Arc::new(RowBlock::from_rows(&rows));
             // the snapshot tag is re-checked while *holding the cache
             // lock*, which publication holds across its bump-and-retain:
             // either this insert lands before the retain (and is dropped
@@ -355,17 +379,13 @@ impl Inner {
             // stale fetch can never undo an invalidation
             let mut cache = self.tile_cache.lock();
             if self.version() == snap.version() {
-                cache.insert(key, (rows.clone(), bytes), rows.len().max(1));
+                cache.insert(key, (block, metrics.bytes), weight);
             }
         }
         metrics.requests = 1;
         metrics.cache_misses = 1;
         serving.record(&metrics, background);
-        Ok(TileResponse {
-            tile,
-            rows,
-            metrics,
-        })
+        Ok((TileRows::Fetched(rows), metrics))
     }
 
     fn fetch_box_cached(
@@ -911,8 +931,18 @@ impl KyrixServer {
     pub fn fetch_tile(&self, canvas: &str, layer: usize, tile: TileId) -> Result<TileResponse> {
         let snap = self.pin_head();
         let (key, serving) = self.inner.layer(canvas, layer)?;
-        self.inner
-            .fetch_tile_cached(&*snap, key, serving, tile, false)
+        let (rows, metrics) = self
+            .inner
+            .fetch_tile_cached(&*snap, key, serving, tile, false)?;
+        let rows = match rows {
+            TileRows::Fetched(rows) => rows,
+            TileRows::Cached(block) => block.to_rows(),
+        };
+        Ok(TileResponse {
+            tile,
+            rows: Arc::new(rows),
+            metrics,
+        })
     }
 
     /// Pin the published head under a `snapshot.pin` span.
@@ -969,7 +999,7 @@ impl KyrixServer {
                 let mut metrics = FetchMetrics::default();
                 let mut covered = Rect::empty();
                 for &tile in &tiles {
-                    let resp = self
+                    let (tile_rows, tile_metrics) = self
                         .inner
                         .fetch_tile_cached(&*snap, key, serving, tile, false)?;
                     let _merge = obs.span("merge");
@@ -988,19 +1018,33 @@ impl KyrixServer {
                             earlier.extend(TileMatcher::new(store, tiling, before)?);
                         }
                     }
-                    self.inner.region_rows_in.add(resp.rows.len() as u64);
-                    rows.reserve(resp.rows.len());
-                    for row in resp.rows.iter() {
-                        if earlier.iter().any(|t| t.matches(row)) {
-                            continue;
-                        }
-                        let mut row = row.clone();
+                    self.inner.region_rows_in.add(tile_rows.len() as u64);
+                    rows.reserve(tile_rows.len());
+                    let mut keep = |mut row: Row| {
                         if let Some(col) = fresh_id_col {
                             row.values[col] = Value::Int(rows.len() as i64);
                         }
                         rows.push(row);
+                    };
+                    // a missed tile's rows move into the response; a cached
+                    // tile's are read in place and only the kept ones built
+                    match tile_rows {
+                        TileRows::Fetched(fetched) => {
+                            for row in fetched {
+                                if !earlier.iter().any(|t| t.matches(&row)) {
+                                    keep(row);
+                                }
+                            }
+                        }
+                        TileRows::Cached(block) => {
+                            for cells in block.rows() {
+                                if !earlier.iter().any(|t| t.matches(cells)) {
+                                    keep(block.row(cells));
+                                }
+                            }
+                        }
                     }
-                    metrics.merge(&resp.metrics);
+                    metrics.merge(&tile_metrics);
                     covered = covered.union(&tiling.tile_rect(tile));
                 }
                 self.inner.region_rows_out.add(rows.len() as u64);
@@ -1230,17 +1274,6 @@ impl KyrixServer {
 
     // ---------------------------------------------------- live mutation
 
-    /// One-database shorthand for [`KyrixServer::mutate_shards`]: `apply`
-    /// sees the single shard of a [`KyrixServer::launch`]ed (or one-shard)
-    /// server; refused, before anything is applied, on several shards.
-    pub fn mutate_raw<T>(
-        &self,
-        tables: &[&str],
-        apply: impl FnOnce(&mut Database) -> Result<(T, Vec<DirtyRegion>)>,
-    ) -> Result<T> {
-        self.mutate_shards(tables, |shards| apply(sole_shard(shards)?))
-    }
-
     /// Apply a mutation to the database and publish the result as a new
     /// snapshot, surgically invalidating serving state. `tables`
     /// declares, up front, every physical table the mutation may touch —
@@ -1346,11 +1379,12 @@ impl KyrixServer {
                 obs.counter("snapshot.cow_chunks_copied")
                     .add(after.chunks_copied.saturating_sub(before.chunks_copied));
                 obs.gauge("mutation.last_cow_copies").set(copies as i64);
-                // the retired head comes back out of `publish_locked` and
-                // is dropped here, after the cache and log locks are
-                // released: no reader's cache lookup waits for the free.
-                // It is the last pin unless a reader still holds one, and
-                // then that reader pays the release instead
+                // the retired head and the evicted tiles and boxes come
+                // back out of `publish_locked` and are dropped here, after
+                // the cache and log locks are released: no reader's cache
+                // lookup waits for the free. Each is the last reference
+                // unless a reader still holds one, and then that reader
+                // pays the release instead
                 let retired = self.publish_locked(next, &dirty);
                 {
                     let _retire = obs.span("snapshot.retire");
@@ -1408,8 +1442,13 @@ impl KyrixServer {
     /// before the retain, which drops the entry, or sees the bumped
     /// version and skips), and a session that observes the new
     /// `data_version` is guaranteed to find the matching log entry.
-    /// Returns the retired head for the caller to drop outside those locks.
-    fn publish_locked(&self, next: Vec<Database>, dirty: &[DirtyRegion]) -> Arc<Snapshot> {
+    /// Returns the retired head and the evicted tiles and boxes for the
+    /// caller to drop outside those locks.
+    fn publish_locked(
+        &self,
+        next: Vec<Database>,
+        dirty: &[DirtyRegion],
+    ) -> (Arc<Snapshot>, Vec<CachedRows>, Vec<CachedBox>) {
         let obs = Arc::clone(&self.inner.obs);
         let _publish = obs.span("publish");
         // which shards actually changed: route every dirty region through
@@ -1493,19 +1532,24 @@ impl KyrixServer {
         // the layer map pushed them): resolve the plan once per layer, drop
         // the intersecting tiles by key, and sweep the layer's box shelf
         // once for all of its rects
+        let (mut evicted_tiles, mut evicted_boxes) = (Vec::new(), Vec::new());
         for group in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let layer = (group[0].0, group[0].1);
             if let FetchPlan::StaticTiles { size, .. } = self.inner.layers[&layer].plan {
                 let tiling = Tiling::new(size);
                 for (_, _, rect) in group {
-                    evict_tiles(&mut tiles, layer, tiling, rect);
+                    evicted_tiles.extend(evict_tiles(&mut tiles, layer, tiling, rect));
                 }
             }
             if let Some(shelf) = boxes.get_mut(&layer) {
-                shelf.retain(|(r, _, _)| !group.iter().any(|(_, _, d)| r.intersects(d)));
+                let stale = |(r, _, _): &CachedBox| group.iter().any(|(_, _, d)| r.intersects(d));
+                let (gone, kept): (BoxCacheShelf, _) =
+                    std::mem::take(shelf).into_iter().partition(stale);
+                *shelf = kept;
+                evicted_boxes.extend(gone);
             }
         }
-        retired
+        (retired, evicted_tiles, evicted_boxes)
     }
 
     /// Monotonic data-version stamp: 0 at launch, bumped by every
@@ -1537,41 +1581,31 @@ impl KyrixServer {
     }
 }
 
-/// Drop every cached tile of `layer` whose closed extent intersects `rect`
-/// ([`Rect::intersects`]: touching counts). The tiles `rect` can touch are
-/// listed and removed by key; when they outnumber the cached entries (or
-/// [`MAX_COVERING_TILES`]), one `retain` over the cache is cheaper and runs
-/// instead.
-fn evict_tiles<V>(tiles: &mut LruCache<TileKey, V>, layer: LayerKey, tiling: Tiling, rect: &Rect) {
+/// Remove every cached tile of `layer` whose closed extent intersects
+/// `rect` ([`Rect::intersects`]: touching counts), returning them. The
+/// tiles `rect` can touch are listed and removed by key; when they
+/// outnumber the cached entries (or [`MAX_COVERING_TILES`]), one `retain`
+/// over the cache is cheaper and runs instead.
+fn evict_tiles<V>(
+    tiles: &mut LruCache<TileKey, V>,
+    layer: LayerKey,
+    tiling: Tiling,
+    rect: &Rect,
+) -> Vec<V> {
     let (ci, li) = layer;
     let hit = |tile: TileId| tiling.tile_rect(tile).intersects(rect);
     let cap = tiles.len().min(MAX_COVERING_TILES) as i64;
     let count = |r: &RangeInclusive<i32>| i64::from(*r.end()) - i64::from(*r.start()) + 1;
     match tiling.touching(rect) {
         Some((xs, ys)) if count(&xs).checked_mul(count(&ys)).is_some_and(|n| n <= cap) => {
-            for y in ys {
-                for x in xs.clone() {
-                    let tile = TileId::new(x, y);
-                    if hit(tile) {
-                        tiles.remove(&(ci, li, tile.key()));
-                    }
-                }
-            }
+            let touched = ys.flat_map(|y| xs.clone().map(move |x| TileId::new(x, y)));
+            touched
+                .filter(|&tile| hit(tile))
+                .filter_map(|tile| tiles.remove(&(ci, li, tile.key())))
+                .collect()
         }
         _ => tiles
             .retain(|&(kci, kli, key), _| kci != ci || kli != li || !hit(TileId::from_key(key))),
-    }
-}
-
-/// The one database a [`KyrixServer::mutate_raw`] closure sees.
-fn sole_shard(shards: &mut [Database]) -> Result<&mut Database> {
-    match shards {
-        [db] => Ok(db),
-        _ => Err(ServerError::Config(
-            "mutate_raw closures see one database; this backend is sharded — \
-             use mutate_shards and route each delta to its owning shard"
-                .to_string(),
-        )),
     }
 }
 
@@ -1587,10 +1621,10 @@ mod tests {
         (ci, li): LayerKey,
         tiling: Tiling,
         rect: &Rect,
-    ) {
+    ) -> Vec<V> {
         tiles.retain(|&(kci, kli, key), _| {
             kci != ci || kli != li || !tiling.tile_rect(TileId::from_key(key)).intersects(rect)
-        });
+        })
     }
 
     /// A rect coordinate: on a tile edge, or anywhere.
@@ -1675,8 +1709,11 @@ mod tests {
                 // whole tiles of width and height, so a rect that starts on
                 // an edge ends on one
                 let rect = Rect::new(x0, y0, x0 + w as f64 * size, y0 + h as f64 * size);
-                evict_tiles(&mut by_key, layers[l], tiling, &rect);
-                evict_tiles_by_scan(&mut by_scan, layers[l], tiling, &rect);
+                let mut gone = evict_tiles(&mut by_key, layers[l], tiling, &rect);
+                let mut want = evict_tiles_by_scan(&mut by_scan, layers[l], tiling, &rect);
+                gone.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(gone, want, "evicted by {:?}", rect);
                 prop_assert_eq!(contents(&by_key), contents(&by_scan), "after {:?}", rect);
             }
             // a rect spanning more tiles than the cache holds takes the

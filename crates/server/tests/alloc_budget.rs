@@ -1,25 +1,31 @@
-//! Allocation budget of the cold fetch path on a separable store: one
-//! buffer per fetched row from heap page to tile cache, one more per row a
-//! region merge keeps — the same budget whether the one database is
-//! launched directly or as the one shard of `launch_sharded` (the inline
-//! path allocates nothing for routing or merge). A single test in a binary
-//! of its own, because the counting `#[global_allocator]` sees every
-//! thread of the process.
+//! Allocation budget of the fetch paths on a separable store, and the
+//! deallocations a publication pays for the tiles it evicts. A cold fetch
+//! allocates one buffer per fetched row from heap page to response (the
+//! region merge moves a missed tile's rows, the tile cache keeps one
+//! block per tile); a warm region builds one buffer per row it keeps; an
+//! evicted tile is freed as its one block, not row by row. The budgets
+//! are the same whether the one database is launched directly or as the
+//! one shard of `launch_sharded` (the inline path allocates nothing for
+//! routing or merge). A single test in a binary of its own, because the
+//! counting `#[global_allocator]` sees every thread of the process.
 
 use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
 };
 use kyrix_parallel::QueryRouter;
-use kyrix_server::{FetchPlan, KyrixServer, LayerStore, ServerConfig, TileDesign, TileId};
+use kyrix_server::{
+    DirtyRegion, FetchPlan, KyrixServer, LayerStore, ServerConfig, TileDesign, TileId,
+};
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The system allocator, counting every allocation it hands out (a
-/// `realloc` that may move counts as one).
+/// `realloc` that may move counts as one) and every deallocation.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // contract is the one `GlobalAlloc` states; the counter touches no memory
@@ -32,6 +38,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this allocator with
         // this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
@@ -51,9 +58,18 @@ static GLOBAL: Counting = Counting;
 /// Allocations `f` performs (no other thread runs meanwhile: one test,
 /// prefetch off).
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    counted(&ALLOCATIONS, f)
+}
+
+/// Deallocations `f` performs, as [`allocations`] counts allocations.
+fn deallocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    counted(&DEALLOCATIONS, f)
+}
+
+fn counted<T>(counter: &AtomicU64, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = counter.load(Ordering::Relaxed);
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, counter.load(Ordering::Relaxed) - before)
 }
 
 const TILE: f64 = 40.0;
@@ -121,11 +137,11 @@ fn launch() -> [KyrixServer; 2] {
 #[test]
 fn cold_fetch_allocates_one_buffer_per_row() {
     for server in launch() {
-        cold_fetch_stays_in_budget(&server);
+        fetches_and_evictions_stay_in_budget(&server);
     }
 }
 
-fn cold_fetch_stays_in_budget(server: &KyrixServer) {
+fn fetches_and_evictions_stay_in_budget(server: &KyrixServer) {
     assert!(matches!(
         server.store("main", 0).unwrap(),
         LayerStore::SeparableRaw { .. }
@@ -145,8 +161,8 @@ fn cold_fetch_stays_in_budget(server: &KyrixServer) {
         assert_eq!(row.values.capacity(), width, "row buffers are exact");
     }
 
-    // a cold four-tile region: one allocation per row fetched, one per
-    // row the merge keeps
+    // a cold four-tile region: one allocation per row fetched; the merge
+    // moves the rows it keeps
     server.clear_caches();
     let rect = Rect::new(30.0, 30.0, 50.0, 50.0);
     let (region, allocs) = allocations(|| server.fetch_region("main", 0, &rect).unwrap());
@@ -155,10 +171,53 @@ fn cold_fetch_stays_in_budget(server: &KyrixServer) {
     let rows_out = region.rows.len() as u64;
     assert!(rows_out < rows_in, "straddlers were merged");
     assert!(
-        allocs <= rows_in + rows_out + 256,
+        allocs <= rows_in + 256,
         "cold fetch_region ({rows_in} rows in, {rows_out} out) made {allocs} allocations"
     );
     for row in region.rows.iter() {
         assert_eq!(row.values.capacity(), width, "row buffers are exact");
     }
+
+    // the same region warm: one allocation per row kept, none per row the
+    // merge skips
+    let (warm, allocs) = allocations(|| server.fetch_region("main", 0, &rect).unwrap());
+    assert_eq!(warm.metrics.cache_hits, 4);
+    assert_eq!(warm.rows.len() as u64, rows_out);
+    assert!(
+        allocs <= rows_out + 256,
+        "warm fetch_region ({rows_out} rows out) made {allocs} allocations"
+    );
+    for row in warm.rows.iter() {
+        assert_eq!(row.values.capacity(), width, "row buffers are exact");
+    }
+    assert_eq!(
+        warm.rows.iter().map(Row::encode).collect::<Vec<_>>(),
+        region.rows.iter().map(Row::encode).collect::<Vec<_>>(),
+        "a hit serves what the miss served"
+    );
+
+    // a mutation whose dirty region touches all four cached tiles frees
+    // each as one block: a handful of deallocations beyond the same
+    // mutation with nothing cached, not one per cached row
+    let mutate = || {
+        server
+            .mutate_shards(&["dots"], |_| {
+                Ok((
+                    (),
+                    vec![DirtyRegion::new("dots", Rect::new(39.0, 39.0, 41.0, 41.0))],
+                ))
+            })
+            .unwrap()
+    };
+    let removals = || server.backend_cache_stats().invalidation_removals;
+    let before = removals();
+    let ((), evicting) = deallocations(mutate);
+    assert_eq!(removals() - before, 4, "the four cached tiles were evicted");
+    server.clear_caches();
+    let ((), empty) = deallocations(mutate);
+    assert!(
+        evicting <= empty + 16,
+        "evicting 4 tiles of {rows_in} rows took {evicting} deallocations, \
+         the same mutation with empty caches {empty}"
+    );
 }

@@ -13,11 +13,20 @@
 //! (boxes that only *touch* the next tile), marks larger than a tile, and
 //! placements through a non-trivial affine, all with duplicated rows and
 //! under tiles with negative coordinates.
+//!
+//! Every viewport is served twice, cold and then warm, because the two
+//! take different paths through the merge: a missed tile's fetched rows
+//! are moved into the response, a cached tile is read from its block of
+//! cells and only the rows the merge keeps are rebuilt. One fixture
+//! carries a text column with empty, non-ASCII and `NULL` labels, the
+//! values a block keeps outside its cells.
 
 use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
 };
-use kyrix_server::{fetch_rect, FetchPlan, KyrixServer, ServerConfig, TileDesign, Tiling};
+use kyrix_server::{
+    fetch_rect, BoxResponse, FetchPlan, KyrixServer, ServerConfig, TileDesign, Tiling,
+};
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -36,24 +45,41 @@ enum Store {
     Spatial,
 }
 
-/// A server over `points` (id, x, y), one dynamic layer placed by
-/// `placement`, served by static tiles of [`TILE`] from `store`.
-fn launch(points: &[(i64, f64, f64)], placement: PlacementSpec, store: Store) -> KyrixServer {
+/// The label of dot `id` in a labeled fixture: text, empty, non-ASCII
+/// or `NULL`.
+fn label(id: i64) -> Value {
+    match id % 5 {
+        0 => Value::Null,
+        1 => Value::Text(String::new()),
+        2 => Value::Text(format!("Zürich — 東京 {id}")),
+        _ => Value::Text(format!("dot {id}")),
+    }
+}
+
+/// A server over `points` (id, x, y, and a [`label`] column when
+/// `labeled`), one dynamic layer placed by `placement`, served by static
+/// tiles of [`TILE`] from `store`.
+fn launch(
+    points: &[(i64, f64, f64)],
+    placement: PlacementSpec,
+    store: Store,
+    labeled: bool,
+) -> KyrixServer {
     let mut db = Database::new();
-    db.create_table(
-        "dots",
-        Schema::empty()
-            .with("id", DataType::Int)
-            .with("x", DataType::Float)
-            .with("y", DataType::Float),
-    )
-    .unwrap();
+    let mut schema = Schema::empty()
+        .with("id", DataType::Int)
+        .with("x", DataType::Float)
+        .with("y", DataType::Float);
+    if labeled {
+        schema = schema.with("label", DataType::Text);
+    }
+    db.create_table("dots", schema).unwrap();
     for &(id, x, y) in points {
-        db.insert(
-            "dots",
-            Row::new(vec![Value::Int(id), Value::Float(x), Value::Float(y)]),
-        )
-        .unwrap();
+        let mut values = vec![Value::Int(id), Value::Float(x), Value::Float(y)];
+        if labeled {
+            values.push(label(id));
+        }
+        db.insert("dots", Row::new(values)).unwrap();
     }
     // without the point index the layer is materialized instead of skipped
     if store == Store::SeparableRaw {
@@ -104,7 +130,12 @@ fn grid_server() -> &'static KyrixServer {
         // corner and in a tile interior
         points.extend([(9000, 20.0, 20.0), (9000, 20.0, 20.0)]);
         points.extend([(9001, 13.5, 7.5), (9001, 13.5, 7.5)]);
-        launch(&points, PlacementSpec::point("x", "y"), Store::SeparableRaw)
+        launch(
+            &points,
+            PlacementSpec::point("x", "y"),
+            Store::SeparableRaw,
+            false,
+        )
     })
 }
 
@@ -117,6 +148,17 @@ fn content_multiset<'a>(rows: impl IntoIterator<Item = &'a Row>, width: usize) -
         .collect();
     keys.sort();
     keys
+}
+
+/// `vp` served from empty caches (every tile missed, its fetched rows
+/// moved into the response) and then again (every tile a cached block).
+fn serve_cold_then_warm(server: &KyrixServer, vp: &Rect) -> [BoxResponse; 2] {
+    server.clear_caches();
+    let cold = server.fetch_region("main", 0, vp).unwrap();
+    let warm = server.fetch_region("main", 0, vp).unwrap();
+    assert_eq!(cold.metrics.cache_hits, 0, "cold serve of {vp:?}");
+    assert_eq!(warm.metrics.cache_misses, 0, "warm serve of {vp:?}");
+    [cold, warm]
 }
 
 /// Tuple ids of a response, sorted.
@@ -135,11 +177,16 @@ struct Fixture {
 }
 
 impl Fixture {
-    fn new(name: &'static str, points: &[(i64, f64, f64)], placement: PlacementSpec) -> Self {
+    fn new(
+        name: &'static str,
+        points: &[(i64, f64, f64)],
+        placement: PlacementSpec,
+        labeled: bool,
+    ) -> Self {
         Fixture {
             name,
-            separable: launch(points, placement.clone(), Store::SeparableRaw),
-            spatial: launch(points, placement, Store::Spatial),
+            separable: launch(points, placement.clone(), Store::SeparableRaw, labeled),
+            spatial: launch(points, placement, Store::Spatial, labeled),
         }
     }
 }
@@ -202,13 +249,16 @@ fn fixtures() -> &'static [Fixture] {
                 affine.push(p);
             }
         }
+        let boxed = |w: &str| PlacementSpec::boxed("x", "y", w, w);
         vec![
-            Fixture::new("edges", &edges, PlacementSpec::boxed("x", "y", "2", "2")),
-            Fixture::new("big", &big, PlacementSpec::boxed("x", "y", "25", "25")),
+            Fixture::new("edges", &edges, boxed("2"), false),
+            Fixture::new("labeled edges", &edges, boxed("2"), true),
+            Fixture::new("big", &big, boxed("25"), false),
             Fixture::new(
                 "affine",
                 &affine,
                 PlacementSpec::boxed("x * 0.3 - 4", "y * -0.7 + 31", "2", "2"),
+                false,
             ),
         ]
     })
@@ -236,28 +286,31 @@ proptest! {
         let store = server.store("main", 0).unwrap();
         let width = store.layout().unwrap().width();
 
-        let region = server.fetch_region("main", 0, &vp).unwrap();
+        let [cold, warm] = serve_cold_then_warm(server, &vp);
         // compare against one direct spatial query over the same covered
         // (tile-aligned) area
-        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &region.rect).unwrap();
+        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &cold.rect).unwrap();
         // ... which is the raw query plus the geometry formula, row for row
         prop_assert_eq!(
             &direct,
-            &separable_rows_by_formula(&*server.snapshot(), &store, &region.rect)
+            &separable_rows_by_formula(&*server.snapshot(), &store, &cold.rect)
         );
-
-        let got = content_multiset(region.rows.iter(), width);
         let want = content_multiset(&direct, width);
-        prop_assert_eq!(
-            got.len(), want.len(),
-            "row multiset size for viewport {:?} (covered {:?})", vp, region.rect
-        );
-        prop_assert_eq!(got, want, "row multiset for viewport {:?}", vp);
 
-        // synthesized ids were renumbered: unique within the response
-        let mut ids = sorted_ids(server, &region.rows);
-        ids.dedup();
-        prop_assert_eq!(ids.len(), region.rows.len(), "tuple ids not unique");
+        for (path, region) in [("cold", &cold), ("warm", &warm)] {
+            prop_assert_eq!(region.rect, cold.rect);
+            let got = content_multiset(region.rows.iter(), width);
+            prop_assert_eq!(
+                got.len(), want.len(),
+                "{} row multiset size for viewport {:?} (covered {:?})", path, vp, region.rect
+            );
+            prop_assert_eq!(&got, &want, "{} row multiset for viewport {:?}", path, vp);
+
+            // synthesized ids were renumbered: unique within the response
+            let mut ids = sorted_ids(server, &region.rows);
+            ids.dedup();
+            prop_assert_eq!(ids.len(), region.rows.len(), "{} tuple ids not unique", path);
+        }
     }
 
     /// Viewports covering exactly `nx` x `ny` tiles (1..=9 tiles) anywhere
@@ -292,16 +345,9 @@ proptest! {
             // one direct fetch over the covered area is the reference
             for server in [&f.separable, &f.spatial] {
                 let store = server.store("main", 0).unwrap();
-                let region = server.fetch_region("main", 0, &vp).unwrap();
-                prop_assert_eq!(region.rect, covered);
                 let (direct, _) = fetch_rect(&*server.snapshot(), &store, &covered).unwrap();
-                prop_assert_eq!(
-                    content_multiset(region.rows.iter(), width),
-                    content_multiset(&direct, width),
-                    "{}: row multiset for viewport {:?}", f.name, vp
-                );
-                let mut ids = sorted_ids(server, &region.rows);
-                if matches!(store, kyrix_server::LayerStore::SeparableRaw { .. }) {
+                let separable = matches!(store, kyrix_server::LayerStore::SeparableRaw { .. });
+                if separable {
                     // synthesized rows: the raw query plus the geometry
                     // formula, row for row
                     prop_assert_eq!(
@@ -309,14 +355,23 @@ proptest! {
                         &separable_rows_by_formula(&*server.snapshot(), &store, &covered),
                         "{}: synthesized rows for {:?}", f.name, covered
                     );
-                } else {
-                    // stable ids: the very tuples the direct fetch names
-                    prop_assert_eq!(&ids, &sorted_ids(server, &direct));
                 }
-                ids.dedup();
-                prop_assert_eq!(ids.len(), region.rows.len(), "{}: ids not unique", f.name);
+                for (path, region) in ["cold", "warm"].into_iter().zip(serve_cold_then_warm(server, &vp)) {
+                    prop_assert_eq!(region.rect, covered);
+                    prop_assert_eq!(
+                        content_multiset(region.rows.iter(), width),
+                        content_multiset(&direct, width),
+                        "{} {}: row multiset for viewport {:?}", path, f.name, vp
+                    );
+                    let mut ids = sorted_ids(server, &region.rows);
+                    if !separable {
+                        // stable ids: the very tuples the direct fetch names
+                        prop_assert_eq!(&ids, &sorted_ids(server, &direct));
+                    }
+                    ids.dedup();
+                    prop_assert_eq!(ids.len(), region.rows.len(), "{} {}: ids not unique", path, f.name);
+                }
             }
-
         }
     }
 }
@@ -338,6 +393,7 @@ fn region_row_counters_pin_the_straddler_tax() {
         &points,
         PlacementSpec::boxed("x", "y", "2", "2"),
         Store::SeparableRaw,
+        false,
     );
     let count = |name: &str| server.obs().counter(name).get();
     let vp = Rect::new(1.0, 1.0, 19.0, 19.0);

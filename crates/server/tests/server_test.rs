@@ -994,11 +994,12 @@ fn layer_totals_attribute_foreground_metrics_per_layer() {
 
 // ------------------------------------------------------- live mutation
 
-/// Delete one dot by id inside a `mutate_raw` closure, reporting its
+/// Delete one dot by id inside a `mutate_shards` closure, reporting its
 /// position as the dirty region.
 fn delete_dot(server: &KyrixServer, id: i64, x: f64, y: f64) -> u64 {
     server
-        .mutate_raw(&["dots"], |db| {
+        .mutate_shards(&["dots"], |shards| {
+            let db = &mut shards[0];
             let n = db
                 .delete_where("dots", "id = $1", &[Value::Int(id)])
                 .map_err(kyrix_server::ServerError::from)?;
@@ -1015,7 +1016,7 @@ fn delete_dot(server: &KyrixServer, id: i64, x: f64, y: f64) -> u64 {
 }
 
 #[test]
-fn mutate_raw_invalidates_only_intersecting_tiles() {
+fn mutate_shards_invalidates_only_intersecting_tiles() {
     let server = launch(
         grid_db(true),
         PlacementSpec::point("x", "y"),
@@ -1053,7 +1054,7 @@ fn mutate_raw_invalidates_only_intersecting_tiles() {
 }
 
 #[test]
-fn mutate_raw_invalidates_only_overlapping_boxes() {
+fn mutate_shards_invalidates_only_overlapping_boxes() {
     let server = launch(
         grid_db(true),
         PlacementSpec::point("x", "y"),
@@ -1209,7 +1210,8 @@ fn failed_mutation_closure_aborts_atomically() {
     let rows_before = server.snapshot().table_len("dots").unwrap();
     let tile = TileId::new(3, 3);
     server.fetch_tile("main", 0, tile).unwrap(); // warm a far-away tile
-    let result: Result<(), _> = server.mutate_raw(&["dots"], |db| {
+    let result: Result<(), _> = server.mutate_shards(&["dots"], |shards| {
+        let db = &mut shards[0];
         // partial mutation, then failure
         db.delete_where("dots", "id = $1", &[Value::Int(0)])
             .unwrap();
@@ -1251,7 +1253,7 @@ fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
         server.store("main", 0).unwrap(),
         LayerStore::Spatial { .. }
     ));
-    let declared = server.mutate_raw::<()>(&["dots"], |_| {
+    let declared = server.mutate_shards::<()>(&["dots"], |_| {
         panic!("a refused table never reaches the closure")
     });
     assert!(
@@ -1261,7 +1263,8 @@ fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
     let vp = Rect::new(0.0, 0.0, 30.0, 30.0);
     let pinned = server.snapshot();
     let seen = server.fetch_region("main", 0, &vp).unwrap();
-    let result = server.mutate_raw(&["other"], |db| {
+    let result = server.mutate_shards(&["other"], |shards| {
+        let db = &mut shards[0];
         db.delete_where("dots", "id < $1", &[Value::Int(500)])
             .map_err(kyrix_server::ServerError::from)?;
         Ok((

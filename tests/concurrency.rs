@@ -90,7 +90,7 @@ fn concurrent_tile_sessions_share_the_backend_cache() {
 
 /// The snapshot store's acceptance test: 8 sessions pan and zoom around a
 /// marker region while a mutator thread loops whole-batch inserts and
-/// deletes of a 16-dot marker grid through `mutate_raw` — each batch one
+/// deletes of a 16-dot marker grid through `mutate_shards` — each batch one
 /// atomic mutation whose grid straddles four tiles. Every session step
 /// must observe the grid all-or-none (a mixed count would mean a fetch
 /// tore across a mutation), and the run must terminate (readers never
@@ -144,7 +144,8 @@ fn readers_see_mutations_whole_never_torn() {
 
     let insert_markers = |server: &KyrixServer| {
         server
-            .mutate_raw(&["dots"], |db| {
+            .mutate_shards(&["dots"], |shards| {
+                let db = &mut shards[0];
                 for (i, (x, y)) in positions.iter().enumerate() {
                     db.insert(
                         "dots",
@@ -163,7 +164,8 @@ fn readers_see_mutations_whole_never_torn() {
     };
     let delete_markers = |server: &KyrixServer| {
         let n = server
-            .mutate_raw(&["dots"], |db| {
+            .mutate_shards(&["dots"], |shards| {
+                let db = &mut shards[0];
                 let n = db
                     .delete_where("dots", "id >= $1", &[Value::Int(MARKER_BASE)])
                     .map_err(ServerError::from)?;
