@@ -419,8 +419,8 @@ fn lod(small: bool) {
         "### Incremental maintenance — {} points, per-batch update vs. full rebuild\n",
         cg.n
     );
-    println!("| batch | insert (ms) | delete (ms) | full rebuild (ms) | level rows rewritten | speedup |");
-    println!("|---|---|---|---|---|---|");
+    println!("| batch | insert (ms) | delete (ms) | full rebuild (ms) | level rows rewritten | in place | speedup |");
+    println!("|---|---|---|---|---|---|---|");
     let batches: &[usize] = if small {
         &[16, 128, 1024]
     } else {
@@ -429,12 +429,13 @@ fn lod(small: bool) {
     for r in run_lod_maintenance(&cg, 3, 24.0, batches) {
         let per_batch = (r.insert_ms + r.delete_ms) / 2.0;
         println!(
-            "| {} | {:.2} | {:.2} | {:.1} | {} | {:.0}x |",
+            "| {} | {:.2} | {:.2} | {:.1} | {} | {} | {:.0}x |",
             r.batch,
             r.insert_ms,
             r.delete_ms,
             r.rebuild_ms,
             r.rows_changed,
+            r.rows_in_place,
             r.rebuild_ms / per_batch.max(1e-9)
         );
     }

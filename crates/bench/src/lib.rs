@@ -613,6 +613,9 @@ pub struct LodMaintenanceResult {
     pub rebuild_ms: f64,
     /// Level-table rows rewritten across both batches.
     pub rows_changed: usize,
+    /// Of those, rows overwritten in their slot (same id and position),
+    /// across both batches.
+    pub rows_in_place: usize,
 }
 
 /// The incremental-maintenance experiment: build the pyramid once, then
@@ -674,6 +677,11 @@ pub fn run_lod_maintenance(
             delete_ms,
             rebuild_ms,
             rows_changed: ins.rows_changed() + del.rows_changed(),
+            rows_in_place: [ins, del]
+                .iter()
+                .flat_map(|r| &r.levels)
+                .map(|l| l.rows_in_place)
+                .sum(),
         });
     }
     out

@@ -18,15 +18,20 @@
 //!   dependency chains (a retained-membership flip adds the flipped cell's
 //!   neighbors) until a fixed point, which is what makes the repaired
 //!   level tables **bit-identical** to a from-scratch rebuild rather than
-//!   merely spacing-valid. A repair that would engulf most of a level
-//!   falls back to re-running full retention from the maintained cell map
-//!   (still exact, still cheaper than re-scanning raw data).
+//!   merely spacing-valid. The region is kept as 8-connected components:
+//!   no cell of one reads a cell of another, so each repairs against its
+//!   own boundary and only a component that grew runs again. A repair
+//!   that would engulf most of a level falls back to re-running full
+//!   retention from the maintained cell map (still exact, still cheaper
+//!   than re-scanning raw data).
 //!
 //! Changed retained outputs propagate upward: they dirty the cells they
 //! map into on the next level, that level re-aggregates those cells from
 //! the level below and repairs, and so on. Level tables are patched in
-//! place (delete + insert of exactly the changed rows, spatial indexes
-//! maintained incrementally), leaving the untouched rows untouched.
+//! place, leaving the untouched rows untouched: a row that keeps its
+//! representative id and position is overwritten in its slot (no index
+//! write), any other changed row is a delete + insert with the spatial
+//! index maintained incrementally.
 //!
 //! Exactness caveat (the same as the sharded build's): counts, bounding
 //! boxes and representative elections are order-independent folds and
@@ -86,10 +91,18 @@ pub struct LevelMaintenance {
     /// Rectangles, in this level's canvas coordinates, covering every
     /// changed row — the exact regions a serving layer must invalidate.
     pub dirty_rects: Vec<Rect>,
-    /// Table rows deleted plus inserted by the pass.
+    /// Table rows deleted plus inserted by the pass; a row overwritten in
+    /// place counts as both.
     pub rows_changed: usize,
+    /// Changed rows written over their old slot — same representative id
+    /// and position, so no index entry moved (0 on the raw level).
+    pub rows_in_place: usize,
     /// Candidate cells the repair pass re-examined (0 on the raw level).
     pub repair_cells: usize,
+    /// Candidate cells greedy retention evaluated, summed over every run
+    /// of the repair: one per component pass, or every candidate of the
+    /// level on a fallback (0 on the raw level).
+    pub retention_cells: usize,
     /// Whether the repair abandoned locality and re-ran full retention
     /// from the maintained cell map (exactness is unaffected).
     pub fallback: bool,
@@ -133,6 +146,7 @@ type OutputDelta = Vec<(Cell, Option<Cluster>, Option<Cluster>)>;
 struct RepairOutcome {
     changed: OutputDelta,
     region_cells: usize,
+    retention_cells: usize,
     fallback: bool,
 }
 
@@ -264,8 +278,9 @@ impl ShardedTarget<'_> {
         Ok(acc)
     }
 
-    /// Delete one level-table row by representative id and position.
-    fn remove_level_row(&mut self, table: &str, out: &Cluster, scale: f64) -> Result<()> {
+    /// The database holding the level-table row of `out`, and that row's
+    /// record id.
+    fn find_level_row(&self, table: &str, out: &Cluster, scale: f64) -> Result<(usize, RecordId)> {
         // a degenerate point rect lies in exactly one grid cell — the
         // same cell `add_level_row` routed the insert to
         let (cx, cy) = (out.rep_x / scale, out.rep_y / scale);
@@ -273,7 +288,28 @@ impl ShardedTarget<'_> {
         let shard = *targets.first().ok_or_else(|| {
             LodError::Maintenance(format!("({cx}, {cy}) routes to no shard of `{table}`"))
         })?;
-        delete_level_row(&mut self.shards[shard], table, out, scale)
+        Ok((shard, level_row_id(&self.shards[shard], table, out, scale)?))
+    }
+
+    /// Delete one level-table row by representative id and position.
+    fn remove_level_row(&mut self, table: &str, out: &Cluster, scale: f64) -> Result<()> {
+        let (shard, rid) = self.find_level_row(table, out, scale)?;
+        self.shards[shard].table_mut(table)?.delete_row(rid)?;
+        Ok(())
+    }
+
+    /// Write `new`'s row over `old`'s in its slot ([`kyrix_storage::Table::overwrite`]);
+    /// false, with nothing written, where the storage refuses.
+    fn overwrite_level_row(
+        &mut self,
+        table: &str,
+        old: &Cluster,
+        new: &Cluster,
+        scale: f64,
+    ) -> Result<bool> {
+        let (shard, rid) = self.find_level_row(table, old, scale)?;
+        let row = level_row(scale, new);
+        Ok(self.shards[shard].table_mut(table)?.overwrite(rid, &row)?)
     }
 
     /// Insert the level-table row of one cluster.
@@ -430,8 +466,18 @@ impl LodPyramid {
             router: sharding.as_ref(),
         };
         let result = apply(&mut target, config, state, levels, validated);
-        if result.is_err() {
-            *maintenance = None;
+        match (&result, observability.as_deref()) {
+            (Err(_), _) => *maintenance = None,
+            (Ok(report), Some(obs)) => {
+                let (mut in_place, mut evaluated) = (0, 0);
+                for l in &report.levels {
+                    in_place += l.rows_in_place as u64;
+                    evaluated += l.retention_cells as u64;
+                }
+                obs.counter("lod.rows_in_place").add(in_place);
+                obs.counter("lod.retention_cells").add(evaluated);
+            }
+            (Ok(_), None) => {}
         }
         result
     }
@@ -579,7 +625,9 @@ fn empty_report(cfg: &LodConfig, inserted: usize, deleted: usize) -> Maintenance
                 table: cfg.level_table(k),
                 dirty_rects: Vec::new(),
                 rows_changed: 0,
+                rows_in_place: 0,
                 repair_cells: 0,
+                retention_cells: 0,
                 fallback: false,
             })
             .collect(),
@@ -714,7 +762,9 @@ fn propagate(
                 cells.iter().map(|c| raw_cell_rect(cfg, *c)).collect()
             },
             rows_changed: inserted + deleted,
+            rows_in_place: 0,
             repair_cells: 0,
+            retention_cells: 0,
             fallback: false,
         }],
     };
@@ -750,14 +800,16 @@ fn propagate(
                 table: cfg.level_table(k),
                 dirty_rects: Vec::new(),
                 rows_changed: 0,
+                rows_in_place: 0,
                 repair_cells: 0,
+                retention_cells: 0,
                 fallback: false,
             });
             changed_prev = Vec::new();
             continue;
         }
         let outcome = repair_level(&mut state.levels[k - 1], scale, cfg.spacing, &dirty);
-        rewrite_level_table(target, cfg, k, scale, &outcome.changed)?;
+        let rows_in_place = rewrite_level_table(target, cfg, k, scale, &outcome.changed)?;
         infos[k].rows = state.levels[k - 1].retained_len();
         report.levels.push(LevelMaintenance {
             level: k,
@@ -772,7 +824,9 @@ fn propagate(
                 .iter()
                 .map(|(_, o, n)| o.is_some() as usize + n.is_some() as usize)
                 .sum(),
+            rows_in_place,
             repair_cells: outcome.region_cells,
+            retention_cells: outcome.retention_cells,
             fallback: outcome.fallback,
         });
         changed_prev = outcome.changed;
@@ -817,61 +871,182 @@ fn aggregate_cell_from_below(
     Some(acc)
 }
 
+/// The cells one level's repair re-runs retention over, as 8-connected
+/// components. A candidate's retention reads only its 3×3 neighbourhood,
+/// so no cell of one component reads a cell of another: each component's
+/// decisions depend on its own cells and the stored fates around it.
+/// Adding a cell next to several components merges them into one.
+#[derive(Default)]
+struct Region {
+    /// The component of every region cell.
+    of: FxHashMap<Cell, usize>,
+    /// The cells of each component; a component merged into another is
+    /// left empty.
+    cells: Vec<Vec<Cell>>,
+}
+
+impl Region {
+    /// Region cells, over every component.
+    fn len(&self) -> usize {
+        self.of.len()
+    }
+
+    fn contains(&self, cell: &Cell) -> bool {
+        self.of.contains_key(cell)
+    }
+
+    /// Every component, in no particular order.
+    fn components(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.cells.len()).filter(|c| !self.cells[*c].is_empty())
+    }
+
+    /// Add `cell`, merging the components of its 8-adjacent region cells
+    /// into the one it joins (a new component if it has none). False if
+    /// it was a region cell already.
+    fn add(&mut self, cell: Cell) -> bool {
+        if self.contains(&cell) {
+            return false;
+        }
+        let mut joined: Option<usize> = None;
+        for n in cell.neighborhood() {
+            let Some(&c) = self.of.get(&n) else { continue };
+            joined = Some(match joined {
+                Some(j) if j != c => self.merge(j, c),
+                _ => c,
+            });
+        }
+        let c = joined.unwrap_or_else(|| {
+            self.cells.push(Vec::new());
+            self.cells.len() - 1
+        });
+        self.cells[c].push(cell);
+        self.of.insert(cell, c);
+        true
+    }
+
+    /// Merge two components, moving the smaller's cells; returns the one
+    /// that keeps them.
+    fn merge(&mut self, a: usize, b: usize) -> usize {
+        let (keep, gone) = if self.cells[a].len() >= self.cells[b].len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let moved = std::mem::take(&mut self.cells[gone]);
+        for cell in &moved {
+            self.of.insert(*cell, keep);
+        }
+        self.cells[keep].extend(moved);
+        keep
+    }
+}
+
+/// Where a level's expansion loop settled: the repair region, and the
+/// fate retention decided for each of its candidates — `None` when the
+/// region outgrew its share of the level and full retention must run
+/// instead.
+struct Settled {
+    region: Region,
+    fates: Option<FxHashMap<Cell, Fate>>,
+    /// Candidates the regional runs evaluated, over every round.
+    retention_cells: usize,
+}
+
+/// Run regional retention from the dirty cells plus their neighborhoods,
+/// expanding along retained-membership flips until the boundary is clean
+/// — at which point the regional decisions provably equal a full
+/// re-run's. The region is kept as [`Region`] components and each round
+/// re-runs only those that grew since their last run: a component that
+/// did not grow is at its fixed point already, and none of its cells
+/// reads another component's. Reads the state only.
+fn settle(st: &LevelState, scale: f64, spacing: f64, dirty: &FxHashSet<Cell>) -> Settled {
+    let mut region = Region::default();
+    for c in dirty {
+        region.add(*c);
+        for n in c.neighborhood() {
+            if st.cand(n).is_some() {
+                region.add(n);
+            }
+        }
+    }
+
+    let mut fates: FxHashMap<Cell, Fate> = FxHashMap::default();
+    let mut retention_cells = 0;
+    let mut pending: Vec<usize> = region.components().collect();
+    while !pending.is_empty() {
+        if st.cands_len() > 64 && region.len() * FALLBACK_DEN > st.cands_len() * FALLBACK_NUM {
+            return Settled {
+                region,
+                fates: None,
+                retention_cells,
+            };
+        }
+        // every pending component runs against the region as the round
+        // found it, so no component sees another's growth mid-round
+        let mut flipped: Vec<Cell> = Vec::new();
+        for &c in &pending {
+            let cells = &region.cells[c];
+            retention_cells += cells.len();
+            regional_retention(st, scale, spacing, &region, cells, &mut fates);
+            flipped.extend(cells.iter().filter(|cell| {
+                st.is_retained(**cell) != fates.get(*cell).is_some_and(|f| f.is_retained())
+            }));
+        }
+        // expansion: a retained-membership flip influences neighbors that
+        // were assumed clean — pull them in; their components run again
+        let mut grown: Vec<Cell> = Vec::new();
+        for cell in flipped {
+            for n in cell.neighborhood() {
+                if st.cand(n).is_some() && region.add(n) {
+                    grown.push(n);
+                }
+            }
+        }
+        pending = grown.iter().map(|c| region.of[c]).collect();
+        pending.sort_unstable();
+        pending.dedup();
+    }
+    Settled {
+        region,
+        fates: Some(fates),
+        retention_cells,
+    }
+}
+
 /// Repair one level's retention after the candidates of `dirty` cells
 /// were rewritten through [`LevelState::set_cand`] (including appeared
-/// and vanished). Recomputes retention for a region that starts at the
-/// dirty cells plus their neighborhoods and expands along
-/// retained-membership flips until the boundary is clean — at which point
-/// the regional decisions provably equal a full re-run's. Commits the
-/// fates, sweeps the tombstones, re-derives the outputs that could have
-/// changed and returns the output delta; what a cell's row *was* is read
-/// off its record, where `set_cand` pinned it.
+/// and vanished): [`settle`] the region, commit its fates, sweep the
+/// tombstones, re-derive the outputs that can have changed and return the
+/// output delta; what a cell's row *was* is read off its record, where
+/// `set_cand` pinned it.
 fn repair_level(
     st: &mut LevelState,
     scale: f64,
     spacing: f64,
     dirty: &FxHashSet<Cell>,
 ) -> RepairOutcome {
-    let mut region: FxHashSet<Cell> = dirty.clone();
-    for c in dirty {
-        for n in c.neighborhood() {
-            if st.cand(n).is_some() {
-                region.insert(n);
-            }
-        }
-    }
-
-    let new_fates: FxHashMap<Cell, Fate> = loop {
-        if st.cands_len() > 64 && region.len() * FALLBACK_DEN > st.cands_len() * FALLBACK_NUM {
-            return full_retention(st, scale, spacing);
-        }
-        let computed = regional_retention(st, scale, spacing, &region);
-        // expansion: a retained-membership flip influences neighbors that
-        // were assumed clean — pull them in and recompute
-        let mut grew = false;
-        let snapshot: Vec<Cell> = region.iter().copied().collect();
-        for cell in snapshot {
-            let new_ret = computed.get(&cell).is_some_and(|f| f.is_retained());
-            if st.is_retained(cell) != new_ret {
-                for n in cell.neighborhood() {
-                    if st.cand(n).is_some() && region.insert(n) {
-                        grew = true;
-                    }
-                }
-            }
-        }
-        if !grew {
-            break computed;
-        }
+    let Settled {
+        region,
+        fates,
+        retention_cells,
+    } = settle(st, scale, spacing, dirty);
+    let Some(fates) = fates else {
+        let mut outcome = full_retention(st, scale, spacing);
+        outcome.retention_cells += retention_cells;
+        return outcome;
     };
 
-    // the outputs that could have changed: every region cell, plus every
-    // retained cell (inside or out) that gained or lost an absorbed member
+    // the outputs that can have changed: a region cell whose candidate
+    // (it is dirty) or fate changed, and the old and new absorbers of each
     let mut out_dirty: FxHashSet<Cell> = FxHashSet::default();
-    for cell in &region {
-        out_dirty.insert(*cell);
+    for cell in region.of.keys() {
         let old = st.record(*cell).map(|r| r.fate());
-        for fate in [old, new_fates.get(cell).copied()].into_iter().flatten() {
+        let new = fates.get(cell).copied();
+        if old == new && !dirty.contains(cell) {
+            continue;
+        }
+        out_dirty.insert(*cell);
+        for fate in [old, new].into_iter().flatten() {
             out_dirty.extend(fate.absorber(*cell));
         }
     }
@@ -882,8 +1057,8 @@ fn repair_level(
         .map(|r| st.table_row(*r).cloned())
         .collect();
 
-    for cell in &region {
-        match new_fates.get(cell) {
+    for cell in region.of.keys() {
+        match fates.get(cell) {
             Some(fate) => st.set_fate(*cell, *fate),
             None => {
                 st.sweep(*cell);
@@ -908,6 +1083,7 @@ fn repair_level(
     RepairOutcome {
         changed,
         region_cells: region.len(),
+        retention_cells,
         fallback: false,
     }
 }
@@ -934,29 +1110,34 @@ fn full_retention(st: &mut LevelState, scale: f64, spacing: f64) -> RepairOutcom
     RepairOutcome {
         changed,
         region_cells: st.cands_len(),
+        retention_cells: st.cands_len(),
         fallback: true,
     }
 }
 
-/// Run greedy retention over the candidates of `region` only, against a
-/// boundary of unchanged external retained marks. Exactly reproduces the
-/// global greedy's decisions for region cells *given* that no external
-/// fate changes (the expansion loop in [`repair_level`] guarantees that
-/// at its fixed point).
+/// Run greedy retention over the candidates of `cells` — one component of
+/// `region` — against a boundary of unchanged external retained marks,
+/// writing each decision into `fates`. Exactly reproduces the global
+/// greedy's decisions for those cells *given* that no external fate
+/// changes (the expansion loop in [`repair_level`] guarantees that at its
+/// fixed point). No other component's cell is within a neighbourhood of
+/// one of `cells`, so testing the boundary against the whole region is
+/// testing it against the component.
 fn regional_retention(
     st: &LevelState,
     scale: f64,
     spacing: f64,
-    region: &FxHashSet<Cell>,
-) -> FxHashMap<Cell, Fate> {
-    let mut cands: Vec<(Cell, &Cluster)> = region
+    region: &Region,
+    cells: &[Cell],
+    fates: &mut FxHashMap<Cell, Fate>,
+) {
+    let mut cands: Vec<(Cell, &Cluster)> = cells
         .iter()
         .filter_map(|c| st.cand(*c).map(|cl| (*c, cl)))
         .collect();
     cands.sort_unstable_by(|a, b| by_importance(a.1, b.1));
 
     let sq = spacing * spacing;
-    let mut out: FxHashMap<Cell, Fate> = FxHashMap::default();
     let mut grid = SpacingGrid::new(spacing);
     let mut retained: Vec<(Cell, &Cluster)> = Vec::new();
     for (cell, cl) in cands {
@@ -1000,16 +1181,15 @@ fn regional_retention(
         }
         match best {
             Some((absorber, _, _)) => {
-                out.insert(cell, Fate::toward(cell, absorber));
+                fates.insert(cell, Fate::toward(cell, absorber));
             }
             None => {
                 grid.insert(retained.len(), lx, ly);
                 retained.push((cell, cl));
-                out.insert(cell, Fate::RETAINED);
+                fates.insert(cell, Fate::RETAINED);
             }
         }
     }
-    out
 }
 
 /// Derive the post-absorption output of a retained cell: its own
@@ -1033,34 +1213,50 @@ fn output_for(st: &LevelState, r: Cell) -> Cluster {
     out
 }
 
-/// Patch one level table in place: delete the rows of vanished/changed
-/// outputs (located through the level's spatial index), then insert the
-/// new versions. Deletes run first so a representative migrating between
-/// cells never collides with itself.
+/// Patch one level table in place and return how many rows were
+/// overwritten in their slot. An output that keeps its representative id
+/// and bit-exact position is written over its old row
+/// ([`kyrix_storage::Table::overwrite`]: no index write, same record id);
+/// every other change deletes the old row (located through the level's
+/// spatial index) and then inserts the new one. Deletes run before
+/// inserts so a representative migrating between cells never collides
+/// with itself.
 fn rewrite_level_table(
     target: &mut ShardedTarget<'_>,
     cfg: &LodConfig,
     level: usize,
     scale: f64,
     changed: &OutputDelta,
-) -> Result<()> {
+) -> Result<usize> {
     let table = cfg.level_table(level);
-    for (_, old, _) in changed {
+    let mut in_place = 0;
+    let mut inserts: Vec<&Cluster> = Vec::new();
+    for (_, old, new) in changed {
+        if let (Some(o), Some(n)) = (old, new) {
+            let held = o.rep_id == n.rep_id
+                && o.rep_x.to_bits() == n.rep_x.to_bits()
+                && o.rep_y.to_bits() == n.rep_y.to_bits();
+            if held && target.overwrite_level_row(&table, o, n, scale)? {
+                in_place += 1;
+                continue;
+            }
+        }
         if let Some(o) = old {
             target.remove_level_row(&table, o, scale)?;
         }
+        inserts.extend(new);
     }
-    let mut inserts: Vec<&Cluster> = changed.iter().filter_map(|(_, _, n)| n.as_ref()).collect();
     inserts.sort_unstable_by_key(|c| c.rep_id);
     for c in inserts {
         target.add_level_row(&table, scale, c)?;
     }
-    Ok(())
+    Ok(in_place)
 }
 
-/// Delete one level-table row by its representative id, located through
-/// the level's `(cx, cy)` spatial index at the output's exact position.
-fn delete_level_row(db: &mut Database, table: &str, out: &Cluster, scale: f64) -> Result<()> {
+/// The record id of one level-table row, found by its representative id
+/// through the level's `(cx, cy)` spatial index at the output's exact
+/// position.
+fn level_row_id(db: &Database, table: &str, out: &Cluster, scale: f64) -> Result<RecordId> {
     let (cx, cy) = (out.rep_x / scale, out.rep_y / scale);
     let t = db.table(table)?;
     let idx = t.spatial_index().ok_or_else(|| {
@@ -1072,8 +1268,7 @@ fn delete_level_row(db: &mut Database, table: &str, out: &Cluster, scale: f64) -
     for rid in rids {
         let Some(row) = t.get(rid)? else { continue };
         if row.get(0) == &Value::Int(out.rep_id) {
-            db.table_mut(table)?.delete_row(rid)?;
-            return Ok(());
+            return Ok(rid);
         }
     }
     Err(LodError::Maintenance(format!(
@@ -1484,16 +1679,129 @@ mod tests {
         ));
     }
 
+    /// A candidate of `count` points stacked at `(x, 5)`: count is the
+    /// retention priority.
+    fn stack(id: i64, x: f64, count: i64) -> Cluster {
+        let mut c = Cluster::from_point(id * 100, x, 5.0, &[1.0]);
+        for j in 1..count {
+            c.merge(&Cluster::from_point(id * 100 + j, x, 5.0, &[1.0]));
+        }
+        c
+    }
+
+    /// Cell `i` of the row `y = 0`.
+    fn at(i: i64) -> Cell {
+        Cell { x: i, y: 0 }
+    }
+
+    const ROW_X: [f64; 6] = [9.0, 18.0, 27.0, 35.5, 45.0, 53.0];
+
+    /// The undecided candidates of the six-cell row below.
+    fn six_in_a_row() -> LevelState {
+        let mut st = LevelState::default();
+        for (i, (x, n)) in (0..).zip(ROW_X.iter().zip([50, 40, 30, 10, 20, 5])) {
+            st.fold_candidate(at(i), &stack(i, *x, n));
+        }
+        st
+    }
+
+    /// Two repair components that grow into each other merge, and the
+    /// merged run decides what full retention decides. Six cells in a row
+    /// (spacing 10, one level unit per raw unit), each candidate within
+    /// spacing of its row neighbours only:
+    ///
+    /// ```text
+    /// cell      0    1    2    3    4    5
+    /// count    50   40   30   10   20    5 → 6
+    /// before    R   a0    R   a2    R   a4
+    /// after     –    R   a1   a4    R   a4
+    /// ```
+    ///
+    /// Emptying cell 0 and growing cell 5 starts components {0, 1} and
+    /// {4, 5}. Cell 1's flip pulls in 2, cell 2's flip pulls in 3, which
+    /// touches 4: the two merge. Run alone, the left component would keep
+    /// cell 3 as a mark — its absorber 4 is a region cell, so neither its
+    /// grid nor the external boundary holds it.
+    #[test]
+    fn components_that_grow_into_each_other_merge() {
+        let mut st = six_in_a_row();
+        retain_with_spacing(&mut st, 1.0, 10.0);
+        let before: Vec<bool> = (0..6).map(|i| st.is_retained(at(i))).collect();
+        assert_eq!(before, [true, false, true, false, true, false]);
+
+        st.set_cand(at(0), None);
+        st.set_cand(at(5), Some(stack(5, ROW_X[5], 6)));
+        let dirty: FxHashSet<Cell> = [at(0), at(5)].into_iter().collect();
+        let mut start = Region::default();
+        for c in [at(0), at(1), at(4), at(5)] {
+            start.add(c);
+        }
+        assert_eq!(
+            start.components().count(),
+            2,
+            "the batch starts two components"
+        );
+
+        let settled = settle(&st, 1.0, 10.0, &dirty);
+        assert!(settled.fates.is_some(), "six cells never fall back");
+        let merged: Vec<usize> = settled.region.components().collect();
+        assert_eq!(merged.len(), 1, "the components grew into one");
+        assert_eq!(settled.region.cells[merged[0]].len(), 6);
+
+        let mut full = st.clone();
+        let outcome = repair_level(&mut st, 1.0, 10.0, &dirty);
+        retain_with_spacing(&mut full, 1.0, 10.0);
+        assert_eq!(st.first_difference(&full), None);
+        let after: Vec<Option<Cell>> = (1..6)
+            .map(|i| st.record(at(i)).unwrap().fate().absorber(at(i)))
+            .collect();
+        assert_eq!(after, [None, Some(at(1)), Some(at(4)), None, Some(at(4))]);
+        assert!(!outcome.fallback);
+        assert_eq!(outcome.region_cells, 6);
+    }
+
+    /// A component that settles runs no more: beside a cascade that runs
+    /// three rounds, a lone dirty cell far away is evaluated once.
+    #[test]
+    fn a_settled_component_is_not_run_again() {
+        let far = Cell { x: 40, y: 40 };
+        let mut st = six_in_a_row();
+        st.fold_candidate(far, &stack(9, 405.0, 3));
+        retain_with_spacing(&mut st, 1.0, 10.0);
+        st.set_cand(at(0), None);
+        let mut grown = stack(9, 405.0, 3);
+        grown.merge(&Cluster::from_point(999, 405.0, 5.0, &[1.0]));
+        st.set_cand(far, Some(grown));
+        let dirty: FxHashSet<Cell> = [at(0), far].into_iter().collect();
+        let mut full = st.clone();
+        let outcome = repair_level(&mut st, 1.0, 10.0, &dirty);
+        retain_with_spacing(&mut full, 1.0, 10.0);
+        assert_eq!(st.first_difference(&full), None);
+        // the row grows a cell a round, {0, 1} to {0, …, 3} (cell 3 keeps
+        // its membership: absorbed by 4 now); the far cell's component
+        // runs in the first round only, where rerunning the whole region
+        // would evaluate 3 + 4 + 5 cells
+        assert_eq!(outcome.retention_cells, (2 + 3 + 4) + 1);
+        assert_eq!(outcome.region_cells, 5);
+    }
+
     #[test]
     fn maintenance_records_pyramid_repair_spans() {
         let mut db = seeded_db(64);
         let mut p = build_pyramid(&mut db, &cfg()).unwrap();
         let reg = std::sync::Arc::new(kyrix_obs::Registry::new());
         p.set_observability(std::sync::Arc::clone(&reg));
-        p.insert_points(&mut db, &[RawPoint::new(700, 9.0, 9.0, &[1.0])])
-            .unwrap();
-        p.delete_points(&mut db, &[700]).unwrap();
+        let ins = (p.insert_points(&mut db, &[RawPoint::new(700, 9.0, 9.0, &[0.0])])).unwrap();
+        let del = p.delete_points(&mut db, &[700]).unwrap();
         let h = reg.histogram("span.pyramid.repair").snapshot();
         assert_eq!(h.count(), 2, "one span per maintenance batch");
+        // the counters add up the batches' per-level tallies
+        let levels = || ins.levels.iter().chain(&del.levels);
+        let in_place: usize = levels().map(|l| l.rows_in_place).sum();
+        let evaluated: usize = levels().map(|l| l.retention_cells).sum();
+        assert!(in_place > 0, "a zero-weight point moves no representative");
+        assert!(evaluated > 0);
+        assert_eq!(reg.counter("lod.rows_in_place").get(), in_place as u64);
+        assert_eq!(reg.counter("lod.retention_cells").get(), evaluated as u64);
     }
 }

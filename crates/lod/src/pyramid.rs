@@ -51,7 +51,8 @@ pub struct LodPyramid {
     /// one database [`build_pyramid`] wrote.
     pub(crate) sharding: Option<QueryRouter>,
     /// Telemetry registry maintenance batches record `pyramid.repair`
-    /// spans into (attached with [`LodPyramid::set_observability`]).
+    /// spans and the `lod.*` counters into (attached with
+    /// [`LodPyramid::set_observability`]).
     pub(crate) observability: Option<std::sync::Arc<kyrix_obs::Registry>>,
 }
 
@@ -74,9 +75,11 @@ impl LodPyramid {
     /// ([`LodPyramid::insert_points_sharded`] /
     /// [`LodPyramid::delete_points_sharded`])
     /// records its in-place level repair as a `pyramid.repair` span
-    /// there — typically the serving server's own registry, so pyramid
-    /// repairs land in the same trace as the mutation that triggered
-    /// them.
+    /// there, and adds to the counters `lod.retention_cells` (candidates
+    /// retention evaluated) and `lod.rows_in_place` (level rows
+    /// overwritten in their slot) — typically the serving server's own
+    /// registry, so pyramid repairs land in the same trace as the
+    /// mutation that triggered them.
     pub fn set_observability(&mut self, reg: std::sync::Arc<kyrix_obs::Registry>) {
         self.observability = Some(reg);
     }

@@ -264,3 +264,131 @@ proptest! {
         }
     }
 }
+
+/// The large canvas: 4096² raw units, spacing 24, three levels — a
+/// level-1 grid of ~85² cells, so one batch of scattered points opens
+/// dozens of separate repair components, and a clustered batch one
+/// component that cascades.
+fn wide_cfg() -> LodConfig {
+    LodConfig::new("pts", 4096.0, 4096.0, 3)
+        .with_measure("m")
+        .with_spacing(24.0)
+}
+
+/// `n` points from a seed: half uniform over the canvas, half in eight
+/// dense blobs (so every level absorbs), integer measures.
+fn wide_points(seed: u64, n: usize) -> Vec<(f64, f64, f64)> {
+    let mut s = seed | 1;
+    let mut next = move || {
+        // xorshift64*
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+        s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    let blobs: Vec<(f64, f64)> = (0..8)
+        .map(|_| ((next() % 3800 + 150) as f64, (next() % 3800 + 150) as f64))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let (x, y) = if i % 2 == 0 {
+                (
+                    (next() % 40_960) as f64 / 10.0,
+                    (next() % 40_960) as f64 / 10.0,
+                )
+            } else {
+                let (bx, by) = blobs[i / 2 % blobs.len()];
+                let dx = (next() % 2400) as f64 / 10.0 - 120.0;
+                let dy = (next() % 2400) as f64 / 10.0 - 120.0;
+                (bx + dx, by + dy)
+            };
+            (x, y, (next() % 9) as f64)
+        })
+        .collect()
+}
+
+/// One batch on the large canvas.
+#[derive(Debug, Clone)]
+enum WideBatch {
+    /// Points spread over the whole canvas: many small components.
+    Scattered(u64, usize),
+    /// Points within a few cells of one spot: one component that grows.
+    Clustered(u64, usize, (u16, u16)),
+    /// Deletes, picked from the live ids by index.
+    Delete(Vec<usize>),
+}
+
+fn wide_batch_strategy() -> impl Strategy<Value = WideBatch> {
+    prop_oneof![
+        (any::<u64>(), 16usize..96).prop_map(|(s, n)| WideBatch::Scattered(s, n)),
+        (any::<u64>(), 16usize..96, (200u16..3900, 200u16..3900))
+            .prop_map(|(s, n, at)| WideBatch::Clustered(s, n, at)),
+        prop::collection::vec(any::<u16>().prop_map(|i| i as usize), 8..80)
+            .prop_map(WideBatch::Delete),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    /// Scattered, clustered and delete batches on a canvas with room for
+    /// many repair components: after every batch the maintenance state
+    /// equals a scratch build's and so does every level table.
+    #[test]
+    fn many_component_batches_equal_scratch_rebuild(
+        seed in any::<u64>(),
+        batches in prop::collection::vec(wide_batch_strategy(), 4..8),
+    ) {
+        let cfg = wide_cfg();
+        let initial = wide_points(seed, 3000);
+        let mut db = seed_db(&initial);
+        let mut pyramid = build_pyramid(&mut db, &cfg).unwrap();
+        let mut live: Vec<i64> = (0..initial.len() as i64).collect();
+        let mut next_id = initial.len() as i64;
+        let mut in_place = 0;
+
+        for batch in &batches {
+            let fresh = |points: Vec<(f64, f64, f64)>, next_id: &mut i64, live: &mut Vec<i64>| {
+                points
+                    .into_iter()
+                    .map(|(x, y, m)| {
+                        *next_id += 1;
+                        live.push(*next_id);
+                        RawPoint::new(*next_id, x.clamp(0.0, 4095.9), y.clamp(0.0, 4095.9), &[m])
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let report = match batch {
+                WideBatch::Scattered(s, n) => {
+                    let pts = fresh(wide_points(*s, *n), &mut next_id, &mut live);
+                    pyramid.insert_points(&mut db, &pts).unwrap()
+                }
+                WideBatch::Clustered(s, n, (cx, cy)) => {
+                    let blob: Vec<(f64, f64, f64)> = wide_points(*s, *n)
+                        .into_iter()
+                        .map(|(x, y, m)| {
+                            (f64::from(*cx) + x / 4096.0 * 150.0, f64::from(*cy) + y / 4096.0 * 150.0, m)
+                        })
+                        .collect();
+                    let pts = fresh(blob, &mut next_id, &mut live);
+                    pyramid.insert_points(&mut db, &pts).unwrap()
+                }
+                WideBatch::Delete(picks) => {
+                    // picks name fresh and original ids alike
+                    let mut victims: Vec<i64> = picks.iter().map(|p| live[p % live.len()]).collect();
+                    victims.sort_unstable();
+                    victims.dedup();
+                    live.retain(|id| victims.binary_search(id).is_err());
+                    pyramid.delete_points(&mut db, &victims).unwrap()
+                }
+            };
+            in_place += report.levels.iter().map(|l| l.rows_in_place).sum::<usize>();
+            let (fresh_db, scratch) = scratch_build(&db, &cfg).expect("the canvas never empties");
+            if let Err(diff) = pyramid.maintenance_eq(&scratch) {
+                prop_assert!(false, "state diverged from a scratch build after {:?}: {}", batch, diff);
+            }
+            prop_assert_eq!(&pyramid.levels, &scratch.levels);
+            prop_assert_eq!(level_tables(&db, &cfg), level_tables(&fresh_db, &cfg), "after {:?}", batch);
+        }
+        prop_assert!(in_place > 0, "no level row was overwritten in place");
+    }
+}

@@ -367,10 +367,58 @@ impl Table {
         Ok(self.heap.delete(rid))
     }
 
-    /// Update a row in place: delete + re-insert (indexes maintained).
-    /// Returns the new record id.
+    /// Write `row` over the live row at `rid` without touching an index:
+    /// only when its encoding is as wide as the stored tuple's and every
+    /// column an index reads is bit-equal (a B+tree key, a spatial index's
+    /// bbox columns), so each index entry already names it. The record id
+    /// stays, and the write copies at most the one page a held clone still
+    /// shares. Returns false, writing and copying nothing, for a dead slot,
+    /// another width or a changed indexed column; errors on a row the
+    /// schema refuses.
+    pub fn overwrite(&mut self, rid: RecordId, row: &Row) -> Result<bool> {
+        self.schema.check_row(&row.values)?;
+        let Some(old) = self.heap.get(rid) else {
+            return Ok(false);
+        };
+        let new = row.encode();
+        if new.len() != old.len() || !self.same_index_keys(old, &new)? {
+            return Ok(false);
+        }
+        Ok(self.heap.overwrite(rid, &new))
+    }
+
+    /// Whether two encoded tuples of this table hold the same bytes in
+    /// every column one of its indexes reads.
+    fn same_index_keys(&self, a: &[u8], b: &[u8]) -> Result<bool> {
+        let mut keyed: Vec<usize> = Vec::with_capacity(4 * self.indexes.len());
+        for idx in &self.indexes {
+            match &idx.kind {
+                IndexKind::BTree { column } => keyed.push(self.schema.index_of(column)?),
+                IndexKind::Spatial(cols) => keyed.extend(self.bbox_columns(cols)?),
+            }
+        }
+        let Some(last) = keyed.iter().max().copied() else {
+            return Ok(true);
+        };
+        let (mut pa, mut pb) = (0, 0);
+        for col in 0..=last {
+            let (sa, sb) = (pa, pb);
+            Value::skip(a, &mut pa)?;
+            Value::skip(b, &mut pb)?;
+            if keyed.contains(&col) && a[sa..pa] != b[sb..pb] {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Update a row: in place when [`Table::overwrite`] accepts it (the
+    /// record id stays), else delete + re-insert (indexes maintained).
+    /// Returns the row's record id afterwards.
     pub fn update_row(&mut self, rid: RecordId, new_row: Row) -> Result<RecordId> {
-        self.schema.check_row(&new_row.values)?;
+        if self.overwrite(rid, &new_row)? {
+            return Ok(rid);
+        }
         if !self.delete_row(rid)? {
             return Err(StorageError::ExecError(format!(
                 "update of missing row at {rid:?}"
@@ -635,6 +683,109 @@ mod tests {
                 }
             )
             .is_err());
+    }
+
+    /// Ten labelled points, indexed by id (B+tree) and position (R-tree).
+    fn labelled_table() -> Table {
+        let schema = Schema::empty()
+            .with("id", DataType::Int)
+            .with("x", DataType::Float)
+            .with("y", DataType::Float)
+            .with("label", DataType::Text);
+        let mut t = Table::new("labelled", schema);
+        for i in 0..10i64 {
+            t.insert(labelled(i, i as f64, "abc")).unwrap();
+        }
+        t.create_index(
+            "by_id",
+            IndexKind::BTree {
+                column: "id".into(),
+            },
+        )
+        .unwrap();
+        t.create_index(
+            "by_xy",
+            IndexKind::Spatial(SpatialCols::Point {
+                x: "x".into(),
+                y: "y".into(),
+            }),
+        )
+        .unwrap();
+        t
+    }
+
+    fn labelled(id: i64, x: f64, label: &str) -> Row {
+        Row::new(vec![
+            Value::Int(id),
+            Value::Float(x),
+            Value::Float(1.0),
+            Value::Text(label.into()),
+        ])
+    }
+
+    fn rid_of(t: &Table, id: i64) -> RecordId {
+        let mut hits = Vec::new();
+        t.probe_eq(t.btree_index_on("id").unwrap(), &Value::Int(id), |r| {
+            hits.push(r)
+        });
+        assert_eq!(hits.len(), 1);
+        hits[0]
+    }
+
+    #[test]
+    fn overwrite_refusals_write_and_copy_nothing() {
+        let base = labelled_table();
+        let mut t = base.clone();
+        let rid = rid_of(&t, 3);
+        let (origin, dead) = (rid_of(&t, 0), rid_of(&t, 4));
+        assert!(t.delete_row(dead).unwrap());
+        let after_delete = t.cow_stats();
+        let refused = [
+            (rid, labelled(3, 3.5, "abc"), "a changed spatial column"),
+            (rid, labelled(30, 3.0, "abc"), "a changed B+tree key"),
+            (
+                origin,
+                labelled(0, -0.0, "abc"),
+                "-0.0 over 0.0, equal but not bit-equal",
+            ),
+            (rid, labelled(3, 3.0, "abcd"), "a wider text value"),
+            (rid, labelled(3, 3.0, "ab"), "a narrower one"),
+            (dead, labelled(4, 4.0, "xyz"), "a dead slot"),
+        ];
+        for (at, row, what) in refused {
+            assert!(!t.overwrite(at, &row).unwrap(), "{what} must be refused");
+            assert_eq!(t.cow_stats(), after_delete, "{what} copied something");
+        }
+        assert_eq!(t.get(rid).unwrap().unwrap(), labelled(3, 3.0, "abc"));
+        assert!(t.overwrite(rid, &Row::new(vec![Value::Int(1)])).is_err());
+    }
+
+    #[test]
+    fn overwrite_keeps_the_record_id_and_every_index_entry() {
+        let base = labelled_table();
+        let mut t = base.clone();
+        let rid = rid_of(&t, 3);
+        assert!(t.overwrite(rid, &labelled(3, 3.0, "xyz")).unwrap());
+        let stats = t.cow_stats();
+        assert_eq!((stats.pages_copied, stats.nodes_copied), (1, 0));
+        assert_eq!(t.get(rid).unwrap().unwrap(), labelled(3, 3.0, "xyz"));
+        assert_eq!(rid_of(&t, 3), rid);
+        let mut hits = Vec::new();
+        t.probe_spatial(
+            t.spatial_index().unwrap(),
+            &Rect::new(3.0, 1.0, 3.0, 1.0),
+            |r| hits.push(r),
+        );
+        assert_eq!(hits, vec![rid]);
+        assert_eq!(base.get(rid).unwrap().unwrap(), labelled(3, 3.0, "abc"));
+
+        // update_row takes the same path when it can, and falls back to
+        // delete + insert when it cannot
+        assert_eq!(t.update_row(rid, labelled(3, 3.0, "abc")).unwrap(), rid);
+        let moved = t.update_row(rid, labelled(3, 7.5, "abc")).unwrap();
+        assert_ne!(moved, rid);
+        assert_eq!(rid_of(&t, 3), moved);
+        assert_eq!(t.len(), 10);
     }
 
     #[test]

@@ -111,6 +111,16 @@ impl TableHeap {
         true
     }
 
+    /// Replace a live tuple's bytes with `tuple` of the same length, in
+    /// place: the record id stays. Returns false for a dead slot or a
+    /// different length; a refused overwrite copies nothing.
+    pub fn overwrite(&mut self, rid: RecordId, tuple: &[u8]) -> bool {
+        let pno = rid.page as usize;
+        let fits = (self.pages.get(pno).and_then(|p| p.get(rid.slot)))
+            .is_some_and(|old| old.len() == tuple.len());
+        fits && self.pages[pno].overwrite(rid.slot, tuple)
+    }
+
     /// Full scan over live tuples.
     pub fn iter(&self) -> impl Iterator<Item = (RecordId, &[u8])> {
         self.pages.iter().enumerate().flat_map(|(pno, page)| {
@@ -195,6 +205,26 @@ mod tests {
         let mut next = base.clone();
         assert!(!next.delete(rid));
         assert_eq!(next.copies(), Copies::default());
+    }
+
+    #[test]
+    fn an_overwrite_copies_its_page_once_and_a_refusal_copies_nothing() {
+        let mut base = TableHeap::new();
+        let rid = base.insert(b"row").unwrap();
+        let dead = base.insert(b"old").unwrap();
+        assert!(base.delete(dead));
+        let mut next = base.clone();
+        assert!(!next.overwrite(rid, b"wider"));
+        assert!(!next.overwrite(dead, b"new"));
+        assert!(!next.overwrite(RecordId::new(9, 0), b"row"));
+        assert_eq!(next.copies(), Copies::default());
+        assert!(next.overwrite(rid, b"ROW"));
+        assert_eq!(next.copies().elements, 1);
+        assert_eq!(
+            (base.get(rid).unwrap(), next.get(rid).unwrap()),
+            (&b"row"[..], &b"ROW"[..])
+        );
+        assert_eq!(next.len(), 1);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! A page is a plain buffer: sharing it between table versions, and
 //! copying it on the first write, is the heap's [`crate::spine::Spine`]'s
 //! job. A write that may be refused is therefore checked first
-//! ([`Page::fits`], [`Page::is_live`]), so it never copies.
+//! ([`Page::fits`], [`Page::is_live`], [`Page::get`] for an overwrite's
+//! width), so it never copies.
 
 /// Page size in bytes. 8 KiB, matching the common DBMS default.
 pub const PAGE_SIZE: usize = 8192;
@@ -107,6 +108,18 @@ impl Page {
         true
     }
 
+    /// Replace a live tuple's bytes in place with `tuple` of the same
+    /// length; the slot keeps its id and offset. Returns false, writing
+    /// nothing, for a dead slot or a different length.
+    pub fn overwrite(&mut self, slot: u16, tuple: &[u8]) -> bool {
+        if self.get(slot).map(<[u8]>::len) != Some(tuple.len()) {
+            return false;
+        }
+        let (off, len) = self.slot(slot);
+        self.data[off..off + len].copy_from_slice(tuple);
+        true
+    }
+
     /// Iterate over live tuples as `(slot, bytes)`.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|t| (s, t)))
@@ -163,6 +176,24 @@ mod tests {
         assert!(p.get(a).is_none());
         assert!(!p.delete(a), "double delete must be a no-op");
         assert_eq!(p.iter().count(), 0);
+    }
+
+    #[test]
+    fn overwrite_keeps_the_slot_and_refuses_a_new_width() {
+        let mut p = Page::new();
+        let a = p.insert(b"abc").unwrap();
+        let b = p.insert(b"xyz").unwrap();
+        assert!(p.overwrite(a, b"ABC"));
+        assert_eq!(
+            (p.get(a).unwrap(), p.get(b).unwrap()),
+            (&b"ABC"[..], &b"xyz"[..])
+        );
+        assert!(!p.overwrite(a, b"ABCD"), "a longer tuple is refused");
+        assert!(!p.overwrite(a, b"AB"), "so is a shorter one");
+        assert!(!p.overwrite(9, b"ABC"), "and a slot past the end");
+        p.delete(b);
+        assert!(!p.overwrite(b, b"XYZ"), "and a tombstone");
+        assert_eq!(p.get(a).unwrap(), b"ABC");
     }
 
     #[test]
