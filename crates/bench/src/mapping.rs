@@ -232,7 +232,8 @@ mod tests {
             for y in -1..=4 {
                 let tile = TileId::new(x, y);
                 let (mapped, metrics) = replay.fetch_tile(tile).unwrap();
-                let spatial = server.fetch_tile("main", 0, tile).unwrap();
+                let rect = replay.tiling.tile_rect(tile);
+                let spatial = server.fetch_region("main", 0, &rect).unwrap();
                 assert_eq!(ids(&mapped), ids(&spatial.rows), "tile {tile:?}");
                 assert_eq!(metrics.rows, spatial.metrics.rows, "tile {tile:?}");
                 assert_eq!(metrics.bytes, spatial.metrics.bytes, "tile {tile:?}");

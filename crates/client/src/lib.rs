@@ -1,8 +1,10 @@
 //! `kyrix-client`: a headless Kyrix frontend.
 //!
 //! The browser frontend of the original system is replaced by a [`Session`]
-//! that owns the viewport and the frontend cache, issues tile/box requests
-//! to a [`kyrix_server::KyrixServer`], executes pans and jumps, and renders
+//! that owns the viewport and the frontend cache, asks a
+//! [`kyrix_server::KyrixServer`] for each layer's region
+//! ([`kyrix_server::KyrixServer::fetch_region`], which serves tiles or a
+//! box per the layer's plan), executes pans and jumps, and renders
 //! frames with `kyrix-render`. [`trace_runner`] replays the paper's
 //! viewport movement traces and aggregates per-step response times;
 //! [`linked`] implements the §4 coordinated-views extension.

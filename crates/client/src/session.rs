@@ -15,6 +15,9 @@ use kyrix_storage::{Row, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Frontend region-cache capacity of every session, in tuples.
+const FRONTEND_CACHE_ROWS: usize = 500_000;
+
 /// What one interaction (initial load / pan / jump) cost.
 #[derive(Debug, Clone, Default)]
 pub struct StepReport {
@@ -42,29 +45,29 @@ pub struct JumpOutcome {
     pub report: StepReport,
 }
 
-/// A headless Kyrix frontend session.
+/// A headless Kyrix frontend session. [`Session::open_on`] opens one on
+/// any canvas; [`Session::open`] is `open_on` at the app's initial canvas
+/// and center.
 pub struct Session {
     server: Arc<KyrixServer>,
     canvas: String,
     viewport: Viewport,
     cache: FrontendCache,
     momentum: MomentumTracker,
-    /// Frontend tile cache capacity (tuples).
-    cache_rows: usize,
-    /// The server snapshot the cached regions were fetched under. Pinning
-    /// the snapshot (not just its version number) keeps that exact data
-    /// version alive server-side, so anything the session rendered can be
-    /// re-inspected even after mutations publish newer versions. On a
-    /// sharded backend the pin carries a per-shard version vector,
-    /// published atomically with every mutation.
+    /// The server snapshot the cached regions were fetched under; the next
+    /// interaction compares its version vector with the head's (on a
+    /// sharded backend, one entry per shard, published atomically with
+    /// every mutation) to tell which cached regions went stale.
     snapshot: Arc<dyn SnapshotView>,
 }
 
 impl Session {
     /// Open a session at the app's initial canvas and center, fetching the
-    /// first viewport of data.
+    /// first viewport of data: [`Session::open_on`] there.
     pub fn open(server: Arc<KyrixServer>) -> Result<(Self, StepReport)> {
-        Self::open_with_cache(server, 500_000)
+        let app = server.app();
+        let (canvas, (cx, cy)) = (app.initial_canvas.clone(), app.initial_center);
+        Self::open_on(server, &canvas, cx, cy)
     }
 
     /// Open a session on a specific canvas, centered at (cx, cy) —
@@ -89,42 +92,8 @@ impl Session {
             server,
             canvas: canvas_id.to_string(),
             viewport,
-            cache: FrontendCache::new(500_000, layers),
+            cache: FrontendCache::new(FRONTEND_CACHE_ROWS, layers),
             momentum: MomentumTracker::new(),
-            cache_rows: 500_000,
-            snapshot,
-        };
-        let report = session.ensure_viewport_data()?;
-        Ok((session, report))
-    }
-
-    /// Open with an explicit frontend cache capacity (in tuples).
-    pub fn open_with_cache(
-        server: Arc<KyrixServer>,
-        cache_rows: usize,
-    ) -> Result<(Self, StepReport)> {
-        let app = server.app();
-        let canvas_id = app.initial_canvas.clone();
-        let canvas = app
-            .canvas(&canvas_id)
-            .ok_or_else(|| ClientError::Navigation(format!("unknown canvas `{canvas_id}`")))?;
-        let layers = canvas.layers.len();
-        let mut viewport = Viewport::new(
-            app.initial_center.0,
-            app.initial_center.1,
-            app.viewport_width,
-            app.viewport_height,
-        );
-        let bounds = canvas.bounds();
-        viewport.center_on(app.initial_center.0, app.initial_center.1, &bounds);
-        let snapshot = server.snapshot();
-        let mut session = Session {
-            server,
-            canvas: canvas_id,
-            viewport,
-            cache: FrontendCache::new(cache_rows, layers),
-            momentum: MomentumTracker::new(),
-            cache_rows,
             snapshot,
         };
         let report = session.ensure_viewport_data()?;
@@ -350,13 +319,6 @@ impl Session {
         self.snapshot = head;
     }
 
-    /// The server snapshot this session's cached regions were fetched
-    /// under. Stays pinned (and its data version stays readable) until the
-    /// next interaction observes a newer published head.
-    pub fn pinned_snapshot(&self) -> Arc<dyn SnapshotView> {
-        Arc::clone(&self.snapshot)
-    }
-
     /// The current canvas's layers that carry data rows, with the accessor
     /// layout of those rows.
     fn data_layers(&self) -> Result<Vec<(usize, LayerRowLayout)>> {
@@ -527,7 +489,6 @@ impl Session {
     pub fn clear_frontend_cache(&mut self) {
         let layers = self.current_canvas().layers.len();
         self.cache.clear(layers);
-        let _ = self.cache_rows;
     }
 
     /// Lookup and eviction statistics of the frontend region cache

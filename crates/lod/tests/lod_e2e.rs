@@ -16,8 +16,8 @@ use kyrix_lod::{
 };
 use kyrix_parallel::{scatter_gather, Partitioner};
 use kyrix_server::{
-    BoxPolicy, CalibrationTrace, FetchPlan, KyrixServer, PlanPolicy, ServerConfig, TileDesign,
-    Tiling,
+    fetch_rect, BoxPolicy, CalibrationTrace, FetchPlan, KyrixServer, PlanPolicy, ServerConfig,
+    TileDesign, Tiling,
 };
 use kyrix_storage::{Database, Rect, Value};
 use kyrix_workload::{galaxy_rows, galaxy_schema, index_galaxy, load_zipf_galaxy, GalaxyConfig};
@@ -147,7 +147,7 @@ fn pyramid_end_to_end() {
     for &(k, id, cx, cy) in &probes {
         let canvas = cfg.level_canvas(k);
         let vp = Rect::centered(cx, cy, 512.0, 512.0);
-        let resp = box_server.fetch_box(&canvas, 0, &vp).unwrap();
+        let resp = box_server.fetch_region(&canvas, 0, &vp).unwrap();
         assert!(
             resp.rows.iter().any(|r| r.get(0) == &Value::Int(id)),
             "level {k}: dynamic box misses the probe mark"
@@ -228,7 +228,9 @@ fn pyramid_tiles_from_every_level() {
     for &(k, id, cx, cy) in &probes {
         let canvas = cfg.level_canvas(k);
         let tile = tiling.tile_of(cx, cy);
-        let resp = server.fetch_tile(&canvas, 0, tile).unwrap();
+        let resp = server
+            .fetch_region(&canvas, 0, &tiling.tile_rect(tile))
+            .unwrap();
         assert!(
             resp.rows.iter().any(|r| r.get(0) == &Value::Int(id)),
             "level {k}: tile {tile:?} misses the probe mark"
@@ -287,10 +289,8 @@ fn mixed_plans_serve_one_lod_app_across_a_zoom_trace() {
     for k in 1..=LEVELS {
         let canvas = cfg.level_canvas(k);
         assert_eq!(server.plan_for(&canvas, 0).unwrap(), tiles, "level {k}");
-        assert!(server.tiling_for(&canvas, 0).unwrap().is_some());
     }
     assert_eq!(server.plan_for("level0", 0).unwrap(), boxes);
-    assert!(server.tiling_for("level0", 0).unwrap().is_none());
 
     // the plan-agnostic region path serves every level's probe mark
     for &(k, id, cx, cy) in &probes {
@@ -706,14 +706,10 @@ fn incremental_maintenance_serves_live_mutations_end_to_end() {
         assert_eq!(r.rows[0].get(0).as_i64().unwrap(), n_now, "level {k} count");
     }
     // the blob shows up on the clustered (tiled) levels too
-    let l1 = server
-        .count_in_rect(
-            "level1",
-            0,
-            &Rect::centered(bx / 2.0, by / 2.0, 200.0, 200.0),
-        )
-        .unwrap();
-    assert!(l1 > 0, "level1 has a mark near the blob");
+    let near_blob = Rect::centered(bx / 2.0, by / 2.0, 200.0, 200.0);
+    let store = server.store("level1", 0).unwrap();
+    let (l1, _) = fetch_rect(&*server.snapshot(), &store, &near_blob).unwrap();
+    assert!(!l1.is_empty(), "level1 has a mark near the blob");
 
     // ---- zoom out across the plan boundary, then delete the blob plus
     // some original points

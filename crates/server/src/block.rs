@@ -81,11 +81,6 @@ impl RowBlock {
         Row::new(cells.iter().map(|c| self.value(*c)).collect())
     }
 
-    /// Every row, in order.
-    pub(crate) fn to_rows(&self) -> Vec<Row> {
-        self.rows().map(|cells| self.row(cells)).collect()
-    }
-
     #[inline]
     fn value(&self, cell: Cell) -> Value {
         match cell {
@@ -162,7 +157,7 @@ mod tests {
         let block = RowBlock::from_rows(&rows);
         assert_eq!(block.len(), 3);
         assert_eq!(block.texts.len(), 4, "one pool entry per text value");
-        let back = block.to_rows();
+        let back: Vec<Row> = block.rows().map(|cells| block.row(cells)).collect();
         // byte-for-byte: `NaN != NaN` and `-0.0 == 0.0` under `PartialEq`
         let encode = |rows: &[Row]| rows.iter().map(Row::encode).collect::<Vec<_>>();
         assert_eq!(encode(&back), encode(&rows));
@@ -191,7 +186,6 @@ mod tests {
     fn empty_and_numeric_blocks_hold_no_text() {
         let empty = RowBlock::from_rows(&[]);
         assert_eq!((empty.len(), empty.rows().count()), (0, 0));
-        assert!(empty.to_rows().is_empty());
 
         let rows: Vec<Row> = (0..4)
             .map(|i| Row::new(vec![Value::Int(i), Value::Float(i as f64 / 2.0)]))
@@ -199,6 +193,7 @@ mod tests {
         let block = RowBlock::from_rows(&rows);
         assert!(block.texts.is_empty());
         assert_eq!(block.cells.len(), 8);
-        assert_eq!(block.to_rows(), rows);
+        let back: Vec<Row> = block.rows().map(|cells| block.row(cells)).collect();
+        assert_eq!(back, rows);
     }
 }

@@ -165,7 +165,7 @@ impl TileMatcher {
 /// `(store, plan)` pair without touching the launched server's caches or
 /// per-layer totals. Real traffic goes through
 /// [`crate::KyrixServer::fetch_region`] instead.
-pub fn fetch_plan_cold(
+pub(crate) fn fetch_plan_cold(
     db: &dyn SnapshotView,
     store: &LayerStore,
     plan: &FetchPlan,
@@ -213,7 +213,7 @@ pub fn compute_fetch_box(
 /// Count (without fetching) the layer objects intersecting a rectangle;
 /// used by the density-adaptive box policy. On a sharded view the count
 /// sums routed per-shard index probes (rows live on exactly one shard).
-pub fn count_rect(db: &dyn SnapshotView, store: &LayerStore, rect: &Rect) -> Result<usize> {
+pub(crate) fn count_rect(db: &dyn SnapshotView, store: &LayerStore, rect: &Rect) -> Result<usize> {
     match store {
         LayerStore::Static => Ok(0),
         LayerStore::Spatial { table, .. } => db

@@ -52,7 +52,7 @@ pub use dbox::BoxPolicy;
 pub use drift::{DriftReport, LayerDrift, DRIFT_MARGIN};
 pub use error::{Result, ServerError};
 pub use explain::LayerExplain;
-pub use fetch::{count_rect, fetch_plan_cold, fetch_rect};
+pub use fetch::fetch_rect;
 pub use metrics::FetchMetrics;
 pub use policy::PlanPolicy;
 pub use precompute::{
@@ -64,8 +64,7 @@ pub use prefetch::{
     SemanticTracker, MIN_VELOCITY_FRAC,
 };
 pub use server::{
-    BoxResponse, DirtyRegion, KyrixServer, PrefetchPolicy, ServerConfig, TileResponse,
-    PREFETCH_QUEUE_BOUND,
+    BoxResponse, DirtyRegion, KyrixServer, PrefetchPolicy, ServerConfig, PREFETCH_QUEUE_BOUND,
 };
 pub use tile::{TileId, Tiling, MAX_COVERING_TILES};
 pub use tuner::{measure_plan, CalibrationTrace, CandidateCost, LayerTuning, TuningReport};

@@ -1,12 +1,14 @@
 //! The Kyrix backend server (paper Figure 1): owns the database, the layer
 //! stores produced by precomputation, the backend caches, and the
-//! prefetcher; answers tile and box requests from the frontend.
+//! prefetcher; answers the frontend's region requests with each layer's
+//! static tiles or dynamic box.
 
 use crate::backend::{Head, ShardTelemetry, Snapshot, SnapshotView};
 use crate::block::RowBlock;
 use crate::cache::CacheStats;
 use crate::cache::LruCache;
 use crate::cost::CostModel;
+use crate::dbox::BoxPolicy;
 use crate::drift::DriftReport;
 use crate::error::{Result, ServerError};
 use crate::fetch::{compute_fetch_box, count_rect, fetch_rect, TileMatcher};
@@ -109,26 +111,15 @@ impl ServerConfig {
     }
 }
 
-/// Response to a tile request.
-#[derive(Debug, Clone)]
-pub struct TileResponse {
-    /// Which tile the rows belong to.
-    pub tile: TileId,
-    /// The tile's rows: the fetched rows after a miss, a copy of the
-    /// cached tile after a hit.
-    pub rows: Arc<Vec<Row>>,
-    /// What serving this tile cost.
-    pub metrics: FetchMetrics,
-}
-
-/// Response to a dynamic-box request.
+/// Response to a region request ([`KyrixServer::fetch_region`]).
 #[derive(Debug, Clone)]
 pub struct BoxResponse {
-    /// The box that was actually fetched (contains the viewport).
+    /// What was actually fetched (contains the viewport): the dynamic
+    /// box, or the union of the covering tiles.
     pub rect: Rect,
-    /// Rows inside the box (shared with the box cache).
+    /// Rows inside it (a dynamic box's are shared with the box cache).
     pub rows: Arc<Vec<Row>>,
-    /// What serving this box cost.
+    /// What serving the region cost.
     pub metrics: FetchMetrics,
 }
 
@@ -209,9 +200,9 @@ struct LayerStats {
 /// launch: one lookup per fetch resolves all of it.
 struct LayerServing {
     store: LayerStore,
-    /// Plan the policy resolved for the layer. Every plan-matching site
-    /// (tile/box fetch, region fetch, prefetch dispatch) consults this,
-    /// never a server-wide plan.
+    /// Plan the policy resolved for the layer. Both plan-matching sites
+    /// (region fetch, prefetch dispatch) consult this, never a
+    /// server-wide plan.
     plan: FetchPlan,
     /// Region-serve latency recorder of the `fetch.region.layer{canvas/N}`
     /// family, resolved at launch so a fetch formats no label.
@@ -319,24 +310,18 @@ impl Inner {
         &self.app.canvases[ci as usize].id
     }
 
-    /// One tile's rows and what serving them cost: the cached block on a
-    /// hit; on a miss the fetched rows, moved to the caller, after a copy
-    /// of them went into the cache.
+    /// One tile of a layer served under `tiling`, and what serving it
+    /// cost: the cached block on a hit; on a miss the fetched rows, moved
+    /// to the caller, after a copy of them went into the cache.
     fn fetch_tile_cached(
         &self,
         snap: &dyn SnapshotView,
         (ci, li): LayerKey,
         serving: &LayerServing,
+        tiling: Tiling,
         tile: TileId,
         background: bool,
     ) -> Result<(TileRows, FetchMetrics)> {
-        let FetchPlan::StaticTiles { size, .. } = serving.plan else {
-            return Err(ServerError::Config(format!(
-                "tile request on dynamic-box layer {li} of `{}`",
-                self.canvas_id(ci)
-            )));
-        };
-        let tiling = Tiling::new(size);
         let key = (ci, li, tile.key());
 
         // Cache entries are always valid for the *published* version
@@ -388,21 +373,18 @@ impl Inner {
         Ok((TileRows::Fetched(rows), metrics))
     }
 
+    /// A layer's dynamic box for `viewport` under `policy`: a shelved box
+    /// containing the viewport on a hit; on a miss the box the policy
+    /// computes, fetched and shelved.
     fn fetch_box_cached(
         &self,
         snap: &dyn SnapshotView,
-        key @ (ci, li): LayerKey,
+        key @ (ci, _): LayerKey,
         serving: &LayerServing,
+        policy: &BoxPolicy,
         viewport: &Rect,
         background: bool,
     ) -> Result<BoxResponse> {
-        let FetchPlan::DynamicBox { policy } = serving.plan else {
-            return Err(ServerError::Config(format!(
-                "box request on static-tile layer {li} of `{}`",
-                self.canvas_id(ci)
-            )));
-        };
-
         // backend box cache: any cached box containing the viewport serves
         // it — but only when our pinned snapshot is still the published
         // version (shelved boxes are valid for the published version; see
@@ -440,7 +422,7 @@ impl Inner {
         }
 
         let canvas_bounds = self.app.canvases[ci as usize].bounds();
-        let rect = compute_fetch_box(snap, &serving.store, &policy, viewport, &canvas_bounds);
+        let rect = compute_fetch_box(snap, &serving.store, policy, viewport, &canvas_bounds);
         let (rows, mut metrics) = fetch_rect(snap, &serving.store, &rect)?;
         let rows = Arc::new(rows);
         metrics.requests = 1;
@@ -654,19 +636,20 @@ impl Worker {
             // viewport may warm tiles on one layer and a box on the next
             match serving.plan {
                 FetchPlan::StaticTiles { size, .. } => {
-                    let Ok(tiles) = Tiling::new(size).covering(rect) else {
+                    let tiling = Tiling::new(size);
+                    let Ok(tiles) = tiling.covering(rect) else {
                         continue; // degenerate prediction
                     };
                     for tile in tiles {
-                        let _ = inner.fetch_tile_cached(snap, key, serving, tile, true);
+                        let _ = inner.fetch_tile_cached(snap, key, serving, tiling, tile, true);
                     }
                 }
-                FetchPlan::DynamicBox { .. } => {
+                FetchPlan::DynamicBox { policy } => {
                     // widen the prediction slightly so a near-miss (momentum
                     // estimate off by a few pixels) still serves the real
                     // next viewport from the box cache
                     let widened = rect.inflate_frac(0.15, 0.15);
-                    let _ = inner.fetch_box_cached(snap, key, serving, &widened, true);
+                    let _ = inner.fetch_box_cached(snap, key, serving, &policy, &widened, true);
                 }
             }
         }
@@ -880,11 +863,6 @@ impl KyrixServer {
         &self.inner.app
     }
 
-    /// The policy the resolved plans came from.
-    pub fn policy(&self) -> &PlanPolicy {
-        &self.config.policy
-    }
-
     /// The fetch plan resolved for one layer at launch.
     pub fn plan_for(&self, canvas: &str, layer: usize) -> Result<FetchPlan> {
         Ok(self.inner.layer(canvas, layer)?.1.plan)
@@ -903,19 +881,6 @@ impl KyrixServer {
         self.inner.cost
     }
 
-    /// The configuration the server was launched with.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// Tiling in effect for one layer (None when it serves dynamic boxes).
-    pub fn tiling_for(&self, canvas: &str, layer: usize) -> Result<Option<Tiling>> {
-        Ok(match self.plan_for(canvas, layer)? {
-            FetchPlan::StaticTiles { size, .. } => Some(Tiling::new(size)),
-            FetchPlan::DynamicBox { .. } => None,
-        })
-    }
-
     /// The physical store backing a layer (exposed for tests/inspection).
     pub fn store(&self, canvas: &str, layer: usize) -> Result<LayerStore> {
         Ok(self.inner.layer(canvas, layer)?.1.store.clone())
@@ -927,63 +892,43 @@ impl KyrixServer {
         Ok(self.inner.layer(canvas, layer)?.1.store.layout())
     }
 
-    /// Fetch one tile of a layer (static-tile plans only).
-    pub fn fetch_tile(&self, canvas: &str, layer: usize, tile: TileId) -> Result<TileResponse> {
-        let snap = self.pin_head();
-        let (key, serving) = self.inner.layer(canvas, layer)?;
-        let (rows, metrics) = self
-            .inner
-            .fetch_tile_cached(&*snap, key, serving, tile, false)?;
-        let rows = match rows {
-            TileRows::Fetched(rows) => rows,
-            TileRows::Cached(block) => block.to_rows(),
-        };
-        Ok(TileResponse {
-            tile,
-            rows: Arc::new(rows),
-            metrics,
-        })
-    }
-
-    /// Pin the published head under a `snapshot.pin` span.
-    fn pin_head(&self) -> Arc<Snapshot> {
-        let _pin = self.inner.obs.span("snapshot.pin");
-        self.inner.head.pin()
-    }
-
-    /// Fetch the dynamic box for a viewport (dynamic-box plans only).
-    pub fn fetch_box(&self, canvas: &str, layer: usize, viewport: &Rect) -> Result<BoxResponse> {
-        let snap = self.pin_head();
-        let (key, serving) = self.inner.layer(canvas, layer)?;
-        self.inner
-            .fetch_box_cached(&*snap, key, serving, viewport, false)
-    }
-
-    /// Fetch everything intersecting a canvas rectangle under *either*
-    /// plan: the covering tiles (through the tile cache, deduplicated — a
-    /// tuple whose box straddles a tile edge arrives via several tiles and
-    /// is kept from the first that sees it) when serving static tiles, the
-    /// dynamic box otherwise; tuple ids are unique within the response.
-    /// Lets callers drive every canvas of a multi-level (LoD) app
-    /// uniformly without matching on the plan; cache keys stay
-    /// per-(canvas, layer), so levels never collide.
+    /// The server's one fetch: everything intersecting a canvas
+    /// rectangle, served under the layer's resolved plan — the covering
+    /// tiles (through the tile cache, deduplicated — a tuple whose box
+    /// straddles a tile edge arrives via several tiles and is kept from
+    /// the first that sees it) when serving static tiles, the dynamic box
+    /// otherwise; tuple ids are unique within the response. Callers drive
+    /// every canvas of a multi-level (LoD) app uniformly without matching
+    /// on the plan; cache keys stay per-(canvas, layer), so levels never
+    /// collide. A tile-aligned rectangle ([`Tiling::tile_rect`]) is served
+    /// as exactly that one tile.
     ///
     /// The whole region is resolved against *one* pinned snapshot: even
     /// when the viewport spans many tiles and a mutation publishes midway,
-    /// every row of the response comes from the same data version.
+    /// every row of the response comes from the same data version. A
+    /// rectangle with a non-finite coordinate is a
+    /// [`ServerError::BadRequest`], refused before anything is pinned.
     pub fn fetch_region(&self, canvas: &str, layer: usize, rect: &Rect) -> Result<BoxResponse> {
+        if !rect.is_finite() {
+            return Err(ServerError::BadRequest(format!(
+                "viewport {rect:?} is not finite"
+            )));
+        }
         let obs = Arc::clone(&self.inner.obs);
         let _region = obs.span("fetch.region");
         let started = Instant::now();
-        let snap = self.pin_head();
+        let snap = {
+            let _pin = obs.span("snapshot.pin");
+            self.inner.head.pin()
+        };
         let (key, serving) = {
             let _resolve = obs.span("plan.resolve");
             self.inner.layer(canvas, layer)?
         };
         let out = match serving.plan {
-            FetchPlan::DynamicBox { .. } => self
+            FetchPlan::DynamicBox { policy } => self
                 .inner
-                .fetch_box_cached(&*snap, key, serving, rect, false),
+                .fetch_box_cached(&*snap, key, serving, &policy, rect, false),
             FetchPlan::StaticTiles { size, .. } => {
                 let store = &serving.store;
                 let tiling = Tiling::new(size);
@@ -1001,7 +946,7 @@ impl KyrixServer {
                 for &tile in &tiles {
                     let (tile_rows, tile_metrics) = self
                         .inner
-                        .fetch_tile_cached(&*snap, key, serving, tile, false)?;
+                        .fetch_tile_cached(&*snap, key, serving, tiling, tile, false)?;
                     let _merge = obs.span("merge");
                     // A mark straddling a tile edge arrives through every
                     // tile whose fetch sees it — with all its copies, when
@@ -1062,12 +1007,6 @@ impl KyrixServer {
         out
     }
 
-    /// Count layer objects in a canvas rectangle (no data transfer).
-    pub fn count_in_rect(&self, canvas: &str, layer: usize, rect: &Rect) -> Result<usize> {
-        let (_, serving) = self.inner.layer(canvas, layer)?;
-        count_rect(&*self.inner.head.pin(), &serving.store, rect)
-    }
-
     /// Tell the prefetch worker the user panned to `viewport` on `canvas`
     /// with the smoothed per-step `velocity` (paper §4). The worker
     /// predicts with the configured [`PrefetchPolicy`] — momentum
@@ -1075,11 +1014,15 @@ impl KyrixServer {
     /// and warms the backend caches; this call only enqueues. A no-op when
     /// prefetch is off; a hint that finds the queue full
     /// ([`PREFETCH_QUEUE_BOUND`]) is dropped and counted in the
-    /// `prefetch.dropped` counter of [`KyrixServer::obs`].
+    /// `prefetch.dropped` counter of [`KyrixServer::obs`]. A non-finite
+    /// viewport or velocity predicts nothing and is dropped uncounted.
     pub fn hint(&self, canvas: &str, viewport: &Rect, velocity: (f64, f64)) {
         let Some(p) = &self.prefetcher else {
             return;
         };
+        if !viewport.is_finite() || !velocity.0.is_finite() || !velocity.1.is_finite() {
+            return;
+        }
         let Ok(canvas) = self.inner.canvas_idx(canvas) else {
             return;
         };
@@ -1151,12 +1094,6 @@ impl KyrixServer {
         Arc::clone(&self.inner.obs)
     }
 
-    /// Foreground [`KyrixServer::fetch_region`] serves of one layer so far
-    /// (the step count [`KyrixServer::drift_report`] normalizes by).
-    pub fn layer_region_serves(&self, canvas: &str, layer: usize) -> Result<u64> {
-        Ok(self.inner.layer(canvas, layer)?.1.stats.lock().regions)
-    }
-
     /// Backend tile-cache accounting: hits, misses, and removals split by
     /// cause (capacity eviction vs. invalidation).
     pub fn backend_cache_stats(&self) -> CacheStats {
@@ -1167,18 +1104,6 @@ impl KyrixServer {
     /// eviction causes, head version) and render the whole registry as
     /// machine-readable JSON.
     pub fn telemetry_json(&self) -> String {
-        self.sync_gauges();
-        self.inner.obs.to_json()
-    }
-
-    /// Like [`KyrixServer::telemetry_json`], but as an aligned
-    /// human-readable table.
-    pub fn telemetry_text(&self) -> String {
-        self.sync_gauges();
-        self.inner.obs.to_text()
-    }
-
-    fn sync_gauges(&self) {
         let s = self.backend_cache_stats();
         let obs = &self.inner.obs;
         obs.gauge("cache.hits").set(s.hits as i64);
@@ -1191,6 +1116,7 @@ impl KyrixServer {
             .set(s.evicted_weight as i64);
         obs.gauge("snapshot.head_version")
             .set(self.data_version() as i64);
+        obs.to_json()
     }
 
     /// Compare each tuned layer's *live* per-interaction modeled cost

@@ -72,21 +72,6 @@ impl Tiling {
         )
     }
 
-    /// First and last tile (both inclusive, per axis) of the tiles
-    /// intersecting a rectangle; None for an empty rectangle.
-    fn span(&self, rect: &Rect) -> Option<(TileId, TileId)> {
-        if rect.is_empty() {
-            return None;
-        }
-        let x0 = (rect.min_x / self.size).floor() as i32;
-        let y0 = (rect.min_y / self.size).floor() as i32;
-        // boundary-exclusive on the high side: a viewport ending exactly on
-        // a tile edge does not need the next tile
-        let x1 = ((rect.max_x / self.size).ceil() as i32 - 1).max(x0);
-        let y1 = ((rect.max_y / self.size).ceil() as i32 - 1).max(y0);
-        Some((TileId::new(x0, y0), TileId::new(x1, y1)))
-    }
-
     /// Inclusive per-axis tile ranges holding every tile whose *closed*
     /// extent ([`Tiling::tile_rect`]) intersects `rect` — touching counts,
     /// as in [`Rect::intersects`], so unlike [`Tiling::covering`] a tile
@@ -115,16 +100,36 @@ impl Tiling {
 
     /// All tiles intersecting a rectangle, in row-major order.
     /// The paper's frontend "requests the tiles that intersect with the
-    /// given viewport".
+    /// given viewport". Boundary-exclusive on the high side: a viewport
+    /// ending exactly on a tile edge does not need the next tile.
     ///
-    /// Fails with a clear error when the rectangle would cover more than
-    /// [`MAX_COVERING_TILES`] tiles: the per-axis spans are computed in
-    /// `i64` (a degenerate viewport can span the whole i32 range, whose
-    /// tile count overflows 32-bit arithmetic) and checked before any
-    /// allocation happens.
+    /// Fails with a clear error when the rectangle is not finite, leaves
+    /// the tile space [`Tiling::tile_rect`] can address, or would cover
+    /// more than [`MAX_COVERING_TILES`] tiles: the per-axis spans are
+    /// computed in `f64`, then `i64` (a degenerate viewport can span the
+    /// whole i32 range, whose tile count overflows 32-bit arithmetic) and
+    /// checked before any allocation happens.
     pub fn covering(&self, rect: &Rect) -> Result<Vec<TileId>> {
-        let Some((TileId { x: x0, y: y0 }, TileId { x: x1, y: y1 })) = self.span(rect) else {
+        if rect.is_empty() {
             return Ok(Vec::new());
+        }
+        let axis = |lo: f64, hi: f64| {
+            let first = (lo / self.size).floor();
+            let last = ((hi / self.size).ceil() - 1.0).max(first);
+            // `tile_rect` computes `x + 1`, so the last tile stays below MAX
+            let addressable = lo.is_finite()
+                && hi.is_finite()
+                && (i32::MIN as f64..i32::MAX as f64).contains(&first)
+                && (i32::MIN as f64..i32::MAX as f64).contains(&last);
+            addressable.then_some((first as i32, last as i32))
+        };
+        let (Some((x0, x1)), Some((y0, y1))) =
+            (axis(rect.min_x, rect.max_x), axis(rect.min_y, rect.max_y))
+        else {
+            return Err(ServerError::BadRequest(format!(
+                "viewport {rect:?} is not finite or leaves the tile space of size {}",
+                self.size
+            )));
         };
         let nx = x1 as i64 - x0 as i64 + 1;
         let ny = y1 as i64 - y0 as i64 + 1;
@@ -214,16 +219,32 @@ mod tests {
         // builds) or attempt an absurd allocation; now it is a clean error
         let t = Tiling::new(1.0);
         let huge = Rect::new(-2.0e9, -2.0e9, 2.0e9, 2.0e9);
-        assert!(matches!(
-            t.covering(&huge),
-            Err(crate::error::ServerError::BadRequest(_))
-        ));
+        assert!(matches!(t.covering(&huge), Err(ServerError::BadRequest(_))));
         // one axis degenerate is enough
         let strip = Rect::new(0.0, 0.0, 1.9e9, 1.0);
         assert!(t.covering(&strip).is_err());
         // a large-but-legitimate request still succeeds
         let big = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         assert_eq!(t.covering(&big).unwrap().len(), 1_000_000);
+        // a non-finite or unaddressable coordinate is refused, never
+        // floored to tile 0 or overflowed (an inverted rect is empty and
+        // covers nothing)
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e300, 1e300] {
+            for rect in [
+                Rect::new(v, 0.0, 5.0, 5.0),
+                Rect::new(0.0, v, 5.0, 5.0),
+                Rect::new(0.0, 0.0, v, 5.0),
+                Rect::new(0.0, 0.0, 5.0, v),
+                Rect::new(v, v, v, v),
+            ] {
+                if !rect.is_empty() {
+                    assert!(
+                        matches!(t.covering(&rect), Err(ServerError::BadRequest(_))),
+                        "{rect:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! store first and the tuner measures every candidate on one pinned view
 //! over them — one database or several shards, the calibration replay pays
 //! exactly the serve the launched server will. Replay uses the cold-cache
-//! serving protocol ([`crate::fetch::fetch_plan_cold`]), the same §3.3
+//! serving protocol (`fetch::fetch_plan_cold`), the same §3.3
 //! protocol the paper's figures measure.
 //!
 //! The winning assignment is exposed through

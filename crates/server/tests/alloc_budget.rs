@@ -14,7 +14,7 @@ use kyrix_core::{
 };
 use kyrix_parallel::QueryRouter;
 use kyrix_server::{
-    DirtyRegion, FetchPlan, KyrixServer, LayerStore, ServerConfig, TileDesign, TileId,
+    DirtyRegion, FetchPlan, KyrixServer, LayerStore, ServerConfig, TileDesign, TileId, Tiling,
 };
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -148,14 +148,16 @@ fn fetches_and_evictions_stay_in_budget(server: &KyrixServer) {
     ));
     let width = server.layout("main", 0).unwrap().unwrap().width();
 
-    // one cold tile: the decode of each row is its only allocation
-    let (tile, allocs) = allocations(|| server.fetch_tile("main", 0, TileId::new(0, 0)).unwrap());
+    // a cold one-tile region: the decode of each row is its only
+    // allocation
+    let one_tile = Tiling::new(TILE).tile_rect(TileId::new(0, 0));
+    let (tile, allocs) = allocations(|| server.fetch_region("main", 0, &one_tile).unwrap());
     let n = tile.rows.len() as u64;
     assert_eq!(tile.metrics.cache_misses, 1);
     assert!(n >= 1000, "tile holds {n} rows");
     assert!(
         allocs <= n + 128,
-        "cold fetch_tile of {n} rows made {allocs} allocations"
+        "cold one-tile fetch_region of {n} rows made {allocs} allocations"
     );
     for row in tile.rows.iter() {
         assert_eq!(row.values.capacity(), width, "row buffers are exact");

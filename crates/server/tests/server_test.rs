@@ -6,9 +6,9 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_server::{
-    fetch_rect, BoxPolicy, CalibrationTrace, CostModel, DirtyRegion, FetchMetrics, FetchPlan,
-    KyrixServer, LayerStore, MomentumTracker, PlanPolicy, PrefetchPolicy, ServerConfig, Snapshot,
-    TileDesign, TileId, Tiling, PREFETCH_QUEUE_BOUND,
+    fetch_rect, BoxPolicy, BoxResponse, CalibrationTrace, CostModel, DirtyRegion, FetchMetrics,
+    FetchPlan, KyrixServer, LayerStore, MomentumTracker, PlanPolicy, PrefetchPolicy, ServerConfig,
+    ServerError, Snapshot, TileDesign, TileId, Tiling, PREFETCH_QUEUE_BOUND,
 };
 use kyrix_storage::{
     DataType, Database, ExecStats, IndexKind, Rect, Row, Schema, SpatialCols, Value,
@@ -81,6 +81,13 @@ fn launch(db: Database, placement: PlacementSpec, plan: FetchPlan) -> KyrixServe
     server
 }
 
+/// One tile of a layer served as tiles of `size`: the region of exactly
+/// the tile's rectangle, which covers that one tile.
+fn fetch_one_tile(server: &KyrixServer, canvas: &str, size: f64, tile: TileId) -> BoxResponse {
+    let rect = Tiling::new(size).tile_rect(tile);
+    server.fetch_region(canvas, 0, &rect).unwrap()
+}
+
 fn row_ids(rows: &[Row]) -> Vec<i64> {
     let mut ids: Vec<i64> = rows.iter().map(|r| r.get(0).as_i64().unwrap()).collect();
     ids.sort_unstable();
@@ -106,7 +113,7 @@ fn dbox_fetch_returns_viewport_contents() {
         },
     );
     let vp = Rect::new(10.0, 10.0, 14.0, 14.0);
-    let resp = server.fetch_box("main", 0, &vp).unwrap();
+    let resp = server.fetch_region("main", 0, &vp).unwrap();
     assert_eq!(resp.rect, vp);
     assert_eq!(row_ids(&resp.rows).len(), 25); // 5x5 inclusive grid
     assert_eq!(resp.metrics.queries, 1);
@@ -129,7 +136,7 @@ fn dbox_uses_separable_skip_when_raw_index_exists() {
     // no side table was created
     assert!(!server.snapshot().has_table("k_grid_main_l0"));
     let vp = Rect::new(10.0, 10.0, 14.0, 14.0);
-    let resp = server.fetch_box("main", 0, &vp).unwrap();
+    let resp = server.fetch_region("main", 0, &vp).unwrap();
     assert_eq!(row_ids(&resp.rows).len(), 25);
 }
 
@@ -159,7 +166,7 @@ fn separable_skip_respects_affine_scaling() {
     ));
     // canvas [100, 120] -> raw [0, 4]
     let vp = Rect::new(100.0, 100.0, 120.0, 120.0);
-    let resp = server.fetch_box("main", 0, &vp).unwrap();
+    let resp = server.fetch_region("main", 0, &vp).unwrap();
     assert_eq!(row_ids(&resp.rows).len(), 25);
     // returned rows carry canvas-space centers in the layout columns
     let layout = server.store("main", 0).unwrap().layout().unwrap();
@@ -186,7 +193,7 @@ fn non_separable_placement_materializes_side_table() {
     assert!(server.snapshot().has_table("k_grid_main_l0"));
     // x in [0,100) -> canvas cx in [0, 100); query a band
     let resp = server
-        .fetch_box("main", 0, &Rect::new(0.0, 0.0, 30.0, 0.0))
+        .fetch_region("main", 0, &Rect::new(0.0, 0.0, 30.0, 0.0))
         .unwrap();
     // sqrt(x)*10 <= 30 -> x <= 9 -> 10 dots in row y=0
     assert_eq!(row_ids(&resp.rows).len(), 10);
@@ -216,16 +223,16 @@ fn backend_tile_cache_hits_on_refetch() {
         },
     );
     let t = TileId::new(3, 3);
-    let first = server.fetch_tile("main", 0, t).unwrap();
+    let first = fetch_one_tile(&server, "main", 10.0, t);
     assert_eq!(first.metrics.cache_misses, 1);
     assert_eq!(first.metrics.queries, 1);
-    let second = server.fetch_tile("main", 0, t).unwrap();
+    let second = fetch_one_tile(&server, "main", 10.0, t);
     assert_eq!(second.metrics.cache_hits, 1);
     assert_eq!(second.metrics.queries, 0, "cache hit runs no query");
     assert_eq!(row_ids(&first.rows), row_ids(&second.rows));
     // clearing the cache forces a query again
     server.clear_caches();
-    let third = server.fetch_tile("main", 0, t).unwrap();
+    let third = fetch_one_tile(&server, "main", 10.0, t);
     assert_eq!(third.metrics.cache_misses, 1);
 }
 
@@ -239,19 +246,19 @@ fn box_cache_serves_contained_viewports() {
         },
     );
     let vp = Rect::new(40.0, 40.0, 50.0, 50.0);
-    let first = server.fetch_box("main", 0, &vp).unwrap();
+    let first = server.fetch_region("main", 0, &vp).unwrap();
     assert!(first.rect.contains(&vp));
     assert_eq!(first.metrics.cache_misses, 1);
     // a small pan stays inside the inflated box -> cache hit
     let vp2 = vp.translate(2.0, 0.0);
-    let second = server.fetch_box("main", 0, &vp2).unwrap();
+    let second = server.fetch_region("main", 0, &vp2).unwrap();
     assert_eq!(second.metrics.cache_hits, 1);
     assert_eq!(second.metrics.queries, 0);
     // a big jump leaves the box -> miss
     let vp3 = vp
         .translate(60.0, 0.0)
         .clamp_within(&Rect::new(0.0, 0.0, 100.0, 100.0));
-    let third = server.fetch_box("main", 0, &vp3).unwrap();
+    let third = server.fetch_region("main", 0, &vp3).unwrap();
     assert_eq!(third.metrics.cache_misses, 1);
 }
 
@@ -269,8 +276,8 @@ fn racing_box_misses_on_one_viewport_shelve_one_entry() {
     );
     let a = Rect::new(0.0, 0.0, 10.0, 10.0);
     let b = Rect::new(20.0, 20.0, 30.0, 30.0);
-    server.fetch_box("main", 0, &a).unwrap();
-    server.fetch_box("main", 0, &b).unwrap();
+    server.fetch_region("main", 0, &a).unwrap();
+    server.fetch_region("main", 0, &b).unwrap();
     // race two threads on one viewport (shelf capacity is 4)
     let vp = Rect::new(40.0, 40.0, 50.0, 50.0);
     let barrier = std::sync::Barrier::new(2);
@@ -278,17 +285,17 @@ fn racing_box_misses_on_one_viewport_shelve_one_entry() {
         for _ in 0..2 {
             s.spawn(|| {
                 barrier.wait();
-                server.fetch_box("main", 0, &vp).unwrap();
+                server.fetch_region("main", 0, &vp).unwrap();
             });
         }
     });
     // one more distinct box evicts at most the oldest entry...
     let c = Rect::new(60.0, 60.0, 70.0, 70.0);
-    server.fetch_box("main", 0, &c).unwrap();
+    server.fetch_region("main", 0, &c).unwrap();
     // ...so with one shelf entry per racing viewport, `a`, `b` and `vp`
     // all still fit; a duplicated `vp` entry would have pushed `a` off
     for (name, rect) in [("a", &a), ("b", &b), ("vp", &vp)] {
-        let again = server.fetch_box("main", 0, rect).unwrap();
+        let again = server.fetch_region("main", 0, rect).unwrap();
         assert_eq!(
             again.metrics.cache_hits, 1,
             "box `{name}` evicted by a duplicate shelf entry"
@@ -309,7 +316,7 @@ fn density_adaptive_box_bounds_tuples() {
         },
     );
     let vp = Rect::new(45.0, 45.0, 55.0, 55.0); // 11x11 = 121 dots
-    let resp = server.fetch_box("main", 0, &vp).unwrap();
+    let resp = server.fetch_region("main", 0, &vp).unwrap();
     assert!(resp.rect.contains(&vp));
     assert!(
         resp.rows.len() <= 200 || resp.rect == vp,
@@ -348,34 +355,93 @@ fn momentum_prefetch_warms_the_cache() {
     );
     // the predicted viewport is now a cache hit
     let predicted = vp.translate(5.0, 0.0);
-    let resp = server.fetch_box("main", 0, &predicted).unwrap();
+    let resp = server.fetch_region("main", 0, &predicted).unwrap();
     assert_eq!(resp.metrics.cache_hits, 1, "prefetched box served");
 }
 
 #[test]
-fn wrong_request_kind_is_config_error() {
-    let tiles = launch(
-        grid_db(false),
-        PlacementSpec::point("x", "y"),
-        FetchPlan::StaticTiles {
-            size: 10.0,
-            design: TileDesign::SpatialIndex,
-        },
-    );
-    assert!(tiles
-        .fetch_box("main", 0, &Rect::new(0.0, 0.0, 1.0, 1.0))
-        .is_err());
-    let dbox = launch(
-        grid_db(false),
-        PlacementSpec::point("x", "y"),
-        FetchPlan::DynamicBox {
-            policy: BoxPolicy::Exact,
-        },
-    );
-    assert!(dbox.fetch_tile("main", 0, TileId::new(0, 0)).is_err());
-    assert!(dbox
-        .fetch_box("nope", 0, &Rect::new(0.0, 0.0, 1.0, 1.0))
-        .is_err());
+fn unknown_canvas_or_layer_is_a_bad_request() {
+    let vp = Rect::new(0.0, 0.0, 1.0, 1.0);
+    for plan in [MIXED_TILES, MIXED_BOXES] {
+        let server = launch(grid_db(false), PlacementSpec::point("x", "y"), plan);
+        for (canvas, layer) in [("nope", 0), ("main", 1)] {
+            assert!(
+                matches!(
+                    server.fetch_region(canvas, layer, &vp),
+                    Err(ServerError::BadRequest(_))
+                ),
+                "{plan:?}: layer {layer} of `{canvas}`"
+            );
+        }
+        assert_eq!(server.totals(), FetchMetrics::default());
+    }
+}
+
+#[test]
+fn non_finite_viewports_are_bad_requests() {
+    for plan in [MIXED_TILES, MIXED_BOXES] {
+        let server = launch(grid_db(false), PlacementSpec::point("x", "y"), plan);
+        let before = server.backend_cache_stats();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // each coordinate alone, then all four
+            let one = |i: usize| {
+                let mut c = [40.0, 40.0, 50.0, 50.0];
+                c[i] = bad;
+                Rect::new(c[0], c[1], c[2], c[3])
+            };
+            for rect in (0..4).map(one).chain([Rect::new(bad, bad, bad, bad)]) {
+                let served = server.fetch_region("main", 0, &rect);
+                assert!(
+                    matches!(served, Err(ServerError::BadRequest(_))),
+                    "{plan:?}: {rect:?} served {:?} rows",
+                    served.map(|r| r.rows.len())
+                );
+            }
+        }
+        assert_eq!(
+            server.backend_cache_stats(),
+            before,
+            "{plan:?}: no cache touched"
+        );
+        assert_eq!(server.totals(), FetchMetrics::default(), "{plan:?}");
+        // the server still serves a finite viewport
+        let vp = Rect::new(40.0, 40.0, 50.0, 50.0);
+        assert!(!server.fetch_region("main", 0, &vp).unwrap().rows.is_empty());
+    }
+}
+
+#[test]
+fn a_non_finite_hint_leaves_the_prefetch_worker_alive() {
+    for plan in [MIXED_TILES, MIXED_BOXES] {
+        let db = grid_db(false);
+        let app = compile(&dots_app(PlacementSpec::point("x", "y")), &db).unwrap();
+        let config = ServerConfig::new(plan)
+            .with_cost(CostModel::zero())
+            .with_prefetch(PrefetchPolicy::Momentum);
+        let (server, _) = KyrixServer::launch(app, db, config).unwrap();
+        let vp = Rect::new(0.0, 20.0, 10.0, 30.0);
+        server.hint("main", &vp, (f64::NEG_INFINITY, 0.0));
+        server.hint("main", &vp, (f64::NAN, 0.0));
+        server.hint("main", &Rect::new(f64::NAN, 20.0, 10.0, 30.0), (10.0, 0.0));
+        server.drain_prefetch();
+        assert_eq!(
+            backend_ops(&server.prefetch_totals()),
+            0,
+            "{plan:?}: a non-finite hint predicts nothing"
+        );
+        // panning right from tile (0, 2) predicts [10,20)x[20,30): tile
+        // (1, 2), or a box around it
+        server.hint("main", &vp, (10.0, 0.0));
+        server.drain_prefetch();
+        assert_eq!(
+            server.prefetch_totals().cache_misses,
+            1,
+            "{plan:?}: the worker is alive and warmed the prediction"
+        );
+        let next = Rect::new(10.0, 20.0, 20.0, 30.0);
+        let resp = server.fetch_region("main", 0, &next).unwrap();
+        assert_eq!(resp.metrics.cache_hits, 1, "{plan:?}: the warm serves");
+    }
 }
 
 #[test]
@@ -388,10 +454,10 @@ fn totals_accumulate_and_reset() {
         },
     );
     server
-        .fetch_box("main", 0, &Rect::new(0.0, 0.0, 5.0, 5.0))
+        .fetch_region("main", 0, &Rect::new(0.0, 0.0, 5.0, 5.0))
         .unwrap();
     server
-        .fetch_box("main", 0, &Rect::new(50.0, 50.0, 55.0, 55.0))
+        .fetch_region("main", 0, &Rect::new(50.0, 50.0, 55.0, 55.0))
         .unwrap();
     let t = server.totals();
     assert_eq!(t.requests, 2);
@@ -508,24 +574,21 @@ const MIXED_BOXES: FetchPlan = FetchPlan::DynamicBox {
 fn assert_mixed_serving(server: &KyrixServer) {
     assert_eq!(server.plan_for("overview", 0).unwrap(), MIXED_TILES);
     assert_eq!(server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
-    assert!(server.tiling_for("overview", 0).unwrap().is_some());
-    assert!(server.tiling_for("detail", 0).unwrap().is_none());
 
-    // direct fetches follow each layer's plan, and the wrong kind errors
-    let tile = server.fetch_tile("overview", 0, TileId::new(2, 2)).unwrap();
+    // a tile-aligned rectangle is exactly one tile on the tiled layer
+    let tile = fetch_one_tile(server, "overview", 10.0, TileId::new(2, 2));
     assert!(!tile.rows.is_empty());
-    assert!(server.fetch_tile("detail", 0, TileId::new(2, 2)).is_err());
-    let vp = Rect::new(40.0, 40.0, 50.0, 50.0);
-    let dbox = server.fetch_box("detail", 0, &vp).unwrap();
-    assert!(dbox.rect.contains(&vp), "box policy applied on detail");
-    assert!(server.fetch_box("overview", 0, &vp).is_err());
+    assert_eq!(tile.rect, Tiling::new(10.0).tile_rect(TileId::new(2, 2)));
+    assert_eq!((tile.metrics.requests, tile.metrics.cache_misses), (1, 1));
 
-    // the plan-agnostic region path serves both plans; both responses
-    // cover the viewport and agree on its contents (each plan over-fetches
+    // the region path serves both plans; both responses cover the
+    // viewport and agree on its contents (each plan over-fetches
     // differently: whole tiles vs. an inflated box)
+    let vp = Rect::new(40.0, 40.0, 50.0, 50.0);
     let a = server.fetch_region("overview", 0, &vp).unwrap();
     let b = server.fetch_region("detail", 0, &vp).unwrap();
     assert!(a.rect.contains(&vp) && b.rect.contains(&vp));
+    assert!(b.rect.area() > vp.area(), "box policy applied on detail");
     let within_vp = |rows: &[Row]| -> Vec<i64> {
         let mut ids: Vec<i64> = rows
             .iter()
@@ -549,16 +612,14 @@ fn assert_mixed_serving(server: &KyrixServer) {
 
     // per-(canvas, layer) cache keys: a second fetch of each is a pure hit
     assert_eq!(
-        server
-            .fetch_tile("overview", 0, TileId::new(2, 2))
-            .unwrap()
+        fetch_one_tile(server, "overview", 10.0, TileId::new(2, 2))
             .metrics
             .cache_hits,
         1
     );
     assert_eq!(
         server
-            .fetch_box("detail", 0, &vp)
+            .fetch_region("detail", 0, &vp)
             .unwrap()
             .metrics
             .cache_hits,
@@ -650,13 +711,11 @@ fn row_threshold_policy_splits_layers_by_volume() {
     .unwrap();
     assert_eq!(server.plan_for("dense", 0).unwrap(), MIXED_TILES);
     assert_eq!(server.plan_for("sparse", 0).unwrap(), MIXED_BOXES);
-    assert!(!server
-        .fetch_tile("dense", 0, TileId::new(5, 5))
-        .unwrap()
+    assert!(!fetch_one_tile(&server, "dense", 10.0, TileId::new(5, 5))
         .rows
         .is_empty());
     let sparse = server
-        .fetch_box("sparse", 0, &Rect::new(0.0, 40.0, 100.0, 60.0))
+        .fetch_region("sparse", 0, &Rect::new(0.0, 40.0, 100.0, 60.0))
         .unwrap();
     assert_eq!(sparse.rows.len(), 3);
 }
@@ -968,10 +1027,10 @@ fn layer_totals_attribute_foreground_metrics_per_layer() {
         FetchMetrics::default(),
         "zero before the first request"
     );
-    server.fetch_tile("overview", 0, TileId::new(2, 2)).unwrap();
-    server.fetch_tile("overview", 0, TileId::new(3, 2)).unwrap();
+    fetch_one_tile(&server, "overview", 10.0, TileId::new(2, 2));
+    fetch_one_tile(&server, "overview", 10.0, TileId::new(3, 2));
     server
-        .fetch_box("detail", 0, &Rect::new(40.0, 40.0, 50.0, 50.0))
+        .fetch_region("detail", 0, &Rect::new(40.0, 40.0, 50.0, 50.0))
         .unwrap();
     let overview = server.layer_totals("overview", 0).unwrap();
     let detail = server.layer_totals("detail", 0).unwrap();
@@ -1028,8 +1087,8 @@ fn mutate_shards_invalidates_only_intersecting_tiles() {
     assert_eq!(server.data_version(), 0);
     let near = TileId::new(0, 0); // covers [0,25)² — will be dirtied
     let far = TileId::new(3, 3); // covers [75,100)² — must survive
-    let before = server.fetch_tile("main", 0, near).unwrap();
-    server.fetch_tile("main", 0, far).unwrap();
+    let before = fetch_one_tile(&server, "main", 25.0, near);
+    fetch_one_tile(&server, "main", 25.0, far);
 
     // delete the dot at (5, 5): id = y * 100 + x
     delete_dot(&server, 505, 5.0, 5.0);
@@ -1037,9 +1096,9 @@ fn mutate_shards_invalidates_only_intersecting_tiles() {
 
     // the far tile still serves from cache; the near tile refetches and
     // sees the deletion
-    let far2 = server.fetch_tile("main", 0, far).unwrap();
+    let far2 = fetch_one_tile(&server, "main", 25.0, far);
     assert_eq!(far2.metrics.cache_hits, 1, "clean tile must stay cached");
-    let near2 = server.fetch_tile("main", 0, near).unwrap();
+    let near2 = fetch_one_tile(&server, "main", 25.0, near);
     assert_eq!(near2.metrics.cache_misses, 1, "dirty tile must refetch");
     assert_eq!(near2.rows.len(), before.rows.len() - 1);
     assert!(!row_ids(&near2.rows).contains(&505));
@@ -1064,14 +1123,14 @@ fn mutate_shards_invalidates_only_overlapping_boxes() {
     );
     let near_vp = Rect::new(10.0, 10.0, 20.0, 20.0);
     let far_vp = Rect::new(60.0, 60.0, 70.0, 70.0);
-    let near_before = server.fetch_box("main", 0, &near_vp).unwrap();
-    server.fetch_box("main", 0, &far_vp).unwrap();
+    let near_before = server.fetch_region("main", 0, &near_vp).unwrap();
+    server.fetch_region("main", 0, &far_vp).unwrap();
 
     delete_dot(&server, 1515, 15.0, 15.0);
 
-    let far2 = server.fetch_box("main", 0, &far_vp).unwrap();
+    let far2 = server.fetch_region("main", 0, &far_vp).unwrap();
     assert_eq!(far2.metrics.cache_hits, 1, "clean box must stay cached");
-    let near2 = server.fetch_box("main", 0, &near_vp).unwrap();
+    let near2 = server.fetch_region("main", 0, &near_vp).unwrap();
     assert_eq!(near2.metrics.cache_misses, 1, "dirty box must refetch");
     assert_eq!(near2.rows.len(), near_before.rows.len() - 1);
     assert!(!row_ids(&near2.rows).contains(&1515));
@@ -1209,7 +1268,7 @@ fn failed_mutation_closure_aborts_atomically() {
     );
     let rows_before = server.snapshot().table_len("dots").unwrap();
     let tile = TileId::new(3, 3);
-    server.fetch_tile("main", 0, tile).unwrap(); // warm a far-away tile
+    fetch_one_tile(&server, "main", 25.0, tile); // warm a far-away tile
     let result: Result<(), _> = server.mutate_shards(&["dots"], |shards| {
         let db = &mut shards[0];
         // partial mutation, then failure
@@ -1231,7 +1290,7 @@ fn failed_mutation_closure_aborts_atomically() {
         Some(vec![]),
         "sessions have nothing to refetch"
     );
-    let again = server.fetch_tile("main", 0, tile).unwrap();
+    let again = fetch_one_tile(&server, "main", 25.0, tile);
     assert_eq!(again.metrics.cache_hits, 1, "caches survive the abort");
 }
 
@@ -1339,7 +1398,6 @@ fn drift_report_stays_quiet_on_an_undrifted_replay() {
         assert_eq!(l.live_steps, 3);
         assert!(l.best_alternative.is_some(), "two candidates were tuned");
     }
-    assert_eq!(server.layer_region_serves("overview", 0).unwrap(), 3);
 }
 
 #[test]

@@ -59,6 +59,14 @@ impl Rect {
         self.min_x > self.max_x || self.min_y > self.max_y
     }
 
+    /// Whether every coordinate is finite (no NaN, no infinity).
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        [self.min_x, self.min_y, self.max_x, self.max_y]
+            .iter()
+            .all(|v| v.is_finite())
+    }
+
     #[inline]
     pub fn width(&self) -> f64 {
         (self.max_x - self.min_x).max(0.0)
