@@ -58,7 +58,9 @@ fn prefetch(c: &mut Criterion) {
                     .expect("pan to start");
                 let mut total = 0.0;
                 for _ in 0..8 {
-                    server.drain_prefetch();
+                    server
+                        .drain_prefetch()
+                        .expect("the prefetch worker is alive");
                     let step = session.pan_by(cfg.trace_tile / 2.0, 0.0).expect("pan step");
                     total += step.modeled_ms;
                 }

@@ -244,7 +244,9 @@ fn prefetch(cfg: &ExperimentConfig) {
             for m in moves {
                 // pace like a human: the worker finishes its prediction
                 // between two pans (a no-op with prefetch off)
-                server.drain_prefetch();
+                server
+                    .drain_prefetch()
+                    .expect("the prefetch worker is alive");
                 let s = match *m {
                     Move::PanBy { dx, dy } => session.pan_by(dx, dy),
                     Move::PanTo { cx, cy } => session.pan_to(cx, cy),

@@ -5,8 +5,14 @@
 //! fetching schemes over three viewport movement traces on two synthetic
 //! datasets. [`run_figure`] reproduces one full figure; the `experiments`
 //! binary prints the tables, and the criterion benches under `benches/`
-//! time the same code paths. The LoD suite ([`run_lod_experiment`],
-//! [`run_lod_plan_comparison`], [`run_lod_maintenance`]) covers the
+//! time the same code paths. The dynamic-box rows drive the Kyrix server;
+//! the six static-tile rows are the harness's [`TileReplay`], which pays
+//! what the paper measures for tiles — one request and one query per
+//! covering tile, every step — on the spatial design (the server's own
+//! store) or the tuple–tile mapping design; the server itself answers a
+//! cold multi-tile region as its viewport. The LoD suite
+//! ([`run_lod_experiment`], [`run_lod_plan_comparison`],
+//! [`run_lod_maintenance`]) covers the
 //! cluster-pyramid subsystem: per-level fetch latency, the four-way
 //! plan-policy comparison, and incremental maintenance against the
 //! full-rebuild baseline.
@@ -30,9 +36,9 @@
 //! assert!(rows[0].rebuild_ms > 0.0);
 //! ```
 
-pub mod mapping;
+pub mod replay;
 
-pub use mapping::MappingReplay;
+pub use replay::TileReplay;
 
 use kyrix_client::{run_trace, Move, Session, TraceReport};
 use kyrix_core::compile;
@@ -129,8 +135,11 @@ impl ExperimentConfig {
 pub enum Scheme {
     /// A plan the Kyrix server serves.
     Served(FetchPlan),
+    /// Static tiles of this edge length under the spatial design, fetched
+    /// tile by tile as the paper measures them ([`TileReplay::spatial`]).
+    TileSpatial(f64),
     /// Static tiles of this edge length under the tuple–tile mapping
-    /// design, which only the harness builds ([`MappingReplay`]).
+    /// design, which only the harness builds ([`TileReplay::mapping`]).
     TileMapping(f64),
 }
 
@@ -139,6 +148,7 @@ impl Scheme {
     pub fn label(&self) -> String {
         match self {
             Scheme::Served(plan) => plan.label(),
+            Scheme::TileSpatial(size) => format!("tile spatial {}", *size as u64),
             Scheme::TileMapping(size) => format!("tile mapping {}", *size as u64),
         }
     }
@@ -149,12 +159,7 @@ impl Scheme {
 /// {t, t/4, 4t}, tile mapping {t, t/4, 4t}.
 pub fn paper_schemes(reference_tile: f64) -> Vec<Scheme> {
     let t = reference_tile;
-    let spatial = |size| {
-        Scheme::Served(FetchPlan::StaticTiles {
-            size,
-            design: TileDesign::SpatialIndex,
-        })
-    };
+    let spatial = Scheme::TileSpatial;
     vec![
         Scheme::Served(FetchPlan::DynamicBox {
             policy: BoxPolicy::Exact,
@@ -200,8 +205,8 @@ pub fn launch_scheme(
 pub enum LaunchedScheme {
     /// A server launched under the scheme's plan.
     Served(Arc<KyrixServer>),
-    /// The mapping design, built from a server on the spatial design.
-    Mapping(Box<MappingReplay>),
+    /// A tile design, replayed over a server on the spatial design.
+    Replay(Box<TileReplay>),
 }
 
 impl LaunchedScheme {
@@ -209,35 +214,42 @@ impl LaunchedScheme {
     /// clock in ms (a mapping scheme's includes materializing the layer
     /// table it copies).
     pub fn launch(dataset: Dataset, cfg: &ExperimentConfig, scheme: Scheme) -> (Self, f64) {
-        let plan = match scheme {
-            Scheme::Served(plan) => plan,
-            Scheme::TileMapping(size) => FetchPlan::StaticTiles {
-                size,
-                design: TileDesign::SpatialIndex,
-            },
+        type Build = fn(&KyrixServer, f64) -> kyrix_server::Result<TileReplay>;
+        let (plan, replay): (FetchPlan, Option<(Build, f64)>) = match scheme {
+            Scheme::Served(plan) => (plan, None),
+            Scheme::TileSpatial(size) => (tiles(size), Some((TileReplay::spatial, size))),
+            Scheme::TileMapping(size) => (tiles(size), Some((TileReplay::mapping, size))),
         };
         let (server, reports) = launch_scheme(dataset, cfg, plan);
         let mut precompute_ms: f64 = reports
             .iter()
             .map(|r| r.elapsed.as_secs_f64() * 1000.0)
             .sum();
-        let Scheme::TileMapping(size) = scheme else {
+        let Some((build, size)) = replay else {
             return (LaunchedScheme::Served(server), precompute_ms);
         };
         let started = Instant::now();
-        let replay = MappingReplay::build(&server, size).expect("mapping design builds");
+        let replay = build(&server, size).expect("tile design builds");
         precompute_ms += started.elapsed().as_secs_f64() * 1000.0;
-        (LaunchedScheme::Mapping(Box::new(replay)), precompute_ms)
+        (LaunchedScheme::Replay(Box::new(replay)), precompute_ms)
     }
 
     /// One cell under the paper's cold-cache protocol ([`run_cell`]).
     pub fn run_cell(&self, start: TraceStart, moves: &[Move], runs: usize) -> CellResult {
         match self {
             LaunchedScheme::Served(server) => run_cell(server, start, moves, runs),
-            LaunchedScheme::Mapping(replay) => {
+            LaunchedScheme::Replay(replay) => {
                 replay.run_cell(start, moves, runs).expect("trace replays")
             }
         }
+    }
+}
+
+/// Static tiles of `size` on the spatial design.
+fn tiles(size: f64) -> FetchPlan {
+    FetchPlan::StaticTiles {
+        size,
+        design: TileDesign::SpatialIndex,
     }
 }
 
@@ -261,6 +273,8 @@ pub enum CacheMode {
     /// The paper's §3.3 measurement protocol: every step fetches everything
     /// intersecting the viewport from the DBMS ("the box fetched is exactly
     /// the viewport in each step") — caches are cleared before each step.
+    /// Under tiles the server then fetches a multi-tile step as its
+    /// viewport; the paper's per-tile cost is [`TileReplay`]'s.
     PaperCold,
     /// Realistic operation: frontend + backend caches persist across steps.
     Warm,
@@ -939,16 +953,13 @@ mod tests {
                 policy: BoxPolicy::Exact,
             },
         );
-        let (small_tile_server, _) = launch_scheme(
+        let (small_tiles, _) = LaunchedScheme::launch(
             Dataset::Uniform,
             &cfg,
-            FetchPlan::StaticTiles {
-                size: cfg.trace_tile / 4.0,
-                design: TileDesign::SpatialIndex,
-            },
+            Scheme::TileSpatial(cfg.trace_tile / 4.0),
         );
         let dbox = run_cell(&dbox_server, start, &moves_b, 1);
-        let small = run_cell(&small_tile_server, start, &moves_b, 1);
+        let small = small_tiles.run_cell(start, &moves_b, 1);
         assert!(
             dbox.avg_modeled_ms < small.avg_modeled_ms,
             "dbox {:.2}ms should beat tile/4 {:.2}ms on trace-b",

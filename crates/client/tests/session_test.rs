@@ -214,7 +214,7 @@ fn session_forwards_semantic_hints_to_the_server() {
 
     let (mut session, _) = Session::open(server.clone()).unwrap();
     // opening is not a pan: nothing is hinted
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     // prefetch_totals().requests is always 0 (prefetch is backend-internal);
     // background activity shows up as cache operations
     let ops = |m: kyrix_server::FetchMetrics| m.cache_hits + m.cache_misses;
@@ -224,7 +224,7 @@ fn session_forwards_semantic_hints_to_the_server() {
     // the 8 in-canvas neighbors, one box each
     session.pan_by(50.0, 0.0).unwrap();
     session.pan_by(50.0, 0.0).unwrap();
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     assert_eq!(
         ops(server.prefetch_totals()),
         4,

@@ -63,7 +63,9 @@ fn galaxy_shards(g: &GalaxyConfig, cols: u32, rows: u32) -> (Vec<Database>, Part
 /// single-node head or the scatter-gather sharded backend. The choice is
 /// dominated by the modeled request/query/byte overheads, which depend
 /// only on what the walk fetches — and both backends return identical
-/// rows.
+/// rows. Where two plans fetch identical work (a cold multi-tile viewport
+/// under tiles is the very fetch an exact box makes) only measured DB time
+/// tells them apart, and the tuner keeps the earlier candidate.
 #[test]
 fn measured_tuning_resolves_the_same_plans_on_shards() {
     let g = GalaxyConfig::e2e();

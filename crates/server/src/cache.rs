@@ -44,6 +44,9 @@ pub struct LruCache<K, V> {
     weight: usize,
     next_stamp: u64,
     stats: CacheStats,
+    /// Bumped by [`LruCache::clear`]: a value computed for the cache
+    /// before a clear compares it and stays out.
+    generation: u64,
 }
 
 impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
@@ -56,6 +59,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
             weight: 0,
             next_stamp: 0,
             stats: CacheStats::default(),
+            generation: 0,
         }
     }
 
@@ -84,6 +88,13 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// cause (capacity eviction vs. invalidation).
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// How many times the cache was [`LruCache::clear`]ed: a writer that
+    /// read it before computing a value inserts the value only if it has
+    /// not moved, so nothing computed before a clear lands after it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Zero the statistics (entries are untouched).
@@ -199,8 +210,10 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         })
     }
 
-    /// Drop every entry (counted as invalidation removals).
+    /// Drop every entry (counted as invalidation removals) and bump the
+    /// [`LruCache::generation`].
     pub fn clear(&mut self) {
+        self.generation += 1;
         self.stats.invalidation_removals += self.map.len() as u64;
         self.stats.evicted_weight += self.weight as u64;
         self.map.clear();
@@ -289,6 +302,7 @@ mod tests {
         assert_eq!(c.weight(), 0);
         let s = c.stats();
         assert_eq!(s.invalidation_removals, 2, "remove + clear both count");
+        assert_eq!(c.generation(), 1, "only the clear moves the generation");
         assert_eq!(s.evicted_weight, 6);
     }
 

@@ -153,18 +153,17 @@ impl TileMatcher {
     }
 }
 
-/// Serve one viewport rectangle under an explicit plan with the paper's
-/// §3.3 cold-cache accounting, bypassing every cache: the covering tiles —
-/// one frontend↔backend request *per tile* — for static tiles, one
-/// policy-computed box for dynamic boxes. Rows are returned as shipped
-/// (tile straddlers arrive once per covering tile), because the modeled
-/// cost of a cold serve includes that duplication.
+/// Serve one viewport rectangle under an explicit plan with nothing
+/// cached, as [`crate::KyrixServer::fetch_region`] serves it from empty
+/// caches, bypassing every cache: for static tiles, a viewport inside
+/// one tile is that tile and a viewport over several is one fetch of the
+/// viewport itself (the server fills the tiles off the request path); for
+/// dynamic boxes, one policy-computed box. One request either way.
 ///
 /// This is the measurement primitive behind the plan tuner
-/// ([`crate::tuner`]): it attributes a trace step's cost to one
-/// `(store, plan)` pair without touching the launched server's caches or
-/// per-layer totals. Real traffic goes through
-/// [`crate::KyrixServer::fetch_region`] instead.
+/// ([`crate::tuner`]) and the cold half of a region serve: it attributes a
+/// trace step's cost to one `(store, plan)` pair without touching the
+/// launched server's caches or per-layer totals.
 pub(crate) fn fetch_plan_cold(
     db: &dyn SnapshotView,
     store: &LayerStore,
@@ -172,26 +171,45 @@ pub(crate) fn fetch_plan_cold(
     canvas_bounds: &Rect,
     rect: &Rect,
 ) -> Result<(Vec<Row>, FetchMetrics)> {
-    match plan {
+    match cold_target(db, store, plan, canvas_bounds, rect)? {
+        Some(target) => fetch_cold(db, store, &target),
+        None => Ok((Vec::new(), FetchMetrics::default())),
+    }
+}
+
+/// The one rectangle [`fetch_plan_cold`] fetches for `rect` (`None` when
+/// no tile covers it).
+pub(crate) fn cold_target(
+    db: &dyn SnapshotView,
+    store: &LayerStore,
+    plan: &FetchPlan,
+    canvas_bounds: &Rect,
+    rect: &Rect,
+) -> Result<Option<Rect>> {
+    Ok(Some(match plan {
         FetchPlan::StaticTiles { size, .. } => {
             let tiling = Tiling::new(*size);
-            let mut rows = Vec::new();
-            let mut metrics = FetchMetrics::default();
-            for tile in tiling.covering(rect)? {
-                let (tile_rows, mut m) = fetch_rect(db, store, &tiling.tile_rect(tile))?;
-                m.requests = 1;
-                metrics.merge(&m);
-                rows.extend(tile_rows);
+            match tiling.covering(rect)?[..] {
+                [] => return Ok(None),
+                [tile] => tiling.tile_rect(tile),
+                _ => *rect,
             }
-            Ok((rows, metrics))
         }
         FetchPlan::DynamicBox { policy } => {
-            let fetch_box = compute_fetch_box(db, store, policy, rect, canvas_bounds);
-            let (rows, mut metrics) = fetch_rect(db, store, &fetch_box)?;
-            metrics.requests = 1;
-            Ok((rows, metrics))
+            compute_fetch_box(db, store, policy, rect, canvas_bounds)
         }
-    }
+    }))
+}
+
+/// A cold serve's one fetch of `target`: one request, one query.
+pub(crate) fn fetch_cold(
+    db: &dyn SnapshotView,
+    store: &LayerStore,
+    target: &Rect,
+) -> Result<(Vec<Row>, FetchMetrics)> {
+    let (rows, mut metrics) = fetch_rect(db, store, target)?;
+    metrics.requests = 1;
+    Ok((rows, metrics))
 }
 
 /// The rectangle a dynamic-box policy fetches for a viewport, with the

@@ -11,7 +11,7 @@ use crate::cost::CostModel;
 use crate::dbox::BoxPolicy;
 use crate::drift::DriftReport;
 use crate::error::{Result, ServerError};
-use crate::fetch::{compute_fetch_box, count_rect, fetch_rect, TileMatcher};
+use crate::fetch::{compute_fetch_box, count_rect, fetch_plan_cold, fetch_rect, TileMatcher};
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{
@@ -24,7 +24,7 @@ use crate::prefetch::{
 use crate::tile::{TileId, Tiling, MAX_COVERING_TILES};
 use crate::tuner::{self, LayerPlans, TuningReport};
 use kyrix_core::{CompiledApp, CompiledLayer};
-use kyrix_obs::{Counter, FamilyMember, Registry};
+use kyrix_obs::{Counter, FamilyMember, Gauge, Registry};
 use kyrix_parallel::QueryRouter;
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{CowStats, Database, Rect, Row, Value};
@@ -40,9 +40,10 @@ use std::time::Instant;
 /// Sessions further behind than this refetch everything instead.
 const MUTATION_LOG_CAP: usize = 64;
 
-/// Pan hints the prefetch queue holds. A hint that finds it full is
-/// dropped and counted in `prefetch.dropped`: a worker that has fallen
-/// this far behind would warm viewports the user has already left.
+/// Tasks the worker's queue holds: pan hints and tile fills. A task that
+/// finds it full is dropped and counted in `prefetch.dropped`: a worker
+/// that has fallen this far behind would warm viewports the user has
+/// already left.
 pub const PREFETCH_QUEUE_BOUND: usize = 32;
 
 /// Which §4 predictor drives the prefetch worker.
@@ -70,8 +71,10 @@ pub struct ServerConfig {
     pub backend_cache_rows: usize,
     /// Cached dynamic boxes kept per layer (0 disables).
     pub box_cache_entries: usize,
-    /// Predictor of the prefetch worker; `None` starts no worker, and
-    /// [`KyrixServer::hint`] is then a no-op.
+    /// Predictor of the prefetch worker; `None` predicts nothing and
+    /// [`KyrixServer::hint`] is then a no-op. The worker itself also runs
+    /// without a predictor when a layer serves static tiles through a
+    /// non-zero tile cache: it fills the tiles of regions served cold.
     pub prefetch: Option<PrefetchPolicy>,
 }
 
@@ -115,7 +118,8 @@ impl ServerConfig {
 #[derive(Debug, Clone)]
 pub struct BoxResponse {
     /// What was actually fetched (contains the viewport): the dynamic
-    /// box, or the union of the covering tiles.
+    /// box, the union of the covering tiles, or — for a region over
+    /// several tiles none of which was cached — the viewport itself.
     pub rect: Rect,
     /// Rows inside it (a dynamic box's are shared with the box cache).
     pub rows: Arc<Vec<Row>>,
@@ -125,10 +129,14 @@ pub struct BoxResponse {
 
 type TileKey = (u32, u32, i64); // canvas idx, layer, tile key
 type CachedRows = (Arc<RowBlock>, u64); // rows + wire bytes
+/// What a tile-cache lookup saw: the data version and the cache
+/// generation. A fetch made after it may enter the cache only while both
+/// still hold ([`Inner::still_current`]).
+type Seen = (u64, u64);
 type CachedBox = (Rect, Arc<Vec<Row>>, u64); // rect, rows, bytes
 type BoxCacheShelf = VecDeque<CachedBox>;
 
-/// A tile's rows as [`Inner::fetch_tile_cached`] served them.
+/// A tile's rows as a region serve read them.
 enum TileRows {
     /// A miss: the fetched rows themselves (the cache took a copy).
     Fetched(Vec<Row>),
@@ -142,6 +150,17 @@ impl TileRows {
             TileRows::Fetched(rows) => rows.len(),
             TileRows::Cached(block) => block.len(),
         }
+    }
+}
+
+/// What serving a tile from the cache costs.
+fn hit_metrics((block, bytes): &CachedRows) -> FetchMetrics {
+    FetchMetrics {
+        requests: 1,
+        rows: block.len() as u64,
+        bytes: *bytes,
+        cache_hits: 1,
+        ..Default::default()
     }
 }
 
@@ -238,7 +257,8 @@ struct Inner {
     obs: Arc<Registry>,
     /// Rows the covering tiles of tiled region fetches returned
     /// (`fetch.region.rows_in`) and rows the merge kept
-    /// (`fetch.region.rows_out`); in − out is the tile-straddler tax.
+    /// (`fetch.region.rows_out`); in − out is the tile-straddler tax. A
+    /// region fetched cold as its viewport adds its rows to both.
     region_rows_in: Arc<Counter>,
     region_rows_out: Arc<Counter>,
 }
@@ -310,67 +330,95 @@ impl Inner {
         &self.app.canvases[ci as usize].id
     }
 
-    /// One tile of a layer served under `tiling`, and what serving it
-    /// cost: the cached block on a hit; on a miss the fetched rows, moved
-    /// to the caller, after a copy of them went into the cache.
-    fn fetch_tile_cached(
+    /// Warm one tile of a layer served under `tiling` (a prefetch): a
+    /// cached tile counts as a background hit, a missing one is fetched
+    /// and cached.
+    fn warm_tile(
+        &self,
+        snap: &dyn SnapshotView,
+        key @ (ci, li): LayerKey,
+        serving: &LayerServing,
+        tiling: Tiling,
+        tile: TileId,
+    ) -> Result<()> {
+        // Cache entries are always valid for the *published* version
+        // (invalidation drops intersecting ones under the same lock as the
+        // version bump). Use the cache only when our pinned snapshot IS
+        // the published version; a worker holding an older snapshot
+        // (a mutation published mid-warm) fetches and skips the insert.
+        let (hit, seen) = {
+            let _lookup = self.obs.span("cache.lookup");
+            let mut cache = self.tile_cache.lock();
+            if self.version() == snap.version() {
+                let seen = (snap.version(), cache.generation());
+                (cache.get(&(ci, li, tile.key())).cloned(), Some(seen))
+            } else {
+                (None, None)
+            }
+        };
+        match hit {
+            Some(cached) => serving.record(&hit_metrics(&cached), true),
+            None => {
+                let (_, metrics) =
+                    self.fetch_tile_missed(snap, key, serving, tiling, tile, seen)?;
+                serving.record(&metrics, true);
+            }
+        }
+        Ok(())
+    }
+
+    /// The miss half of a tile serve: the tile's rows fetched, moved to
+    /// the caller after a copy of them went into the cache (if the lookup
+    /// `seen` still holds; `None`, a lookup skipped on a stale snapshot,
+    /// caches nothing), and what the fetch cost, for the caller to record.
+    fn fetch_tile_missed(
         &self,
         snap: &dyn SnapshotView,
         (ci, li): LayerKey,
         serving: &LayerServing,
         tiling: Tiling,
         tile: TileId,
-        background: bool,
-    ) -> Result<(TileRows, FetchMetrics)> {
-        let key = (ci, li, tile.key());
-
-        // Cache entries are always valid for the *published* version
-        // (invalidation drops intersecting ones under the same lock as the
-        // version bump). Use the cache only when our pinned snapshot IS
-        // the published version; a reader holding an older snapshot
-        // (a mutation published mid-request) serves itself from the
-        // snapshot directly so every tile of its response is consistent.
-        let hit = {
-            let _lookup = self.obs.span("cache.lookup");
-            let mut cache = self.tile_cache.lock();
-            if self.version() == snap.version() {
-                cache.get(&key).cloned()
-            } else {
-                None
-            }
-        };
-        if let Some((block, bytes)) = hit {
-            let metrics = FetchMetrics {
-                requests: 1,
-                rows: block.len() as u64,
-                bytes,
-                cache_hits: 1,
-                ..Default::default()
-            };
-            serving.record(&metrics, background);
-            return Ok((TileRows::Cached(block), metrics));
-        }
-
+        seen: Option<Seen>,
+    ) -> Result<(Vec<Row>, FetchMetrics)> {
         // no lock held while the query runs: the snapshot is immutable
         let (rows, mut metrics) = fetch_rect(snap, &serving.store, &tiling.tile_rect(tile))?;
-        let weight = rows.len().max(1);
-        if weight <= self.tile_cache_rows {
-            // copied before the lock is taken: no lookup waits for it
-            let block = Arc::new(RowBlock::from_rows(&rows));
-            // the snapshot tag is re-checked while *holding the cache
-            // lock*, which publication holds across its bump-and-retain:
-            // either this insert lands before the retain (and is dropped
-            // by it), or it observes the bumped version and skips — a
-            // stale fetch can never undo an invalidation
-            let mut cache = self.tile_cache.lock();
-            if self.version() == snap.version() {
-                cache.insert(key, (block, metrics.bytes), weight);
-            }
+        if let Some(seen) = seen {
+            self.cache_tile((ci, li, tile.key()), &rows, metrics.bytes, seen);
         }
         metrics.requests = 1;
         metrics.cache_misses = 1;
-        serving.record(&metrics, background);
-        Ok((TileRows::Fetched(rows), metrics))
+        Ok((rows, metrics))
+    }
+
+    /// Whether the state a lookup saw (`seen`) still holds: the data is at
+    /// its version and no [`KyrixServer::clear_caches`] ran since. Checked
+    /// while *holding the cache lock*, which publication holds across its
+    /// bump-and-retain: an insert either lands before the retain (and is
+    /// dropped by it) or observes the bumped version and skips, so a
+    /// stale fetch can never undo an invalidation or a clear.
+    fn still_current(
+        &self,
+        cache: &LruCache<TileKey, CachedRows>,
+        (version, generation): Seen,
+    ) -> bool {
+        cache.generation() == generation && self.version() == version
+    }
+
+    /// Copy a fetched tile into the cache as one block, if the state its
+    /// lookup saw (`seen`) still holds. A tile heavier than the whole cache is never
+    /// copied; returns whether the tile fits at all.
+    fn cache_tile(&self, key: TileKey, rows: &[Row], bytes: u64, seen: Seen) -> bool {
+        let weight = rows.len().max(1);
+        if weight > self.tile_cache_rows {
+            return false;
+        }
+        // copied before the lock is taken: no lookup waits for it
+        let block = Arc::new(RowBlock::from_rows(rows));
+        let mut cache = self.tile_cache.lock();
+        if self.still_current(&cache, seen) {
+            cache.insert(key, (block, bytes), weight);
+        }
+        true
     }
 
     /// A layer's dynamic box for `viewport` under `policy`: a shelved box
@@ -502,24 +550,40 @@ enum Task {
         viewport: Rect,
         velocity: (f64, f64),
     },
+    /// The covering tiles of a region served cold, to be loaded into the
+    /// tile cache while the state the region's lookup saw still holds. It
+    /// names no snapshot: a queued fill pins nothing.
+    Fill {
+        layer: LayerKey,
+        tiling: Tiling,
+        tiles: Vec<TileId>,
+        seen: Seen,
+    },
     /// Acknowledge once every task queued before it has been handled.
     Flush(mpsc::Sender<()>),
     Shutdown,
+    /// Panic the worker, as a fault in a prediction would.
+    #[cfg(test)]
+    Panic,
 }
 
-/// The prefetch worker's handle: a bounded queue into the one thread that
-/// predicts and warms.
+/// The worker's handle: a bounded queue into the one thread that predicts,
+/// warms and fills.
 struct Prefetcher {
     tx: SyncSender<Task>,
-    /// Hints refused because the queue was full (`prefetch.dropped`).
+    /// Tasks refused because the queue was full (`prefetch.dropped`).
     dropped: Arc<Counter>,
+    /// Tasks refused because the worker is gone
+    /// (`prefetch.worker_dead`).
+    dead: Arc<Gauge>,
+    obs: Arc<Registry>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Prefetcher {
-    fn spawn(inner: Arc<Inner>, policy: PrefetchPolicy) -> Result<Self> {
+    fn spawn(inner: Arc<Inner>, policy: Option<PrefetchPolicy>) -> Result<Self> {
         let (tx, rx) = mpsc::sync_channel::<Task>(PREFETCH_QUEUE_BOUND);
-        let dropped = inner.obs.counter("prefetch.dropped");
+        let obs = Arc::clone(&inner.obs);
         let handle = std::thread::Builder::new()
             .name("kyrix-prefetch".to_string())
             .spawn(move || {
@@ -535,19 +599,39 @@ impl Prefetcher {
                             viewport,
                             velocity,
                         } => worker.hint(canvas, &viewport, velocity),
+                        Task::Fill {
+                            layer,
+                            tiling,
+                            tiles,
+                            seen,
+                        } => worker.fill(layer, tiling, &tiles, seen),
                         Task::Flush(ack) => {
                             let _ = ack.send(());
                         }
                         Task::Shutdown => break,
+                        #[cfg(test)]
+                        Task::Panic => panic!("the prefetch worker was told to panic"),
                     }
                 }
             })
             .map_err(|e| ServerError::Config(format!("cannot spawn the prefetch worker: {e}")))?;
         Ok(Prefetcher {
             tx,
-            dropped,
+            dropped: obs.counter("prefetch.dropped"),
+            dead: obs.gauge("prefetch.worker_dead"),
+            obs,
             handle: Some(handle),
         })
+    }
+
+    /// Queue `task` without waiting: a full queue drops it
+    /// (`prefetch.dropped`), a dead worker too (`prefetch.worker_dead`).
+    fn offer(&self, task: Task) {
+        match self.tx.try_send(task) {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => self.dropped.add(1),
+            Err(TrySendError::Disconnected(_)) => self.dead.add(1),
+        }
     }
 }
 
@@ -555,16 +639,19 @@ impl Drop for Prefetcher {
     fn drop(&mut self) {
         let _ = self.tx.send(Task::Shutdown);
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            if h.join().is_err() {
+                self.obs.counter("prefetch.worker_panics").add(1);
+            }
         }
     }
 }
 
-/// The prefetch thread's state: every prediction runs here, never on the
-/// thread that sent the hint.
+/// The worker thread's state: every prediction and fill runs here, never
+/// on the thread that queued it.
 struct Worker {
     inner: Arc<Inner>,
-    policy: PrefetchPolicy,
+    /// The predictor pan hints drive (none arrive without one).
+    policy: Option<PrefetchPolicy>,
     /// Per-canvas semantic profiles (data characteristics of recently
     /// viewed regions).
     semantic: FxHashMap<u32, SemanticTracker>,
@@ -575,8 +662,11 @@ impl Worker {
     /// against one pinned snapshot: if a mutation publishes mid-warm, the
     /// cache inserts simply skip (snapshot tag mismatch).
     fn hint(&mut self, ci: u32, viewport: &Rect, velocity: (f64, f64)) {
+        let Some(policy) = self.policy else {
+            return;
+        };
         let snap = self.inner.head.pin();
-        match self.policy {
+        match policy {
             PrefetchPolicy::Momentum => {
                 if let Some(rect) = predict_viewport(viewport, velocity) {
                     self.warm(&*snap, ci, &rect);
@@ -641,7 +731,7 @@ impl Worker {
                         continue; // degenerate prediction
                     };
                     for tile in tiles {
-                        let _ = inner.fetch_tile_cached(snap, key, serving, tiling, tile, true);
+                        let _ = inner.warm_tile(snap, key, serving, tiling, tile);
                     }
                 }
                 FetchPlan::DynamicBox { policy } => {
@@ -651,6 +741,45 @@ impl Worker {
                     let widened = rect.inflate_frac(0.15, 0.15);
                     let _ = inner.fetch_box_cached(snap, key, serving, &policy, &widened, true);
                 }
+            }
+        }
+    }
+
+    /// Load the `tiles` a cold region missed into the tile cache, as long
+    /// as the state the region's lookup saw (`seen`) holds: a tile already
+    /// cached is skipped, the rest are fetched off the head and inserted
+    /// under the rule every insert follows ([`Inner::still_current`]).
+    /// The first tile too heavy for the whole cache ends the fill, so a
+    /// layer whose tiles outweigh the cache wastes one fetch per fill,
+    /// not one per tile. The work is recorded as background, in
+    /// `prefetch_totals`.
+    fn fill(&self, key @ (ci, li): LayerKey, tiling: Tiling, tiles: &[TileId], seen: Seen) {
+        let inner = &self.inner;
+        let snap = inner.head.pin();
+        let Some(serving) = inner.layers.get(&key) else {
+            return;
+        };
+        if snap.version() != seen.0 {
+            return;
+        }
+        for &tile in tiles {
+            let tile_key = (ci, li, tile.key());
+            {
+                let cache = inner.tile_cache.lock();
+                if !inner.still_current(&cache, seen) {
+                    return; // cleared or invalidated since: nothing to fill
+                }
+                if cache.peek(&tile_key).is_some() {
+                    continue;
+                }
+            }
+            let Ok((rows, metrics)) = fetch_rect(&*snap, &serving.store, &tiling.tile_rect(tile))
+            else {
+                return;
+            };
+            serving.record(&metrics, true);
+            if !inner.cache_tile(tile_key, &rows, metrics.bytes, seen) {
+                return;
             }
         }
     }
@@ -759,8 +888,8 @@ impl KyrixServer {
     /// The tail of every launch: publish `shards` as the version-0 head
     /// (several shards record their scatter-gather spans; one never
     /// scatters), wire the resolved stores/plans into the shared state and
-    /// start the prefetch worker, if the config asks for one. Fails only
-    /// when the OS refuses that worker its thread.
+    /// start the worker, if the config predicts or a layer caches tiles.
+    /// Fails only when the OS refuses that worker its thread.
     fn start(
         app: CompiledApp,
         mut shards: Vec<Database>,
@@ -786,9 +915,14 @@ impl KyrixServer {
             &config,
             obs,
         ));
-        let prefetcher = config
-            .prefetch
-            .map(|policy| Prefetcher::spawn(Arc::clone(&inner), policy))
+        // the worker predicts when a policy is set, and fills the tiles
+        // of cold regions wherever tiles are cached
+        let fills = config.backend_cache_rows > 0
+            && plans
+                .values()
+                .any(|plan| matches!(plan, FetchPlan::StaticTiles { .. }));
+        let prefetcher = (config.prefetch.is_some() || fills)
+            .then(|| Prefetcher::spawn(Arc::clone(&inner), config.prefetch))
             .transpose()?;
         Ok(KyrixServer {
             inner,
@@ -893,15 +1027,19 @@ impl KyrixServer {
     }
 
     /// The server's one fetch: everything intersecting a canvas
-    /// rectangle, served under the layer's resolved plan — the covering
-    /// tiles (through the tile cache, deduplicated — a tuple whose box
-    /// straddles a tile edge arrives via several tiles and is kept from
-    /// the first that sees it) when serving static tiles, the dynamic box
-    /// otherwise; tuple ids are unique within the response. Callers drive
-    /// every canvas of a multi-level (LoD) app uniformly without matching
-    /// on the plan; cache keys stay per-(canvas, layer), so levels never
-    /// collide. A tile-aligned rectangle ([`Tiling::tile_rect`]) is served
-    /// as exactly that one tile.
+    /// rectangle, served under the layer's resolved plan — the dynamic box
+    /// under boxes; under static tiles, the covering tiles through the
+    /// tile cache (deduplicated — a tuple whose box straddles a tile edge
+    /// arrives via several tiles and is kept from the first that sees it).
+    /// A region over several tiles none of which is cached is fetched as
+    /// the viewport itself, in one query, and the worker loads the tiles
+    /// into the cache after the response returns; a one-tile region is
+    /// fetched and cached as that tile. Tuple ids are unique within the
+    /// response. Callers drive every canvas of a multi-level (LoD) app
+    /// uniformly without matching on the plan; cache keys stay
+    /// per-(canvas, layer), so levels never collide. A tile-aligned
+    /// rectangle ([`Tiling::tile_rect`]) is served as exactly that one
+    /// tile.
     ///
     /// The whole region is resolved against *one* pinned snapshot: even
     /// when the viewport spans many tiles and a mutation publishes midway,
@@ -930,74 +1068,7 @@ impl KyrixServer {
                 .inner
                 .fetch_box_cached(&*snap, key, serving, &policy, rect, false),
             FetchPlan::StaticTiles { size, .. } => {
-                let store = &serving.store;
-                let tiling = Tiling::new(size);
-                let tiles = tiling.covering(rect)?;
-                // separable stores number tuple ids per fetch, so they
-                // repeat across tiles: those rows get response-unique ids as
-                // they are copied (callers dedup visible rows by tuple id)
-                let fresh_id_col = match store {
-                    LayerStore::SeparableRaw { layout, .. } => Some(layout.width() - 1),
-                    _ => None,
-                };
-                let mut rows = Vec::new();
-                let mut metrics = FetchMetrics::default();
-                let mut covered = Rect::empty();
-                for &tile in &tiles {
-                    let (tile_rows, tile_metrics) = self
-                        .inner
-                        .fetch_tile_cached(&*snap, key, serving, tiling, tile, false)?;
-                    let _merge = obs.span("merge");
-                    // A mark straddling a tile edge arrives through every
-                    // tile whose fetch sees it — with all its copies, when
-                    // the table holds identical rows. Keep a row only from
-                    // the first covering tile (row-major) that sees it. A
-                    // tile's fetch is an interval test per axis, so if any
-                    // earlier covering tile saw the row, this tile's left
-                    // or upper neighbour did: replay those two fetches'
-                    // predicates on the row.
-                    let mut earlier = Vec::with_capacity(2);
-                    for (dx, dy) in [(1, 0), (0, 1)] {
-                        let before = TileId::new(tile.x - dx, tile.y - dy);
-                        if before.x >= tiles[0].x && before.y >= tiles[0].y {
-                            earlier.extend(TileMatcher::new(store, tiling, before)?);
-                        }
-                    }
-                    self.inner.region_rows_in.add(tile_rows.len() as u64);
-                    rows.reserve(tile_rows.len());
-                    let mut keep = |mut row: Row| {
-                        if let Some(col) = fresh_id_col {
-                            row.values[col] = Value::Int(rows.len() as i64);
-                        }
-                        rows.push(row);
-                    };
-                    // a missed tile's rows move into the response; a cached
-                    // tile's are read in place and only the kept ones built
-                    match tile_rows {
-                        TileRows::Fetched(fetched) => {
-                            for row in fetched {
-                                if !earlier.iter().any(|t| t.matches(&row)) {
-                                    keep(row);
-                                }
-                            }
-                        }
-                        TileRows::Cached(block) => {
-                            for cells in block.rows() {
-                                if !earlier.iter().any(|t| t.matches(cells)) {
-                                    keep(block.row(cells));
-                                }
-                            }
-                        }
-                    }
-                    metrics.merge(&tile_metrics);
-                    covered = covered.union(&tiling.tile_rect(tile));
-                }
-                self.inner.region_rows_out.add(rows.len() as u64);
-                Ok(BoxResponse {
-                    rect: covered,
-                    rows: Arc::new(rows),
-                    metrics,
-                })
+                self.fetch_tiles(&*snap, key, serving, Tiling::new(size), rect)
             }
         };
         if out.is_ok() {
@@ -1007,47 +1078,192 @@ impl KyrixServer {
         out
     }
 
+    /// A region under static tiles: one lookup pass over the covering
+    /// tiles, then the merge of cached and fetched tiles, or — every tile
+    /// of several missed — the viewport fetched cold and the tiles queued
+    /// for the worker to fill.
+    fn fetch_tiles(
+        &self,
+        snap: &dyn SnapshotView,
+        key @ (ci, li): LayerKey,
+        serving: &LayerServing,
+        tiling: Tiling,
+        rect: &Rect,
+    ) -> Result<BoxResponse> {
+        let inner = &self.inner;
+        let tiles = tiling.covering(rect)?;
+        // Cache entries are always valid for the *published* version
+        // (invalidation drops intersecting ones under the same lock as the
+        // version bump). Look every covering tile up under one lock and
+        // one version check, and only when our pinned snapshot IS the
+        // published version; a reader holding an older snapshot (a
+        // mutation published mid-request) serves itself from the snapshot
+        // directly so every tile of its response is consistent.
+        let (cached, seen) = {
+            let _lookup = inner.obs.span("cache.lookup");
+            let mut cache = inner.tile_cache.lock();
+            if inner.version() == snap.version() {
+                let cached: Vec<Option<CachedRows>> = tiles
+                    .iter()
+                    .map(|tile| cache.get(&(ci, li, tile.key())).cloned())
+                    .collect();
+                (cached, Some((snap.version(), cache.generation())))
+            } else {
+                (vec![None; tiles.len()], None)
+            }
+        };
+
+        if tiles.len() > 1 && cached.iter().all(Option::is_none) {
+            // nothing here will be reused before the step ends: fetch the
+            // viewport, not its covering tiles
+            let bounds = inner.app.canvases[ci as usize].bounds();
+            let (rows, mut metrics) =
+                fetch_plan_cold(snap, &serving.store, &serving.plan, &bounds, rect)?;
+            metrics.cache_misses = tiles.len() as u64;
+            serving.record(&metrics, false);
+            inner.region_rows_in.add(rows.len() as u64);
+            inner.region_rows_out.add(rows.len() as u64);
+            if let (Some(worker), Some(seen)) = (&self.prefetcher, seen) {
+                if inner.tile_cache_rows > 0 {
+                    worker.offer(Task::Fill {
+                        layer: key,
+                        tiling,
+                        tiles,
+                        seen,
+                    });
+                }
+            }
+            return Ok(BoxResponse {
+                rect: *rect,
+                rows: Arc::new(rows),
+                metrics,
+            });
+        }
+
+        let store = &serving.store;
+        // separable stores number tuple ids per fetch, so they repeat
+        // across tiles: those rows get response-unique ids as they are
+        // copied (callers dedup visible rows by tuple id)
+        let fresh_id_col = match store {
+            LayerStore::SeparableRaw { layout, .. } => Some(layout.width() - 1),
+            _ => None,
+        };
+        let mut rows = Vec::new();
+        let mut metrics = FetchMetrics::default();
+        let mut covered = Rect::empty();
+        for (&tile, hit) in tiles.iter().zip(cached) {
+            let (tile_rows, tile_metrics) = match hit {
+                Some(hit) => {
+                    let metrics = hit_metrics(&hit);
+                    serving.record(&metrics, false);
+                    (TileRows::Cached(hit.0), metrics)
+                }
+                None => {
+                    let (fetched, metrics) =
+                        inner.fetch_tile_missed(snap, key, serving, tiling, tile, seen)?;
+                    serving.record(&metrics, false);
+                    (TileRows::Fetched(fetched), metrics)
+                }
+            };
+            let _merge = inner.obs.span("merge");
+            // A mark straddling a tile edge arrives through every tile
+            // whose fetch sees it — with all its copies, when the table
+            // holds identical rows. Keep a row only from the first
+            // covering tile (row-major) that sees it. A tile's fetch is an
+            // interval test per axis, so if any earlier covering tile saw
+            // the row, this tile's left or upper neighbour did: replay
+            // those two fetches' predicates on the row.
+            let mut earlier = Vec::with_capacity(2);
+            for (dx, dy) in [(1, 0), (0, 1)] {
+                let before = TileId::new(tile.x - dx, tile.y - dy);
+                if before.x >= tiles[0].x && before.y >= tiles[0].y {
+                    earlier.extend(TileMatcher::new(store, tiling, before)?);
+                }
+            }
+            inner.region_rows_in.add(tile_rows.len() as u64);
+            rows.reserve(tile_rows.len());
+            let mut keep = |mut row: Row| {
+                if let Some(col) = fresh_id_col {
+                    row.values[col] = Value::Int(rows.len() as i64);
+                }
+                rows.push(row);
+            };
+            // a missed tile's rows move into the response; a cached
+            // tile's are read in place and only the kept ones built
+            match tile_rows {
+                TileRows::Fetched(fetched) => {
+                    for row in fetched {
+                        if !earlier.iter().any(|t| t.matches(&row)) {
+                            keep(row);
+                        }
+                    }
+                }
+                TileRows::Cached(block) => {
+                    for cells in block.rows() {
+                        if !earlier.iter().any(|t| t.matches(cells)) {
+                            keep(block.row(cells));
+                        }
+                    }
+                }
+            }
+            metrics.merge(&tile_metrics);
+            covered = covered.union(&tiling.tile_rect(tile));
+        }
+        inner.region_rows_out.add(rows.len() as u64);
+        Ok(BoxResponse {
+            rect: covered,
+            rows: Arc::new(rows),
+            metrics,
+        })
+    }
+
     /// Tell the prefetch worker the user panned to `viewport` on `canvas`
     /// with the smoothed per-step `velocity` (paper §4). The worker
     /// predicts with the configured [`PrefetchPolicy`] — momentum
     /// extrapolates the velocity, semantic ranks the viewport's neighbors —
     /// and warms the backend caches; this call only enqueues. A no-op when
-    /// prefetch is off; a hint that finds the queue full
+    /// no policy is set; a hint that finds the queue full
     /// ([`PREFETCH_QUEUE_BOUND`]) is dropped and counted in the
-    /// `prefetch.dropped` counter of [`KyrixServer::obs`]. A non-finite
+    /// `prefetch.dropped` counter of [`KyrixServer::obs`], one that finds
+    /// the worker gone in the `prefetch.worker_dead` gauge. A non-finite
     /// viewport or velocity predicts nothing and is dropped uncounted.
     pub fn hint(&self, canvas: &str, viewport: &Rect, velocity: (f64, f64)) {
         let Some(p) = &self.prefetcher else {
             return;
         };
+        if self.config.prefetch.is_none() {
+            return; // a fill-only worker predicts nothing
+        }
         if !viewport.is_finite() || !velocity.0.is_finite() || !velocity.1.is_finite() {
             return;
         }
         let Ok(canvas) = self.inner.canvas_idx(canvas) else {
             return;
         };
-        let task = Task::Hint {
+        p.offer(Task::Hint {
             canvas,
             viewport: *viewport,
             velocity,
-        };
-        if let Err(TrySendError::Full(_)) = p.tx.try_send(task) {
-            p.dropped.add(1);
-        }
+        });
     }
 
-    /// Block until the prefetch worker has handled every hint queued
-    /// before this call (test/bench barrier; foreground requests never
-    /// need it). Returns at once when prefetch is off.
-    pub fn drain_prefetch(&self) {
+    /// Block until the worker has handled every task queued before this
+    /// call — pan hints and tile fills alike (test/bench barrier;
+    /// foreground requests never need it). Returns at once when the
+    /// server runs no worker, and errs when its worker has died.
+    pub fn drain_prefetch(&self) -> Result<()> {
         let Some(p) = &self.prefetcher else {
-            return;
+            return Ok(());
         };
         let (ack, done) = mpsc::channel();
-        if p.tx.send(Task::Flush(ack)).is_ok() {
-            // a worker that died drops the ack sender: `recv` errs, no hang
-            let _ = done.recv();
+        // a dead worker dropped the queue (the send errs) or, with the
+        // queued flush, the ack sender (the recv errs): no hang either way
+        if p.tx.send(Task::Flush(ack)).is_err() || done.recv().is_err() {
+            return Err(ServerError::Config(
+                "the prefetch worker has died".to_string(),
+            ));
         }
+        Ok(())
     }
 
     /// Cumulative foreground metrics: the sum of every layer's.
@@ -1594,6 +1810,98 @@ mod tests {
             .into_iter()
             .filter_map(|k| c.peek(&k).map(|v| (k, *v)))
             .collect()
+    }
+
+    /// A server of dots on every integer point of [0, 40]², served as
+    /// tiles of 10 with a momentum predictor.
+    /// The tile cache holds `cache_rows` tuples.
+    fn tiled_server(cache_rows: usize) -> KyrixServer {
+        use kyrix_core::{
+            compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec,
+            TransformSpec,
+        };
+        use kyrix_storage::{DataType, Schema};
+        let mut db = Database::new();
+        let schema = Schema::empty()
+            .with("id", DataType::Int)
+            .with("x", DataType::Float)
+            .with("y", DataType::Float);
+        db.create_table("dots", schema).unwrap();
+        for i in 0..41 * 41 {
+            let (x, y) = ((i % 41) as f64, (i / 41) as f64);
+            let row = vec![Value::Int(i), Value::Float(x), Value::Float(y)];
+            db.insert("dots", Row::new(row)).unwrap();
+        }
+        let spec = AppSpec::new("grid")
+            .add_transform(TransformSpec::query("t", "SELECT * FROM dots"))
+            .add_canvas(
+                CanvasSpec::new("main", 40.0, 40.0).layer(LayerSpec::dynamic(
+                    "t",
+                    PlacementSpec::point("x", "y"),
+                    RenderSpec::Marks(MarkEncoding::circle()),
+                )),
+            )
+            .initial("main", 20.0, 20.0)
+            .viewport(10.0, 10.0);
+        let app = compile(&spec, &db).unwrap();
+        let plan = FetchPlan::StaticTiles {
+            size: 10.0,
+            design: crate::precompute::TileDesign::SpatialIndex,
+        };
+        let config = ServerConfig::new(plan)
+            .with_backend_cache(cache_rows)
+            .with_prefetch(PrefetchPolicy::Momentum);
+        KyrixServer::launch(app, db, config).unwrap().0
+    }
+
+    /// A fill stops at the first tile too heavy for the whole cache: it
+    /// fetches that one tile, caches nothing, and leaves the rest alone.
+    #[test]
+    fn a_fill_stops_at_a_tile_the_cache_cannot_hold() {
+        // a tile of 10 holds 121 dots (both edges included)
+        let server = tiled_server(100);
+        let vp = Rect::new(5.0, 5.0, 15.0, 15.0);
+        let cold = server.fetch_region("main", 0, &vp).unwrap();
+        assert_eq!(cold.rect, vp, "four missed tiles: the viewport is fetched");
+        server.drain_prefetch().unwrap();
+        assert_eq!(
+            server.prefetch_totals().queries,
+            1,
+            "one tile fetched, then the fill ended"
+        );
+        assert!(server.inner.tile_cache.lock().is_empty());
+    }
+
+    /// A worker that dies is loud: `drain_prefetch` errs, every hint and
+    /// fill the dead worker can no longer take is counted in
+    /// `prefetch.worker_dead`, and dropping the server records the join
+    /// error in `prefetch.worker_panics`.
+    #[test]
+    fn a_dead_worker_is_counted_and_drain_errs() {
+        let server = tiled_server(1_000);
+        let obs = server.obs();
+        let dead = || obs.gauge("prefetch.worker_dead").get();
+        server.drain_prefetch().unwrap();
+        let worker = server
+            .prefetcher
+            .as_ref()
+            .expect("a tiled server runs a worker");
+        worker.tx.send(Task::Panic).unwrap();
+        assert!(server.drain_prefetch().is_err(), "the worker is gone");
+        assert_eq!(dead(), 0, "a drain is refused, not counted");
+
+        server.hint("main", &Rect::new(5.0, 5.0, 15.0, 15.0), (2.0, 0.0));
+        assert_eq!(dead(), 1, "the hint found the worker gone");
+        // a cold region over four tiles is still served, as its viewport;
+        // its fill finds the worker gone
+        let vp = Rect::new(5.0, 5.0, 15.0, 15.0);
+        let region = server.fetch_region("main", 0, &vp).unwrap();
+        assert_eq!(region.rect, vp);
+        assert_eq!(dead(), 2, "the fill found the worker gone");
+        assert_eq!(obs.counter("prefetch.dropped").get(), 0);
+
+        drop(server);
+        assert_eq!(obs.counter("prefetch.worker_panics").get(), 1);
     }
 
     proptest! {

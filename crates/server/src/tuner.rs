@@ -15,8 +15,8 @@
 //! store first and the tuner measures every candidate on one pinned view
 //! over them — one database or several shards, the calibration replay pays
 //! exactly the serve the launched server will. Replay uses the cold-cache
-//! serving protocol (`fetch::fetch_plan_cold`), the same §3.3
-//! protocol the paper's figures measure.
+//! serve (`fetch::fetch_plan_cold`): what the server's region fetch costs
+//! with nothing cached, a multi-tile viewport under tiles included.
 //!
 //! The winning assignment is exposed through
 //! [`crate::KyrixServer::tuning_report`] as a [`TuningReport`], which can
@@ -27,7 +27,7 @@
 use crate::backend::SnapshotView;
 use crate::cost::CostModel;
 use crate::error::{Result, ServerError};
-use crate::fetch::fetch_plan_cold;
+use crate::fetch::{cold_target, fetch_cold};
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{FetchPlan, LayerStore};
@@ -208,9 +208,48 @@ pub fn measure_plan(
     canvas_bounds: &Rect,
     steps: &[Rect],
 ) -> Result<FetchMetrics> {
+    measure_shared(
+        snap,
+        store,
+        plan,
+        canvas_bounds,
+        steps,
+        &mut Measured::default(),
+    )
+}
+
+/// The cold fetches already measured on one store, by the part of their
+/// target rectangle inside the canvas.
+type Measured = FxHashMap<[u64; 4], FetchMetrics>;
+
+/// [`measure_plan`], costing a fetch with the first measurement in
+/// `measured` when an earlier step or candidate made the same fetch on
+/// this store: the same rectangle within the canvas, returning as many
+/// rows and bytes. (A tile or viewport larger than a small canvas and
+/// the exact box clamped to that canvas are the same fetch.)
+fn measure_shared(
+    snap: &dyn SnapshotView,
+    store: &LayerStore,
+    plan: &FetchPlan,
+    canvas_bounds: &Rect,
+    steps: &[Rect],
+    measured: &mut Measured,
+) -> Result<FetchMetrics> {
     let mut totals = FetchMetrics::default();
     for rect in steps {
-        let (_, metrics) = fetch_plan_cold(snap, store, plan, canvas_bounds, rect)?;
+        let Some(target) = cold_target(snap, store, plan, canvas_bounds, rect)? else {
+            continue;
+        };
+        let inside = target.intersection(canvas_bounds);
+        let key = [inside.min_x, inside.min_y, inside.max_x, inside.max_y].map(f64::to_bits);
+        let (_, fresh) = fetch_cold(snap, store, &target)?;
+        let metrics = match measured.get(&key) {
+            Some(first) if (first.rows, first.bytes) == (fresh.rows, fresh.bytes) => *first,
+            _ => {
+                measured.insert(key, fresh);
+                fresh
+            }
+        };
         totals.merge(&metrics);
     }
     Ok(totals)
@@ -223,10 +262,14 @@ pub(crate) type LayerPlans = FxHashMap<(u32, u32), FetchPlan>;
 /// non-static layer on the layer's calibration steps, against the layer's
 /// one `store` on the pinned `view`, and keep the cheapest (strict `<`:
 /// ties keep the earlier candidate, so candidate order is the preference
-/// order). Static layers take the first candidate. Because the measured
-/// cost is the serve itself, a sharded launch resolves the same
-/// assignment as a single-node launch whenever the shard fan-out does not
-/// change which plan is cheapest.
+/// order). A fetch several candidates make — a cold multi-tile viewport
+/// under tiles is the very fetch an exact box makes — is costed with its
+/// first measurement on the layer, so candidates that fetch the same work
+/// tie exactly instead of being told apart by DB-time noise. Static
+/// layers take the first candidate. Because the measured cost is the
+/// serve itself, a sharded launch resolves the same assignment as a
+/// single-node launch whenever the shard fan-out does not change which
+/// plan is cheapest.
 pub(crate) fn tune(
     view: &dyn SnapshotView,
     app: &CompiledApp,
@@ -254,10 +297,11 @@ pub(crate) fn tune(
                 ServerError::Config(format!("no store for layer {li} of `{}`", canvas.id))
             })?;
             let steps = trace.steps_for(&canvas.id);
+            let mut measured = Measured::default();
             let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
             let mut chosen = 0;
             for plan in candidates {
-                let metrics = measure_plan(view, store, plan, &bounds, &steps)?;
+                let metrics = measure_shared(view, store, plan, &bounds, &steps, &mut measured)?;
                 let modeled_ms = metrics.modeled_ms(cost);
                 if !costs.is_empty() && modeled_ms < costs[chosen].modeled_ms {
                     chosen = costs.len();

@@ -1,8 +1,8 @@
 //! Property: the plan-agnostic `fetch_region` under a static-tile plan
 //! returns exactly the row *multiset* one direct fetch over the covered
-//! area returns, with tuple ids unique within the response — on every
-//! store a tile plan can serve from (`SeparableRaw`, `Spatial`,
-//! `TileMapping`).
+//! area returns (over the viewport, when no covering tile was cached),
+//! with tuple ids unique within the response — on every store a tile
+//! plan can serve from (`SeparableRaw`, `Spatial`).
 //!
 //! This pins the merge's first-seeing-tile rule (`server.rs`): a mark whose
 //! box straddles a tile edge arrives through every covering tile that sees
@@ -14,18 +14,22 @@
 //! placements through a non-trivial affine, all with duplicated rows and
 //! under tiles with negative coordinates.
 //!
-//! Every viewport is served twice, cold and then warm, because the two
-//! take different paths through the merge: a missed tile's fetched rows
-//! are moved into the response, a cached tile is read from its block of
-//! cells and only the rows the merge keeps are rebuilt. One fixture
-//! carries a text column with empty, non-ASCII and `NULL` labels, the
-//! values a block keeps outside its cells.
+//! Every viewport is served three ways. From empty caches, a region over
+//! several tiles skips the merge: it is one fetch of the viewport, whose
+//! rows must be that fetch's, ids unique. With one covering tile cached,
+//! the merge reads both of its inputs: a missed tile's fetched rows are
+//! moved into the response, a cached tile is read from its block of cells
+//! and only the rows the merge keeps are rebuilt. With every tile cached,
+//! it reads blocks only. One fixture carries a text column with empty,
+//! non-ASCII and `NULL` labels, the values a block keeps outside its
+//! cells. A last test races the worker's fill of a cold region against a
+//! publication.
 
 use kyrix_core::{
     compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec, TransformSpec,
 };
 use kyrix_server::{
-    fetch_rect, BoxResponse, FetchPlan, KyrixServer, ServerConfig, TileDesign, Tiling,
+    fetch_rect, BoxResponse, DirtyRegion, FetchPlan, KyrixServer, ServerConfig, TileDesign, Tiling,
 };
 use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use proptest::prelude::*;
@@ -150,15 +154,56 @@ fn content_multiset<'a>(rows: impl IntoIterator<Item = &'a Row>, width: usize) -
     keys
 }
 
-/// `vp` served from empty caches (every tile missed, its fetched rows
-/// moved into the response) and then again (every tile a cached block).
-fn serve_cold_then_warm(server: &KyrixServer, vp: &Rect) -> [BoxResponse; 2] {
+/// `vp` served from empty caches: a region over several tiles is one
+/// fetch of the viewport, a one-tile region that tile.
+fn serve_cold(server: &KyrixServer, vp: &Rect) -> BoxResponse {
     server.clear_caches();
     let cold = server.fetch_region("main", 0, vp).unwrap();
-    let warm = server.fetch_region("main", 0, vp).unwrap();
+    let tiles = Tiling::new(TILE).covering(vp).unwrap().len() as u64;
     assert_eq!(cold.metrics.cache_hits, 0, "cold serve of {vp:?}");
+    assert_eq!(cold.metrics.cache_misses, tiles, "cold serve of {vp:?}");
+    assert_eq!(cold.metrics.queries, 1, "cold serve of {vp:?}");
+    cold
+}
+
+/// `vp` served with one covering tile cached (the others fetched, their
+/// rows moved into the response beside the cached block's) and then again
+/// (every tile a cached block).
+fn serve_mixed_then_warm(server: &KyrixServer, vp: &Rect) -> [BoxResponse; 2] {
+    server.clear_caches();
+    let tiling = Tiling::new(TILE);
+    let tiles = tiling.covering(vp).unwrap();
+    // a one-tile region is fetched and cached as that tile
+    let warmed = tiling.tile_rect(tiles[tiles.len() / 2]);
+    server.fetch_region("main", 0, &warmed).unwrap();
+    let mixed = server.fetch_region("main", 0, vp).unwrap();
+    let warm = server.fetch_region("main", 0, vp).unwrap();
+    let misses = tiles.len() as u64 - 1;
+    assert_eq!(mixed.metrics.cache_hits, 1, "mixed serve of {vp:?}");
+    assert_eq!(mixed.metrics.cache_misses, misses, "mixed serve of {vp:?}");
     assert_eq!(warm.metrics.cache_misses, 0, "warm serve of {vp:?}");
-    [cold, warm]
+    [mixed, warm]
+}
+
+/// The all-miss serve of `vp` over several tiles: the response is the
+/// viewport, its rows exactly one direct fetch over it, ids unique.
+fn check_cold(server: &KyrixServer, vp: &Rect, width: usize) {
+    let cold = serve_cold(server, vp);
+    if Tiling::new(TILE).covering(vp).unwrap().len() == 1 {
+        return; // a one-tile region: the mixed serve covers it
+    }
+    let store = server.store("main", 0).unwrap();
+    let (direct, _) = fetch_rect(&*server.snapshot(), &store, vp).unwrap();
+    assert_eq!(cold.rect, *vp);
+    assert_eq!(
+        content_multiset(cold.rows.iter(), width),
+        content_multiset(&direct, width),
+        "cold row multiset for viewport {:?}",
+        vp
+    );
+    let mut ids = sorted_ids(server, &cold.rows);
+    ids.dedup();
+    assert_eq!(ids.len(), cold.rows.len(), "cold tuple ids not unique");
 }
 
 /// Tuple ids of a response, sorted.
@@ -286,19 +331,20 @@ proptest! {
         let store = server.store("main", 0).unwrap();
         let width = store.layout().unwrap().width();
 
-        let [cold, warm] = serve_cold_then_warm(server, &vp);
+        check_cold(server, &vp, width);
+        let [mixed, warm] = serve_mixed_then_warm(server, &vp);
         // compare against one direct spatial query over the same covered
         // (tile-aligned) area
-        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &cold.rect).unwrap();
+        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &mixed.rect).unwrap();
         // ... which is the raw query plus the geometry formula, row for row
         prop_assert_eq!(
             &direct,
-            &separable_rows_by_formula(&*server.snapshot(), &store, &cold.rect)
+            &separable_rows_by_formula(&*server.snapshot(), &store, &mixed.rect)
         );
         let want = content_multiset(&direct, width);
 
-        for (path, region) in [("cold", &cold), ("warm", &warm)] {
-            prop_assert_eq!(region.rect, cold.rect);
+        for (path, region) in [("mixed", &mixed), ("warm", &warm)] {
+            prop_assert_eq!(region.rect, mixed.rect);
             let got = content_multiset(region.rows.iter(), width);
             prop_assert_eq!(
                 got.len(), want.len(),
@@ -356,7 +402,8 @@ proptest! {
                         "{}: synthesized rows for {:?}", f.name, covered
                     );
                 }
-                for (path, region) in ["cold", "warm"].into_iter().zip(serve_cold_then_warm(server, &vp)) {
+                check_cold(server, &vp, width);
+                for (path, region) in ["mixed", "warm"].into_iter().zip(serve_mixed_then_warm(server, &vp)) {
                     prop_assert_eq!(region.rect, covered);
                     prop_assert_eq!(
                         content_multiset(region.rows.iter(), width),
@@ -378,7 +425,8 @@ proptest! {
 
 /// A hand-built 4-tile region: the merge reads every copy the covering
 /// tiles return (`fetch.region.rows_in`) and keeps each stored row once
-/// (`fetch.region.rows_out`).
+/// (`fetch.region.rows_out`); served cold, the region is one fetch of the
+/// viewport and pays no straddler tax.
 #[test]
 fn region_row_counters_pin_the_straddler_tax() {
     let points = [
@@ -398,25 +446,105 @@ fn region_row_counters_pin_the_straddler_tax() {
     let count = |name: &str| server.obs().counter(name).get();
     let vp = Rect::new(1.0, 1.0, 19.0, 19.0);
 
+    // tile (0,0) warm first: a one-tile region has nothing to merge away
+    let tile = Rect::new(0.0, 0.0, 10.0, 10.0);
+    let one = server.fetch_region("main", 0, &tile).unwrap();
+    assert_eq!(one.rows.len(), 5);
+    assert_eq!(count("fetch.region.rows_in"), 5);
+    assert_eq!(count("fetch.region.rows_out"), 5);
+
+    // the region merges the cached tile with three fetched ones
     let region = server.fetch_region("main", 0, &vp).unwrap();
+    assert_eq!(
+        (region.metrics.cache_hits, region.metrics.cache_misses),
+        (1, 3)
+    );
     assert_eq!(region.rect, Rect::new(0.0, 0.0, 20.0, 20.0));
     assert_eq!(region.rows.len(), 6);
     assert_eq!(sorted_ids(&server, &region.rows), vec![0, 1, 2, 3, 4, 5]);
-    assert_eq!(count("fetch.region.rows_in"), 14);
-    assert_eq!(count("fetch.region.rows_out"), 6);
+    assert_eq!(count("fetch.region.rows_in"), 19);
+    assert_eq!(count("fetch.region.rows_out"), 11);
 
     // a warm refetch (all four tiles cached) merges the same rows again
     let warm = server.fetch_region("main", 0, &vp).unwrap();
     assert_eq!(warm.metrics.cache_hits, 4);
     assert_eq!(warm.rows.len(), 6);
-    assert_eq!(count("fetch.region.rows_in"), 28);
-    assert_eq!(count("fetch.region.rows_out"), 12);
-
-    // a one-tile region has nothing to merge away
-    let one = server
-        .fetch_region("main", 0, &Rect::new(1.0, 1.0, 9.0, 9.0))
-        .unwrap();
-    assert_eq!(one.rows.len(), 5);
     assert_eq!(count("fetch.region.rows_in"), 33);
     assert_eq!(count("fetch.region.rows_out"), 17);
+
+    // cold, the four tiles are one fetch of the viewport: every row once
+    server.clear_caches();
+    let cold = server.fetch_region("main", 0, &vp).unwrap();
+    assert_eq!(cold.rect, vp);
+    assert_eq!((cold.metrics.requests, cold.metrics.queries), (1, 1));
+    assert_eq!((cold.metrics.cache_hits, cold.metrics.cache_misses), (0, 4));
+    assert_eq!(cold.rows.len(), 6);
+    assert_eq!(sorted_ids(&server, &cold.rows), vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(count("fetch.region.rows_in"), 39);
+    assert_eq!(count("fetch.region.rows_out"), 23);
+
+    // the worker filled the four tiles after the response returned
+    server.drain_prefetch().unwrap();
+    let filled = server.fetch_region("main", 0, &vp).unwrap();
+    assert_eq!(filled.metrics.cache_hits, 4);
+    assert_eq!(filled.rows.len(), 6);
+}
+
+/// The worker's fill of a cold region races a publication that changes
+/// rows inside it: whichever lands first, once the worker is drained a
+/// warm serve returns exactly what one direct fetch returns at the new
+/// version. A fill that fetched before the publication is dropped at its
+/// insert (the version moved), one that lands before it is evicted by it.
+#[test]
+fn a_fill_racing_a_publication_never_serves_stale_rows() {
+    let points: Vec<(i64, f64, f64)> = (0..2500i64)
+        .map(|i| (i, (i % 50) as f64, (i / 50) as f64))
+        .collect();
+    let server = launch(
+        &points,
+        PlacementSpec::point("x", "y"),
+        Store::SeparableRaw,
+        false,
+    );
+    let store = server.store("main", 0).unwrap();
+    let width = store.layout().unwrap().width();
+    let vp = Rect::new(3.0, 3.0, 27.0, 17.0);
+    for round in 0..24i64 {
+        server.clear_caches();
+        let cold = server.fetch_region("main", 0, &vp).unwrap();
+        assert_eq!(cold.rect, vp, "round {round}: every tile missed");
+        // insert a dot under a covering tile, or delete the last round's
+        let (x, y) = (
+            4.0 + (round % 6) as f64 * 4.0,
+            4.0 + (round % 3) as f64 * 5.0,
+        );
+        let id = 10_000 + round;
+        server
+            .mutate_shards(&["dots"], |shards| {
+                let db = &mut shards[0];
+                if round % 2 == 0 {
+                    let row = vec![Value::Int(id), Value::Float(x), Value::Float(y)];
+                    db.insert("dots", Row::new(row))?;
+                } else {
+                    db.delete_where("dots", "id = $1", &[Value::Int(id - 1)])?;
+                }
+                Ok((
+                    (),
+                    vec![DirtyRegion::new("dots", Rect::new(0.0, 0.0, 30.0, 20.0))],
+                ))
+            })
+            .unwrap();
+        server.drain_prefetch().unwrap();
+        server.fetch_region("main", 0, &vp).unwrap();
+        server.drain_prefetch().unwrap();
+        let warm = server.fetch_region("main", 0, &vp).unwrap();
+        assert_eq!(warm.metrics.cache_misses, 0, "round {round}: filled");
+        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &warm.rect).unwrap();
+        assert_eq!(
+            content_multiset(warm.rows.iter(), width),
+            content_multiset(&direct, width),
+            "round {round}: the warm serve is the data at version {}",
+            server.data_version()
+        );
+    }
 }

@@ -340,7 +340,7 @@ fn momentum_prefetch_warms_the_cache() {
     let vp = Rect::new(10.0, 10.0, 20.0, 20.0);
     // user pans right at 5 units/step; hint the server
     server.hint("main", &vp, (5.0, 0.0));
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     // one predicted viewport, one box fetched for it
     let warmed = server.prefetch_totals();
     assert_eq!(
@@ -423,7 +423,7 @@ fn a_non_finite_hint_leaves_the_prefetch_worker_alive() {
         server.hint("main", &vp, (f64::NEG_INFINITY, 0.0));
         server.hint("main", &vp, (f64::NAN, 0.0));
         server.hint("main", &Rect::new(f64::NAN, 20.0, 10.0, 30.0), (10.0, 0.0));
-        server.drain_prefetch();
+        server.drain_prefetch().unwrap();
         assert_eq!(
             backend_ops(&server.prefetch_totals()),
             0,
@@ -432,7 +432,7 @@ fn a_non_finite_hint_leaves_the_prefetch_worker_alive() {
         // panning right from tile (0, 2) predicts [10,20)x[20,30): tile
         // (1, 2), or a box around it
         server.hint("main", &vp, (10.0, 0.0));
-        server.drain_prefetch();
+        server.drain_prefetch().unwrap();
         assert_eq!(
             server.prefetch_totals().cache_misses,
             1,
@@ -523,7 +523,7 @@ fn semantic_prefetch_warms_similar_neighbors() {
     // prefetched for all the same
     server.hint("main", &Rect::new(10.0, 10.0, 20.0, 20.0), (0.0, 0.0));
     server.hint("main", &Rect::new(15.0, 10.0, 25.0, 20.0), (0.0, 0.0));
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     // top_k = 1: each hint warms one neighbor span, one box each
     let totals = server.prefetch_totals();
     assert_eq!(backend_ops(&totals), 2, "semantic prefetch ran per hint");
@@ -781,7 +781,7 @@ fn momentum_prefetch_goes_quiet_after_a_stopped_pan() {
         let v = tracker.observe(&vp);
         server.hint("main", &vp, v);
     }
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     let settled = backend_ops(&server.prefetch_totals());
     assert!(settled >= 5, "the pan itself was prefetched");
     // …after which further idle observations trigger zero backend work
@@ -789,7 +789,7 @@ fn momentum_prefetch_goes_quiet_after_a_stopped_pan() {
         let v = tracker.observe(&vp);
         server.hint("main", &vp, v);
     }
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     assert_eq!(
         backend_ops(&server.prefetch_totals()),
         settled,
@@ -815,7 +815,7 @@ fn a_full_prefetch_queue_drops_and_counts_hints() {
         let x = (i % 80) as f64;
         server.hint("main", &Rect::new(x, 10.0, x + 10.0, 20.0), (1.0, 0.0));
     }
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     let handled = backend_ops(&server.prefetch_totals());
     let dropped = server.obs().counter("prefetch.dropped").get();
     assert_eq!(handled + dropped, sent, "every hint handled or counted");
@@ -823,7 +823,7 @@ fn a_full_prefetch_queue_drops_and_counts_hints() {
     assert!(dropped > 0, "the burst outran the worker");
     // once drained, the queue has room again: nothing more is dropped
     server.hint("main", &Rect::new(0.0, 50.0, 10.0, 60.0), (1.0, 0.0));
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     assert_eq!(backend_ops(&server.prefetch_totals()), handled + 1);
     assert_eq!(server.obs().counter("prefetch.dropped").get(), dropped);
 }
@@ -923,7 +923,7 @@ fn fully_prefetched_trace_reports_cold_totals() {
     for vp in std::iter::once(&start).chain(&trace[..trace.len() - 1]) {
         server.hint("main", vp, (10.0, 0.0));
     }
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     assert_eq!(
         server.prefetch_totals().queries,
         4,
@@ -948,14 +948,14 @@ fn measured_policy_tunes_each_layer_from_the_trace() {
     // Narrow modeled bandwidth (2 KB/ms) so byte over-fetch dominates:
     // tile-aligned one-tile viewports make tiles cheapest on `overview`
     // (the 50%-inflated box ships ~2x the rows for the same one request),
-    // while the tile-straddling `detail` viewports pay 4 requests per step
-    // under tiles and lose to one inflated box.
+    // while the 3x3 `detail` viewports inside one tile ship the whole tile
+    // under tiles and lose to one small inflated box.
     let cost = CostModel::new(1.0, 2.0, 2_000.0);
     let mut trace = CalibrationTrace::new();
     for i in 0..3 {
         let o = 10.0 * (i as f64 + 1.0);
         trace.push("overview", Rect::new(o, 10.0, o + 10.0, 20.0));
-        trace.push("detail", Rect::new(o + 5.0, 15.0, o + 15.0, 25.0));
+        trace.push("detail", tiny_viewport(o));
     }
     let policy = PlanPolicy::measured(vec![MIXED_TILES, MIXED_BOXES], trace);
     let db = grid_db(true);
@@ -991,7 +991,7 @@ fn measured_policy_tunes_each_layer_from_the_trace() {
     assert_eq!(
         report.chosen("detail", 0),
         Some(MIXED_BOXES),
-        "tile-straddling trace → boxes"
+        "trace of viewports far smaller than a tile → boxes"
     );
     // the tuned assignment never loses to either uniform assignment on the
     // calibration measurements
@@ -1009,6 +1009,49 @@ fn measured_policy_tunes_each_layer_from_the_trace() {
     assert!(frozen_server.tuning_report().is_none(), "no tuning ran");
     assert_eq!(frozen_server.plan_for("overview", 0).unwrap(), MIXED_TILES);
     assert_eq!(frozen_server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
+}
+
+/// A cold viewport over several tiles under tiles is the very fetch an
+/// exact box makes. The tuner measures that fetch once and both
+/// candidates carry its cost, so they tie exactly and the earlier
+/// candidate keeps the layer in either order — measured DB time, which
+/// differs from one run of the same fetch to the next, never decides.
+#[test]
+fn candidates_that_make_the_same_fetch_tie_exactly() {
+    let exact = FetchPlan::DynamicBox {
+        policy: BoxPolicy::Exact,
+    };
+    let mut trace = CalibrationTrace::new();
+    for i in 0..6 {
+        // 10x10 viewports on a tile corner: four covering tiles each
+        let o = 5.0 + 10.0 * i as f64;
+        trace.push("overview", Rect::new(o, o, o + 10.0, o + 10.0));
+        trace.push("detail", Rect::new(o, 15.0, o + 10.0, 25.0));
+    }
+    // a viewport past every edge: the exact box clamps it to the canvas,
+    // the same fetch within the canvas
+    trace.push("overview", Rect::new(-10.0, -10.0, 110.0, 110.0));
+    for candidates in [vec![MIXED_TILES, exact], vec![exact, MIXED_TILES]] {
+        let first = candidates[0];
+        let policy = PlanPolicy::measured(candidates, trace.clone());
+        let db = grid_db(true);
+        let app = compile(&two_canvas_app(false), &db).unwrap();
+        let (server, _) = KyrixServer::launch(app, db, ServerConfig::from_policy(policy)).unwrap();
+        let report = server.tuning_report().expect("measured launch reports");
+        for lt in &report.layers {
+            let [a, b] = &lt.candidates[..] else {
+                panic!("two candidates")
+            };
+            assert_eq!(a.metrics, b.metrics, "{}: one fetch, one cost", lt.canvas);
+            assert_eq!(a.modeled_ms, b.modeled_ms);
+            assert_eq!(
+                lt.chosen, 0,
+                "{}: the tie keeps the earlier candidate",
+                lt.canvas
+            );
+            assert_eq!(server.plan_for(&lt.canvas, 0).unwrap(), first);
+        }
+    }
 }
 
 #[test]
@@ -1152,7 +1195,7 @@ fn a_publish_invalidates_a_prefetched_tile() {
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
     // panning right from tile (0, 2) predicts tile (1, 2) = [10,20)x[20,30)
     server.hint("main", &Rect::new(0.0, 20.0, 10.0, 30.0), (10.0, 0.0));
-    server.drain_prefetch();
+    server.drain_prefetch().unwrap();
     let tile = Rect::new(10.0, 20.0, 20.0, 30.0);
     assert_eq!(server.prefetch_totals().cache_misses, 1, "tile warmed");
 
@@ -1338,12 +1381,19 @@ fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
     assert_eq!(server.data_version(), 0, "nothing was published");
     assert_eq!(server.changes_since(0), Some(vec![]));
     assert_eq!(server.snapshot().table_len("dots").unwrap(), 10_000);
-    // the session's pin and the head still answer with the rows it saw
+    // the session's pin and the head still answer with the rows it saw:
+    // the cold region (the viewport) and, once the worker has filled its
+    // tiles, the warm one (the covering tiles) are the pinned data over
+    // the same rect
     let store = server.store("main", 0).unwrap();
+    assert_eq!(seen.rect, vp, "served cold: the viewport");
     let (rows, _) = fetch_rect(&*pinned, &store, &seen.rect).unwrap();
     assert_eq!(row_ids(&rows), row_ids(&seen.rows));
+    server.drain_prefetch().unwrap();
     let again = server.fetch_region("main", 0, &vp).unwrap();
-    assert_eq!(row_ids(&again.rows), row_ids(&seen.rows));
+    assert_eq!(again.rect, Rect::new(0.0, 0.0, 50.0, 50.0), "served warm");
+    let (rows, _) = fetch_rect(&*pinned, &store, &again.rect).unwrap();
+    assert_eq!(row_ids(&again.rows), row_ids(&rows));
 }
 
 // ------------------------------------------------------- drift monitor
@@ -1351,13 +1401,19 @@ fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
 /// Measured launch whose calibration trace makes tiles win `overview` and
 /// boxes win `detail`, with every serving cache disabled so a replay's
 /// fetch metrics are exactly the cold-protocol calibration metrics.
+///
+/// Calibration on `overview` is 4x4 viewports over a tile corner: a cold
+/// serve under tiles fetches the viewport (5x5 dots, counting the marks
+/// that poke in), less than the 50%-inflated box (7x7). On `detail` it is
+/// 3x3 viewports inside a tile: tiles ship the whole tile (11x11 dots),
+/// the box 6x6.
 fn launch_tuned_for_drift() -> KyrixServer {
     let cost = CostModel::new(1.0, 2.0, 2_000.0);
     let mut trace = CalibrationTrace::new();
     for i in 0..3 {
-        let o = 10.0 * (i as f64 + 1.0);
-        trace.push("overview", Rect::new(o, 10.0, o + 10.0, 20.0));
-        trace.push("detail", Rect::new(o + 5.0, 15.0, o + 15.0, 25.0));
+        let o = 10.0 * (i as f64 + 2.0);
+        trace.push("overview", Rect::new(o - 2.0, 18.0, o + 2.0, 22.0));
+        trace.push("detail", tiny_viewport(o));
     }
     let policy = PlanPolicy::measured(vec![MIXED_TILES, MIXED_BOXES], trace);
     let db = grid_db(true);
@@ -1372,19 +1428,32 @@ fn launch_tuned_for_drift() -> KyrixServer {
     server
 }
 
+/// A 3x3 viewport inside the tile whose left edge is at `o`.
+fn tiny_viewport(o: f64) -> Rect {
+    Rect::new(o + 3.0, 13.0, o + 6.0, 16.0)
+}
+
+/// The drifted workload: three `overview` viewports inside one tile each.
+fn shift_overview(server: &KyrixServer) {
+    for i in 0..3 {
+        let o = 10.0 * (i as f64 + 2.0);
+        server
+            .fetch_region("overview", 0, &tiny_viewport(o))
+            .unwrap();
+    }
+}
+
 #[test]
 fn drift_report_stays_quiet_on_an_undrifted_replay() {
     let server = launch_tuned_for_drift();
     // live traffic = the calibration workload itself (caches are off, so
     // every serve pays exactly what the calibration replay paid)
     for i in 0..3 {
-        let o = 10.0 * (i as f64 + 1.0);
+        let o = 10.0 * (i as f64 + 2.0);
         server
-            .fetch_region("overview", 0, &Rect::new(o, 10.0, o + 10.0, 20.0))
+            .fetch_region("overview", 0, &Rect::new(o - 2.0, 18.0, o + 2.0, 22.0))
             .unwrap();
-        server
-            .fetch_region("detail", 0, &Rect::new(o + 5.0, 15.0, o + 15.0, 25.0))
-            .unwrap();
+        server.fetch_region("detail", 0, &tiny_viewport(o)).unwrap();
     }
     let report = server.drift_report().expect("measured launch has a report");
     assert_eq!(report.layers.len(), 2, "both layers saw live traffic");
@@ -1403,16 +1472,10 @@ fn drift_report_stays_quiet_on_an_undrifted_replay() {
 #[test]
 fn drift_report_flags_a_shifted_workload() {
     let server = launch_tuned_for_drift();
-    // the workload shifts: overview viewports now straddle four tiles per
-    // step (half-tile offset on both axes), quadrupling the per-step
-    // requests/queries/bytes vs. the single-tile calibration steps that
-    // made tiles win there
-    for i in 0..3 {
-        let o = 10.0 * (i as f64 + 1.0) + 5.0;
-        server
-            .fetch_region("overview", 0, &Rect::new(o, 15.0, o + 10.0, 25.0))
-            .unwrap();
-    }
+    // the workload shifts: overview viewports now sit inside one tile, so
+    // every step ships the whole tile (11x11 dots) where calibration
+    // shipped a 5x5 viewport — and the box calibrated at 7x7
+    shift_overview(&server);
     let report = server.drift_report().unwrap();
     assert_eq!(
         report.layers.len(),
@@ -1481,12 +1544,7 @@ fn explain_renders_plan_tuner_drift_and_storage_path() {
 
     // Shifted live traffic (the drift fixture's scenario): the report now
     // flags the layer and EXPLAIN says so.
-    for i in 0..3 {
-        let o = 10.0 * (i as f64 + 1.0) + 5.0;
-        server
-            .fetch_region("overview", 0, &Rect::new(o, 15.0, o + 10.0, 25.0))
-            .unwrap();
-    }
+    shift_overview(&server);
     let ex = server.explain("overview", 0).unwrap();
     let drift = ex.drift.as_ref().expect("live traffic was assessed");
     assert!(drift.drifted);

@@ -66,6 +66,9 @@ fn concurrent_tile_sessions_share_the_backend_cache() {
             s1.pan_by(512.0, 0.0).unwrap();
         }
     }
+    // its cold regions were served as viewports; the worker filled their
+    // tiles off the request path
+    server.drain_prefetch().unwrap();
     server.reset_totals();
     // sessions 2..4 concurrently retrace it: mostly backend cache hits
     let mut handles = Vec::new();

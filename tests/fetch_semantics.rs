@@ -5,6 +5,7 @@ use kyrix::prelude::*;
 use kyrix::workload::{dots_app, load_uniform, DotsConfig};
 use kyrix_bench::{
     launch_scheme, paper_traces, run_cell, run_cell_with, CacheMode, Dataset, ExperimentConfig,
+    LaunchedScheme, Scheme,
 };
 use std::sync::Arc;
 
@@ -14,8 +15,10 @@ fn test_cfg() -> ExperimentConfig {
     cfg
 }
 
-/// Dynamic boxes issue exactly one request per step; static tiles issue
-/// one per missing tile (Figure 4).
+/// Dynamic boxes issue exactly one request per step; static tiles, as the
+/// paper fetches them, issue one per missing tile (Figure 4). The server
+/// itself answers a cold region over several tiles with one request for
+/// the viewport.
 #[test]
 fn request_counts_match_figure4() {
     let cfg = test_cfg();
@@ -37,7 +40,28 @@ fn request_counts_match_figure4() {
     );
 
     // unaligned viewport over same-size tiles needs 4 tiles per step
-    let (tiles, _) = launch_scheme(
+    let (tiles, _) =
+        LaunchedScheme::launch(Dataset::Uniform, &cfg, Scheme::TileSpatial(cfg.trace_tile));
+    let cell = tiles.run_cell(*start_b, moves_b, 1);
+    assert_eq!(
+        cell.last_run.total_requests(),
+        48,
+        "unaligned tiles: 4 per step under the cold protocol"
+    );
+    assert_eq!(cell.last_run.total_queries(), 48);
+
+    // aligned viewport needs exactly 1 tile per step
+    let (_, start_a, moves_a) = &traces[0];
+    let cell = tiles.run_cell(*start_a, moves_a, 1);
+    assert_eq!(
+        cell.last_run.total_requests(),
+        12,
+        "aligned tiles: 1 per step"
+    );
+
+    // the server under the same tiles fetches each cold unaligned step as
+    // its viewport: one request and one query, as dbox does
+    let (served, _) = launch_scheme(
         Dataset::Uniform,
         &cfg,
         FetchPlan::StaticTiles {
@@ -45,21 +69,9 @@ fn request_counts_match_figure4() {
             design: TileDesign::SpatialIndex,
         },
     );
-    let cell = run_cell(&tiles, *start_b, moves_b, 1);
-    assert_eq!(
-        cell.last_run.total_requests(),
-        48,
-        "unaligned tiles: 4 per step under the cold protocol"
-    );
-
-    // aligned viewport needs exactly 1 tile per step
-    let (_, start_a, moves_a) = &traces[0];
-    let cell = run_cell(&tiles, *start_a, moves_a, 1);
-    assert_eq!(
-        cell.last_run.total_requests(),
-        12,
-        "aligned tiles: 1 per step"
-    );
+    let cell = run_cell(&served, *start_b, moves_b, 1);
+    assert_eq!(cell.last_run.total_requests(), 12);
+    assert_eq!(cell.last_run.total_queries(), 12);
 }
 
 /// The paper's observation (1): dbox fetches the least data needed.
@@ -135,17 +147,14 @@ fn small_tiles_pay_per_query() {
     let traces = paper_traces(&cfg);
     let (_, start_b, moves_b) = &traces[1];
     let mut results = Vec::new();
-    for plan in [
-        FetchPlan::DynamicBox {
+    for scheme in [
+        Scheme::Served(FetchPlan::DynamicBox {
             policy: BoxPolicy::Exact,
-        },
-        FetchPlan::StaticTiles {
-            size: cfg.trace_tile / 4.0,
-            design: TileDesign::SpatialIndex,
-        },
+        }),
+        Scheme::TileSpatial(cfg.trace_tile / 4.0),
     ] {
-        let (server, _) = launch_scheme(Dataset::Uniform, &cfg, plan);
-        results.push(run_cell(&server, *start_b, moves_b, 1).avg_modeled_ms);
+        let (launched, _) = LaunchedScheme::launch(Dataset::Uniform, &cfg, scheme);
+        results.push(launched.run_cell(*start_b, moves_b, 1).avg_modeled_ms);
     }
     assert!(
         results[1] > results[0] * 3.0,
@@ -262,7 +271,7 @@ fn prefetch_produces_cache_hits() {
     session.pan_to(1024.0, 1024.0).unwrap();
     let mut hits = 0;
     for _ in 0..10 {
-        server.drain_prefetch();
+        server.drain_prefetch().unwrap();
         let step = session.pan_by(256.0, 0.0).unwrap();
         hits += step.fetch.cache_hits;
     }
