@@ -445,9 +445,8 @@ fn lod(small: bool) {
     sql_fast_paths(&cg);
 }
 
-/// SQL fast paths on the LoD dataset: the COUNT/MIN/MAX and LIMIT probes
-/// that `estimate_layer_rows` and the tuner's row estimates issue against
-/// the raw/level tables now resolve from table metadata, B+tree edges, or
+/// SQL fast paths on the LoD dataset: COUNT/MIN/MAX and LIMIT probes
+/// against the raw table resolve from table metadata, B+tree edges, or
 /// capped scans. Each probe reports the access path EXPLAIN names, the
 /// rows it actually scanned, and the sequential scan the general path
 /// would have paid.
@@ -465,7 +464,7 @@ fn sql_fast_paths(g: &GalaxyConfig) {
     let table_len = db.table("galaxy").unwrap().len() as u64;
 
     println!(
-        "### SQL fast paths — {} points, row-count probes the server issues\n",
+        "### SQL fast paths — {} points, row-count and LIMIT probes\n",
         g.n
     );
     println!("| probe | access path | rows scanned | seq-scan rows | reduction |");

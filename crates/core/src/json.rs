@@ -160,7 +160,12 @@ fn write_json_string(out: &mut String, s: &str) {
 
 // ------------------------------------------------------------------ parse
 
-/// Parse a JSON document.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so a deeper document is refused instead of overflowing the stack.
+const MAX_JSON_DEPTH: usize = 256;
+
+/// Parse a JSON document. Arrays and objects nested more than 256 deep
+/// are an error.
 pub fn parse_json(src: &str) -> Result<Json> {
     let mut p = JParser {
         bytes: src.as_bytes(),
@@ -168,7 +173,7 @@ pub fn parse_json(src: &str) -> Result<Json> {
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(CoreError::Json(format!(
@@ -209,14 +214,18 @@ impl<'a> JParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json> {
+    /// One value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_JSON_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH}")))
+            }
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("unexpected character")),
         }
@@ -296,7 +305,7 @@ impl<'a> JParser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json> {
+    fn array(&mut self, depth: usize) -> Result<Json> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -306,7 +315,7 @@ impl<'a> JParser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -319,7 +328,7 @@ impl<'a> JParser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json> {
+    fn object(&mut self, depth: usize) -> Result<Json> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -333,7 +342,7 @@ impl<'a> JParser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -864,6 +873,39 @@ mod tests {
         assert!(parse_json("tru").is_err());
         assert!(parse_json(r#"{"a": 1} extra"#).is_err());
         assert!(parse_json(r#""unterminated"#).is_err());
+    }
+
+    /// `n` arrays, or `n` objects, each nested in the one before.
+    fn nested(n: usize, objects: bool) -> String {
+        if objects {
+            format!(r#"{}null{}"#, r#"{"a":"#.repeat(n), "}".repeat(n))
+        } else {
+            format!("{}{}", "[".repeat(n), "]".repeat(n))
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // a 1 MiB stack, half the spawn default: the refusal must come
+        // before the recursion runs out of it, in either build profile
+        let results = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(|| {
+                [false, true]
+                    .map(|objects| [256, 257, 1_000_000].map(|n| parse_json(&nested(n, objects))))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for (objects, [at_limit, past, deep]) in [false, true].into_iter().zip(results) {
+            at_limit.unwrap();
+            // the first value past the limit starts at byte 256 x its opener
+            let opener = if objects { 5 } else { 1 };
+            let want = format!("nesting deeper than 256 at byte {}", 256 * opener);
+            for r in [past, deep] {
+                assert!(matches!(&r, Err(CoreError::Json(m)) if *m == want), "{r:?}");
+            }
+        }
     }
 
     #[test]

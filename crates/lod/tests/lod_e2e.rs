@@ -407,14 +407,14 @@ fn auto_tuned_policy_serves_the_pyramid_end_to_end() {
     assert!(total.is_finite() && total > 0.0);
     assert!(total <= report.uniform_modeled_ms(&tiles).unwrap());
     assert!(total <= report.uniform_modeled_ms(&boxes).unwrap());
-    // the assignment freezes into a static per-canvas policy that resolves
+    // the assignment freezes into a static per-layer policy that resolves
     // identically (for reuse without re-measuring)
     let frozen = report.frozen_policy(boxes);
     for k in 0..=LEVELS {
         let canvas = cfg.level_canvas(k);
         let layer = &server.app().canvas(&canvas).unwrap().layers[0];
         assert_eq!(
-            frozen.resolve(layer, 0),
+            frozen.resolve(layer),
             report.chosen(&canvas, 0).unwrap(),
             "frozen policy diverges on level {k}"
         );

@@ -4,13 +4,11 @@
 //! query takes; this module renders the *server* half of the same story:
 //! which [`FetchPlan`] the layer resolved to, why the policy/tuner chose
 //! it (per-candidate modeled costs when the launch was
-//! [`crate::PlanPolicy::Measured`]), whether drift detection currently
-//! flags the choice, and — closing the loop — the storage-level plan of
-//! the representative fetch SQL the layer serves with. One report makes
-//! both halves of a fetch debuggable: build it with
-//! [`crate::KyrixServer::explain`].
+//! [`crate::PlanPolicy::Measured`]), and — closing the loop — the
+//! storage-level plan of the representative fetch SQL the layer serves
+//! with. One report makes both halves of a fetch debuggable: build it
+//! with [`crate::KyrixServer::explain`].
 
-use crate::drift::LayerDrift;
 use crate::precompute::{FetchPlan, LayerStore};
 use crate::tuner::LayerTuning;
 use std::fmt;
@@ -32,9 +30,6 @@ pub struct LayerExplain {
     /// The tuner's measurement for this layer — present iff the launch was
     /// `Measured` and the layer was tuned (not static).
     pub tuning: Option<LayerTuning>,
-    /// Drift assessment for this layer — present iff a drift report exists
-    /// (a `Measured` launch) and the layer has live traffic to assess.
-    pub drift: Option<LayerDrift>,
     /// Representative fetch SQL the store serves with (None for static
     /// layers, which fetch nothing).
     pub fetch_sql: Option<String>,
@@ -81,27 +76,6 @@ impl fmt::Display for LayerExplain {
                 }
             }
             None => writeln!(f, "  tuner: not measured (static policy or static layer)")?,
-        }
-        match &self.drift {
-            Some(d) => {
-                let alt = d
-                    .best_alternative_net_per_step_ms
-                    .map(|n| format!("{n:.2}"))
-                    .unwrap_or_else(|| "-".to_string());
-                writeln!(
-                    f,
-                    "  drift: {} (live {:.2} ms/step over {} serves, calib {:.2}, best alt {})",
-                    if d.drifted { "DRIFTED" } else { "ok" },
-                    d.live_net_per_step_ms,
-                    d.live_steps,
-                    d.calib_net_per_step_ms,
-                    alt,
-                )?;
-            }
-            None => writeln!(
-                f,
-                "  drift: not assessed (no live traffic or unmeasured launch)"
-            )?,
         }
         match &self.fetch_sql {
             Some(sql) => {

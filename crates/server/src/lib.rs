@@ -19,8 +19,8 @@
 //!   replays a calibration trace against every candidate plan per
 //!   `(canvas, layer)` and resolves the cheapest — [`tuner`];
 //! * **telemetry** threaded through the whole request and mutation paths
-//!   (spans, histograms, snapshot gauges; `kyrix-obs`) and **plan-drift
-//!   detection** against the tuner's calibration — [`drift`];
+//!   (spans, histograms, snapshot gauges; `kyrix-obs`) and an end-to-end
+//!   **EXPLAIN** per served layer — [`explain`];
 //! * one serving backend for any shard count: fetches resolve against a
 //!   [`SnapshotView`], whose one implementor is a [`Snapshot`] over N
 //!   shard databases — a single node is the one-shard case, answered
@@ -33,7 +33,6 @@ mod block;
 pub mod cache;
 pub mod cost;
 pub mod dbox;
-pub mod drift;
 pub mod error;
 pub mod explain;
 pub mod fetch;
@@ -49,15 +48,13 @@ pub use backend::{Snapshot, SnapshotView};
 pub use cache::{CacheStats, LruCache};
 pub use cost::CostModel;
 pub use dbox::BoxPolicy;
-pub use drift::{DriftReport, LayerDrift, DRIFT_MARGIN};
 pub use error::{Result, ServerError};
 pub use explain::LayerExplain;
 pub use fetch::fetch_rect;
 pub use metrics::FetchMetrics;
 pub use policy::PlanPolicy;
 pub use precompute::{
-    estimate_layer_rows, precompute_layer, FetchPlan, LayerRowLayout, LayerStore, PrecomputeReport,
-    TileDesign,
+    precompute_layer, FetchPlan, LayerRowLayout, LayerStore, PrecomputeReport, TileDesign,
 };
 pub use prefetch::{
     neighbor_rects, predict_viewport, rank_by_similarity, MomentumTracker, RegionSignature,

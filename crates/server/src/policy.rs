@@ -20,34 +20,14 @@ use kyrix_core::{CompiledLayer, PlanHint};
 pub enum PlanPolicy {
     /// One plan for every layer of every canvas (the pre-policy behavior).
     Uniform(FetchPlan),
-    /// Explicit per-canvas overrides with a fallback for everything else.
-    /// Overrides apply to every layer of the named canvas.
-    PerCanvas {
-        /// Plan for canvases without an override.
-        default: FetchPlan,
-        /// `(canvas id, plan)` overrides.
-        overrides: Vec<(String, FetchPlan)>,
-    },
     /// Explicit per-`(canvas, layer)` overrides with a fallback — the
     /// finest-grained static policy, and the exact shape a tuned
-    /// assignment freezes into ([`crate::TuningReport::frozen_policy`]):
-    /// unlike [`PlanPolicy::PerCanvas`], a canvas whose layers mix plans
-    /// round-trips losslessly.
+    /// assignment freezes into ([`crate::TuningReport::frozen_policy`]).
     PerLayer {
         /// Plan for layers without an override.
         default: FetchPlan,
         /// `((canvas id, layer index), plan)` overrides.
         overrides: Vec<((String, usize), FetchPlan)>,
-    },
-    /// Rule-based on data volume: layers whose (estimated) row count
-    /// exceeds `threshold` get `dense`, the rest get `sparse`.
-    RowThreshold {
-        /// Row count above which a layer counts as dense.
-        threshold: usize,
-        /// Plan for layers with more than `threshold` rows.
-        dense: FetchPlan,
-        /// Plan for layers at or below `threshold` rows.
-        sparse: FetchPlan,
     },
     /// Follow the spec's per-layer [`PlanHint`]s: hinted layers get the
     /// matching plan; unhinted layers get `boxes` (dynamic boxes are the
@@ -79,14 +59,6 @@ impl PlanPolicy {
     /// Uniform policy over one plan.
     pub fn uniform(plan: FetchPlan) -> Self {
         PlanPolicy::Uniform(plan)
-    }
-
-    /// Per-canvas policy builder: start from a fallback plan…
-    pub fn per_canvas(default: FetchPlan) -> Self {
-        PlanPolicy::PerCanvas {
-            default,
-            overrides: Vec::new(),
-        }
     }
 
     /// Per-layer policy builder: start from a fallback plan and override
@@ -125,59 +97,20 @@ impl PlanPolicy {
         PlanPolicy::Measured { candidates, trace }
     }
 
-    /// …and override individual canvases. Only meaningful on the
-    /// [`PlanPolicy::PerCanvas`] variant; calling it on any other variant
-    /// is a configuration mistake (the override would be silently
-    /// unenforceable) and panics in debug builds.
-    pub fn with_canvas(mut self, canvas: impl Into<String>, plan: FetchPlan) -> Self {
-        if let PlanPolicy::PerCanvas { overrides, .. } = &mut self {
-            overrides.push((canvas.into(), plan));
-        } else {
-            debug_assert!(
-                false,
-                "with_canvas on a {self:?}: the override would be ignored"
-            );
-        }
-        self
-    }
-
-    /// Whether resolution needs a per-layer row estimate (only the
-    /// rule-based variant does; the others must not pay for counting).
-    pub fn needs_row_estimate(&self) -> bool {
-        matches!(self, PlanPolicy::RowThreshold { .. })
-    }
-
-    /// Resolve the concrete plan for one layer. `estimated_rows` is only
-    /// consulted by [`PlanPolicy::RowThreshold`] (pass 0 otherwise).
+    /// Resolve the concrete plan for one layer.
     ///
     /// [`PlanPolicy::Measured`] is resolved by the launch-time tuner, not
     /// here; calling `resolve` on it returns the first candidate — the
     /// same fallback the tuner uses for static layers and canvases the
     /// calibration trace never visits.
-    pub fn resolve(&self, layer: &CompiledLayer, estimated_rows: usize) -> FetchPlan {
+    pub fn resolve(&self, layer: &CompiledLayer) -> FetchPlan {
         match self {
             PlanPolicy::Uniform(plan) => *plan,
-            PlanPolicy::PerCanvas { default, overrides } => overrides
-                .iter()
-                .find(|(c, _)| *c == layer.canvas_id)
-                .map(|(_, p)| *p)
-                .unwrap_or(*default),
             PlanPolicy::PerLayer { default, overrides } => overrides
                 .iter()
                 .find(|((c, l), _)| *c == layer.canvas_id && *l == layer.layer_index)
                 .map(|(_, p)| *p)
                 .unwrap_or(*default),
-            PlanPolicy::RowThreshold {
-                threshold,
-                dense,
-                sparse,
-            } => {
-                if estimated_rows > *threshold {
-                    *dense
-                } else {
-                    *sparse
-                }
-            }
             PlanPolicy::SpecHints { tiles, boxes } => match layer.plan_hint {
                 Some(PlanHint::StaticTiles) => *tiles,
                 Some(PlanHint::DynamicBox) | None => *boxes,
@@ -192,13 +125,6 @@ impl PlanPolicy {
     pub fn label(&self) -> String {
         match self {
             PlanPolicy::Uniform(plan) => plan.label(),
-            PlanPolicy::PerCanvas { default, overrides } => {
-                format!(
-                    "per-canvas({}, {} overrides)",
-                    default.label(),
-                    overrides.len()
-                )
-            }
             PlanPolicy::PerLayer { default, overrides } => {
                 format!(
                     "per-layer({}, {} overrides)",
@@ -206,11 +132,6 @@ impl PlanPolicy {
                     overrides.len()
                 )
             }
-            PlanPolicy::RowThreshold {
-                threshold,
-                dense,
-                sparse,
-            } => format!("rows>{threshold} ? {} : {}", dense.label(), sparse.label()),
             PlanPolicy::SpecHints { tiles, boxes } => {
                 format!("hinted({} / {})", tiles.label(), boxes.label())
             }
@@ -262,27 +183,19 @@ mod tests {
     #[test]
     fn uniform_ignores_everything() {
         let p = PlanPolicy::uniform(TILES);
-        assert_eq!(p.resolve(&layer("a", Some(PlanHint::DynamicBox)), 9), TILES);
-        assert!(!p.needs_row_estimate());
+        assert_eq!(p.resolve(&layer("a", Some(PlanHint::DynamicBox))), TILES);
     }
 
     #[test]
-    fn per_canvas_overrides_win_and_fall_back() {
-        let p = PlanPolicy::per_canvas(BOXES).with_canvas("coarse", TILES);
-        assert_eq!(p.resolve(&layer("coarse", None), 0), TILES);
-        assert_eq!(p.resolve(&layer("raw", None), 0), BOXES);
-    }
-
-    #[test]
-    fn row_threshold_splits_on_volume() {
-        let p = PlanPolicy::RowThreshold {
-            threshold: 1000,
-            dense: TILES,
-            sparse: BOXES,
+    fn per_layer_overrides_win_and_fall_back() {
+        let p = PlanPolicy::per_layer(BOXES).with_layer("coarse", 0, TILES);
+        assert_eq!(p.resolve(&layer("coarse", None)), TILES);
+        let other_layer = CompiledLayer {
+            layer_index: 1,
+            ..layer("coarse", None)
         };
-        assert!(p.needs_row_estimate());
-        assert_eq!(p.resolve(&layer("c", None), 1001), TILES);
-        assert_eq!(p.resolve(&layer("c", None), 1000), BOXES);
+        assert_eq!(p.resolve(&other_layer), BOXES, "same canvas, other layer");
+        assert_eq!(p.resolve(&layer("raw", None)), BOXES);
     }
 
     #[test]
@@ -291,30 +204,26 @@ mod tests {
             tiles: TILES,
             boxes: BOXES,
         };
-        assert_eq!(
-            p.resolve(&layer("c", Some(PlanHint::StaticTiles)), 0),
-            TILES
-        );
-        assert_eq!(p.resolve(&layer("c", Some(PlanHint::DynamicBox)), 0), BOXES);
-        assert_eq!(p.resolve(&layer("c", None), 0), BOXES, "unhinted → boxes");
+        assert_eq!(p.resolve(&layer("c", Some(PlanHint::StaticTiles))), TILES);
+        assert_eq!(p.resolve(&layer("c", Some(PlanHint::DynamicBox))), BOXES);
+        assert_eq!(p.resolve(&layer("c", None)), BOXES, "unhinted → boxes");
     }
 
     #[test]
     fn measured_resolve_falls_back_to_the_first_candidate() {
         let p = PlanPolicy::measured(vec![TILES, BOXES], CalibrationTrace::new());
-        assert!(!p.needs_row_estimate());
         // direct resolution (tuner not involved) = the preference fallback
-        assert_eq!(p.resolve(&layer("c", None), 0), TILES);
+        assert_eq!(p.resolve(&layer("c", None)), TILES);
         assert!(p.label().contains("measured(2 candidates, 0 steps)"));
     }
 
     #[test]
     fn labels_are_informative() {
         assert_eq!(PlanPolicy::uniform(BOXES).label(), BOXES.label());
-        assert!(PlanPolicy::per_canvas(BOXES)
-            .with_canvas("c", TILES)
+        assert!(PlanPolicy::per_layer(BOXES)
+            .with_layer("c", 0, TILES)
             .label()
-            .contains("per-canvas"));
+            .contains("per-layer"));
         assert!(PlanPolicy::SpecHints {
             tiles: TILES,
             boxes: BOXES

@@ -370,52 +370,6 @@ pub fn precompute_layer(
     Ok((store, report(rows, false)))
 }
 
-/// Estimate a layer's row count *before* precomputation, for row-based
-/// plan policies. Cheap for most shapes: a plain single-table scan is the
-/// table's length (exact, zero rows read), an ungrouped aggregate is
-/// exactly one row, and a filtered/joined query is counted through a
-/// `COUNT(*)` rewrite instead of materializing the transform output.
-/// Only grouped or LIMIT-bearing transforms still run once here and a
-/// second time in `precompute_layer` — a deliberate tradeoff: only
-/// [`crate::PlanPolicy::RowThreshold`] pays for it (if a previous launch
-/// already materialized the layer table, that table's length
-/// short-circuits the rerun there).
-pub fn estimate_layer_rows(db: &Database, layer: &CompiledLayer) -> Result<usize> {
-    if layer.is_static {
-        return Ok(0);
-    }
-    let Some(sql_text) = layer.transform.query.as_deref() else {
-        return Ok(0);
-    };
-    if let Ok(stmt) = sql::parse(sql_text) {
-        let unbounded = stmt.limit.is_none() && stmt.offset.is_none();
-        if unbounded && stmt.group_by.is_empty() && stmt.having.is_none() {
-            if stmt.is_aggregate() {
-                // an aggregate without GROUP BY yields exactly one row
-                return Ok(1);
-            }
-            if stmt.join.is_none() && stmt.where_clause.is_none() {
-                if let Ok(t) = db.table(&stmt.from.table) {
-                    // plain scan: the table length is exact, zero rows read
-                    return Ok(t.len());
-                }
-            }
-            // filtered and/or joined: count through the executor instead of
-            // materializing the full transform output. COUNT(*) with no
-            // WHERE/GROUP BY also hits the metadata fast path downstream.
-            let mut count_stmt = stmt.clone();
-            count_stmt.items = vec![sql::SelectItem::count_star()];
-            count_stmt.order_by.clear();
-            if let Ok(r) = sql::execute_select(db, &count_stmt, &[]) {
-                if let Some(Value::Int(n)) = r.rows.first().map(|row| row.get(0)) {
-                    return Ok((*n).max(0) as usize);
-                }
-            }
-        }
-    }
-    Ok(layer.transform.run(db)?.len())
-}
-
 impl From<kyrix_expr::ExprError> for ServerError {
     fn from(e: kyrix_expr::ExprError) -> Self {
         ServerError::Core(kyrix_core::CoreError::Expr(e))

@@ -9,14 +9,12 @@ use crate::cache::CacheStats;
 use crate::cache::LruCache;
 use crate::cost::CostModel;
 use crate::dbox::BoxPolicy;
-use crate::drift::DriftReport;
 use crate::error::{Result, ServerError};
 use crate::fetch::{compute_fetch_box, count_rect, fetch_plan_cold, fetch_rect, TileMatcher};
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{
-    estimate_layer_rows, precompute_layer, separable_store, FetchPlan, LayerRowLayout, LayerStore,
-    PrecomputeReport,
+    precompute_layer, separable_store, FetchPlan, LayerRowLayout, LayerStore, PrecomputeReport,
 };
 use crate::prefetch::{
     neighbor_rects, predict_viewport, rank_by_similarity, RegionSignature, SemanticTracker,
@@ -209,10 +207,6 @@ struct LayerStats {
     foreground: FetchMetrics,
     /// Backend-side work the prefetch worker did on this layer.
     prefetch: FetchMetrics,
-    /// Foreground [`KyrixServer::fetch_region`] serves — the step count
-    /// drift detection uses to normalize `foreground` to a
-    /// per-interaction cost.
-    regions: u64,
 }
 
 /// Everything the server keeps per `(canvas, layer)`, built once at
@@ -834,8 +828,7 @@ impl KyrixServer {
     /// Resolve the launch policy for every layer over the built `stores`.
     /// A `Measured` policy is tuned on a view of `shards` pinned without
     /// telemetry, so the calibration replay stays out of the serving
-    /// histograms. A layer's row estimate, where a static policy wants one,
-    /// is the sum over `shards`: partitioned rows live on exactly one shard.
+    /// histograms.
     fn resolve_plans(
         app: &CompiledApp,
         config: &ServerConfig,
@@ -848,19 +841,9 @@ impl KyrixServer {
             let (plans, tuning) = tuner::tune(&view, app, stores, candidates, trace, &config.cost)?;
             return Ok((plans, Some(tuning)));
         }
-        let policy = &config.policy;
-        let mut plans = FxHashMap::default();
-        for (key, layer) in Self::layers_of(app) {
-            let estimated_rows = if policy.needs_row_estimate() {
-                shards
-                    .iter()
-                    .map(|db| estimate_layer_rows(db, layer))
-                    .sum::<Result<usize>>()?
-            } else {
-                0
-            };
-            plans.insert(key, policy.resolve(layer, estimated_rows));
-        }
+        let plans = Self::layers_of(app)
+            .map(|(key, layer)| (key, config.policy.resolve(layer)))
+            .collect();
         Ok((plans, None))
     }
 
@@ -1072,7 +1055,6 @@ impl KyrixServer {
             }
         };
         if out.is_ok() {
-            serving.stats.lock().regions += 1;
             serving.latency.record_duration(started.elapsed());
         }
         out
@@ -1291,7 +1273,7 @@ impl KyrixServer {
     }
 
     /// Zero every accumulated serving total (fetch metrics, per-layer
-    /// totals and serve counts, prefetch totals, cache statistics).
+    /// totals, prefetch totals, cache statistics).
     pub fn reset_totals(&self) {
         for serving in self.inner.layers.values() {
             *serving.stats.lock() = LayerStats::default();
@@ -1335,29 +1317,10 @@ impl KyrixServer {
         obs.to_json()
     }
 
-    /// Compare each tuned layer's *live* per-interaction modeled cost
-    /// against the tuner's calibration measurements and flag layers whose
-    /// cheapest plan appears to have changed (see [`crate::drift`] for the
-    /// comparison semantics — detection only, nothing is re-planned).
-    /// Present iff the server was launched with
-    /// [`PlanPolicy::Measured`], like [`KyrixServer::tuning_report`].
-    pub fn drift_report(&self) -> Option<DriftReport> {
-        let tuning = self.tuning.as_ref()?;
-        Some(DriftReport::assess(
-            tuning,
-            &self.inner.cost,
-            |canvas, layer| {
-                let stats = self.inner.layer(canvas, layer).ok()?.1.stats.lock();
-                Some((stats.foreground, stats.regions))
-            },
-        ))
-    }
-
     /// End-to-end EXPLAIN for one `(canvas, layer)`: the resolved
     /// [`FetchPlan`] and the policy that chose it, the tuner's
     /// per-candidate modeled costs (when the launch was
-    /// [`PlanPolicy::Measured`]), the current drift assessment, and the
-    /// storage executor's plan for the layer's representative fetch SQL —
+    /// [`PlanPolicy::Measured`]), and the storage executor's plan for the layer's representative fetch SQL —
     /// both halves of a fetch in one report. Render it with
     /// [`crate::explain::LayerExplain::render`] (or `Display`).
     pub fn explain(&self, canvas: &str, layer: usize) -> Result<crate::explain::LayerExplain> {
@@ -1368,11 +1331,6 @@ impl KyrixServer {
                 .iter()
                 .find(|l| l.canvas == canvas && l.layer == layer)
                 .cloned()
-        });
-        let drift = self.drift_report().and_then(|r| {
-            r.layers
-                .into_iter()
-                .find(|l| l.canvas == canvas && l.layer == layer)
         });
         let fetch_sql = crate::explain::fetch_sql(&store);
         let mut storage_plan = Vec::new();
@@ -1391,7 +1349,6 @@ impl KyrixServer {
             plan,
             policy_label: self.config.policy.label(),
             tuning,
-            drift,
             fetch_sql,
             storage_plan,
         })

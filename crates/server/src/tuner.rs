@@ -2,9 +2,8 @@
 //!
 //! The paper picks between precomputed tiles and dynamic boxes per
 //! deployment by *measuring* end-to-end response time (§4, Figures 6/7),
-//! and Kyrix-S extends that to per-level serving decisions; the static
-//! [`PlanPolicy::RowThreshold`] rule is a stand-in for that measurement.
-//! This module automates it: when a server is launched with
+//! and Kyrix-S extends that to per-level serving decisions. This module
+//! automates it: when a server is launched with
 //! [`PlanPolicy::Measured`], the tuner replays a representative
 //! [`CalibrationTrace`] against *every* candidate [`FetchPlan`] of every
 //! non-static `(canvas, layer)`, accumulates the per-candidate
@@ -461,9 +460,9 @@ mod tests {
             rendering: CompiledRender::Static(Vec::new()),
             plan_hint: None,
         };
-        assert_eq!(frozen.resolve(&layer(0), 0), TILES, "layer 0 kept its plan");
-        assert_eq!(frozen.resolve(&layer(1), 0), BOXES, "layer 1 kept its plan");
+        assert_eq!(frozen.resolve(&layer(0)), TILES, "layer 0 kept its plan");
+        assert_eq!(frozen.resolve(&layer(1)), BOXES, "layer 1 kept its plan");
         // an untuned layer of the same canvas falls back to the default
-        assert_eq!(frozen.resolve(&layer(2), 0), BOXES);
+        assert_eq!(frozen.resolve(&layer(2)), BOXES);
     }
 }

@@ -628,10 +628,10 @@ fn assert_mixed_serving(server: &KyrixServer) {
 }
 
 #[test]
-fn per_canvas_policy_serves_mixed_plans_in_one_app() {
+fn per_layer_policy_serves_mixed_plans_in_one_app() {
     let db = grid_db(true);
     let app = compile(&two_canvas_app(false), &db).unwrap();
-    let policy = PlanPolicy::per_canvas(MIXED_BOXES).with_canvas("overview", MIXED_TILES);
+    let policy = PlanPolicy::per_layer(MIXED_BOXES).with_layer("overview", 0, MIXED_TILES);
     let config = ServerConfig::from_policy(policy).with_cost(CostModel::zero());
     let (server, reports) = KyrixServer::launch(app, db, config).unwrap();
     assert_eq!(reports.len(), 2);
@@ -649,108 +649,6 @@ fn spec_hint_policy_follows_layer_hints() {
     let config = ServerConfig::from_policy(policy).with_cost(CostModel::zero());
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
     assert_mixed_serving(&server);
-}
-
-#[test]
-fn row_threshold_policy_splits_layers_by_volume() {
-    // dots has 10k rows; sparse_marks has 3: the rule sends the dense
-    // layer to tiles and the sparse one to boxes
-    let mut db = grid_db(false);
-    db.create_table(
-        "sparse_marks",
-        Schema::empty()
-            .with("id", DataType::Int)
-            .with("x", DataType::Float)
-            .with("y", DataType::Float),
-    )
-    .unwrap();
-    for i in 0..3i64 {
-        db.insert(
-            "sparse_marks",
-            Row::new(vec![
-                Value::Int(i),
-                Value::Float(i as f64 * 30.0 + 10.0),
-                Value::Float(50.0),
-            ]),
-        )
-        .unwrap();
-    }
-    let spec = AppSpec::new("volumes")
-        .add_transform(TransformSpec::query("dense_t", "SELECT * FROM dots"))
-        .add_transform(TransformSpec::query(
-            "sparse_t",
-            "SELECT * FROM sparse_marks",
-        ))
-        .add_canvas(
-            CanvasSpec::new("dense", 100.0, 100.0).layer(LayerSpec::dynamic(
-                "dense_t",
-                PlacementSpec::point("x", "y"),
-                RenderSpec::Marks(MarkEncoding::circle()),
-            )),
-        )
-        .add_canvas(
-            CanvasSpec::new("sparse", 100.0, 100.0).layer(LayerSpec::dynamic(
-                "sparse_t",
-                PlacementSpec::point("x", "y"),
-                RenderSpec::Marks(MarkEncoding::circle()),
-            )),
-        )
-        .initial("dense", 50.0, 50.0)
-        .viewport(10.0, 10.0);
-    let app = compile(&spec, &db).unwrap();
-    let policy = PlanPolicy::RowThreshold {
-        threshold: 1000,
-        dense: MIXED_TILES,
-        sparse: MIXED_BOXES,
-    };
-    let (server, _) = KyrixServer::launch(
-        app,
-        db,
-        ServerConfig::from_policy(policy).with_cost(CostModel::zero()),
-    )
-    .unwrap();
-    assert_eq!(server.plan_for("dense", 0).unwrap(), MIXED_TILES);
-    assert_eq!(server.plan_for("sparse", 0).unwrap(), MIXED_BOXES);
-    assert!(!fetch_one_tile(&server, "dense", 10.0, TileId::new(5, 5))
-        .rows
-        .is_empty());
-    let sparse = server
-        .fetch_region("sparse", 0, &Rect::new(0.0, 40.0, 100.0, 60.0))
-        .unwrap();
-    assert_eq!(sparse.rows.len(), 3);
-}
-
-#[test]
-fn estimate_layer_rows_counts_query_output_not_table_size() {
-    // an aggregate without GROUP BY scans the whole table but yields one
-    // row; the row-threshold policy must see 1, not the table length
-    let db = grid_db(false);
-    let spec = AppSpec::new("est")
-        .add_transform(TransformSpec::query("plain", "SELECT * FROM dots"))
-        .add_transform(TransformSpec::query(
-            "agg",
-            "SELECT AVG(x) AS x, AVG(y) AS y FROM dots",
-        ))
-        .add_canvas(CanvasSpec::new("a", 100.0, 100.0).layer(LayerSpec::dynamic(
-            "plain",
-            PlacementSpec::point("x", "y"),
-            RenderSpec::Marks(MarkEncoding::circle()),
-        )))
-        .add_canvas(CanvasSpec::new("b", 100.0, 100.0).layer(LayerSpec::dynamic(
-            "agg",
-            PlacementSpec::point("x", "y"),
-            RenderSpec::Marks(MarkEncoding::circle()),
-        )))
-        .initial("a", 50.0, 50.0)
-        .viewport(10.0, 10.0);
-    let app = compile(&spec, &db).unwrap();
-    let plain = &app.canvas("a").unwrap().layers[0];
-    let agg = &app.canvas("b").unwrap().layers[0];
-    assert_eq!(
-        kyrix_server::estimate_layer_rows(&db, plain).unwrap(),
-        10_000
-    );
-    assert_eq!(kyrix_server::estimate_layer_rows(&db, agg).unwrap(), 1);
 }
 
 #[test]
@@ -1058,7 +956,7 @@ fn candidates_that_make_the_same_fetch_tie_exactly() {
 fn layer_totals_attribute_foreground_metrics_per_layer() {
     let db = grid_db(true);
     let app = compile(&two_canvas_app(false), &db).unwrap();
-    let policy = PlanPolicy::per_canvas(MIXED_BOXES).with_canvas("overview", MIXED_TILES);
+    let policy = PlanPolicy::per_layer(MIXED_BOXES).with_layer("overview", 0, MIXED_TILES);
     let (server, _) = KyrixServer::launch(
         app,
         db,
@@ -1396,18 +1294,17 @@ fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
     assert_eq!(row_ids(&again.rows), row_ids(&rows));
 }
 
-// ------------------------------------------------------- drift monitor
+// ---------------------------------------------------- end-to-end EXPLAIN
 
 /// Measured launch whose calibration trace makes tiles win `overview` and
-/// boxes win `detail`, with every serving cache disabled so a replay's
-/// fetch metrics are exactly the cold-protocol calibration metrics.
+/// boxes win `detail`.
 ///
 /// Calibration on `overview` is 4x4 viewports over a tile corner: a cold
 /// serve under tiles fetches the viewport (5x5 dots, counting the marks
 /// that poke in), less than the 50%-inflated box (7x7). On `detail` it is
 /// 3x3 viewports inside a tile: tiles ship the whole tile (11x11 dots),
 /// the box 6x6.
-fn launch_tuned_for_drift() -> KyrixServer {
+fn launch_tuned() -> KyrixServer {
     let cost = CostModel::new(1.0, 2.0, 2_000.0);
     let mut trace = CalibrationTrace::new();
     for i in 0..3 {
@@ -1418,10 +1315,7 @@ fn launch_tuned_for_drift() -> KyrixServer {
     let policy = PlanPolicy::measured(vec![MIXED_TILES, MIXED_BOXES], trace);
     let db = grid_db(true);
     let app = compile(&two_canvas_app(false), &db).unwrap();
-    let mut config = ServerConfig::from_policy(policy)
-        .with_cost(cost)
-        .with_backend_cache(0);
-    config.box_cache_entries = 0;
+    let config = ServerConfig::from_policy(policy).with_cost(cost);
     let (server, _) = KyrixServer::launch(app, db, config).unwrap();
     assert_eq!(server.plan_for("overview", 0).unwrap(), MIXED_TILES);
     assert_eq!(server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
@@ -1433,90 +1327,21 @@ fn tiny_viewport(o: f64) -> Rect {
     Rect::new(o + 3.0, 13.0, o + 6.0, 16.0)
 }
 
-/// The drifted workload: three `overview` viewports inside one tile each.
-fn shift_overview(server: &KyrixServer) {
-    for i in 0..3 {
-        let o = 10.0 * (i as f64 + 2.0);
-        server
-            .fetch_region("overview", 0, &tiny_viewport(o))
-            .unwrap();
-    }
-}
-
-#[test]
-fn drift_report_stays_quiet_on_an_undrifted_replay() {
-    let server = launch_tuned_for_drift();
-    // live traffic = the calibration workload itself (caches are off, so
-    // every serve pays exactly what the calibration replay paid)
-    for i in 0..3 {
-        let o = 10.0 * (i as f64 + 2.0);
-        server
-            .fetch_region("overview", 0, &Rect::new(o - 2.0, 18.0, o + 2.0, 22.0))
-            .unwrap();
-        server.fetch_region("detail", 0, &tiny_viewport(o)).unwrap();
-    }
-    let report = server.drift_report().expect("measured launch has a report");
-    assert_eq!(report.layers.len(), 2, "both layers saw live traffic");
-    assert!(
-        !report.any_drift(),
-        "undrifted replay must not flag: {}",
-        report.summary()
-    );
-    assert!(report.flagged().is_empty());
-    for l in &report.layers {
-        assert_eq!(l.live_steps, 3);
-        assert!(l.best_alternative.is_some(), "two candidates were tuned");
-    }
-}
-
-#[test]
-fn drift_report_flags_a_shifted_workload() {
-    let server = launch_tuned_for_drift();
-    // the workload shifts: overview viewports now sit inside one tile, so
-    // every step ships the whole tile (11x11 dots) where calibration
-    // shipped a 5x5 viewport — and the box calibrated at 7x7
-    shift_overview(&server);
-    let report = server.drift_report().unwrap();
-    assert_eq!(
-        report.layers.len(),
-        1,
-        "only overview saw live traffic; detail is skipped"
-    );
-    let flagged = report.flagged();
-    assert_eq!(flagged.len(), 1, "{}", report.summary());
-    let l = flagged[0];
-    assert_eq!((l.canvas.as_str(), l.layer), ("overview", 0));
-    assert_eq!(l.serving, MIXED_TILES);
-    assert_eq!(l.best_alternative, Some(MIXED_BOXES));
-    assert!(l.live_net_per_step_ms > l.calib_net_per_step_ms);
-    assert!(report.any_drift());
-    assert!(report.summary().contains("overview"));
-}
-
-#[test]
-fn drift_report_absent_without_a_measured_launch() {
-    let server = launch(grid_db(false), PlacementSpec::point("x", "y"), MIXED_TILES);
-    assert!(server.drift_report().is_none());
-}
-
-// ---------------------------------------------------- end-to-end EXPLAIN
-
 #[test]
 fn explain_renders_plan_tuner_drift_and_storage_path() {
-    let server = launch_tuned_for_drift();
+    let server = launch_tuned();
 
-    // Before any traffic: tuner rationale present, drift not yet assessed.
+    // The tuner's rationale: both candidates with their modeled costs.
     let ex = server.explain("overview", 0).unwrap();
     assert_eq!(ex.plan, MIXED_TILES);
     let tuning = ex.tuning.as_ref().expect("measured launch was tuned");
     assert_eq!(tuning.candidates.len(), 2, "per-candidate modeled costs");
     assert!(tuning.candidates.iter().all(|c| c.modeled_ms.is_finite()));
-    assert!(ex.drift.is_none(), "no live traffic yet");
     let text = ex.render();
     assert!(text.contains("EXPLAIN canvas=overview layer=0"), "{text}");
     assert!(text.contains("tuner: 3 calibration steps"), "{text}");
     assert!(text.contains("[chosen]"), "{text}");
-    assert!(text.contains("drift: not assessed"), "{text}");
+    assert!(!text.contains("drift"), "{text}");
 
     // The storage half: the layer's fetch SQL and its access path.
     // The SQL is the statement a fetch executes, text for text: fetch one
@@ -1541,16 +1366,6 @@ fn explain_renders_plan_tuner_drift_and_storage_path() {
         "spatial store must explain to a spatial access path: {:?}",
         ex.storage_plan
     );
-
-    // Shifted live traffic (the drift fixture's scenario): the report now
-    // flags the layer and EXPLAIN says so.
-    shift_overview(&server);
-    let ex = server.explain("overview", 0).unwrap();
-    let drift = ex.drift.as_ref().expect("live traffic was assessed");
-    assert!(drift.drifted);
-    let text = ex.render();
-    assert!(text.contains("DRIFTED"), "{text}");
-    assert!(text.contains("best alt"), "{text}");
 }
 
 #[test]
@@ -1558,10 +1373,9 @@ fn explain_on_a_static_launch_says_why_nothing_was_measured() {
     let server = launch(grid_db(false), PlacementSpec::point("x", "y"), MIXED_TILES);
     let ex = server.explain("main", 0).unwrap();
     assert!(ex.tuning.is_none());
-    assert!(ex.drift.is_none());
     let text = ex.render();
     assert!(text.contains("tuner: not measured"), "{text}");
-    assert!(text.contains("drift: not assessed"), "{text}");
+    assert!(!text.contains("drift"), "{text}");
     assert!(text.contains("policy:"), "{text}");
     assert!(server.explain("nope", 0).is_err(), "unknown canvas errors");
     assert!(server.explain("main", 9).is_err(), "unknown layer errors");
