@@ -378,9 +378,6 @@ fn lod(small: bool) {
     // points), not the million-point config of the table above: the
     // comparison rebuilds the pyramid once per policy, and e2e scale keeps
     // that affordable while preserving the skew that separates the plans.
-    // The `auto (measured)` row is the tuner: `PlanPolicy::Measured`
-    // calibrated on the zoom walk, so its modeled cost is ≤ the best
-    // uniform row (ties allowed, never worse).
     let cg = if small {
         GalaxyConfig::tiny()
     } else {
@@ -404,11 +401,6 @@ fn lod(small: bool) {
             r.queries,
             r.rows
         );
-    }
-    for r in &rows {
-        if let Some(plans) = &r.plans {
-            println!("\nauto-tuned assignment: {plans}");
-        }
     }
     println!();
 

@@ -44,8 +44,8 @@ use kyrix_client::{run_trace, Move, Session, TraceReport};
 use kyrix_core::compile;
 use kyrix_lod::{build_pyramid, lod_app, LodConfig, LodPyramid};
 use kyrix_server::{
-    BoxPolicy, CalibrationTrace, CostModel, FetchPlan, KyrixServer, PlanPolicy, PrecomputeReport,
-    ServerConfig, TileDesign,
+    BoxPolicy, CostModel, FetchPlan, KyrixServer, PlanPolicy, PrecomputeReport, ServerConfig,
+    TileDesign,
 };
 use kyrix_storage::{Database, Rect};
 use kyrix_workload::{
@@ -520,24 +520,19 @@ pub struct LodPlanResult {
     pub avg_modeled_ms: f64,
     /// The deterministic component of `avg_modeled_ms`: the cost-model
     /// network/query/byte overheads without the measured DB wall time.
-    /// For a fixed plan assignment this is identical across runs, which is
-    /// what the auto-vs-uniform assertions compare.
+    /// For a fixed plan assignment this is identical across runs.
     pub avg_net_ms: f64,
     /// Measured wall-clock ms per step, averaged.
     pub avg_measured_ms: f64,
     pub requests: u64,
     pub queries: u64,
     pub rows: u64,
-    /// The tuned per-level assignment (auto-tuned policies only).
-    pub plans: Option<String>,
 }
 
 /// Compare fetch-plan policies on one LoD app: uniform static tiles,
 /// uniform dynamic boxes, the mixed policy resolved from `lod_app`'s
 /// spec hints (tiles on the spacing-bounded clustered levels, dynamic
-/// boxes on the raw level), and the *auto-tuned* `Measured` policy, which
-/// replays the very zoom walk being measured as its calibration trace and
-/// picks the cheapest plan per level from the measured costs. Every policy
+/// boxes on the raw level). Every policy
 /// serves the *same* pyramid and walks the *same* cold zoom trace, which
 /// crosses the clustered↔raw plan boundary in both directions.
 pub fn run_lod_plan_comparison(
@@ -557,20 +552,12 @@ pub fn run_lod_plan_comparison(
     let cost = CostModel::paper_default();
     let lod = galaxy_lod_config(g, levels, spacing);
     let walk = zoom_walk(&lod, levels, steps_per_level, viewport, g.seed);
-    // the auto policy calibrates on the measured walk itself: the tuner
-    // then provably cannot lose to either uniform assignment on it
-    let calibration =
-        CalibrationTrace::from_steps(walk.iter().map(|(_, c, r)| (c.clone(), *r)).collect());
     let policies = vec![
         ("uniform tiles".to_string(), PlanPolicy::uniform(tiles)),
         ("uniform boxes".to_string(), PlanPolicy::uniform(boxes)),
         (
             "mixed (hinted)".to_string(),
             PlanPolicy::SpecHints { tiles, boxes },
-        ),
-        (
-            "auto (measured)".to_string(),
-            PlanPolicy::measured(vec![tiles, boxes], calibration),
         ),
     ];
     let mut out = Vec::new();
@@ -587,7 +574,6 @@ pub fn run_lod_plan_comparison(
         let (server, _) =
             KyrixServer::launch(app, db, ServerConfig::from_policy(policy).with_cost(cost))
                 .expect("server launches");
-        let plans = server.tuning_report().map(|t| t.summary());
         let steps = walk.len().max(1);
         let mut measured_ms = 0.0;
         for (_, canvas, rect) in &walk {
@@ -605,7 +591,6 @@ pub fn run_lod_plan_comparison(
             requests: totals.requests,
             queries: totals.queries,
             rows: totals.rows,
-            plans,
         });
     }
     out
@@ -899,43 +884,16 @@ mod tests {
     }
 
     #[test]
-    fn lod_plan_comparison_produces_all_four_rows() {
+    fn lod_plan_comparison_produces_all_three_rows() {
         let rows = run_lod_plan_comparison(&GalaxyConfig::tiny(), 2, 16.0, (256.0, 256.0), 2);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].label, "uniform tiles");
         assert_eq!(rows[2].label, "mixed (hinted)");
-        assert_eq!(rows[3].label, "auto (measured)");
         // every policy actually fetched across the walk
         assert!(rows.iter().all(|r| r.requests > 0 && r.rows > 0));
         // uniform boxes issue exactly one request per step; uniform tiles
         // issue at least one per step (several on unaligned viewports)
         assert!(rows[1].requests <= rows[0].requests);
-        // only the auto row carries a tuned assignment, covering each level
-        assert!(rows[..3].iter().all(|r| r.plans.is_none()));
-        let plans = rows[3].plans.as_deref().expect("auto row reports plans");
-        for level in ["level0", "level1", "level2"] {
-            assert!(plans.contains(level), "assignment missing {level}: {plans}");
-        }
-    }
-
-    #[test]
-    fn lod_auto_policy_never_loses_to_uniform() {
-        // The acceptance property behind the `auto` experiment row: tuned
-        // on the walk it is then measured on, its cost can tie the best
-        // uniform policy but never lose to it. Compared on the
-        // deterministic modeled network/query component (avg_net_ms):
-        // wall-clock DB time varies run to run, and on levels where the
-        // candidates nearly tie that noise may flip the tuner's choice —
-        // hence the sub-ms epsilon bounding the flip's worst-case cost.
-        let rows = run_lod_plan_comparison(&GalaxyConfig::tiny(), 2, 16.0, (256.0, 256.0), 3);
-        let auto = &rows[3];
-        let best_uniform = rows[0].avg_net_ms.min(rows[1].avg_net_ms);
-        assert!(
-            auto.avg_net_ms <= best_uniform + 0.25,
-            "auto ({:.3} ms/step) lost to the best uniform policy ({:.3} ms/step)",
-            auto.avg_net_ms,
-            best_uniform
-        );
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub use cache::FrontendCache;
 pub use error::{ClientError, Result};
 pub use linked::{Link, LinkMode, LinkedViews};
 pub use session::{JumpOutcome, Session, StepReport};
-pub use trace_runner::{record_calibration, run_trace, Move, TraceReport};
+pub use trace_runner::{run_trace, Move, TraceReport};
 pub use viewport::Viewport;

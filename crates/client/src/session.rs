@@ -9,7 +9,7 @@ use crate::error::{ClientError, Result};
 use crate::viewport::Viewport;
 use kyrix_core::{CompiledCanvas, CompiledRender, JumpType};
 use kyrix_render::{Color, ColorScale, Frame, Mark, MarkType};
-use kyrix_server::{FetchMetrics, KyrixServer, LayerRowLayout, MomentumTracker, SnapshotView};
+use kyrix_server::{FetchMetrics, KyrixServer, LayerRowLayout, MomentumTracker};
 use kyrix_storage::fxhash::FxHashSet;
 use kyrix_storage::{Row, Value};
 use std::sync::Arc;
@@ -54,11 +54,15 @@ pub struct Session {
     viewport: Viewport,
     cache: FrontendCache,
     momentum: MomentumTracker,
-    /// The server snapshot the cached regions were fetched under; the next
-    /// interaction compares its version vector with the head's (on a
-    /// sharded backend, one entry per shard, published atomically with
-    /// every mutation) to tell which cached regions went stale.
-    snapshot: Arc<dyn SnapshotView>,
+    /// The version vector of the server snapshot the cached regions were
+    /// fetched under; the next interaction compares it with the head's (on
+    /// a sharded backend, one entry per shard, published atomically with
+    /// every mutation) to tell which cached regions went stale. Kept as
+    /// numbers, not as the snapshot: an idle session pins no generation.
+    versions: Vec<u64>,
+    /// That snapshot's scalar data version
+    /// ([`kyrix_server::SnapshotView::version`]).
+    version: u64,
 }
 
 impl Session {
@@ -87,14 +91,18 @@ impl Session {
         let (vw, vh) = (server.app().viewport_width, server.app().viewport_height);
         let mut viewport = Viewport::new(cx, cy, vw, vh);
         viewport.center_on(cx, cy, &bounds);
-        let snapshot = server.snapshot();
+        let (versions, version) = {
+            let head = server.snapshot();
+            (head.versions().to_vec(), head.version())
+        };
         let mut session = Session {
             server,
             canvas: canvas_id.to_string(),
             viewport,
             cache: FrontendCache::new(FRONTEND_CACHE_ROWS, layers),
             momentum: MomentumTracker::new(),
-            snapshot,
+            versions,
+            version,
         };
         let report = session.ensure_viewport_data()?;
         Ok((session, report))
@@ -293,17 +301,17 @@ impl Session {
     /// published head moved past the snapshot our cached regions were
     /// fetched under, drop exactly the cached regions the server's
     /// mutation log marks stale on this canvas (everything, if the log was
-    /// truncated), then re-pin to the new head. The next lookups then miss
-    /// and refetch fresh data.
+    /// truncated), then record the new head's versions. The next lookups
+    /// then miss and refetch fresh data.
     fn sync_data_version(&mut self) {
         let head = self.server.snapshot();
         // vector compare: on a sharded backend a mutation bumps only the
-        // entries of the shards it dirtied, so a pin is current iff every
+        // entries of the shards it dirtied, so a session is current iff every
         // shard's entry matches (single node: the one-entry scalar case)
-        if head.versions() == self.snapshot.versions() {
+        if head.versions() == self.versions {
             return;
         }
-        match self.server.changes_since(self.snapshot.version()) {
+        match self.server.changes_since(self.version) {
             Some(changes) => {
                 for (canvas, layer, rect) in changes {
                     if canvas == self.canvas {
@@ -316,7 +324,8 @@ impl Session {
                 self.cache.clear(layers);
             }
         }
-        self.snapshot = head;
+        self.versions = head.versions().to_vec();
+        self.version = head.version();
     }
 
     /// The current canvas's layers that carry data rows, with the accessor

@@ -1,13 +1,9 @@
 //! Trace replay: run a viewport movement trace through a session and
 //! collect per-step response times — the measurement harness behind the
-//! paper's Figures 6 and 7. [`record_calibration`] turns the same movement
-//! traces into the calibration input of the server's plan tuner.
+//! paper's Figures 6 and 7.
 
-use crate::error::{ClientError, Result};
+use crate::error::Result;
 use crate::session::{Session, StepReport};
-use crate::viewport::Viewport;
-use kyrix_core::CompiledApp;
-use kyrix_server::CalibrationTrace;
 
 /// One viewport movement: pan by a delta or teleport to a center.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,11 +30,6 @@ impl TraceReport {
         avg(self.steps.iter().map(|s| s.measured_ms))
     }
 
-    /// Maximum modeled step time, ms.
-    pub fn max_modeled_ms(&self) -> f64 {
-        self.steps.iter().map(|s| s.modeled_ms).fold(0.0, f64::max)
-    }
-
     /// Total backend requests across the trace.
     pub fn total_requests(&self) -> u64 {
         self.steps.iter().map(|s| s.fetch.requests).sum()
@@ -58,14 +49,6 @@ impl TraceReport {
     pub fn total_bytes(&self) -> u64 {
         self.steps.iter().map(|s| s.fetch.bytes).sum()
     }
-
-    /// Fraction of steps meeting the paper's 500 ms interactivity bound.
-    pub fn within_500ms(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 1.0;
-        }
-        self.steps.iter().filter(|s| s.modeled_ms <= 500.0).count() as f64 / self.steps.len() as f64
-    }
 }
 
 fn avg(values: impl Iterator<Item = f64>) -> f64 {
@@ -79,39 +62,6 @@ fn avg(values: impl Iterator<Item = f64>) -> f64 {
     } else {
         sum / n as f64
     }
-}
-
-/// Record the calibration trace a viewport movement trace produces on one
-/// canvas — *without* a live server. Driving the tuner's replay with this
-/// is the client's role in plan auto-tuning: each step is the effective
-/// viewport after the move, panned with the same canvas-bounds clamping a
-/// live [`Session`] applies and clipped to the canvas, so a server
-/// launched with `PlanPolicy::Measured` tunes on exactly the rectangles
-/// the session will later request. The starting viewport itself is not a
-/// step, matching [`run_trace`]'s per-step protocol. Traces spanning
-/// several canvases concatenate one `record_calibration` per canvas
-/// segment.
-pub fn record_calibration(
-    app: &CompiledApp,
-    canvas: &str,
-    start: (f64, f64),
-    moves: &[Move],
-) -> Result<CalibrationTrace> {
-    let cc = app
-        .canvas(canvas)
-        .ok_or_else(|| ClientError::Navigation(format!("unknown canvas `{canvas}`")))?;
-    let bounds = cc.bounds();
-    let mut vp = Viewport::new(start.0, start.1, app.viewport_width, app.viewport_height);
-    vp.center_on(start.0, start.1, &bounds);
-    let mut trace = CalibrationTrace::new();
-    for m in moves {
-        match *m {
-            Move::PanBy { dx, dy } => vp.pan(dx, dy, &bounds),
-            Move::PanTo { cx, cy } => vp.center_on(cx, cy, &bounds),
-        }
-        trace.push(canvas, vp.rect().intersection(&bounds));
-    }
-    Ok(trace)
 }
 
 /// Replay a trace. The initial load is *not* included in the report
@@ -145,67 +95,12 @@ mod tests {
         }
         assert!((r.avg_modeled_ms() - 210.0).abs() < 1e-9);
         assert!((r.avg_measured_ms() - 105.0).abs() < 1e-9);
-        assert_eq!(r.max_modeled_ms(), 600.0);
-        assert!((r.within_500ms() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_defaults() {
         let r = TraceReport::default();
         assert_eq!(r.avg_modeled_ms(), 0.0);
-        assert_eq!(r.within_500ms(), 1.0);
         assert_eq!(r.total_requests(), 0);
-    }
-
-    #[test]
-    fn calibration_records_clamped_effective_viewports() {
-        use kyrix_core::{
-            compile, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, RenderSpec,
-            TransformSpec,
-        };
-        use kyrix_storage::{DataType, Database, Rect, Row, Schema, Value};
-
-        let mut db = Database::new();
-        db.create_table(
-            "pts",
-            Schema::empty()
-                .with("x", DataType::Float)
-                .with("y", DataType::Float),
-        )
-        .unwrap();
-        db.insert("pts", Row::new(vec![Value::Float(1.0), Value::Float(1.0)]))
-            .unwrap();
-        let spec = AppSpec::new("calib")
-            .add_transform(TransformSpec::query("t", "SELECT * FROM pts"))
-            .add_canvas(
-                CanvasSpec::new("main", 100.0, 100.0).layer(LayerSpec::dynamic(
-                    "t",
-                    PlacementSpec::point("x", "y"),
-                    RenderSpec::Marks(MarkEncoding::circle()),
-                )),
-            )
-            .initial("main", 50.0, 50.0)
-            .viewport(10.0, 10.0);
-        let app = compile(&spec, &db).unwrap();
-
-        let trace = super::record_calibration(
-            &app,
-            "main",
-            (5.0, 5.0),
-            &[
-                Move::PanBy { dx: -50.0, dy: 0.0 }, // clamps at the canvas edge
-                Move::PanTo { cx: 95.0, cy: 95.0 },
-            ],
-        )
-        .unwrap();
-        assert_eq!(trace.len(), 2);
-        let steps = trace.steps_for("main");
-        // the start (5,5) is itself clamped to center (5,5): pan left hits
-        // the canvas boundary and stays at [0,10]; the jump to the far
-        // corner clamps to [90,100]
-        assert_eq!(steps[0], Rect::new(0.0, 0.0, 10.0, 10.0));
-        assert_eq!(steps[1], Rect::new(90.0, 90.0, 100.0, 100.0));
-        // a canvas the app does not have is an error, not an empty trace
-        assert!(super::record_calibration(&app, "nope", (0.0, 0.0), &[]).is_err());
     }
 }

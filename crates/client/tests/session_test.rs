@@ -7,8 +7,10 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_render::{Color, Mark};
-use kyrix_server::{BoxPolicy, CostModel, FetchPlan, KyrixServer, ServerConfig, TileDesign};
-use kyrix_storage::{DataType, Database, Row, Schema, Value};
+use kyrix_server::{
+    BoxPolicy, CostModel, DirtyRegion, FetchPlan, KyrixServer, ServerConfig, TileDesign,
+};
+use kyrix_storage::{DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, Value};
 use std::sync::Arc;
 
 /// 40x40 grid of dots, 25px apart on a 1000x1000 canvas, value = x index.
@@ -230,4 +232,60 @@ fn session_forwards_semantic_hints_to_the_server() {
         4,
         "semantic prefetch must run from session hints"
     );
+}
+
+/// An idle session pins no retired generation: after a publish through
+/// `mutate_shards`, the server's `snapshot.pinned` gauge reads what it
+/// reads when no session was ever opened — the published head alone.
+#[test]
+fn an_idle_session_pins_no_retired_generation() {
+    let pinned_after_publish = |open_session: bool| {
+        let mut db = grid_db();
+        db.create_index(
+            "dots",
+            "dots_xy",
+            IndexKind::Spatial(SpatialCols::Point {
+                x: "x".into(),
+                y: "y".into(),
+            }),
+        )
+        .unwrap();
+        let spec = AppSpec::new("grid")
+            .add_transform(TransformSpec::query("t", "SELECT * FROM dots"))
+            .add_canvas(
+                CanvasSpec::new("main", 1000.0, 1000.0).layer(LayerSpec::dynamic(
+                    "t",
+                    PlacementSpec::point("x", "y"),
+                    RenderSpec::Marks(MarkEncoding::circle()),
+                )),
+            )
+            .initial("main", 500.0, 500.0)
+            .viewport(200.0, 200.0);
+        let app = compile(&spec, &db).unwrap();
+        let config = ServerConfig::new(FetchPlan::DynamicBox {
+            policy: BoxPolicy::Exact,
+        });
+        let server = Arc::new(KyrixServer::launch(app, db, config).unwrap().0);
+        let session = open_session.then(|| Session::open(server.clone()).unwrap());
+        server
+            .mutate_shards(&["dots"], |shards| {
+                let row = Row::new(vec![
+                    Value::Int(9_999),
+                    Value::Float(500.0),
+                    Value::Float(500.0),
+                    Value::Float(0.0),
+                ]);
+                shards[0].insert("dots", row)?;
+                let dirty = Rect::new(499.0, 499.0, 501.0, 501.0);
+                Ok(((), vec![DirtyRegion::new("dots", dirty)]))
+            })
+            .unwrap();
+        assert_eq!(server.data_version(), 1);
+        let pinned = server.obs().gauge("snapshot.pinned").get();
+        drop(session);
+        pinned
+    };
+    let without = pinned_after_publish(false);
+    assert_eq!(without, 1, "the published head alone");
+    assert_eq!(pinned_after_publish(true), without, "the idle session pins");
 }

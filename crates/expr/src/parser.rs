@@ -4,11 +4,18 @@ use crate::ast::{Expr, Op};
 use crate::error::{ExprError, Result};
 use crate::token::{tokenize, Tok};
 
-/// Parse an expression string into an AST.
+/// How deeply expressions may nest: each parenthesis, prefix `-` / `!`,
+/// call argument, ternary branch and right-hand operand opens a level. The
+/// parser recurses once per level, so a deeper expression is refused
+/// instead of overflowing the stack.
+const MAX_EXPR_DEPTH: usize = 256;
+
+/// Parse an expression string into an AST. Expressions nested more than
+/// 256 deep are an error.
 pub fn parse(src: &str) -> Result<Expr> {
     let tokens = tokenize(src)?;
     let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr(0)?;
+    let e = p.expr(0, 0)?;
     if *p.peek() != Tok::Eof {
         return Err(ExprError::parse(format!(
             "trailing tokens starting at {:?}",
@@ -45,100 +52,130 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self, min_bp: u8) -> Result<Expr> {
-        let mut lhs = self.prefix()?;
-        loop {
-            let op = match self.peek() {
-                Tok::OrOr => Op::Or,
-                Tok::AndAnd => Op::And,
-                Tok::Eq => Op::Eq,
-                Tok::NotEq => Op::NotEq,
-                Tok::Lt => Op::Lt,
-                Tok::LtEq => Op::LtEq,
-                Tok::Gt => Op::Gt,
-                Tok::GtEq => Op::GtEq,
-                Tok::Plus => Op::Add,
-                Tok::Minus => Op::Sub,
-                Tok::Star => Op::Mul,
-                Tok::Slash => Op::Div,
-                Tok::Percent => Op::Mod,
-                Tok::Caret => Op::Pow,
-                Tok::Question => {
-                    // ternary binds loosest of all
-                    if min_bp > 0 {
-                        break;
+    /// One expression inside `depth` enclosing levels. This function,
+    /// [`Parser::prefix`] and [`Parser::ternary`] are the only ones that
+    /// recurse; everything else they need lives in helpers that return
+    /// before the recursion, which keeps each level's stack small.
+    fn expr(&mut self, min_bp: u8, depth: usize) -> Result<Expr> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        let mut lhs = self.prefix(depth)?;
+        while let Some(infix) = self.infix(min_bp) {
+            lhs = match infix {
+                Infix::Binary(op, rbp) => {
+                    let rhs = self.expr(rbp, depth + 1)?;
+                    Expr::Binary {
+                        op,
+                        left: Box::new(lhs),
+                        right: Box::new(rhs),
                     }
-                    self.next();
-                    let then = self.expr(0)?;
-                    self.expect(Tok::Colon)?;
-                    let otherwise = self.expr(0)?;
-                    lhs = Expr::Ternary {
-                        cond: Box::new(lhs),
-                        then: Box::new(then),
-                        otherwise: Box::new(otherwise),
-                    };
-                    continue;
                 }
-                _ => break,
-            };
-            let (lbp, rbp) = op.binding_power();
-            if lbp < min_bp {
-                break;
-            }
-            self.next();
-            let rhs = self.expr(rbp)?;
-            lhs = Expr::Binary {
-                op,
-                left: Box::new(lhs),
-                right: Box::new(rhs),
+                Infix::Ternary => self.ternary(lhs, depth)?,
             };
         }
         Ok(lhs)
     }
 
-    fn prefix(&mut self) -> Result<Expr> {
-        match self.next() {
-            Tok::Num(n) => Ok(Expr::Num(n)),
-            Tok::Str(s) => Ok(Expr::Str(s)),
-            Tok::True => Ok(Expr::Bool(true)),
-            Tok::False => Ok(Expr::Bool(false)),
-            Tok::Null => Ok(Expr::Null),
-            Tok::Minus => Ok(Expr::Unary {
-                neg: true,
-                expr: Box::new(self.expr(11)?),
-            }),
-            Tok::Bang => Ok(Expr::Unary {
-                neg: false,
-                expr: Box::new(self.expr(11)?),
-            }),
-            Tok::LParen => {
-                let e = self.expr(0)?;
-                self.expect(Tok::RParen)?;
-                Ok(e)
+    /// Consume the infix operator at the cursor if it binds at `min_bp` or
+    /// tighter.
+    fn infix(&mut self, min_bp: u8) -> Option<Infix> {
+        let op = match self.peek() {
+            Tok::OrOr => Op::Or,
+            Tok::AndAnd => Op::And,
+            Tok::Eq => Op::Eq,
+            Tok::NotEq => Op::NotEq,
+            Tok::Lt => Op::Lt,
+            Tok::LtEq => Op::LtEq,
+            Tok::Gt => Op::Gt,
+            Tok::GtEq => Op::GtEq,
+            Tok::Plus => Op::Add,
+            Tok::Minus => Op::Sub,
+            Tok::Star => Op::Mul,
+            Tok::Slash => Op::Div,
+            Tok::Percent => Op::Mod,
+            Tok::Caret => Op::Pow,
+            // ternary binds loosest of all
+            Tok::Question if min_bp == 0 => {
+                self.next();
+                return Some(Infix::Ternary);
             }
-            Tok::Ident(name) => {
-                if *self.peek() == Tok::LParen {
-                    self.next();
-                    let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
-                        loop {
-                            args.push(self.expr(0)?);
-                            if *self.peek() == Tok::Comma {
-                                self.next();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::RParen)?;
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Var(name))
-                }
-            }
-            t => Err(ExprError::parse(format!("unexpected token {t:?}"))),
+            _ => return None,
+        };
+        let (lbp, rbp) = op.binding_power();
+        if lbp < min_bp {
+            return None;
         }
+        self.next();
+        Some(Infix::Binary(op, rbp))
     }
+
+    /// The branches of a ternary whose `?` was just consumed.
+    fn ternary(&mut self, cond: Expr, depth: usize) -> Result<Expr> {
+        let then = self.expr(0, depth + 1)?;
+        self.expect(Tok::Colon)?;
+        let otherwise = self.expr(0, depth + 1)?;
+        Ok(Expr::Ternary {
+            cond: Box::new(cond),
+            then: Box::new(then),
+            otherwise: Box::new(otherwise),
+        })
+    }
+
+    fn prefix(&mut self, depth: usize) -> Result<Expr> {
+        let neg = match self.next() {
+            Tok::Minus => true,
+            Tok::Bang => false,
+            Tok::LParen => {
+                let e = self.expr(0, depth + 1)?;
+                self.expect(Tok::RParen)?;
+                return Ok(e);
+            }
+            Tok::Ident(name) if *self.peek() == Tok::LParen => {
+                self.next();
+                let mut args = Vec::new();
+                if *self.peek() != Tok::RParen {
+                    loop {
+                        args.push(self.expr(0, depth + 1)?);
+                        if *self.peek() != Tok::Comma {
+                            break;
+                        }
+                        self.next();
+                    }
+                }
+                self.expect(Tok::RParen)?;
+                return Ok(Expr::Call { name, args });
+            }
+            t => return leaf(t),
+        };
+        let expr = Box::new(self.expr(11, depth + 1)?);
+        Ok(Expr::Unary { neg, expr })
+    }
+}
+
+/// An infix operator [`Parser::infix`] consumed.
+enum Infix {
+    /// A binary operator and the binding power of its right operand.
+    Binary(Op, u8),
+    /// The `?` of a ternary.
+    Ternary,
+}
+
+/// The expression a token stands for on its own.
+fn leaf(t: Tok) -> Result<Expr> {
+    match t {
+        Tok::Num(n) => Ok(Expr::Num(n)),
+        Tok::Str(s) => Ok(Expr::Str(s)),
+        Tok::True => Ok(Expr::Bool(true)),
+        Tok::False => Ok(Expr::Bool(false)),
+        Tok::Null => Ok(Expr::Null),
+        Tok::Ident(name) => Ok(Expr::Var(name)),
+        t => Err(ExprError::parse(format!("unexpected token {t:?}"))),
+    }
+}
+
+fn too_deep() -> ExprError {
+    ExprError::parse(format!("expression nesting deeper than {MAX_EXPR_DEPTH}"))
 }
 
 #[cfg(test)]

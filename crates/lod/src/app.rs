@@ -7,7 +7,6 @@ use kyrix_core::{
     link_zoom_levels, AppSpec, CanvasSpec, LayerSpec, MarkEncoding, PlacementSpec, PlanHint,
     RenderSpec, TransformSpec, ZoomLevelRef,
 };
-use kyrix_storage::Rect;
 
 /// Coordinate columns of a level's table (raw columns at level 0,
 /// cluster centers above).
@@ -84,50 +83,6 @@ pub fn lod_app(cfg: &LodConfig, viewport: (f64, f64)) -> AppSpec {
         .viewport(viewport.0, viewport.1)
 }
 
-/// The auto-tuned construction path next to [`lod_app`]'s static hints: a
-/// deterministic calibration walk over the pyramid's canvases, for
-/// `kyrix-server`'s `PlanPolicy::Measured`. Instead of trusting the
-/// tiles-on-clustered / boxes-on-raw hints, feed these `(canvas, viewport)`
-/// steps into a `CalibrationTrace` and launch with a `Measured` policy —
-/// the tuner then *measures* every candidate plan on every level a user
-/// actually visits and resolves the cheapest per level.
-///
-/// The walk mirrors the zoom traces users take through a pyramid: levels
-/// are visited coarsest → raw → back to coarsest (so both sides of every
-/// adjacent-level boundary are costed), with `steps_per_level` zig-zag
-/// pans from each level's center, clamped to the level canvas. It is pure
-/// arithmetic — no RNG — so two calls produce identical traces and tuned
-/// assignments are reproducible.
-pub fn lod_calibration_walk(
-    cfg: &LodConfig,
-    viewport: (f64, f64),
-    steps_per_level: usize,
-) -> Vec<(String, Rect)> {
-    let mut visit: Vec<usize> = (0..=cfg.levels).rev().collect();
-    visit.extend(1..=cfg.levels);
-    let mut out = Vec::with_capacity(visit.len() * steps_per_level);
-    for &k in &visit {
-        let canvas = cfg.level_canvas(k);
-        let (w, h) = cfg.level_size(k);
-        let half = (viewport.0 / 2.0, viewport.1 / 2.0);
-        let clamp_x = |v: f64| v.clamp(half.0, (w - half.0).max(half.0));
-        let clamp_y = |v: f64| v.clamp(half.1, (h - half.1).max(half.1));
-        let (mut cx, mut cy) = (w / 2.0, h / 2.0);
-        for s in 0..steps_per_level {
-            // zig-zag: big pan out, smaller pan back — covers unaligned
-            // viewports (where tile and box costs differ most) without RNG
-            let dir = if s % 2 == 0 { 1.0 } else { -0.6 };
-            cx = clamp_x(cx + dir * viewport.0 / 2.0);
-            cy = clamp_y(cy + dir * viewport.1 / 3.0);
-            out.push((
-                canvas.clone(),
-                Rect::centered(cx, cy, viewport.0, viewport.1),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,32 +108,6 @@ mod tests {
         // zoom-out from raw uses the raw coordinate columns
         let zout = app.jump("zoomout_level0_level1").unwrap();
         assert_eq!(zout.viewport_x.as_deref(), Some("x / 2"));
-    }
-
-    #[test]
-    fn calibration_walk_visits_every_level_twice_deterministically() {
-        let cfg = LodConfig::new("pts", 4096.0, 4096.0, 2);
-        let vp = (512.0, 512.0);
-        let walk = lod_calibration_walk(&cfg, vp, 3);
-        // coarsest → raw → back: levels 2,1,0,1,2 × 3 steps each
-        assert_eq!(walk.len(), 5 * 3);
-        for k in 0..=2usize {
-            let visits = walk
-                .iter()
-                .filter(|(c, _)| *c == cfg.level_canvas(k))
-                .count();
-            assert_eq!(visits, if k == 0 { 3 } else { 6 }, "level {k}");
-        }
-        // every step is viewport-sized and inside its level canvas
-        for (canvas, rect) in &walk {
-            let k: usize = canvas.strip_prefix("level").unwrap().parse().unwrap();
-            let (w, h) = cfg.level_size(k);
-            assert!((rect.width() - vp.0).abs() < 1e-9);
-            assert!(rect.min_x >= 0.0 && rect.max_x <= w.max(vp.0));
-            assert!(rect.min_y >= 0.0 && rect.max_y <= h.max(vp.1));
-        }
-        // deterministic: no RNG anywhere
-        assert_eq!(walk, lod_calibration_walk(&cfg, vp, 3));
     }
 
     #[test]

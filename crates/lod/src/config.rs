@@ -53,28 +53,9 @@ impl LodConfig {
         }
     }
 
-    /// Override the id/x/y column names (defaults: `id`, `x`, `y`).
-    pub fn with_columns(
-        mut self,
-        id: impl Into<String>,
-        x: impl Into<String>,
-        y: impl Into<String>,
-    ) -> Self {
-        self.id_column = id.into();
-        self.x_column = x.into();
-        self.y_column = y.into();
-        self
-    }
-
     /// Add a measure column aggregated as `sum_<col>` / `avg_<col>`.
     pub fn with_measure(mut self, column: impl Into<String>) -> Self {
         self.measures.push(column.into());
-        self
-    }
-
-    /// Override the canvas shrink factor between adjacent levels.
-    pub fn with_zoom_factor(mut self, factor: f64) -> Self {
-        self.zoom_factor = factor;
         self
     }
 
@@ -161,10 +142,11 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_configs() {
         assert!(LodConfig::new("t", 100.0, 100.0, 0).validate().is_err());
-        assert!(LodConfig::new("t", 100.0, 100.0, 1)
-            .with_zoom_factor(1.0)
-            .validate()
-            .is_err());
+        let flat = LodConfig {
+            zoom_factor: 1.0,
+            ..LodConfig::new("t", 100.0, 100.0, 1)
+        };
+        assert!(flat.validate().is_err());
         assert!(LodConfig::new("t", 100.0, 100.0, 1)
             .with_spacing(0.0)
             .validate()

@@ -91,7 +91,7 @@ pub mod pyramid;
 mod state;
 
 pub use aggregate::Cluster;
-pub use app::{lod_app, lod_calibration_walk};
+pub use app::lod_app;
 pub use config::LodConfig;
 pub use error::{LodError, Result};
 pub use grid::{cell_of, Cell, SpacingGrid};

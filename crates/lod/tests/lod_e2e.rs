@@ -11,13 +11,10 @@
 
 use kyrix_client::Session;
 use kyrix_core::compile;
-use kyrix_lod::{
-    build_pyramid, build_pyramid_on_shards, lod_app, lod_calibration_walk, LodConfig, SpacingGrid,
-};
+use kyrix_lod::{build_pyramid, build_pyramid_on_shards, lod_app, LodConfig, SpacingGrid};
 use kyrix_parallel::{scatter_gather, Partitioner};
 use kyrix_server::{
-    fetch_rect, BoxPolicy, CalibrationTrace, FetchPlan, KyrixServer, PlanPolicy, ServerConfig,
-    TileDesign, Tiling,
+    fetch_rect, BoxPolicy, FetchPlan, KyrixServer, PlanPolicy, ServerConfig, TileDesign, Tiling,
 };
 use kyrix_storage::{Database, Rect, Value};
 use kyrix_workload::{galaxy_rows, galaxy_schema, index_galaxy, load_zipf_galaxy, GalaxyConfig};
@@ -355,115 +352,6 @@ fn mixed_plans_serve_one_lod_app_across_a_zoom_trace() {
     );
 }
 
-/// Acceptance: an *auto-tuned* server end-to-end — launch with
-/// `PlanPolicy::Measured` over the 3-level `zipf_galaxy` pyramid, let the
-/// tuner replay the deterministic calibration walk against both candidate
-/// plans on every level, then drive a session zoom trace through the
-/// tuned (potentially mixed-plan) assignment from the coarsest level down
-/// to raw and back.
-#[test]
-fn auto_tuned_policy_serves_the_pyramid_end_to_end() {
-    let g = GalaxyConfig::e2e();
-    let cfg = lod_config(&g);
-    let (db, _pyramid) = built_db(&g, &cfg);
-    let spec = lod_app(&cfg, (1024.0, 1024.0));
-    let app = compile(&spec, &db).unwrap();
-    let tiles = FetchPlan::StaticTiles {
-        size: 1024.0,
-        design: TileDesign::SpatialIndex,
-    };
-    let boxes = FetchPlan::DynamicBox {
-        policy: BoxPolicy::Exact,
-    };
-    let trace = CalibrationTrace::from_steps(lod_calibration_walk(&cfg, (1024.0, 1024.0), 4));
-    assert!(!trace.is_empty());
-    let policy = PlanPolicy::measured(vec![tiles, boxes], trace);
-    let (server, reports) =
-        KyrixServer::launch(app, db, ServerConfig::from_policy(policy)).unwrap();
-    assert!(
-        reports.iter().all(|r| r.skipped_separable),
-        "every candidate precompute takes the separable fast path"
-    );
-
-    // ---- the tuner measured both candidates on every level and the
-    // server resolved each level to its per-level argmin
-    let report = server.tuning_report().expect("measured launch reports");
-    assert_eq!(report.layers.len(), LEVELS + 1);
-    for lt in &report.layers {
-        assert!(lt.steps > 0, "{}: calibration visited the level", lt.canvas);
-        assert_eq!(lt.candidates.len(), 2);
-        assert!(lt
-            .candidates
-            .iter()
-            .all(|c| lt.chosen_cost().modeled_ms <= c.modeled_ms));
-        assert_eq!(
-            server.plan_for(&lt.canvas, lt.layer).unwrap(),
-            lt.chosen_plan()
-        );
-    }
-    // the tuned assignment never loses to either uniform assignment on
-    // the calibration measurements
-    let total = report.total_modeled_ms();
-    assert!(total.is_finite() && total > 0.0);
-    assert!(total <= report.uniform_modeled_ms(&tiles).unwrap());
-    assert!(total <= report.uniform_modeled_ms(&boxes).unwrap());
-    // the assignment freezes into a static per-layer policy that resolves
-    // identically (for reuse without re-measuring)
-    let frozen = report.frozen_policy(boxes);
-    for k in 0..=LEVELS {
-        let canvas = cfg.level_canvas(k);
-        let layer = &server.app().canvas(&canvas).unwrap().layers[0];
-        assert_eq!(
-            frozen.resolve(layer),
-            report.chosen(&canvas, 0).unwrap(),
-            "frozen policy diverges on level {k}"
-        );
-    }
-
-    // ---- zoom trace through the tuned assignment: coarsest → raw → back
-    let server = Arc::new(server);
-    let (mut session, first) = Session::open(server.clone()).unwrap();
-    assert_eq!(session.canvas_id(), cfg.level_canvas(LEVELS));
-    assert!(first.visible_rows > 0, "the tuned overview shows marks");
-    for to in (0..LEVELS).rev() {
-        let from = to + 1;
-        let row = server
-            .snapshot()
-            .query(
-                &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(from)),
-                &[],
-            )
-            .unwrap()
-            .rows[0]
-            .clone();
-        let jump_id = format!("zoomin_{}_{}", cfg.level_canvas(from), cfg.level_canvas(to));
-        let outcome = session.jump(&jump_id, 0, &row).unwrap();
-        assert!(
-            outcome.report.visible_rows > 0,
-            "level {to} shows marks after the zoom-in"
-        );
-        session.pan_by(512.0, 256.0).unwrap();
-    }
-    assert_eq!(session.canvas_id(), "level0");
-    let raw_row = server
-        .snapshot()
-        .query(
-            &format!("SELECT * FROM {} LIMIT 1", cfg.level_table(0)),
-            &[],
-        )
-        .unwrap()
-        .rows[0]
-        .clone();
-    let back = format!("zoomout_{}_{}", cfg.level_canvas(0), cfg.level_canvas(1));
-    let outcome = session.jump(&back, 0, &raw_row).unwrap();
-    assert_eq!(outcome.to_canvas, cfg.level_canvas(1));
-    assert!(outcome.report.visible_rows > 0);
-
-    // the session's traffic is attributable per level
-    let raw_totals = server.layer_totals("level0", 0).unwrap();
-    assert!(raw_totals.requests > 0, "raw level served the session");
-}
-
 #[test]
 fn sharded_pyramid_matches_single_node() {
     let g = GalaxyConfig::e2e();
@@ -499,6 +387,32 @@ fn sharded_pyramid_matches_single_node() {
     }
 }
 
+/// A deterministic walk over the pyramid's levels, as users zoom through
+/// it: coarsest → raw → back to coarsest, with `steps_per_level` zig-zag
+/// pans from each level's center, clamped to the level canvas. Pure
+/// arithmetic — no RNG — so two calls produce identical walks.
+fn zoom_walk(cfg: &LodConfig, viewport: (f64, f64), steps_per_level: usize) -> Vec<(usize, Rect)> {
+    let mut visit: Vec<usize> = (0..=cfg.levels).rev().collect();
+    visit.extend(1..=cfg.levels);
+    let mut out = Vec::with_capacity(visit.len() * steps_per_level);
+    for &k in &visit {
+        let (w, h) = cfg.level_size(k);
+        let half = (viewport.0 / 2.0, viewport.1 / 2.0);
+        let clamp_x = |v: f64| v.clamp(half.0, (w - half.0).max(half.0));
+        let clamp_y = |v: f64| v.clamp(half.1, (h - half.1).max(half.1));
+        let (mut cx, mut cy) = (w / 2.0, h / 2.0);
+        for s in 0..steps_per_level {
+            // zig-zag: big pan out, smaller pan back — unaligned viewports
+            // without RNG
+            let dir = if s % 2 == 0 { 1.0 } else { -0.6 };
+            cx = clamp_x(cx + dir * viewport.0 / 2.0);
+            cy = clamp_y(cy + dir * viewport.1 / 3.0);
+            out.push((k, Rect::centered(cx, cy, viewport.0, viewport.1)));
+        }
+    }
+    out
+}
+
 /// Physical design: the raw table is clustered on its spatial index by its
 /// loader and every level table is written in the leaf order of its own,
 /// so a viewport's rows sit on adjacent heap pages — summed over a walk of
@@ -532,15 +446,11 @@ fn a_zoom_walk_reads_a_few_heap_pages_per_hundred_rows() {
     let pyramid = build_pyramid_on_shards(&mut shards, &part, &cfg).unwrap();
     let router = pyramid.shard_router().unwrap();
 
-    let table_of = |canvas: &str| {
-        let level = (0..=LEVELS).find(|k| cfg.level_canvas(*k) == canvas);
-        cfg.level_table(level.expect("the walk stays on the pyramid's canvases"))
-    };
     let (mut one_node, mut on_grid) = ((0, 0), (0, 0));
-    for (canvas, rect) in lod_calibration_walk(&cfg, (1024.0, 1024.0), 6) {
+    for (level, rect) in zoom_walk(&cfg, (1024.0, 1024.0), 6) {
         let sql = format!(
             "SELECT * FROM {} WHERE bbox && rect($1, $2, $3, $4)",
-            table_of(&canvas)
+            cfg.level_table(level)
         );
         let params = [rect.min_x, rect.min_y, rect.max_x, rect.max_y].map(Value::Float);
         let a = single.query(&sql, &params).unwrap().stats;

@@ -1,27 +1,21 @@
 //! End-to-end acceptance of the *sharded serving engine* over the LoD
 //! pyramid: build the zoom hierarchy directly on a shard grid with
 //! `build_pyramid_on_shards`, serve it through the scatter-gather backend
-//! (`KyrixServer::launch_sharded`), and pin that
-//!
-//! * `PlanPolicy::Measured` tuning resolves the *same* per-level plan
-//!   assignment against the sharded backend as against a single node on
-//!   the same calibration walk (the tuner is backend-agnostic), and
-//! * live mutations route each raw delta to its owning shard
-//!   (`insert_points_sharded` / `delete_points_sharded` through
-//!   `KyrixServer::mutate_shards`), bump only the dirty shards' entries
-//!   in the published version vector, invalidate exactly the stale
-//!   regions, and leave level tables bit-identical to a from-scratch
-//!   single-node rebuild over the final point set.
+//! (`KyrixServer::launch_sharded`), and pin that live mutations route
+//! each raw delta to its owning shard (`insert_points_sharded` /
+//! `delete_points_sharded` through `KyrixServer::mutate_shards`), bump
+//! only the dirty shards' entries in the published version vector,
+//! invalidate exactly the stale regions, and leave level tables
+//! bit-identical to a from-scratch single-node rebuild over the final
+//! point set.
 
 use kyrix_client::Session;
 use kyrix_core::compile;
-use kyrix_lod::{
-    build_pyramid, build_pyramid_on_shards, lod_app, lod_calibration_walk, LodConfig, RawPoint,
-};
+use kyrix_lod::{build_pyramid, build_pyramid_on_shards, lod_app, LodConfig, RawPoint};
 use kyrix_parallel::Partitioner;
 use kyrix_server::{
-    BoxPolicy, CalibrationTrace, DirtyRegion, FetchPlan, KyrixServer, PlanPolicy, ServerConfig,
-    ServerError, TileDesign,
+    BoxPolicy, DirtyRegion, FetchPlan, KyrixServer, PlanPolicy, ServerConfig, ServerError,
+    TileDesign,
 };
 use kyrix_storage::{Database, Rect};
 use kyrix_workload::{galaxy_rows, galaxy_schema, index_galaxy, load_zipf_galaxy, GalaxyConfig};
@@ -55,68 +49,6 @@ fn galaxy_shards(g: &GalaxyConfig, cols: u32, rows: u32) -> (Vec<Database>, Part
         index_galaxy(db).unwrap();
     }
     (shards, part)
-}
-
-/// The tuner is backend-agnostic: `PlanPolicy::Measured`, calibrated on
-/// the deterministic `lod_calibration_walk`, picks the same plan for
-/// every `(canvas, layer)` whether the cold replay runs against the
-/// single-node head or the scatter-gather sharded backend. The choice is
-/// dominated by the modeled request/query/byte overheads, which depend
-/// only on what the walk fetches — and both backends return identical
-/// rows. Where two plans fetch identical work (a cold multi-tile viewport
-/// under tiles is the very fetch an exact box makes) only measured DB time
-/// tells them apart, and the tuner keeps the earlier candidate.
-#[test]
-fn measured_tuning_resolves_the_same_plans_on_shards() {
-    let g = GalaxyConfig::e2e();
-    let levels = 3;
-    let cfg = LodConfig::new("galaxy", g.width, g.height, levels)
-        .with_measure("mass")
-        .with_measure("lum")
-        .with_spacing(24.0);
-    let tiles = FetchPlan::StaticTiles {
-        size: 1024.0,
-        design: TileDesign::SpatialIndex,
-    };
-    let boxes = FetchPlan::DynamicBox {
-        policy: BoxPolicy::Exact,
-    };
-    let policy = || {
-        let trace = CalibrationTrace::from_steps(lod_calibration_walk(&cfg, (1024.0, 1024.0), 4));
-        PlanPolicy::measured(vec![tiles, boxes], trace)
-    };
-
-    let mut db = Database::new();
-    load_zipf_galaxy(&mut db, &g).unwrap();
-    index_galaxy(&mut db).unwrap();
-    build_pyramid(&mut db, &cfg).unwrap();
-    let app = compile(&lod_app(&cfg, (1024.0, 1024.0)), &db).unwrap();
-    let (single, _) = KyrixServer::launch(app, db, ServerConfig::from_policy(policy())).unwrap();
-
-    let (mut shards, part) = galaxy_shards(&g, 2, 2);
-    let pyramid = build_pyramid_on_shards(&mut shards, &part, &cfg).unwrap();
-    let router = pyramid.shard_router().unwrap().clone();
-    let app = compile(&lod_app(&cfg, (1024.0, 1024.0)), &shards[0]).unwrap();
-    let sharded =
-        KyrixServer::launch_sharded(app, shards, router, ServerConfig::from_policy(policy()))
-            .unwrap();
-
-    let a = single.tuning_report().expect("single-node tuning report");
-    let b = sharded.tuning_report().expect("sharded tuning report");
-    assert_eq!(a.layers.len(), b.layers.len());
-    for k in 0..=levels {
-        let canvas = cfg.level_canvas(k);
-        assert_eq!(
-            a.chosen(&canvas, 0).unwrap(),
-            b.chosen(&canvas, 0).unwrap(),
-            "tuned plan diverged between backends on level {k}"
-        );
-        assert_eq!(
-            single.plan_for(&canvas, 0).unwrap(),
-            sharded.plan_for(&canvas, 0).unwrap(),
-            "resolved serving plan diverged on level {k}"
-        );
-    }
 }
 
 /// Live mutation against the sharded backend, end to end: inserts and

@@ -24,13 +24,6 @@ pub struct CacheStats {
     pub evicted_weight: u64,
 }
 
-impl CacheStats {
-    /// Entries removed for any cause.
-    pub fn total_removals(&self) -> u64 {
-        self.capacity_evictions + self.invalidation_removals
-    }
-}
-
 /// LRU cache where each entry carries a weight (e.g. tuple count) and the
 /// cache evicts least-recently-used entries once total weight exceeds
 /// capacity. A zero-capacity cache stores nothing.
@@ -235,7 +228,7 @@ mod tests {
         assert_eq!(c.get(&3), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(s.total_removals(), 0);
+        assert_eq!((s.capacity_evictions, s.invalidation_removals), (0, 0));
     }
 
     #[test]

@@ -18,9 +18,9 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Validated constructor. Costs feed plan comparisons (the tuner ranks
-    /// candidate plans by [`CostModel::cost_ms`]-derived totals), so every
-    /// parameter is clamped to a value that keeps costs finite and
+    /// Validated constructor. Costs feed plan comparisons (the Figure 6/7
+    /// tables rank fetch schemes by [`CostModel::cost_ms`]-derived totals),
+    /// so every parameter is clamped to a value that keeps costs finite and
     /// non-negative: negative or non-finite per-request overheads become 0,
     /// and a zero, negative, or NaN bandwidth — which would make the bytes
     /// term `inf`, negative, or NaN and poison min-by comparisons — is
@@ -66,7 +66,7 @@ impl CostModel {
     /// positive: the fields are public, so a hand-built model can carry a
     /// zero or negative bandwidth that [`CostModel::new`] would have
     /// clamped, and dividing by it would yield `inf`/negative costs that
-    /// break the tuner's cheapest-plan comparisons.
+    /// break cheapest-plan comparisons.
     pub fn cost_ms(&self, requests: u64, queries: u64, bytes: u64) -> f64 {
         requests as f64 * self.rtt_ms
             + queries as f64 * self.query_overhead_ms
@@ -115,7 +115,7 @@ mod tests {
     fn degenerate_bandwidth_never_poisons_costs() {
         // regression: a zero/negative/NaN bytes_per_ms used to slip past the
         // is_finite() check and yield inf / negative / NaN costs, which break
-        // the tuner's min-by-cost plan comparisons (NaN ordering)
+        // min-by-cost plan comparisons (NaN ordering)
         for bpm in [0.0, -5.0, f64::NAN] {
             let m = CostModel {
                 bytes_per_ms: bpm,

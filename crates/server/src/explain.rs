@@ -2,15 +2,12 @@
 //!
 //! The storage crate's `EXPLAIN SELECT ...` names the access path one
 //! query takes; this module renders the *server* half of the same story:
-//! which [`FetchPlan`] the layer resolved to, why the policy/tuner chose
-//! it (per-candidate modeled costs when the launch was
-//! [`crate::PlanPolicy::Measured`]), and — closing the loop — the
-//! storage-level plan of the representative fetch SQL the layer serves
-//! with. One report makes both halves of a fetch debuggable: build it
-//! with [`crate::KyrixServer::explain`].
+//! which [`FetchPlan`] the layer resolved to, the policy that chose it,
+//! and — closing the loop — the storage-level plan of the representative
+//! fetch SQL the layer serves with. One report makes both halves of a
+//! fetch debuggable: build it with [`crate::KyrixServer::explain`].
 
 use crate::precompute::{FetchPlan, LayerStore};
-use crate::tuner::LayerTuning;
 use std::fmt;
 
 /// Everything [`crate::KyrixServer::explain`] resolved for one layer,
@@ -24,12 +21,9 @@ pub struct LayerExplain {
     pub layer: usize,
     /// The fetch plan the layer is serving.
     pub plan: FetchPlan,
-    /// Label of the policy that resolved it ([`crate::PlanPolicy::label`]);
-    /// for static policies this *is* the rationale.
+    /// Label of the policy that resolved it ([`crate::PlanPolicy::label`]):
+    /// the rationale.
     pub policy_label: String,
-    /// The tuner's measurement for this layer — present iff the launch was
-    /// `Measured` and the layer was tuned (not static).
-    pub tuning: Option<LayerTuning>,
     /// Representative fetch SQL the store serves with (None for static
     /// layers, which fetch nothing).
     pub fetch_sql: Option<String>,
@@ -61,22 +55,6 @@ impl fmt::Display for LayerExplain {
             self.plan.label(),
             self.policy_label
         )?;
-        match &self.tuning {
-            Some(t) => {
-                writeln!(f, "  tuner: {} calibration steps", t.steps)?;
-                for (i, c) in t.candidates.iter().enumerate() {
-                    writeln!(
-                        f,
-                        "    {} {:<24} modeled {:.2} ms{}",
-                        if i == t.chosen { "->" } else { "  " },
-                        c.plan.label(),
-                        c.modeled_ms,
-                        if i == t.chosen { "  [chosen]" } else { "" },
-                    )?;
-                }
-            }
-            None => writeln!(f, "  tuner: not measured (static policy or static layer)")?,
-        }
         match &self.fetch_sql {
             Some(sql) => {
                 writeln!(f, "  fetch SQL: {sql}")?;

@@ -160,10 +160,8 @@ impl TileMatcher {
 /// viewport itself (the server fills the tiles off the request path); for
 /// dynamic boxes, one policy-computed box. One request either way.
 ///
-/// This is the measurement primitive behind the plan tuner
-/// ([`crate::tuner`]) and the cold half of a region serve: it attributes a
-/// trace step's cost to one `(store, plan)` pair without touching the
-/// launched server's caches or per-layer totals.
+/// This is the cold half of a region serve: it costs one `(store, plan)`
+/// pair without touching the launched server's caches or per-layer totals.
 pub(crate) fn fetch_plan_cold(
     db: &dyn SnapshotView,
     store: &LayerStore,
@@ -171,26 +169,11 @@ pub(crate) fn fetch_plan_cold(
     canvas_bounds: &Rect,
     rect: &Rect,
 ) -> Result<(Vec<Row>, FetchMetrics)> {
-    match cold_target(db, store, plan, canvas_bounds, rect)? {
-        Some(target) => fetch_cold(db, store, &target),
-        None => Ok((Vec::new(), FetchMetrics::default())),
-    }
-}
-
-/// The one rectangle [`fetch_plan_cold`] fetches for `rect` (`None` when
-/// no tile covers it).
-pub(crate) fn cold_target(
-    db: &dyn SnapshotView,
-    store: &LayerStore,
-    plan: &FetchPlan,
-    canvas_bounds: &Rect,
-    rect: &Rect,
-) -> Result<Option<Rect>> {
-    Ok(Some(match plan {
+    let target = match plan {
         FetchPlan::StaticTiles { size, .. } => {
             let tiling = Tiling::new(*size);
             match tiling.covering(rect)?[..] {
-                [] => return Ok(None),
+                [] => return Ok((Vec::new(), FetchMetrics::default())),
                 [tile] => tiling.tile_rect(tile),
                 _ => *rect,
             }
@@ -198,16 +181,8 @@ pub(crate) fn cold_target(
         FetchPlan::DynamicBox { policy } => {
             compute_fetch_box(db, store, policy, rect, canvas_bounds)
         }
-    }))
-}
-
-/// A cold serve's one fetch of `target`: one request, one query.
-pub(crate) fn fetch_cold(
-    db: &dyn SnapshotView,
-    store: &LayerStore,
-    target: &Rect,
-) -> Result<(Vec<Row>, FetchMetrics)> {
-    let (rows, mut metrics) = fetch_rect(db, store, target)?;
+    };
+    let (rows, mut metrics) = fetch_rect(db, store, &target)?;
     metrics.requests = 1;
     Ok((rows, metrics))
 }
@@ -216,7 +191,7 @@ pub(crate) fn fetch_cold(
 /// store's spatial count as the density estimator. The estimator closure
 /// is lazy — only [`BoxPolicy::DensityAdaptive`] ever invokes it — so this
 /// is the single box-computation path for both the server's cached box
-/// fetch and the tuner's cold measurements.
+/// fetch and its cold serve.
 pub fn compute_fetch_box(
     db: &dyn SnapshotView,
     store: &LayerStore,

@@ -15,9 +15,6 @@
 //! * an explicit, configurable **cost model** for the network/DBMS
 //!   overheads that an in-process reproduction does not naturally pay —
 //!   [`cost`];
-//! * trace-cost-driven **plan auto-tuning**: `PlanPolicy::Measured`
-//!   replays a calibration trace against every candidate plan per
-//!   `(canvas, layer)` and resolves the cheapest — [`tuner`];
 //! * **telemetry** threaded through the whole request and mutation paths
 //!   (spans, histograms, snapshot gauges; `kyrix-obs`) and an end-to-end
 //!   **EXPLAIN** per served layer — [`explain`];
@@ -42,7 +39,6 @@ pub mod precompute;
 pub mod prefetch;
 pub mod server;
 pub mod tile;
-pub mod tuner;
 
 pub use backend::{Snapshot, SnapshotView};
 pub use cache::{CacheStats, LruCache};
@@ -64,4 +60,3 @@ pub use server::{
     BoxResponse, DirtyRegion, KyrixServer, PrefetchPolicy, ServerConfig, PREFETCH_QUEUE_BOUND,
 };
 pub use tile::{TileId, Tiling, MAX_COVERING_TILES};
-pub use tuner::{measure_plan, CalibrationTrace, CandidateCost, LayerTuning, TuningReport};

@@ -12,7 +12,6 @@
 //! cache, and prefetch site.
 
 use crate::precompute::FetchPlan;
-use crate::tuner::CalibrationTrace;
 use kyrix_core::{CompiledLayer, PlanHint};
 
 /// How the fetch plan of each `(canvas, layer)` is chosen.
@@ -21,8 +20,8 @@ pub enum PlanPolicy {
     /// One plan for every layer of every canvas (the pre-policy behavior).
     Uniform(FetchPlan),
     /// Explicit per-`(canvas, layer)` overrides with a fallback — the
-    /// finest-grained static policy, and the exact shape a tuned
-    /// assignment freezes into ([`crate::TuningReport::frozen_policy`]).
+    /// finest-grained policy, for a developer who measured their app and
+    /// picked a plan per layer (the paper's §4 methodology).
     PerLayer {
         /// Plan for layers without an override.
         default: FetchPlan,
@@ -37,21 +36,6 @@ pub enum PlanPolicy {
         tiles: FetchPlan,
         /// Plan for layers hinted toward (or defaulting to) dynamic boxes.
         boxes: FetchPlan,
-    },
-    /// Measure, don't guess: at launch the tuner ([`crate::tuner`])
-    /// replays `trace` against every candidate plan of every non-static
-    /// layer and resolves the cheapest by modeled cost — the paper's
-    /// measure-then-pick methodology (§4, Figures 6/7), automated per
-    /// `(canvas, layer)`. Candidate order is the preference order: ties
-    /// (and canvases the trace never visits) keep the earlier candidate.
-    /// The resulting assignment is exposed through
-    /// [`crate::KyrixServer::tuning_report`] and can be frozen into a
-    /// static [`PlanPolicy::PerLayer`] policy for later launches.
-    Measured {
-        /// Candidate plans, in preference order (ties keep the earlier).
-        candidates: Vec<FetchPlan>,
-        /// The representative trace the tuner replays per candidate.
-        trace: CalibrationTrace,
     },
 }
 
@@ -85,24 +69,7 @@ impl PlanPolicy {
         self
     }
 
-    /// Measured policy over candidate plans and a calibration trace.
-    /// An empty candidate list is a configuration mistake (`launch` fails
-    /// with a `Config` error, and a direct `resolve` has no fallback to
-    /// return) and panics in debug builds.
-    pub fn measured(candidates: Vec<FetchPlan>, trace: CalibrationTrace) -> Self {
-        debug_assert!(
-            !candidates.is_empty(),
-            "Measured policy needs at least one candidate plan"
-        );
-        PlanPolicy::Measured { candidates, trace }
-    }
-
     /// Resolve the concrete plan for one layer.
-    ///
-    /// [`PlanPolicy::Measured`] is resolved by the launch-time tuner, not
-    /// here; calling `resolve` on it returns the first candidate — the
-    /// same fallback the tuner uses for static layers and canvases the
-    /// calibration trace never visits.
     pub fn resolve(&self, layer: &CompiledLayer) -> FetchPlan {
         match self {
             PlanPolicy::Uniform(plan) => *plan,
@@ -115,9 +82,6 @@ impl PlanPolicy {
                 Some(PlanHint::StaticTiles) => *tiles,
                 Some(PlanHint::DynamicBox) | None => *boxes,
             },
-            PlanPolicy::Measured { candidates, .. } => *candidates
-                .first()
-                .expect("Measured policy needs at least one candidate plan"),
         }
     }
 
@@ -134,13 +98,6 @@ impl PlanPolicy {
             }
             PlanPolicy::SpecHints { tiles, boxes } => {
                 format!("hinted({} / {})", tiles.label(), boxes.label())
-            }
-            PlanPolicy::Measured { candidates, trace } => {
-                format!(
-                    "measured({} candidates, {} steps)",
-                    candidates.len(),
-                    trace.len()
-                )
             }
         }
     }
@@ -207,14 +164,6 @@ mod tests {
         assert_eq!(p.resolve(&layer("c", Some(PlanHint::StaticTiles))), TILES);
         assert_eq!(p.resolve(&layer("c", Some(PlanHint::DynamicBox))), BOXES);
         assert_eq!(p.resolve(&layer("c", None)), BOXES, "unhinted → boxes");
-    }
-
-    #[test]
-    fn measured_resolve_falls_back_to_the_first_candidate() {
-        let p = PlanPolicy::measured(vec![TILES, BOXES], CalibrationTrace::new());
-        // direct resolution (tuner not involved) = the preference fallback
-        assert_eq!(p.resolve(&layer("c", None)), TILES);
-        assert!(p.label().contains("measured(2 candidates, 0 steps)"));
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::prefetch::{
     neighbor_rects, predict_viewport, rank_by_similarity, RegionSignature, SemanticTracker,
 };
 use crate::tile::{TileId, Tiling, MAX_COVERING_TILES};
-use crate::tuner::{self, LayerPlans, TuningReport};
 use kyrix_core::{CompiledApp, CompiledLayer};
 use kyrix_obs::{Counter, FamilyMember, Gauge, Registry};
 use kyrix_parallel::QueryRouter;
@@ -63,7 +62,7 @@ pub enum PrefetchPolicy {
 pub struct ServerConfig {
     /// How each `(canvas, layer)`'s fetch plan is chosen at launch.
     pub policy: PlanPolicy,
-    /// Cost model used by the tuner and by fetch-metric scoring.
+    /// Cost model fetch metrics are scored with ([`FetchMetrics::modeled_ms`]).
     pub cost: CostModel,
     /// Backend tile-cache capacity in *tuples* (0 disables).
     pub backend_cache_rows: usize,
@@ -201,9 +200,8 @@ type LayerKey = (u32, u32);
 /// so a fetch takes no metrics lock shared with another layer's.
 #[derive(Default)]
 struct LayerStats {
-    /// Foreground metrics — and therefore of the layer's resolved plan.
-    /// The substrate for inspecting how a plan assignment performs live
-    /// (the tuner measures candidates on its own side channel instead).
+    /// Foreground metrics — and therefore of the layer's resolved plan:
+    /// how a plan assignment performs live.
     foreground: FetchMetrics,
     /// Backend-side work the prefetch worker did on this layer.
     prefetch: FetchMetrics,
@@ -784,8 +782,6 @@ pub struct KyrixServer {
     inner: Arc<Inner>,
     prefetcher: Option<Prefetcher>,
     config: ServerConfig,
-    /// Present iff the launch policy was [`PlanPolicy::Measured`].
-    tuning: Option<TuningReport>,
 }
 
 impl KyrixServer {
@@ -794,11 +790,7 @@ impl KyrixServer {
     /// precomputation reports.
     ///
     /// A layer's store does not depend on its plan, so stores are built
-    /// once, before plans are resolved. A [`PlanPolicy::Measured`] policy is
-    /// resolved by the tuner ([`crate::tuner`]): every candidate plan is
-    /// costed on the calibration trace over the built stores before the
-    /// cheapest wins; the assignment is available afterwards via
-    /// [`KyrixServer::tuning_report`].
+    /// once, before plans are resolved.
     pub fn launch(
         app: CompiledApp,
         mut db: Database,
@@ -811,9 +803,7 @@ impl KyrixServer {
             stores.insert(key, store);
             reports.push(report);
         }
-        let shards = vec![db];
-        let (plans, tuning) = Self::resolve_plans(&app, &config, &stores, &shards, None)?;
-        let server = Self::start(app, shards, None, stores, &plans, config, tuning)?;
+        let server = Self::start(app, vec![db], None, stores, config)?;
         Ok((server, reports))
     }
 
@@ -825,31 +815,8 @@ impl KyrixServer {
         })
     }
 
-    /// Resolve the launch policy for every layer over the built `stores`.
-    /// A `Measured` policy is tuned on a view of `shards` pinned without
-    /// telemetry, so the calibration replay stays out of the serving
-    /// histograms.
-    fn resolve_plans(
-        app: &CompiledApp,
-        config: &ServerConfig,
-        stores: &FxHashMap<LayerKey, LayerStore>,
-        shards: &[Database],
-        router: Option<&Arc<QueryRouter>>,
-    ) -> Result<(LayerPlans, Option<TuningReport>)> {
-        if let PlanPolicy::Measured { candidates, trace } = &config.policy {
-            let view = Snapshot::new(shards.to_vec(), router.cloned());
-            let (plans, tuning) = tuner::tune(&view, app, stores, candidates, trace, &config.cost)?;
-            return Ok((plans, Some(tuning)));
-        }
-        let plans = Self::layers_of(app)
-            .map(|(key, layer)| (key, config.policy.resolve(layer)))
-            .collect();
-        Ok((plans, None))
-    }
-
     /// The serving registry, with every database of the backend-to-be
-    /// reporting into it. Called after tuning so the calibration replay's
-    /// queries never pollute the serving-path histograms. The observer
+    /// reporting into it. The observer
     /// closure survives every copy-on-write clone of a database, so
     /// successor snapshots keep reporting `sql.execute` spans.
     fn observe_queries(dbs: &mut [Database]) -> Arc<Registry> {
@@ -868,20 +835,22 @@ impl KyrixServer {
         obs
     }
 
-    /// The tail of every launch: publish `shards` as the version-0 head
-    /// (several shards record their scatter-gather spans; one never
-    /// scatters), wire the resolved stores/plans into the shared state and
-    /// start the worker, if the config predicts or a layer caches tiles.
-    /// Fails only when the OS refuses that worker its thread.
+    /// The tail of every launch: resolve the policy for every layer,
+    /// publish `shards` as the version-0 head (several shards record their
+    /// scatter-gather spans; one never scatters), wire the stores and plans
+    /// into the shared state and start the worker, if the config predicts
+    /// or a layer caches tiles. Fails only when the OS refuses that worker
+    /// its thread.
     fn start(
         app: CompiledApp,
         mut shards: Vec<Database>,
         router: Option<Arc<QueryRouter>>,
         stores: FxHashMap<LayerKey, LayerStore>,
-        plans: &FxHashMap<LayerKey, FetchPlan>,
         config: ServerConfig,
-        tuning: Option<TuningReport>,
     ) -> Result<Self> {
+        let plans: FxHashMap<LayerKey, FetchPlan> = Self::layers_of(&app)
+            .map(|(key, layer)| (key, config.policy.resolve(layer)))
+            .collect();
         let obs = Self::observe_queries(&mut shards);
         let telemetry = (shards.len() > 1).then(|| ShardTelemetry {
             obs: Arc::clone(&obs),
@@ -894,7 +863,7 @@ impl KyrixServer {
             app,
             Head::new(head),
             stores,
-            plans,
+            &plans,
             &config,
             obs,
         ));
@@ -911,7 +880,6 @@ impl KyrixServer {
             inner,
             prefetcher,
             config,
-            tuning,
         })
     }
 
@@ -919,7 +887,7 @@ impl KyrixServer {
     /// `router` — serving every fetch by scatter-gather: a request routes
     /// to the shards its rectangle intersects, each probes its own R-tree,
     /// and the coordinator merge recombines the rows. Everything above the
-    /// backend (caches, prefetch, sessions, tuning) is unchanged — shards
+    /// backend (caches, prefetch, sessions) is unchanged — shards
     /// are invisible above the [`SnapshotView`] trait. One shard is served
     /// exactly as [`KyrixServer::launch`] serves its database: inline, with
     /// no routing, scatter or merge.
@@ -929,10 +897,6 @@ impl KyrixServer {
     /// (`SELECT *` transform, separable placement, per-shard point spatial
     /// index on the placement columns) — a materialized layer store would
     /// need a per-shard precompute pass and is refused at launch.
-    ///
-    /// A [`PlanPolicy::Measured`] policy is resolved by the same tuner as
-    /// [`KyrixServer::launch`]'s, on a pinned sharded view, so tuning
-    /// measures exactly the scatter-gather serve it will pick plans for.
     pub fn launch_sharded(
         app: CompiledApp,
         shards: Vec<Database>,
@@ -965,8 +929,7 @@ impl KyrixServer {
             };
             stores.insert(key, store);
         }
-        let (plans, tuning) = Self::resolve_plans(&app, &config, &stores, &shards, Some(&router))?;
-        Self::start(app, shards, Some(router), stores, &plans, config, tuning)
+        Self::start(app, shards, Some(router), stores, config)
     }
 
     /// How many shards the backend serves from (1 for a
@@ -983,14 +946,6 @@ impl KyrixServer {
     /// The fetch plan resolved for one layer at launch.
     pub fn plan_for(&self, canvas: &str, layer: usize) -> Result<FetchPlan> {
         Ok(self.inner.layer(canvas, layer)?.1.plan)
-    }
-
-    /// The tuner's per-layer candidate costs and chosen assignment. Present
-    /// iff the server was launched with [`PlanPolicy::Measured`]; use
-    /// [`crate::tuner::TuningReport::frozen_policy`] to reuse the
-    /// assignment in later launches without re-measuring.
-    pub fn tuning_report(&self) -> Option<&TuningReport> {
-        self.tuning.as_ref()
     }
 
     /// The cost model fetch metrics are scored with.
@@ -1318,20 +1273,13 @@ impl KyrixServer {
     }
 
     /// End-to-end EXPLAIN for one `(canvas, layer)`: the resolved
-    /// [`FetchPlan`] and the policy that chose it, the tuner's
-    /// per-candidate modeled costs (when the launch was
-    /// [`PlanPolicy::Measured`]), and the storage executor's plan for the layer's representative fetch SQL —
-    /// both halves of a fetch in one report. Render it with
+    /// [`FetchPlan`] and the policy that chose it, and the storage
+    /// executor's plan for the layer's representative fetch SQL — both
+    /// halves of a fetch in one report. Render it with
     /// [`crate::explain::LayerExplain::render`] (or `Display`).
     pub fn explain(&self, canvas: &str, layer: usize) -> Result<crate::explain::LayerExplain> {
         let plan = self.plan_for(canvas, layer)?;
         let store = self.store(canvas, layer)?;
-        let tuning = self.tuning.as_ref().and_then(|t| {
-            t.layers
-                .iter()
-                .find(|l| l.canvas == canvas && l.layer == layer)
-                .cloned()
-        });
         let fetch_sql = crate::explain::fetch_sql(&store);
         let mut storage_plan = Vec::new();
         if let Some(sql) = &fetch_sql {
@@ -1348,7 +1296,6 @@ impl KyrixServer {
             layer,
             plan,
             policy_label: self.config.policy.label(),
-            tuning,
             fetch_sql,
             storage_plan,
         })

@@ -6,8 +6,8 @@ use kyrix_core::{
     TransformSpec,
 };
 use kyrix_server::{
-    fetch_rect, BoxPolicy, BoxResponse, CalibrationTrace, CostModel, DirtyRegion, FetchMetrics,
-    FetchPlan, KyrixServer, LayerStore, MomentumTracker, PlanPolicy, PrefetchPolicy, ServerConfig,
+    fetch_rect, BoxPolicy, BoxResponse, CostModel, DirtyRegion, FetchMetrics, FetchPlan,
+    KyrixServer, LayerStore, MomentumTracker, PlanPolicy, PrefetchPolicy, ServerConfig,
     ServerError, Snapshot, TileDesign, TileId, Tiling, PREFETCH_QUEUE_BOUND,
 };
 use kyrix_storage::{
@@ -842,117 +842,6 @@ fn fully_prefetched_trace_reports_cold_totals() {
 }
 
 #[test]
-fn measured_policy_tunes_each_layer_from_the_trace() {
-    // Narrow modeled bandwidth (2 KB/ms) so byte over-fetch dominates:
-    // tile-aligned one-tile viewports make tiles cheapest on `overview`
-    // (the 50%-inflated box ships ~2x the rows for the same one request),
-    // while the 3x3 `detail` viewports inside one tile ship the whole tile
-    // under tiles and lose to one small inflated box.
-    let cost = CostModel::new(1.0, 2.0, 2_000.0);
-    let mut trace = CalibrationTrace::new();
-    for i in 0..3 {
-        let o = 10.0 * (i as f64 + 1.0);
-        trace.push("overview", Rect::new(o, 10.0, o + 10.0, 20.0));
-        trace.push("detail", tiny_viewport(o));
-    }
-    let policy = PlanPolicy::measured(vec![MIXED_TILES, MIXED_BOXES], trace);
-    let db = grid_db(true);
-    let app = compile(&two_canvas_app(false), &db).unwrap();
-    let (server, reports) =
-        KyrixServer::launch(app, db, ServerConfig::from_policy(policy).with_cost(cost)).unwrap();
-    assert_eq!(reports.len(), 2);
-
-    let report = server
-        .tuning_report()
-        .expect("measured launch reports")
-        .clone();
-    assert_eq!(report.layers.len(), 2);
-    for lt in &report.layers {
-        assert_eq!(lt.steps, 3, "every layer replayed its 3 trace steps");
-        assert_eq!(lt.candidates.len(), 2);
-        // chosen is the argmin of the recorded candidate costs…
-        assert!(lt
-            .candidates
-            .iter()
-            .all(|c| lt.chosen_cost().modeled_ms <= c.modeled_ms));
-        // …and the server resolved exactly that plan
-        assert_eq!(
-            server.plan_for(&lt.canvas, lt.layer).unwrap(),
-            lt.chosen_plan()
-        );
-    }
-    assert_eq!(
-        report.chosen("overview", 0),
-        Some(MIXED_TILES),
-        "aligned single-tile trace → tiles"
-    );
-    assert_eq!(
-        report.chosen("detail", 0),
-        Some(MIXED_BOXES),
-        "trace of viewports far smaller than a tile → boxes"
-    );
-    // the tuned assignment never loses to either uniform assignment on the
-    // calibration measurements
-    assert!(report.total_modeled_ms() <= report.uniform_modeled_ms(&MIXED_TILES).unwrap());
-    assert!(report.total_modeled_ms() <= report.uniform_modeled_ms(&MIXED_BOXES).unwrap());
-    // the tuned server serves mixed plans end-to-end
-    assert_mixed_serving(&server);
-
-    // freezing the report reproduces the assignment without re-measuring
-    let frozen = report.frozen_policy(MIXED_BOXES);
-    let db = grid_db(true);
-    let app = compile(&two_canvas_app(false), &db).unwrap();
-    let (frozen_server, _) =
-        KyrixServer::launch(app, db, ServerConfig::from_policy(frozen).with_cost(cost)).unwrap();
-    assert!(frozen_server.tuning_report().is_none(), "no tuning ran");
-    assert_eq!(frozen_server.plan_for("overview", 0).unwrap(), MIXED_TILES);
-    assert_eq!(frozen_server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
-}
-
-/// A cold viewport over several tiles under tiles is the very fetch an
-/// exact box makes. The tuner measures that fetch once and both
-/// candidates carry its cost, so they tie exactly and the earlier
-/// candidate keeps the layer in either order — measured DB time, which
-/// differs from one run of the same fetch to the next, never decides.
-#[test]
-fn candidates_that_make_the_same_fetch_tie_exactly() {
-    let exact = FetchPlan::DynamicBox {
-        policy: BoxPolicy::Exact,
-    };
-    let mut trace = CalibrationTrace::new();
-    for i in 0..6 {
-        // 10x10 viewports on a tile corner: four covering tiles each
-        let o = 5.0 + 10.0 * i as f64;
-        trace.push("overview", Rect::new(o, o, o + 10.0, o + 10.0));
-        trace.push("detail", Rect::new(o, 15.0, o + 10.0, 25.0));
-    }
-    // a viewport past every edge: the exact box clamps it to the canvas,
-    // the same fetch within the canvas
-    trace.push("overview", Rect::new(-10.0, -10.0, 110.0, 110.0));
-    for candidates in [vec![MIXED_TILES, exact], vec![exact, MIXED_TILES]] {
-        let first = candidates[0];
-        let policy = PlanPolicy::measured(candidates, trace.clone());
-        let db = grid_db(true);
-        let app = compile(&two_canvas_app(false), &db).unwrap();
-        let (server, _) = KyrixServer::launch(app, db, ServerConfig::from_policy(policy)).unwrap();
-        let report = server.tuning_report().expect("measured launch reports");
-        for lt in &report.layers {
-            let [a, b] = &lt.candidates[..] else {
-                panic!("two candidates")
-            };
-            assert_eq!(a.metrics, b.metrics, "{}: one fetch, one cost", lt.canvas);
-            assert_eq!(a.modeled_ms, b.modeled_ms);
-            assert_eq!(
-                lt.chosen, 0,
-                "{}: the tie keeps the earlier candidate",
-                lt.canvas
-            );
-            assert_eq!(server.plan_for(&lt.canvas, 0).unwrap(), first);
-        }
-    }
-}
-
-#[test]
 fn layer_totals_attribute_foreground_metrics_per_layer() {
     let db = grid_db(true);
     let app = compile(&two_canvas_app(false), &db).unwrap();
@@ -1296,52 +1185,33 @@ fn dirty_region_on_an_undeclared_table_aborts_before_publish() {
 
 // ---------------------------------------------------- end-to-end EXPLAIN
 
-/// Measured launch whose calibration trace makes tiles win `overview` and
-/// boxes win `detail`.
-///
-/// Calibration on `overview` is 4x4 viewports over a tile corner: a cold
-/// serve under tiles fetches the viewport (5x5 dots, counting the marks
-/// that poke in), less than the 50%-inflated box (7x7). On `detail` it is
-/// 3x3 viewports inside a tile: tiles ship the whole tile (11x11 dots),
-/// the box 6x6.
-fn launch_tuned() -> KyrixServer {
-    let cost = CostModel::new(1.0, 2.0, 2_000.0);
-    let mut trace = CalibrationTrace::new();
-    for i in 0..3 {
-        let o = 10.0 * (i as f64 + 2.0);
-        trace.push("overview", Rect::new(o - 2.0, 18.0, o + 2.0, 22.0));
-        trace.push("detail", tiny_viewport(o));
-    }
-    let policy = PlanPolicy::measured(vec![MIXED_TILES, MIXED_BOXES], trace);
+/// Mixed launch: tiles on `overview`, boxes on `detail`, by explicit
+/// per-layer override.
+fn launch_mixed() -> KyrixServer {
+    let policy = PlanPolicy::per_layer(MIXED_BOXES).with_layer("overview", 0, MIXED_TILES);
     let db = grid_db(true);
     let app = compile(&two_canvas_app(false), &db).unwrap();
-    let config = ServerConfig::from_policy(policy).with_cost(cost);
-    let (server, _) = KyrixServer::launch(app, db, config).unwrap();
+    let (server, _) = KyrixServer::launch(app, db, ServerConfig::from_policy(policy)).unwrap();
     assert_eq!(server.plan_for("overview", 0).unwrap(), MIXED_TILES);
     assert_eq!(server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
     server
 }
 
-/// A 3x3 viewport inside the tile whose left edge is at `o`.
-fn tiny_viewport(o: f64) -> Rect {
-    Rect::new(o + 3.0, 13.0, o + 6.0, 16.0)
-}
-
 #[test]
-fn explain_renders_plan_tuner_drift_and_storage_path() {
-    let server = launch_tuned();
+fn explain_renders_plan_policy_and_storage_path() {
+    let server = launch_mixed();
 
-    // The tuner's rationale: both candidates with their modeled costs.
+    // The rationale: the serving plan and the policy that chose it.
     let ex = server.explain("overview", 0).unwrap();
     assert_eq!(ex.plan, MIXED_TILES);
-    let tuning = ex.tuning.as_ref().expect("measured launch was tuned");
-    assert_eq!(tuning.candidates.len(), 2, "per-candidate modeled costs");
-    assert!(tuning.candidates.iter().all(|c| c.modeled_ms.is_finite()));
+    let label = format!("per-layer({}, 1 overrides)", MIXED_BOXES.label());
+    assert_eq!(ex.policy_label, label);
     let text = ex.render();
     assert!(text.contains("EXPLAIN canvas=overview layer=0"), "{text}");
-    assert!(text.contains("tuner: 3 calibration steps"), "{text}");
-    assert!(text.contains("[chosen]"), "{text}");
+    let serving = format!("serving plan: {} (policy: {label})", MIXED_TILES.label());
+    assert!(text.contains(&serving), "{text}");
     assert!(!text.contains("drift"), "{text}");
+    assert!(!text.contains("tuner"), "{text}");
 
     // The storage half: the layer's fetch SQL and its access path.
     // The SQL is the statement a fetch executes, text for text: fetch one
@@ -1372,9 +1242,8 @@ fn explain_renders_plan_tuner_drift_and_storage_path() {
 fn explain_on_a_static_launch_says_why_nothing_was_measured() {
     let server = launch(grid_db(false), PlacementSpec::point("x", "y"), MIXED_TILES);
     let ex = server.explain("main", 0).unwrap();
-    assert!(ex.tuning.is_none());
     let text = ex.render();
-    assert!(text.contains("tuner: not measured"), "{text}");
+    assert!(!text.contains("tuner"), "{text}");
     assert!(!text.contains("drift"), "{text}");
     assert!(text.contains("policy:"), "{text}");
     assert!(server.explain("nope", 0).is_err(), "unknown canvas errors");

@@ -30,10 +30,20 @@ fn statement_kind(stmt: &Statement) -> &'static str {
     }
 }
 
+/// How deeply expressions may nest: each parenthesis, `NOT` and unary `-`
+/// opens a level. The parser recurses once per level, so a deeper
+/// expression is refused instead of overflowing the stack.
+const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parse any supported statement: SELECT, INSERT, DELETE, UPDATE, EXPLAIN.
+/// Expressions nested more than 256 deep are an error.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.expect(Token::Eof)?;
     Ok(stmt)
@@ -42,6 +52,8 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -427,155 +439,139 @@ impl Parser {
     // -------------------------------------------------------- expressions
 
     fn expr(&mut self) -> Result<SqlExpr> {
-        self.or_expr()
+        self.expr_bp(0)
     }
 
-    fn or_expr(&mut self) -> Result<SqlExpr> {
-        let mut left = self.and_expr()?;
-        while self.eat(Token::Or) {
-            let right = self.and_expr()?;
-            left = SqlExpr::Binary {
-                op: BinOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<SqlExpr> {
-        let mut left = self.not_expr()?;
-        while self.eat(Token::And) {
-            let right = self.not_expr()?;
-            left = SqlExpr::Binary {
-                op: BinOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> Result<SqlExpr> {
-        if self.eat(Token::Not) {
-            Ok(SqlExpr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.cmp_expr()
-        }
-    }
-
-    fn cmp_expr(&mut self) -> Result<SqlExpr> {
-        let left = self.add_expr()?;
-        let op = match self.peek() {
-            Token::Eq => Some(BinOp::Eq),
-            Token::NotEq => Some(BinOp::NotEq),
-            Token::Lt => Some(BinOp::Lt),
-            Token::LtEq => Some(BinOp::LtEq),
-            Token::Gt => Some(BinOp::Gt),
-            Token::GtEq => Some(BinOp::GtEq),
-            Token::Between => {
+    /// Precedence climbing: one expression whose infix operators bind at
+    /// `min_bp` or tighter (loosest first: `OR`, `AND`, prefix `NOT`, the
+    /// comparisons, `+ -`, `* /`, prefix `-`). A comparison takes no
+    /// comparison as its left operand (`a = b = c` is an error), and
+    /// nothing tighter follows `BETWEEN … AND …` or `&& rect(…)`. This,
+    /// [`Parser::nested`] and the comparison helpers are the only
+    /// functions that recurse, so each nesting level costs little stack.
+    fn expr_bp(&mut self, min_bp: u8) -> Result<SqlExpr> {
+        let (mut lhs, mut lhs_bp) = match self.peek() {
+            Token::Not if min_bp <= NOT_BP => {
                 self.next();
-                let lo = self.add_expr()?;
-                self.expect(Token::And)?;
-                let hi = self.add_expr()?;
-                return Ok(SqlExpr::Between {
-                    expr: Box::new(left),
-                    lo: Box::new(lo),
-                    hi: Box::new(hi),
-                });
+                (SqlExpr::Not(Box::new(self.nested(NOT_BP)?)), NOT_BP)
             }
-            Token::AmpAmp => {
+            Token::Minus => {
                 self.next();
-                // rect(x0, y0, x1, y1)
-                let fname = self.ident()?;
-                if !fname.eq_ignore_ascii_case("rect") {
-                    return Err(StorageError::ParseError(format!(
-                        "expected rect(...) after &&, found `{fname}`"
-                    )));
-                }
-                self.expect(Token::LParen)?;
-                let x0 = self.add_expr()?;
-                self.expect(Token::Comma)?;
-                let y0 = self.add_expr()?;
-                self.expect(Token::Comma)?;
-                let x1 = self.add_expr()?;
-                self.expect(Token::Comma)?;
-                let y1 = self.add_expr()?;
+                (SqlExpr::Neg(Box::new(self.nested(NEG_BP)?)), u8::MAX)
+            }
+            Token::LParen => {
+                self.next();
+                let e = self.nested(0)?;
                 self.expect(Token::RParen)?;
-                // the left side must be the `bbox` pseudo-column
-                match &left {
-                    SqlExpr::Column(c) if c.column.eq_ignore_ascii_case("bbox") => {}
-                    other => {
-                        return Err(StorageError::ParseError(format!(
-                            "left side of && must be the bbox pseudo-column, found {other:?}"
-                        )))
+                (e, u8::MAX)
+            }
+            _ => (self.primary()?, u8::MAX),
+        };
+        while let Some((infix, bp)) = self.infix() {
+            // an operator tighter than the one just applied was refused by
+            // its right operand, and comparisons do not chain
+            if bp < min_bp || bp > lhs_bp || (bp == CMP_BP && lhs_bp == CMP_BP) {
+                break;
+            }
+            self.next();
+            lhs = match infix {
+                Infix::Binary(op) => {
+                    let right = self.expr_bp(bp + 1)?;
+                    SqlExpr::Binary {
+                        op,
+                        left: Box::new(lhs),
+                        right: Box::new(right),
                     }
                 }
-                return Ok(SqlExpr::SpatialIntersect {
-                    rect: [Box::new(x0), Box::new(y0), Box::new(x1), Box::new(y1)],
-                });
-            }
+                Infix::Between => self.between(lhs)?,
+                Infix::Spatial => self.spatial(lhs)?,
+            };
+            lhs_bp = bp;
+        }
+        Ok(lhs)
+    }
+
+    /// Parse an operand one nesting level deeper (under a parenthesis,
+    /// `NOT` or unary `-`), refusing past [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, min_bp: u8) -> Result<SqlExpr> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(StorageError::ParseError(format!(
+                "expression nesting deeper than {MAX_EXPR_DEPTH}"
+            )));
+        }
+        self.depth += 1;
+        let out = self.expr_bp(min_bp);
+        self.depth -= 1;
+        out
+    }
+
+    /// The infix operator at the cursor with its binding power, not
+    /// consumed.
+    fn infix(&self) -> Option<(Infix, u8)> {
+        let binary = |op, bp| Some((Infix::Binary(op), bp));
+        match self.peek() {
+            Token::Or => binary(BinOp::Or, OR_BP),
+            Token::And => binary(BinOp::And, AND_BP),
+            Token::Eq => binary(BinOp::Eq, CMP_BP),
+            Token::NotEq => binary(BinOp::NotEq, CMP_BP),
+            Token::Lt => binary(BinOp::Lt, CMP_BP),
+            Token::LtEq => binary(BinOp::LtEq, CMP_BP),
+            Token::Gt => binary(BinOp::Gt, CMP_BP),
+            Token::GtEq => binary(BinOp::GtEq, CMP_BP),
+            Token::Between => Some((Infix::Between, CMP_BP)),
+            Token::AmpAmp => Some((Infix::Spatial, CMP_BP)),
+            Token::Plus => binary(BinOp::Add, ADD_BP),
+            Token::Minus => binary(BinOp::Sub, ADD_BP),
+            Token::Star => binary(BinOp::Mul, MUL_BP),
+            Token::Slash => binary(BinOp::Div, MUL_BP),
             _ => None,
-        };
-        if let Some(op) = op {
-            self.next();
-            let right = self.add_expr()?;
-            Ok(SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            })
-        } else {
-            Ok(left)
         }
     }
 
-    fn add_expr(&mut self) -> Result<SqlExpr> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let right = self.mul_expr()?;
-            left = SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    /// `expr BETWEEN lo AND hi`, after `BETWEEN`.
+    fn between(&mut self, expr: SqlExpr) -> Result<SqlExpr> {
+        let lo = self.expr_bp(ADD_BP)?;
+        self.expect(Token::And)?;
+        let hi = self.expr_bp(ADD_BP)?;
+        Ok(SqlExpr::Between {
+            expr: Box::new(expr),
+            lo: Box::new(lo),
+            hi: Box::new(hi),
+        })
     }
 
-    fn mul_expr(&mut self) -> Result<SqlExpr> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.next();
-            let right = self.unary_expr()?;
-            left = SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+    /// `bbox && rect(x0, y0, x1, y1)`, after `&&`.
+    fn spatial(&mut self, left: SqlExpr) -> Result<SqlExpr> {
+        let fname = self.ident()?;
+        if !fname.eq_ignore_ascii_case("rect") {
+            return Err(StorageError::ParseError(format!(
+                "expected rect(...) after &&, found `{fname}`"
+            )));
         }
-        Ok(left)
+        self.expect(Token::LParen)?;
+        let x0 = self.expr_bp(ADD_BP)?;
+        self.expect(Token::Comma)?;
+        let y0 = self.expr_bp(ADD_BP)?;
+        self.expect(Token::Comma)?;
+        let x1 = self.expr_bp(ADD_BP)?;
+        self.expect(Token::Comma)?;
+        let y1 = self.expr_bp(ADD_BP)?;
+        self.expect(Token::RParen)?;
+        // the left side must be the `bbox` pseudo-column
+        match &left {
+            SqlExpr::Column(c) if c.column.eq_ignore_ascii_case("bbox") => {}
+            other => {
+                return Err(StorageError::ParseError(format!(
+                    "left side of && must be the bbox pseudo-column, found {other:?}"
+                )))
+            }
+        }
+        Ok(SqlExpr::SpatialIntersect {
+            rect: [Box::new(x0), Box::new(y0), Box::new(x1), Box::new(y1)],
+        })
     }
 
-    fn unary_expr(&mut self) -> Result<SqlExpr> {
-        if self.eat(Token::Minus) {
-            Ok(SqlExpr::Neg(Box::new(self.unary_expr()?)))
-        } else {
-            self.primary()
-        }
-    }
-
+    /// A literal, parameter or column reference.
     fn primary(&mut self) -> Result<SqlExpr> {
         match self.next() {
             Token::Int(n) => Ok(SqlExpr::Literal(Value::Int(n))),
@@ -585,11 +581,6 @@ impl Parser {
             Token::False => Ok(SqlExpr::Literal(Value::Bool(false))),
             Token::Null => Ok(SqlExpr::Literal(Value::Null)),
             Token::Param(n) => Ok(SqlExpr::Param(n)),
-            Token::LParen => {
-                let e = self.expr()?;
-                self.expect(Token::RParen)?;
-                Ok(e)
-            }
             Token::Ident(first) => {
                 if self.eat(Token::Dot) {
                     let col = self.ident()?;
@@ -603,6 +594,22 @@ impl Parser {
             ))),
         }
     }
+}
+
+/// Binding powers of [`Parser::expr_bp`], loosest first.
+const OR_BP: u8 = 1;
+const AND_BP: u8 = 2;
+const NOT_BP: u8 = 3;
+const CMP_BP: u8 = 4;
+const ADD_BP: u8 = 5;
+const MUL_BP: u8 = 6;
+const NEG_BP: u8 = 7;
+
+/// An infix operator of [`Parser::infix`].
+enum Infix {
+    Binary(BinOp),
+    Between,
+    Spatial,
 }
 
 #[cfg(test)]

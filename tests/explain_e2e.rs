@@ -1,5 +1,5 @@
 //! End-to-end EXPLAIN through the facade: one report covers both halves
-//! of a fetch — the server's plan/tuner rationale and the storage
+//! of a fetch — the server's plan/policy rationale and the storage
 //! executor's access path for the layer's fetch SQL — and the storage
 //! fast paths announce themselves through the same `Database` handle the
 //! apps use.
