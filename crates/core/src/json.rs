@@ -64,21 +64,14 @@ impl Json {
         }
     }
 
-    /// Serialize compactly.
-    pub fn to_string_compact(&self) -> String {
-        let mut s = String::new();
-        self.write(&mut s, None, 0);
-        s
-    }
-
     /// Serialize with 2-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut s = String::new();
-        self.write(&mut s, Some(2), 0);
+        self.write(&mut s, 0);
         s
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut String, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -100,10 +93,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent, depth + 1);
-                    v.write(out, indent, depth + 1);
+                    newline_indent(out, depth + 1);
+                    v.write(out, depth + 1);
                 }
-                newline_indent(out, indent, depth);
+                newline_indent(out, depth);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -116,27 +109,22 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent, depth + 1);
+                    newline_indent(out, depth + 1);
                     write_json_string(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
+                    out.push_str(": ");
+                    v.write(out, depth + 1);
                 }
-                newline_indent(out, indent, depth);
+                newline_indent(out, depth);
                 out.push('}');
             }
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(n) = indent {
-        out.push('\n');
-        for _ in 0..n * depth {
-            out.push(' ');
-        }
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..2 * depth {
+        out.push(' ');
     }
 }
 
@@ -860,8 +848,6 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("b").unwrap().as_str().unwrap(), "hi\nthere");
         assert_eq!(v.get("c"), Some(&Json::Null));
-        let back = parse_json(&v.to_string_compact()).unwrap();
-        assert_eq!(back, v);
         let pretty = parse_json(&v.to_string_pretty()).unwrap();
         assert_eq!(pretty, v);
     }

@@ -73,6 +73,8 @@ impl SpacingGrid {
 
     /// Record a retained mark (identified by caller-side index).
     pub fn insert(&mut self, idx: usize, x: f64, y: f64) {
+        // a mark is 32 bytes: u32::MAX of them would be 128 GiB of grid
+        #[allow(clippy::expect_used)]
         let slot = u32::try_from(self.marks.len())
             .ok()
             .filter(|slot| *slot != NO_MARK)

@@ -16,8 +16,10 @@
 //!   members' bounding box;
 //! * [`build_pyramid_on_shards`] runs the same construction over a raw
 //!   table partitioned across shard databases: shards cluster their
-//!   local points into grid cells in parallel, the coordinator merges
-//!   boundary cells — producing the same level tables as a single node —
+//!   local points into grid cells one after another on the calling
+//!   thread (a thread per shard would strand what it frees in an
+//!   allocator arena of its own), the coordinator merges boundary cells —
+//!   producing the same level tables as a single node —
 //!   and each level row is written to the shard whose grid cell owns it,
 //!   with a [`kyrix_parallel::QueryRouter`] over every level table: the
 //!   layout `kyrix-server`'s scatter-gather backend serves directly;
@@ -79,6 +81,7 @@
 //! assert_eq!(spec.canvases.len(), 3);
 //! ```
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
 pub mod app;

@@ -1158,6 +1158,7 @@ fn regional_retention(
                 continue;
             }
             // outside the region nothing was written: no tombstones
+            #[allow(clippy::expect_used)]
             let ext = st
                 .cand(n)
                 .expect("an untouched retained cell has a candidate");
@@ -1206,6 +1207,8 @@ fn output_for(st: &LevelState, r: Cell) -> Cluster {
         })
         .collect();
     members.sort_unstable_by(|a, b| by_importance(a, b));
+    // `r` is retained, and the repair swept its region's tombstones first
+    #[allow(clippy::expect_used)]
     let mut out = st.cand(r).expect("a retained cell has a candidate").clone();
     for m in members {
         out.absorb(m);

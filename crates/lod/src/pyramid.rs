@@ -229,19 +229,20 @@ pub(crate) fn level_row(scale: f64, c: &Cluster) -> Row {
     Row::new(values)
 }
 
-/// One database's raw points aggregated into level-1 grid cells, plus
-/// the level-1 cell of every point id (the secondary index maintenance
-/// keeps).
-type LocalCells = (LevelState, FxHashMap<i64, Cell>);
-
 /// Phase 1 over one database's raw table (local to a shard): one scan
-/// folds every row into its level-1 cell's record, in scan order. No
-/// point outlives its own fold.
-fn local_cells(db: &Database, cfg: &LodConfig, layout: &RawLayout) -> Result<LocalCells> {
+/// folds every row into its level-1 cell's record, in scan order, and
+/// records each point id's level-1 cell in `ids` — the secondary index
+/// maintenance keeps, shared by every database of the build, so an id an
+/// earlier database already holds is a duplicate. No point outlives its
+/// own fold.
+fn local_cells(
+    db: &Database,
+    cfg: &LodConfig,
+    layout: &RawLayout,
+    ids: &mut FxHashMap<i64, Cell>,
+) -> Result<LevelState> {
     let table = db.table(&cfg.table)?;
     let scale1 = cfg.level_scale(1);
-    let mut ids: FxHashMap<i64, Cell> =
-        FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
     // the one table that grows as it fills: counting level 1's cells first
     // would take a second scan, and its last doubling happens before the
     // coarser levels exist — far below the build's end state
@@ -255,15 +256,15 @@ fn local_cells(db: &Database, cfg: &LodConfig, layout: &RawLayout) -> Result<Loc
         let cell = cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing);
         if ids.insert(p.rep_id, cell).is_some() {
             bad = Some(format!(
-                "table `{}` has duplicate values in id column `{}`",
-                cfg.table, cfg.id_column
+                "table `{}` has duplicate values in id column `{}` (id {})",
+                cfg.table, cfg.id_column, p.rep_id
             ));
         }
         cells.fold_candidate(cell, &p);
     })?;
     match bad {
         Some(msg) => Err(LodError::Schema(msg)),
-        None => Ok((cells, ids)),
+        None => Ok(cells),
     }
 }
 
@@ -311,10 +312,13 @@ fn write_level(
         }
         db.create_table(&table, schema.clone())?;
     }
-    let part = router.map(|r| {
-        r.partitioner(&table)
-            .expect("level table registered by sharded_router")
-    });
+    let part = router
+        .map(|r| {
+            r.partitioner(&table).ok_or_else(|| {
+                LodError::Config(format!("the shard router has no grid for `{table}`"))
+            })
+        })
+        .transpose()?;
     let scale = cfg.level_scale(level);
     let at = |c: &Cluster| (c.rep_x / scale, c.rep_y / scale);
     // each database's marks, still in rep-id order
@@ -353,8 +357,11 @@ fn write_level(
     Ok(())
 }
 
-/// The level loop every build runs: merge the per-database level-1 cell
-/// maps (in database order — the canonical float accumulation order),
+/// The level loop every build runs: fold every database's raw rows into
+/// level-1 cells (phase 1: one database after another on the calling
+/// thread, into one id map sized once for every raw row), merge the
+/// per-database cell maps (in database order — the canonical float
+/// accumulation order),
 /// cluster levels `1..=cfg.levels` keeping each level's records as
 /// maintenance state, and write every level table into `dbs` (routed by
 /// `sharding` when the pyramid lives on shards). A level's outputs are
@@ -364,23 +371,17 @@ fn build_levels(
     dbs: &mut [Database],
     sharding: Option<QueryRouter>,
     cfg: &LodConfig,
-    local: Vec<LocalCells>,
     start: Instant,
 ) -> Result<LodPyramid> {
-    let (maps, id_maps): (Vec<LevelState>, Vec<FxHashMap<i64, Cell>>) = local.into_iter().unzip();
-    let raw_rows: usize = id_maps.iter().map(FxHashMap::len).sum();
-    let mut id_maps = id_maps.into_iter();
-    let mut id_cells = id_maps.next().unwrap_or_default();
-    id_cells.reserve(raw_rows - id_cells.len());
-    for ids in id_maps {
-        id_cells.extend(ids);
+    let layout = raw_layout(&dbs[0], cfg)?;
+    let mut raw_rows = 0;
+    for db in dbs.iter() {
+        raw_rows += db.table(&cfg.table)?.len();
     }
-    if id_cells.len() != raw_rows {
-        return Err(LodError::Schema(format!(
-            "table `{}` has duplicate values in id column `{}` across shards",
-            cfg.table, cfg.id_column
-        )));
-    }
+    let mut id_cells = FxHashMap::with_capacity_and_hasher(raw_rows, Default::default());
+    let maps = (dbs.iter())
+        .map(|db| local_cells(db, cfg, &layout, &mut id_cells))
+        .collect::<Result<Vec<_>>>()?;
     let mut levels = vec![LevelInfo {
         level: 0,
         table: cfg.level_table(0),
@@ -436,9 +437,7 @@ fn build_levels(
 pub fn build_pyramid(db: &mut Database, cfg: &LodConfig) -> Result<LodPyramid> {
     cfg.validate()?;
     let start = Instant::now();
-    let layout = raw_layout(db, cfg)?;
-    let local = local_cells(db, cfg, &layout)?;
-    build_levels(std::slice::from_mut(db), None, cfg, vec![local], start)
+    build_levels(std::slice::from_mut(db), None, cfg, start)
 }
 
 /// The statement router of a shard-resident pyramid: the raw table under
@@ -491,12 +490,14 @@ fn sharded_router(partitioner: &Partitioner, cfg: &LodConfig, n: usize) -> Resul
 }
 
 /// Build the pyramid *and its level tables* directly on serving shards:
-/// every shard aggregates its local raw points into level-1 grid cells in
-/// parallel, the coordinator merges cells split across shard boundaries
-/// and runs the same level loop as [`build_pyramid`], and each level row
-/// is written to the shard whose grid cell owns its `(cx, cy)` position —
-/// the layout `kyrix-server`'s sharded backend serves with per-shard
-/// R-tree probes.
+/// every shard aggregates its local raw points into level-1 grid cells,
+/// one shard after another on the calling thread, the coordinator merges
+/// cells split across shard boundaries and runs the same level loop as
+/// [`build_pyramid`], and each level row is written to the shard whose
+/// grid cell owns its `(cx, cy)` position — the layout `kyrix-server`'s
+/// sharded backend serves with per-shard R-tree probes. (A thread per
+/// shard would allocate its shard's cells in an allocator arena of its
+/// own, where the memory they free later stays resident and unused.)
 ///
 /// The returned pyramid carries a router ([`LodPyramid::shard_router`])
 /// over the raw table and every level table; mutate it in place with
@@ -518,23 +519,7 @@ pub fn build_pyramid_on_shards(
     cfg.validate()?;
     let start = Instant::now();
     let router = sharded_router(partitioner, cfg, shards.len())?;
-    let layout = raw_layout(&shards[0], cfg)?;
-    // local clustering fan-out
-    let local: Vec<Result<LocalCells>> = std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|db| {
-                let layout = &layout;
-                s.spawn(move || local_cells(db, cfg, layout))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard clustering panicked"))
-            .collect()
-    });
-    let local = local.into_iter().collect::<Result<Vec<_>>>()?;
-    build_levels(shards, Some(router), cfg, local, start)
+    build_levels(shards, Some(router), cfg, start)
 }
 
 #[cfg(test)]
@@ -712,6 +697,36 @@ mod tests {
             build_pyramid_on_shards(&mut shards, &part, &cfg()),
             Err(LodError::Config(_))
         ));
+    }
+
+    /// A schema error that names the configured id column.
+    fn assert_duplicate_id(built: Result<LodPyramid>) {
+        match built {
+            Err(LodError::Schema(m)) => assert!(m.contains("id column `id`"), "{m}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_id_in_one_table_is_a_schema_error() {
+        let mut rows = grid_rows(1024);
+        rows[1].values[0] = Value::Int(0);
+        let mut db = Database::new();
+        db.create_table("pts", raw_schema()).unwrap();
+        for r in rows {
+            db.insert("pts", r).unwrap();
+        }
+        assert_duplicate_id(build_pyramid(&mut db, &cfg()));
+    }
+
+    #[test]
+    fn an_id_repeated_across_shards_is_a_schema_error() {
+        let mut rows = grid_rows(1024);
+        // (0, 0) lies on shard 0 and (248, 248) on shard 3
+        rows[1023].values[0] = Value::Int(0);
+        let part = grid_partitioner();
+        let mut shards = shard_set(rows, &part);
+        assert_duplicate_id(build_pyramid_on_shards(&mut shards, &part, &cfg()));
     }
 
     #[test]

@@ -208,6 +208,8 @@ impl LevelState {
         match self.cells.get_mut(&cell) {
             Some(rec) => {
                 assert!(rec.fate == Fate::UNDECIDED, "phase 1 on a decided cell");
+                // phase 1 inserts records with a candidate and removes none
+                #[allow(clippy::expect_used)]
                 rec.cand
                     .as_mut()
                     .expect("an undecided record has a candidate")
@@ -261,6 +263,8 @@ impl LevelState {
 
     /// Record retention's decision for `cell`.
     pub(crate) fn set_fate(&mut self, cell: Cell, fate: Fate) {
+        // both callers decide only cells they read off this level's records
+        #[allow(clippy::expect_used)]
         let rec = self
             .cells
             .get_mut(&cell)
@@ -273,7 +277,9 @@ impl LevelState {
     /// Fold `member`'s candidate into retained `absorber`'s output — one
     /// absorption of the greedy pass. The absorber's output is copied off
     /// its candidate the first time it absorbs, never before.
+    #[allow(clippy::expect_used)]
     pub(crate) fn absorb(&mut self, absorber: Cell, member: Cell) {
+        // retention absorbs between cells it ordered by candidate, removing none
         let m = self
             .cand(member)
             .expect("an absorbed cell has a candidate")
@@ -292,6 +298,8 @@ impl LevelState {
     /// contributes no row), boxing it only where it differs from the
     /// candidate. Ends a pin.
     pub(crate) fn store_output(&mut self, cell: Cell, out: Option<Cluster>) {
+        // a repair stores outputs only for cells it just found a record for
+        #[allow(clippy::expect_used)]
         let rec = self
             .cells
             .get_mut(&cell)

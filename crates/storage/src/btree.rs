@@ -206,29 +206,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         }
     }
 
-    /// First value associated with `key`, if any.
-    pub fn get_first(&self, key: &K) -> Option<&V> {
-        let mut leaf = self.find_leaf(key);
-        loop {
-            if let Node::Leaf { keys, vals, next } = &self.nodes[leaf] {
-                let pos = keys.partition_point(|k| k < key);
-                if pos < keys.len() {
-                    return if &keys[pos] == key {
-                        Some(&vals[pos])
-                    } else {
-                        None
-                    };
-                }
-                match next {
-                    Some(n) => leaf = *n,
-                    None => return None,
-                }
-            } else {
-                unreachable!("find_leaf returned internal node")
-            }
-        }
-    }
-
     /// Visit every value with this exact key.
     pub fn for_each_eq<F: FnMut(&V)>(&self, key: &K, mut f: F) -> usize {
         let mut count = 0;
@@ -385,10 +362,10 @@ mod tests {
         assert_eq!(t.len(), 1000);
         assert!(t.height() > 1);
         for i in 0..1000i64 {
-            assert_eq!(t.get_first(&i), Some(&(i * 10)), "key {i}");
+            assert_eq!(t.get_all(&i), vec![i * 10], "key {i}");
         }
-        assert_eq!(t.get_first(&-1), None);
-        assert_eq!(t.get_first(&1000), None);
+        assert!(t.get_all(&-1).is_empty());
+        assert!(t.get_all(&1000).is_empty());
     }
 
     #[test]
@@ -480,7 +457,7 @@ mod tests {
             next.insert(i * 20 + 1, -1);
             let splits = (next.nodes.len() - base.nodes.len()) as u64;
             assert!((1..=1 + splits).contains(&next.copies().elements));
-            assert_eq!(next.get_first(&(i * 20 + 1)), Some(&-1));
+            assert_eq!(next.get_all(&(i * 20 + 1)), vec![-1]);
             assert_eq!(next.len(), 501);
         }
         // none of it reached the original, leaf chain included

@@ -428,7 +428,7 @@ impl Table {
     }
 
     /// Find an index whose kind matches `pred`.
-    pub fn find_index<F: Fn(&IndexKind) -> bool>(&self, pred: F) -> Option<usize> {
+    fn find_index<F: Fn(&IndexKind) -> bool>(&self, pred: F) -> Option<usize> {
         self.indexes.iter().position(|i| pred(&i.kind))
     }
 

@@ -63,10 +63,6 @@ impl TableHeap {
         self.live == 0
     }
 
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Approximate resident bytes.
     pub fn bytes(&self) -> usize {
         self.pages.len() * PAGE_SIZE
@@ -148,7 +144,10 @@ mod tests {
         for _ in 0..50 {
             rids.push(h.insert(&tuple).unwrap());
         }
-        assert!(h.page_count() > 1);
+        assert!(
+            h.bytes() > PAGE_SIZE,
+            "50 tuples of 1000 bytes fit one page"
+        );
         assert_eq!(h.len(), 50);
         for rid in rids {
             assert_eq!(h.get(rid).unwrap(), &tuple[..]);

@@ -1,4 +1,5 @@
-//! Recursive-descent SQL parser.
+//! Recursive-descent SQL parser; expressions climb precedence on a stack
+//! of their own (`Parser::expr_bp`).
 
 use super::ast::*;
 use super::lexer::{lex, Token};
@@ -31,19 +32,16 @@ fn statement_kind(stmt: &Statement) -> &'static str {
 }
 
 /// How deeply expressions may nest: each parenthesis, `NOT` and unary `-`
-/// opens a level. The parser recurses once per level, so a deeper
-/// expression is refused instead of overflowing the stack.
+/// opens a level. The parser itself keeps no stack frame per level, but
+/// what walks the parsed tree (binding, evaluation, drop) recurses, so a
+/// deeper expression is refused.
 const MAX_EXPR_DEPTH: usize = 256;
 
 /// Parse any supported statement: SELECT, INSERT, DELETE, UPDATE, EXPLAIN.
 /// Expressions nested more than 256 deep are an error.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let tokens = lex(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     p.expect(Token::Eof)?;
     Ok(stmt)
@@ -52,8 +50,6 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    /// Expression levels open around the current token.
-    depth: usize,
 }
 
 impl Parser {
@@ -446,63 +442,112 @@ impl Parser {
     /// `min_bp` or tighter (loosest first: `OR`, `AND`, prefix `NOT`, the
     /// comparisons, `+ -`, `* /`, prefix `-`). A comparison takes no
     /// comparison as its left operand (`a = b = c` is an error), and
-    /// nothing tighter follows `BETWEEN … AND …` or `&& rect(…)`. This,
-    /// [`Parser::nested`] and the comparison helpers are the only
-    /// functions that recurse, so each nesting level costs little stack.
+    /// nothing tighter follows `BETWEEN … AND …` or `&& rect(…)`.
+    ///
+    /// The climb keeps its own stack instead of recursing: each operand it
+    /// starts pushes what the operand will become part of ([`Pending`])
+    /// with the binding power to resume at, so no input can exhaust the
+    /// thread's stack, whatever the profile. A parenthesis, `NOT` or unary
+    /// `-` opens a nesting level, and more than [`MAX_EXPR_DEPTH`] open
+    /// levels are refused.
     fn expr_bp(&mut self, min_bp: u8) -> Result<SqlExpr> {
-        let (mut lhs, mut lhs_bp) = match self.peek() {
-            Token::Not if min_bp <= NOT_BP => {
-                self.next();
-                (SqlExpr::Not(Box::new(self.nested(NOT_BP)?)), NOT_BP)
-            }
-            Token::Minus => {
-                self.next();
-                (SqlExpr::Neg(Box::new(self.nested(NEG_BP)?)), u8::MAX)
-            }
-            Token::LParen => {
-                self.next();
-                let e = self.nested(0)?;
-                self.expect(Token::RParen)?;
-                (e, u8::MAX)
-            }
-            _ => (self.primary()?, u8::MAX),
-        };
-        while let Some((infix, bp)) = self.infix() {
-            // an operator tighter than the one just applied was refused by
-            // its right operand, and comparisons do not chain
-            if bp < min_bp || bp > lhs_bp || (bp == CMP_BP && lhs_bp == CMP_BP) {
-                break;
-            }
-            self.next();
-            lhs = match infix {
-                Infix::Binary(op) => {
-                    let right = self.expr_bp(bp + 1)?;
-                    SqlExpr::Binary {
-                        op,
-                        left: Box::new(lhs),
-                        right: Box::new(right),
-                    }
+        let mut stack: Vec<(u8, Pending)> = Vec::new();
+        let mut depth = 0;
+        let mut min_bp = min_bp;
+        'operand: loop {
+            // open every level in front of the operand
+            loop {
+                let (pending, bp) = match self.peek() {
+                    Token::Not if min_bp <= NOT_BP => (Pending::Not, NOT_BP),
+                    Token::Minus => (Pending::Neg, NEG_BP),
+                    Token::LParen => (Pending::Paren, 0),
+                    _ => break,
+                };
+                if depth == MAX_EXPR_DEPTH {
+                    return Err(StorageError::ParseError(format!(
+                        "expression nesting deeper than {MAX_EXPR_DEPTH}"
+                    )));
                 }
-                Infix::Between => self.between(lhs)?,
-                Infix::Spatial => self.spatial(lhs)?,
-            };
-            lhs_bp = bp;
+                self.next();
+                depth += 1;
+                stack.push((min_bp, pending));
+                min_bp = bp;
+            }
+            let (mut lhs, mut lhs_bp) = (self.primary()?, u8::MAX);
+            loop {
+                // an operator tighter than the one just applied was refused
+                // by its right operand, and comparisons do not chain
+                let applies = |&(_, bp): &(Infix, u8)| {
+                    bp >= min_bp && bp <= lhs_bp && !(bp == CMP_BP && lhs_bp == CMP_BP)
+                };
+                if let Some((infix, bp)) = self.infix().filter(applies) {
+                    self.next();
+                    let (pending, operand_bp) = match infix {
+                        Infix::Binary(op) => (Pending::Binary(op, lhs, bp), bp + 1),
+                        Infix::Between => (Pending::BetweenLo(lhs), ADD_BP),
+                        Infix::Spatial => {
+                            let fname = self.ident()?;
+                            if !fname.eq_ignore_ascii_case("rect") {
+                                return Err(StorageError::ParseError(format!(
+                                    "expected rect(...) after &&, found `{fname}`"
+                                )));
+                            }
+                            self.expect(Token::LParen)?;
+                            (Pending::Rect(lhs, Vec::with_capacity(4)), ADD_BP)
+                        }
+                    };
+                    stack.push((min_bp, pending));
+                    min_bp = operand_bp;
+                    continue 'operand;
+                }
+                // `lhs` is complete: hand it to what it is an operand of
+                let Some((outer_bp, pending)) = stack.pop() else {
+                    return Ok(lhs);
+                };
+                min_bp = outer_bp;
+                depth -= usize::from(matches!(
+                    pending,
+                    Pending::Not | Pending::Neg | Pending::Paren
+                ));
+                (lhs, lhs_bp) = match pending {
+                    Pending::Not => (SqlExpr::Not(Box::new(lhs)), NOT_BP),
+                    Pending::Neg => (SqlExpr::Neg(Box::new(lhs)), u8::MAX),
+                    Pending::Paren => {
+                        self.expect(Token::RParen)?;
+                        (lhs, u8::MAX)
+                    }
+                    Pending::Binary(op, left, bp) => {
+                        let (left, right) = (Box::new(left), Box::new(lhs));
+                        (SqlExpr::Binary { op, left, right }, bp)
+                    }
+                    Pending::BetweenLo(expr) => {
+                        self.expect(Token::And)?;
+                        stack.push((min_bp, Pending::BetweenHi(expr, lhs)));
+                        min_bp = ADD_BP;
+                        continue 'operand;
+                    }
+                    Pending::BetweenHi(expr, lo) => {
+                        let (expr, lo, hi) = (Box::new(expr), Box::new(lo), Box::new(lhs));
+                        (SqlExpr::Between { expr, lo, hi }, CMP_BP)
+                    }
+                    Pending::Rect(left, mut corners) => {
+                        corners.push(lhs);
+                        match <[SqlExpr; 4]>::try_from(corners) {
+                            Ok(rect) => {
+                                self.expect(Token::RParen)?;
+                                (spatial(left, rect.map(Box::new))?, CMP_BP)
+                            }
+                            Err(corners) => {
+                                self.expect(Token::Comma)?;
+                                stack.push((min_bp, Pending::Rect(left, corners)));
+                                min_bp = ADD_BP;
+                                continue 'operand;
+                            }
+                        }
+                    }
+                };
+            }
         }
-        Ok(lhs)
-    }
-
-    /// Parse an operand one nesting level deeper (under a parenthesis,
-    /// `NOT` or unary `-`), refusing past [`MAX_EXPR_DEPTH`].
-    fn nested(&mut self, min_bp: u8) -> Result<SqlExpr> {
-        if self.depth == MAX_EXPR_DEPTH {
-            return Err(StorageError::ParseError(format!(
-                "expression nesting deeper than {MAX_EXPR_DEPTH}"
-            )));
-        }
-        self.depth += 1;
-        let out = self.expr_bp(min_bp);
-        self.depth -= 1;
-        out
     }
 
     /// The infix operator at the cursor with its binding power, not
@@ -526,49 +571,6 @@ impl Parser {
             Token::Slash => binary(BinOp::Div, MUL_BP),
             _ => None,
         }
-    }
-
-    /// `expr BETWEEN lo AND hi`, after `BETWEEN`.
-    fn between(&mut self, expr: SqlExpr) -> Result<SqlExpr> {
-        let lo = self.expr_bp(ADD_BP)?;
-        self.expect(Token::And)?;
-        let hi = self.expr_bp(ADD_BP)?;
-        Ok(SqlExpr::Between {
-            expr: Box::new(expr),
-            lo: Box::new(lo),
-            hi: Box::new(hi),
-        })
-    }
-
-    /// `bbox && rect(x0, y0, x1, y1)`, after `&&`.
-    fn spatial(&mut self, left: SqlExpr) -> Result<SqlExpr> {
-        let fname = self.ident()?;
-        if !fname.eq_ignore_ascii_case("rect") {
-            return Err(StorageError::ParseError(format!(
-                "expected rect(...) after &&, found `{fname}`"
-            )));
-        }
-        self.expect(Token::LParen)?;
-        let x0 = self.expr_bp(ADD_BP)?;
-        self.expect(Token::Comma)?;
-        let y0 = self.expr_bp(ADD_BP)?;
-        self.expect(Token::Comma)?;
-        let x1 = self.expr_bp(ADD_BP)?;
-        self.expect(Token::Comma)?;
-        let y1 = self.expr_bp(ADD_BP)?;
-        self.expect(Token::RParen)?;
-        // the left side must be the `bbox` pseudo-column
-        match &left {
-            SqlExpr::Column(c) if c.column.eq_ignore_ascii_case("bbox") => {}
-            other => {
-                return Err(StorageError::ParseError(format!(
-                    "left side of && must be the bbox pseudo-column, found {other:?}"
-                )))
-            }
-        }
-        Ok(SqlExpr::SpatialIntersect {
-            rect: [Box::new(x0), Box::new(y0), Box::new(x1), Box::new(y1)],
-        })
     }
 
     /// A literal, parameter or column reference.
@@ -610,6 +612,33 @@ enum Infix {
     Binary(BinOp),
     Between,
     Spatial,
+}
+
+/// What the operand [`Parser::expr_bp`] is parsing will become part of:
+/// `NOT _`, `- _`, `( _ )`, `left op _` (binding at the power given),
+/// `expr BETWEEN _ AND …`, `expr BETWEEN lo AND _`, or the next corner of
+/// `left && rect(…)`.
+enum Pending {
+    Not,
+    Neg,
+    Paren,
+    Binary(BinOp, SqlExpr, u8),
+    BetweenLo(SqlExpr),
+    BetweenHi(SqlExpr, SqlExpr),
+    Rect(SqlExpr, Vec<SqlExpr>),
+}
+
+/// `left && rect(x0, y0, x1, y1)`; the left side must be the `bbox`
+/// pseudo-column.
+fn spatial(left: SqlExpr, rect: [Box<SqlExpr>; 4]) -> Result<SqlExpr> {
+    match left {
+        SqlExpr::Column(c) if c.column.eq_ignore_ascii_case("bbox") => {
+            Ok(SqlExpr::SpatialIntersect { rect })
+        }
+        other => Err(StorageError::ParseError(format!(
+            "left side of && must be the bbox pseudo-column, found {other:?}"
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -22,18 +22,7 @@ pub struct DotsConfig {
 }
 
 impl DotsConfig {
-    /// Paper-density configuration at a laptop-friendly scale:
-    /// ~2.1M dots on a 131,072 × 16,384 canvas (≈1e-3 dots/px²).
-    pub fn paper_scaled() -> Self {
-        DotsConfig {
-            n: 2_097_152,
-            width: 131_072.0,
-            height: 16_384.0,
-            seed: 42,
-        }
-    }
-
-    /// Smaller configuration for tests and quick runs, same density.
+    /// 65,536 dots for tests and quick runs, at the paper's density.
     pub fn small() -> Self {
         DotsConfig {
             n: 65_536,
@@ -250,8 +239,6 @@ mod tests {
     #[test]
     fn paper_scaled_density_matches_paper() {
         // the paper: 100M dots / (1e6 * 1e5 px²) = 1e-3 dots per px²
-        let d = DotsConfig::paper_scaled().density();
-        assert!((d - 1e-3).abs() < 2e-4, "density {d}");
         let s = DotsConfig::small().density();
         assert!((s - 1e-3).abs() < 2e-4, "density {s}");
     }
